@@ -248,7 +248,7 @@ let seed_term =
 
 (* ---- campaign parallelism (--jobs / --lanes) ---- *)
 
-let bounded_int ~name lo hi =
+let bounded_int ~name (lo, hi) =
   let parse s =
     match int_of_string_opt s with
     | Some v when v >= lo && v <= hi -> Ok v
@@ -262,7 +262,7 @@ let parallel_term =
   let jobs =
     Arg.(
       value
-      & opt (bounded_int ~name:"--jobs" 1 256) 1
+      & opt (bounded_int ~name:"--jobs" Job.jobs_range) 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Shard the campaign's faults across $(docv) domains. The merged \
@@ -272,13 +272,14 @@ let parallel_term =
   let lanes =
     Arg.(
       value
-      & opt (bounded_int ~name:"--lanes" 1 65536) Sys.int_size
+      & opt (bounded_int ~name:"--lanes" Job.lanes_range) Sys.int_size
       & info [ "lanes" ] ~docv:"N"
           ~doc:
-            "Mutant lanes per simulation pass. Up to 63 (the default) runs \
-             the native-int bit-parallel backend; wider values (256, 512, \
-             1024, ...) run the bit-sliced wide backend, evaluating $(docv) \
-             mutants per golden pass.")
+            "Mutant lanes per simulation pass of an FSM-fault campaign. Up \
+             to 63 (the default) packs one native int; wider values (256, \
+             512, 1024, ...) use bit-sliced lane sets, evaluating $(docv) \
+             mutants per golden pass. Stuck-at campaigns always run 63 \
+             lanes per pass and ignore it.")
   in
   Term.(const (fun jobs lanes -> (jobs, lanes)) $ jobs $ lanes)
 
@@ -665,7 +666,7 @@ let lint_cmd =
   let k_bound =
     Arg.(
       value
-      & opt (bounded_int ~name:"--k-bound" 1 64) 8
+      & opt (bounded_int ~name:"--k-bound" (1, 64)) 8
       & info [ "k-bound" ] ~docv:"K"
           ~doc:"With $(b,--fsm): bound of the forall-k-distinguishability search.")
   in
@@ -915,7 +916,7 @@ let serve_cmd =
   in
   let workers =
     Arg.(
-      value & opt (bounded_int ~name:"--workers" 1 64) 2
+      value & opt (bounded_int ~name:"--workers" (1, 64)) 2
       & info [ "workers" ] ~docv:"N" ~doc:"Concurrent job worker domains.")
   in
   Cmd.v

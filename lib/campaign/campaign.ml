@@ -25,24 +25,8 @@ type verdict = {
 }
 
 type 'l lane_event = { excited : 'l; detected : 'l; halt : bool }
-type event = int lane_event
 
 module type BACKEND = sig
-  type ctx
-  type fault
-  type stim
-
-  val name : string
-  val max_lanes : int
-  val effective : ctx -> fault -> bool
-
-  type batch
-
-  val start : ctx -> fault array -> batch
-  val step : batch -> active:int -> stim -> event
-end
-
-module type BACKEND_W = sig
   module L : Lanes.S
 
   type ctx
@@ -156,10 +140,6 @@ type 'f outcome = { report : 'f report; verdicts : ('f * verdict) list }
    shard re-evaluates a batch — consumers key by fault. *)
 type 'f checkpoint = { every : int; flush : ('f * verdict) list -> unit }
 
-let ones n = if n >= Sys.int_size then -1 else (1 lsl n) - 1
-
-let iter_bits m f = Simcov_util.Lanes.iter_word 0 m f
-
 (* Contiguous balanced shard ranges: [shard_ranges ~n ~jobs] covers
    [0..n-1] with [min jobs (max n 1)] ranges of near-equal length (the
    first [n mod jobs] ranges get one extra fault), in fault order. The
@@ -180,7 +160,7 @@ let spend budget =
   | Some _ as r -> r
   | None -> ( try Budget.step budget; None with Budget.Budget_exceeded r -> Some r)
 
-module Make_wide (B : BACKEND_W) = struct
+module Make (B : BACKEND) = struct
   module L = B.L
 
   exception Stop_batch
@@ -615,13 +595,4 @@ module Make_wide (B : BACKEND_W) = struct
       Array.iter (Budget.reclaim budget) sub_budgets;
       assemble results
     end
-end
-
-module Make (B : BACKEND) = struct
-  module W = Make_wide (struct
-    module L = Lanes.Native
-    include B
-  end)
-
-  let run = W.run
 end

@@ -12,12 +12,12 @@
     and what one lockstep step observes) and {!Make} provides the single
     campaign driver, which is
 
-    - {e bit-parallel}: mutants are packed into the lanes of a
-      {!Simcov_util.Lanes} set — a native OCaml [int] (63 lanes, the
-      default) or a bit-sliced wide set (256/512/1024 lanes via
-      {!BACKEND_W} / {!Make_wide}) — so one golden pass over the word
-      evaluates a whole batch: the classic parallel-pattern
-      fault-simulation trick, freed of the word-size cap;
+    - {e bit-parallel}: mutants are packed into the lanes of the
+      backend's {!Simcov_util.Lanes} set — a native OCaml [int]
+      (63 lanes) or a bit-sliced wide set (256/512/1024 lanes) — so one
+      golden pass over the word evaluates a whole batch: the classic
+      parallel-pattern fault-simulation trick, freed of the word-size
+      cap;
     - {e domain-parallel}: [run ~jobs:n] splits the effective-fault
       array into [n] contiguous shards, runs them on [Domain.spawn]
       workers with sub-budgets carved by {!Simcov_util.Budget.split},
@@ -29,6 +29,11 @@
     - {e observable}: a per-batch {!progress} callback carries
       throughput counters for CLI and bench reporting; under sharding
       the shared counters are atomics and the callback is serialized.
+
+    Each backend keeps a one-mutant-at-a-time scalar reference
+    ([Detect.campaign_scalar], [Stuckat.run_verdict],
+    [Validate.detects_bug]); those are the oracle the batched driver
+    is tested against.
 
     {b Determinism / merge contract.} Shards are contiguous slices of
     the effective-fault array in fault order (a pure function of
@@ -69,16 +74,15 @@ type 'l lane_event = {
           are folded in *)
 }
 
-type event = int lane_event
-(** The native-[int] lane-set event of {!BACKEND} backends. *)
-
 (** {1 Backends} *)
 
 (** One fault domain: a golden model type, a fault type, a stimulus
-    type, and a batched lockstep simulator — over native-[int] lane
-    sets. This is the zero-overhead default; {!BACKEND_W} is the same
-    contract over an arbitrary lane representation. *)
+    type, and a batched lockstep simulator over the lane
+    representation [L]. One batch carries up to
+    [min max_lanes L.width] mutants. *)
 module type BACKEND = sig
+  module L : Lanes.S
+
   type ctx  (** the golden model, possibly pre-tabulated *)
 
   type fault
@@ -89,7 +93,7 @@ module type BACKEND = sig
 
   val max_lanes : int
   (** Upper bound on lanes per batch; the driver uses
-      [min max_lanes Sys.int_size]. A scalar backend declares [1]. *)
+      [min max_lanes L.width]. A scalar backend declares [1]. *)
 
   val effective : ctx -> fault -> bool
   (** Faults that actually change behavior locally; ineffective faults
@@ -101,34 +105,13 @@ module type BACKEND = sig
 
   val start : ctx -> fault array -> batch
   (** Begin a batch at reset. The array has at most
-      [min max_lanes Sys.int_size] entries, all effective. *)
+      [min max_lanes L.width] entries, all effective. *)
 
-  val step : batch -> active:int -> stim -> event
+  val step : batch -> active:L.t -> stim -> L.t lane_event
   (** Advance the batch by one stimulus element. [active] is the lane
       set still undetected; lanes outside it need not be simulated
       precisely (the driver masks the returned lane sets with
       [active]). *)
-end
-
-(** The same backend contract over an explicit lane representation
-    [L] : one batch carries up to [min max_lanes L.width] mutants.
-    Instantiate [L] with {!Simcov_util.Lanes.Wide} for 256/512/1024
-    lanes per golden pass. *)
-module type BACKEND_W = sig
-  module L : Lanes.S
-
-  type ctx
-  type fault
-  type stim
-
-  val name : string
-  val max_lanes : int
-  val effective : ctx -> fault -> bool
-
-  type batch
-
-  val start : ctx -> fault array -> batch
-  val step : batch -> active:L.t -> stim -> L.t lane_event
 end
 
 (** {1 Reports} *)
@@ -216,14 +199,6 @@ type 'f checkpoint = {
     [jobs]/lane-width configuration — and that run's final report is
     identical to the uninterrupted one. *)
 
-(** {1 Lane-set helpers (for backends)} *)
-
-val ones : int -> int
-(** [ones n] has the low [n] bits set ([0 <= n <= Sys.int_size]). *)
-
-val iter_bits : int -> (int -> unit) -> unit
-(** Apply the function to each set bit's index, ascending. *)
-
 val shard_ranges : n:int -> jobs:int -> (int * int) array
 (** The contiguous balanced shard decomposition used by [run ~jobs]:
     [(offset, length)] per shard, covering [0..n-1] in order with
@@ -231,9 +206,9 @@ val shard_ranges : n:int -> jobs:int -> (int * int) array
     [n mod jobs] shards get one extra element). Exposed so tests can
     state the merge contract exactly. *)
 
-(** {1 The drivers} *)
+(** {1 The driver} *)
 
-module Make_wide (B : BACKEND_W) : sig
+module Make (B : BACKEND) : sig
   val run :
     ?budget:Budget.t ->
     ?jobs:int ->
@@ -249,7 +224,7 @@ module Make_wide (B : BACKEND_W) : sig
     B.stim list ->
     B.fault outcome
   (** Run the campaign: filter effective faults, batch them
-      [min B.max_lanes B.L.width] to a word, and lockstep-simulate
+      [min B.max_lanes B.L.width] to a batch, and lockstep-simulate
       each batch over the stimulus word, recording per-lane excitation
       and detection (a lane's simulation stops at its first detection;
       a batch stops when every lane is detected or the backend halts).
@@ -296,22 +271,3 @@ module Make_wide (B : BACKEND_W) : sig
         ([jobs = 1]) propagate the exception instead. *)
 end
 
-module Make (B : BACKEND) : sig
-  val run :
-    ?budget:Budget.t ->
-    ?jobs:int ->
-    ?max_workers:int ->
-    ?on_batch:(progress -> unit) ->
-    ?resume:(B.fault -> verdict option) ->
-    ?checkpoint:B.fault checkpoint ->
-    ?should_stop:(unit -> bool) ->
-    ?shard_retries:int ->
-    ?retry_backoff_s:float ->
-    B.ctx ->
-    B.fault list ->
-    B.stim list ->
-    B.fault outcome
-  (** {!Make_wide} specialized to native-[int] lane sets
-      ({!Lanes.Native}): the zero-overhead 63-lane path, and the
-      oracle the wide path is tested against. *)
-end

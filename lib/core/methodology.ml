@@ -3,11 +3,10 @@ module Budget = Simcov_util.Budget
 module Obs = Simcov_obs.Obs
 module Json = Simcov_util.Json
 
-type tier = Partitioned_symbolic | Monolithic_symbolic | Explicit
+type tier = Partitioned_symbolic | Explicit
 
 let tier_name = function
   | Partitioned_symbolic -> "partitioned symbolic"
-  | Monolithic_symbolic -> "monolithic symbolic"
   | Explicit -> "explicit enumeration"
 
 type symbolic_figures = {
@@ -19,22 +18,22 @@ type symbolic_figures = {
 
 (* The state/transition counts of the test model, computed at the
    richest representation the resource budget admits: partitioned
-   symbolic reachability, then the monolithic relation, then plain
-   enumeration of the already-tabulated machine (which needs no BDDs
-   at all and cannot fail). Each abandoned tier leaves a note. *)
+   symbolic reachability, then plain enumeration of the
+   already-tabulated machine (which needs no BDDs at all and cannot
+   fail). The abandoned symbolic tier leaves a note. *)
 let symbolic_figures ~budget ~reorder model =
   let module Symfsm = Simcov_symbolic.Symfsm in
   let module Bdd = Simcov_bdd.Bdd in
-  let attempt tier =
-    let partitioned = tier = Partitioned_symbolic in
+  let name = tier_name Partitioned_symbolic in
+  let symbolic () =
     try
       let sf = Symfsm.of_fsm ~budget ~reorder model in
-      let tr = Symfsm.traverse ~partitioned ~budget sf in
+      let tr = Symfsm.traverse ~budget sf in
       match tr.Symfsm.truncated with
       | Some r ->
           Error
-            (Printf.sprintf "%s reachability truncated (out of %s)"
-               (tier_name tier) (Budget.resource_name r))
+            (Printf.sprintf "%s reachability truncated (out of %s)" name
+               (Budget.resource_name r))
       | None ->
           sf.Symfsm.reach <- Some tr;
           ignore (Bdd.protect sf.Symfsm.man tr.Symfsm.reached);
@@ -42,44 +41,34 @@ let symbolic_figures ~budget ~reorder model =
             {
               sym_states = Symfsm.count_reachable sf;
               sym_transitions = Symfsm.count_transitions sf;
-              tier;
+              tier = Partitioned_symbolic;
               degradations = [];
             }
     with
     | Bdd.Node_limit live ->
         Error
-          (Printf.sprintf "%s out of BDD nodes (%d live at the ceiling)"
-             (tier_name tier) live)
+          (Printf.sprintf "%s out of BDD nodes (%d live at the ceiling)" name
+             live)
     | Budget.Budget_exceeded r ->
         Error
-          (Printf.sprintf "%s abandoned (out of %s)" (tier_name tier)
+          (Printf.sprintf "%s abandoned (out of %s)" name
              (Budget.resource_name r))
   in
-  let explicit notes =
-    let open Simcov_fsm in
-    {
-      sym_states = float_of_int (Fsm.n_reachable model);
-      sym_transitions = float_of_int (Fsm.n_transitions model);
-      tier = Explicit;
-      degradations = List.rev notes;
-    }
-  in
-  let degrade tier note =
-    Obs.event "methodology.degrade" ~fields:(fun () ->
-        [ ("tier", Json.String (tier_name tier)); ("note", Json.String note) ])
-  in
-  match attempt Partitioned_symbolic with
+  match symbolic () with
   | Ok f -> f
-  | Error note1 -> (
-      degrade Partitioned_symbolic note1;
-      match attempt Monolithic_symbolic with
-      | Ok f -> { f with degradations = [ note1 ] }
-      | Error note2 ->
-          degrade Monolithic_symbolic note2;
-          (* the explicit tier allocates no BDD nodes: stop consulting
-             the abandoned manager's live-node probe (budget.mli) *)
-          Budget.set_node_probe budget None;
-          explicit [ note2; note1 ])
+  | Error note ->
+      Obs.event "methodology.degrade" ~fields:(fun () ->
+          [ ("tier", Json.String name); ("note", Json.String note) ]);
+      (* the explicit tier allocates no BDD nodes: stop consulting the
+         abandoned manager's live-node probe (budget.mli) *)
+      Budget.set_node_probe budget None;
+      let open Simcov_fsm in
+      {
+        sym_states = float_of_int (Fsm.n_reachable model);
+        sym_transitions = float_of_int (Fsm.n_transitions model);
+        tier = Explicit;
+        degradations = [ note ];
+      }
 
 type run_report = {
   config : Testmodel.config;

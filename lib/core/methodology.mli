@@ -10,7 +10,6 @@ module Budget = Simcov_util.Budget
 
 type tier =
   | Partitioned_symbolic  (** conjunct-per-latch relation, early quantification *)
-  | Monolithic_symbolic  (** single-BDD transition relation *)
   | Explicit  (** plain enumeration of the tabulated machine; never fails *)
 
 val tier_name : tier -> string
@@ -20,8 +19,8 @@ type symbolic_figures = {
   sym_transitions : float;  (** (reachable state, valid input) pairs *)
   tier : tier;  (** representation that actually produced the figures *)
   degradations : string list;
-      (** one note per abandoned richer tier, in the order tried;
-          empty when the first tier succeeded *)
+      (** the note of the abandoned symbolic tier when the explicit
+          tier produced the figures; empty otherwise *)
 }
 
 type run_report = {
@@ -85,7 +84,7 @@ val validate_dlx :
 
     [budget] governs resources. Its node allowance caps the BDD
     managers of the symbolic phase, which degrades gracefully down the
-    {!tier} ladder (partitioned → monolithic → explicit) rather than
+    {!tier} ladder (partitioned → explicit) rather than
     failing — a run under an arbitrarily small node budget still
     returns a complete report, with [symbolic.degradations] recording
     what was given up. The deadline/step budget, by contrast, bounds

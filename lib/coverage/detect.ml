@@ -65,161 +65,44 @@ type report = Fault.t campaign_report
 
 let backend_name = "fsm-fault"
 
-(* The bit-parallel FSM-fault backend. One golden pass per stimulus
-   word evaluates up to [Sys.int_size] mutants at once, one per int bit
-   lane. Mutant trajectories are tracked by difference from the golden
-   trajectory:
+(* The bit-parallel FSM-fault backend, over any lane representation.
+   One golden pass per stimulus word evaluates a whole batch of
+   mutants, one per lane. Mutant trajectories are tracked by
+   difference from the golden trajectory:
 
    - output and conditional-output lanes never leave the golden
      trajectory, so they need no per-lane state at all — they detect
      the moment the golden run traverses their site (with the required
      history, for conditional lanes);
    - a transfer lane is "diverged" once its mutant's state differs from
-     the golden state; only diverged lanes pay for a per-lane scalar
-     step, and they rejoin the cheap converged set on silent
-     re-convergence (Definition 4's masking window closing). *)
-module Fsm_backend = struct
+     the golden state; only diverged lanes are stepped off the golden
+     trajectory, grouped by mutant state, and they rejoin the cheap
+     converged set on silent re-convergence (Definition 4's masking
+     window closing). *)
+module Fsm_backend (L : Simcov_util.Lanes.S) = struct
+  module L = L
+
   type ctx = { m : Fsm.t; tab : Fsm.tables }
   type fault = Fault.t
   type stim = int
 
   let name = backend_name
-  let max_lanes = Sys.int_size
+  let max_lanes = L.width
   let effective ctx f = Fault.is_effective ctx.m f
 
-  type batch = {
-    tab : Fsm.tables;
-    site : int array;  (* lane -> faulted (state * k + input) *)
-    wrong : int array;  (* lane -> wrong next state / wrong output *)
-    cprev : int array;  (* conditional lanes: required previous transition *)
-    site_lanes : (int, int) Hashtbl.t;  (* transition -> lane set faulted there *)
-    out_mask : int;
-    tr_mask : int;
-    cond_mask : int;
-    mstate : int array;  (* per-lane mutant state, meaningful when diverged *)
-    mutable diverged : int;
-    mutable sg : int;  (* golden state *)
-    mutable gprev : int;  (* previous golden transition, -1 at reset *)
+  (* The batch's lanes faulted at one transition, split by kind:
+     splitting up front means an excited step handles each population
+     directly instead of re-deriving it from a combined site set with
+     one full-width mask intersection per kind. *)
+  type site = {
+    mutable s_out : L.t;
+    mutable s_tr : L.t;
+    mutable s_cond : L.t;
   }
 
-  let start (ctx : ctx) faults =
-    let tab = ctx.tab in
-    let k = tab.Fsm.tab_inputs in
-    let n = Array.length faults in
-    let site = Array.make n 0 and wrong = Array.make n 0 in
-    let cprev = Array.make n (-1) in
-    let site_lanes = Hashtbl.create (2 * n) in
-    let out_mask = ref 0 and tr_mask = ref 0 and cond_mask = ref 0 in
-    Array.iteri
-      (fun l f ->
-        let s, i = Fault.site f in
-        let idx = (s * k) + i in
-        site.(l) <- idx;
-        (match Hashtbl.find_opt site_lanes idx with
-        | Some m -> Hashtbl.replace site_lanes idx (m lor (1 lsl l))
-        | None -> Hashtbl.add site_lanes idx (1 lsl l));
-        match f with
-        | Fault.Transfer { wrong_next; _ } ->
-            wrong.(l) <- wrong_next;
-            tr_mask := !tr_mask lor (1 lsl l)
-        | Fault.Output { wrong_output; _ } ->
-            wrong.(l) <- wrong_output;
-            out_mask := !out_mask lor (1 lsl l)
-        | Fault.Conditional_output { wrong_output; prev = ps, pi; _ } ->
-            wrong.(l) <- wrong_output;
-            cprev.(l) <- (ps * k) + pi;
-            cond_mask := !cond_mask lor (1 lsl l))
-      faults;
-    {
-      tab;
-      site;
-      wrong;
-      cprev;
-      site_lanes;
-      out_mask = !out_mask;
-      tr_mask = !tr_mask;
-      cond_mask = !cond_mask;
-      mstate = Array.make n 0;
-      diverged = 0;
-      sg = tab.Fsm.tab_reset;
-      gprev = -1;
-    }
-
-  let step b ~active i =
-    let k = b.tab.Fsm.tab_inputs in
-    (* out-of-alphabet stimuli are invalid in every state, golden and
-       mutant alike: halt with no verdicts, exactly like the scalar
-       reference. Indexing the flat tables with such an [i] would
-       alias into the next state's row instead. *)
-    if i < 0 || i >= k then { Campaign.excited = 0; detected = 0; halt = true }
-    else
-    let gi = (b.sg * k) + i in
-    let vg = b.tab.Fsm.tab_valid.(gi) in
-    let detected = ref 0 in
-    (* snapshot: lanes diverged at the START of this step — the redirect
-       below must only apply to lanes whose mutant sits on the golden
-       state, and re-convergence inside the loop must not re-qualify a
-       lane for it *)
-    let dv = b.diverged land active in
-    if not vg then begin
-      (* golden rejects the stimulus: diverged mutants that accept it
-         are exposed by the validity mismatch; everyone else stops *)
-      Campaign.iter_bits dv (fun l ->
-          if b.tab.Fsm.tab_valid.((b.mstate.(l) * k) + i) then
-            detected := !detected lor (1 lsl l));
-      { Campaign.excited = 0; detected = !detected; halt = true }
-    end
-    else begin
-      let sg' = b.tab.Fsm.tab_next.(gi) and og = b.tab.Fsm.tab_output.(gi) in
-      (* lanes already diverged run their own scalar lockstep step *)
-      Campaign.iter_bits dv (fun l ->
-          let mi = (b.mstate.(l) * k) + i in
-          if not b.tab.Fsm.tab_valid.(mi) then detected := !detected lor (1 lsl l)
-          else if b.tab.Fsm.tab_output.(mi) <> og then
-            detected := !detected lor (1 lsl l)
-          else begin
-            let ms' =
-              if mi = b.site.(l) then b.wrong.(l) else b.tab.Fsm.tab_next.(mi)
-            in
-            if ms' = sg' then b.diverged <- b.diverged land lnot (1 lsl l);
-            b.mstate.(l) <- ms'
-          end);
-      (* site events on the golden transition *)
-      let excited =
-        match Hashtbl.find_opt b.site_lanes gi with None -> 0 | Some m -> m
-      in
-      if excited <> 0 then begin
-        (* effectiveness guarantees wrong_output <> og … *)
-        detected := !detected lor (excited land b.out_mask);
-        Campaign.iter_bits (excited land b.cond_mask) (fun l ->
-            if b.cprev.(l) = b.gprev then detected := !detected lor (1 lsl l));
-        (* … and wrong_next <> sg', so converged transfer lanes branch
-           off the golden trajectory here *)
-        Campaign.iter_bits
-          (excited land b.tr_mask land lnot dv land active)
-          (fun l ->
-            b.mstate.(l) <- b.wrong.(l);
-            if b.wrong.(l) <> sg' then begin
-              b.diverged <- b.diverged lor (1 lsl l);
-              Obs.incr c_lanes_diverged
-            end);
-      end;
-      b.gprev <- gi;
-      b.sg <- sg';
-      { Campaign.excited; detected = !detected; halt = false }
-    end
-end
-
-module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
-  module L = L
-
-  type ctx = Fsm_backend.ctx = { m : Fsm.t; tab : Fsm.tables }
-  type fault = Fault.t
-  type stim = int
-
-  let name = backend_name
-  let max_lanes = L.width
-  let effective (ctx : ctx) f = Fault.is_effective ctx.m f
+  (* The site of every transition no fault of the batch sits on. It is
+     never written: pruning skips empty sets. *)
+  let no_site = { s_out = L.zero; s_tr = L.zero; s_cond = L.zero }
 
   type batch = {
     k : int;  (* tab_inputs *)
@@ -228,13 +111,9 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
     tout : int array;
     wrong : int array;
     cprev : int array;
-    (* per-kind fault-site maps, flat (state * k + input) -> lane set:
-       splitting by kind up front means an excited step handles each
-       population directly instead of re-deriving it from a combined
-       site set with one full-width mask intersection per kind *)
-    site_out : L.t array;
-    site_tr : L.t array;
-    site_cond : L.t array;
+    sites : (int, site) Hashtbl.t;
+        (* faulted transition (state * k + input) -> its lanes; sized by
+           the batch, not by the machine's transition count *)
     groups : L.t array;  (* mutant state -> diverged lanes sitting there *)
     stage : L.t array;  (* same-step landing sets, merged after the sweep *)
     occ : int array;  (* states with a nonempty group, unordered *)
@@ -253,25 +132,30 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
     let n = Array.length faults in
     let wrong = Array.make n 0 in
     let cprev = Array.make n (-1) in
-    let nsites = tab.Fsm.tab_states * k in
-    let site_out = Array.make nsites L.zero in
-    let site_tr = Array.make nsites L.zero in
-    let site_cond = Array.make nsites L.zero in
+    let sites = Hashtbl.create (2 * n) in
     Array.iteri
       (fun l f ->
         let s, i = Fault.site f in
         let idx = (s * k) + i in
+        let site =
+          match Hashtbl.find_opt sites idx with
+          | Some site -> site
+          | None ->
+              let site = { s_out = L.zero; s_tr = L.zero; s_cond = L.zero } in
+              Hashtbl.add sites idx site;
+              site
+        in
         match f with
         | Fault.Transfer { wrong_next; _ } ->
             wrong.(l) <- wrong_next;
-            site_tr.(idx) <- L.add site_tr.(idx) l
+            site.s_tr <- L.add site.s_tr l
         | Fault.Output { wrong_output; _ } ->
             wrong.(l) <- wrong_output;
-            site_out.(idx) <- L.add site_out.(idx) l
+            site.s_out <- L.add site.s_out l
         | Fault.Conditional_output { wrong_output; prev = ps, pi; _ } ->
             wrong.(l) <- wrong_output;
             cprev.(l) <- (ps * k) + pi;
-            site_cond.(idx) <- L.add site_cond.(idx) l)
+            site.s_cond <- L.add site.s_cond l)
       faults;
     {
       k;
@@ -280,9 +164,7 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
       tout = tab.Fsm.tab_output;
       wrong;
       cprev;
-      site_out;
-      site_tr;
-      site_cond;
+      sites;
       groups = Array.make tab.Fsm.tab_states L.zero;
       stage = Array.make tab.Fsm.tab_states L.zero;
       occ = Array.make tab.Fsm.tab_states 0;
@@ -294,6 +176,9 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
       sg = tab.Fsm.tab_reset;
       gprev = -1;
     }
+
+  let site_at b t =
+    match Hashtbl.find_opt b.sites t with Some site -> site | None -> no_site
 
   (* The one preallocated "nothing happened this step" event — the
      overwhelmingly common outcome, kept allocation-free. *)
@@ -325,24 +210,24 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
     else b.stage.(s) <- L.union b.stage.(s) lanes
 
   (* Prune a site's lanes against the driver's active set and store the
-     pruned set back: a lane that retires never becomes active again
+     pruned sets back: a lane that retires never becomes active again
      within the batch, so the stored sets only ever tighten, and once a
      site's mutants are all retired every later golden visit reduces to
-     one physical-equality test — without this, long batch tails
-     re-scan full-width masks for lanes that were detected thousands of
-     steps ago. The sweep's hitter lookup reads the same array, which
-     stays correct: group members are undetected, hence never pruned. *)
-  let[@inline] pruned arr gi active =
-    let site = Array.unsafe_get arr gi in
-    if site == L.zero then site
-    else begin
-      let p = L.inter site active in
-      Array.unsafe_set arr gi p;
-      p
-    end
+     physical-equality tests — without this, long batch tails re-scan
+     full-width masks for lanes that were detected thousands of steps
+     ago. The sweep's hitter lookup reads the same sites, which stays
+     correct: group members are undetected, hence never pruned. *)
+  let prune site active =
+    if site.s_out != L.zero then site.s_out <- L.inter site.s_out active;
+    if site.s_tr != L.zero then site.s_tr <- L.inter site.s_tr active;
+    if site.s_cond != L.zero then site.s_cond <- L.inter site.s_cond active
 
   let step b ~active i =
     let k = b.k in
+    (* out-of-alphabet stimuli are invalid in every state, golden and
+       mutant alike: halt with no verdicts, exactly like the scalar
+       reference. Indexing the flat tables with such an [i] would
+       alias into the next state's row instead. *)
     if i < 0 || i >= k then
       { Campaign.excited = L.zero; detected = L.zero; halt = true }
     else
@@ -362,9 +247,9 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
       else begin
         let sg' = Array.unsafe_get b.tnext gi
         and og = Array.unsafe_get b.tout gi in
-        let s_out = pruned b.site_out gi active in
-        let s_tr = pruned b.site_tr gi active in
-        let s_cond = pruned b.site_cond gi active in
+        let site = site_at b gi in
+        prune site active;
+        let s_out = site.s_out and s_tr = site.s_tr and s_cond = site.s_cond in
         b.det <- L.zero;
         (* [dv] snapshots the start-of-step diverged set, so lanes the
            sweep below re-converges this very step do not branch off
@@ -400,7 +285,8 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
               end
               else begin
                 let ns = Array.unsafe_get b.tnext mi in
-                if L.disjoint g (Array.unsafe_get b.site_tr mi) then begin
+                let mtr = (site_at b mi).s_tr in
+                if L.disjoint g mtr then begin
                   (* no group member's own site is on this transition:
                      the whole group moves, and it is known nonempty *)
                   if ns = sg' then b.diverged <- L.diff b.diverged g
@@ -409,7 +295,7 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
                 else begin
                   (* mutants whose own fault site is this transition
                      take their wrong next state individually *)
-                  let hitters = L.inter g b.site_tr.(mi) in
+                  let hitters = L.inter g mtr in
                   L.iter hitters (fun l ->
                       let ms' = b.wrong.(l) in
                       if ms' = sg' then b.diverged <- L.remove b.diverged l
@@ -467,20 +353,17 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
       end
 end
 
-module Driver = Campaign.Make (Fsm_backend)
-
-let campaign_outcome ?budget ?lanes ?jobs ?max_workers ?on_batch ?resume
-    ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s golden faults word =
-  let ctx = { Fsm_backend.m = golden; tab = Fsm.tables golden } in
-  match lanes with
-  | Some w when w > Sys.int_size ->
-      let module L = (val Simcov_util.Lanes.make w) in
-      let module D = Campaign.Make_wide (Fsm_backend_w (L)) in
-      D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s ctx faults word
-  | _ ->
-      Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s ctx faults word
+(* [lanes] up to [Sys.int_size] (the default) pick the native-int lane
+   set; wider values a bit-sliced one carrying that many mutants *)
+let campaign_outcome ?budget ?(lanes = Sys.int_size) ?jobs ?max_workers
+    ?on_batch ?resume ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s
+    golden faults word =
+  let module B = Fsm_backend ((val Simcov_util.Lanes.make lanes)) in
+  let module D = Campaign.Make (B) in
+  D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint ?should_stop
+    ?shard_retries ?retry_backoff_s
+    { B.m = golden; tab = Fsm.tables golden }
+    faults word
 
 let campaign ?budget ?lanes ?jobs ?on_batch golden faults word =
   (campaign_outcome ?budget ?lanes ?jobs ?on_batch golden faults word)

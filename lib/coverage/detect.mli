@@ -66,11 +66,13 @@ val campaign :
     exhaustion yields a [truncated] partial report, never an
     exception.
 
-    [lanes] selects the lane representation: up to [Sys.int_size]
-    (the default) runs the native-int backend; wider values run the
-    bit-sliced backend with that many mutants per golden pass.
+    [lanes] selects the lane representation of the one FSM backend:
+    up to [Sys.int_size] (the default) packs a batch into one native
+    int; wider values use a bit-sliced set of that many lanes, so one
+    golden pass evaluates that many mutants.
     [jobs > 1] shards the effective faults across that many domains
-    (see {!Simcov_campaign.Campaign}'s determinism contract). *)
+    (see {!Simcov_campaign.Campaign}'s determinism contract).
+    @raise Invalid_argument if [lanes < 1]. *)
 
 val campaign_outcome :
   ?budget:Simcov_util.Budget.t ->

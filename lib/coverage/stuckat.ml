@@ -88,8 +88,15 @@ let detects c fault word = (run_verdict c fault word).Campaign.detected
 (* The bit-parallel stuck-at backend: bit l of every packed int is the
    value of a net in faulty circuit l. One {!Expr.eval_lanes} pass per
    expression evaluates all lanes at once; a lane's reads of its
-   faulted signal are pinned through per-signal (mask, ones) pairs. *)
+   faulted signal are pinned through per-signal (mask, ones) pairs.
+
+   A batch is always one native word. Every step recomputes every
+   lane's nets, so per-step work grows with the lane count and a wider
+   batch would save only batch setups while adding allocation
+   (DESIGN.md §8b has the measurement). *)
 module Net_backend = struct
+  module L = Simcov_util.Lanes.Native
+
   type ctx = Circuit.t
   type nonrec fault = fault
   type stim = bool array
@@ -111,7 +118,7 @@ module Net_backend = struct
 
   let start (c : Circuit.t) (faults : fault array) =
     let nr = Circuit.n_regs c and ni = Circuit.n_inputs c in
-    let full = Campaign.ones (Array.length faults) in
+    let full = L.ones (Array.length faults) in
     let pmr = Array.make nr 0 and p1r = Array.make nr 0 in
     let pmi = Array.make ni 0 and p1i = Array.make ni 0 in
     Array.iteri
@@ -180,121 +187,17 @@ module Net_backend = struct
       { Campaign.excited = 0; detected = cm; halt = true }
 end
 
-(* The same backend over an arbitrary lane representation: lane values
-   are [L.t] bit-slices and expressions are evaluated through the
-   functorized {!Expr.Wide_eval}. [Net_backend] stays verbatim as the
-   direct-int default and oracle. Unlike the FSM backend, per-step work
-   here is dominated by per-lane expression evaluation (every lane's
-   nets are recomputed every step), so widening mainly buys fewer
-   batch setups, not an order of magnitude — the wide stuck-at path
-   exists for uniformity and for sharding, and the bench reports it
-   honestly. *)
-module Net_backend_w (L : Simcov_util.Lanes.S) = struct
-  module L = L
-  module E = Expr.Wide_eval (L)
-
-  type ctx = Circuit.t
-  type nonrec fault = fault
-  type stim = bool array
-
-  let name = "stuck-at"
-  let max_lanes = L.width
-  let effective _ _ = true
-
-  type batch = {
-    c : Circuit.t;
-    full : L.t;
-    lanes : L.t array;
-    mutable good : Circuit.state;
-    pmr : L.t array;
-    p1r : L.t array;
-    pmi : L.t array;
-    p1i : L.t array;
-  }
-
-  let start (c : Circuit.t) (faults : fault array) =
-    let nr = Circuit.n_regs c and ni = Circuit.n_inputs c in
-    let full = L.ones (Array.length faults) in
-    let pmr = Array.make nr L.zero and p1r = Array.make nr L.zero in
-    let pmi = Array.make ni L.zero and p1i = Array.make ni L.zero in
-    Array.iteri
-      (fun l f ->
-        match f.site with
-        | Reg_output r ->
-            pmr.(r) <- L.add pmr.(r) l;
-            if f.stuck then p1r.(r) <- L.add p1r.(r) l
-        | Primary_input i ->
-            pmi.(i) <- L.add pmi.(i) l;
-            if f.stuck then p1i.(i) <- L.add p1i.(i) l)
-      faults;
-    let good = Circuit.initial_state c in
-    let lanes = Array.map (fun b -> if b then full else L.zero) good in
-    { c; full; lanes; good; pmr; p1r; pmi; p1i }
-
-  let step b ~active:_ iv =
-    let c = b.c in
-    let read_in i =
-      L.union (L.diff (if iv.(i) then b.full else L.zero) b.pmi.(i)) b.p1i.(i)
-    in
-    let read_reg r = L.union (L.diff b.lanes.(r) b.pmr.(r)) b.p1r.(r) in
-    let cm =
-      L.inter
-        (E.eval ~inputs:read_in ~regs:read_reg c.Circuit.input_constraint)
-        b.full
-    in
-    if Circuit.input_valid c b.good iv then begin
-      let excited = ref L.zero in
-      Array.iteri
-        (fun r gb ->
-          excited :=
-            L.union !excited
-              (if gb then L.diff b.pmr.(r) b.p1r.(r) else b.p1r.(r)))
-        b.good;
-      Array.iteri
-        (fun i bit ->
-          excited :=
-            L.union !excited
-              (if bit then L.diff b.pmi.(i) b.p1i.(i) else b.p1i.(i)))
-        iv;
-      let detected = ref (L.diff b.full cm) in
-      let good', gout = Circuit.step c b.good iv in
-      Array.iteri
-        (fun oi (o : Circuit.port) ->
-          let ow = E.eval ~inputs:read_in ~regs:read_reg o.Circuit.expr in
-          let g = if gout.(oi) then b.full else L.zero in
-          detected := L.union !detected (L.inter (L.xor ow g) cm))
-        c.Circuit.outputs;
-      let n = Array.length c.Circuit.regs in
-      let next =
-        Array.map
-          (fun (r : Circuit.reg) ->
-            L.inter (E.eval ~inputs:read_in ~regs:read_reg r.Circuit.next) b.full)
-          c.Circuit.regs
-      in
-      Array.blit next 0 b.lanes 0 n;
-      b.good <- good';
-      { Campaign.excited = !excited; detected = !detected; halt = false }
-    end
-    else { Campaign.excited = L.zero; detected = cm; halt = true }
-end
-
 module Driver = Campaign.Make (Net_backend)
 
-let campaign_outcome ?budget ?lanes ?jobs ?max_workers ?on_batch ?resume
+(* [lanes] is accepted for symmetry with {!Detect.campaign_outcome} and
+   ignored: stuck-at batches are always one native word *)
+let campaign_outcome ?budget ?lanes:_ ?jobs ?max_workers ?on_batch ?resume
     ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s c faults word =
-  match lanes with
-  | Some w when w > Sys.int_size ->
-      let module L = (val Simcov_util.Lanes.make w) in
-      let module D = Campaign.Make_wide (Net_backend_w (L)) in
-      D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s c faults word
-  | _ ->
-      Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s c faults word
+  Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
+    ?should_stop ?shard_retries ?retry_backoff_s c faults word
 
-let campaign ?budget ?lanes ?jobs ?on_batch c faults word =
-  (campaign_outcome ?budget ?lanes ?jobs ?on_batch c faults word)
-    .Campaign.report
+let campaign ?budget ?jobs ?on_batch c faults word =
+  (campaign_outcome ?budget ?jobs ?on_batch c faults word).Campaign.report
 
 type 'f campaign_report = 'f Campaign.report = {
   backend : string;

@@ -66,7 +66,6 @@ type report = fault campaign_report
 
 val campaign :
   ?budget:Simcov_util.Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   ?on_batch:(Campaign.progress -> unit) ->
   Circuit.t ->
@@ -74,8 +73,9 @@ val campaign :
   bool array list ->
   report
 (** Bit-parallel batched campaign via the shared driver; budget
-    exhaustion yields a [truncated] partial report. [lanes] beyond
-    [Sys.int_size] selects the bit-sliced wide backend; [jobs > 1]
+    exhaustion yields a [truncated] partial report. A batch is always
+    one native word ([Sys.int_size] lanes): every step recomputes every
+    lane's nets, so wider batches would only add allocation. [jobs > 1]
     shards faults across domains (see {!Simcov_campaign.Campaign}). *)
 
 val campaign_outcome :
@@ -95,7 +95,9 @@ val campaign_outcome :
   fault Campaign.outcome
 (** As {!campaign}, additionally returning per-fault verdicts and the
     driver's crash-safety hooks (resume / checkpoint / clean stop /
-    shard fault isolation — see {!Simcov_campaign.Campaign}). *)
+    shard fault isolation — see {!Simcov_campaign.Campaign}). [lanes]
+    is accepted for symmetry with {!Detect.campaign_outcome} and
+    ignored. *)
 
 val coverage_pct : report -> float
 val pp_report : Format.formatter -> report -> unit

@@ -57,6 +57,8 @@ let test_program ?(preload_regs = []) ?(preload_mem = []) program =
    old [List.exists]), and the unified report. Excitation has no finer
    probe than detection here: a mismatching commit stream is both. *)
 module Bug_backend = struct
+  module L = Simcov_util.Lanes.Native
+
   type ctx = unit
   type fault = string * Pipeline.bugs
   type stim = test_program
@@ -71,7 +73,7 @@ module Bug_backend = struct
 
   let step (b : batch) ~active t =
     let detected = ref 0 in
-    Campaign.iter_bits active (fun l ->
+    L.iter active (fun l ->
         let _, bugs = b.(l) in
         match
           run_program ~bugs ~preload_regs:t.preload_regs

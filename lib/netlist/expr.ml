@@ -78,25 +78,6 @@ let rec eval_lanes ~inputs ~regs = function
       let sv = eval_lanes ~inputs ~regs s in
       (sv land eval_lanes ~inputs ~regs h) lor (lnot sv land eval_lanes ~inputs ~regs l)
 
-(* the same evaluator over an arbitrary lane representation; [compl]
-   is width-masked, so (unlike the raw-int version) no caller-side
-   cleanup of garbage bits is needed beyond the population mask *)
-module Wide_eval (L : Simcov_util.Lanes.S) = struct
-  let rec eval ~inputs ~regs = function
-    | Const b -> if b then L.full else L.zero
-    | Input i -> inputs i
-    | Reg r -> regs r
-    | Not e -> L.compl (eval ~inputs ~regs e)
-    | And (a, b) -> L.inter (eval ~inputs ~regs a) (eval ~inputs ~regs b)
-    | Or (a, b) -> L.union (eval ~inputs ~regs a) (eval ~inputs ~regs b)
-    | Xor (a, b) -> L.xor (eval ~inputs ~regs a) (eval ~inputs ~regs b)
-    | Mux (s, h, l) ->
-        let sv = eval ~inputs ~regs s in
-        L.union
-          (L.inter sv (eval ~inputs ~regs h))
-          (L.inter (L.compl sv) (eval ~inputs ~regs l))
-end
-
 let rec map_leaves ~input ~reg = function
   | Const b -> Const b
   | Input i -> input i

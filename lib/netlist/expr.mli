@@ -43,14 +43,6 @@ val eval_lanes : inputs:(int -> int) -> regs:(int -> int) -> t -> int
     lanes; bits beyond the lanes the caller populated are unspecified
     (negation sets them) and must be masked off by the caller. *)
 
-(** {!eval_lanes} generalized over a lane representation: one call
-    evaluates the expression for up to [L.width] valuations at once.
-    Constants broadcast to the full width; complement is width-masked,
-    so results only ever carry bits the caller's population mask keeps. *)
-module Wide_eval (L : Simcov_util.Lanes.S) : sig
-  val eval : inputs:(int -> L.t) -> regs:(int -> L.t) -> t -> L.t
-end
-
 val map_leaves : input:(int -> t) -> reg:(int -> t) -> t -> t
 (** Substitute expressions for leaves (rebuilding with the smart
     constructors, so substitution of constants simplifies). *)

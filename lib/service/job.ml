@@ -215,6 +215,18 @@ let get_int obj name ~default =
   | Some (Json.Int i) -> i
   | Some _ -> raise (Bad (Printf.sprintf "field '%s' must be an integer" name))
 
+(* lanes and jobs size per-job allocations and domain counts: the wire
+   accepts exactly the CLI's ranges *)
+let lanes_range = (1, 65536)
+let jobs_range = (1, 256)
+
+let get_bounded obj name (lo, hi) ~default =
+  let v = get_int obj name ~default in
+  if v < lo || v > hi then
+    raise
+      (Bad (Printf.sprintf "field '%s' must be an integer in [%d, %d]" name lo hi));
+  v
+
 let get_bool obj name ~default =
   match get_field obj name with
   | None -> default
@@ -280,8 +292,8 @@ let spec_of ~kind params =
           va_observable_dest =
             get_bool params "observable_dest" ~default:d.va_observable_dest;
           va_seed = get_int params "seed" ~default:d.va_seed;
-          va_lanes = get_int params "lanes" ~default:d.va_lanes;
-          va_jobs = get_int params "jobs" ~default:d.va_jobs;
+          va_lanes = get_bounded params "lanes" lanes_range ~default:d.va_lanes;
+          va_jobs = get_bounded params "jobs" jobs_range ~default:d.va_jobs;
           va_reorder = get_reorder params;
         }
   | "lint" ->
@@ -319,8 +331,8 @@ let spec_of ~kind params =
           cov_count = get_int params "count" ~default:d.cov_count;
           cov_steps = get_int params "steps" ~default:d.cov_steps;
           cov_fail_under = get_float_opt params "fail_under";
-          cov_lanes = get_int params "lanes" ~default:d.cov_lanes;
-          cov_jobs = get_int params "jobs" ~default:d.cov_jobs;
+          cov_lanes = get_bounded params "lanes" lanes_range ~default:d.cov_lanes;
+          cov_jobs = get_bounded params "jobs" jobs_range ~default:d.cov_jobs;
           cov_checkpoint = get_str_opt params "checkpoint";
           cov_checkpoint_every =
             get_int params "checkpoint_every" ~default:d.cov_checkpoint_every;

@@ -108,6 +108,14 @@ val kind : t -> string
 (** ["validate-dlx"], ["lint"], ["coverage"], ["merge"], ["minimize"]
     or ["stats"]. *)
 
+val lanes_range : int * int
+(** Inclusive bounds on the [lanes] param, [(1, 65536)]: shared by the
+    CLI's [--lanes] and {!of_json}. *)
+
+val jobs_range : int * int
+(** Inclusive bounds on the [jobs] param, [(1, 256)]: shared by the
+    CLI's [--jobs] and {!of_json}. *)
+
 val default_validate : validate_params
 val default_lint : model:string -> lint_params
 val default_coverage : model:string -> coverage_params
@@ -117,8 +125,9 @@ val make : ?id:string -> ?timeout_s:float -> ?max_nodes:int -> spec -> t
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-(** Total inverse of {!to_json}; unknown [kind]s and ill-typed fields
-    yield [Error], unknown {e fields} are ignored (schema growth). *)
+(** Total inverse of {!to_json}; unknown [kind]s, ill-typed fields and
+    [lanes]/[jobs] outside {!lanes_range}/{!jobs_range} yield [Error],
+    unknown {e fields} are ignored (schema growth). *)
 
 (** {1 Result envelope} *)
 

@@ -131,7 +131,7 @@ val preimage : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
 
 val image_mono : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
 (** [image] against the monolithic relation (forces {!trans}); kept as
-    the oracle and fallback. *)
+    the oracle. *)
 
 val preimage_mono : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
 

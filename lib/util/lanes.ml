@@ -3,41 +3,34 @@
 
    The campaign driver and its backends manipulate *sets of lanes*
    (mutant slots inside one batch) with bitwise arithmetic. The native
-   representation is an OCaml [int] — 63 lanes, zero overhead — and is
-   kept as the default and as the oracle for the wide path. The wide
-   representation packs [n] lanes into an [int array] (63 bits per
-   word), which is the OCaml-native variant of a Bytes-backed
+   representation is an OCaml [int] — 63 lanes, zero overhead. The
+   wide representation packs [n] lanes into an [int array] (63 bits
+   per word), which is the OCaml-native variant of a Bytes-backed
    bit-slice: same memory layout up to word size, but unboxed word
    reads and no per-byte fixups.
 
    Values are immutable by contract: every operation allocates a fresh
-   set (or returns a shared constant), so [zero] / [full] can be
-   shared freely. *)
+   set (or returns a shared constant), so [zero] can be shared
+   freely. *)
 
 module type S = sig
   type t
 
   val width : int
   val zero : t
-  val full : t
   val ones : int -> t
-  val singleton : int -> t
   val add : t -> int -> t
   val remove : t -> int -> t
   val mem : t -> int -> bool
   val union : t -> t -> t
   val inter : t -> t -> t
   val diff : t -> t -> t
-  val xor : t -> t -> t
-  val compl : t -> t
   val is_empty : t -> bool
 
   val disjoint : t -> t -> bool
   (** [disjoint a b] is [is_empty (inter a b)] without the
       intersection being materialized. *)
 
-  val equal : t -> t -> bool
-  val count : t -> int
   val iter : t -> (int -> unit) -> unit
 
   val iter2_inter : t -> t -> (int -> unit) -> unit
@@ -49,14 +42,6 @@ module type S = sig
       (through whatever mutable cell holds them) without affecting the
       traversal. *)
 end
-
-let popcount m =
-  let c = ref 0 and m = ref m in
-  while !m <> 0 do
-    c := !c + (!m land 1);
-    m := !m lsr 1
-  done;
-  !c
 
 (* Bit index of an isolated power of two, via the multiplicative order
    of 2 mod 67 (2 is a primitive root mod 67, so [2^k mod 67] is
@@ -85,21 +70,15 @@ module Native = struct
 
   let width = Sys.int_size
   let zero = 0
-  let full = -1
   let ones n = if n >= width then -1 else (1 lsl n) - 1
-  let singleton l = 1 lsl l
   let add m l = m lor (1 lsl l)
   let remove m l = m land lnot (1 lsl l)
   let mem m l = m land (1 lsl l) <> 0
   let union a b = a lor b
   let inter a b = a land b
   let diff a b = a land lnot b
-  let xor a b = a lxor b
-  let compl a = lnot a
   let is_empty m = m = 0
   let disjoint a b = a land b = 0
-  let equal (a : int) b = a = b
-  let count = popcount
   let iter m f = iter_word 0 m f
   let iter2_inter a b f = iter_word 0 (a land b) f
 end
@@ -119,23 +98,14 @@ struct
   let nwords = (width + bits_per_word - 1) / bits_per_word
 
   (* Invariant: bits at positions >= width are always clear, so
-     [is_empty] / [equal] / [count] need no trailing-word masking. *)
+     [is_empty] needs no trailing-word masking. *)
   type t = int array
-
-  let last_mask =
-    let rem = width mod bits_per_word in
-    if rem = 0 then -1 else (1 lsl rem) - 1
 
   let zero = Array.make nwords 0
 
-  let full =
-    let a = Array.make nwords (-1) in
-    a.(nwords - 1) <- last_mask;
-    a
-
   let ones n =
+    let n = min n width in
     if n <= 0 then zero
-    else if n >= width then full
     else begin
       let a = Array.make nwords 0 in
       let wfull = n / bits_per_word and rem = n mod bits_per_word in
@@ -143,11 +113,6 @@ struct
       if rem > 0 then a.(wfull) <- (1 lsl rem) - 1;
       a
     end
-
-  let singleton l =
-    let a = Array.make nwords 0 in
-    a.(l / bits_per_word) <- 1 lsl (l mod bits_per_word);
-    a
 
   (* Canonical empties: every operation whose result carries no bits
      returns the shared [zero] itself, so the hot-path emptiness tests
@@ -196,19 +161,6 @@ struct
 
   let inter a b = if a == zero || b == zero then zero else map2 ( land ) a b
   let diff a b = if a == zero || b == zero then a else map2 (fun x y -> x land lnot y) a b
-  let xor a b = if a == zero then b else if b == zero then a else map2 ( lxor ) a b
-
-  let compl a =
-    if a == zero then full
-    else begin
-      let r = Array.make nwords 0 in
-      for i = 0 to nwords - 1 do
-        r.(i) <- lnot a.(i)
-      done;
-      r.(nwords - 1) <- r.(nwords - 1) land last_mask;
-      let rec all0 i = i >= nwords || (r.(i) = 0 && all0 (i + 1)) in
-      if all0 0 then zero else r
-    end
 
   let is_empty m =
     m == zero
@@ -224,25 +176,6 @@ struct
       || (Array.unsafe_get a i land Array.unsafe_get b i = 0 && go (i + 1))
     in
     go 0
-
-  let equal a b =
-    a == b
-    ||
-    let rec go i =
-      i >= nwords
-      || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1))
-    in
-    go 0
-
-  let count m =
-    if m == zero then 0
-    else begin
-      let c = ref 0 in
-      for i = 0 to nwords - 1 do
-        c := !c + popcount (Array.unsafe_get m i)
-      done;
-      !c
-    end
 
   let iter m f =
     if m != zero then

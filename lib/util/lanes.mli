@@ -5,17 +5,17 @@
     backends perform on batch masks. Two representations:
 
     - {!Native}: a plain OCaml [int], [Sys.int_size] (= 63) lanes.
-      Every operation is one machine instruction; this is the default
-      path and the oracle the wide path is tested against.
+      Every operation is one machine instruction.
     - {!Wide}: [n] lanes packed into an [int array], 63 bits per word
       (each word an immediate int — the OCaml-native variant of a
       [Bytes] bit-slice, without per-byte fixups or Int64 boxing).
 
     Values are immutable by contract: operations never mutate their
-    arguments, so the shared {!S.zero} / {!S.full} constants are safe
-    to reuse. [compl] is a complement {e within the width}: bits at
-    positions [>= width] are never set, so [is_empty] / [equal] /
-    [count] are representation-exact. *)
+    arguments, so the shared {!S.zero} constant is safe to reuse. Bits
+    at positions [>= width] are never set, so [is_empty] is
+    representation-exact. Every operation whose result is empty
+    returns {!S.zero} itself (physically), so callers may test
+    emptiness with [== zero]. *)
 
 module type S = sig
   type t
@@ -24,31 +24,21 @@ module type S = sig
   (** Number of lanes this representation carries per batch. *)
 
   val zero : t
-  val full : t
 
   val ones : int -> t
   (** [ones n] is the set of lanes [0 .. n-1], clamped to [width]. *)
 
-  val singleton : int -> t
   val add : t -> int -> t
   val remove : t -> int -> t
   val mem : t -> int -> bool
   val union : t -> t -> t
   val inter : t -> t -> t
   val diff : t -> t -> t
-  val xor : t -> t -> t
-
-  val compl : t -> t
-  (** Complement within [0 .. width-1]. *)
-
   val is_empty : t -> bool
 
   val disjoint : t -> t -> bool
   (** [disjoint a b] is [is_empty (inter a b)] without the
       intersection being materialized. *)
-
-  val equal : t -> t -> bool
-  val count : t -> int
 
   val iter : t -> (int -> unit) -> unit
   (** Calls [f] on each member lane in ascending order. *)
@@ -61,12 +51,6 @@ module type S = sig
       callback may remove already-visited lanes from whatever mutable
       cell holds [a] or [b] without affecting the traversal. *)
 end
-
-val iter_word : int -> int -> (int -> unit) -> unit
-(** [iter_word base m f] calls [f (base + k)] for every set bit [k] of
-    the int mask [m], in ascending order, clearing the lowest set bit
-    each round — iterations equal the population count, so sparse
-    masks (the hot-path norm) cost almost nothing. *)
 
 module Native : S with type t = int
 (** The 63-lane native-int path: [width = Sys.int_size]. *)

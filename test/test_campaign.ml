@@ -220,9 +220,9 @@ let test_budget_truncation_prefix () =
 
 (* ---- wide lanes and domain sharding ----
 
-   The wide bit-sliced backend and the sharded driver must be
-   observationally identical to the scalar reference (and hence to the
-   native-int oracle): same verdicts, same order, same counters. *)
+   The FSM backend at every lane width, and the sharded driver, must be
+   observationally identical to the scalar reference: same verdicts,
+   same order, same counters. *)
 
 let qcheck_wide_eq_scalar =
   QCheck.Test.make
@@ -416,8 +416,8 @@ let check_stuckat_agrees c word =
           Stuckat.pp_fault f vs.Campaign.detected vs.Campaign.excited
           vb.Campaign.detected vb.Campaign.excited)
     faults batched.Campaign.verdicts;
-  (* the wide bit-sliced backend and the sharded driver agree with the
-     native-int batched run, verdict by verdict *)
+  (* [lanes] is ignored, and the sharded driver agrees with the
+     sequential batched run, verdict by verdict *)
   let wide = Stuckat.campaign_outcome ~lanes:256 ~jobs:2 c faults word in
   List.iter2
     (fun (fb, vb) (fw, vw) ->
@@ -527,6 +527,8 @@ let test_json_schema () =
    only on the first attempt ([fail_once]) to model a transient worker
    fault that a retry on a fresh domain absorbs. *)
 module Synth = struct
+  module L = Simcov_util.Lanes.Native
+
   type ctx = { poison : int -> bool; fail_once : bool Atomic.t option }
   type fault = int
   type stim = int

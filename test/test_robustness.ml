@@ -293,7 +293,7 @@ let test_ladder_tiny_node_budget () =
   let r = Simcov_core.Methodology.validate_dlx ~budget () in
   let open Simcov_core.Methodology in
   Alcotest.(check bool) "explicit tier" true (r.symbolic.tier = Explicit);
-  Alcotest.(check int) "both symbolic tiers noted" 2
+  Alcotest.(check int) "the symbolic tier noted" 1
     (List.length r.symbolic.degradations);
   (* the explicit figures agree with the tabulated model *)
   Alcotest.(check (float 0.0)) "states" (float_of_int r.model_states)
@@ -340,8 +340,7 @@ let test_validate_chaos_budgets () =
         Alcotest.(check bool) "degradations explain the tier" true
           (match r.symbolic.tier with
           | Partitioned_symbolic -> r.symbolic.degradations = []
-          | Monolithic_symbolic -> List.length r.symbolic.degradations = 1
-          | Explicit -> List.length r.symbolic.degradations = 2)
+          | Explicit -> List.length r.symbolic.degradations = 1)
     | exception Budget.Budget_exceeded _ -> ()
     | exception e ->
         Alcotest.failf "validate_dlx raised %s (trial %d)" (Printexc.to_string e)

@@ -98,7 +98,31 @@ let test_job_defaults_and_errors () =
             ("params", Json.Obj [ ("seed", Json.String "tuesday") ]);
           ]));
   check bool "lint without model rejected" true
-    (rejected (Json.Obj [ ("kind", Json.String "lint") ]))
+    (rejected (Json.Obj [ ("kind", Json.String "lint") ]));
+  (* lanes and jobs take exactly the CLI's ranges, both ends inclusive *)
+  List.iter
+    (fun (kind, name, (lo, hi)) ->
+      let job v =
+        Json.Obj
+          [
+            ("kind", Json.String kind);
+            ("params", Json.Obj [ (name, Json.Int v) ]);
+          ]
+      in
+      List.iter
+        (fun (v, bad) ->
+          check bool
+            (Printf.sprintf "%s %s=%d %s" kind name v
+               (if bad then "rejected" else "accepted"))
+            bad
+            (rejected (job v)))
+        [ (lo - 1, true); (lo, false); (hi, false); (hi + 1, true) ])
+    [
+      ("coverage", "lanes", Job.lanes_range);
+      ("coverage", "jobs", Job.jobs_range);
+      ("validate-dlx", "lanes", Job.lanes_range);
+      ("validate-dlx", "jobs", Job.jobs_range);
+    ]
 
 let test_envelope_shape () =
   let env =
@@ -446,6 +470,23 @@ let test_daemon_roundtrip () =
           | Some (Json.List [ _ ]) -> ()
           | _ -> fail "expected exactly one listed job")
       | Error e -> failf "jobs: %s" e);
+      (* out-of-range lanes: a rejected envelope with exit code 6, not
+         a gigabyte-sized batch *)
+      (match
+         Daemon.submit ~socket
+           (Job.make
+              (Job.Coverage
+                 {
+                   (Job.default_coverage ~model:"dlx") with
+                   Job.cov_lanes = 16_777_216;
+                 }))
+       with
+      | Ok env ->
+          check (option string) "oversized lanes rejected" (Some "rejected")
+            (Option.bind (Json.member "status" env) Json.to_string_opt);
+          check (option int) "rejection exit code" (Some 6)
+            (Option.bind (Json.member "exit_code" env) Json.to_int_opt)
+      | Error e -> failf "oversized submit: %s" e);
       (* malformed job: a rejected envelope with exit code 6, not a
          dropped connection *)
       match

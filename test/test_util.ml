@@ -52,47 +52,6 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check int) "independent streams" 0 !equal_count
 
-let test_bitvec_roundtrip () =
-  let v = Bitvec.create ~width:8 0b1011_0010 in
-  Alcotest.(check int) "to_int" 0b1011_0010 (Bitvec.to_int v);
-  Alcotest.(check bool) "bit1" true (Bitvec.get v 1);
-  Alcotest.(check bool) "bit0" false (Bitvec.get v 0);
-  Alcotest.(check bool) "bit7" true (Bitvec.get v 7)
-
-let test_bitvec_truncates () =
-  let v = Bitvec.create ~width:4 0xFF in
-  Alcotest.(check int) "truncated" 0xF (Bitvec.to_int v)
-
-let test_bitvec_set () =
-  let v = Bitvec.zero ~width:6 in
-  let v = Bitvec.set v 3 true in
-  Alcotest.(check int) "set bit 3" 8 (Bitvec.to_int v);
-  let v = Bitvec.set v 3 false in
-  Alcotest.(check int) "clear bit 3" 0 (Bitvec.to_int v)
-
-let test_bitvec_slice_concat () =
-  let v = Bitvec.create ~width:8 0b1101_0110 in
-  let hi = Bitvec.slice v ~lo:4 ~hi:7 in
-  let lo = Bitvec.slice v ~lo:0 ~hi:3 in
-  Alcotest.(check int) "hi nibble" 0b1101 (Bitvec.to_int hi);
-  Alcotest.(check int) "lo nibble" 0b0110 (Bitvec.to_int lo);
-  let back = Bitvec.concat hi lo in
-  Alcotest.(check int) "concat restores" (Bitvec.to_int v) (Bitvec.to_int back);
-  Alcotest.(check int) "concat width" 8 (Bitvec.width back)
-
-let test_bitvec_popcount () =
-  Alcotest.(check int) "popcount" 5 (Bitvec.popcount (Bitvec.create ~width:8 0b0111_1010))
-
-let test_bitvec_all () =
-  let l = List.of_seq (Bitvec.all ~width:3) in
-  Alcotest.(check int) "8 vectors" 8 (List.length l);
-  Alcotest.(check int) "last is 7" 7 (Bitvec.to_int (List.nth l 7))
-
-let test_bitvec_fold_bits () =
-  let v = Bitvec.create ~width:5 0b10101 in
-  let ones = Bitvec.fold_bits (fun _ b acc -> if b then acc + 1 else acc) v 0 in
-  Alcotest.(check int) "fold counts ones" 3 ones
-
 (* ---- JSON rendering: every float must produce parseable output ---- *)
 
 let json_roundtrip v =
@@ -218,14 +177,79 @@ let test_budget_split_unlimited () =
   Alcotest.(check int) "unlimited sentinel untouched" 0
     (Budget.steps_used Budget.unlimited)
 
-let qcheck_bitvec_slice =
-  QCheck.Test.make ~name:"bitvec: slice/concat roundtrip" ~count:200
-    QCheck.(pair (int_bound 255) (int_range 1 7))
-    (fun (v, cut) ->
-      let bv = Bitvec.create ~width:8 v in
-      let hi = Bitvec.slice bv ~lo:cut ~hi:7 in
-      let lo = Bitvec.slice bv ~lo:0 ~hi:(cut - 1) in
-      Bitvec.to_int (Bitvec.concat hi lo) = Bitvec.to_int bv)
+(* ---- lane sets: every representation against a plain reference ---- *)
+
+let lanes_impls : (string * int * (module Lanes.S)) list =
+  ("native", Sys.int_size, (module Lanes.Native : Lanes.S))
+  :: List.map
+       (fun n ->
+         ( Printf.sprintf "wide %d" n,
+           n,
+           (module Lanes.Wide (struct
+             let lanes = n
+           end) : Lanes.S) ))
+       [ 1; 62; 63; 64; 126; 127; 128; 512 ]
+
+(* Every operation of one representation on two random lane sets,
+   against predicates over [0 .. width-1]. Besides membership and
+   ascending iteration order, each empty result must be the shared
+   [zero] itself: the FSM backend's [==] fast paths rely on it. *)
+let lanes_agree ~name ~width (module L : Lanes.S) rng =
+  let fail op =
+    QCheck.Test.fail_reportf "lanes %s: %s disagrees with the reference" name op
+  in
+  let lanes_of p = List.filter p (List.init width Fun.id) in
+  let elems s =
+    let l = ref [] in
+    L.iter s (fun x -> l := x :: !l);
+    List.rev !l
+  in
+  let agrees op s p =
+    let r = lanes_of p in
+    if elems s <> r || L.is_empty s <> (r = []) || (r = [] && s != L.zero) then
+      fail op
+  in
+  let random_pred () =
+    let density =
+      match Rng.int rng 4 with 0 -> 0 | 1 -> 100 | _ -> Rng.int rng 100
+    in
+    Array.get (Array.init width (fun _ -> Rng.int rng 100 < density))
+  in
+  let pa = random_pred () and pb = random_pred () in
+  let a = List.fold_left L.add L.zero (lanes_of pa) in
+  let b = List.fold_left L.add L.zero (lanes_of pb) in
+  if L.width <> width then fail "width";
+  agrees "zero" L.zero (fun _ -> false);
+  agrees "add" a pa;
+  let k = Rng.int rng (width + 2) in
+  agrees "ones" (L.ones k) (fun l -> l < k);
+  let x = Rng.int rng width in
+  if L.mem a x <> pa x then fail "mem";
+  agrees "remove" (L.remove a x) (fun l -> pa l && l <> x);
+  agrees "remove every lane" (List.fold_left L.remove a (lanes_of pa)) (fun _ ->
+      false);
+  agrees "union" (L.union a b) (fun l -> pa l || pb l);
+  agrees "inter" (L.inter a b) (fun l -> pa l && pb l);
+  agrees "diff" (L.diff a b) (fun l -> pa l && not (pb l));
+  agrees "diff with itself" (L.diff a a) (fun _ -> false);
+  let both = lanes_of (fun l -> pa l && pb l) in
+  if L.disjoint a b <> (both = []) then fail "disjoint";
+  (* the callback may remove visited lanes from the cell holding [a] *)
+  let cell = ref a and seen = ref [] in
+  L.iter2_inter !cell b (fun l ->
+      seen := l :: !seen;
+      cell := L.remove !cell l);
+  if List.rev !seen <> both then fail "iter2_inter";
+  true
+
+let qcheck_lanes_reference =
+  QCheck.Test.make ~name:"lanes: native and wide = reference" ~count:60
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun (name, width, impl) -> lanes_agree ~name ~width impl rng)
+        lanes_impls)
 
 let qcheck_rng_float_range =
   QCheck.Test.make ~name:"rng: float in range" ~count:100 QCheck.(int_range 1 1000)
@@ -299,13 +323,6 @@ let suite =
     Alcotest.test_case "rng copy" `Quick test_rng_copy_independent;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
-    Alcotest.test_case "bitvec roundtrip" `Quick test_bitvec_roundtrip;
-    Alcotest.test_case "bitvec truncates" `Quick test_bitvec_truncates;
-    Alcotest.test_case "bitvec set" `Quick test_bitvec_set;
-    Alcotest.test_case "bitvec slice/concat" `Quick test_bitvec_slice_concat;
-    Alcotest.test_case "bitvec popcount" `Quick test_bitvec_popcount;
-    Alcotest.test_case "bitvec all" `Quick test_bitvec_all;
-    Alcotest.test_case "bitvec fold_bits" `Quick test_bitvec_fold_bits;
     Alcotest.test_case "json non-finite floats render null" `Quick
       test_json_nonfinite_renders_null;
     Alcotest.test_case "json finite floats round-trip" `Quick
@@ -321,7 +338,7 @@ let suite =
       test_budget_split_reclaim;
     Alcotest.test_case "budget split of unlimited" `Quick
       test_budget_split_unlimited;
-    QCheck_alcotest.to_alcotest qcheck_bitvec_slice;
+    QCheck_alcotest.to_alcotest qcheck_lanes_reference;
     QCheck_alcotest.to_alcotest qcheck_rng_float_range;
     Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
