@@ -408,8 +408,8 @@ let exp_forall_k () =
     let cells = List.map frac [ 1; 2; 3; 4 ] in
     let mink =
       match Fsm.min_forall_k ~bound:8 model with
-      | Some k -> string_of_int k
-      | None -> "none <= 8"
+      | Ok k -> string_of_int k
+      | Error _ -> "none <= 8"
     in
     Tabulate.add_row t ((name :: cells) @ [ mink ])
   in
@@ -807,260 +807,6 @@ let exp_traversal reorder_json =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E14 — campaign throughput: bit-parallel driver vs scalar reference  *)
-(* ------------------------------------------------------------------ *)
-
-(* Same faults, same word, two engines: the scalar one-mutant-per-pass
-   reference (Detect.campaign_scalar / Stuckat.run_verdict) against the
-   shared bit-parallel driver that packs up to Sys.int_size mutants
-   into the bit lanes of one simulation pass. The reports must agree
-   exactly; the JSON artifact records the throughput ratio. *)
-let exp_campaign () =
-  let module Detect = Simcov_coverage.Detect in
-  let module Stuckat = Simcov_coverage.Stuckat in
-  let module Circuit = Simcov_netlist.Circuit in
-  let rng = Rng.create seed in
-  (* FSM error-model campaign on the DLX test model over its tour *)
-  let model = Fsm.tabulate (Testmodel.build Testmodel.default) in
-  let word =
-    match Completeness.certify model with
-    | Ok cert -> Completeness.padded_tour model cert
-    | Error _ -> failwith "E14: DLX test model lost its certificate"
-  in
-  let n_outputs =
-    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions model)
-  in
-  let per_kind = if quick then 60 else 300 in
-  let fsm_faults =
-    Simcov_coverage.Fault.sample_transfer_faults rng model ~count:per_kind
-    @ Simcov_coverage.Fault.sample_output_faults rng model ~n_outputs ~count:per_kind
-  in
-  let scalar_o, fsm_scalar_s = time_it (fun () -> Detect.campaign_scalar model fsm_faults word) in
-  let batched_o, fsm_batched_s =
-    time_it (fun () -> Detect.campaign_outcome model fsm_faults word)
-  in
-  let sr = scalar_o.Simcov_campaign.Campaign.report
-  and br = batched_o.Simcov_campaign.Campaign.report in
-  if
-    sr.Simcov_campaign.Campaign.detected <> br.Simcov_campaign.Campaign.detected
-    || sr.Simcov_campaign.Campaign.excited <> br.Simcov_campaign.Campaign.excited
-  then failwith "E14: batched FSM campaign disagrees with the scalar reference";
-  (* stuck-at campaign on the derived test-model netlist under random
-     constraint-respecting stimuli *)
-  let circuit, _ = Control.derive_test_model () in
-  let sa_word =
-    let ni = Circuit.n_inputs circuit in
-    let state = ref (Circuit.initial_state circuit) in
-    List.init
-      (if quick then 128 else 512)
-      (fun _ ->
-        let rec draw tries =
-          if tries > 1000 then failwith "E14: no valid stimulus found"
-          else
-            let iv = Array.init ni (fun _ -> Rng.bool rng) in
-            if Circuit.input_valid circuit !state iv then iv else draw (tries + 1)
-        in
-        let iv = draw 0 in
-        state := fst (Circuit.step circuit !state iv);
-        iv)
-  in
-  let sa_faults = Stuckat.all_faults circuit in
-  let sa_scalar, sa_scalar_s =
-    time_it (fun () ->
-        List.map (fun f -> Stuckat.run_verdict circuit f sa_word) sa_faults)
-  in
-  let sa_batched, sa_batched_s =
-    time_it (fun () -> Stuckat.campaign_outcome circuit sa_faults sa_word)
-  in
-  let sa_scalar_det =
-    List.length (List.filter (fun (v : Simcov_campaign.Campaign.verdict) -> v.detected) sa_scalar)
-  in
-  let sar = sa_batched.Simcov_campaign.Campaign.report in
-  if sa_scalar_det <> sar.Simcov_campaign.Campaign.detected then
-    failwith "E14: batched stuck-at campaign disagrees with the scalar reference";
-  let rate n s = if s > 0.0 then float_of_int n /. s else infinity in
-  let n_fsm = sr.Simcov_campaign.Campaign.effective in
-  let n_sa = List.length sa_faults in
-  let t = Tabulate.create [ "campaign"; "faults"; "scalar"; "batched"; "faults/s scalar"; "faults/s batched"; "speedup" ] in
-  let row name n ss bs =
-    Tabulate.add_row t
-      [
-        name;
-        string_of_int n;
-        Printf.sprintf "%.3fs" ss;
-        Printf.sprintf "%.3fs" bs;
-        Printf.sprintf "%.0f" (rate n ss);
-        Printf.sprintf "%.0f" (rate n bs);
-        Printf.sprintf "%.1fx" (ss /. bs);
-      ]
-  in
-  row "dlx fsm-fault (tour)" n_fsm fsm_scalar_s fsm_batched_s;
-  row "dlx-test stuck-at (random)" n_sa sa_scalar_s sa_batched_s;
-  Tabulate.print
-    ~title:
-      "E14 — unified campaign engine: bit-parallel lanes vs the scalar reference \
-       (identical verdicts, one golden pass per 63 mutants)"
-    t;
-  (* the JSON fragment is combined with E15's sweep into one
-     BENCH_coverage.json artifact (schema /2) by [exp_campaign_wide] *)
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "  \"fsm_fault\": {\"model\": \"dlx\", \"word_length\": %d, \"faults\": %d,\n"
-    (List.length word) n_fsm;
-  add "    \"detected\": %d, \"scalar_s\": %.4f, \"batched_s\": %.4f,\n"
-    br.Simcov_campaign.Campaign.detected fsm_scalar_s fsm_batched_s;
-  add "    \"faults_per_sec_scalar\": %.1f, \"faults_per_sec_batched\": %.1f,\n"
-    (rate n_fsm fsm_scalar_s) (rate n_fsm fsm_batched_s);
-  add "    \"speedup\": %.2f},\n" (fsm_scalar_s /. fsm_batched_s);
-  add "  \"stuckat\": {\"model\": \"dlx-test\", \"word_length\": %d, \"faults\": %d,\n"
-    (List.length sa_word) n_sa;
-  add "    \"detected\": %d, \"scalar_s\": %.4f, \"batched_s\": %.4f,\n"
-    sar.Simcov_campaign.Campaign.detected sa_scalar_s sa_batched_s;
-  add "    \"faults_per_sec_scalar\": %.1f, \"faults_per_sec_batched\": %.1f,\n"
-    (rate n_sa sa_scalar_s) (rate n_sa sa_batched_s);
-  add "    \"speedup\": %.2f}" (sa_scalar_s /. sa_batched_s);
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* E15 — domain-parallel wide campaigns: lanes x jobs sweep            *)
-(* ------------------------------------------------------------------ *)
-
-(* The same DLX FSM campaign at growing lane widths and shard counts.
-   Every configuration must reproduce the 63-lane batched report
-   exactly (which the QCheck suite already pins against the scalar
-   reference); the artifact records per-configuration throughput and
-   the speedup over both the scalar engine and the 63-lane batched
-   baseline that PR 4 shipped. Times are best-of-N wall clock — the
-   box this runs on is shared, so the minimum is the honest estimate
-   of the code's own cost. *)
-let exp_campaign_wide e14_fragment =
-  let module Detect = Simcov_coverage.Detect in
-  let rng = Rng.create (seed + 15) in
-  let model = Fsm.tabulate (Testmodel.build Testmodel.default) in
-  let word =
-    match Completeness.certify model with
-    | Ok cert -> Completeness.padded_tour model cert
-    | Error _ -> failwith "E15: DLX test model lost its certificate"
-  in
-  let n_outputs =
-    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions model)
-  in
-  let per_kind = if quick then 256 else 2048 in
-  let faults =
-    Simcov_coverage.Fault.sample_transfer_faults rng model ~count:per_kind
-    @ Simcov_coverage.Fault.sample_output_faults rng model ~n_outputs ~count:per_kind
-  in
-  let reps = if quick then 2 else 7 in
-  let scalar_o, scalar_once_s =
-    time_it (fun () -> Detect.campaign_scalar model faults word)
-  in
-  let sref = scalar_o.Simcov_campaign.Campaign.report in
-  let configs =
-    if quick then [ (63, 1); (256, 1); (512, 2); (512, 4) ]
-    else
-      List.concat_map
-        (fun lanes -> List.map (fun jobs -> (lanes, jobs)) [ 1; 2; 4 ])
-        [ 63; 256; 512; 1024 ]
-  in
-  let workers_of jobs = min jobs (max 1 (Domain.recommended_domain_count ())) in
-  (* warm-up pass doubles as the correctness cross-check *)
-  List.iter
-    (fun (lanes, jobs) ->
-      let o = Detect.campaign_outcome ~lanes ~jobs model faults word in
-      let r = o.Simcov_campaign.Campaign.report in
-      if
-        r.Simcov_campaign.Campaign.detected
-        <> sref.Simcov_campaign.Campaign.detected
-        || r.Simcov_campaign.Campaign.excited
-           <> sref.Simcov_campaign.Campaign.excited
-      then
-        failwith
-          (Printf.sprintf
-             "E15: campaign at lanes=%d jobs=%d disagrees with the scalar \
-              reference"
-             lanes jobs))
-    configs;
-  (* interleave the repetitions across configurations so load drift on
-     a shared box biases every configuration's minimum equally *)
-  let mins = Array.make (List.length configs) infinity in
-  for _rep = 1 to reps do
-    List.iteri
-      (fun i (lanes, jobs) ->
-        let s =
-          snd
-            (time_it (fun () ->
-                 Detect.campaign_outcome ~lanes ~jobs model faults word))
-        in
-        mins.(i) <- min mins.(i) s)
-      configs
-  done;
-  let measured = List.mapi (fun i (lanes, jobs) -> (lanes, jobs, mins.(i))) configs in
-  let base63_s =
-    match
-      List.find_opt (fun (lanes, jobs, _) -> lanes = Sys.int_size && jobs = 1) measured
-    with
-    | Some (_, _, t) -> t
-    | None -> (
-        match measured with
-        | (_, _, t) :: _ -> t
-        | [] -> failwith "E15: empty sweep")
-  in
-  let n = sref.Simcov_campaign.Campaign.effective in
-  let rate s = if s > 0.0 then float_of_int n /. s else infinity in
-  let t =
-    Tabulate.create
-      [ "lanes"; "jobs"; "workers"; "time"; "faults/s"; "vs scalar"; "vs 63-lane" ]
-  in
-  List.iter
-    (fun (lanes, jobs, s) ->
-      Tabulate.add_row t
-        [
-          string_of_int lanes;
-          string_of_int jobs;
-          string_of_int (workers_of jobs);
-          Printf.sprintf "%.4fs" s;
-          Printf.sprintf "%.0f" (rate s);
-          Printf.sprintf "%.1fx" (scalar_once_s /. s);
-          Printf.sprintf "%.2fx" (base63_s /. s);
-        ])
-    measured;
-  Tabulate.print
-    ~title:
-      (Printf.sprintf
-         "E15 — domain-parallel wide campaigns (%d DLX FSM faults, identical \
-          reports at every configuration)"
-         n)
-    t;
-  if json then begin
-    let buf = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{\n";
-    add "  \"schema\": \"simcov-bench-coverage/2\",\n";
-    add "  \"lanes\": %d,\n" Sys.int_size;
-    add "%s,\n" e14_fragment;
-    add "  \"wide_campaign\": {\"model\": \"dlx\", \"word_length\": %d, \"faults\": %d,\n"
-      (List.length word) n;
-    add "    \"detected\": %d, \"scalar_s\": %.4f, \"batched63_s\": %.4f,\n"
-      sref.Simcov_campaign.Campaign.detected scalar_once_s base63_s;
-    add "    \"configs\": [\n";
-    let last = List.length measured - 1 in
-    List.iteri
-      (fun i (lanes, jobs, s) ->
-        add
-          "      {\"lanes\": %d, \"jobs\": %d, \"workers\": %d, \"time_s\": \
-           %.4f, \"faults_per_sec\": %.1f, \"speedup_vs_scalar\": %.2f, \
-           \"speedup_vs_batched63\": %.2f}%s\n"
-          lanes jobs (workers_of jobs) s (rate s) (scalar_once_s /. s)
-          (base63_s /. s)
-          (if i = last then "" else ","))
-      measured;
-    add "    ]}\n";
-    add "}\n";
-    Simcov_util.Durable.write_string "BENCH_coverage.json" (Buffer.contents buf);
-    print_endline "wrote BENCH_coverage.json"
-  end
-
-(* ------------------------------------------------------------------ *)
 (* E8 — Bechamel micro-benchmarks                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1169,6 +915,5 @@ let () =
   exp_dual ();
   exp_symbolic_tour ();
   exp_traversal (exp_reorder ());
-  exp_campaign_wide (exp_campaign ());
   bechamel_suite ();
   print_newline ()

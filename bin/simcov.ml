@@ -666,7 +666,7 @@ let lint_cmd =
   let k_bound =
     Arg.(
       value
-      & opt (bounded_int ~name:"--k-bound" (1, 64)) 8
+      & opt (bounded_int ~name:"--k-bound" Job.k_bound_range) 8
       & info [ "k-bound" ] ~docv:"K"
           ~doc:"With $(b,--fsm): bound of the forall-k-distinguishability search.")
   in
@@ -760,7 +760,7 @@ let persist_term =
     $ checkpoint $ every $ resume $ chaos)
 
 let coverage_run model kind seed count steps fail_under progress (jobs, lanes)
-    reorder (checkpoint, checkpoint_every, resume, chaos_kill_after) common =
+    (checkpoint, checkpoint_every, resume, chaos_kill_after) common =
   warn_inert_max_nodes common;
   let p =
     {
@@ -775,7 +775,6 @@ let coverage_run model kind seed count steps fail_under progress (jobs, lanes)
       cov_checkpoint = checkpoint;
       cov_checkpoint_every = checkpoint_every;
       cov_resume = resume;
-      cov_reorder = reorder;
     }
   in
   let on_progress =
@@ -844,7 +843,7 @@ let coverage_cmd =
     (cmd_info "coverage" ~doc)
     Term.(
       const coverage_run $ model $ kind $ seed_term $ count $ steps $ fail_under
-      $ progress $ parallel_term $ reorder_term $ persist_term $ common_term)
+      $ progress $ parallel_term $ persist_term $ common_term)
 
 (* ---- merge / minimize: offline aggregation of coverage snapshots ---- *)
 

@@ -59,8 +59,8 @@ let () =
 
   (* --- observable flavor: certified complete --- *)
   (match Fsm.min_forall_k abp_observable with
-  | Some k -> Printf.printf "observable: forall-k-distinguishability at k = %d\n" k
-  | None -> print_endline "observable: not distinguishable?!");
+  | Ok k -> Printf.printf "observable: forall-k-distinguishability at k = %d\n" k
+  | Error _ -> print_endline "observable: not distinguishable?!");
   let cert =
     match Simcov_core.Completeness.certify abp_observable with
     | Ok c -> c
@@ -79,8 +79,8 @@ let () =
 
   (* --- terse flavor: certification fails, and rightly so --- *)
   (match Fsm.min_forall_k ~bound:8 abp_terse with
-  | Some k -> Printf.printf "terse: forall-k at k = %d?!\n" k
-  | None ->
+  | Ok k -> Printf.printf "terse: forall-k at k = %d?!\n" k
+  | Error _ ->
       print_endline
         "terse: no k makes all pairs forall-k-distinguishable (certification refused)");
   (match Simcov_core.Completeness.certify abp_terse with

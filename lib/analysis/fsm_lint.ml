@@ -306,9 +306,9 @@ let masking_word (m : Fsm.t) ~k s t =
   in
   go s t 0 []
 
-let check_distinguishability (m : Fsm.t) seen ~k_bound =
+let check_distinguishability (m : Fsm.t) ~k_bound =
   match Fsm.min_forall_k ~bound:k_bound m with
-  | Some k ->
+  | Ok k ->
       ( [
           Diag.make ~code:"SA630" ~severity:Diag.Info ~pass:"distinguishability"
             ~loc:Diag.Whole_circuit
@@ -320,65 +320,32 @@ let check_distinguishability (m : Fsm.t) seen ~k_bound =
                (if k = 1 then "" else "s"));
         ],
         Some k )
-  | None ->
-      (* name one offending pair and its masking word at the bound *)
-      let matrix = Fsm.forall_k_matrix m ~k:k_bound in
-      let offender = ref None in
-      for s = 0 to m.Fsm.n_states - 1 do
-        for t = s + 1 to m.Fsm.n_states - 1 do
-          if !offender = None && seen.(s) && seen.(t) && not matrix.(s).(t) then
-            offender := Some (s, t)
-        done
-      done;
-      let diag =
-        match !offender with
-        | Some (s, t) ->
-            let related =
-              match masking_word m ~k:k_bound s t with
-              | Some w -> [ word_name m w ]
-              | None -> []
-            in
-            Diag.make ~code:"SA631" ~severity:Diag.Error ~pass:"distinguishability"
-              ~loc:(Diag.State (m.Fsm.state_name s))
-              ~related:(m.Fsm.state_name t :: related)
-              (Printf.sprintf
-                 "states %s and %s are not forall-%d-distinguishable: the related \
-                  word masks the difference, so an error transferring between them \
-                  can survive a tour padded by %d steps"
-                 (m.Fsm.state_name s) (m.Fsm.state_name t) k_bound k_bound)
-        | None ->
-            (* minimal machine, no pair fails at the bound itself: the
-               bound was too small to certify a uniform k *)
-            Diag.make ~code:"SA631" ~severity:Diag.Error ~pass:"distinguishability"
-              ~loc:Diag.Whole_circuit
-              (Printf.sprintf
-                 "no uniform k <= %d makes every reachable pair \
-                  forall-k-distinguishable; raise the analysis bound"
-                 k_bound)
+  | Error (s, t) ->
+      (* name the offending pair and its masking word at the bound *)
+      let related =
+        match masking_word m ~k:k_bound s t with
+        | Some w -> [ word_name m w ]
+        | None -> []
       in
-      ([ diag ], None)
+      ( [
+          Diag.make ~code:"SA631" ~severity:Diag.Error ~pass:"distinguishability"
+            ~loc:(Diag.State (m.Fsm.state_name s))
+            ~related:(m.Fsm.state_name t :: related)
+            (Printf.sprintf
+               "states %s and %s are not forall-%d-distinguishable: the related \
+                word masks the difference, so an error transferring between them \
+                can survive a tour padded by %d steps"
+               (m.Fsm.state_name s) (m.Fsm.state_name t) k_bound k_bound);
+        ],
+        None )
 
 (* ---- fault-structural (Requirements 1 and 4) ---- *)
 
-(* Theorem 1's test is the tour padded by k extra steps (the exposure
-   window): replaying faults against the unpadded word would flag
-   every fault excited within k steps of the end as masked *)
-let pad_word (m : Fsm.t) word ~k =
-  let s = ref (Fsm.final_state m word) in
-  let pad = ref [] in
-  (try
-     for _ = 1 to k do
-       match Fsm.valid_inputs m !s with
-       | i :: _ ->
-           pad := i :: !pad;
-           s := m.Fsm.next !s i
-       | [] -> raise Exit
-     done
-   with Exit -> ());
-  word @ List.rev !pad
-
 let check_fault_structural (m : Fsm.t) rng tour ~k =
-  let word = pad_word m tour.Tour.word ~k in
+  (* Theorem 1's test is the tour padded by k extra steps (the exposure
+     window): replaying faults against the unpadded word would flag
+     every fault excited within k steps of the end as masked *)
+  let word = Tour.pad m ~k tour.Tour.word in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let transitions = Fsm.transitions m in
@@ -622,7 +589,7 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?(seed = 7)
     let minimal = not (List.exists (fun d -> d.Diag.code = "SA620") !diags) in
     if minimal then
       pass "distinguishability" (fun () ->
-          let ds, k = check_distinguishability m seen ~k_bound in
+          let ds, k = check_distinguishability m ~k_bound in
           certified_k := k;
           ds)
     else

@@ -27,14 +27,16 @@
       word driving both states to a common successor.
     - [distinguishability] — SA630 (Info) with the smallest [k] such
       that every reachable pair is ∀k-distinguishable, or SA631 naming
-      an offending pair and a masking word of length [k_bound] on
-      which their outputs agree.
+      the first offending pair and a masking word of length [k_bound]
+      on which their outputs agree; both from the one ∀k search,
+      {!Simcov_fsm.Fsm.min_forall_k}.
     - [fault-structural] — SA640 when a non-uniform
       ({!Simcov_coverage.Fault.Conditional_output}) error escapes the
       transition tour (Requirement 1), SA641 when a transfer error is
       masked on the tour (Requirement 4, {e via}
       {!Simcov_coverage.Detect.masked_windows}); both carry concrete
-      fault + word witnesses.
+      fault + word witnesses, found on the tour padded by the
+      certified [k] ({!Simcov_testgen.Tour.pad}).
     - [suite-cover] — static prediction of state/transition coverage
       of a word list by graph walk (no fault simulation): SA650 word
       applies an invalid input, SA651 transitions missed by the whole
@@ -86,7 +88,8 @@ val run :
   Fsm.t ->
   report
 (** [run m] lints the machine. [k_bound] bounds the ∀k search
-    (default 8, matching {!Simcov_core}'s certificate default). [seed]
+    (default 8, matching {!Simcov_core}'s certificate default; it must
+    be at least 1 when the distinguishability pass runs). [seed]
     feeds the transfer-fault sample of the fault-structural pass when
     the population is too large to enumerate (default 7). [suite] is a
     list of input words to analyze with the suite-cover pass. *)

@@ -1,66 +1,34 @@
 open Simcov_fsm
+module Tour = Simcov_testgen.Tour
 
-type certificate = { k : int; n_states : int; n_transitions : int; tour_length : int }
+type certificate = {
+  k : int;
+  n_states : int;
+  n_transitions : int;
+  tour_length : int;
+  word : int list;
+}
 
 type failure = Not_strongly_connected | Indistinguishable_pair of int * int
 
-let first_bad_pair m ~scope ~k =
-  let seen = Fsm.reachable m in
-  let in_scope s = match scope with `Reachable -> seen.(s) | `All -> true in
-  let mat = Fsm.forall_k_matrix m ~k in
-  let bad = ref None in
-  (try
-     for p = 0 to m.Fsm.n_states - 1 do
-       for q = p + 1 to m.Fsm.n_states - 1 do
-         if in_scope p && in_scope q && not mat.(p).(q) then begin
-           bad := Some (p, q);
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  !bad
-
 let certify ?(scope = `Reachable) ?(k_bound = 8) m =
-  match Simcov_testgen.Tour.transition_tour m with
-  | None -> Error Not_strongly_connected
-  | Some tour ->
-      let rec try_k k last_bad =
-        if k > k_bound then
-          match last_bad with
-          | Some (p, q) -> Error (Indistinguishable_pair (p, q))
-          | None -> assert false
-        else
-          match first_bad_pair m ~scope ~k with
-          | None ->
-              Ok
-                {
-                  k;
-                  n_states = Fsm.n_reachable m;
-                  n_transitions = tour.Simcov_testgen.Tour.n_transitions;
-                  tour_length = tour.Simcov_testgen.Tour.length;
-                }
-          | Some bad -> try_k (k + 1) (Some bad)
-      in
-      try_k 1 None
+  let forall_k = Fsm.min_forall_k ~scope ~bound:k_bound m in
+  match (Tour.transition_tour m, forall_k) with
+  | None, _ -> Error Not_strongly_connected
+  | Some _, Error (p, q) -> Error (Indistinguishable_pair (p, q))
+  | Some tour, Ok k ->
+      Ok
+        {
+          k;
+          n_states = Fsm.n_reachable m;
+          n_transitions = tour.Tour.n_transitions;
+          tour_length = tour.Tour.length;
+          word = Tour.pad m ~k tour.Tour.word;
+        }
 
-let padded_tour m cert =
-  match Simcov_testgen.Tour.transition_tour m with
-  | None -> invalid_arg "Completeness.padded_tour: no tour"
-  | Some tour ->
-      (* the tour is a closed walk: it ends at reset; pad with k valid
-         steps from there *)
-      let rec pad s n acc =
-        if n = 0 then List.rev acc
-        else
-          match Fsm.valid_inputs m s with
-          | [] -> List.rev acc
-          | i :: _ -> pad (m.Fsm.next s i) (n - 1) (i :: acc)
-      in
-      tour.Simcov_testgen.Tour.word @ pad m.Fsm.reset cert.k []
+let padded_tour (_ : Fsm.t) cert = cert.word
 
 let check_empirically ?(n_transfer = 200) ?(n_output = 200) rng m cert =
-  let word = padded_tour m cert in
   let n_outputs =
     List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions m)
   in
@@ -68,4 +36,4 @@ let check_empirically ?(n_transfer = 200) ?(n_output = 200) rng m cert =
     Simcov_coverage.Fault.sample_transfer_faults rng m ~count:n_transfer
     @ Simcov_coverage.Fault.sample_output_faults rng m ~n_outputs ~count:n_output
   in
-  Simcov_coverage.Detect.campaign m faults word
+  Simcov_coverage.Detect.campaign m faults cert.word

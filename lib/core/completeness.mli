@@ -19,31 +19,38 @@ type certificate = {
   n_states : int;  (** reachable states *)
   n_transitions : int;
   tour_length : int;  (** optimal (Chinese-postman) tour length *)
+  word : int list;
+      (** the optimal tour padded by [k] steps ({!Simcov_testgen.Tour.pad}):
+          Theorem 1's test, solved once when the certificate is built *)
 }
 
 type failure =
   | Not_strongly_connected
   | Indistinguishable_pair of int * int
-      (** a pair not ∀k-distinguishable within the bound — either a
-          larger k is needed or Requirement 5 is violated *)
+      (** the first pair ({!Simcov_fsm.Fsm.min_forall_k}) not
+          ∀k-distinguishable within the bound — either a larger k is
+          needed or Requirement 5 is violated *)
 
 val certify :
   ?scope:[ `Reachable | `All ] -> ?k_bound:int -> Fsm.t -> (certificate, failure) result
 (** Find the smallest [k <= k_bound] (default 8) making every distinct
-    pair of states ∀k-distinguishable, and build the optimal tour.
+    pair of states ∀k-distinguishable ({!Simcov_fsm.Fsm.min_forall_k}),
+    and build the optimal tour and its padded word. A machine with no
+    closed tour fails with [Not_strongly_connected] first.
 
     [scope] (default [`Reachable]) selects the pairs that must be
     distinguishable. Use [`All] when implementation transfer errors
     can land in specification states that are unreachable in the
     correct machine — Figure 2's 3' is such a state, and the original
     fragment certifies under [`Reachable] yet its tours still miss the
-    error; under [`All] certification correctly refuses. *)
+    error; under [`All] certification correctly refuses.
+    @raise Invalid_argument if [k_bound < 1]. *)
 
 val padded_tour : Fsm.t -> certificate -> int list
-(** The certificate's tour followed by [k] extra (arbitrary valid)
+(** The certificate's [word]: its tour followed by [k] extra valid
     steps, so that even a transfer error excited on the tour's last
     transition has the [k] subsequent steps Theorem 1 needs for
-    exposure. *)
+    exposure. Nothing is re-solved; the machine argument is ignored. *)
 
 val check_empirically :
   ?n_transfer:int ->

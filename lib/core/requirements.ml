@@ -53,28 +53,19 @@ let check_r1 concrete =
              c.Simcov_coverage.Uniformity.clean_members)
 
 let check_r2_r5 model k_bound =
-  (* R5 first: pairwise single-step distinguishability *)
-  let mat1 = Fsm.forall_k_matrix model ~k:1 in
-  let seen = Fsm.reachable model in
-  let r5_bad = ref None in
-  for p = 0 to model.Fsm.n_states - 1 do
-    for q = p + 1 to model.Fsm.n_states - 1 do
-      if seen.(p) && seen.(q) && (not mat1.(p).(q)) && !r5_bad = None then
-        r5_bad := Some (p, q)
-    done
-  done;
+  (* R5: pairwise single-step distinguishability *)
   let r5 =
-    match !r5_bad with
-    | None -> Satisfied "every reachable state pair is ∀1-distinguishable"
-    | Some (p, q) ->
+    match Fsm.min_forall_k ~bound:1 model with
+    | Ok _ -> Satisfied "every reachable state pair is ∀1-distinguishable"
+    | Error (p, q) ->
         Violated
           (Printf.sprintf "states %s and %s agree on some input's output"
              (model.Fsm.state_name p) (model.Fsm.state_name q))
   in
   let r2 =
     match Fsm.min_forall_k ~bound:k_bound model with
-    | Some k -> Satisfied (Printf.sprintf "processing bounded: k = %d" k)
-    | None -> Violated (Printf.sprintf "no k <= %d bounds exposure" k_bound)
+    | Ok k -> Satisfied (Printf.sprintf "processing bounded: k = %d" k)
+    | Error _ -> Violated (Printf.sprintf "no k <= %d bounds exposure" k_bound)
   in
   (r2, r5)
 

@@ -280,58 +280,71 @@ let forall_k_distinguishable m ~k s1 s2 =
   in
   go k s1 s2
 
-let forall_k_matrix m ~k =
+(* One round of the ∀k recurrence over the pairs of [live] states:
+   [cur] is the ∀(k-1) relation, the result the ∀k one. A pair is
+   ∀k-distinguishable when some input is applicable and every
+   applicable input either separates it at once (validity or output
+   mismatch) or leads to a ∀(k-1) pair. The relation is symmetric, so
+   each pair is computed once. Successors of live states must be live
+   (true of the reachable set and of all states). *)
+let forall_k_round m live cur =
   let n = m.n_states in
-  let cur = Array.make_matrix n n false in
-  let tab = tabulate m in
-  for _round = 1 to k do
-    let nxt = Array.make_matrix n n false in
-    for p = 0 to n - 1 do
-      for q = 0 to n - 1 do
-        if p <> q then begin
+  let nxt = Array.make_matrix n n false in
+  for p = 0 to n - 1 do
+    if live.(p) then
+      for q = p + 1 to n - 1 do
+        if live.(q) then begin
           let all = ref true and some = ref false in
           let i = ref 0 in
-          while !all && !i < tab.n_inputs do
+          while !all && !i < m.n_inputs do
             let inp = !i in
-            let vp = tab.valid p inp and vq = tab.valid q inp in
+            let vp = m.valid p inp and vq = m.valid q inp in
             if vp || vq then begin
               some := true;
-              if vp = vq then
-                if tab.output p inp = tab.output q inp then begin
-                  let p' = tab.next p inp and q' = tab.next q inp in
-                  if not cur.(p').(q') then all := false
-                end
+              if vp = vq && m.output p inp = m.output q inp then
+                if not cur.(m.next p inp).(m.next q inp) then all := false
             end;
             incr i
           done;
-          nxt.(p).(q) <- !some && !all
+          let r = !some && !all in
+          nxt.(p).(q) <- r;
+          nxt.(q).(p) <- r
         end
       done
-    done;
-    for p = 0 to n - 1 do
-      for q = 0 to n - 1 do
-        cur.(p).(q) <- nxt.(p).(q)
-      done
-    done
   done;
-  cur
+  nxt
 
-let min_forall_k ?(bound = 16) m =
-  let seen = reachable m in
-  let rec try_k k =
-    if k > bound then None
-    else begin
-      let mat = forall_k_matrix m ~k in
-      let ok = ref true in
-      for p = 0 to m.n_states - 1 do
-        for q = 0 to m.n_states - 1 do
-          if p <> q && seen.(p) && seen.(q) && not mat.(p).(q) then ok := false
-        done
-      done;
-      if !ok then Some k else try_k (k + 1)
-    end
+let forall_k_matrix m ~k =
+  let tab = tabulate m in
+  let live = Array.make m.n_states true in
+  let cur = ref (Array.make_matrix m.n_states m.n_states false) in
+  for _ = 1 to k do
+    cur := forall_k_round tab live !cur
+  done;
+  !cur
+
+let min_forall_k ?(scope = `Reachable) ?(bound = 16) m =
+  if bound < 1 then invalid_arg "Fsm.min_forall_k: bound < 1";
+  let n = m.n_states in
+  let tab = tabulate m in
+  let live = match scope with `Reachable -> reachable m | `All -> Array.make n true in
+  (* the first live pair p < q, row-major, outside the relation *)
+  let rec first_bad mat p q =
+    if p >= n then None
+    else if q >= n then first_bad mat (p + 1) (p + 2)
+    else if live.(p) && live.(q) && not mat.(p).(q) then Some (p, q)
+    else first_bad mat p (q + 1)
   in
-  try_k 1
+  (* the relation grows monotonically with k: once a round changes
+     nothing, no larger bound can certify *)
+  let rec search k cur =
+    let nxt = forall_k_round tab live cur in
+    match first_bad nxt 0 1 with
+    | None -> Ok k
+    | Some pair when k = bound || nxt = cur -> Error pair
+    | Some _ -> search (k + 1) nxt
+  in
+  search 1 (Array.make_matrix n n false)
 
 (* Partition refinement: initial classes by the (validity, output)
    signature over all inputs, refined by successor classes until

@@ -117,14 +117,30 @@ val forall_k_distinguishable : t -> k:int -> int -> int -> bool
     an observable difference) distinguish [s1] from [s2]? *)
 
 val forall_k_matrix : t -> k:int -> bool array array
-(** The relation over all state pairs, [result.(s1).(s2)]. Quadratic in
-    states — intended for test models, not full designs. *)
+(** The relation over all state pairs, [result.(s1).(s2)], after [k]
+    rounds of the recurrence {!min_forall_k} runs. Quadratic in states
+    — intended for test models, not full designs. *)
 
-val min_forall_k : ?bound:int -> t -> int option
-(** Smallest [k] such that every pair of distinct reachable states is
-    ∀k-distinguishable, searching up to [bound] (default 16). [None] if
-    no such [k] within the bound (e.g. two equivalent states exist —
-    then no [k] works at all). *)
+val min_forall_k :
+  ?scope:[ `Reachable | `All ] -> ?bound:int -> t -> (int, int * int) result
+(** The one ∀k search: Theorem 1's certificate
+    ([Simcov_core.Completeness.certify]), the fsm-lint SA630/SA631
+    verdict and Requirements R2/R5 all read it.
+
+    [Ok k]: the smallest [k <= bound] (default 16) such that every pair
+    of distinct in-scope states is ∀k-distinguishable. [Error (p, q)]:
+    the first in-scope pair, [p < q] in row-major order, that is not
+    ∀[bound]-distinguishable. Two equivalent states are never
+    ∀k-distinguishable, whatever the bound.
+
+    [scope] (default [`Reachable]) selects the states whose pairs must
+    be told apart: the reachable ones, or [`All] when implementation
+    faults can land in states the correct machine never reaches.
+
+    One matrix round per k. The relation only grows with k, so the
+    search also stops at the first round that changes nothing: no
+    larger bound could certify from there.
+    @raise Invalid_argument if [bound < 1]. *)
 
 (** {1 Minimization} *)
 

@@ -47,7 +47,6 @@ type coverage_params = {
   cov_checkpoint : string option;
   cov_checkpoint_every : int;
   cov_resume : string option;
-  cov_reorder : reorder_mode;
 }
 
 type stats_params = { st_reorder : reorder_mode }
@@ -115,7 +114,6 @@ let default_coverage ~model =
     cov_checkpoint = None;
     cov_checkpoint_every = 1;
     cov_resume = None;
-    cov_reorder = Reorder_off;
   }
 
 let default_stats = { st_reorder = Reorder_off }
@@ -179,8 +177,7 @@ let params_json = function
         @ [ ("lanes", Json.Int p.cov_lanes); ("jobs", Json.Int p.cov_jobs) ]
         @ opt_str "checkpoint" p.cov_checkpoint
         @ [ ("checkpoint_every", Json.Int p.cov_checkpoint_every) ]
-        @ opt_str "resume" p.cov_resume
-        @ opt_reorder p.cov_reorder)
+        @ opt_str "resume" p.cov_resume)
   | Merge { inputs; output } ->
       Json.Obj
         [
@@ -215,10 +212,12 @@ let get_int obj name ~default =
   | Some (Json.Int i) -> i
   | Some _ -> raise (Bad (Printf.sprintf "field '%s' must be an integer" name))
 
-(* lanes and jobs size per-job allocations and domain counts: the wire
-   accepts exactly the CLI's ranges *)
+(* lanes and jobs size per-job allocations and domain counts, and
+   k_bound the rounds of the ∀k search: the wire accepts exactly the
+   CLI's ranges *)
 let lanes_range = (1, 65536)
 let jobs_range = (1, 256)
+let k_bound_range = (1, 64)
 
 let get_bounded obj name (lo, hi) ~default =
   let v = get_int obj name ~default in
@@ -311,7 +310,8 @@ let spec_of ~kind params =
           li_against = get_str_opt params "against";
           li_fsm = get_bool params "fsm" ~default:d.li_fsm;
           li_suite = get_str_opt params "suite";
-          li_k_bound = get_int params "k_bound" ~default:d.li_k_bound;
+          li_k_bound =
+            get_bounded params "k_bound" k_bound_range ~default:d.li_k_bound;
           li_fail_on = fail_on;
         }
   | "coverage" ->
@@ -337,7 +337,6 @@ let spec_of ~kind params =
           cov_checkpoint_every =
             get_int params "checkpoint_every" ~default:d.cov_checkpoint_every;
           cov_resume = get_str_opt params "resume";
-          cov_reorder = get_reorder params;
         }
   | "merge" ->
       Merge

@@ -78,10 +78,6 @@ type coverage_params = {
   cov_checkpoint : string option;
   cov_checkpoint_every : int;
   cov_resume : string option;
-  cov_reorder : reorder_mode;
-      (** accepted and round-tripped for schema uniformity; the
-          campaign engines are simulation-only today, so it only
-          matters to jobs with a symbolic leg *)
 }
 
 type stats_params = { st_reorder : reorder_mode }
@@ -116,6 +112,10 @@ val jobs_range : int * int
 (** Inclusive bounds on the [jobs] param, [(1, 256)]: shared by the
     CLI's [--jobs] and {!of_json}. *)
 
+val k_bound_range : int * int
+(** Inclusive bounds on a lint job's [k_bound] param, [(1, 64)]: shared
+    by the CLI's [--k-bound] and {!of_json}. *)
+
 val default_validate : validate_params
 val default_lint : model:string -> lint_params
 val default_coverage : model:string -> coverage_params
@@ -126,7 +126,8 @@ val make : ?id:string -> ?timeout_s:float -> ?max_nodes:int -> spec -> t
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Total inverse of {!to_json}; unknown [kind]s, ill-typed fields and
-    [lanes]/[jobs] outside {!lanes_range}/{!jobs_range} yield [Error],
+    [lanes]/[jobs]/[k_bound] outside
+    {!lanes_range}/{!jobs_range}/{!k_bound_range} yield [Error],
     unknown {e fields} are ignored (schema growth). *)
 
 (** {1 Result envelope} *)

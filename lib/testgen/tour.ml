@@ -16,19 +16,17 @@ let transition_tour m =
   let g = Fsm.transition_graph m in
   Option.map (of_cpp_tour g) (Cpp.solve g ~start:m.Fsm.reset)
 
-let transition_tour_checked m =
-  match Precheck.check m with
-  | Error r -> Error r
-  | Ok () -> (
-      match transition_tour m with
-      | Some t -> Ok t
-      | None ->
-          (* unreachable once Precheck.connected passed; defensive *)
-          Error
-            {
-              Precheck.code = "SA610";
-              reason = "no closed transition tour exists";
-            })
+(* [k] steps along the first valid input of each state, from where
+   [word] ends; stops early at a state with no valid input *)
+let pad (m : Fsm.t) ~k word =
+  let rec go s n acc =
+    if n = 0 then List.rev acc
+    else
+      match Fsm.valid_inputs m s with
+      | [] -> List.rev acc
+      | i :: _ -> go (m.Fsm.next s i) (n - 1) (i :: acc)
+  in
+  word @ go (Fsm.final_state m word) k []
 
 let greedy_transition_tour m =
   let g = Fsm.transition_graph m in

@@ -22,11 +22,13 @@ val transition_tour : Fsm.t -> result option
     when the reachable transition graph is not strongly connected, in
     which case no closed tour exists — see {!transition_cover}. *)
 
-val transition_tour_checked : Fsm.t -> (result, Precheck.refusal) Result.t
-(** {!transition_tour} behind the {!Precheck.check} gate: [Error]
-    carries the SA6xx refusal (disconnected — SA610 — or non-minimal —
-    SA620, under which Theorem 1's completeness claim for the tour is
-    void) instead of silently producing a tour that proves nothing. *)
+val pad : Fsm.t -> k:int -> int list -> int list
+(** [pad m ~k word] is [word] followed by [k] more valid steps from
+    the state where [word] ends (the first valid input each time;
+    fewer if a state accepts none). Theorem 1's test is the tour padded
+    by the certified [k]: even an error excited on the tour's last
+    transition then gets the [k] steps it needs to show.
+    @raise Invalid_argument if [word] applies an invalid input. *)
 
 val greedy_transition_tour : Fsm.t -> result option
 (** Nearest-uncovered-transition heuristic; same coverage, usually

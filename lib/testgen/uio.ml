@@ -88,23 +88,6 @@ let checking_sequence ?scope ?max_len (m : Fsm.t) =
     if !ok then Some (List.rev !word) else None
   end
 
-let checking_sequence_checked ?scope ?max_len (m : Fsm.t) =
-  match Precheck.check ?scope m with
-  | Error r -> Error r
-  | Ok () -> (
-      match checking_sequence ?scope ?max_len m with
-      | Some w -> Ok w
-      | None ->
-          Error
-            {
-              Precheck.code = "SA631";
-              reason =
-                Printf.sprintf
-                  "some state's UIO exceeds the %d-step search bound: raise \
-                   max_len"
-                  (Option.value ~default:8 max_len);
-            })
-
 let length_overhead m =
   match (Tour.transition_tour m, checking_sequence m) with
   | Some t, Some cs -> Some (t.Tour.length, List.length cs)

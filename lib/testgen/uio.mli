@@ -50,20 +50,6 @@ val checking_sequence :
     concatenation is within a small factor on the models here and
     keeps the construction transparent. *)
 
-val checking_sequence_checked :
-  ?scope:[ `Reachable | `All ] ->
-  ?max_len:int ->
-  Fsm.t ->
-  (int list, Precheck.refusal) result
-(** {!checking_sequence} behind the {!Precheck.check} gate. A
-    disconnected machine (SA610) has no single-word checking sequence;
-    a non-minimal one (SA620, in the chosen [scope]) has states with
-    no UIO at all, so the search would exhaust [max_len] for nothing —
-    both are refused with the diagnostic naming the witness. When the
-    preconditions hold but some UIO still exceeds [max_len], the
-    refusal code is ["SA631"] (the distinguishing words are longer
-    than the bound). *)
-
 val length_overhead : Fsm.t -> (int * int) option
 (** [(tour_length, checking_length)] for models where both exist —
     the cost of transfer-error certainty without ∀k assumptions. *)

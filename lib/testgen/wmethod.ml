@@ -63,11 +63,6 @@ let suite ?scope (m : Fsm.t) =
   let p = transition_cover m in
   List.concat_map (fun prefix -> List.map (fun suffix -> prefix @ suffix) w) p
 
-let suite_checked ?scope (m : Fsm.t) =
-  match Precheck.minimal ?scope m with
-  | Error r -> Error r
-  | Ok () -> Ok (suite ?scope m)
-
 (* Sigma^(<= extra): all input words up to the given length, including
    the empty word *)
 let middle_words (m : Fsm.t) ~extra =

@@ -33,13 +33,6 @@ val suite : ?scope:[ `Reachable | `All ] -> Fsm.t -> int list list
 (** The W-method test suite P·W (with W = {ε} fallback when the
     characterization set is empty). Each word runs from reset. *)
 
-val suite_checked :
-  ?scope:[ `Reachable | `All ] -> Fsm.t -> (int list list, Precheck.refusal) result
-(** {!suite} behind {!Precheck.minimal}: on a non-minimal machine the
-    characterization set silently ignores equivalent pairs, so the
-    P·W suite is {e not} complete for the advertised fault domain —
-    refuse with the SA620 diagnostic (naming the pair) instead. *)
-
 val suite_extra : ?scope:[ `Reachable | `All ] -> extra:int -> Fsm.t -> int list list
 (** Chow's extension for implementations with up to [extra] more
     states than the specification: P·Σ^(≤extra)·W. The suite grows by

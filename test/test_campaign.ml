@@ -224,12 +224,35 @@ let test_budget_truncation_prefix () =
    observationally identical to the scalar reference: same verdicts,
    same order, same counters. *)
 
+(* the DLX test model and its certified padded tour (5,175 steps): the
+   machine and word every `coverage dlx` campaign runs *)
+let dlx_model =
+  lazy
+    (let m = Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default) in
+     match Simcov_core.Completeness.certify m with
+     | Ok cert -> (m, cert.Simcov_core.Completeness.word)
+     | Error _ -> failwith "DLX test model lost its certificate")
+
+let dlx_instance seed =
+  let m, word = Lazy.force dlx_model in
+  let rng = Rng.create seed in
+  let n_outputs =
+    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions m)
+  in
+  let faults =
+    Fault.sample_transfer_faults rng m ~count:20
+    @ Fault.sample_output_faults rng m ~n_outputs ~count:20
+  in
+  (m, faults, word)
+
 let qcheck_wide_eq_scalar =
   QCheck.Test.make
     ~name:"campaign: wide lanes / sharded = scalar (total machines)" ~count:40
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let m, faults, word = random_instance seed in
+      let m, faults, word =
+        if seed mod 5 = 0 then dlx_instance seed else random_instance seed
+      in
       let scalar = Detect.campaign_scalar m faults word in
       ignore
         (check_outcomes_agree ~what:"wide 256" scalar
@@ -429,18 +452,39 @@ let check_stuckat_agrees c word =
     batched.Campaign.verdicts wide.Campaign.verdicts;
   true
 
+(* the DLX test-model netlist, whose input constraints reject most
+   random vectors *)
+let dlx_test_circuit = lazy (fst (Simcov_dlx.Control.derive_test_model ()))
+
+(* a random walk of valid vectors; on an unconstrained circuit every
+   first draw is valid *)
+let valid_word rng c ~len =
+  let module Circuit = Simcov_netlist.Circuit in
+  let ni = Circuit.n_inputs c in
+  let state = ref (Circuit.initial_state c) in
+  List.init len (fun _ ->
+      let rec draw tries =
+        if tries > 1000 then failwith "no valid vector found";
+        let iv = Array.init ni (fun _ -> Rng.bool rng) in
+        if Circuit.input_valid c !state iv then iv else draw (tries + 1)
+      in
+      let iv = draw 0 in
+      state := fst (Circuit.step c !state iv);
+      iv)
+
 let qcheck_stuckat_batched_eq_scalar =
   QCheck.Test.make
     ~name:"campaign: stuck-at bitvec lanes = scalar reference" ~count:100
     QCheck.(pair (int_range 1 1_000_000) (int_range 1 40))
     (fun (seed, len) ->
       let rng = Rng.create seed in
-      let c = if Rng.bool rng then counter () else wide () in
-      let ni = Simcov_netlist.Circuit.n_inputs c in
-      let word =
-        List.init len (fun _ -> Array.init ni (fun _ -> Rng.bool rng))
+      let c =
+        match Rng.int rng 3 with
+        | 0 -> counter ()
+        | 1 -> wide ()
+        | _ -> Lazy.force dlx_test_circuit
       in
-      check_stuckat_agrees c word)
+      check_stuckat_agrees c (valid_word rng c ~len))
 
 let test_stuckat_excitation_without_detection () =
   (* idle word on the counter: b0 stuck-at-1 is excited at step 0 (the

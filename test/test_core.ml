@@ -32,14 +32,60 @@ let test_certify_indistinguishable () =
   | Error (Completeness.Indistinguishable_pair _) -> ()
   | _ -> Alcotest.fail "expected indistinguishable pair"
 
+let test_certify_bound_zero () =
+  Alcotest.check_raises "k_bound 0" (Invalid_argument "Fsm.min_forall_k: bound < 1")
+    (fun () -> ignore (Completeness.certify ~k_bound:0 ident))
+
+(* the certificate's word is the optimal tour followed by k steps from
+   reset along each state's first valid input: rebuilt here from the
+   tour solver and the machine alone *)
+let check_padded_tour name m (c : Completeness.certificate) =
+  let word = Completeness.padded_tour m c in
+  let rec pad s n =
+    if n = 0 then []
+    else
+      match Fsm.valid_inputs m s with
+      | [] -> []
+      | i :: _ -> i :: pad (m.Fsm.next s i) (n - 1)
+  in
+  (match Simcov_testgen.Tour.transition_tour m with
+  | None -> Alcotest.failf "%s: certified machine without a tour" name
+  | Some t ->
+      Alcotest.(check (list int))
+        (name ^ ": tour + pad from reset")
+        (t.Simcov_testgen.Tour.word @ pad m.Fsm.reset c.Completeness.k)
+        word);
+  Alcotest.(check int) (name ^ ": tour + k")
+    (c.Completeness.tour_length + c.Completeness.k)
+    (List.length word);
+  Alcotest.(check bool) (name ^ ": still a tour") true
+    (Simcov_testgen.Tour.word_is_tour m word)
+
 let test_padded_tour () =
-  match Completeness.certify ident with
+  (match Completeness.certify ident with
+  | Ok c -> check_padded_tour "ident" ident c
+  | Error _ -> Alcotest.fail "expected certificate");
+  let rng = Simcov_util.Rng.create 31 in
+  let certified = ref 0 in
+  for _ = 1 to 40 do
+    let m =
+      Fsm.random_connected rng ~n_states:(2 + Simcov_util.Rng.int rng 8)
+        ~n_inputs:(1 + Simcov_util.Rng.int rng 3) ~n_outputs:3
+    in
+    match Completeness.certify m with
+    | Error _ -> ()
+    | Ok c ->
+        incr certified;
+        check_padded_tour "random" m c
+  done;
+  Alcotest.(check bool) "some random machines certified" true (!certified > 5);
+  let dlx = Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default) in
+  match Completeness.certify dlx with
+  | Error _ -> Alcotest.fail "DLX test model lost its certificate"
   | Ok c ->
-      let word = Completeness.padded_tour ident c in
-      Alcotest.(check int) "tour + k" (c.Completeness.tour_length + c.Completeness.k)
-        (List.length word);
-      Alcotest.(check bool) "still a tour" true (Simcov_testgen.Tour.word_is_tour ident word)
-  | Error _ -> Alcotest.fail "expected certificate"
+      check_padded_tour "DLX" dlx c;
+      Alcotest.(check int) "DLX padded tour length" 5175
+        (List.length (Completeness.padded_tour dlx c))
 
 let test_empirical_check_100pct () =
   match Completeness.certify ident with
@@ -140,6 +186,7 @@ let suite =
     Alcotest.test_case "certify not SC" `Quick test_certify_not_sc;
     Alcotest.test_case "certify indistinguishable" `Quick test_certify_indistinguishable;
     Alcotest.test_case "padded tour" `Quick test_padded_tour;
+    Alcotest.test_case "certify k_bound 0" `Quick test_certify_bound_zero;
     Alcotest.test_case "empirical check 100%" `Quick test_empirical_check_100pct;
     Alcotest.test_case "requirements good model" `Quick test_requirements_on_good_model;
     Alcotest.test_case "requirements r5 violated" `Quick test_requirements_r5_violated;

@@ -93,7 +93,8 @@ let test_testmodel_structure () =
   Alcotest.(check int) "4 states" 4 m.Simcov_fsm.Fsm.n_states;
   Alcotest.(check bool) "strongly connected" true
     (Simcov_graph.Scc.is_strongly_connected (Simcov_fsm.Fsm.transition_graph m));
-  Alcotest.(check (option int)) "forall-1" (Some 1) (Simcov_fsm.Fsm.min_forall_k m)
+  Alcotest.(check (option int)) "forall-1" (Some 1)
+    (Result.to_option (Simcov_fsm.Fsm.min_forall_k m))
 
 let test_testmodel_stall_output () =
   let m = Testmodel.build () in

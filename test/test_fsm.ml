@@ -173,7 +173,7 @@ let test_forall_k_positive () =
   Alcotest.(check bool) "forall-1 true" true (Fsm.forall_k_distinguishable ident ~k:1 0 1);
   Alcotest.(check bool) "forall-2 true (monotone)" true
     (Fsm.forall_k_distinguishable ident ~k:2 0 1);
-  Alcotest.(check (option int)) "min k is 1" (Some 1) (Fsm.min_forall_k ident)
+  Alcotest.(check (result int (pair int int))) "min k is 1" (Ok 1) (Fsm.min_forall_k ident)
 
 let test_forall_k_needs_two_steps () =
   (* Outputs equal on the first step from states 0,1 but successors
@@ -209,8 +209,90 @@ let test_min_forall_k_none_on_equivalent () =
   let m =
     Fsm.make ~n_states:2 ~n_inputs:1 ~next:(fun s _ -> 1 - s) ~output:(fun _ _ -> 0) ()
   in
-  Alcotest.(check (option int)) "no k distinguishes equivalent states" None
-    (Fsm.min_forall_k ~bound:6 m)
+  Alcotest.(check (result int (pair int int))) "no k distinguishes equivalent states"
+    (Error (0, 1)) (Fsm.min_forall_k ~bound:6 m)
+
+(* the one ∀k search against a brute force over the per-pair
+   reference: the smallest k <= bound at which every in-scope pair is
+   ∀k-distinguishable, else the first in-scope pair (p < q, row-major)
+   that is not ∀bound-distinguishable *)
+let brute_min_forall_k m ~scope ~bound =
+  let seen = Fsm.reachable m in
+  let in_scope s = match scope with `Reachable -> seen.(s) | `All -> true in
+  let pairs =
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun q -> if p < q && in_scope p && in_scope q then Some (p, q) else None)
+          (List.init m.Fsm.n_states Fun.id))
+      (List.init m.Fsm.n_states Fun.id)
+  in
+  let bad k =
+    List.find_opt (fun (p, q) -> not (Fsm.forall_k_distinguishable m ~k p q)) pairs
+  in
+  let rec go k =
+    if k > bound then Error (Option.get (bad bound))
+    else match bad k with None -> Ok k | Some _ -> go (k + 1)
+  in
+  go 1
+
+(* random machines of three shapes: total and strongly connected;
+   partial with random validity holes (and often unreachable states);
+   and a total machine with one state cloned, so an equivalent pair
+   exists (reachable when an incoming transition is redirected to the
+   clone, otherwise visible only under [`All]) *)
+let random_machine rng ~shape ~n_states =
+  let n_inputs = 1 + Simcov_util.Rng.int rng 3 in
+  match shape with
+  | 0 -> Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs:2
+  | 1 ->
+      let rows = ref [] in
+      for s = n_states - 1 downto 0 do
+        for i = n_inputs - 1 downto 0 do
+          if Simcov_util.Rng.int rng 4 > 0 then
+            rows :=
+              (s, i, Simcov_util.Rng.int rng n_states, Simcov_util.Rng.int rng 2) :: !rows
+        done
+      done;
+      if !rows = [] then Fsm.of_table [ (0, 0, 0, 0) ] else Fsm.of_table !rows
+  | _ ->
+      let m = Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs:2 in
+      let c = Simcov_util.Rng.int rng n_states and n = n_states in
+      let redirect =
+        if Simcov_util.Rng.bool rng then
+          List.find_opt (fun (_, _, nx, _) -> nx = c) (Fsm.transitions m)
+        else None
+      in
+      let orig s = if s = n then c else s in
+      Fsm.make ~n_states:(n + 1) ~n_inputs
+        ~next:(fun s i ->
+          match redirect with
+          | Some (p, pi, _, _) when s = p && i = pi -> n
+          | _ -> m.Fsm.next (orig s) i)
+        ~output:(fun s i -> m.Fsm.output (orig s) i)
+        ()
+
+let qcheck_min_forall_k_brute =
+  let show = function
+    | Ok k -> Printf.sprintf "Ok %d" k
+    | Error (p, q) -> Printf.sprintf "Error (%d, %d)" p q
+  in
+  QCheck.Test.make ~name:"fsm: min_forall_k = brute force over the per-pair reference"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 7) (int_range 1 6) (int_range 1 1_000_000))
+    (fun (shape, n_states, bound, seed) ->
+      let rng = Simcov_util.Rng.create seed in
+      let m = random_machine rng ~shape ~n_states in
+      List.for_all
+        (fun scope ->
+          let got = Fsm.min_forall_k ~scope ~bound m
+          and want = brute_min_forall_k m ~scope ~bound in
+          got = want
+          || QCheck.Test.fail_reportf "shape %d, %s, bound %d: got %s, want %s" shape
+               (match scope with `Reachable -> "reachable" | `All -> "all")
+               bound (show got) (show want))
+        [ `Reachable; `All ])
 
 let test_minimize_counter () =
   let q, cls = Fsm.minimize counter3 in
@@ -336,6 +418,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_minimize_equivalent;
     QCheck_alcotest.to_alcotest qcheck_distinguish_sound;
     QCheck_alcotest.to_alcotest qcheck_forall_k_monotone;
+    QCheck_alcotest.to_alcotest qcheck_min_forall_k_brute;
   ]
 
 let _ = (fig2_states, fig2_inputs)

@@ -3,7 +3,6 @@
    (minimization, fault simulation) they are meant to predict. *)
 
 open Simcov_fsm
-open Simcov_testgen
 open Simcov_analysis
 module Budget = Simcov_util.Budget
 module Json = Simcov_util.Json
@@ -161,32 +160,6 @@ let test_json_round_trip () =
       ("nonminimal", None, nonminimal);
     ]
 
-(* ---- generator gates (Precheck and the *_checked variants) ---- *)
-
-let test_precheck_refusals () =
-  (match Tour.transition_tour_checked oneway with
-  | Ok _ -> Alcotest.fail "tour on a disconnected machine"
-  | Error r -> Alcotest.(check string) "SA610 refusal" "SA610" r.Precheck.code);
-  (match Wmethod.suite_checked nonminimal with
-  | Ok _ -> Alcotest.fail "W-suite on a non-minimal machine"
-  | Error r -> Alcotest.(check string) "SA620 refusal" "SA620" r.Precheck.code);
-  (match Uio.checking_sequence_checked oneway with
-  | Ok _ -> Alcotest.fail "checking sequence on a disconnected machine"
-  | Error r -> Alcotest.(check string) "SA610 first" "SA610" r.Precheck.code);
-  (* clean machines sail through, and the checked result matches the
-     unchecked generator *)
-  (match Tour.transition_tour_checked counter3 with
-  | Error r -> Alcotest.failf "refused clean machine: %s" r.Precheck.reason
-  | Ok t ->
-      Alcotest.(check bool) "same tour as unchecked" true
-        (Some t.Tour.word
-        = Option.map (fun t -> t.Tour.word) (Tour.transition_tour counter3)));
-  match Wmethod.suite_checked counter3 with
-  | Error r -> Alcotest.failf "refused clean machine: %s" r.Precheck.reason
-  | Ok words ->
-      Alcotest.(check bool) "same suite as unchecked" true
-        (words = Wmethod.suite counter3)
-
 (* ---- QCheck properties ---- *)
 
 (* duplicate the reset state (clone its rows, redirect one incoming
@@ -230,9 +203,7 @@ let qcheck_duplicate_state_caught =
       let m = Fsm.random_connected rng ~n_states:n ~n_inputs:k ~n_outputs:2 in
       let m' = clone_state m m.Fsm.reset in
       let r = Fsm_lint.run m' in
-      has "SA620" r
-      && r.Fsm_lint.stats.Fsm_lint.certified_k = None
-      && Precheck.minimal m' <> Ok ())
+      has "SA620" r && r.Fsm_lint.stats.Fsm_lint.certified_k = None)
 
 let qcheck_suite_cover_matches_simulation =
   (* the suite-cover pass predicts coverage by graph walk; it must
@@ -279,7 +250,6 @@ let suite =
     Alcotest.test_case "suite invalid word" `Quick test_suite_invalid_word;
     Alcotest.test_case "budget skips recorded" `Quick test_budget_skip;
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
-    Alcotest.test_case "precheck refusals" `Quick test_precheck_refusals;
     QCheck_alcotest.to_alcotest qcheck_minimized_is_minimal;
     QCheck_alcotest.to_alcotest qcheck_duplicate_state_caught;
     QCheck_alcotest.to_alcotest qcheck_suite_cover_matches_simulation;

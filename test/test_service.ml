@@ -99,14 +99,32 @@ let test_job_defaults_and_errors () =
           ]));
   check bool "lint without model rejected" true
     (rejected (Json.Obj [ ("kind", Json.String "lint") ]));
-  (* lanes and jobs take exactly the CLI's ranges, both ends inclusive *)
+  (* a coverage request that still carries the retired reorder member
+     parses, and the member is dropped like any unknown one *)
+  (match
+     Job.of_json
+       (Json.Obj
+          [
+            ("kind", Json.String "coverage");
+            ("params", Json.Obj [ ("reorder", Json.String "on") ]);
+          ])
+   with
+  | Ok j ->
+      let plain = Job.make (Job.Coverage (Job.default_coverage ~model:"dlx")) in
+      check string "reorder ignored on coverage"
+        (Json.to_string (Job.to_json plain))
+        (Json.to_string (Job.to_json j))
+  | Error e -> failf "coverage with reorder rejected: %s" e);
+  (* lanes, jobs and k_bound take exactly the CLI's ranges, both ends
+     inclusive; every request names a model, which lint requires *)
   List.iter
     (fun (kind, name, (lo, hi)) ->
       let job v =
         Json.Obj
           [
             ("kind", Json.String kind);
-            ("params", Json.Obj [ (name, Json.Int v) ]);
+            ( "params",
+              Json.Obj [ ("model", Json.String "dlx-test"); (name, Json.Int v) ] );
           ]
       in
       List.iter
@@ -122,6 +140,7 @@ let test_job_defaults_and_errors () =
       ("coverage", "jobs", Job.jobs_range);
       ("validate-dlx", "lanes", Job.lanes_range);
       ("validate-dlx", "jobs", Job.jobs_range);
+      ("lint", "k_bound", Job.k_bound_range);
     ]
 
 let test_envelope_shape () =

@@ -117,13 +117,13 @@ let test_stall_clears_memwb_slot () =
 let test_min_forall_k_with_observability () =
   (* Requirement 5 satisfied: interaction state observable => every
      state pair distinguished by every single input *)
-  Alcotest.(check (option int)) "forall-1" (Some 1) (Fsm.min_forall_k model)
+  Alcotest.(check (option int)) "forall-1" (Some 1) (Result.to_option (Fsm.min_forall_k model))
 
 let test_forall_k_without_observability () =
   let m = Testmodel.build { cfg with Testmodel.observable_dest = false } in
   (* hidden interaction state: some pairs are not forall-k
      distinguishable for any small k *)
-  Alcotest.(check (option int)) "no k up to 8" None (Fsm.min_forall_k ~bound:8 m)
+  Alcotest.(check bool) "no k up to 8" true (Result.is_error (Fsm.min_forall_k ~bound:8 m))
 
 let test_dest_merge_conflict () =
   match Simcov_abstraction.Homomorphism.quotient model (Testmodel.dest_merge_mapping cfg) with
