@@ -19,7 +19,7 @@
    Exit codes: 0 success; 1 validation failed (bugs missed /
    certificate failed); 2 usage error; 3 resource limit exceeded;
    4 malformed input file; 5 campaign degraded by worker failures;
-   6 job rejected by the daemon (queue full or draining);
+   6 job rejected by the daemon (bad request, queue full, draining);
    7 socket / protocol error; 130 interrupted (SIGINT/SIGTERM) with a
    final checkpoint flushed. *)
 
@@ -44,7 +44,8 @@ let exits =
          after retries (see the report's $(b,shard_failures)).";
     Cmd.Exit.info 6
       ~doc:
-        "when the daemon rejected the job (queue full, or draining after \
+        "when the daemon rejected the job (malformed, oversized or late \
+         request, too many connections, queue full, or draining after \
          SIGTERM).";
     Cmd.Exit.info 7 ~doc:"on a socket or protocol error talking to the daemon.";
     Cmd.Exit.info 130
@@ -220,8 +221,12 @@ let with_interrupt f =
 
 let config_term =
   let regs =
-    let doc = "Number of registers in the reduced file (power of two)." in
-    Arg.(value & opt int 4 & info [ "regs" ] ~docv:"N" ~doc)
+    let sizes = List.map (fun n -> (string_of_int n, n)) Job.regs_values in
+    let doc =
+      Printf.sprintf "Number of registers in the reduced file: %s."
+        (Arg.doc_alts_enum sizes)
+    in
+    Arg.(value & opt (enum sizes) 4 & info [ "regs" ] ~docv:"N" ~doc)
   in
   let no_track =
     let doc =
@@ -727,7 +732,8 @@ let persist_term =
   in
   let every =
     Arg.(
-      value & opt int 1
+      value
+      & opt (bounded_int ~name:"--checkpoint-every" Job.checkpoint_every_range) 1
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Flush the checkpoint after every $(docv) completed batches.")
   in
@@ -818,13 +824,13 @@ let coverage_cmd =
   in
   let count =
     Arg.(
-      value & opt int 150
+      value & opt (bounded_int ~name:"--count" Job.count_range) 150
       & info [ "count" ] ~docv:"N"
           ~doc:"FSM faults sampled per kind (transfer, output).")
   in
   let steps =
     Arg.(
-      value & opt int 256
+      value & opt (bounded_int ~name:"--steps" Job.steps_range) 256
       & info [ "steps" ] ~docv:"N" ~doc:"Stimulus length for stuck-at campaigns.")
   in
   let fail_under =
@@ -909,7 +915,7 @@ let serve_cmd =
   in
   let queue_limit =
     Arg.(
-      value & opt int 64
+      value & opt (bounded_int ~name:"--queue-limit" (1, 4096)) 64
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:"Reject new jobs (exit 6 at the client) beyond $(docv) queued.")
   in

@@ -352,7 +352,7 @@ module Make (B : BACKEND) = struct
               (fun () ->
                 decided := List.rev_append bvs !decided;
                 Stdlib.incr ck_batches;
-                if c.every > 0 && !ck_batches mod c.every = 0 then begin
+                if !ck_batches mod c.every = 0 then begin
                   Obs.incr c_checkpoints;
                   Obs.event "campaign.checkpoint" ~fields:(fun () ->
                       [ ("decided", Json.Int (List.length !decided)) ]);

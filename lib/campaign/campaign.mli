@@ -184,7 +184,7 @@ type 'f outcome = {
 type 'f checkpoint = {
   every : int;
       (** flush after every [every] completed batches (counted across
-          all shards); [<= 0] disables periodic flushing *)
+          all shards); must be positive *)
   flush : ('f * verdict) list -> unit;
       (** Receives every verdict decided so far — resumed verdicts
           included, so a chain of interrupted runs never loses earlier

@@ -17,14 +17,27 @@
     - [{"op":"cancel","id":ID}]: one [{"ok":BOOL,"id":ID}] line.
     - [{"op":"ping"}]: one [{"ok":true}] line.
 
+    {b Connections.} One [select] loop reads request lines and
+    answers [jobs], [cancel] and [ping] itself; a {!Pool} worker
+    streams each job's lines and envelope straight to its socket, then
+    shuts it down. Only the loop closes descriptors. Fixed limits, each
+    refused with a [rejected] envelope (exit code 6): a request line
+    over 1 MiB or not complete 10 s after connecting, and more than 512
+    open connections ([select] takes descriptors below 1024). A write
+    blocked for 10 s, or failing, marks the client gone: a client that
+    closes its connection mid-stream has its job stopped at the next
+    batch boundary through the durable checkpoint ([interrupted]); a
+    client that only half-closes after its request gets the whole
+    stream. [jobs] lists queued and running jobs and the last 256
+    finished ones, in submission order.
+
     {b Lifecycle.} {!serve} owns the socket path (any stale file is
-    replaced) and accepts until SIGTERM or SIGINT, then drains: queued
-    jobs resolve [cancelled], running jobs are stopped at the next
-    batch boundary through their durable checkpoint ([interrupted],
-    exit 130), every open connection still receives its final
-    envelope, the socket file is removed, and {!serve} returns [Ok ()]
-    — the CLI's exit 0. A client whose connection drops mid-stream has
-    its job cancelled. *)
+    replaced) and accepts until SIGTERM or SIGINT, then drains:
+    unfinished requests are refused, queued jobs resolve [cancelled],
+    running jobs are stopped at the next batch boundary through their
+    durable checkpoint ([interrupted], exit 130), every submitted job
+    still receives its final envelope, the socket file is removed, and
+    {!serve} returns [Ok ()] — the CLI's exit 0. *)
 
 module Json = Simcov_util.Json
 
@@ -32,12 +45,11 @@ val serve :
   socket:string ->
   ?queue_limit:int ->
   ?workers:int ->
-  ?domain_tokens:int ->
-  ?cache:Model_cache.t ->
   unit ->
   (unit, string) result
-(** Run the daemon until SIGTERM/SIGINT, then drain. [Error msg] only
-    on socket setup failure (the CLI's exit 7). *)
+(** Run the daemon until SIGTERM/SIGINT, then drain. [queue_limit]
+    and [workers] go to {!Pool.create}. [Error msg] only on socket
+    setup failure (the CLI's exit 7). *)
 
 (** {1 Clients}
 

@@ -212,18 +212,31 @@ let get_int obj name ~default =
   | Some (Json.Int i) -> i
   | Some _ -> raise (Bad (Printf.sprintf "field '%s' must be an integer" name))
 
-(* lanes and jobs size per-job allocations and domain counts, and
-   k_bound the rounds of the ∀k search: the wire accepts exactly the
-   CLI's ranges *)
+(* lanes and jobs size per-job allocations and domain counts, k_bound
+   the rounds of the ∀k search, count and steps the fault population
+   and the stimulus, checkpoint_every the batches between saves (it
+   must be positive), and regs the tabulated test model: the wire
+   accepts exactly the CLI's values *)
 let lanes_range = (1, 65536)
 let jobs_range = (1, 256)
 let k_bound_range = (1, 64)
+let count_range = (1, 100_000)
+let steps_range = (1, 100_000)
+let checkpoint_every_range = (1, max_int)
+let regs_values = [ 2; 4; 8; 16 ]
 
 let get_bounded obj name (lo, hi) ~default =
   let v = get_int obj name ~default in
   if v < lo || v > hi then
     raise
       (Bad (Printf.sprintf "field '%s' must be an integer in [%d, %d]" name lo hi));
+  v
+
+let get_choice obj name values ~default =
+  let v = get_int obj name ~default in
+  let names = String.concat ", " (List.map string_of_int values) in
+  if not (List.mem v values) then
+    raise (Bad (Printf.sprintf "field '%s' must be one of %s" name names));
   v
 
 let get_bool obj name ~default =
@@ -286,7 +299,7 @@ let spec_of ~kind params =
       let d = default_validate in
       Validate_dlx
         {
-          va_regs = get_int params "regs" ~default:d.va_regs;
+          va_regs = get_choice params "regs" regs_values ~default:d.va_regs;
           va_track_dest = get_bool params "track_dest" ~default:d.va_track_dest;
           va_observable_dest =
             get_bool params "observable_dest" ~default:d.va_observable_dest;
@@ -328,14 +341,15 @@ let spec_of ~kind params =
           cov_model = model;
           cov_faults = faults;
           cov_seed = get_int params "seed" ~default:d.cov_seed;
-          cov_count = get_int params "count" ~default:d.cov_count;
-          cov_steps = get_int params "steps" ~default:d.cov_steps;
+          cov_count = get_bounded params "count" count_range ~default:d.cov_count;
+          cov_steps = get_bounded params "steps" steps_range ~default:d.cov_steps;
           cov_fail_under = get_float_opt params "fail_under";
           cov_lanes = get_bounded params "lanes" lanes_range ~default:d.cov_lanes;
           cov_jobs = get_bounded params "jobs" jobs_range ~default:d.cov_jobs;
           cov_checkpoint = get_str_opt params "checkpoint";
           cov_checkpoint_every =
-            get_int params "checkpoint_every" ~default:d.cov_checkpoint_every;
+            get_bounded params "checkpoint_every" checkpoint_every_range
+              ~default:d.cov_checkpoint_every;
           cov_resume = get_str_opt params "resume";
         }
   | "merge" ->

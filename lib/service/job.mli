@@ -104,17 +104,21 @@ val kind : t -> string
 (** ["validate-dlx"], ["lint"], ["coverage"], ["merge"], ["minimize"]
     or ["stats"]. *)
 
+(** The values each param that sizes work accepts, shared by the
+    CLI's flag of the same name and {!of_json}. Inclusive ranges: [lanes]
+    [(1, 65536)], [jobs] [(1, 256)], a lint job's [k_bound] [(1, 64)],
+    a coverage job's [count] and [steps] [(1, 100_000)] and
+    [checkpoint_every] [(1, max_int)]. A validate-dlx job's [regs] is
+    one of [[2; 4; 8; 16]]: the powers of two the test model encodes
+    and can tabulate. *)
+
 val lanes_range : int * int
-(** Inclusive bounds on the [lanes] param, [(1, 65536)]: shared by the
-    CLI's [--lanes] and {!of_json}. *)
-
 val jobs_range : int * int
-(** Inclusive bounds on the [jobs] param, [(1, 256)]: shared by the
-    CLI's [--jobs] and {!of_json}. *)
-
 val k_bound_range : int * int
-(** Inclusive bounds on a lint job's [k_bound] param, [(1, 64)]: shared
-    by the CLI's [--k-bound] and {!of_json}. *)
+val count_range : int * int
+val steps_range : int * int
+val checkpoint_every_range : int * int
+val regs_values : int list
 
 val default_validate : validate_params
 val default_lint : model:string -> lint_params
@@ -125,9 +129,8 @@ val make : ?id:string -> ?timeout_s:float -> ?max_nodes:int -> spec -> t
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-(** Total inverse of {!to_json}; unknown [kind]s, ill-typed fields and
-    [lanes]/[jobs]/[k_bound] outside
-    {!lanes_range}/{!jobs_range}/{!k_bound_range} yield [Error],
+(** Total inverse of {!to_json}; unknown [kind]s, ill-typed fields
+    and sizing params outside their values above yield [Error],
     unknown {e fields} are ignored (schema growth). *)
 
 (** {1 Result envelope} *)

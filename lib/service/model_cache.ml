@@ -16,7 +16,6 @@ let g_bytes = Obs.gauge "service.cache.bytes"
 
 type sym_entry = {
   sym : Simcov_symbolic.Symfsm.t;
-  s_reorder : bool;  (** job asked for reordering: daemon may sift it *)
   s_lock : Mutex.t;  (** serializes jobs sharing this manager *)
 }
 
@@ -38,7 +37,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable eviction_hook : (unit -> unit) option;
   lock : Mutex.t;
 }
 
@@ -52,7 +50,6 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(max_entries = 256) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    eviction_hook = None;
     lock = Mutex.create ();
   }
 
@@ -98,28 +95,17 @@ let find t key =
           Obs.incr c_misses;
           None)
 
-let set_eviction_hook t hook =
-  locked t (fun () -> t.eviction_hook <- Some hook)
-
 let store t key payload ~bytes =
-  let fire =
-    locked t (fun () ->
-        (match Hashtbl.find_opt t.table key with
-        | Some old -> t.total_bytes <- t.total_bytes - old.bytes
-        | None -> ());
-        t.clock <- t.clock + 1;
-        let evictions0 = t.evictions in
-        Hashtbl.replace t.table key { payload; bytes; tick = t.clock };
-        t.total_bytes <- t.total_bytes + bytes;
-        enforce_bounds t;
-        Obs.set g_entries (Hashtbl.length t.table);
-        Obs.set g_bytes t.total_bytes;
-        if t.evictions > evictions0 then t.eviction_hook else None)
-  in
-  (* fired OUTSIDE the lock: the hook may take arbitrary time (it
-     typically schedules a between-jobs BDD reorder) and must not
-     serialize cache traffic behind it *)
-  match fire with Some hook -> hook () | None -> ()
+  locked t (fun () ->
+      (match Hashtbl.find_opt t.table key with
+      | Some old -> t.total_bytes <- t.total_bytes - old.bytes
+      | None -> ());
+      t.clock <- t.clock + 1;
+      Hashtbl.replace t.table key { payload; bytes; tick = t.clock };
+      t.total_bytes <- t.total_bytes + bytes;
+      enforce_bounds t;
+      Obs.set g_entries (Hashtbl.length t.table);
+      Obs.set g_bytes t.total_bytes)
 
 let counts t = locked t (fun () -> (t.hits, t.misses, t.evictions))
 let stats t = locked t (fun () -> (Hashtbl.length t.table, t.total_bytes))
@@ -219,48 +205,19 @@ let sym_bytes (sf : Symfsm.t) =
    job — keyed by the circuit's canonical key AND the reorder mode, so
    an [off] job can never observe an order mutated by an [on]/[auto]
    job (byte-identical reports stay byte-identical). The per-entry
-   mutex serializes jobs that share the live manager; the daemon's
-   between-jobs sifting takes the same mutex ({!reorder_cached}). *)
+   mutex serializes jobs that share the live manager. *)
 let sym_of_circuit t ~reorder ~canonical build =
   let mode = Job.reorder_name reorder in
   let key = Printf.sprintf "sym:%s:%s" canonical mode in
   let fresh () =
     let sf = build () in
-    let se =
-      {
-        sym = sf;
-        s_reorder = reorder <> Job.Reorder_off;
-        s_lock = Mutex.create ();
-      }
-    in
+    let se = { sym = sf; s_lock = Mutex.create () } in
     store t key (P_sym se) ~bytes:(sym_bytes sf);
     se
   in
   match find t key with
   | Some (P_sym se) -> se
   | Some _ | None -> fresh ()
-
-(* Between-jobs reordering of every cached reorder-enabled manager.
-   [try_lock]: a manager busy under a running job is simply skipped —
-   it will be sifted after a later job instead; never block the worker
-   on another job's traversal. *)
-let reorder_cached t =
-  let syms =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun _ e acc ->
-            match e.payload with
-            | P_sym se when se.s_reorder -> se :: acc
-            | _ -> acc)
-          t.table [])
-  in
-  List.iter
-    (fun se ->
-      if Mutex.try_lock se.s_lock then
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock se.s_lock)
-          (fun () -> Symfsm.reorder_now se.sym))
-    syms
 
 (* ---- lint verdicts ---- *)
 

@@ -86,9 +86,6 @@ val fsm_lint :
 
 type sym_entry = {
   sym : Simcov_symbolic.Symfsm.t;
-  s_reorder : bool;
-      (** built under a reorder-enabled job: {!reorder_cached} may
-          sift it between jobs *)
   s_lock : Mutex.t;
       (** hold while using [sym] — jobs share the live BDD manager *)
 }
@@ -104,18 +101,8 @@ val sym_of_circuit :
     a [Reorder_off] job can never observe a variable order mutated by
     an [on]/[auto] job. The caller must lock [s_lock] while operating
     on the machine (and re-attach its budget first:
-    {!Simcov_symbolic.Symfsm.attach_budget}). *)
-
-val reorder_cached : t -> unit
-(** One best-effort sifting pass over every cached reorder-enabled
-    manager, skipping (not waiting for) any whose [s_lock] is held by
-    a running job. The daemon's worker loop calls this between jobs
-    when the eviction hook has signalled cache pressure. *)
-
-val set_eviction_hook : t -> (unit -> unit) -> unit
-(** Install a callback fired (outside the cache lock) after any store
-    that evicted at least one entry — the daemon uses it to schedule a
-    between-jobs {!reorder_cached}. Last hook wins. *)
+    {!Simcov_symbolic.Symfsm.attach_budget}). A cached manager's order
+    changes only inside the jobs that use it. *)
 
 val counts : t -> int * int * int
 (** [(hits, misses, evictions)] since creation — the same totals the

@@ -8,14 +8,27 @@ let state_name = function
   | Running -> "running"
   | Finished s -> Job.status_name s
 
-type rec_job = {
-  rj_id : string;
-  rj_job : Job.t;
-  rj_on_line : string -> unit;
-  rj_on_done : Json.t -> unit;
-  rj_cancel : bool Atomic.t;
-  mutable rj_state : jstate;
+(* what [list] and [cancel] see of a job; it outlives the job's
+   closures while the job stays in the finished history *)
+type entry = {
+  seq : int;  (** submission order *)
+  id : string;
+  kind : string;
+  cancel : bool Atomic.t;
+  mutable state : jstate;
 }
+
+(* a queued or running job; unreferenced once it resolves *)
+type rec_job = {
+  entry : entry;
+  job : Job.t;
+  on_line : string -> unit;
+  on_done : Json.t -> unit;
+  gone : bool Atomic.t;
+}
+
+(* finished jobs kept for [list] *)
+let history = 256
 
 type t = {
   cache : Model_cache.t;
@@ -24,15 +37,14 @@ type t = {
   cond : Condition.t;  (** signaled on enqueue and drain *)
   done_cond : Condition.t;  (** signaled when a job resolves *)
   queue : rec_job Queue.t;
-  jobs : (string, rec_job) Hashtbl.t;
-  mutable order : string list;  (** submission order, reversed *)
+  jobs : (string, entry) Hashtbl.t;  (** live jobs and the [finished] ones *)
+  finished : entry Queue.t;  (** at most [history], oldest first *)
+  mutable submitted : int;
   mutable next_id : int;
   mutable pending : int;  (** queued + running *)
   mutable draining : bool;
   stop_all : bool Atomic.t;
   tokens : int Atomic.t;
-  reorder_pending : bool Atomic.t;
-      (** cache pressure seen — sift cached managers between jobs *)
   mutable domains : unit Domain.t list;
 }
 
@@ -64,7 +76,7 @@ let declared_jobs (job : Job.t) =
   | _ -> 1
 
 let envelope_of_outcome rj (o : Service.outcome) =
-  Job.envelope ~id:rj.rj_id ~kind:(Job.kind rj.rj_job)
+  Job.envelope ~id:rj.entry.id ~kind:rj.entry.kind
     ~status:(Service.status_of o) ~exit_code:o.Service.exit_code
     ?error:o.Service.error ?report:o.Service.report ()
 
@@ -75,21 +87,26 @@ let resolve t rj status envelope =
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect t.lock (fun () ->
-          rj.rj_state <- Finished status;
+          rj.entry.state <- Finished status;
+          Queue.push rj.entry t.finished;
+          if Queue.length t.finished > history then
+            Hashtbl.remove t.jobs (Queue.pop t.finished).id;
           t.pending <- t.pending - 1;
           Condition.broadcast t.done_cond))
-    (fun () -> rj.rj_on_done envelope)
+    (fun () -> rj.on_done envelope)
 
 let cancelled_envelope rj =
-  Job.envelope ~id:rj.rj_id ~kind:(Job.kind rj.rj_job) ~status:Job.Cancelled
+  Job.envelope ~id:rj.entry.id ~kind:rj.entry.kind ~status:Job.Cancelled
     ~exit_code:130 ~error:"cancelled before start" ()
 
 let metrics_line () = Json.to_string ~indent:0 (Obs.snapshot ())
 
 let execute t rj =
-  let reg = Obs.registry ~label:rj.rj_id in
-  let should_stop () = Atomic.get rj.rj_cancel || Atomic.get t.stop_all in
-  let extra = take_tokens t (declared_jobs rj.rj_job - 1) in
+  let reg = Obs.registry ~label:rj.entry.id in
+  let should_stop () =
+    Atomic.get rj.entry.cancel || Atomic.get rj.gone || Atomic.get t.stop_all
+  in
+  let extra = take_tokens t (declared_jobs rj.job - 1) in
   let outcome =
     Fun.protect
       ~finally:(fun () ->
@@ -97,7 +114,7 @@ let execute t rj =
         Obs.release reg)
       (fun () ->
         Obs.with_registry reg (fun () ->
-            Obs.set_sink (Some rj.rj_on_line);
+            Obs.set_sink (Some rj.on_line);
             Fun.protect
               ~finally:(fun () -> Obs.set_sink None)
               (fun () ->
@@ -109,13 +126,13 @@ let execute t rj =
                   let now = Unix.gettimeofday () in
                   if now -. !last >= 0.5 then begin
                     last := now;
-                    rj.rj_on_line (metrics_line ())
+                    rj.on_line (metrics_line ())
                   end
                 in
                 let o =
                   try
                     Service.run ~cache:t.cache ~max_workers:(1 + extra)
-                      ~should_stop ~on_progress rj.rj_job
+                      ~should_stop ~on_progress rj.job
                   with e ->
                     {
                       Service.exit_code = 4;
@@ -126,7 +143,7 @@ let execute t rj =
                       interrupted = false;
                     }
                 in
-                rj.rj_on_line (metrics_line ());
+                rj.on_line (metrics_line ());
                 o)))
   in
   resolve t rj (Service.status_of outcome) (envelope_of_outcome rj outcome)
@@ -138,7 +155,7 @@ let worker_loop t =
           let rec wait () =
             if not (Queue.is_empty t.queue) then begin
               let rj = Queue.pop t.queue in
-              rj.rj_state <- Running;
+              rj.entry.state <- Running;
               Some rj
             end
             else if t.draining then None
@@ -152,28 +169,16 @@ let worker_loop t =
     match job with
     | None -> ()
     | Some rj ->
-        (if Atomic.get rj.rj_cancel then
-           resolve t rj Job.Cancelled (cancelled_envelope rj)
-         else execute t rj);
-        (* between jobs, never during one: sift the cached symbolic
-           managers if the cache signalled pressure while we ran.
-           [exchange] makes one worker claim the pass; managers busy
-           under another worker's job are skipped inside. *)
-        if Atomic.exchange t.reorder_pending false && not (Atomic.get t.stop_all)
-        then Model_cache.reorder_cached t.cache;
+        if Atomic.get rj.entry.cancel then
+          resolve t rj Job.Cancelled (cancelled_envelope rj)
+        else execute t rj;
         next ()
   in
   next ()
 
 (* ---- public API ---- *)
 
-let create ?(cache = Model_cache.shared) ?(queue_limit = 64) ?(workers = 2)
-    ?domain_tokens () =
-  let domain_tokens =
-    match domain_tokens with
-    | Some n -> max 1 n
-    | None -> Domain.recommended_domain_count ()
-  in
+let create ?(cache = Model_cache.shared) ?(queue_limit = 64) ?(workers = 2) () =
   let t =
     {
       cache;
@@ -183,22 +188,21 @@ let create ?(cache = Model_cache.shared) ?(queue_limit = 64) ?(workers = 2)
       done_cond = Condition.create ();
       queue = Queue.create ();
       jobs = Hashtbl.create 16;
-      order = [];
+      finished = Queue.create ();
+      submitted = 0;
       next_id = 0;
       pending = 0;
       draining = false;
       stop_all = Atomic.make false;
-      tokens = Atomic.make (max 1 (domain_tokens - workers));
-      reorder_pending = Atomic.make false;
+      tokens = Atomic.make (max 1 (Domain.recommended_domain_count () - workers));
       domains = [];
     }
   in
-  Model_cache.set_eviction_hook cache (fun () ->
-      Atomic.set t.reorder_pending true);
   t.domains <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let submit t ?(on_line = fun _ -> ()) ?(on_done = fun _ -> ()) job =
+let submit t ?(on_line = fun _ -> ()) ?(on_done = fun _ -> ())
+    ?(gone = Atomic.make false) job =
   Mutex.protect t.lock (fun () ->
       if t.draining then Error "pool is draining"
       else if Queue.length t.queue >= t.queue_limit then Error "queue is full"
@@ -214,51 +218,48 @@ let submit t ?(on_line = fun _ -> ()) ?(on_done = fun _ -> ()) job =
               in
               fresh t.next_id
         in
-        let rj =
+        t.submitted <- t.submitted + 1;
+        let entry =
           {
-            rj_id = id;
-            rj_job = job;
-            rj_on_line = on_line;
-            rj_on_done = on_done;
-            rj_cancel = Atomic.make false;
-            rj_state = Queued;
+            seq = t.submitted;
+            id;
+            kind = Job.kind job;
+            cancel = Atomic.make false;
+            state = Queued;
           }
         in
-        Hashtbl.replace t.jobs id rj;
-        t.order <- id :: t.order;
+        Hashtbl.replace t.jobs id entry;
         t.pending <- t.pending + 1;
-        Queue.push rj t.queue;
+        Queue.push { entry; job; on_line; on_done; gone } t.queue;
         Condition.signal t.cond;
         Ok id
       end)
 
 let cancel t id =
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.jobs id) with
-  | None -> false
-  | Some rj -> (
-      match rj.rj_state with
-      | Finished _ -> false
-      | Queued | Running ->
-          Atomic.set rj.rj_cancel true;
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.jobs id with
+      | None | Some { state = Finished _; _ } -> false
+      | Some e ->
+          Atomic.set e.cancel true;
           true)
 
 let list t =
   Mutex.protect t.lock (fun () ->
+      let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.jobs [] in
       Json.Obj
         [
           ("schema", Json.String "simcov-jobs/1");
           ( "jobs",
             Json.List
-              (List.rev_map
-                 (fun id ->
-                   let rj = Hashtbl.find t.jobs id in
+              (List.map
+                 (fun e ->
                    Json.Obj
                      [
-                       ("id", Json.String id);
-                       ("kind", Json.String (Job.kind rj.rj_job));
-                       ("state", Json.String (state_name rj.rj_state));
+                       ("id", Json.String e.id);
+                       ("kind", Json.String e.kind);
+                       ("state", Json.String (state_name e.state));
                      ])
-                 t.order) );
+                 (List.sort (fun a b -> compare a.seq b.seq) entries)) );
         ])
 
 let wait t =

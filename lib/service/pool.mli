@@ -22,34 +22,39 @@
     with status [cancelled]; on a running job it flips the job's
     [should_stop], which drains the campaign through its durable
     checkpoint and resolves with status [interrupted] (exit 130).
-    {!drain} does this to the whole pool — the daemon's SIGTERM path. *)
+    A submitter's [gone] flag does the same to its own job. {!drain}
+    does this to the whole pool — the daemon's SIGTERM path.
+
+    Memory stays bounded: a job's closures are dropped once it
+    resolves, and only the last 256 finished jobs are remembered for
+    {!list} and {!cancel}. *)
 
 module Json = Simcov_util.Json
 
 type t
 
 val create :
-  ?cache:Model_cache.t ->
-  ?queue_limit:int ->
-  ?workers:int ->
-  ?domain_tokens:int ->
-  unit ->
-  t
+  ?cache:Model_cache.t -> ?queue_limit:int -> ?workers:int -> unit -> t
 (** Defaults: the shared model cache, queue bound 64, 2 worker
-    domains, [Domain.recommended_domain_count ()] domain tokens. *)
+    domains. The domain-token budget is
+    [Domain.recommended_domain_count ()]. *)
 
 val submit :
   t ->
   ?on_line:(string -> unit) ->
   ?on_done:(Json.t -> unit) ->
+  ?gone:bool Atomic.t ->
   Job.t ->
   (string, string) result
 (** Enqueue a job. Returns the assigned id (the job's own [id] when
-    given and unused, a generated [job-N] otherwise) or [Error reason]
-    when the queue is full or the pool is draining — the daemon maps
-    that to a [rejected] envelope with exit code 6. [on_line] receives
-    streamed trace/metrics lines (called from a worker domain; must be
-    thread-safe). [on_done] receives the final envelope exactly once. *)
+    given and not listed, a generated [job-N] otherwise) or
+    [Error reason] when the queue is full or the pool is draining —
+    the daemon maps that to a [rejected] envelope with exit code 6.
+    [on_line] receives streamed trace/metrics lines (called from a
+    worker domain; must be thread-safe). [on_done] receives the final
+    envelope exactly once. Once [gone] is set (the daemon sets it when
+    a write to the client fails), the running job stops at its next
+    batch boundary, as under {!cancel}. *)
 
 val cancel : t -> string -> bool
 (** [true] if the id named a queued or running job. *)
@@ -58,7 +63,8 @@ val list : t -> Json.t
 (** The [simcov-jobs/1] snapshot:
     [{"schema":"simcov-jobs/1","jobs":[{"id","kind","state"},...]}]
     with [state] one of [queued], [running], or a final
-    {!Job.status_name}. *)
+    {!Job.status_name}: every queued and running job and the last 256
+    finished ones, in submission order. *)
 
 val wait : t -> unit
 (** Block until every submitted job has resolved. *)

@@ -153,7 +153,7 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
         | Some _ ->
             Some
               {
-                Campaign.every = max 1 p.Job.cov_checkpoint_every;
+                Campaign.every = p.Job.cov_checkpoint_every;
                 flush =
                   (fun pairs ->
                     save_snapshot ~complete:false ~truncated:None pairs;
@@ -344,8 +344,7 @@ let run_stats ~cache ~budget (p : Job.stats_params) =
   | Ok (final, _, canonical) ->
   Buffer.add_string buf (Format.asprintf "%a@." Circuit.pp_stats final);
   (* the compiled machine is cached per (circuit, reorder mode): a
-     daemon serving repeated stats jobs reuses the live manager, and
-     the between-jobs sifting pass can then actually shrink it *)
+     daemon serving repeated stats jobs reuses the live manager *)
   let se =
     Model_cache.sym_of_circuit cache ~reorder:p.Job.st_reorder ~canonical
       (fun () ->

@@ -152,10 +152,6 @@ let attach_budget t budget =
   Bdd.set_max_nodes t.man (Budget.max_nodes budget);
   Budget.set_node_probe budget (Some (fun () -> (Bdd.gc_stats t.man).Bdd.live))
 
-(* One explicit sifting pass, best effort: an abort under the node
-   ceiling leaves the manager usable at the order reached. *)
-let reorder_now t = try Bdd.reorder t.man with Bdd.Node_limit _ -> ()
-
 let man_for ~budget n =
   let man = Bdd.man ?max_nodes:(Budget.max_nodes budget) n in
   (* secondary node-budget enforcement (see budget.mli): the budget can

@@ -100,11 +100,6 @@ val attach_budget : t -> Budget.t -> unit
     budget's node probe reads this manager — what a daemon does when
     it serves a cache-hit model under a new job's budget. *)
 
-val reorder_now : t -> unit
-(** One explicit sifting pass on the machine's manager, best effort:
-    a {!Bdd.Node_limit} abort is swallowed and the order reached is
-    kept. The daemon calls this between jobs. *)
-
 (** {1 The transition relation} *)
 
 val trans : t -> Bdd.t

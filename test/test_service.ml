@@ -138,9 +138,36 @@ let test_job_defaults_and_errors () =
     [
       ("coverage", "lanes", Job.lanes_range);
       ("coverage", "jobs", Job.jobs_range);
+      ("coverage", "count", Job.count_range);
+      ("coverage", "steps", Job.steps_range);
       ("validate-dlx", "lanes", Job.lanes_range);
       ("validate-dlx", "jobs", Job.jobs_range);
       ("lint", "k_bound", Job.k_bound_range);
+    ];
+  (* regs takes the test model's power-of-two sizes, checkpoint_every
+     any positive count *)
+  List.iter
+    (fun (kind, name, v, bad) ->
+      check bool
+        (Printf.sprintf "%s %s=%d %s" kind name v
+           (if bad then "rejected" else "accepted"))
+        bad
+        (rejected
+           (Json.Obj
+              [
+                ("kind", Json.String kind);
+                ("params", Json.Obj [ (name, Json.Int v) ]);
+              ])))
+    [
+      ("validate-dlx", "regs", 0, true);
+      ("validate-dlx", "regs", 1, true);
+      ("validate-dlx", "regs", 2, false);
+      ("validate-dlx", "regs", 3, true);
+      ("validate-dlx", "regs", 16, false);
+      ("validate-dlx", "regs", 32, true);
+      ("coverage", "checkpoint_every", 0, true);
+      ("coverage", "checkpoint_every", 1, false);
+      ("coverage", "checkpoint_every", max_int, false);
     ]
 
 let test_envelope_shape () =
@@ -437,13 +464,24 @@ let test_pool_cancel_and_drain () =
 
 (* ---- daemon ---- *)
 
-let test_daemon_roundtrip () =
+type daemon = {
+  socket : string;
+  result : (unit, string) result option Atomic.t;  (** set when serve returns *)
+  server : unit Domain.t;
+}
+
+let start_daemon tag =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "simcov-test-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "simcov-test-%s-%d.sock" tag (Unix.getpid ()))
   in
+  let result = Atomic.make None in
   let server =
-    Domain.spawn (fun () -> Daemon.serve ~socket ~workers:1 ())
+    Domain.spawn (fun () ->
+        Atomic.set result
+          (Some
+             (try Daemon.serve ~socket ~workers:1 ()
+              with e -> Error (Printexc.to_string e))))
   in
   let rec await_socket n =
     if Sys.file_exists socket then ()
@@ -454,13 +492,97 @@ let test_daemon_roundtrip () =
     end
   in
   await_socket 100;
+  { socket; result; server }
+
+(* SIGTERM drains the daemon: serve must come back [Ok ()] within
+   [within] seconds. [release] runs before the join, so a daemon that
+   is stuck on a client can still be joined once the test has failed. *)
+let stop_daemon ?(within = 5.) ?(release = ignore) d =
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  let deadline = Unix.gettimeofday () +. within in
+  let rec await () =
+    match Atomic.get d.result with
+    | Some r -> Some r
+    | None when Unix.gettimeofday () > deadline -> None
+    | None ->
+        Unix.sleepf 0.01;
+        await ()
+  in
+  let r = await () in
+  release ();
+  Domain.join d.server;
+  match r with
+  | Some (Ok ()) -> ()
+  | Some (Error e) -> failf "serve failed: %s" e
+  | None -> failf "serve did not return within %.0f s of SIGTERM" within
+
+(* a raw client whose connect, reads and writes each give up after
+   10 s, so a test against a stuck daemon fails instead of hanging *)
+let connect_raw socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  (try Unix.connect fd (Unix.ADDR_UNIX socket)
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+let close_raw fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* everything the server sends until it closes, or [None] if it is
+   still open after the receive timeout *)
+let read_to_close fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) ->
+        Some (Buffer.contents buf)
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
+  in
+  go ()
+
+let raw_request socket line =
+  let fd = connect_raw socket in
   Fun.protect
-    ~finally:(fun () ->
-      (* SIGTERM drains the daemon; serve must come back Ok *)
-      Unix.kill (Unix.getpid ()) Sys.sigterm;
-      match Domain.join server with
-      | Ok () -> ()
-      | Error e -> failf "serve failed: %s" e)
+    ~finally:(fun () -> close_raw fd)
+    (fun () ->
+      ignore (Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1));
+      match read_to_close fd with
+      | Some reply -> Json.parse (String.trim reply) |> Result.to_option
+      | None -> None)
+
+let listed_jobs socket =
+  match raw_request socket {|{"op":"jobs"}|} with
+  | Some j -> (
+      match Json.member "jobs" j with
+      | Some (Json.List jobs) ->
+          List.map
+            (fun j ->
+              let field k =
+                Option.value ~default:""
+                  (Option.bind (Json.member k j) Json.to_string_opt)
+              in
+              (field "id", field "state"))
+            jobs
+      | _ -> fail "jobs reply without a job list")
+  | None -> fail "no jobs reply"
+
+let check_nothing_live socket =
+  List.iter
+    (fun (id, state) ->
+      if state = "queued" || state = "running" then
+        failf "job %s still %s" id state)
+    (listed_jobs socket)
+
+let test_daemon_roundtrip () =
+  let d = start_daemon "roundtrip" in
+  let socket = d.socket in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
     (fun () ->
       (match Daemon.ping ~socket with
       | Ok j -> check bool "ping ok" true (Json.member "ok" j = Some (Json.Bool true))
@@ -521,6 +643,142 @@ let test_daemon_roundtrip () =
             (Option.bind (Json.member "status" env) Json.to_string_opt)
       | Error e -> failf "stats submit: %s" e)
 
+let test_daemon_idle_connections () =
+  (* one domain per connection used to crash the daemon well before
+     200 ("failed to allocate domain") *)
+  let d = start_daemon "idle" in
+  let idle = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_daemon d ~release:(fun () -> List.iter close_raw !idle))
+    (fun () ->
+      for i = 1 to 200 do
+        match connect_raw d.socket with
+        | fd -> idle := fd :: !idle
+        | exception Unix.Unix_error (e, _, _) ->
+            failf "connection %d: %s" i (Unix.error_message e)
+      done;
+      match raw_request d.socket {|{"op":"ping"}|} with
+      | Some j -> check bool "ping ok" true (Json.member "ok" j = Some (Json.Bool true))
+      | None -> fail "no ping reply with 200 idle connections")
+
+let test_daemon_silent_client () =
+  (* a client that connects and never sends must not stall the drain,
+     and the drain must not leave its connection open *)
+  let d = start_daemon "silent" in
+  let fd = connect_raw d.socket in
+  Unix.sleepf 0.1;
+  let reply = ref None in
+  stop_daemon d ~release:(fun () ->
+      reply := read_to_close fd;
+      close_raw fd);
+  check bool "the drain closed the silent connection" true (!reply <> None)
+
+let test_daemon_oversized_request () =
+  let d = start_daemon "oversized" in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let fd = connect_raw d.socket in
+      Fun.protect
+        ~finally:(fun () -> close_raw fd)
+        (fun () ->
+          (* 2 MB without a newline; the daemon stops reading at 1 MiB,
+             so the rest of the write may fail *)
+          let big = String.make (2 lsl 20) 'x' in
+          (try ignore (Unix.write_substring fd big 0 (String.length big))
+           with Unix.Unix_error _ -> ());
+          match read_to_close fd with
+          | None -> fail "no reply to an oversized request line"
+          | Some reply -> (
+              match Json.parse (String.trim reply) with
+              | Error e -> failf "reply is not one JSON line: %s" e
+              | Ok env ->
+                  check (option string) "oversized line rejected" (Some "rejected")
+                    (Option.bind (Json.member "status" env) Json.to_string_opt);
+                  check (option int) "rejection exit code" (Some 6)
+                    (Option.bind (Json.member "exit_code" env) Json.to_int_opt);
+                  (* refused for its length (1 MiB), not at the
+                     request deadline *)
+                  check bool "the error names the size limit" true
+                    (contains (Json.to_string env) "1048576")));
+      check_nothing_live d.socket)
+
+let test_daemon_hangup_stops_job () =
+  let dir = Filename.temp_file "simcov-hangup" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let cp = Filename.concat dir "hangup.covdb" in
+  let d = start_daemon "hangup" in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_daemon d;
+      (try Sys.remove cp with Sys_error _ -> ());
+      Unix.rmdir dir)
+    (fun () ->
+      let job =
+        Job.make ~id:"hangup"
+          (Job.Coverage
+             {
+               (Job.default_coverage ~model:"dlx") with
+               Job.cov_count = 2000;
+               cov_checkpoint = Some cp;
+             })
+      in
+      let fd = connect_raw d.socket in
+      let line = Json.to_string ~indent:0 (Job.to_json job) ^ "\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      (* read one streamed line, then hang up *)
+      let chunk = Bytes.create 4096 in
+      let rec one_line () =
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> fail "stream closed before its first line"
+        | n -> if not (Bytes.contains (Bytes.sub chunk 0 n) '\n') then one_line ()
+      in
+      Fun.protect ~finally:(fun () -> close_raw fd) one_line;
+      let deadline = Unix.gettimeofday () +. 30. in
+      let rec final_state () =
+        match List.assoc_opt "hangup" (listed_jobs d.socket) with
+        | Some ("queued" | "running") when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.02;
+            final_state ()
+        | Some s -> s
+        | None -> fail "the job is not listed"
+      in
+      let state = final_state () in
+      check bool
+        (Printf.sprintf "abandoned job stopped (state %s)" state)
+        true
+        (state = "interrupted" || state = "cancelled");
+      match Covdb.load cp with
+      | Error e -> failf "checkpoint unreadable: %s" e
+      | Ok { Covdb.db; _ } ->
+          check bool "stopped before the campaign completed" false
+            (Covdb.complete db))
+
+let test_daemon_bounded_history () =
+  let d = start_daemon "history" in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let n = 300 in
+      for i = 1 to n do
+        let job =
+          Job.make ~id:(Printf.sprintf "h-%03d" i)
+            (Job.Lint (Job.default_lint ~model:"dlx-test"))
+        in
+        match Daemon.submit ~socket:d.socket job with
+        | Ok _ -> ()
+        | Error e -> failf "submit %d: %s" i e
+      done;
+      let listed = listed_jobs d.socket in
+      let ids = List.map fst listed in
+      check int "only the last 256 finished jobs are listed" 256 (List.length ids);
+      check bool "in submission order" true (List.sort compare ids = ids);
+      check (option string) "the newest job is listed" (Some (Printf.sprintf "h-%03d" n))
+        (List.nth_opt ids 255);
+      check_nothing_live d.socket)
+
 let suite =
   [
     test_case "job JSON round-trips exactly" `Quick test_job_roundtrip;
@@ -537,4 +795,13 @@ let suite =
     test_case "pool: concurrent identical jobs" `Quick test_pool_concurrent_same_job;
     test_case "pool: cancel and drain" `Quick test_pool_cancel_and_drain;
     test_case "daemon: socket round-trip and drain" `Quick test_daemon_roundtrip;
+    test_case "daemon: 200 idle connections, ping, drain" `Quick
+      test_daemon_idle_connections;
+    test_case "daemon: a silent client cannot stall the drain" `Quick
+      test_daemon_silent_client;
+    test_case "daemon: oversized request line rejected" `Quick
+      test_daemon_oversized_request;
+    test_case "daemon: hang-up stops the job at a checkpoint" `Quick
+      test_daemon_hangup_stops_job;
+    test_case "daemon: job history is bounded" `Quick test_daemon_bounded_history;
   ]
