@@ -37,11 +37,12 @@ let exits =
     Cmd.Exit.info 1 ~doc:"when validation fails (bugs missed or certificate failed).";
     Cmd.Exit.info 2 ~doc:"on command-line parsing errors.";
     Cmd.Exit.info 3 ~doc:"when a resource limit (--timeout, --max-nodes) is exceeded.";
-    Cmd.Exit.info 4 ~doc:"on malformed input files.";
+    Cmd.Exit.info 4
+      ~doc:"on malformed input files or an unwritable snapshot path.";
     Cmd.Exit.info 5
       ~doc:
         "when a campaign completed degraded: one or more worker shards failed \
-         after retries (see the report's $(b,shard_failures)).";
+         (see the report's $(b,shard_failures); shards are not retried).";
     Cmd.Exit.info 6
       ~doc:
         "when the daemon rejected the job (malformed, oversized or late \
@@ -55,6 +56,18 @@ let exits =
   ]
 
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
+
+(* an integer flag bounded to the same inclusive range its job field
+   accepts on the wire (see [Job.lanes_range] and friends) *)
+let bounded_int ~name (lo, hi) =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo && v <= hi -> Ok v
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "%s must be an integer in [%d, %d]" name lo hi))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* ---- the shared common-options term ----
 
@@ -72,14 +85,25 @@ type common = {
 let common_term =
   let timeout =
     let doc = "Abort (exit 3) if the run exceeds $(docv) seconds of wall time." in
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SEC" ~doc)
+    let parse s =
+      match float_of_string_opt s with
+      | Some t when Job.timeout_ok t -> Ok t
+      | _ -> Error (`Msg "--timeout must be a finite number of seconds >= 0")
+    in
+    Arg.(
+      value
+      & opt (some (conv (parse, Format.pp_print_float))) None
+      & info [ "timeout" ] ~docv:"SEC" ~doc)
   in
   let max_nodes =
     let doc =
       "Cap live BDD nodes at $(docv); symbolic phases garbage-collect, then \
        degrade or stop when the cap is hit."
     in
-    Arg.(value & opt (some int) None & info [ "max-nodes" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (some (bounded_int ~name:"--max-nodes" Job.max_nodes_range)) None
+      & info [ "max-nodes" ] ~docv:"N" ~doc)
   in
   let metrics =
     let doc =
@@ -252,16 +276,6 @@ let seed_term =
   Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 (* ---- campaign parallelism (--jobs / --lanes) ---- *)
-
-let bounded_int ~name (lo, hi) =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= lo && v <= hi -> Ok v
-    | _ ->
-        Error
-          (`Msg (Printf.sprintf "%s must be an integer in [%d, %d]" name lo hi))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let parallel_term =
   let jobs =

@@ -72,15 +72,6 @@ let identity_mapping (m : Fsm.t) =
     output_map = Fun.id;
   }
 
-let compose outer inner =
-  {
-    n_abs_states = outer.n_abs_states;
-    n_abs_inputs = outer.n_abs_inputs;
-    state_map = (fun s -> outer.state_map (inner.state_map s));
-    input_map = (fun i -> outer.input_map (inner.input_map i));
-    output_map = (fun o -> outer.output_map (inner.output_map o));
-  }
-
 let state_partition_by (m : Fsm.t) key =
   let classes = Hashtbl.create 64 in
   let assign = Array.make m.Fsm.n_states 0 in

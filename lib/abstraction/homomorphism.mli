@@ -46,9 +46,6 @@ val is_transition_preserving : Fsm.t -> Fsm.t -> mapping -> bool
 
 val identity_mapping : Fsm.t -> mapping
 
-val compose : mapping -> mapping -> mapping
-(** [compose outer inner] applies [inner] first. *)
-
 val state_partition_by : Fsm.t -> (int -> 'a) -> mapping
 (** Mapping that merges states with equal keys (inputs and outputs kept
     identical). Abstract state numbering follows first occurrence among

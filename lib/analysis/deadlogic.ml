@@ -75,10 +75,6 @@ let count_dead_gates g obs feeds =
   done;
   !count
 
-let dead_gate_count (c : Circuit.t) =
-  let { graph = g; observable = obs; feeds_constraint = feeds; _ } = analyze c in
-  count_dead_gates g obs feeds
-
 let check_of (c : Circuit.t)
     { graph = g; map = m; observable = obs; feeds_constraint = feeds } =
   let diags = ref [] in

@@ -53,10 +53,6 @@ val free_list : hint list -> int list
 
 val hint_to_json : hint -> Simcov_util.Json.t
 
-val dead_gate_count : Simcov_netlist.Circuit.t -> int
-(** Distinct gate nets (hash-consed) that reach neither a primary
-    output nor the input-constraint root. *)
-
 val check : Simcov_netlist.Circuit.t -> Diag.t list
 (** [SA301] (warning) per dead latch; one [SA302] (info) totalling the
     dead gate nets when any exist. *)

@@ -83,57 +83,6 @@ let to_json d =
       ("related", Json.List (List.map (fun s -> Json.String s) d.related));
     ]
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let str field =
-    match Option.bind (Json.member field j) Json.to_string_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "diagnostic: missing string field %S" field)
-  in
-  let* code = str "code" in
-  let* sev_s = str "severity" in
-  let* severity =
-    match severity_of_name sev_s with
-    | Some s -> Ok s
-    | None -> Error ("diagnostic: bad severity " ^ sev_s)
-  in
-  let* pass = str "pass" in
-  let* message = str "message" in
-  let* loc =
-    match Json.member "location" j with
-    | None -> Error "diagnostic: missing location"
-    | Some l -> (
-        let kind = Option.bind (Json.member "kind" l) Json.to_string_opt in
-        let name = Option.bind (Json.member "name" l) Json.to_string_opt in
-        match (kind, name) with
-        | Some "register", Some n -> Ok (Register n)
-        | Some "net", Some n -> Ok (Net n)
-        | Some "input", Some n -> Ok (Primary_input n)
-        | Some "output", Some n -> Ok (Output_port n)
-        | Some "state", Some n -> Ok (State n)
-        | Some "symbol", Some n -> Ok (Input_symbol n)
-        | Some "word", Some n -> Ok (Word n)
-        | Some "circuit", _ -> Ok Whole_circuit
-        | _ -> Error "diagnostic: bad location")
-  in
-  let* related =
-    match Json.member "related" j with
-    | None -> Ok []
-    | Some r -> (
-        match Json.to_list r with
-        | None -> Error "diagnostic: related is not a list"
-        | Some items ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match Json.to_string_opt item with
-                | Some s -> Ok (s :: acc)
-                | None -> Error "diagnostic: related entry is not a string")
-              (Ok []) items
-            |> Result.map List.rev)
-  in
-  Ok { code; severity; pass; loc; message; related }
-
 type catalog_entry = {
   entry_code : string;
   default_severity : severity;

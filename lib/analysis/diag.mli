@@ -73,8 +73,6 @@ val pp : Format.formatter -> t -> unit
     [error[SA101] comb-cycle @ net 'x': message (via: a -> b -> a)]. *)
 
 val to_json : t -> Simcov_util.Json.t
-val of_json : Simcov_util.Json.t -> (t, string) result
-(** Inverse of {!to_json} (used by the schema round-trip tests). *)
 
 type catalog_entry = {
   entry_code : string;  (** stable code, e.g. ["SA101"] *)

@@ -709,110 +709,6 @@ let to_json r =
         | Some res -> Json.String (Budget.resource_name res) );
     ]
 
-let ( let* ) = Result.bind
-
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "fsmlint report: missing or ill-typed '%s'" name)
-
-let strings_of name j =
-  let* items = field name Json.to_list j in
-  List.fold_left
-    (fun acc p ->
-      let* acc = acc in
-      match Json.to_string_opt p with
-      | Some s -> Ok (s :: acc)
-      | None -> Error (Printf.sprintf "fsmlint report: '%s' entry is not a string" name))
-    (Ok []) items
-  |> Result.map List.rev
-
-let suite_of_json j =
-  let* n_words = field "words" Json.to_int_opt j in
-  let* suite_states = field "states_covered" Json.to_int_opt j in
-  let* suite_transitions = field "transitions_covered" Json.to_int_opt j in
-  let* red_js = field "redundant" Json.to_list j in
-  let* redundant =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        match Json.to_int_opt x with
-        | Some i -> Ok (i :: acc)
-        | None -> Error "fsmlint report: redundant entry is not an int")
-      (Ok []) red_js
-    |> Result.map List.rev
-  in
-  let* missed_js = field "missed" Json.to_list j in
-  let* missed =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* s = field "state" Json.to_int_opt x in
-        let* i = field "input" Json.to_int_opt x in
-        Ok ((s, i) :: acc))
-      (Ok []) missed_js
-    |> Result.map List.rev
-  in
-  Ok { n_words; suite_states; suite_transitions; redundant; missed }
-
-let of_json j =
-  let* schema = field "schema" Json.to_string_opt j in
-  if schema <> schema_id then
-    Error (Printf.sprintf "fsmlint report: unknown schema '%s'" schema)
-  else
-    let* model = field "model" Option.some j in
-    let* name = field "name" Json.to_string_opt model in
-    let* n_states = field "states" Json.to_int_opt model in
-    let* n_reachable = field "reachable" Json.to_int_opt model in
-    let* n_inputs = field "inputs" Json.to_int_opt model in
-    let* n_transitions = field "transitions" Json.to_int_opt model in
-    let* n_classes = field "classes" Json.to_int_opt model in
-    let* n_sccs = field "sccs" Json.to_int_opt model in
-    let* certified_k =
-      match Json.member "certified_k" model with
-      | None | Some Json.Null -> Ok None
-      | Some x -> (
-          match Json.to_int_opt x with
-          | Some k -> Ok (Some k)
-          | None -> Error "fsmlint report: ill-typed 'certified_k'")
-    in
-    let* passes = strings_of "passes" j in
-    let* skipped = strings_of "skipped" j in
-    let* diags_js = field "diagnostics" Json.to_list j in
-    let* diags =
-      List.fold_left
-        (fun acc d ->
-          let* acc = acc in
-          let* d = Diag.of_json d in
-          Ok (d :: acc))
-        (Ok []) diags_js
-      |> Result.map List.rev
-    in
-    let* suite =
-      match Json.member "suite" j with
-      | None | Some Json.Null -> Ok None
-      | Some s -> Result.map Option.some (suite_of_json s)
-    in
-    let* truncated =
-      match Json.member "truncated" j with
-      | None | Some Json.Null -> Ok None
-      | Some (Json.String "time") -> Ok (Some Budget.Time)
-      | Some (Json.String "steps") -> Ok (Some Budget.Steps)
-      | Some (Json.String "nodes") -> Ok (Some Budget.Nodes)
-      | Some _ -> Error "fsmlint report: ill-typed 'truncated'"
-    in
-    Ok
-      {
-        name;
-        stats =
-          { n_states; n_reachable; n_inputs; n_transitions; n_classes; n_sccs; certified_k };
-        passes;
-        skipped;
-        diags;
-        suite;
-        truncated;
-      }
-
 let pp fmt r =
   Format.fprintf fmt
     "@[<v>fsm-lint %s: %d states (%d reachable, %d classes), %d inputs, %d \

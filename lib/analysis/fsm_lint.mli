@@ -108,9 +108,6 @@ val to_json : report -> Simcov_util.Json.t
     [certified_k]), [passes], [skipped], [diagnostics], [suite]
     (object or [null]) and [truncated]. *)
 
-val of_json : Simcov_util.Json.t -> (report, string) result
-(** Inverse of {!to_json} (schema round-trip tests). *)
-
 val pp : Format.formatter -> report -> unit
 (** Human rendering: header with certification status, one line per
     diagnostic, suite summary, severity tally. *)

@@ -129,76 +129,6 @@ let to_json r =
         | Some res -> Json.String (Budget.resource_name res) );
     ]
 
-let ( let* ) = Result.bind
-
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "lint report: missing or ill-typed '%s'" name)
-
-let hint_of_json j =
-  let* reg_name = field "register" Json.to_string_opt j in
-  let* reg_index = field "index" Json.to_int_opt j in
-  let* group = field "group" Json.to_string_opt j in
-  let* feeds_constraint = field "feeds_constraint" Json.to_bool_opt j in
-  let* next_gates = field "next_gates" Json.to_int_opt j in
-  Ok { Deadlogic.reg_name; reg_index; group; feeds_constraint; next_gates }
-
-let all_of parse js =
-  List.fold_left
-    (fun acc j ->
-      let* acc = acc in
-      let* v = parse j in
-      Ok (v :: acc))
-    (Ok []) js
-  |> Result.map List.rev
-
-let of_json j =
-  let* schema = field "schema" Json.to_string_opt j in
-  if schema <> schema_id then
-    Error (Printf.sprintf "lint report: unknown schema '%s'" schema)
-  else
-    let* model = field "model" Option.some j in
-    let* name = field "name" Json.to_string_opt model in
-    let* n_inputs = field "inputs" Json.to_int_opt model in
-    let* n_regs = field "registers" Json.to_int_opt model in
-    let* n_outputs = field "outputs" Json.to_int_opt model in
-    let* n_nets = field "nets" Json.to_int_opt model in
-    let* passes_js = field "passes" Json.to_list j in
-    let* passes =
-      all_of
-        (fun p ->
-          Option.to_result ~none:"lint report: pass must be a string"
-            (Json.to_string_opt p))
-        passes_js
-    in
-    let* skipped =
-      match Json.member "skipped" j with
-      | None -> Ok [] (* older reports predate the field *)
-      | Some s -> (
-          match Json.to_list s with
-          | None -> Error "lint report: 'skipped' is not a list"
-          | Some items ->
-              all_of
-                (fun p ->
-                  Option.to_result ~none:"lint report: skipped pass must be a string"
-                    (Json.to_string_opt p))
-                items)
-    in
-    let* diags_js = field "diagnostics" Json.to_list j in
-    let* diags = all_of Diag.of_json diags_js in
-    let* hints_js = field "hints" Json.to_list j in
-    let* hints = all_of hint_of_json hints_js in
-    let* truncated =
-      match Json.member "truncated" j with
-      | None | Some Json.Null -> Ok None
-      | Some (Json.String "time") -> Ok (Some Budget.Time)
-      | Some (Json.String "steps") -> Ok (Some Budget.Steps)
-      | Some (Json.String "nodes") -> Ok (Some Budget.Nodes)
-      | Some _ -> Error "lint report: ill-typed 'truncated'"
-    in
-    Ok { name; n_inputs; n_regs; n_outputs; n_nets; passes; skipped; diags; hints; truncated }
-
 let pp fmt r =
   Format.fprintf fmt "@[<v>lint %s: %d inputs, %d registers, %d outputs%s@,"
     r.name r.n_inputs r.n_regs r.n_outputs

@@ -54,9 +54,6 @@ val to_json : report -> Simcov_util.Json.t
     (["simcov-lint/1"]), [model] stats, [passes], [skipped],
     [diagnostics] (see {!Diag.to_json}), [hints] and [truncated]. *)
 
-val of_json : Simcov_util.Json.t -> (report, string) result
-(** Inverse of {!to_json}, used by the schema round-trip tests. *)
-
 val pp : Format.formatter -> report -> unit
 (** Human rendering: header, one line per diagnostic, hint lines, and
     a severity tally. *)

@@ -68,22 +68,20 @@ let fanout_count g =
   done;
   counts
 
-let digraph_with g ~include_latches =
+let comb_digraph g =
   let dg = Digraph.create g.count in
   for id = 0 to g.count - 1 do
     List.iter
       (fun (kind, fanin) ->
-        let sequential = match kind with Latch _ -> true | _ -> false in
-        if include_latches || not sequential then
-          List.iter
-            (fun f -> ignore (Digraph.add_edge dg ~src:f ~dst:id ~label:0 ~cost:0))
-            fanin)
+        match kind with
+        | Latch _ -> ()
+        | _ ->
+            List.iter
+              (fun f -> ignore (Digraph.add_edge dg ~src:f ~dst:id ~label:0 ~cost:0))
+              fanin)
       g.nets.(id).net_drivers
   done;
   dg
-
-let comb_digraph g = digraph_with g ~include_latches:false
-let full_digraph g = digraph_with g ~include_latches:true
 
 (* reverse reachability from [seeds] over the full graph *)
 let reverse_reach g seeds =

@@ -59,17 +59,14 @@ val comb_digraph : t -> Simcov_graph.Digraph.t
     are sequential and contribute no edge). Cycles in this graph are
     combinational cycles. *)
 
-val full_digraph : t -> Simcov_graph.Digraph.t
-(** Same, but latch drivers contribute edges too — reachability here
-    is the (sequential) cone of influence. *)
-
 val observable : t -> bool array
-(** Per net: can the net reach some primary output in
-    {!full_digraph}? POs themselves are observable. *)
+(** Per net: can the net reach some primary output through its
+    sequential cone of influence (latch drivers contribute edges too)?
+    POs themselves are observable. *)
 
 val reaches : t -> int -> bool array
-(** [reaches g target]: per net, can it reach [target] in
-    {!full_digraph}? [target] reaches itself. *)
+(** [reaches g target]: per net, can it reach [target] through the same
+    sequential cone of influence? [target] reaches itself. *)
 
 (** {1 Lowering} *)
 

@@ -9,7 +9,6 @@ let c_faults_evaluated = Obs.counter "campaign.faults_evaluated"
 let c_shards = Obs.counter "campaign.shards"
 let c_checkpoints = Obs.counter "campaign.checkpoints"
 let c_resumed = Obs.counter "campaign.resumed_faults"
-let c_shard_retries = Obs.counter "campaign.shard_retries"
 let c_shard_failures = Obs.counter "campaign.shard_failures"
 let tm_batch = Obs.timer "campaign.batch"
 let g_throughput = Obs.gauge "campaign.sim_steps_per_s"
@@ -136,8 +135,7 @@ type 'f outcome = { report : 'f report; verdicts : ('f * verdict) list }
 
 (* Periodic persistence: [flush] receives every verdict decided so far
    (including resumed ones) after each [every] completed batches. The
-   list is unordered and may contain duplicate faults when a retried
-   shard re-evaluates a batch — consumers key by fault. *)
+   list is unordered, one entry per decided fault. *)
 type 'f checkpoint = { every : int; flush : ('f * verdict) list -> unit }
 
 (* Contiguous balanced shard ranges: [shard_ranges ~n ~jobs] covers
@@ -169,24 +167,19 @@ module Make (B : BACKEND) = struct
   (* Per-shard accumulator: everything a worker domain mutates is
      confined to its own [shard_acc]; the parent merges after join. *)
   type shard_acc = {
-    mutable a_excited : int;
     mutable a_detected : int;
-    mutable a_missed : B.fault list; (* reversed *)
     mutable a_verdicts : (B.fault * verdict) list; (* reversed *)
-    mutable a_evaluated : int;
     mutable a_steps : int;
     mutable a_truncated : Budget.resource option;
   }
 
   (* The lockstep batch loop over one contiguous slice of the effective
-     fault array. [notify] fires after each completed batch with the
-     shard-local batch index/total and that batch's increments; the
-     caller decides whether those feed a global progress callback
-     directly (sequential run) or shared atomics (sharded run). [sink]
-     receives each completed batch's verdicts (checkpoint accumulation)
-     and [stop] is polled at every batch boundary (cooperative
-     interruption: the shard winds down exactly like budget exhaustion
-     but leaves [a_truncated] unset). *)
+     fault array. [notify] fires after each completed batch with that
+     batch's increments (they feed the run's shared progress atomics),
+     [sink] receives each completed batch's verdicts (checkpoint
+     accumulation) and [stop] is polled at every batch boundary
+     (cooperative interruption: the shard winds down exactly like
+     budget exhaustion but leaves [a_truncated] unset). *)
   let run_shard ~budget ~notify ~stop ~sink ctx (eff : B.fault array)
       (stims : B.stim array) =
     let n = Array.length eff in
@@ -194,11 +187,8 @@ module Make (B : BACKEND) = struct
     let batches = if n = 0 then 0 else ((n - 1) / width) + 1 in
     let acc =
       {
-        a_excited = 0;
         a_detected = 0;
-        a_missed = [];
         a_verdicts = [];
-        a_evaluated = 0;
         a_steps = 0;
         a_truncated = None;
       }
@@ -266,27 +256,23 @@ module Make (B : BACKEND) = struct
                excite_step = (if exc_step.(l) >= 0 then Some exc_step.(l) else None);
              }
            in
-           if v.excited then acc.a_excited <- acc.a_excited + 1;
            if v.detected then begin
              acc.a_detected <- acc.a_detected + 1;
              Stdlib.incr batch_det
-           end
-           else if v.excited then acc.a_missed <- sub.(l) :: acc.a_missed;
+           end;
            acc.a_verdicts <- (sub.(l), v) :: acc.a_verdicts;
            bverd := (sub.(l), v) :: !bverd
          done;
-         acc.a_evaluated <- lo + bw;
          Obs.add c_faults_evaluated bw;
          sink !bverd;
-         notify acc ~batch:bi ~batches ~batch_faults:bw ~batch_det:!batch_det
-           ~batch_steps:!batch_steps
+         notify ~batch_faults:bw ~batch_det:!batch_det ~batch_steps:!batch_steps
        done
      with Stop_run -> ());
     acc
 
   let run ?(budget = Budget.unlimited) ?(jobs = 1) ?(max_workers = max_int)
-      ?on_batch ?resume ?checkpoint ?(should_stop = fun () -> false)
-      ?(shard_retries = 1) ?(retry_backoff_s = 0.05) ctx faults word =
+      ?on_batch ?resume ?checkpoint ?(should_stop = fun () -> false) ctx faults
+      word =
     let t0 = Unix.gettimeofday () in
     let total = List.length faults in
     let eff = Array.of_list (List.filter (B.effective ctx) faults) in
@@ -320,8 +306,9 @@ module Make (B : BACKEND) = struct
     let todo = Array.map (fun i -> eff.(i)) todo_idx in
     let n = Array.length todo in
     let jobs = max 1 (min jobs (max n 1)) in
+    let width = max 1 (min B.max_lanes L.width) in
     Obs.set g_jobs jobs;
-    Obs.set g_lanes (max 1 (min B.max_lanes L.width));
+    Obs.set g_lanes width;
     (* checkpoint accumulation, shared by every shard: each completed
        batch appends its verdicts under the lock, and every [every]
        batches the cumulative list (seeded with the resumed verdicts,
@@ -360,239 +347,157 @@ module Make (B : BACKEND) = struct
                 end)
     in
     let ranges = shard_ranges ~n ~jobs in
-    let finish results =
-      let sim_steps =
-        Array.fold_left
-          (fun s -> function Ok a -> s + a.a_steps | Error _ -> s)
-          0 results
-      in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      if elapsed > 1e-9 then
-        Obs.set g_throughput (int_of_float (float_of_int sim_steps /. elapsed))
+    let batches_total =
+      Array.fold_left
+        (fun s (_, len) -> s + if len = 0 then 0 else ((len - 1) / width) + 1)
+        0 ranges
     in
-    (* Deterministic assembly, shared by the sequential and sharded
-       paths: verdicts land back at their fault's position in the
-       effective-fault order — resumed verdicts at theirs, each Ok
-       shard's evaluated prefix at its slice's — and every derived
-       count/list is read off that one array. Failed shards leave
-       holes, which surface as [skipped] plus a [shard_failures]
-       entry. *)
-    let assemble (results : (shard_acc, string) result array) =
-      let final = Array.copy pre in
-      Array.iteri
-        (fun s res ->
-          match res with
-          | Error _ -> ()
-          | Ok acc ->
-              let off, _ = ranges.(s) in
-              List.iteri
-                (fun j (_, v) -> final.(todo_idx.(off + j)) <- Some v)
-                (List.rev acc.a_verdicts))
-        results;
-      let excited = ref 0 and detected = ref 0 and evaluated = ref 0 in
-      let missed = ref [] and verdicts = ref [] in
-      for i = n_eff - 1 downto 0 do
-        match final.(i) with
-        | None -> ()
-        | Some v ->
-            Stdlib.incr evaluated;
-            if v.excited then Stdlib.incr excited;
-            if v.detected then Stdlib.incr detected
-            else if v.excited then missed := eff.(i) :: !missed;
-            verdicts := (eff.(i), v) :: !verdicts
-      done;
-      let truncated =
-        Array.fold_left
-          (fun t res ->
-            if t <> None then t
-            else match res with Ok a -> a.a_truncated | Error _ -> None)
-          None results
-      in
-      let shard_failures =
-        List.rev
-          (snd
-             (Array.fold_left
-                (fun (s, acc) res ->
-                  match res with
-                  | Ok _ -> (s + 1, acc)
-                  | Error error ->
-                      (s + 1, { shard = s; faults = snd ranges.(s); error } :: acc))
-                (0, []) results))
-      in
-      finish results;
-      {
-        report =
-          {
-            backend = B.name;
-            total;
-            effective = !evaluated;
-            excited = !excited;
-            detected = !detected;
-            missed = !missed;
-            skipped = n_eff - !evaluated;
-            truncated;
-            shard_failures;
-          };
-        verdicts = !verdicts;
-      }
+    let sub_budgets = Budget.split budget ~n:jobs in
+    (* shared, race-free progress state; the [on_batch] callback
+       itself is serialized on a mutex *)
+    let batches_done = Atomic.make 0 in
+    let faults_done = Atomic.make 0 in
+    let det_sum = Atomic.make 0 in
+    let steps_sum = Atomic.make 0 in
+    let progress_lock = Mutex.create () in
+    let notify ~batch_faults ~batch_det ~batch_steps =
+      let b = Atomic.fetch_and_add batches_done 1 in
+      let fd = batch_faults + Atomic.fetch_and_add faults_done batch_faults in
+      let det = batch_det + Atomic.fetch_and_add det_sum batch_det in
+      let st = batch_steps + Atomic.fetch_and_add steps_sum batch_steps in
+      match on_batch with
+      | None -> ()
+      | Some f ->
+          Mutex.lock progress_lock;
+          Fun.protect
+            ~finally:(fun () -> Mutex.unlock progress_lock)
+            (fun () ->
+              f
+                {
+                  batch = b;
+                  batches = batches_total;
+                  faults_done = fd;
+                  faults_total = n;
+                  detected_so_far = det;
+                  sim_steps = st;
+                  elapsed_s = Unix.gettimeofday () -. t0;
+                })
     in
-    if jobs = 1 then begin
-      (* sequential path: identical batch loop, progress reported with
-         global = shard-local indices, exceptions propagate (there is
-         no pool to isolate them from) *)
-      let notify acc ~batch ~batches ~batch_faults:_ ~batch_det:_
-          ~batch_steps:_ =
-        match on_batch with
-        | None -> ()
-        | Some f ->
-            f
-              {
-                batch;
-                batches;
-                faults_done = acc.a_evaluated;
-                faults_total = n;
-                detected_so_far = acc.a_detected;
-                sim_steps = acc.a_steps;
-                elapsed_s = Unix.gettimeofday () -. t0;
-              }
-      in
-      let acc = run_shard ~budget ~notify ~stop:should_stop ~sink ctx todo stims in
-      assemble [| Ok acc |]
-    end
-    else begin
-      let width = max 1 (min B.max_lanes L.width) in
-      let batches_total =
-        Array.fold_left
-          (fun s (_, len) -> s + if len = 0 then 0 else ((len - 1) / width) + 1)
-          0 ranges
-      in
-      let sub_budgets = Budget.split budget ~n:jobs in
-      (* shared, race-free progress state; the [on_batch] callback
-         itself is serialized on a mutex *)
-      let batches_done = Atomic.make 0 in
-      let faults_done = Atomic.make 0 in
-      let det_sum = Atomic.make 0 in
-      let steps_sum = Atomic.make 0 in
-      let progress_lock = Mutex.create () in
-      let notify _ ~batch:_ ~batches:_ ~batch_faults ~batch_det ~batch_steps =
-        let b = Atomic.fetch_and_add batches_done 1 in
-        let fd = batch_faults + Atomic.fetch_and_add faults_done batch_faults in
-        let det = batch_det + Atomic.fetch_and_add det_sum batch_det in
-        let st = batch_steps + Atomic.fetch_and_add steps_sum batch_steps in
-        match on_batch with
-        | None -> ()
-        | Some f ->
-            Mutex.lock progress_lock;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock progress_lock)
-              (fun () ->
-                f
-                  {
-                    batch = b;
-                    batches = batches_total;
-                    faults_done = fd;
-                    faults_total = n;
-                    detected_so_far = det;
-                    sim_steps = st;
-                    elapsed_s = Unix.gettimeofday () -. t0;
-                  })
-      in
-      let run_one i =
-        let off, len = ranges.(i) in
-        let slice = Array.sub todo off len in
-        Obs.incr c_shards;
+    (* Worker fault isolation: an exception in one shard costs that
+       shard only. Its verdicts are a pure function of (fault, word),
+       so running it again could only fail again; the shard becomes an
+       [Error] slot that the assembly reports as a [shard_failure]
+       while the other shards finish. *)
+    let run_one i =
+      let off, len = ranges.(i) in
+      Obs.incr c_shards;
+      match
         run_shard ~budget:sub_budgets.(i) ~notify ~stop:should_stop ~sink ctx
-          slice stims
-      in
-      (* Worker fault isolation: an exception in one shard must not
-         tear down the pool. The failing attempt is retried — each
-         retry on a freshly spawned domain (a worker poisoned by the
-         failure cannot contaminate it) after an exponentially growing
-         backoff, sharing the shard's remaining sub-budget — and a
-         shard that exhausts its retries degrades to an [Error] slot
-         that the assembly reports as a [shard_failure] instead of
-         aborting the campaign. *)
-      let attempt i =
-        let rec go k backoff first_err =
-          let res =
-            if k = 0 then
-              try Ok (run_one i) with e -> Error (Printexc.to_string e)
-            else begin
-              Unix.sleepf backoff;
-              (* the fresh retry domain starts in the default Obs
-                 registry: re-install the campaign's scope so a scoped
-                 job's retries keep counting into its own snapshot *)
-              let reg = Obs.current () in
-              Domain.join
-                (Domain.spawn (fun () ->
-                     Obs.with_registry reg (fun () ->
-                         try Ok (run_one i)
-                         with e -> Error (Printexc.to_string e))))
-            end
-          in
-          match res with
-          | Ok _ as ok -> ok
-          | Error msg ->
-              if k >= shard_retries then begin
-                Obs.incr c_shard_failures;
-                Obs.event "campaign.shard_failure" ~fields:(fun () ->
-                    [ ("shard", Json.Int i); ("error", Json.String msg) ]);
-                Error
-                  (match first_err with
-                  | Some f when f <> msg ->
-                      msg ^ " (first attempt: " ^ f ^ ")"
-                  | _ -> msg)
-              end
-              else begin
-                Obs.incr c_shard_retries;
-                Obs.event "campaign.shard_retry" ~fields:(fun () ->
-                    [
-                      ("shard", Json.Int i);
-                      ("attempt", Json.Int (k + 1));
-                      ("error", Json.String msg);
-                    ]);
-                go (k + 1) (backoff *. 2.)
-                  (Some (Option.value first_err ~default:msg))
-              end
-        in
-        go 0 retry_backoff_s None
-      in
-      (* [jobs] fixes the shard decomposition (and with it the report),
-         while the number of concurrently running domains is capped at
-         the hardware parallelism: shards are independent, so a worker
-         pool draining them in any interleaving produces the same accs,
-         and oversubscribing domains on too few cores only buys
-         stop-the-world handshake churn. Each [results] slot is written
-         by exactly one claimant, and the joins order those writes
-         before the assembly below. *)
-      let workers =
-        min jobs (max 1 (min max_workers (Domain.recommended_domain_count ())))
-      in
-      Obs.set g_workers workers;
-      let results = Array.make jobs None in
-      let next = Atomic.make 0 in
-      let drain () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < jobs then begin
-            results.(i) <- Some (attempt i);
-            loop ()
-          end
-        in
-        loop ()
-      in
-      (* workers inherit the caller's Obs registry: a scoped job's
-         shard metrics must land in that job's snapshot, not in the
-         default registry a fresh domain starts in *)
-      let reg = Obs.current () in
-      let domains =
-        Array.init (workers - 1) (fun _ ->
-            Domain.spawn (fun () -> Obs.with_registry reg drain))
-      in
-      drain ();
-      Array.iter Domain.join domains;
-      let results = Array.map Option.get results in
-      Array.iter (Budget.reclaim budget) sub_budgets;
-      assemble results
-    end
+          (Array.sub todo off len) stims
+      with
+      | acc -> Ok acc
+      | exception e ->
+          let error = Printexc.to_string e in
+          Obs.incr c_shard_failures;
+          Obs.event "campaign.shard_failure" ~fields:(fun () ->
+              [ ("shard", Json.Int i); ("error", Json.String error) ]);
+          Error error
+    in
+    (* [jobs] fixes the shard decomposition (and with it the report),
+       while the number of concurrently running domains is capped at
+       the hardware parallelism: shards are independent, so a worker
+       pool draining them in any interleaving produces the same accs,
+       and oversubscribing domains on too few cores only buys
+       stop-the-world handshake churn. The caller's domain is one of
+       the workers, so a one-shard run spawns none. Each [results]
+       slot is written by exactly one claimant, and the joins order
+       those writes before the assembly below. *)
+    let workers =
+      min jobs (max 1 (min max_workers (Domain.recommended_domain_count ())))
+    in
+    Obs.set g_workers workers;
+    let results = Array.make jobs (Error "") in
+    let next = Atomic.make 0 in
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < jobs then begin
+        results.(i) <- run_one i;
+        drain ()
+      end
+    in
+    (* workers inherit the caller's Obs registry: a scoped job's
+       shard metrics must land in that job's snapshot, not in the
+       default registry a fresh domain starts in *)
+    let reg = Obs.current () in
+    let domains =
+      Array.init (workers - 1) (fun _ ->
+          Domain.spawn (fun () -> Obs.with_registry reg drain))
+    in
+    drain ();
+    Array.iter Domain.join domains;
+    Array.iter (Budget.reclaim budget) sub_budgets;
+    (* Deterministic assembly: verdicts land back at their fault's
+       position in the effective-fault order — resumed verdicts at
+       theirs, each Ok shard's evaluated prefix at its slice's — and
+       every derived count/list is read off that one array. Failed
+       shards leave holes, which surface as [skipped] plus a
+       [shard_failures] entry. *)
+    let final = Array.copy pre in
+    Array.iteri
+      (fun s res ->
+        match res with
+        | Error _ -> ()
+        | Ok acc ->
+            let off, _ = ranges.(s) in
+            List.iteri
+              (fun j (_, v) -> final.(todo_idx.(off + j)) <- Some v)
+              (List.rev acc.a_verdicts))
+      results;
+    let excited = ref 0 and detected = ref 0 and evaluated = ref 0 in
+    let missed = ref [] and verdicts = ref [] in
+    for i = n_eff - 1 downto 0 do
+      match final.(i) with
+      | None -> ()
+      | Some v ->
+          Stdlib.incr evaluated;
+          if v.excited then Stdlib.incr excited;
+          if v.detected then Stdlib.incr detected
+          else if v.excited then missed := eff.(i) :: !missed;
+          verdicts := (eff.(i), v) :: !verdicts
+    done;
+    let truncated =
+      Array.fold_left
+        (fun t res ->
+          if t <> None then t
+          else match res with Ok a -> a.a_truncated | Error _ -> None)
+        None results
+    in
+    let shard_failures =
+      List.concat
+        (List.mapi
+           (fun s res ->
+             match res with
+             | Ok _ -> []
+             | Error error -> [ { shard = s; faults = snd ranges.(s); error } ])
+           (Array.to_list results))
+    in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    if elapsed > 1e-9 then
+      Obs.set g_throughput
+        (int_of_float (float_of_int (Atomic.get steps_sum) /. elapsed));
+    {
+      report =
+        {
+          backend = B.name;
+          total;
+          effective = !evaluated;
+          excited = !excited;
+          detected = !detected;
+          missed = !missed;
+          skipped = n_eff - !evaluated;
+          truncated;
+          shard_failures;
+        };
+      verdicts = !verdicts;
+    }
 end

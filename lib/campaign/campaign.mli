@@ -21,19 +21,20 @@
     - {e domain-parallel}: [run ~jobs:n] splits the effective-fault
       array into [n] contiguous shards, runs them on [Domain.spawn]
       workers with sub-budgets carved by {!Simcov_util.Budget.split},
-      and merges the shard reports deterministically (see below);
+      and merges the shard reports deterministically (see below). There
+      is one run path: [jobs = 1] is the one-shard case, run on the
+      caller's domain;
     - {e budget-aware}: {!Simcov_util.Budget} is checkpointed between
       batches and exhaustion yields a [truncated]-tagged partial report
       (whole batches are evaluated or skipped, never split); the driver
       never raises on exhaustion;
     - {e observable}: a per-batch {!progress} callback carries
-      throughput counters for CLI and bench reporting; under sharding
-      the shared counters are atomics and the callback is serialized.
+      throughput counters for CLI and bench reporting; the shared
+      counters are atomics and the callback is serialized.
 
-    Each backend keeps a one-mutant-at-a-time scalar reference
-    ([Detect.campaign_scalar], [Stuckat.run_verdict],
-    [Validate.detects_bug]); those are the oracle the batched driver
-    is tested against.
+    Each backend has a one-mutant-at-a-time scalar reference in the
+    test suite ([test/oracles.ml]); those are the oracle the batched
+    driver is tested against.
 
     {b Determinism / merge contract.} Shards are contiguous slices of
     the effective-fault array in fault order (a pure function of
@@ -45,7 +46,7 @@
     shard's truncation reason in shard order (so [Some] iff any shard
     was truncated), and [effective]/[skipped] count evaluated and
     unevaluated effective faults across all shards. With an unlimited
-    budget the sharded report equals the sequential one exactly.
+    budget the report is the same at every [jobs].
 
     Lane encoding: lane [l] of a batch is fault [l] of the fault array
     passed to {!BACKEND.start}; a lane set has lane [l] as a member
@@ -119,10 +120,11 @@ end
 type shard_failure = {
   shard : int;  (** index into {!shard_ranges}'s decomposition *)
   faults : int;  (** effective faults the failed shard was assigned *)
-  error : string;  (** [Printexc.to_string] of the last attempt's exception *)
+  error : string;  (** [Printexc.to_string] of the worker's exception *)
 }
-(** A shard whose worker raised on every attempt (initial run plus
-    retries on fresh domains); its faults are counted in [skipped]. *)
+(** A shard whose worker raised; its faults are counted in [skipped].
+    It is not retried: its verdicts are a pure function of
+    [(fault, word)], so a second run could only fail again. *)
 
 type 'f report = {
   backend : string;
@@ -136,9 +138,8 @@ type 'f report = {
       (** [Some r] when the budget ran out mid-campaign; the counters
           then describe the evaluated shard prefixes of the fault list *)
   shard_failures : shard_failure list;
-      (** shards lost to worker faults, in shard order; empty on any
-          healthy run (and always on the sequential path, where there
-          is no pool to isolate an exception from) *)
+      (** shards lost to worker faults, in shard order, at every
+          [jobs]; empty on any healthy run *)
 }
 
 val coverage_pct : 'f report -> float
@@ -160,8 +161,8 @@ val to_json :
     are appended verbatim. *)
 
 type progress = {
-  batch : int;  (** 0-based index of the batch just finished; under
-                    sharding, a completion-order sequence number *)
+  batch : int;  (** 0-based completion-order sequence number of the
+                    batch just finished (the batch index when [jobs = 1]) *)
   batches : int;
   faults_done : int;  (** effective faults evaluated so far *)
   faults_total : int;  (** effective faults in the campaign *)
@@ -188,10 +189,10 @@ type 'f checkpoint = {
   flush : ('f * verdict) list -> unit;
       (** Receives every verdict decided so far — resumed verdicts
           included, so a chain of interrupted runs never loses earlier
-          decisions. The list is unordered and may repeat a fault when
-          a retried shard re-evaluates a batch; consumers must key by
+          decisions. The list is unordered, one entry per decided
           fault. Called under the checkpoint lock: keep it quick, and
-          never let it raise. *)
+          never let it raise (an exception would cost the calling
+          shard, which is then reported in [shard_failures]). *)
 }
 (** Periodic persistence hook, designed to feed [Covdb.save]: because a
     verdict depends only on [(fault, stimulus word)], a snapshot taken
@@ -217,8 +218,6 @@ module Make (B : BACKEND) : sig
     ?resume:(B.fault -> verdict option) ->
     ?checkpoint:B.fault checkpoint ->
     ?should_stop:(unit -> bool) ->
-    ?shard_retries:int ->
-    ?retry_backoff_s:float ->
     B.ctx ->
     B.fault list ->
     B.stim list ->
@@ -232,11 +231,13 @@ module Make (B : BACKEND) : sig
       exhausted the remaining batches are skipped and the report is
       tagged [truncated]. Never raises [Budget_exceeded].
 
-      [jobs > 1] shards the effective faults across that many domains
-      (clamped to the undecided-fault count), each with a sub-budget
-      from {!Budget.split}; reports are merged per the determinism
-      contract above and unspent sub-allowances are
-      {!Budget.reclaim}ed.
+      [jobs] shards the effective faults across that many domains
+      (clamped to the undecided-fault count; default 1), each with a
+      sub-budget from {!Budget.split}; reports are merged per the
+      determinism contract above and unspent sub-allowances are
+      {!Budget.reclaim}ed. A sub-budget keeps the deadline and its
+      slice of the step allowance; the node probe stays with the
+      caller's budget, which no campaign step reads.
 
       [max_workers] additionally caps the number of {e concurrently
       running} worker domains (the shard decomposition — and with it
@@ -262,12 +263,9 @@ module Make (B : BACKEND) : sig
         batch boundary. The report is then partial exactly as under
         truncation, except [truncated] stays [None] — the caller
         (e.g. a SIGINT handler) knows why it stopped.
-      - A worker exception aborts only its shard: the shard is retried
-        [shard_retries] times, each retry on a freshly spawned domain
-        after an exponentially growing backoff starting at
-        [retry_backoff_s] (sharing the shard's remaining sub-budget),
-        and a shard failing every attempt becomes a {!shard_failure}
-        entry, its faults counted in [skipped]. Sequential runs
-        ([jobs = 1]) propagate the exception instead. *)
+      - A worker exception aborts only its shard, at every [jobs]
+        (including 1): the shard becomes a {!shard_failure} entry, its
+        faults counted in [skipped], and the other shards finish. It is
+        not retried. *)
 end
 

@@ -98,7 +98,9 @@ val validate_dlx :
     [lanes] and [jobs] tune the campaign legs: [lanes] selects the
     lane width of the FSM fault campaign (wide bit-sliced lanes beyond
     [Sys.int_size]) and [jobs] shards both campaigns across that many
-    domains — results are bit-identical to the sequential run. *)
+    domains — results are bit-identical at every [jobs]. A shard lost
+    to a worker exception is recorded in the campaign report's
+    [shard_failures]. *)
 
 val pp_run_report : Format.formatter -> run_report -> unit
 

@@ -356,52 +356,16 @@ end
 (* [lanes] up to [Sys.int_size] (the default) pick the native-int lane
    set; wider values a bit-sliced one carrying that many mutants *)
 let campaign_outcome ?budget ?(lanes = Sys.int_size) ?jobs ?max_workers
-    ?on_batch ?resume ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s
-    golden faults word =
+    ?on_batch ?resume ?checkpoint ?should_stop golden faults word =
   let module B = Fsm_backend ((val Simcov_util.Lanes.make lanes)) in
   let module D = Campaign.Make (B) in
   D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint ?should_stop
-    ?shard_retries ?retry_backoff_s
     { B.m = golden; tab = Fsm.tables golden }
     faults word
 
 let campaign ?budget ?lanes ?jobs ?on_batch golden faults word =
   (campaign_outcome ?budget ?lanes ?jobs ?on_batch golden faults word)
     .Campaign.report
-
-(* the retained scalar reference: one full mutant rerun per fault,
-   through [run_verdict]; the QCheck suite pins the batched driver
-   against it, and the bench quantifies the speedup *)
-let campaign_scalar golden faults word =
-  let total = List.length faults in
-  let effective = ref 0 and excited = ref 0 and detected = ref 0 in
-  let missed = ref [] and verdicts = ref [] in
-  List.iter
-    (fun f ->
-      if Fault.is_effective golden f then begin
-        incr effective;
-        let v = run_verdict golden f word in
-        if v.excited then incr excited;
-        if v.detected then incr detected
-        else if v.excited then missed := f :: !missed;
-        verdicts := (f, v) :: !verdicts
-      end)
-    faults;
-  {
-    Campaign.report =
-      {
-        backend = backend_name;
-        total;
-        effective = !effective;
-        excited = !excited;
-        detected = !detected;
-        missed = List.rev !missed;
-        skipped = 0;
-        truncated = None;
-        shard_failures = [];
-      };
-    verdicts = List.rev !verdicts;
-  }
 
 let coverage_pct = Campaign.coverage_pct
 let pp_report = Campaign.pp_report

@@ -8,9 +8,11 @@
 
     Campaigns route through the shared {!Simcov_campaign.Campaign}
     driver: mutants are packed into int bit lanes and evaluated with
-    one golden pass per word instead of one full rerun per fault. The
-    scalar path ({!run_verdict}, {!campaign_scalar}) is retained as the
-    executable reference the batched engine is tested against. *)
+    one golden pass per word instead of one full rerun per fault.
+    {!run_verdict} is the one-fault lockstep run (the W-method and
+    FSM-lint witness checks use it); the scalar campaign built on it,
+    the reference the batched engine is tested against, lives in the
+    test suite. *)
 
 open Simcov_fsm
 module Campaign = Simcov_campaign.Campaign
@@ -45,8 +47,7 @@ type 'f campaign_report = 'f Campaign.report = {
   skipped : int;  (** effective faults left unevaluated by truncation *)
   truncated : Simcov_util.Budget.resource option;
   shard_failures : Campaign.shard_failure list;
-      (** shards lost to worker faults under [~jobs]; empty on healthy
-          runs *)
+      (** shards lost to worker faults; empty on healthy runs *)
 }
 (** The shared campaign report, re-exported so existing field accesses
     ([r.Detect.total], …) keep working. *)
@@ -83,8 +84,6 @@ val campaign_outcome :
   ?resume:(Fault.t -> Campaign.verdict option) ->
   ?checkpoint:Fault.t Campaign.checkpoint ->
   ?should_stop:(unit -> bool) ->
-  ?shard_retries:int ->
-  ?retry_backoff_s:float ->
   Fsm.t ->
   Fault.t list ->
   int list ->
@@ -94,11 +93,7 @@ val campaign_outcome :
     already-decided faults, [checkpoint] flushes cumulative verdicts
     periodically, [should_stop] requests a clean early stop, and a
     worker exception costs at most one shard (reported in
-    [shard_failures] after [shard_retries] fresh-domain retries). *)
-
-val campaign_scalar : Fsm.t -> Fault.t list -> int list -> Fault.t Campaign.outcome
-(** The scalar reference: one {!run_verdict} rerun per effective fault.
-    Same verdicts and report as {!campaign} under an unlimited budget. *)
+    [shard_failures], not retried). *)
 
 val coverage_pct : report -> float
 (** [100 * detected / effective] (100.0 when there are no effective

@@ -18,73 +18,6 @@ let all_faults (c : Circuit.t) =
   in
   List.concat (regs @ inputs)
 
-(* evaluate the faulty circuit one step: reads of the faulted signal
-   see the pinned value; the register itself still updates (a stuck
-   OUTPUT, not a stuck latch) which is the standard single-stuck-at
-   model on the net *)
-let faulty_step (c : Circuit.t) fault state inputs =
-  let read_input i =
-    match fault.site with Primary_input j when j = i -> fault.stuck | _ -> inputs.(i)
-  in
-  let read_reg r =
-    match fault.site with Reg_output j when j = r -> fault.stuck | _ -> state.(r)
-  in
-  if not (Expr.eval ~inputs:read_input ~regs:read_reg c.Circuit.input_constraint) then None
-  else begin
-    let next =
-      Array.map (fun (r : Circuit.reg) -> Expr.eval ~inputs:read_input ~regs:read_reg r.Circuit.next) c.Circuit.regs
-    in
-    let outs =
-      Array.map
-        (fun (o : Circuit.port) -> Expr.eval ~inputs:read_input ~regs:read_reg o.Circuit.expr)
-        c.Circuit.outputs
-    in
-    Some (next, outs)
-  end
-
-(* the fault is excited when the faulted net carries the opposite of
-   its pinned value in the GOLDEN circuit this step *)
-let site_differs fault (state : Circuit.state) (inputs : bool array) =
-  match fault.site with
-  | Reg_output r -> state.(r) <> fault.stuck
-  | Primary_input i -> inputs.(i) <> fault.stuck
-
-let run_verdict (c : Circuit.t) fault word =
-  let rec go step good bad excite detect word =
-    match word with
-    | [] -> (excite, detect)
-    | iv :: rest -> (
-        if Circuit.input_valid c good iv then begin
-          let excite =
-            if excite = None && site_differs fault good iv then Some step
-            else excite
-          in
-          match faulty_step c fault bad iv with
-          | None -> (excite, Some step) (* constraint violated only when faulty *)
-          | Some (bad', bout) ->
-              let good', gout = Circuit.step c good iv in
-              if gout <> bout then (excite, Some step)
-              else go (step + 1) good' bad' excite detect rest
-        end
-        else
-          (* the golden circuit rejects the vector: a faulty circuit
-             that accepts it is exposed; otherwise the word ends here *)
-          match faulty_step c fault bad iv with
-          | Some _ -> (excite, Some step)
-          | None -> (excite, detect))
-  in
-  let excite_step, detect_step =
-    go 0 (Circuit.initial_state c) (Circuit.initial_state c) None None word
-  in
-  {
-    Campaign.detected = detect_step <> None;
-    excited = excite_step <> None;
-    detect_step;
-    excite_step;
-  }
-
-let detects c fault word = (run_verdict c fault word).Campaign.detected
-
 (* The bit-parallel stuck-at backend: bit l of every packed int is the
    value of a net in faulty circuit l. One {!Expr.eval_lanes} pass per
    expression evaluates all lanes at once; a lane's reads of its
@@ -192,26 +125,11 @@ module Driver = Campaign.Make (Net_backend)
 (* [lanes] is accepted for symmetry with {!Detect.campaign_outcome} and
    ignored: stuck-at batches are always one native word *)
 let campaign_outcome ?budget ?lanes:_ ?jobs ?max_workers ?on_batch ?resume
-    ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s c faults word =
+    ?checkpoint ?should_stop c faults word =
   Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-    ?should_stop ?shard_retries ?retry_backoff_s c faults word
+    ?should_stop c faults word
 
-let campaign ?budget ?jobs ?on_batch c faults word =
-  (campaign_outcome ?budget ?jobs ?on_batch c faults word).Campaign.report
-
-type 'f campaign_report = 'f Campaign.report = {
-  backend : string;
-  total : int;
-  effective : int;
-  excited : int;
-  detected : int;
-  missed : 'f list;
-  skipped : int;
-  truncated : Simcov_util.Budget.resource option;
-  shard_failures : Campaign.shard_failure list;
-}
-
-type report = fault campaign_report
+type report = fault Campaign.report
 
 let coverage_pct = Campaign.coverage_pct
 let pp_report = Campaign.pp_report

@@ -31,52 +31,11 @@ type fault = { site : site; stuck : bool }
 val all_faults : Circuit.t -> fault list
 (** Both polarities at every register output and primary input. *)
 
-val run_verdict : Circuit.t -> fault -> bool array list -> Campaign.verdict
-(** Scalar lockstep reference of good vs faulty circuit on the word;
-    the faulty circuit sees the pinned value everywhere the signal is
-    read, including in the input-constraint check (a combination
-    turning invalid only when faulty counts as detection, mirroring
-    {!Detect}; one invalid only for the {e golden} circuit is likewise
-    a detection, and invalid for both ends the word). *)
-
-val detects : Circuit.t -> fault -> bool array list -> bool
-
-val site_differs : fault -> Circuit.state -> bool array -> bool
-(** The excitation predicate: does the faulted net carry the opposite
-    of its pinned value in the golden circuit under this state and
-    input vector? *)
-
 (** {1 Campaigns} *)
 
-type 'f campaign_report = 'f Campaign.report = {
-  backend : string;
-  total : int;
-  effective : int;  (** every stuck-at fault is effective *)
-  excited : int;
-  detected : int;
-  missed : 'f list;
-  skipped : int;
-  truncated : Simcov_util.Budget.resource option;
-  shard_failures : Campaign.shard_failure list;
-      (** shards lost to worker faults under [~jobs]; empty on healthy
-          runs *)
-}
-
-type report = fault campaign_report
-
-val campaign :
-  ?budget:Simcov_util.Budget.t ->
-  ?jobs:int ->
-  ?on_batch:(Campaign.progress -> unit) ->
-  Circuit.t ->
-  fault list ->
-  bool array list ->
-  report
-(** Bit-parallel batched campaign via the shared driver; budget
-    exhaustion yields a [truncated] partial report. A batch is always
-    one native word ([Sys.int_size] lanes): every step recomputes every
-    lane's nets, so wider batches would only add allocation. [jobs > 1]
-    shards faults across domains (see {!Simcov_campaign.Campaign}). *)
+type report = fault Campaign.report
+(** Every stuck-at fault is effective, so [effective] counts every
+    fault evaluated. *)
 
 val campaign_outcome :
   ?budget:Simcov_util.Budget.t ->
@@ -87,17 +46,20 @@ val campaign_outcome :
   ?resume:(fault -> Campaign.verdict option) ->
   ?checkpoint:fault Campaign.checkpoint ->
   ?should_stop:(unit -> bool) ->
-  ?shard_retries:int ->
-  ?retry_backoff_s:float ->
   Circuit.t ->
   fault list ->
   bool array list ->
   fault Campaign.outcome
-(** As {!campaign}, additionally returning per-fault verdicts and the
-    driver's crash-safety hooks (resume / checkpoint / clean stop /
-    shard fault isolation — see {!Simcov_campaign.Campaign}). [lanes]
-    is accepted for symmetry with {!Detect.campaign_outcome} and
-    ignored. *)
+(** Bit-parallel batched campaign via the shared driver, returning the
+    report and per-fault verdicts; budget exhaustion yields a
+    [truncated] partial report. A batch is always one native word
+    ([Sys.int_size] lanes): every step recomputes every lane's nets, so
+    wider batches would only add allocation. [lanes] is accepted for
+    symmetry with {!Detect.campaign_outcome} and ignored. [jobs] shards
+    faults across domains; the driver's crash-safety hooks (resume /
+    checkpoint / clean stop / shard fault isolation) are described in
+    {!Simcov_campaign.Campaign}. The one-fault-at-a-time scalar
+    reference it is tested against lives in the test suite. *)
 
 val coverage_pct : report -> float
 val pp_report : Format.formatter -> report -> unit

@@ -282,12 +282,3 @@ let concretize cfg word =
     preload_mem;
     issue_map = Array.of_list (List.rev !issue_map);
   }
-
-let pp_abs_input cfg ppf code =
-  if code land 7 >= 7 then Format.fprintf ppf "<invalid %d>" code
-  else begin
-    let i = input_decode cfg code in
-    Format.fprintf ppf "%s rd=%d rs1=%d rs2=%d%s" (Isa.class_name i.cls) i.rd i.rs1
-      i.rs2
-      (if i.taken then " taken" else "")
-  end

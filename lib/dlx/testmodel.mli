@@ -83,5 +83,3 @@ type concrete = {
 
 val concretize : config -> int list -> concrete
 (** The input word must be valid for [build config]. *)
-
-val pp_abs_input : config -> Format.formatter -> int -> unit

@@ -34,9 +34,6 @@ let run_program ?(bugs = Pipeline.no_bugs) ?(max_steps = 10_000) ?(preload_regs 
   in
   compare 0 expected actual
 
-let detects_bug ~program bugs =
-  match run_program ~bugs program with Pass _ -> false | Fail _ -> true
-
 module Campaign = Simcov_campaign.Campaign
 
 type test_program = {

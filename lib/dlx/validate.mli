@@ -23,11 +23,6 @@ val run_program :
 (** Execute the program on both models (optionally pre-loading state on
     both sides identically) and compare commit-by-commit. *)
 
-val detects_bug : program:Isa.t array -> Pipeline.bugs -> bool
-(** Does this program expose the bug (i.e. produce a mismatch)? A
-    buggy configuration that still passes means the test set failed to
-    cover the bug. *)
-
 (** {1 Bug campaigns}
 
     Campaigns over the {!Pipeline.bug_catalog} route through the shared

@@ -71,13 +71,6 @@ let condensation g =
   let cross = Hashtbl.fold (fun ab () acc -> ab :: acc) edges [] in
   (comp, k, List.sort compare cross)
 
-let is_strongly_connected g =
-  let n = Digraph.n_vertices g in
-  if n <= 1 then true
-  else
-    let _, k = components g in
-    k = 1
-
 let restrict_strongly_connected g ~root =
   let comp, _ = components g in
   let c = comp.(root) in

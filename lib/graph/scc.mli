@@ -18,10 +18,6 @@ val condensation : Digraph.t -> int array * int * (int * int) list
     being a DAG, [a > b] per the Tarjan numbering above). [k = 1] with
     [edges = []] iff the graph is strongly connected. *)
 
-val is_strongly_connected : Digraph.t -> bool
-(** True when the whole vertex set forms a single component. For graphs
-    with isolated vertices this is false unless [n <= 1]. *)
-
 val restrict_strongly_connected : Digraph.t -> root:int -> int array option
 (** [restrict_strongly_connected g ~root] returns [Some comp_members]
     (sorted vertex ids) of the component containing [root] if that

@@ -98,6 +98,3 @@ let path_to ~pred_edge g v =
         go e.Digraph.src (id :: acc)
   in
   go v []
-
-let all_pairs g =
-  Array.init (Digraph.n_vertices g) (fun v -> fst (dijkstra g ~source:v))

@@ -13,7 +13,3 @@ val dijkstra : Digraph.t -> source:int -> int array * int array
 val path_to : pred_edge:int array -> Digraph.t -> int -> int list
 (** Reconstruct the edge-id path from the source to the given vertex
     using [pred_edge]; empty for the source itself. *)
-
-val all_pairs : Digraph.t -> int array array
-(** Dijkstra from every vertex: [dist.(u).(v)]. Intended for the small
-    imbalance subproblems of the Chinese postman solver. *)

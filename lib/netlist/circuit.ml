@@ -231,10 +231,6 @@ module Build = struct
         | None -> p.p_next <- Some next)
     | _ -> invalid_arg "Circuit.Build.assign: not a register expression"
 
-  let assign_vec ctx rv nv =
-    assert (Array.length rv = Array.length nv);
-    Array.iteri (fun i r -> assign ctx r nv.(i)) rv
-
   let output ctx port_name expr = ctx.outs <- { port_name; expr } :: ctx.outs
 
   let output_vec ctx name v =

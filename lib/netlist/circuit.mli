@@ -108,8 +108,6 @@ module Build : sig
       recorded (the first assignment stands) and reported by
       {!finish}, so one pass surfaces every offender. *)
 
-  val assign_vec : ctx -> Expr.Vec.t -> Expr.Vec.t -> unit
-
   val output : ctx -> string -> Expr.t -> unit
   val output_vec : ctx -> string -> Expr.Vec.t -> unit
 

@@ -63,8 +63,6 @@ let error_to_string e =
   if e.line = 0 then e.msg
   else Printf.sprintf "line %d, column %d: %s" e.line e.col e.msg
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 type token = Lparen | Rparen | Atom of string
 
 let is_ws c = c = ' ' || c = '\t' || c = '\r'

@@ -29,8 +29,6 @@ val error_to_string : error -> string
 (** ["line L, column C: msg"], or just the message for positionless
     errors. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val of_string : string -> (Circuit.t, error) result
 (** Inverse of {!to_string} (also accepts hand-written files). Total:
     malformed input of any kind — including bytes this parser never

@@ -4,7 +4,7 @@ module Json = Simcov_util.Json
 
    A registry is one isolated metric/trace namespace. The process
    always has the [default] registry (the one-shot CLI path); a
-   long-running service creates one labeled registry per job and runs
+   long-running service creates one registry per job and runs
    the job under it, so two concurrent jobs never interleave counters
    in one snapshot. The current registry is domain-local: engines keep
    incrementing the same static handles, and the handle resolves to a
@@ -13,7 +13,6 @@ module Json = Simcov_util.Json
 type timer_cell = { mutable tc_spans : int; mutable tc_total_s : float }
 
 type registry = {
-  label : string;
   r_counters : (string, int Atomic.t) Hashtbl.t;
   r_gauges : (string, int Atomic.t) Hashtbl.t;
   r_timers : (string, timer_cell) Hashtbl.t;
@@ -32,9 +31,8 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let make_registry label =
+let registry () =
   {
-    label;
     r_counters = Hashtbl.create 64;
     r_gauges = Hashtbl.create 32;
     r_timers = Hashtbl.create 32;
@@ -43,9 +41,7 @@ let make_registry label =
     r_clock_epoch = Unix.gettimeofday ();
   }
 
-let default_registry = make_registry ""
-let registry ~label = make_registry label
-let registry_label r = r.label
+let default_registry = registry ()
 
 (* the current registry is per-domain: a campaign worker spawned under
    a scoped job inherits the scope explicitly (the driver installs the

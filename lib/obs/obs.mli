@@ -27,7 +27,7 @@
     Metric state lives in a {!registry}. The process has one
     {!default_registry} — the one-shot CLI path, where callers that
     want a per-command view call {!reset} first — and a long-running
-    service creates one labeled registry per job ({!registry}) and
+    service creates one registry per job ({!registry}) and
     runs the job under it ({!with_registry}), so two concurrent jobs
     never interleave counters in one [simcov-metrics/1] snapshot.
     Handles stay static: the {e current} registry is domain-local, and
@@ -63,11 +63,8 @@ val default_registry : registry
 (** The process-wide default — what every call operates on unless a
     scope is installed. *)
 
-val registry : label:string -> registry
-(** A fresh, empty, labeled registry (e.g. one per service job). *)
-
-val registry_label : registry -> string
-(** The label given at creation; [""] for {!default_registry}. *)
+val registry : unit -> registry
+(** A fresh, empty registry (e.g. one per service job). *)
 
 val current : unit -> registry
 (** This domain's current registry. *)

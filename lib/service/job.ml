@@ -215,8 +215,9 @@ let get_int obj name ~default =
 (* lanes and jobs size per-job allocations and domain counts, k_bound
    the rounds of the ∀k search, count and steps the fault population
    and the stimulus, checkpoint_every the batches between saves (it
-   must be positive), and regs the tabulated test model: the wire
-   accepts exactly the CLI's values *)
+   must be positive), regs the tabulated test model, and timeout_s and
+   max_nodes the job's budget: the wire accepts exactly the CLI's
+   values *)
 let lanes_range = (1, 65536)
 let jobs_range = (1, 256)
 let k_bound_range = (1, 64)
@@ -224,13 +225,17 @@ let count_range = (1, 100_000)
 let steps_range = (1, 100_000)
 let checkpoint_every_range = (1, max_int)
 let regs_values = [ 2; 4; 8; 16 ]
+let max_nodes_range = (1, max_int)
+let timeout_ok t = Float.is_finite t && t >= 0.0
 
-let get_bounded obj name (lo, hi) ~default =
-  let v = get_int obj name ~default in
+let check_range name (lo, hi) v =
   if v < lo || v > hi then
     raise
       (Bad (Printf.sprintf "field '%s' must be an integer in [%d, %d]" name lo hi));
   v
+
+let get_bounded obj name range ~default =
+  check_range name range (get_int obj name ~default)
 
 let get_choice obj name values ~default =
   let v = get_int obj name ~default in
@@ -383,8 +388,15 @@ let of_json j =
           {
             id = get_str_opt j "id";
             spec = spec_of ~kind params;
-            timeout_s = get_float_opt j "timeout_s";
-            max_nodes = get_int_opt j "max_nodes";
+            timeout_s =
+              (match get_float_opt j "timeout_s" with
+              | Some t when not (timeout_ok t) ->
+                  raise (Bad "field 'timeout_s' must be a finite number >= 0")
+              | t -> t);
+            max_nodes =
+              Option.map
+                (check_range "max_nodes" max_nodes_range)
+                (get_int_opt j "max_nodes");
           }
       with Bad msg -> Error msg)
   | _ -> Error "a job must be a JSON object"

@@ -108,9 +108,10 @@ val kind : t -> string
     CLI's flag of the same name and {!of_json}. Inclusive ranges: [lanes]
     [(1, 65536)], [jobs] [(1, 256)], a lint job's [k_bound] [(1, 64)],
     a coverage job's [count] and [steps] [(1, 100_000)] and
-    [checkpoint_every] [(1, max_int)]. A validate-dlx job's [regs] is
-    one of [[2; 4; 8; 16]]: the powers of two the test model encodes
-    and can tabulate. *)
+    [checkpoint_every] [(1, max_int)], and every job's [max_nodes]
+    [(1, max_int)]. A validate-dlx job's [regs] is one of
+    [[2; 4; 8; 16]]: the powers of two the test model encodes and can
+    tabulate. A job's [timeout_s] must satisfy {!timeout_ok}. *)
 
 val lanes_range : int * int
 val jobs_range : int * int
@@ -119,6 +120,11 @@ val count_range : int * int
 val steps_range : int * int
 val checkpoint_every_range : int * int
 val regs_values : int list
+val max_nodes_range : int * int
+
+val timeout_ok : float -> bool
+(** A finite number of seconds [>= 0] ([0] runs with an already-passed
+    deadline). *)
 
 val default_validate : validate_params
 val default_lint : model:string -> lint_params

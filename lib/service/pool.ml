@@ -102,7 +102,7 @@ let cancelled_envelope rj =
 let metrics_line () = Json.to_string ~indent:0 (Obs.snapshot ())
 
 let execute t rj =
-  let reg = Obs.registry ~label:rj.entry.id in
+  let reg = Obs.registry () in
   let should_stop () =
     Atomic.get rj.entry.cancel || Atomic.get rj.gone || Atomic.get t.stop_all
   in

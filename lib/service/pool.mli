@@ -11,7 +11,7 @@
     cores without changing any job's report (shard decomposition stays
     exactly as requested).
 
-    Each job runs under its own labeled {!Simcov_obs.Obs} registry:
+    Each job runs under its own {!Simcov_obs.Obs} registry:
     its trace events (including the [job.progress] stream) and
     throttled [simcov-metrics/1] snapshots are forwarded line-by-line
     to the submitter's [on_line], and never interleave with a
@@ -36,8 +36,9 @@ type t
 val create :
   ?cache:Model_cache.t -> ?queue_limit:int -> ?workers:int -> unit -> t
 (** Defaults: the shared model cache, queue bound 64, 2 worker
-    domains. The domain-token budget is
-    [Domain.recommended_domain_count ()]. *)
+    domains. The extra domain-token budget is
+    [max 1 (Domain.recommended_domain_count () - workers)]: the cores
+    the workers themselves do not occupy, but at least one. *)
 
 val submit :
   t ->

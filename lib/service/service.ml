@@ -76,11 +76,23 @@ let stim_hash_bits word =
          String.init (Array.length a) (fun i -> if a.(i) then '1' else '0'))
        word)
 
+(* [Covdb.save], with an unwritable path returned as an error naming it
+   instead of raised *)
+let save_db db path =
+  match Covdb.save db path with
+  | () -> Ok ()
+  | exception Sys_error e -> Error (Printf.sprintf "cannot write %s: %s" path e)
+  | exception Unix.Unix_error (err, fn, _) ->
+      Error
+        (Printf.sprintf "cannot write %s: %s: %s" path fn (Unix.error_message err))
+
 (* Run one campaign crash-safely: validate and inject the resume
    snapshot, periodically flush checkpoint snapshots, stop cleanly at a
    batch boundary when [should_stop] flips, and always leave a final
    snapshot behind (marked complete only when nothing was cut short).
-   Returns [Error (exit_code, msg)] on an unusable resume snapshot. *)
+   Returns [Error (exit_code, msg)] on an unusable resume snapshot or
+   an unwritable checkpoint path: a failed flush stops the campaign at
+   its next batch boundary, and the job fails with exit 4. *)
 let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
     ~should_stop ~notes ~(hdr : Covdb.header) ~(key : f -> string)
     ~(run :
@@ -136,7 +148,7 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
       in
       let save_snapshot ~complete ~truncated pairs =
         match ck_file with
-        | None -> ()
+        | None -> Ok ()
         | Some path ->
             let db = Covdb.create hdr in
             List.iter
@@ -144,9 +156,12 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
               pairs;
             Covdb.set_complete db complete;
             Covdb.set_truncated db truncated;
-            Covdb.save db path
+            save_db db path
       in
       let flushes = Atomic.make 0 in
+      (* the first failed flush; it stops the campaign like [should_stop]
+         but fails the job instead of marking it interrupted *)
+      let save_failed = Atomic.make None in
       let checkpoint =
         match ck_file with
         | None -> None
@@ -156,15 +171,18 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
                 Campaign.every = p.Job.cov_checkpoint_every;
                 flush =
                   (fun pairs ->
-                    save_snapshot ~complete:false ~truncated:None pairs;
-                    let n = 1 + Atomic.fetch_and_add flushes 1 in
-                    match chaos_kill_after with
-                    | Some k when n >= k ->
-                        (* the chaos harness's deterministic crash
-                           point: an uncatchable kill right after a
-                           flush commits *)
-                        Unix.kill (Unix.getpid ()) Sys.sigkill
-                    | _ -> ());
+                    match save_snapshot ~complete:false ~truncated:None pairs with
+                    | Error e ->
+                        ignore (Atomic.compare_and_set save_failed None (Some e))
+                    | Ok () -> (
+                        let n = 1 + Atomic.fetch_and_add flushes 1 in
+                        match chaos_kill_after with
+                        | Some k when n >= k ->
+                            (* the chaos harness's deterministic crash
+                               point: an uncatchable kill right after a
+                               flush commits *)
+                            Unix.kill (Unix.getpid ()) Sys.sigkill
+                        | _ -> ()));
               }
       in
       let resume =
@@ -177,7 +195,7 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
         (* sticky: once the stop is observed the whole run counts as
            interrupted, even if the predicate later flips back *)
         if should_stop () then interrupted := true;
-        !interrupted
+        !interrupted || Atomic.get save_failed <> None
       in
       let outcome = run ?resume ?checkpoint ~should_stop () in
       let r = outcome.Campaign.report in
@@ -187,10 +205,17 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
         && r.Campaign.shard_failures = []
         && r.Campaign.skipped = 0
       in
-      save_snapshot ~complete
-        ~truncated:(Option.map Budget.resource_name r.Campaign.truncated)
-        outcome.Campaign.verdicts;
-      Ok (outcome, !interrupted)
+      let saved =
+        match Atomic.get save_failed with
+        | Some e -> Error e
+        | None ->
+            save_snapshot ~complete
+              ~truncated:(Option.map Budget.resource_name r.Campaign.truncated)
+              outcome.Campaign.verdicts
+      in
+      match saved with
+      | Error e -> Error (4, e)
+      | Ok () -> Ok (outcome, !interrupted)
 
 (* exit-code priority for a campaign run: an interrupt outranks a
    degraded-but-finished run, which outranks truncation, which
@@ -200,6 +225,13 @@ let campaign_exit ~fail_under ~interrupted ~pct (r : _ Campaign.report) =
   else if r.Campaign.shard_failures <> [] then 5
   else if r.Campaign.truncated <> None then 3
   else match fail_under with Some t when pct < t -> 1 | _ -> 0
+
+let shard_notes (r : _ Campaign.report) =
+  List.map
+    (fun (sf : Campaign.shard_failure) ->
+      Printf.sprintf "warning: shard %d (%d faults) failed: %s"
+        sf.Campaign.shard sf.Campaign.faults sf.Campaign.error)
+    r.Campaign.shard_failures
 
 (* ---- validate-dlx ---- *)
 
@@ -299,6 +331,25 @@ let validate_json (r : Methodology.run_report) =
         Obj (List.map (fun (n, s) -> (n, Float s)) r.Methodology.timings) );
     ]
 
+(* a shard lost in either campaign outranks truncation, as in
+   [campaign_exit] *)
+let validate_exit (r : Methodology.run_report) =
+  if
+    r.Methodology.bug_coverage.Campaign.shard_failures <> []
+    || r.Methodology.fsm_fault_coverage.Campaign.shard_failures <> []
+  then 5
+  else if Methodology.campaigns_truncated r then 3
+  else if
+    r.Methodology.lint_errors = []
+    (* FSM precondition gate: warnings are recorded, errors fail *)
+    && not
+         (Fsm_lint.fails r.Methodology.fsm_lint
+            ~threshold:Simcov_analysis.Diag.Error)
+    && r.Methodology.n_bugs_detected = List.length r.Methodology.bug_results
+    && Result.is_ok r.Methodology.certificate
+  then 0
+  else 1
+
 (* job-schema reorder enum -> the symbolic layer's policy variant *)
 let reorder_variant = function
   | Job.Reorder_off -> `Off
@@ -319,21 +370,11 @@ let run_validate ~budget (p : Job.validate_params) =
       ~jobs:p.Job.va_jobs ()
   in
   let human = Format.asprintf "%a@." Methodology.pp_run_report report in
-  let exit_code =
-    if Methodology.campaigns_truncated report then 3
-    else if
-      report.Methodology.lint_errors = []
-      (* FSM precondition gate: warnings are recorded, errors fail *)
-      && not
-           (Fsm_lint.fails report.Methodology.fsm_lint
-              ~threshold:Simcov_analysis.Diag.Error)
-      && report.Methodology.n_bugs_detected
-         = List.length report.Methodology.bug_results
-      && Result.is_ok report.Methodology.certificate
-    then 0
-    else 1
-  in
-  ok ~report:(validate_json report) ~human exit_code
+  ok ~report:(validate_json report) ~human
+    ~notes:
+      (shard_notes report.Methodology.bug_coverage
+      @ shard_notes report.Methodology.fsm_fault_coverage)
+    (validate_exit report)
 
 (* ---- stats ---- *)
 
@@ -538,13 +579,7 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
   in
   let finish ~name ~word_length ~human json pct (r : _ Campaign.report)
       interrupted =
-    List.iter
-      (fun (sf : Campaign.shard_failure) ->
-        notes :=
-          Printf.sprintf "warning: shard %d (%d faults) failed: %s"
-            sf.Campaign.shard sf.Campaign.faults sf.Campaign.error
-          :: !notes)
-      r.Campaign.shard_failures;
+    notes := List.rev_append (shard_notes r) !notes;
     if interrupted then
       notes :=
         Printf.sprintf "interrupted: %s"
@@ -723,49 +758,53 @@ let load_dbs ~notes paths =
 
 let run_merge ~inputs ~output =
   let notes = ref [] in
-  match load_dbs ~notes inputs with
+  let merged =
+    match load_dbs ~notes inputs with
+    | Error e -> Error e
+    | Ok dbs -> (
+        match Covdb.merge (List.map snd dbs) with
+        | Error e -> Error e
+        | Ok out -> Result.map (fun () -> (dbs, out)) (save_db out output))
+  in
+  match merged with
   | Error e -> fail 4 e
-  | Ok dbs -> (
-      match Covdb.merge (List.map snd dbs) with
-      | Error e -> fail 4 e
-      | Ok out ->
-          Covdb.save out output;
-          let u, e, d = Covdb.counts out in
-          let report =
-            let open Json in
-            Obj
-              [
-                ("schema", String "simcov-merge/1");
-                ( "inputs",
-                  List
-                    (List.map
-                       (fun (p, db) ->
-                         let _, _, di = Covdb.counts db in
-                         Obj
-                           [
-                             ("path", String p);
-                             ("run", String (Covdb.header db).Covdb.run);
-                             ("records", Int (Covdb.n_records db));
-                             ("detected", Int di);
-                             ("complete", Bool (Covdb.complete db));
-                           ])
-                       dbs) );
-                ("output", String output);
-                ("records", Int (Covdb.n_records out));
-                ("undetected", Int u);
-                ("excited", Int e);
-                ("detected", Int d);
-                ("complete", Bool (Covdb.complete out));
-              ]
-          in
-          let human =
-            Printf.sprintf
-              "merged %d snapshots -> %s: %d records (%d detected, %d \
-               excited-only, %d undetected)%s\n"
-              (List.length dbs) output (Covdb.n_records out) d e u
-              (if Covdb.complete out then "" else " [incomplete]")
-          in
-          ok ~report ~human ~notes:(List.rev !notes) 0)
+  | Ok (dbs, out) ->
+      let u, e, d = Covdb.counts out in
+      let report =
+        let open Json in
+        Obj
+          [
+            ("schema", String "simcov-merge/1");
+            ( "inputs",
+              List
+                (List.map
+                   (fun (p, db) ->
+                     let _, _, di = Covdb.counts db in
+                     Obj
+                       [
+                         ("path", String p);
+                         ("run", String (Covdb.header db).Covdb.run);
+                         ("records", Int (Covdb.n_records db));
+                         ("detected", Int di);
+                         ("complete", Bool (Covdb.complete db));
+                       ])
+                   dbs) );
+            ("output", String output);
+            ("records", Int (Covdb.n_records out));
+            ("undetected", Int u);
+            ("excited", Int e);
+            ("detected", Int d);
+            ("complete", Bool (Covdb.complete out));
+          ]
+      in
+      let human =
+        Printf.sprintf
+          "merged %d snapshots -> %s: %d records (%d detected, %d \
+           excited-only, %d undetected)%s\n"
+          (List.length dbs) output (Covdb.n_records out) d e u
+          (if Covdb.complete out then "" else " [incomplete]")
+      in
+      ok ~report ~human ~notes:(List.rev !notes) 0
 
 let run_minimize ~inputs =
   let notes = ref [] in

@@ -60,6 +60,22 @@ val run :
     [chaos_kill_after] is the CLI chaos-harness hook (SIGKILL after
     the N-th checkpoint flush). *)
 
+val campaign_exit :
+  fail_under:float option ->
+  interrupted:bool ->
+  pct:float ->
+  _ Simcov_campaign.Campaign.report ->
+  int
+(** A coverage job's exit code: 130 when interrupted, else 5 when a
+    shard was lost ([shard_failures] non-empty), else 3 when
+    truncated, else 1 when [pct] is below [fail_under], else 0. *)
+
+val validate_exit : Simcov_core.Methodology.run_report -> int
+(** A validate-dlx job's exit code: 5 when either campaign lost a
+    shard, else 3 when either was truncated, else 0 when lint, the FSM
+    precondition gate, the certificate and every seeded bug pass, else
+    1. *)
+
 val status_of : outcome -> Job.status
 (** The envelope status an outcome maps to: [Interrupted] when
     interrupted, [Failed] when [error] is set, [Done] otherwise. *)

@@ -2,8 +2,6 @@ type resource = Time | Steps | Nodes
 
 exception Budget_exceeded of resource
 
-type 'a bounded = Exact of 'a | Truncated of 'a * resource
-
 type t = {
   deadline : float option;  (* absolute, Unix.gettimeofday timebase *)
   max_steps : int option;
@@ -34,7 +32,6 @@ let create ?timeout_s ?max_steps ?max_nodes () =
   | _ -> ());
   { deadline; max_steps; max_nodes; steps = 0; node_probe = None }
 
-let is_unlimited t = t.deadline = None && t.max_steps = None && t.max_nodes = None
 let max_nodes t = t.max_nodes
 let steps_used t = t.steps
 
@@ -100,26 +97,8 @@ let reclaim t child =
         t.steps <- max 0 (t.steps - unspent)
     | _ -> ()
 
-let remaining_s t =
-  match t.deadline with
-  | None -> None
-  | Some d -> Some (Float.max 0.0 (d -. Unix.gettimeofday ()))
-
 let resource_name = function
   | Time -> "time"
   | Steps -> "steps"
   | Nodes -> "nodes"
 
-let pp_resource ppf r = Format.pp_print_string ppf (resource_name r)
-
-let value = function Exact v | Truncated (v, _) -> v
-let truncation = function Exact _ -> None | Truncated (_, r) -> Some r
-
-let map f = function
-  | Exact v -> Exact (f v)
-  | Truncated (v, r) -> Truncated (f v, r)
-
-let pp_bounded pp_v ppf = function
-  | Exact v -> pp_v ppf v
-  | Truncated (v, r) ->
-      Format.fprintf ppf "%a (truncated: %a)" pp_v v pp_resource r

@@ -5,9 +5,9 @@
     into one mutable accounting object that is threaded through the
     pipeline (bdd → symbolic → core → bin). Exhaustion is reported
     either as the {!Budget_exceeded} exception (for callers that want
-    non-local exit) or as a {!bounded} outcome tag (for callers that
-    return partial results — the honest-status style of
-    coverage-under-resource-pressure work).
+    non-local exit) or by polling {!exceeded} (for callers that return
+    partial results tagged with the {!resource} that cut them short,
+    as campaign and lint reports do in their [truncated] field).
 
     Deadlines are measured against a monotonically sampled wall clock:
     the deadline is stored as an absolute instant computed once at
@@ -17,11 +17,6 @@ type resource = Time | Steps | Nodes
 
 exception Budget_exceeded of resource
 (** Raised by {!check} / {!step} when the corresponding limit is hit. *)
-
-type 'a bounded =
-  | Exact of 'a  (** the computation ran to completion *)
-  | Truncated of 'a * resource
-      (** a partial result, with the resource that cut it short *)
 
 type t
 
@@ -33,9 +28,11 @@ val unlimited : t
 val create : ?timeout_s:float -> ?max_steps:int -> ?max_nodes:int -> unit -> t
 (** [create ()] with no limits behaves like {!unlimited} but owns its
     own step counter. [timeout_s] is a relative wall-clock allowance
-    converted to an absolute deadline immediately. *)
-
-val is_unlimited : t -> bool
+    converted to an absolute deadline immediately. Front ends validate
+    user input before it gets here (a job's [timeout_s] must be finite
+    and [>= 0], its [max_nodes] [>= 1]).
+    @raise Invalid_argument if [timeout_s < 0], [max_steps < 0] or
+    [max_nodes <= 0]. *)
 
 val max_nodes : t -> int option
 (** The node allowance, for wiring into a BDD manager. *)
@@ -118,18 +115,6 @@ val reclaim : t -> t -> unit
     allowance to [parent] (no-op when either side has no step limit).
     Call it once per child, after the child's domain has been joined. *)
 
-val remaining_s : t -> float option
-(** Seconds until the deadline ([None] if no deadline); never
-    negative. *)
-
 val resource_name : resource -> string
-val pp_resource : Format.formatter -> resource -> unit
-
-val value : 'a bounded -> 'a
-val truncation : 'a bounded -> resource option
-val map : ('a -> 'b) -> 'a bounded -> 'b bounded
-
-val pp_bounded :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a bounded -> unit
-(** Prints the value followed by [" (truncated: <resource>)"] when
-    partial. *)
+(** ["time"], ["steps"] or ["nodes"]: the name reports record in their
+    [truncated] field. *)

@@ -39,4 +39,3 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_string_opt : t -> string option
 val to_int_opt : t -> int option
-val to_bool_opt : t -> bool option

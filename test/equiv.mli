@@ -9,7 +9,8 @@
     steps (the one-hot re-encoding, register-file truncation under
     tied inputs) really preserve the observable behavior — the
     "local transformations that we assume are correct (or can be
-    easily proved)" of Section 7.1, proved. *)
+    easily proved)" of Section 7.1, proved. The test suite runs these
+    proofs; nothing else calls the checker. *)
 
 open Simcov_netlist
 

@@ -1,3 +1,5 @@
+open Simcov_dlx
+
 type kernel = {
   name : string;
   description : string;

@@ -4,7 +4,10 @@
     scenario actually simulates — used as integration stimuli for the
     spec / 5-stage / dual-issue trio and as demonstration material.
     Each kernel is self-contained assembly (no preloads needed) and
-    terminates. *)
+    terminates. They serve the test suite only, which checks
+    [Pipeline] and [Dual] against [Spec] on them. *)
+
+open Simcov_dlx
 
 type kernel = {
   name : string;

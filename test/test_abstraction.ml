@@ -271,37 +271,6 @@ let test_forall_k_inherited () =
 
 (* ---- fuzzing the behavior-preserving passes ---- *)
 
-let random_circuit rng ~n_inputs ~n_regs =
-  let rec gen_expr depth =
-    if depth = 0 then
-      match Simcov_util.Rng.int rng 4 with
-      | 0 -> Expr.input (Simcov_util.Rng.int rng n_inputs)
-      | 1 -> Expr.reg (Simcov_util.Rng.int rng n_regs)
-      | 2 -> Expr.tru
-      | _ -> Expr.fls
-    else
-      match Simcov_util.Rng.int rng 5 with
-      | 0 -> !!(gen_expr (depth - 1))
-      | 1 -> gen_expr (depth - 1) &&& gen_expr (depth - 1)
-      | 2 -> Expr.( ||| ) (gen_expr (depth - 1)) (gen_expr (depth - 1))
-      | 3 -> gen_expr (depth - 1) ^^^ gen_expr (depth - 1)
-      | _ -> Expr.mux (gen_expr (depth - 1)) (gen_expr (depth - 1)) (gen_expr (depth - 1))
-  in
-  {
-    Circuit.name = "fuzz";
-    input_names = Array.init n_inputs (fun i -> Printf.sprintf "i%d" i);
-    regs =
-      Array.init n_regs (fun r ->
-          {
-            Circuit.name = Printf.sprintf "r%d" r;
-            group = "g";
-            init = Simcov_util.Rng.bool rng;
-            next = gen_expr 3;
-          });
-    outputs = [| { Circuit.port_name = "o"; expr = gen_expr 3 } |];
-    input_constraint = Expr.tru;
-  }
-
 let same_behavior rng c c' runs =
   let ok = ref true in
   for _ = 1 to runs do
@@ -319,7 +288,7 @@ let qcheck_cone_reduce_preserves =
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let rng = Simcov_util.Rng.create seed in
-      let c = random_circuit rng ~n_inputs:2 ~n_regs:4 in
+      let c = Gen_circuit.random_circuit ~n_inputs:2 ~n_regs:4 rng in
       same_behavior rng c (Netabs.cone_reduce c) 20)
 
 let qcheck_constant_elim_preserves =
@@ -328,7 +297,7 @@ let qcheck_constant_elim_preserves =
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let rng = Simcov_util.Rng.create seed in
-      let c = random_circuit rng ~n_inputs:2 ~n_regs:4 in
+      let c = Gen_circuit.random_circuit ~n_inputs:2 ~n_regs:4 rng in
       same_behavior rng c (Netabs.constant_reg_elim c) 20)
 
 let qcheck_tie_inputs_consistent =
@@ -337,7 +306,7 @@ let qcheck_tie_inputs_consistent =
     QCheck.(pair (int_range 1 100_000) bool)
     (fun (seed, tied_value) ->
       let rng = Simcov_util.Rng.create seed in
-      let c = random_circuit rng ~n_inputs:3 ~n_regs:3 in
+      let c = Gen_circuit.random_circuit ~n_inputs:3 ~n_regs:3 rng in
       let c' = Netabs.tie_inputs c [ ("i1", tied_value) ] in
       let ok = ref true in
       for _ = 1 to 20 do

@@ -80,7 +80,7 @@ let qcheck_batched_eq_scalar =
     (fun seed ->
       let m, faults, word = random_instance seed in
       check_outcomes_agree ~what:"total machine"
-        (Detect.campaign_scalar m faults word)
+        (Oracles.Detect.campaign_scalar m faults word)
         (Detect.campaign_outcome m faults word))
 
 (* partial machines: random validity holes exercise the halt path
@@ -116,7 +116,7 @@ let qcheck_batched_eq_scalar_partial =
     (fun seed ->
       let m, faults, word = random_partial_instance seed in
       check_outcomes_agree ~what:"partial machine"
-        (Detect.campaign_scalar m faults word)
+        (Oracles.Detect.campaign_scalar m faults word)
         (Detect.campaign_outcome m faults word))
 
 (* out-of-alphabet stimuli: an input >= n_inputs is invalid in every
@@ -146,7 +146,7 @@ let test_out_of_alphabet_inputs () =
     (fun word ->
       ignore
         (check_outcomes_agree ~what:"out-of-alphabet word"
-           (Detect.campaign_scalar m faults word)
+           (Oracles.Detect.campaign_scalar m faults word)
            (Detect.campaign_outcome m faults word)))
     [ [ 3 ]; [ 2; 0; 0 ]; [ 0; 0; 3; 0; 1 ]; [ 0; 2; 1; 0 ]; [ 0; 0; 0; 5 ] ];
   let halted = Detect.campaign m faults [ 3; 0; 0; 0 ] in
@@ -168,7 +168,7 @@ let test_lane_boundaries () =
   List.iter
     (fun n ->
       let faults = List.filteri (fun i _ -> i < n) all in
-      let scalar = Detect.campaign_scalar m faults word in
+      let scalar = Oracles.Detect.campaign_scalar m faults word in
       let batched = Detect.campaign_outcome m faults word in
       ignore
         (check_outcomes_agree
@@ -189,7 +189,7 @@ let test_budget_truncation_prefix () =
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let faults = List.filteri (fun i _ -> i < 150) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:150 in
-  let full = Detect.campaign_scalar m faults word in
+  let full = Oracles.Detect.campaign_scalar m faults word in
   let budget = Budget.create ~max_steps:1 () in
   let truncated = Detect.campaign_outcome ~budget m faults word in
   let r = truncated.Campaign.report in
@@ -253,7 +253,7 @@ let qcheck_wide_eq_scalar =
       let m, faults, word =
         if seed mod 5 = 0 then dlx_instance seed else random_instance seed
       in
-      let scalar = Detect.campaign_scalar m faults word in
+      let scalar = Oracles.Detect.campaign_scalar m faults word in
       ignore
         (check_outcomes_agree ~what:"wide 256" scalar
            (Detect.campaign_outcome ~lanes:256 m faults word));
@@ -269,7 +269,7 @@ let qcheck_wide_eq_scalar_partial =
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let m, faults, word = random_partial_instance seed in
-      let scalar = Detect.campaign_scalar m faults word in
+      let scalar = Oracles.Detect.campaign_scalar m faults word in
       ignore
         (check_outcomes_agree ~what:"partial, wide 256" scalar
            (Detect.campaign_outcome ~lanes:256 m faults word));
@@ -291,7 +291,7 @@ let test_wide_lane_boundaries () =
   List.iter
     (fun n ->
       let faults = List.filteri (fun i _ -> i < n) all in
-      let scalar = Detect.campaign_scalar m faults word in
+      let scalar = Oracles.Detect.campaign_scalar m faults word in
       List.iter
         (fun lanes ->
           let o = Detect.campaign_outcome ~lanes m faults word in
@@ -317,7 +317,7 @@ let test_sharded_truncation_prefix () =
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let faults = List.filteri (fun i _ -> i < 200) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:150 in
-  let full = Detect.campaign_scalar m faults word in
+  let full = Oracles.Detect.campaign_scalar m faults word in
   let scalar_verdicts = Array.of_list full.Campaign.verdicts in
   let n = Array.length scalar_verdicts in
   let jobs = 2 in
@@ -431,7 +431,7 @@ let check_stuckat_agrees c word =
   List.iter2
     (fun f (fb, vb) ->
       if f <> fb then QCheck.Test.fail_reportf "stuckat: fault order differs";
-      let vs = Stuckat.run_verdict c f word in
+      let vs = Oracles.Stuckat.run_verdict c f word in
       if not (verdict_eq vs vb) then
         QCheck.Test.fail_reportf
           "stuckat: verdict mismatch on %a (scalar det=%b exc=%b, batched \
@@ -493,13 +493,13 @@ let test_stuckat_excitation_without_detection () =
   let c = counter () in
   let word = List.init 6 (fun _ -> [| false |]) in
   let f = { Stuckat.site = Stuckat.Reg_output 0; stuck = true } in
-  let v = Stuckat.run_verdict c f word in
+  let v = Oracles.Stuckat.run_verdict c f word in
   Alcotest.(check bool) "excited" true v.Campaign.excited;
   Alcotest.(check (option int)) "at step 0" (Some 0) v.Campaign.excite_step;
   Alcotest.(check bool) "not detected" false v.Campaign.detected;
-  let r = Stuckat.campaign c (Stuckat.all_faults c) word in
+  let r = (Stuckat.campaign_outcome c (Stuckat.all_faults c) word).Campaign.report in
   Alcotest.(check bool) "report separates columns" true
-    (r.Stuckat.excited > r.Stuckat.detected)
+    (r.Campaign.excited > r.Campaign.detected)
 
 (* ---- pipeline-bug backend vs the naive detects_bug loop ---- *)
 
@@ -519,7 +519,7 @@ let test_bug_campaign_matches_naive () =
     r.Validate.n_bugs;
   List.iter
     (fun (name, bugs) ->
-      let naive = Validate.detects_bug ~program:bug_program bugs in
+      let naive = Oracles.Validate.detects_bug ~program:bug_program bugs in
       let campaign = List.assoc name r.Validate.bug_results in
       Alcotest.(check bool) name naive campaign)
     Pipeline.bug_catalog;
@@ -567,13 +567,11 @@ let test_json_schema () =
 (* ---- crash safety and shard isolation ---- *)
 
 (* A deterministic synthetic backend whose workers can be poisoned: a
-   batch containing a poisoned fault raises in [start] — every time, or
-   only on the first attempt ([fail_once]) to model a transient worker
-   fault that a retry on a fresh domain absorbs. *)
+   batch containing a poisoned fault raises in [start]. *)
 module Synth = struct
   module L = Simcov_util.Lanes.Native
 
-  type ctx = { poison : int -> bool; fail_once : bool Atomic.t option }
+  type ctx = { poison : int -> bool }
   type fault = int
   type stim = int
 
@@ -584,14 +582,7 @@ module Synth = struct
   type batch = { faults : fault array; mutable t : int }
 
   let start ctx faults =
-    if Array.exists ctx.poison faults then begin
-      let blow =
-        match ctx.fail_once with
-        | None -> true
-        | Some flag -> Atomic.compare_and_set flag false true
-      in
-      if blow then failwith "injected worker fault"
-    end;
+    if Array.exists ctx.poison faults then failwith "injected worker fault";
     { faults; t = 0 }
 
   let step b ~active:_ x =
@@ -607,7 +598,7 @@ end
 
 module Synth_driver = Campaign.Make (Synth)
 
-let synth_ctx = { Synth.poison = (fun _ -> false); fail_once = None }
+let synth_ctx = { Synth.poison = (fun _ -> false) }
 let synth_faults = List.init 200 Fun.id
 let synth_word = List.init 60 (fun i -> i * 13 mod 29)
 
@@ -683,10 +674,8 @@ let test_checkpoint_resume_equivalence () =
    verdicts must match the healthy run *)
 let test_poisoned_shard_isolated () =
   let reference = Synth_driver.run synth_ctx synth_faults synth_word in
-  let ctx = { Synth.poison = (fun f -> f = 60); fail_once = None } in
-  let r =
-    Synth_driver.run ~jobs:4 ~retry_backoff_s:0.001 ctx synth_faults synth_word
-  in
+  let ctx = { Synth.poison = (fun f -> f = 60) } in
+  let r = Synth_driver.run ~jobs:4 ctx synth_faults synth_word in
   let rep = r.Campaign.report in
   (match rep.Campaign.shard_failures with
   | [ f ] ->
@@ -715,20 +704,22 @@ let test_poisoned_shard_isolated () =
         (verdict_eq v (Hashtbl.find ref_tbl f)))
     r.Campaign.verdicts
 
-(* a transient worker fault (raises once, succeeds on the retry
-   domain): no shard failure surfaces and the outcome is unchanged *)
-let test_transient_fault_retried () =
-  let reference = Synth_driver.run synth_ctx synth_faults synth_word in
-  let ctx =
-    { Synth.poison = (fun f -> f = 60); fail_once = Some (Atomic.make false) }
-  in
-  let r =
-    Synth_driver.run ~jobs:4 ~retry_backoff_s:0.001 ctx synth_faults synth_word
-  in
-  Alcotest.(check int) "no shard failures" 0
-    (List.length r.Campaign.report.Campaign.shard_failures);
-  Alcotest.(check int) "nothing skipped" 0 r.Campaign.report.Campaign.skipped;
-  check_synth_outcomes_equal ~what:"after transient fault" reference r
+(* at jobs = 1 the one shard is isolated the same way: the run still
+   returns, every fault is skipped, and the job exits 5 *)
+let test_poisoned_single_shard () =
+  let ctx = { Synth.poison = (fun f -> f = 60) } in
+  let r = Synth_driver.run ctx synth_faults synth_word in
+  let rep = r.Campaign.report in
+  (match rep.Campaign.shard_failures with
+  | [ f ] ->
+      Alcotest.(check int) "shard 0" 0 f.Campaign.shard;
+      Alcotest.(check int) "every fault" 200 f.Campaign.faults
+  | l -> Alcotest.failf "expected one shard failure, got %d" (List.length l));
+  Alcotest.(check int) "every fault skipped" 200 rep.Campaign.skipped;
+  Alcotest.(check int) "no verdicts" 0 (List.length r.Campaign.verdicts);
+  Alcotest.(check int) "exit 5" 5
+    (Simcov_service.Service.campaign_exit ~fail_under:None ~interrupted:false
+       ~pct:(Campaign.coverage_pct rep) rep)
 
 let suite =
   [
@@ -761,6 +752,6 @@ let suite =
       test_checkpoint_resume_equivalence;
     Alcotest.test_case "poisoned shard is isolated and reported" `Quick
       test_poisoned_shard_isolated;
-    Alcotest.test_case "transient worker fault absorbed by retry" `Quick
-      test_transient_fault_retried;
+    Alcotest.test_case "poisoned single shard is reported, exit 5" `Quick
+      test_poisoned_single_shard;
   ]

@@ -92,7 +92,7 @@ let test_testmodel_structure () =
   let m = Testmodel.build () in
   Alcotest.(check int) "4 states" 4 m.Simcov_fsm.Fsm.n_states;
   Alcotest.(check bool) "strongly connected" true
-    (Simcov_graph.Scc.is_strongly_connected (Simcov_fsm.Fsm.transition_graph m));
+    (Oracles.Scc.is_strongly_connected (Simcov_fsm.Fsm.transition_graph m));
   Alcotest.(check (option int)) "forall-1" (Some 1)
     (Result.to_option (Simcov_fsm.Fsm.min_forall_k m))
 

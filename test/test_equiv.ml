@@ -1,5 +1,4 @@
 open Simcov_netlist
-open Simcov_symbolic
 
 let ( !! ) = Expr.( !! )
 let ( &&& ) = Expr.( &&& )
@@ -137,44 +136,13 @@ let test_retimed_not_equivalent () =
 
 (* random small circuits, cross-validated against explicit product
    equivalence *)
-let random_circuit rng ~n_inputs ~n_regs =
-  let rec gen_expr depth =
-    if depth = 0 then
-      match Simcov_util.Rng.int rng 4 with
-      | 0 -> Expr.input (Simcov_util.Rng.int rng n_inputs)
-      | 1 -> Expr.reg (Simcov_util.Rng.int rng n_regs)
-      | 2 -> Expr.tru
-      | _ -> Expr.fls
-    else
-      match Simcov_util.Rng.int rng 5 with
-      | 0 -> Expr.( !! ) (gen_expr (depth - 1))
-      | 1 -> Expr.( &&& ) (gen_expr (depth - 1)) (gen_expr (depth - 1))
-      | 2 -> Expr.( ||| ) (gen_expr (depth - 1)) (gen_expr (depth - 1))
-      | 3 -> Expr.( ^^^ ) (gen_expr (depth - 1)) (gen_expr (depth - 1))
-      | _ -> Expr.mux (gen_expr (depth - 1)) (gen_expr (depth - 1)) (gen_expr (depth - 1))
-  in
-  {
-    Circuit.name = "rand";
-    input_names = Array.init n_inputs (fun i -> Printf.sprintf "i%d" i);
-    regs =
-      Array.init n_regs (fun r ->
-          {
-            Circuit.name = Printf.sprintf "r%d" r;
-            group = "g";
-            init = Simcov_util.Rng.bool rng;
-            next = gen_expr 3;
-          });
-    outputs = [| { Circuit.port_name = "o"; expr = gen_expr 3 } |];
-    input_constraint = Expr.tru;
-  }
-
 let qcheck_equiv_vs_explicit =
   QCheck.Test.make ~name:"equiv: symbolic checker agrees with explicit product machine"
     ~count:60
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let rng = Simcov_util.Rng.create seed in
-      let a = random_circuit rng ~n_inputs:2 ~n_regs:3 in
+      let a = Gen_circuit.random_circuit ~n_inputs:2 ~n_regs:3 rng in
       (* b: either a copy of a (equivalent) or a mutated output *)
       let mutate = Simcov_util.Rng.bool rng in
       let b =

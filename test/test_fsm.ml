@@ -84,7 +84,7 @@ let test_transition_graph () =
   let g = Fsm.transition_graph counter3 in
   Alcotest.(check int) "6 edges" 6 (Simcov_graph.Digraph.n_edges g);
   Alcotest.(check bool) "strongly connected" true
-    (Simcov_graph.Scc.is_strongly_connected g)
+    (Oracles.Scc.is_strongly_connected g)
 
 let test_equivalent_same () =
   match Fsm.equivalent counter3 counter3 with
@@ -335,7 +335,7 @@ let test_random_connected_is_connected () =
     let m = Fsm.random_connected rng ~n_states:8 ~n_inputs:2 ~n_outputs:3 in
     Alcotest.(check int) "all states reachable" 8 (Fsm.n_reachable m);
     Alcotest.(check bool) "transition graph SC" true
-      (Simcov_graph.Scc.is_strongly_connected (Fsm.transition_graph m))
+      (Oracles.Scc.is_strongly_connected (Fsm.transition_graph m))
   done
 
 let qcheck_minimize_equivalent =

@@ -140,26 +140,6 @@ let test_budget_skip () =
         (List.mem p r.Fsm_lint.passes))
     r.Fsm_lint.skipped
 
-let test_json_round_trip () =
-  List.iter
-    (fun (name, suite, m) ->
-      let r = Fsm_lint.run ~name ?suite m in
-      let text = Json.to_string (Fsm_lint.to_json r) in
-      match Json.parse text with
-      | Error e -> Alcotest.failf "%s does not re-parse: %s" name e
-      | Ok j -> (
-          match Fsm_lint.of_json j with
-          | Error e -> Alcotest.failf "%s schema mismatch: %s" name e
-          | Ok r' ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s identical after round trip" name)
-                true (r = r')))
-    [
-      ("counter3", Some [ [ 0; 0; 0 ]; [ 1 ] ], counter3);
-      ("oneway", None, oneway);
-      ("nonminimal", None, nonminimal);
-    ]
-
 (* ---- QCheck properties ---- *)
 
 (* duplicate the reset state (clone its rows, redirect one incoming
@@ -249,7 +229,6 @@ let suite =
     Alcotest.test_case "suite cover prediction" `Quick test_suite_cover;
     Alcotest.test_case "suite invalid word" `Quick test_suite_invalid_word;
     Alcotest.test_case "budget skips recorded" `Quick test_budget_skip;
-    Alcotest.test_case "json round trip" `Quick test_json_round_trip;
     QCheck_alcotest.to_alcotest qcheck_minimized_is_minimal;
     QCheck_alcotest.to_alcotest qcheck_duplicate_state_caught;
     QCheck_alcotest.to_alcotest qcheck_suite_cover_matches_simulation;

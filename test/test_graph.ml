@@ -41,13 +41,13 @@ let test_digraph_reverse () =
 
 let test_scc_single_cycle () =
   let g = build_graph 3 [ (0, 1); (1, 2); (2, 0) ] in
-  Alcotest.(check bool) "cycle is SC" true (Scc.is_strongly_connected g)
+  Alcotest.(check bool) "cycle is SC" true (Oracles.Scc.is_strongly_connected g)
 
 let test_scc_two_components () =
   let g = build_graph 4 [ (0, 1); (1, 0); (2, 3); (3, 2); (1, 2) ] in
   let _, k = Scc.components g in
   Alcotest.(check int) "two components" 2 k;
-  Alcotest.(check bool) "not SC" false (Scc.is_strongly_connected g)
+  Alcotest.(check bool) "not SC" false (Oracles.Scc.is_strongly_connected g)
 
 let test_scc_topological_order () =
   (* edge 1 -> 2 crosses components {0,1} -> {2,3}; Tarjan numbers the

@@ -66,10 +66,7 @@ let test_kernels_expose_bugs () =
     List.filter
       (fun (_, bugs) ->
         List.exists
-          (fun k ->
-            match Validate.run_program ~bugs (assemble k) with
-            | Validate.Fail _ -> true
-            | Validate.Pass _ -> false)
+          (fun k -> Oracles.Validate.detects_bug ~program:(assemble k) bugs)
           Programs.all)
       Pipeline.bug_catalog
   in

@@ -168,6 +168,41 @@ let test_job_defaults_and_errors () =
       ("coverage", "checkpoint_every", 0, true);
       ("coverage", "checkpoint_every", 1, false);
       ("coverage", "checkpoint_every", max_int, false);
+    ];
+  (* every job's budget: timeout_s a finite number >= 0, max_nodes a
+     positive integer *)
+  List.iter
+    (fun (name, v, bad) ->
+      check bool
+        (Printf.sprintf "%s=%s %s" name (Json.to_string v)
+           (if bad then "rejected" else "accepted"))
+        bad
+        (rejected (Json.Obj [ ("kind", Json.String "stats"); (name, v) ])))
+    [
+      ("timeout_s", Json.Float (-1.), true);
+      ("timeout_s", Json.Int (-1), true);
+      ("timeout_s", Json.Float Float.nan, true);
+      ("timeout_s", Json.Float Float.infinity, true);
+      ("timeout_s", Json.Float 0., false);
+      ("timeout_s", Json.Int 0, false);
+      ("timeout_s", Json.Float 0.5, false);
+      ("max_nodes", Json.Int (-5), true);
+      ("max_nodes", Json.Int 0, true);
+      ("max_nodes", Json.Int 1, false);
+      ("max_nodes", Json.Int max_int, false);
+    ];
+  (* the smallest accepted budgets run and stop on the resource limit
+     (exit 3) instead of failing inside Budget.create *)
+  List.iter
+    (fun (what, job) ->
+      let o = Service.run job in
+      check int (what ^ ": exit 3") 3 o.Service.exit_code;
+      check bool (what ^ ": no Invalid_argument") false
+        (contains (Option.value o.Service.error ~default:"") "Invalid_argument"))
+    [
+      ( "timeout_s 0",
+        Job.make ~timeout_s:0. (Job.Coverage (Job.default_coverage ~model:"dlx")) );
+      ("max_nodes 1", Job.make ~max_nodes:1 (Job.Stats Job.default_stats));
     ]
 
 let test_envelope_shape () =
@@ -284,7 +319,7 @@ let test_cache_crc_collision () =
       check int "two distinct resolutions" 2 misses)
 
 let test_cache_observable_in_metrics () =
-  let reg = Obs.registry ~label:"cache-metrics" in
+  let reg = Obs.registry () in
   Obs.with_registry reg (fun () ->
       let c = Model_cache.create () in
       ignore (Model_cache.circuit_of_spec c "dlx-control");
@@ -318,6 +353,69 @@ let test_warm_cache_identical_report () =
   check string "warm report is byte-identical" cold warm;
   let hits, _, _ = Model_cache.counts cache in
   check bool "second run hit the cache" true (hits > 0)
+
+(* a shard lost in either validate-dlx campaign exits 5, as a lost
+   coverage shard does: the report alone would read as a pass with
+   fewer faults evaluated *)
+let test_validate_lost_shard_exit () =
+  let module M = Simcov_core.Methodology in
+  let module C = Simcov_campaign.Campaign in
+  let r = M.validate_dlx () in
+  check int "healthy run exits 0" 0 (Service.validate_exit r);
+  let lost (rep : _ C.report) =
+    {
+      rep with
+      C.shard_failures = [ { C.shard = 1; faults = 150; error = "Failure(\"x\")" } ];
+      skipped = rep.C.skipped + 150;
+    }
+  in
+  check int "lost FSM shard exits 5" 5
+    (Service.validate_exit
+       { r with M.fsm_fault_coverage = lost r.M.fsm_fault_coverage });
+  check int "lost bug shard exits 5" 5
+    (Service.validate_exit { r with M.bug_coverage = lost r.M.bug_coverage })
+
+(* an unwritable covdb path fails the job cleanly (exit 4, the path in
+   the error) at every jobs value, whether the first periodic flush or
+   the final save hits it, and so does merge -o *)
+let test_unwritable_covdb_path () =
+  let bad = "/nonexistent/dir/x.covdb" in
+  let check_failed what (o : Service.outcome) path =
+    check int (what ^ ": exit 4") 4 o.Service.exit_code;
+    check bool (what ^ ": failed") true (Service.status_of o = Job.Failed);
+    check bool (what ^ ": not interrupted") false o.Service.interrupted;
+    match o.Service.error with
+    | Some e -> check bool (what ^ ": names the path") true (contains e path)
+    | None -> failf "%s: no error" what
+  in
+  List.iter
+    (fun (jobs, every) ->
+      let job =
+        Job.make
+          (Job.Coverage
+             {
+               (Job.default_coverage ~model:"dlx") with
+               Job.cov_checkpoint = Some bad;
+               cov_checkpoint_every = every;
+               cov_jobs = jobs;
+             })
+      in
+      check_failed
+        (Printf.sprintf "coverage jobs=%d every=%d" jobs every)
+        (Service.run job) bad)
+    [ (1, 1); (2, 1); (1, max_int); (2, max_int) ];
+  let dir = Filename.temp_file "simcov-unwritable" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let cp = Filename.concat dir "ok.covdb" in
+  check int "a snapshot to merge" 0
+    (Service.run (coverage_job ~checkpoint:cp ())).Service.exit_code;
+  let out = "/nonexistent/out.covdb" in
+  check_failed "merge"
+    (Service.run (Job.make (Job.Merge { inputs = [ cp ]; output = out })))
+    out;
+  Sys.remove cp;
+  Unix.rmdir dir
 
 let test_cancellation_leaves_loadable_checkpoint () =
   let dir = Filename.temp_file "simcov-svc" "" in
@@ -611,23 +709,29 @@ let test_daemon_roundtrip () =
           | Some (Json.List [ _ ]) -> ()
           | _ -> fail "expected exactly one listed job")
       | Error e -> failf "jobs: %s" e);
-      (* out-of-range lanes: a rejected envelope with exit code 6, not
-         a gigabyte-sized batch *)
-      (match
-         Daemon.submit ~socket
-           (Job.make
+      (* out-of-range lanes or budgets: a rejected envelope with exit
+         code 6, not a gigabyte-sized batch or an internal error from
+         Budget.create *)
+      List.iter
+        (fun (what, job) ->
+          match Daemon.submit ~socket job with
+          | Ok env ->
+              check (option string) (what ^ " rejected") (Some "rejected")
+                (Option.bind (Json.member "status" env) Json.to_string_opt);
+              check (option int) (what ^ " exit code") (Some 6)
+                (Option.bind (Json.member "exit_code" env) Json.to_int_opt)
+          | Error e -> failf "%s submit: %s" what e)
+        [
+          ( "lanes 16777216",
+            Job.make
               (Job.Coverage
                  {
                    (Job.default_coverage ~model:"dlx") with
                    Job.cov_lanes = 16_777_216;
-                 }))
-       with
-      | Ok env ->
-          check (option string) "oversized lanes rejected" (Some "rejected")
-            (Option.bind (Json.member "status" env) Json.to_string_opt);
-          check (option int) "rejection exit code" (Some 6)
-            (Option.bind (Json.member "exit_code" env) Json.to_int_opt)
-      | Error e -> failf "oversized submit: %s" e);
+                 }) );
+          ("timeout_s -1", Job.make ~timeout_s:(-1.) (Job.Stats Job.default_stats));
+          ("max_nodes 0", Job.make ~max_nodes:0 (Job.Stats Job.default_stats));
+        ];
       (* malformed job: a rejected envelope with exit code 6, not a
          dropped connection *)
       match
@@ -804,4 +908,8 @@ let suite =
     test_case "daemon: hang-up stops the job at a checkpoint" `Quick
       test_daemon_hangup_stops_job;
     test_case "daemon: job history is bounded" `Quick test_daemon_bounded_history;
+    test_case "unwritable covdb path fails with exit 4" `Quick
+      test_unwritable_covdb_path;
+    test_case "validate-dlx: a lost shard exits 5" `Quick
+      test_validate_lost_shard_exit;
   ]

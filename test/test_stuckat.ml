@@ -1,6 +1,10 @@
 open Simcov_netlist
 open Simcov_coverage
 
+module Campaign = Simcov_campaign.Campaign
+
+let campaign c faults word = (Stuckat.campaign_outcome c faults word).Campaign.report
+
 let ( !! ) = Expr.( !! )
 let ( &&& ) = Expr.( &&& )
 let ( ^^^ ) = Expr.( ^^^ )
@@ -28,31 +32,31 @@ let test_full_word_covers_all () =
   (* the stimulus must exercise both en polarities: an always-enabled
      word can never expose en-stuck-at-1 *)
   let word = enabled 4 @ [ [| false |] ] @ enabled 6 in
-  let r = Stuckat.campaign c (Stuckat.all_faults c) word in
-  Alcotest.(check int) "all detected" r.Stuckat.total r.Stuckat.detected;
+  let r = campaign c (Stuckat.all_faults c) word in
+  Alcotest.(check int) "all detected" r.Campaign.total r.Campaign.detected;
   Alcotest.(check (float 0.01)) "100%" 100.0 (Stuckat.coverage_pct r)
 
 let test_idle_word_misses () =
   let c = counter () in
   (* with en = 0 forever, the output is stuck false anyway: only the
      en-stuck-at-1 fault changes anything *)
-  let r = Stuckat.campaign c (Stuckat.all_faults c) (List.init 8 (fun _ -> [| false |])) in
-  Alcotest.(check bool) "some missed" true (List.length r.Stuckat.missed > 0)
+  let r = campaign c (Stuckat.all_faults c) (List.init 8 (fun _ -> [| false |])) in
+  Alcotest.(check bool) "some missed" true (List.length r.Campaign.missed > 0)
 
 let test_specific_fault () =
   let c = counter () in
   (* b0 stuck at 0: the counter can never leave even states; wrap never
      fires *)
   let f = { Stuckat.site = Stuckat.Reg_output 0; stuck = false } in
-  Alcotest.(check bool) "detected by full count" true (Stuckat.detects c f (enabled 4));
-  Alcotest.(check bool) "not detected by 1 step" false (Stuckat.detects c f (enabled 1))
+  Alcotest.(check bool) "detected by full count" true (Oracles.Stuckat.detects c f (enabled 4));
+  Alcotest.(check bool) "not detected by 1 step" false (Oracles.Stuckat.detects c f (enabled 1))
 
 let test_input_stuck () =
   let c = counter () in
   let f = { Stuckat.site = Stuckat.Primary_input 0; stuck = true } in
   (* driving en=0 while it is stuck at 1 diverges once the count wraps *)
   Alcotest.(check bool) "detected" true
-    (Stuckat.detects c f (List.init 8 (fun _ -> [| false |])))
+    (Oracles.Stuckat.detects c f (List.init 8 (fun _ -> [| false |])))
 
 let test_tour_stuckat_coverage () =
   (* the transition tour exercises every (state, input) pair, which on
@@ -64,7 +68,7 @@ let test_tour_stuckat_coverage () =
   | None -> Alcotest.fail "tour"
   | Some t ->
       let word = List.map (fun i -> [| i = 1 |]) t.Simcov_testgen.Tour.word in
-      let r = Stuckat.campaign c (Stuckat.all_faults c) word in
+      let r = campaign c (Stuckat.all_faults c) word in
       Alcotest.(check (float 0.01)) "tour: 100% stuck-at" 100.0 (Stuckat.coverage_pct r)
 
 let test_bdd_to_dot () =

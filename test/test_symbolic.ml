@@ -167,33 +167,6 @@ let qcheck_partitioned_fsm =
       in
       check_partitioned_against_oracle (of_fsm m))
 
-let random_circuit rng =
-  let open Simcov_util in
-  let open Circuit.Build in
-  let n_regs = 1 + Rng.int rng 4 in
-  let n_inputs = 1 + Rng.int rng 3 in
-  let ctx = create "rand" in
-  let inputs = Array.init n_inputs (fun i -> input ctx (Printf.sprintf "i%d" i)) in
-  let regs =
-    Array.init n_regs (fun i -> reg ctx ~init:(Rng.bool rng) (Printf.sprintf "r%d" i))
-  in
-  let leaves = Array.append inputs regs in
-  let rec rexpr depth =
-    if depth = 0 then Rng.pick rng leaves
-    else
-      match Rng.int rng 6 with
-      | 0 -> Expr.( !! ) (rexpr (depth - 1))
-      | 1 -> Expr.( &&& ) (rexpr (depth - 1)) (rexpr (depth - 1))
-      | 2 -> Expr.( ||| ) (rexpr (depth - 1)) (rexpr (depth - 1))
-      | 3 -> Expr.( ^^^ ) (rexpr (depth - 1)) (rexpr (depth - 1))
-      | 4 -> Expr.mux (rexpr (depth - 1)) (rexpr (depth - 1)) (rexpr (depth - 1))
-      | _ -> Rng.pick rng leaves
-  in
-  Array.iter (fun r -> assign ctx r (rexpr 3)) regs;
-  output ctx "o" (rexpr 2);
-  if Rng.int rng 3 = 0 then constrain ctx (Expr.( ||| ) inputs.(0) (rexpr 1));
-  finish ctx
-
 let qcheck_partitioned_circuit =
   QCheck.Test.make
     ~name:"symfsm: partitioned image/preimage/reachable = monolithic (random circuits)"
@@ -201,7 +174,8 @@ let qcheck_partitioned_circuit =
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Simcov_util.Rng.create seed in
-      check_partitioned_against_oracle (of_circuit (random_circuit rng)))
+      check_partitioned_against_oracle
+        (of_circuit (Gen_circuit.random_circuit ~constrained:true rng)))
 
 (* regression on the DLX test model: frontier-based and full-set
    traversal must produce the identical fixpoint in the identical

@@ -24,7 +24,7 @@ let test_model_shape () =
   Alcotest.(check int) "all reachable" 28 (Fsm.n_reachable model);
   Alcotest.(check int) "28 * 122 transitions" (28 * 122) (Fsm.n_transitions model);
   Alcotest.(check bool) "strongly connected" true
-    (Simcov_graph.Scc.is_strongly_connected (Fsm.transition_graph model))
+    (Oracles.Scc.is_strongly_connected (Fsm.transition_graph model))
 
 let code c = Testmodel.input_code cfg c
 
@@ -134,7 +134,7 @@ let test_destless_model_small () =
   let m = Testmodel.build { cfg with Testmodel.track_dest = false } in
   Alcotest.(check int) "6 states" 6 m.Fsm.n_states;
   Alcotest.(check bool) "still connected" true
-    (Simcov_graph.Scc.is_strongly_connected (Fsm.transition_graph m))
+    (Oracles.Scc.is_strongly_connected (Fsm.transition_graph m))
 
 (* ---- concretization ---- *)
 
