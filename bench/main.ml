@@ -148,13 +148,7 @@ let exp_thm3 () =
     Simcov_testgen.Tour.random_word rng model ~length:(List.length cpp / 10)
   in
   let rand_short = Simcov_testgen.Tour.random_word rng model ~length:120 in
-  let n_outputs =
-    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions model)
-  in
-  let faults =
-    Simcov_coverage.Fault.sample_transfer_faults rng model ~count:300
-    @ Simcov_coverage.Fault.sample_output_faults rng model ~n_outputs ~count:300
-  in
+  let faults = Simcov_coverage.Fault.sample_faults rng model ~count:300 in
   let t =
     Tabulate.create
       [ "test set"; "length"; "state cov"; "transition cov"; "fault coverage" ]

@@ -131,14 +131,11 @@ let common_term =
   in
   Term.(const build $ timeout $ max_nodes $ metrics $ trace $ json)
 
-let budget_of_common c =
-  match (c.timeout_s, c.max_nodes) with
-  | None, None -> Budget.unlimited
-  | timeout_s, max_nodes -> Budget.create ?timeout_s ?max_nodes ()
-
 (* legacy budget term for the non-job commands (model) *)
 let budget_term =
-  Term.(const (fun c -> budget_of_common c) $ common_term)
+  Term.(
+    const (fun c -> Job.budget ~timeout_s:c.timeout_s ~max_nodes:c.max_nodes)
+    $ common_term)
 
 (* map resource exhaustion escaping a non-job subcommand to exit 3 *)
 let guarded f =
@@ -243,6 +240,12 @@ let with_interrupt f =
       Sys.set_signal Sys.sigterm prev_term)
     (fun () -> f (fun () -> Atomic.get interrupted))
 
+(* flag defaults come from the [Job] default records: a bare subcommand
+   runs the job an empty params object describes *)
+let validate_defaults = Job.default_validate
+let coverage_defaults = Job.default_coverage ~model:"dlx"
+let lint_defaults = Job.default_lint ~model:"dlx-test"
+
 let config_term =
   let regs =
     let sizes = List.map (fun n -> (string_of_int n, n)) Job.regs_values in
@@ -250,7 +253,7 @@ let config_term =
       Printf.sprintf "Number of registers in the reduced file: %s."
         (Arg.doc_alts_enum sizes)
     in
-    Arg.(value & opt (enum sizes) 4 & info [ "regs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (enum sizes) validate_defaults.Job.va_regs & info [ "regs" ] ~docv:"N" ~doc)
   in
   let no_track =
     let doc =
@@ -272,16 +275,16 @@ let config_term =
   in
   Term.(const build $ regs $ no_track $ no_obs)
 
-let seed_term =
-  Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+let seed_term default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 (* ---- campaign parallelism (--jobs / --lanes) ---- *)
 
-let parallel_term =
+let parallel_term ~jobs ~lanes =
   let jobs =
     Arg.(
       value
-      & opt (bounded_int ~name:"--jobs" Job.jobs_range) 1
+      & opt (bounded_int ~name:"--jobs" Job.jobs_range) jobs
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Shard the campaign's faults across $(docv) domains. The merged \
@@ -291,7 +294,7 @@ let parallel_term =
   let lanes =
     Arg.(
       value
-      & opt (bounded_int ~name:"--lanes" Job.lanes_range) Sys.int_size
+      & opt (bounded_int ~name:"--lanes" Job.lanes_range) lanes
       & info [ "lanes" ] ~docv:"N"
           ~doc:
             "Mutant lanes per simulation pass of an FSM-fault campaign. Up \
@@ -315,7 +318,7 @@ let reorder_term =
   in
   Arg.(
     value
-    & opt mode Job.Reorder_off
+    & opt mode Job.default_stats.Job.st_reorder
     & info [ "reorder" ] ~docv:"MODE"
         ~doc:
           "BDD dynamic variable reordering (Rudell sifting) for the symbolic \
@@ -327,7 +330,7 @@ let reorder_term =
 
 (* ---- validate-dlx ---- *)
 
-let validate_dlx config seed (jobs, lanes) reorder common =
+let validate_dlx config seed (jobs, lanes) common =
   let p =
     {
       Job.va_regs = config.Simcov_dlx.Testmodel.n_regs;
@@ -336,7 +339,6 @@ let validate_dlx config seed (jobs, lanes) reorder common =
       va_seed = seed;
       va_lanes = lanes;
       va_jobs = jobs;
-      va_reorder = reorder;
     }
   in
   run_job common
@@ -348,8 +350,9 @@ let validate_cmd =
   Cmd.v
     (cmd_info "validate-dlx" ~doc)
     Term.(
-      const validate_dlx $ config_term $ seed_term $ parallel_term
-      $ reorder_term $ common_term)
+      const validate_dlx $ config_term $ seed_term validate_defaults.Job.va_seed
+      $ parallel_term ~jobs:validate_defaults.Job.va_jobs ~lanes:validate_defaults.Job.va_lanes
+      $ common_term)
 
 (* ---- tour ---- *)
 
@@ -685,7 +688,7 @@ let lint_cmd =
   let k_bound =
     Arg.(
       value
-      & opt (bounded_int ~name:"--k-bound" Job.k_bound_range) 8
+      & opt (bounded_int ~name:"--k-bound" Job.k_bound_range) lint_defaults.Job.li_k_bound
       & info [ "k-bound" ] ~docv:"K"
           ~doc:"With $(b,--fsm): bound of the forall-k-distinguishability search.")
   in
@@ -720,7 +723,7 @@ let lint_cmd =
     in
     Arg.(
       value
-      & opt sev Simcov_analysis.Diag.Error
+      & opt sev lint_defaults.Job.li_fail_on
       & info [ "fail-on" ] ~docv:"SEVERITY"
           ~doc:"Exit 1 when a diagnostic of $(docv) (or higher) is reported.")
   in
@@ -747,7 +750,8 @@ let persist_term =
   let every =
     Arg.(
       value
-      & opt (bounded_int ~name:"--checkpoint-every" Job.checkpoint_every_range) 1
+      & opt (bounded_int ~name:"--checkpoint-every" Job.checkpoint_every_range)
+          coverage_defaults.Job.cov_checkpoint_every
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Flush the checkpoint after every $(docv) completed batches.")
   in
@@ -785,7 +789,7 @@ let coverage_run model kind seed count steps fail_under progress (jobs, lanes)
   let p =
     {
       Job.cov_model = model;
-      cov_faults = (match kind with `Fsm -> Job.Fsm_faults | `Stuckat -> Job.Stuckat_faults);
+      cov_faults = kind;
       cov_seed = seed;
       cov_count = count;
       cov_steps = steps;
@@ -827,9 +831,9 @@ let coverage_cmd =
              builtin ($(b,dlx-control), $(b,dlx-test)) or a circuit file.")
   in
   let kind =
-    let k = Arg.enum [ ("fsm", `Fsm); ("stuckat", `Stuckat) ] in
+    let k = Arg.enum [ ("fsm", Job.Fsm_faults); ("stuckat", Job.Stuckat_faults) ] in
     Arg.(
-      value & opt k `Fsm
+      value & opt k coverage_defaults.Job.cov_faults
       & info [ "faults" ] ~docv:"KIND"
           ~doc:
             "Fault model: $(b,fsm) (transfer + output error-model mutants on the \
@@ -838,13 +842,13 @@ let coverage_cmd =
   in
   let count =
     Arg.(
-      value & opt (bounded_int ~name:"--count" Job.count_range) 150
+      value & opt (bounded_int ~name:"--count" Job.count_range) coverage_defaults.Job.cov_count
       & info [ "count" ] ~docv:"N"
           ~doc:"FSM faults sampled per kind (transfer, output).")
   in
   let steps =
     Arg.(
-      value & opt (bounded_int ~name:"--steps" Job.steps_range) 256
+      value & opt (bounded_int ~name:"--steps" Job.steps_range) coverage_defaults.Job.cov_steps
       & info [ "steps" ] ~docv:"N" ~doc:"Stimulus length for stuck-at campaigns.")
   in
   let fail_under =
@@ -862,8 +866,10 @@ let coverage_cmd =
   Cmd.v
     (cmd_info "coverage" ~doc)
     Term.(
-      const coverage_run $ model $ kind $ seed_term $ count $ steps $ fail_under
-      $ progress $ parallel_term $ persist_term $ common_term)
+      const coverage_run $ model $ kind $ seed_term coverage_defaults.Job.cov_seed $ count
+      $ steps $ fail_under $ progress
+      $ parallel_term ~jobs:coverage_defaults.Job.cov_jobs ~lanes:coverage_defaults.Job.cov_lanes
+      $ persist_term $ common_term)
 
 (* ---- merge / minimize: offline aggregation of coverage snapshots ---- *)
 

@@ -306,8 +306,8 @@ let masking_word (m : Fsm.t) ~k s t =
   in
   go s t 0 []
 
-let check_distinguishability (m : Fsm.t) ~k_bound =
-  match Fsm.min_forall_k ~bound:k_bound m with
+let check_distinguishability (m : Fsm.t) { Tour.k_bound; forall_k; _ } =
+  match forall_k with
   | Ok k ->
       ( [
           Diag.make ~code:"SA630" ~severity:Diag.Info ~pass:"distinguishability"
@@ -353,55 +353,55 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
      Conditional_output fault at site (s, i) conditioned on
      predecessor transition p fires only when the tour traverses
      (s, i) immediately after p. The check is purely structural: one
-     replay of the tour collects, per site, the set of predecessor
-     contexts actually exercised; any graph predecessor outside that
-     set is a concrete escaping fault — no per-fault simulation
-     needed. *)
-  let contexts = Hashtbl.create 256 in
-  (* (site, prev) pairs the tour exercises *)
-  let prev = ref None in
-  let s = ref m.Fsm.reset in
-  List.iter
-    (fun i ->
-      if m.Fsm.valid !s i then begin
-        (match !prev with
-        | Some p -> Hashtbl.replace contexts ((!s, i), p) ()
-        | None -> ());
-        prev := Some (!s, i);
-        s := m.Fsm.next !s i
-      end)
-    word;
-  let incoming = Hashtbl.create 64 in
-  List.iter
-    (fun (s, i, s', _) ->
-      Hashtbl.replace incoming s'
-        ((s, i) :: (Option.value ~default:[] (Hashtbl.find_opt incoming s'))))
-    transitions;
+     replay of the tour collects the distinct (site, predecessor)
+     contexts it exercises, and since every transition into s is a
+     context of (s, i), the site's escaping faults number the
+     in-degree of s minus the contexts exercised there. *)
+  let ni = m.Fsm.n_inputs in
+  let contexts = Hashtbl.create 256 and exercised = Hashtbl.create 256 in
+  let n_exercised site = Option.value ~default:0 (Hashtbl.find_opt exercised site) in
+  ignore
+    (List.fold_left
+       (fun (s, prev) i ->
+         if not (m.Fsm.valid s i) then (s, prev)
+         else begin
+           let site = (s * ni) + i in
+           if prev >= 0 && not (Hashtbl.mem contexts (site, prev)) then begin
+             Hashtbl.add contexts (site, prev) ();
+             Hashtbl.replace exercised site (n_exercised site + 1)
+           end;
+           (m.Fsm.next s i, site)
+         end)
+       (m.Fsm.reset, -1) word);
+  let in_degree = Array.make m.Fsm.n_states 0 in
+  List.iter (fun (_, _, s', _) -> in_degree.(s') <- in_degree.(s') + 1) transitions;
   let r1 = ref 0 and sites = ref 0 and example = ref None in
   List.iter
     (fun (s, i, _, o) ->
-      let preds = Option.value ~default:[] (Hashtbl.find_opt incoming s) in
-      if List.length preds >= 2 then begin
-        let escaping =
-          List.filter (fun p -> not (Hashtbl.mem contexts ((s, i), p))) preds
-        in
-        if escaping <> [] then begin
-          incr sites;
-          r1 := !r1 + List.length escaping;
-          if !example = None then
-            example := Some (s, i, o, List.hd escaping)
-        end
+      let escaping = in_degree.(s) - n_exercised ((s * ni) + i) in
+      if in_degree.(s) >= 2 && escaping > 0 then begin
+        incr sites;
+        r1 := !r1 + escaping;
+        if !example = None then example := Some (s, i, o)
       end)
     transitions;
   (match !example with
-  | Some (s, i, o, p) when !r1 > 0 ->
+  | Some (s, i, o) ->
+      (* its predecessor: the last transition into s, in transition
+         order, that the tour never takes right before (s, i) *)
+      let p =
+        List.fold_left
+          (fun p (ps, pi, s', _) ->
+            if s' = s && not (Hashtbl.mem contexts ((s * ni) + i, (ps * ni) + pi))
+            then (ps, pi)
+            else p)
+          (-1, -1) transitions
+      in
       let fault =
         Fault.Conditional_output { state = s; input = i; wrong_output = o + 1; prev = p }
       in
       (* sanity: the static claim agrees with lockstep simulation *)
-      let escapes =
-        (not (Fault.is_effective m fault)) || not (Detect.detects m fault word)
-      in
+      let escapes = (Detect.campaign m [ fault ] word).Detect.detected = 0 in
       add
         (Diag.make ~code:"SA640" ~severity:Diag.Warning ~pass:"fault-structural"
            ~loc:(Diag.State (m.Fsm.state_name s))
@@ -419,48 +419,43 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
               (trans_name m s i)
               (trans_name m (fst p) (snd p))
               (if escapes then "" else " (exposed elsewhere on this tour)")))
-  | _ -> ());
-  (* R4: masked transfer errors on the tour *)
+  | None -> ());
+  (* R4: masked transfer errors — the campaign engine's missed faults
+     (effective, excited, undetected), in fault order *)
   let n_pop = List.length transitions * max 0 (Fsm.n_reachable m - 1) in
   let faults =
     if n_pop <= 2000 then Fault.all_transfer_faults m
     else Fault.sample_transfer_faults rng m ~count:200
   in
-  let r4 = ref 0 in
-  List.iter
-    (fun fault ->
+  let masked = (Detect.campaign m faults word).Detect.missed in
+  List.iteri
+    (fun idx fault ->
       match fault with
-      | Fault.Transfer { state = s; input = i; wrong_next } ->
-          let v = Detect.run_verdict m fault word in
-          if v.Detect.excited && not v.Detect.detected then begin
-            incr r4;
-            if !r4 <= cap then begin
-              let window =
-                match Detect.masked_windows m (Fault.apply m fault) word with
-                | (j, l) :: _ ->
-                    Printf.sprintf "masked over tour steps %d..%d" j l
-                | [] -> "never exposed before the tour ends"
-              in
-              add
-                (Diag.make ~code:"SA641" ~severity:Diag.Warning
-                   ~pass:"fault-structural"
-                   ~loc:(Diag.State (m.Fsm.state_name s))
-                   ~related:[ Format.asprintf "%a" Fault.pp fault ]
-                   (Printf.sprintf
-                      "transfer error %s to %s is excited but %s: Requirement 4 \
-                       (no masked transfer errors) does not hold on this tour"
-                      (trans_name m s i)
-                      (m.Fsm.state_name wrong_next)
-                      window))
-            end
-          end
+      | Fault.Transfer { state = s; input = i; wrong_next } when idx < cap ->
+          let window =
+            match Detect.masked_windows m (Fault.apply m fault) word with
+            | (j, l) :: _ -> Printf.sprintf "masked over tour steps %d..%d" j l
+            | [] -> "never exposed before the tour ends"
+          in
+          add
+            (Diag.make ~code:"SA641" ~severity:Diag.Warning
+               ~pass:"fault-structural"
+               ~loc:(Diag.State (m.Fsm.state_name s))
+               ~related:[ Format.asprintf "%a" Fault.pp fault ]
+               (Printf.sprintf
+                  "transfer error %s to %s is excited but %s: Requirement 4 \
+                   (no masked transfer errors) does not hold on this tour"
+                  (trans_name m s i)
+                  (m.Fsm.state_name wrong_next)
+                  window))
       | _ -> ())
-    faults;
-  if !r4 > cap then
+    masked;
+  let r4 = List.length masked in
+  if r4 > cap then
     add
       (Diag.make ~code:"SA641" ~severity:Diag.Warning ~pass:"fault-structural"
          ~loc:Diag.Whole_circuit
-         (Printf.sprintf "%d more masked transfer errors" (!r4 - cap)));
+         (Printf.sprintf "%d more masked transfer errors" (r4 - cap)));
   List.rev !diags
 
 (* ---- suite-cover ---- *)
@@ -550,26 +545,27 @@ let check_suite (m : Fsm.t) words =
 
 (* ---- orchestration ---- *)
 
-let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?(seed = 7)
-    ?suite (m : Fsm.t) =
+let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
+    ?(seed = 7) ?suite (m : Fsm.t) =
   let diags = ref [] and passes = ref [] and skipped = ref [] in
   let truncated = ref None in
   let pass id f =
     if !truncated <> None then skipped := id :: !skipped
     else
-      try
-        Budget.step budget;
-        passes := id :: !passes;
-        diags := !diags @ f ()
-      with Budget.Budget_exceeded r ->
-        truncated := Some r;
-        (match !passes with p :: rest when p = id -> passes := rest | _ -> ());
-        skipped := id :: !skipped
+      match Budget.step budget with
+      | () ->
+          passes := id :: !passes;
+          diags := !diags @ f ()
+      | exception Budget.Budget_exceeded r ->
+          truncated := Some r;
+          skipped := id :: !skipped
   in
   let seen = Fsm.reachable m in
+  (* Theorem 1's facts: the caller's, or solved on first use (never
+     on a malformed machine) *)
+  let facts = match facts with Some f -> lazy f | None -> lazy (Tour.facts ~k_bound m) in
   let n_sccs = ref 1 in
   let certified_k = ref None in
-  let classes = ref [||] in
   let n_classes = ref 0 in
   let suite_out = ref None in
   pass "well-formed" (fun () -> check_well_formed m seen);
@@ -581,7 +577,6 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?(seed = 7)
         ds);
     pass "minimality" (fun () ->
         let _, cls = Fsm.minimize m in
-        classes := cls;
         let reps = Hashtbl.create 16 in
         Array.iter (fun c -> if c >= 0 then Hashtbl.replace reps c ()) cls;
         n_classes := Hashtbl.length reps;
@@ -589,14 +584,14 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?(seed = 7)
     let minimal = not (List.exists (fun d -> d.Diag.code = "SA620") !diags) in
     if minimal then
       pass "distinguishability" (fun () ->
-          let ds, k = check_distinguishability m ~k_bound in
+          let ds, k = check_distinguishability m (Lazy.force facts) in
           certified_k := k;
           ds)
     else
       (* equivalent pairs defeat ∀k for every k: SA620 already says so;
          a masking-word witness per pair would be noise *)
       skipped := "distinguishability" :: !skipped;
-    (match Tour.transition_tour m with
+    (match (Lazy.force facts).Tour.tour with
     | Some tour ->
         pass "fault-structural" (fun () ->
             let k = Option.value ~default:1 !certified_k in
@@ -612,23 +607,9 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?(seed = 7)
             suite_out := Some sr;
             ds)
   end;
-  let order id =
-    match id with
-    | "well-formed" -> 0
-    | "connectivity" -> 1
-    | "minimality" -> 2
-    | "distinguishability" -> 3
-    | "fault-structural" -> 4
-    | "suite-cover" -> 5
-    | _ -> 6
-  in
-  let by_order l = List.sort (fun a b -> Int.compare (order a) (order b)) l in
-  let passes = by_order (List.sort_uniq compare !passes) in
-  let skipped =
-    by_order
-      (List.sort_uniq compare !skipped
-      |> List.filter (fun s -> not (List.mem s passes)))
-  in
+  (* each pass is scheduled once, in run order, and lands in exactly
+     one of the two lists *)
+  let passes = List.rev !passes and skipped = List.rev !skipped in
   {
     name;
     stats =

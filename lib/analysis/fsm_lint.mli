@@ -28,14 +28,16 @@
     - [distinguishability] — SA630 (Info) with the smallest [k] such
       that every reachable pair is ∀k-distinguishable, or SA631 naming
       the first offending pair and a masking word of length [k_bound]
-      on which their outputs agree; both from the one ∀k search,
-      {!Simcov_fsm.Fsm.min_forall_k}.
+      on which their outputs agree; both read the ∀k verdict of the
+      shared {!Simcov_testgen.Tour.facts}.
     - [fault-structural] — SA640 when a non-uniform
       ({!Simcov_coverage.Fault.Conditional_output}) error escapes the
-      transition tour (Requirement 1), SA641 when a transfer error is
-      masked on the tour (Requirement 4, {e via}
-      {!Simcov_coverage.Detect.masked_windows}); both carry concrete
-      fault + word witnesses, found on the tour padded by the
+      transition tour (Requirement 1), counted per site; SA641 when a
+      transfer error is masked on the tour (Requirement 4), replayed
+      through the campaign engine (so [lint --fsm] metrics carry
+      [campaign.*] counters) and windowed by
+      {!Simcov_coverage.Detect.masked_windows}. Both carry concrete
+      fault + word witnesses, found on the shared tour padded by the
       certified [k] ({!Simcov_testgen.Tour.pad}).
     - [suite-cover] — static prediction of state/transition coverage
       of a word list by graph walk (no fault simulation): SA650 word
@@ -83,16 +85,19 @@ val run :
   ?budget:Simcov_util.Budget.t ->
   ?name:string ->
   ?k_bound:int ->
+  ?facts:Simcov_testgen.Tour.facts ->
   ?seed:int ->
   ?suite:int list list ->
   Fsm.t ->
   report
-(** [run m] lints the machine. [k_bound] bounds the ∀k search
-    (default 8, matching {!Simcov_core}'s certificate default; it must
-    be at least 1 when the distinguishability pass runs). [seed]
-    feeds the transfer-fault sample of the fault-structural pass when
-    the population is too large to enumerate (default 7). [suite] is a
-    list of input words to analyze with the suite-cover pass. *)
+(** [run m] lints the machine. [facts] default to
+    {!Simcov_testgen.Tour.facts} under [k_bound] (default 8, matching
+    {!Simcov_core}'s certificate default; at least 1), solved unless
+    the machine is malformed (SA604). [seed] feeds the transfer-fault
+    sample of the fault-structural pass when the population is too
+    large to enumerate (default 7). [suite] is a list of input words
+    to analyze with the suite-cover pass. Each pass costs one budget
+    step; the fault-structural campaign runs unbudgeted. *)
 
 val count : report -> Diag.severity -> int
 val worst : report -> Diag.severity option

@@ -11,9 +11,8 @@ type certificate = {
 
 type failure = Not_strongly_connected | Indistinguishable_pair of int * int
 
-let certify ?(scope = `Reachable) ?(k_bound = 8) m =
-  let forall_k = Fsm.min_forall_k ~scope ~bound:k_bound m in
-  match (Tour.transition_tour m, forall_k) with
+let of_facts m (f : Tour.facts) =
+  match (f.Tour.tour, f.Tour.forall_k) with
   | None, _ -> Error Not_strongly_connected
   | Some _, Error (p, q) -> Error (Indistinguishable_pair (p, q))
   | Some tour, Ok k ->
@@ -26,14 +25,18 @@ let certify ?(scope = `Reachable) ?(k_bound = 8) m =
           word = Tour.pad m ~k tour.Tour.word;
         }
 
+let certify ?scope ?k_bound m = of_facts m (Tour.facts ?scope ?k_bound m)
+
 let padded_tour (_ : Fsm.t) cert = cert.word
 
-let check_empirically ?(n_transfer = 200) ?(n_output = 200) rng m cert =
-  let n_outputs =
-    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions m)
-  in
-  let faults =
-    Simcov_coverage.Fault.sample_transfer_faults rng m ~count:n_transfer
-    @ Simcov_coverage.Fault.sample_output_faults rng m ~n_outputs ~count:n_output
-  in
-  Simcov_coverage.Detect.campaign m faults cert.word
+let campaign_word m = function
+  | Some cert -> cert.word
+  | None -> (
+      match Tour.greedy_transition_tour m with
+      | Some t -> t.Tour.word
+      | None -> (Tour.transition_cover m).Tour.word)
+
+let check_empirically ?(count = 200) rng m cert =
+  Simcov_coverage.Detect.campaign m
+    (Simcov_coverage.Fault.sample_faults rng m ~count)
+    cert.word

@@ -10,7 +10,8 @@
     reachable state pair, and strong connectivity of the reachable
     transition graph (so a closed tour exists). Requirement 1 lives on
     the abstraction side and is checked separately
-    ({!Requirements}). *)
+    ({!Requirements}). Both facts are {!Simcov_testgen.Tour.facts}; a
+    caller already holding them certifies with {!of_facts}. *)
 
 open Simcov_fsm
 
@@ -46,20 +47,28 @@ val certify :
     error; under [`All] certification correctly refuses.
     @raise Invalid_argument if [k_bound < 1]. *)
 
+val of_facts :
+  Fsm.t -> Simcov_testgen.Tour.facts -> (certificate, failure) result
+(** [certify ?scope ?k_bound m] is [of_facts m (Tour.facts ?scope ?k_bound m)]. *)
+
 val padded_tour : Fsm.t -> certificate -> int list
 (** The certificate's [word]: its tour followed by [k] extra valid
     steps, so that even a transfer error excited on the tour's last
     transition has the [k] subsequent steps Theorem 1 needs for
     exposure. Nothing is re-solved; the machine argument is ignored. *)
 
+val campaign_word : Fsm.t -> certificate option -> int list
+(** The stimulus a fault campaign replays: the certificate's padded
+    tour; without a certificate, the greedy transition tour, or the
+    transition cover when no closed tour exists. *)
+
 val check_empirically :
-  ?n_transfer:int ->
-  ?n_output:int ->
+  ?count:int ->
   Simcov_util.Rng.t ->
   Fsm.t ->
   certificate ->
   Simcov_coverage.Detect.report
-(** Fault-inject the test model (random transfer + output errors) and
-    run the padded tour: under the certificate every effective fault
-    must be detected. Returns the campaign report (the caller asserts
-    [coverage_pct = 100]). *)
+(** Fault-inject the test model ([count] random errors of each kind,
+    default 200) and run the padded tour: under the certificate every
+    effective fault must be detected. Returns the campaign report (the
+    caller asserts [coverage_pct = 100]). *)

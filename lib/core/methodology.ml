@@ -21,13 +21,13 @@ type symbolic_figures = {
    symbolic reachability, then plain enumeration of the
    already-tabulated machine (which needs no BDDs at all and cannot
    fail). The abandoned symbolic tier leaves a note. *)
-let symbolic_figures ~budget ~reorder model =
+let symbolic_figures ~budget model =
   let module Symfsm = Simcov_symbolic.Symfsm in
   let module Bdd = Simcov_bdd.Bdd in
   let name = tier_name Partitioned_symbolic in
   let symbolic () =
     try
-      let sf = Symfsm.of_fsm ~budget ~reorder model in
+      let sf = Symfsm.of_fsm ~budget model in
       let tr = Symfsm.traverse ~budget sf in
       match tr.Symfsm.truncated with
       | Some r ->
@@ -104,12 +104,13 @@ let lint_gate ~budget =
   @ errors (Lint.run ~budget ~name:"dlx-test" ~against:impl test)
 
 let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
-    ?(budget = Budget.unlimited) ?(reorder = `Off) ?lanes ?jobs () =
+    ?(budget = Budget.unlimited) ?lanes ?jobs () =
   let open Simcov_fsm in
   let rng = Simcov_util.Rng.create seed in
   (* per-figure wall clock: each phase is both recorded in the report
      (timings, in run order) and observed on a methodology.<phase>
-     timer so it lands in the metrics snapshot *)
+     timer so it lands in the metrics snapshot; a [checked] phase must
+     leave budget to spare *)
   let timings = ref [] in
   let timed name f =
     let t0 = Unix.gettimeofday () in
@@ -117,44 +118,36 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
     timings := (name, Unix.gettimeofday () -. t0) :: !timings;
     r
   in
-  let lint_errors = timed "lint" (fun () -> lint_gate ~budget) in
-  Budget.check budget;
-  let model = timed "tabulate" (fun () -> Fsm.tabulate (Testmodel.build config)) in
-  Budget.check budget;
+  let checked name f =
+    let r = timed name f in
+    Budget.check budget;
+    r
+  in
+  let lint_errors = checked "lint" (fun () -> lint_gate ~budget) in
+  let model = checked "tabulate" (fun () -> Fsm.tabulate (Testmodel.build config)) in
   (* FSM-level precondition gate (Theorem 1): certify strong
      connectivity, minimality and the ∀k bound on the machine the tour
      will be generated from. Warnings are recorded, not fatal; the CLI
-     treats error-severity findings like lint_errors. *)
-  let fsm_lint =
-    timed "fsm_lint" (fun () ->
-        Simcov_analysis.Fsm_lint.run ~budget ~name:"dlx-test" ~seed model)
+     treats error-severity findings like lint_errors. The tour and the
+     ∀k verdict are solved here once; the requirements and the
+     certificate read the same facts. *)
+  let facts, fsm_lint =
+    checked "fsm_lint" (fun () ->
+        let facts = Simcov_testgen.Tour.facts model in
+        (facts, Simcov_analysis.Fsm_lint.run ~budget ~name:"dlx-test" ~facts ~seed model))
   in
-  Budget.check budget;
-  let symbolic =
-    timed "symbolic" (fun () -> symbolic_figures ~budget ~reorder model)
-  in
-  Budget.check budget;
+  let symbolic = checked "symbolic" (fun () -> symbolic_figures ~budget model) in
   let requirements =
-    timed "requirements" (fun () ->
-        Requirements.check ~rng:(Simcov_util.Rng.split rng) model)
+    checked "requirements" (fun () ->
+        Requirements.check ~facts ~rng:(Simcov_util.Rng.split rng) model)
   in
-  Budget.check budget;
-  let certificate = timed "certificate" (fun () -> Completeness.certify model) in
-  Budget.check budget;
-  (* the tour itself: fall back to the greedy cover if the optimal
-     solver is unavailable (cannot happen for these models, which are
-     strongly connected) *)
+  let certificate = checked "certificate" (fun () -> Completeness.of_facts model facts) in
+  (* the tour itself: the certified padded tour, or the greedy
+     fallback when certification fails *)
   let word =
-    timed "tour" (fun () ->
-        match certificate with
-        | Ok cert -> Completeness.padded_tour model cert
-        | Error _ -> (
-            match Simcov_testgen.Tour.greedy_transition_tour model with
-            | Some t -> t.Simcov_testgen.Tour.word
-            | None ->
-                (Simcov_testgen.Tour.transition_cover model).Simcov_testgen.Tour.word))
+    checked "tour" (fun () ->
+        Completeness.campaign_word model (Result.to_option certificate))
   in
-  Budget.check budget;
   let conc = timed "concretize" (fun () -> Testmodel.concretize config word) in
   (* the two fault campaigns are budget-aware themselves: exhaustion
      mid-campaign yields a truncated partial report instead of an
@@ -169,15 +162,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
   in
   let fsm_fault_coverage =
     timed "fsm_campaign" (fun () ->
-        let n_outputs =
-          List.fold_left
-            (fun acc (_, _, _, o) -> max acc (o + 1))
-            1 (Fsm.transitions model)
-        in
-        let faults =
-          Simcov_coverage.Fault.sample_transfer_faults rng model ~count:150
-          @ Simcov_coverage.Fault.sample_output_faults rng model ~n_outputs ~count:150
-        in
+        let faults = Simcov_coverage.Fault.sample_faults rng model ~count:150 in
         Simcov_coverage.Detect.campaign ~budget ?lanes ?jobs model faults word)
   in
   {
@@ -231,13 +216,7 @@ let ablation_dest_tracking ?(config = Testmodel.default) ?(seed = 2026) () =
     Result.is_error
       (Simcov_abstraction.Homomorphism.quotient refined (Testmodel.dest_merge_mapping config))
   in
-  let n_outputs =
-    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions refined)
-  in
-  let faults =
-    Simcov_coverage.Fault.sample_transfer_faults rng refined ~count:150
-    @ Simcov_coverage.Fault.sample_output_faults rng refined ~n_outputs ~count:150
-  in
+  let faults = Simcov_coverage.Fault.sample_faults rng refined ~count:150 in
   {
     refined_transitions = Fsm.n_transitions refined;
     abstract_transitions = Fsm.n_transitions abstract;

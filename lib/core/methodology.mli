@@ -67,7 +67,6 @@ val validate_dlx :
   ?config:Simcov_dlx.Testmodel.config ->
   ?seed:int ->
   ?budget:Budget.t ->
-  ?reorder:Simcov_symbolic.Symfsm.reorder_mode ->
   ?lanes:int ->
   ?jobs:int ->
   unit ->

@@ -52,36 +52,20 @@ let check_r1 concrete =
              c.Simcov_coverage.Uniformity.faulty_members
              c.Simcov_coverage.Uniformity.clean_members)
 
-let check_r2_r5 model k_bound =
-  (* R5: pairwise single-step distinguishability *)
-  let r5 =
-    match Fsm.min_forall_k ~bound:1 model with
-    | Ok _ -> Satisfied "every reachable state pair is ∀1-distinguishable"
-    | Error (p, q) ->
-        Violated
-          (Printf.sprintf "states %s and %s agree on some input's output"
-             (model.Fsm.state_name p) (model.Fsm.state_name q))
-  in
-  let r2 =
-    match Fsm.min_forall_k ~bound:k_bound model with
-    | Ok k -> Satisfied (Printf.sprintf "processing bounded: k = %d" k)
-    | Error _ -> Violated (Printf.sprintf "no k <= %d bounds exposure" k_bound)
-  in
-  (r2, r5)
+module Tour = Simcov_testgen.Tour
 
-let check_r4 model rng samples =
+let check_r4 model (facts : Tour.facts) rng samples =
   match rng with
   | None -> Assumed "masking excluded by design (no registered error cancellation)"
   | Some rng -> (
-      match Simcov_testgen.Tour.transition_tour model with
+      match facts.Tour.tour with
       | None -> Assumed "no tour available for the masking scan"
       | Some tour ->
           let faults = Simcov_coverage.Fault.sample_transfer_faults rng model ~count:samples in
           let masked =
             List.filter
               (fun f ->
-                Simcov_coverage.Detect.has_masked_transfer model [ f ]
-                  tour.Simcov_testgen.Tour.word)
+                Simcov_coverage.Detect.has_masked_transfer model [ f ] tour.Tour.word)
               faults
           in
           if masked = [] then
@@ -93,13 +77,24 @@ let check_r4 model rng samples =
               (Format.asprintf "masked transfer error found: %a" Simcov_coverage.Fault.pp
                  (List.hd masked)))
 
-let check ?concrete ?(k_bound = 8) ?rng ?(masking_samples = 100) model =
-  let r2, r5 = check_r2_r5 model k_bound in
+let check ?concrete ?facts ?rng ?(masking_samples = 100) model =
+  let facts = match facts with Some f -> f | None -> Tour.facts model in
   {
     r1_uniform_output_errors = check_r1 concrete;
-    r2_bounded_processing = r2;
+    r2_bounded_processing =
+      (match facts.Tour.forall_k with
+      | Ok k -> Satisfied (Printf.sprintf "processing bounded: k = %d" k)
+      | Error _ ->
+          Violated (Printf.sprintf "no k <= %d bounds exposure" facts.Tour.k_bound));
     r3_unique_outputs =
       Assumed "discharged by data selection during concretization (checkpoints carry identity)";
-    r4_no_masking = check_r4 model rng masking_samples;
-    r5_observable_interaction = r5;
+    r4_no_masking = check_r4 model facts rng masking_samples;
+    r5_observable_interaction =
+      (* pairwise single-step distinguishability *)
+      (match Tour.forall_1 model facts with
+      | Ok _ -> Satisfied "every reachable state pair is ∀1-distinguishable"
+      | Error (p, q) ->
+          Violated
+            (Printf.sprintf "states %s and %s agree on some input's output"
+               (model.Fsm.state_name p) (model.Fsm.state_name q)));
   }

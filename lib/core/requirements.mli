@@ -19,7 +19,12 @@
       faults.
     - {b R5}: interaction state is observable — checked as
       ∀1-distinguishability: distinct reachable states must disagree
-      on some output for every applicable input. *)
+      on some output for every applicable input.
+
+    R2 reads the ∀k verdict of the model's Theorem 1 facts ([facts],
+    default {!Simcov_testgen.Tour.facts}) and R4 their tour; R5 reads
+    the verdict when it certifies [k = 1], else runs the ∀1 search
+    that names the first failing pair. *)
 
 open Simcov_fsm
 
@@ -45,7 +50,7 @@ val pp_report : Format.formatter -> report -> unit
 val check :
   ?concrete:
     (Fsm.t * Simcov_abstraction.Homomorphism.mapping * (int * int -> bool)) ->
-  ?k_bound:int ->
+  ?facts:Simcov_testgen.Tour.facts ->
   ?rng:Simcov_util.Rng.t ->
   ?masking_samples:int ->
   Fsm.t ->

@@ -10,7 +10,7 @@
     driver: mutants are packed into int bit lanes and evaluated with
     one golden pass per word instead of one full rerun per fault.
     {!run_verdict} is the one-fault lockstep run (the W-method and
-    FSM-lint witness checks use it); the scalar campaign built on it,
+    the Figure 2 demo use it); the scalar campaign built on it,
     the reference the batched engine is tested against, lives in the
     test suite. *)
 

@@ -179,3 +179,12 @@ let sample_output_faults rng m ~n_outputs ~count =
     in
     go 0 0 []
   end
+
+(* [@] evaluates its right operand first, so output faults are drawn
+   before transfer faults: every recorded fault list depends on it *)
+let sample_faults rng m ~count =
+  let n_outputs =
+    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions m)
+  in
+  let outputs = sample_output_faults rng m ~n_outputs ~count in
+  sample_transfer_faults rng m ~count @ outputs

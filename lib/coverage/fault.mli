@@ -80,3 +80,8 @@ val sample_transfer_faults : Simcov_util.Rng.t -> Fsm.t -> count:int -> t list
 
 val sample_output_faults :
   Simcov_util.Rng.t -> Fsm.t -> n_outputs:int -> count:int -> t list
+
+val sample_faults : Simcov_util.Rng.t -> Fsm.t -> count:int -> t list
+(** An FSM campaign's population: up to [count] transfer faults, then
+    up to [count] output faults (drawn from [rng] first) whose wrong
+    outputs stay below one past the largest reachable output. *)

@@ -21,7 +21,6 @@ type validate_params = {
   va_seed : int;
   va_lanes : int;
   va_jobs : int;
-  va_reorder : reorder_mode;
 }
 
 type lint_params = {
@@ -77,9 +76,8 @@ let kind t =
   | Minimize _ -> "minimize"
   | Stats _ -> "stats"
 
-(* defaults mirror the CLI flag defaults exactly: a job built from an
-   empty params object runs the same experiment the bare subcommand
-   would *)
+(* the CLI's flag defaults: a job built from an empty params object
+   runs the same experiment the bare subcommand does *)
 let default_validate =
   {
     va_regs = 4;
@@ -88,7 +86,6 @@ let default_validate =
     va_seed = 2026;
     va_lanes = Sys.int_size;
     va_jobs = 1;
-    va_reorder = Reorder_off;
   }
 
 let default_lint ~model =
@@ -120,6 +117,11 @@ let default_stats = { st_reorder = Reorder_off }
 
 let make ?id ?timeout_s ?max_nodes spec = { id; spec; timeout_s; max_nodes }
 
+let budget ~timeout_s ~max_nodes =
+  match (timeout_s, max_nodes) with
+  | None, None -> Simcov_util.Budget.unlimited
+  | timeout_s, max_nodes -> Simcov_util.Budget.create ?timeout_s ?max_nodes ()
+
 (* ---- rendering ---- *)
 
 let opt_str name = function
@@ -148,8 +150,7 @@ let params_json = function
            ("seed", Json.Int p.va_seed);
            ("lanes", Json.Int p.va_lanes);
            ("jobs", Json.Int p.va_jobs);
-         ]
-        @ opt_reorder p.va_reorder)
+         ])
   | Lint p ->
       Json.Obj
         ([ ("model", Json.String p.li_model) ]
@@ -311,7 +312,6 @@ let spec_of ~kind params =
           va_seed = get_int params "seed" ~default:d.va_seed;
           va_lanes = get_bounded params "lanes" lanes_range ~default:d.va_lanes;
           va_jobs = get_bounded params "jobs" jobs_range ~default:d.va_jobs;
-          va_reorder = get_reorder params;
         }
   | "lint" ->
       let model = require_str params "model" in

@@ -38,9 +38,10 @@
 module Json = Simcov_util.Json
 
 type reorder_mode = Reorder_off | Reorder_on | Reorder_auto
-(** BDD dynamic-variable-reordering policy for the job's symbolic
-    phase; wire values ["off"] (the default — omitted when rendering,
-    so pre-reorder requests round-trip unchanged), ["on"], ["auto"]. *)
+(** BDD dynamic-variable-reordering policy of a stats job; wire values
+    ["off"] (the default — omitted when rendering, so pre-reorder
+    requests round-trip unchanged), ["on"], ["auto"]. Other kinds
+    ignore a [reorder] member like any unknown field. *)
 
 val reorder_name : reorder_mode -> string
 val reorder_of_name : string -> reorder_mode option
@@ -52,7 +53,6 @@ type validate_params = {
   va_seed : int;
   va_lanes : int;
   va_jobs : int;
-  va_reorder : reorder_mode;
 }
 
 type lint_params = {
@@ -132,6 +132,10 @@ val default_coverage : model:string -> coverage_params
 val default_stats : stats_params
 
 val make : ?id:string -> ?timeout_s:float -> ?max_nodes:int -> spec -> t
+
+val budget :
+  timeout_s:float option -> max_nodes:int option -> Simcov_util.Budget.t
+(** The budget [timeout_s] and [max_nodes] describe (unlimited without either). *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

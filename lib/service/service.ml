@@ -4,7 +4,6 @@ module Obs = Simcov_obs.Obs
 module Covdb = Simcov_covdb.Covdb
 module Campaign = Simcov_campaign.Campaign
 module Circuit = Simcov_netlist.Circuit
-module Fsm = Simcov_fsm.Fsm
 module Detect = Simcov_coverage.Detect
 module Stuckat = Simcov_coverage.Stuckat
 module Fault = Simcov_coverage.Fault
@@ -366,8 +365,7 @@ let run_validate ~budget (p : Job.validate_params) =
   in
   let report =
     Methodology.validate_dlx ~config ~seed:p.Job.va_seed ~budget
-      ~reorder:(reorder_variant p.Job.va_reorder) ~lanes:p.Job.va_lanes
-      ~jobs:p.Job.va_jobs ()
+      ~lanes:p.Job.va_lanes ~jobs:p.Job.va_jobs ()
   in
   let human = Format.asprintf "%a@." Methodology.pp_run_report report in
   ok ~report:(validate_json report) ~human
@@ -599,16 +597,8 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
       ~human ~notes:(List.rev !notes) ~interrupted
       (campaign_exit ~fail_under:p.Job.cov_fail_under ~interrupted ~pct r)
   in
-  let fsm_faults m =
-    let n_outputs =
-      List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1
-        (Fsm.transitions m)
-    in
-    Fault.sample_transfer_faults rng m ~count:p.Job.cov_count
-    @ Fault.sample_output_faults rng m ~n_outputs ~count:p.Job.cov_count
-  in
   let run_fsm ~name m word =
-    let faults = fsm_faults m in
+    let faults = Fault.sample_faults rng m ~count:p.Job.cov_count in
     let hdr =
       {
         Covdb.backend = "fsm-fault";
@@ -666,36 +656,16 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
   in
   match p.Job.cov_faults with
   | Job.Fsm_faults -> (
-      if p.Job.cov_model = "dlx" then begin
-        (* the DLX test model with its certified transition tour — the
-           same campaign validate-dlx embeds, standalone *)
-        match Model_cache.fsm_of_spec cache "dlx" with
-        | Error e -> fail 4 (Printf.sprintf "dlx: %s" e)
-        | Ok (m, _, _) ->
-            let word =
-              match Completeness.certify m with
-              | Ok cert -> Completeness.padded_tour m cert
-              | Error _ -> (
-                  match Simcov_testgen.Tour.greedy_transition_tour m with
-                  | Some t -> t.Simcov_testgen.Tour.word
-                  | None ->
-                      (Simcov_testgen.Tour.transition_cover m)
-                        .Simcov_testgen.Tour.word)
-            in
-            run_fsm ~name:"dlx" m word
-      end
-      else
-        match Model_cache.fsm_of_spec cache p.Job.cov_model with
-        | Error e -> fail 4 (Printf.sprintf "%s: %s" p.Job.cov_model e)
-        | Ok (m, name, _) ->
-            let word =
-              match Simcov_testgen.Tour.greedy_transition_tour m with
-              | Some t -> t.Simcov_testgen.Tour.word
-              | None ->
-                  (Simcov_testgen.Tour.transition_cover m)
-                    .Simcov_testgen.Tour.word
-            in
-            run_fsm ~name m word)
+      match Model_cache.fsm_of_spec cache p.Job.cov_model with
+      | Error e -> fail 4 (Printf.sprintf "%s: %s" p.Job.cov_model e)
+      | Ok (m, name, _) ->
+          (* the DLX test model replays its certified transition tour —
+             the same campaign validate-dlx embeds, standalone *)
+          let dlx = p.Job.cov_model = "dlx" in
+          let cert = if dlx then Result.to_option (Completeness.certify m) else None in
+          run_fsm
+            ~name:(if dlx then "dlx" else name)
+            m (Completeness.campaign_word m cert))
   | Job.Stuckat_faults -> (
       let spec = if p.Job.cov_model = "dlx" then "dlx-test" else p.Job.cov_model in
       match Model_cache.circuit_of_spec cache spec with
@@ -847,9 +817,7 @@ let run ?(cache = Model_cache.shared) ?max_workers
     ?(should_stop = fun () -> false) ?on_progress ?chaos_kill_after
     (job : Job.t) =
   let budget =
-    match (job.Job.timeout_s, job.Job.max_nodes) with
-    | None, None -> Budget.unlimited
-    | timeout_s, max_nodes -> Budget.create ?timeout_s ?max_nodes ()
+    Job.budget ~timeout_s:job.Job.timeout_s ~max_nodes:job.Job.max_nodes
   in
   Obs.event "job.start" ~fields:(fun () ->
       [

@@ -230,7 +230,7 @@ let of_circuit ?(budget = Budget.unlimited) ?(reorder = `Off)
        })
     reorder
 
-let of_fsm ?(budget = Budget.unlimited) ?(reorder = `Off) (m : Simcov_fsm.Fsm.t) =
+let of_fsm ?(budget = Budget.unlimited) (m : Simcov_fsm.Fsm.t) =
   let open Simcov_fsm in
   let n_state = bits_needed m.Fsm.n_states and n_input = bits_needed m.Fsm.n_inputs in
   let cur, nxt, inp = layout ~n_state ~n_input in
@@ -290,23 +290,21 @@ let of_fsm ?(budget = Budget.unlimited) ?(reorder = `Off) (m : Simcov_fsm.Fsm.t)
   Array.iter (Bdd.remove_root man) r_delta;
   Array.iter (Bdd.remove_root man) r_out;
   Bdd.remove_root man r_valid;
-  setup_reorder
-    (register_roots
-       {
-         man;
-         n_state_vars = n_state;
-         n_input_vars = n_input;
-         cur;
-         nxt;
-         inp;
-         parts;
-         valid = !valid;
-         init;
-         outputs;
-         mono = None;
-         reach = None;
-       })
-    reorder
+  register_roots
+    {
+      man;
+      n_state_vars = n_state;
+      n_input_vars = n_input;
+      cur;
+      nxt;
+      inp;
+      parts;
+      valid = !valid;
+      init;
+      outputs;
+      mono = None;
+      reach = None;
+    }
 
 let cur_and_inp t = Array.to_list t.cur @ Array.to_list t.inp
 let part_rels t = List.map (fun p -> p.rel) t.parts

@@ -88,11 +88,11 @@ val of_circuit :
     which is also what makes [reorder] (default [`Off]) safe: a
     sifting pass sweeps from exactly those roots. *)
 
-val of_fsm : ?budget:Budget.t -> ?reorder:reorder_mode -> Simcov_fsm.Fsm.t -> t
+val of_fsm : ?budget:Budget.t -> Simcov_fsm.Fsm.t -> t
 (** Encode an explicit machine in binary (states and inputs packed
     little-endian; unreachable encodings excluded by validity); one
-    relation conjunct per state bit. Budget and reorder semantics as
-    in {!of_circuit}, budget checked per transition. *)
+    relation conjunct per state bit, in the build-time order. Budget
+    semantics as in {!of_circuit}, budget checked per transition. *)
 
 val attach_budget : t -> Budget.t -> unit
 (** Re-point a (possibly cached) machine at a fresh budget: the

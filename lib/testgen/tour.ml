@@ -16,6 +16,20 @@ let transition_tour m =
   let g = Fsm.transition_graph m in
   Option.map (of_cpp_tour g) (Cpp.solve g ~start:m.Fsm.reset)
 
+type facts = {
+  k_bound : int;
+  forall_k : (int, int * int) Stdlib.result;
+  tour : result option;
+}
+
+(* a bound below 1 is refused before any tour is solved *)
+let facts ?scope ?(k_bound = 8) m =
+  let forall_k = Fsm.min_forall_k ?scope ~bound:k_bound m in
+  { k_bound; forall_k; tour = transition_tour m }
+
+let forall_1 m f =
+  match f.forall_k with Ok 1 -> Ok 1 | _ -> Fsm.min_forall_k ~bound:1 m
+
 (* [k] steps along the first valid input of each state, from where
    [word] ends; stops early at a state with no valid input *)
 let pad (m : Fsm.t) ~k word =

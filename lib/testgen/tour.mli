@@ -22,6 +22,22 @@ val transition_tour : Fsm.t -> result option
     when the reachable transition graph is not strongly connected, in
     which case no closed tour exists — see {!transition_cover}. *)
 
+(** The facts Theorem 1's completeness rests on, solved once per
+    machine and read by fsm-lint, Requirements and the certificate. *)
+type facts = {
+  k_bound : int;  (** the bound the ∀k search ran under *)
+  forall_k : (int, int * int) Stdlib.result;  (** {!Simcov_fsm.Fsm.min_forall_k} *)
+  tour : result option;  (** {!transition_tour} *)
+}
+
+val facts : ?scope:[ `Reachable | `All ] -> ?k_bound:int -> Fsm.t -> facts
+(** One ∀k search (default [k_bound] 8) and one Chinese-postman solve.
+    @raise Invalid_argument if [k_bound < 1]. *)
+
+val forall_1 : Fsm.t -> facts -> (int, int * int) Stdlib.result
+(** Requirement 5's ∀1 verdict over the reachable pairs: read off
+    [facts] when they certify [k = 1], searched otherwise. *)
+
 val pad : Fsm.t -> k:int -> int list -> int list
 (** [pad m ~k word] is [word] followed by [k] more valid steps from
     the state where [word] ends (the first valid input each time;

@@ -139,3 +139,51 @@ module Scc = struct
       let _, k = Scc.components g in
       k = 1
 end
+
+module Fsm_lint = struct
+  open Simcov_fsm
+
+  (* SA640's Requirement 1 count, the direct way: per reachable
+     transition, filter its source state's whole predecessor list
+     against the (site, predecessor) contexts the word exercises.
+     Returns (escaping errors, sites, first example (state, input,
+     output, escaping predecessor)); the fsm-lint pass counts per site
+     instead and must agree exactly. *)
+  let r1_count (m : Fsm.t) word =
+    let transitions = Fsm.transitions m in
+    let contexts = Hashtbl.create 256 in
+    let prev = ref None in
+    let s = ref m.Fsm.reset in
+    List.iter
+      (fun i ->
+        if m.Fsm.valid !s i then begin
+          (match !prev with
+          | Some p -> Hashtbl.replace contexts ((!s, i), p) ()
+          | None -> ());
+          prev := Some (!s, i);
+          s := m.Fsm.next !s i
+        end)
+      word;
+    let incoming = Hashtbl.create 64 in
+    List.iter
+      (fun (s, i, s', _) ->
+        Hashtbl.replace incoming s'
+          ((s, i) :: Option.value ~default:[] (Hashtbl.find_opt incoming s')))
+      transitions;
+    let r1 = ref 0 and sites = ref 0 and example = ref None in
+    List.iter
+      (fun (s, i, _, o) ->
+        let preds = Option.value ~default:[] (Hashtbl.find_opt incoming s) in
+        if List.length preds >= 2 then begin
+          let escaping =
+            List.filter (fun p -> not (Hashtbl.mem contexts ((s, i), p))) preds
+          in
+          if escaping <> [] then begin
+            incr sites;
+            r1 := !r1 + List.length escaping;
+            if !example = None then example := Some (s, i, o, List.hd escaping)
+          end
+        end)
+      transitions;
+    (!r1, !sites, !example)
+end

@@ -166,6 +166,42 @@ let test_validate_dlx_default () =
   Alcotest.(check (float 0.001)) "FSM coverage 100%" 100.0
     (Simcov_coverage.Detect.coverage_pct r.Methodology.fsm_fault_coverage)
 
+(* validate-dlx solves the tour and the ∀k verdict once and shares
+   them: each section must equal the standalone run that solves its
+   own, in every configuration the paper's ablation uses *)
+let test_validate_dlx_shares_facts () =
+  let module Testmodel = Simcov_dlx.Testmodel in
+  let module Fsm_lint = Simcov_analysis.Fsm_lint in
+  let json r = Simcov_util.Json.to_string (Fsm_lint.to_json r) in
+  List.iter
+    (fun (n_regs, track_dest, observable_dest) ->
+      let config = { Testmodel.n_regs; track_dest; observable_dest } in
+      let what =
+        Printf.sprintf "regs %d, track_dest %b, observable_dest %b" n_regs
+          track_dest observable_dest
+      in
+      let r = Methodology.validate_dlx ~config () in
+      let model = Fsm.tabulate (Testmodel.build config) in
+      Alcotest.(check string)
+        (what ^ ": fsm_lint section = standalone Fsm_lint.run")
+        (json (Fsm_lint.run ~name:"dlx-test" ~seed:2026 model))
+        (json r.Methodology.fsm_lint);
+      Alcotest.(check bool)
+        (what ^ ": certificate = standalone Completeness.certify")
+        true
+        (r.Methodology.certificate = Completeness.certify model);
+      Alcotest.(check bool)
+        (what ^ ": requirements = standalone Requirements.check")
+        true
+        (r.Methodology.requirements
+        = Requirements.check
+            ~rng:(Simcov_util.Rng.split (Simcov_util.Rng.create 2026))
+            model))
+    [
+      (2, true, true); (2, false, true); (2, true, false);
+      (4, true, true); (4, false, true); (4, true, false);
+    ]
+
 let test_ablation_dest_tracking () =
   let r = Methodology.ablation_dest_tracking () in
   Alcotest.(check bool) "quotient conflict witnessed" true r.Methodology.quotient_conflict;
@@ -192,5 +228,7 @@ let suite =
     Alcotest.test_case "requirements r5 violated" `Quick test_requirements_r5_violated;
     Alcotest.test_case "requirements r1 uniformity" `Quick test_requirements_r1_via_uniformity;
     Alcotest.test_case "validate dlx default" `Slow test_validate_dlx_default;
+    Alcotest.test_case "validate dlx shares facts" `Slow
+      test_validate_dlx_shares_facts;
     Alcotest.test_case "ablation dest tracking" `Slow test_ablation_dest_tracking;
   ]

@@ -8,6 +8,8 @@ module Budget = Simcov_util.Budget
 module Json = Simcov_util.Json
 module Rng = Simcov_util.Rng
 module Detect = Simcov_coverage.Detect
+module Fault = Simcov_coverage.Fault
+module Tour = Simcov_testgen.Tour
 
 let has code r = List.exists (fun d -> d.Diag.code = code) r.Fsm_lint.diags
 let diag code r = List.find (fun d -> d.Diag.code = code) r.Fsm_lint.diags
@@ -220,6 +222,76 @@ let qcheck_suite_cover_matches_simulation =
           simulated = predicted
           && List.length simulated = s.Fsm_lint.suite_transitions)
 
+(* ---- SA640 against the direct reference count ---- *)
+
+(* SA640 names the count, the site count and the first example the
+   reference loop finds on the same padded tour; no SA640 when it
+   finds none, or when there is no tour to replay *)
+let sa640_matches_oracle (m : Fsm.t) =
+  let r = Fsm_lint.run m in
+  match (Tour.facts m).Tour.tour with
+  | None -> not (has "SA640" r)
+  | Some tour -> (
+      let k = Option.value ~default:1 r.Fsm_lint.stats.Fsm_lint.certified_k in
+      match Oracles.Fsm_lint.r1_count m (Tour.pad m ~k tour.Tour.word) with
+      | 0, _, _ -> not (has "SA640" r)
+      | r1, sites, Some (s, i, o, p) ->
+          let d = diag "SA640" r in
+          let fault =
+            Fault.Conditional_output
+              { state = s; input = i; wrong_output = o + 1; prev = p }
+          in
+          let prefix =
+            Printf.sprintf "%d non-uniform output error%s at %d site%s " r1
+              (if r1 = 1 then "" else "s")
+              sites
+              (if sites = 1 then "" else "s")
+          in
+          d.Diag.loc = Diag.State (m.Fsm.state_name s)
+          && d.Diag.related = [ Format.asprintf "%a" Fault.pp fault ]
+          && String.starts_with ~prefix d.Diag.message
+      | _ -> false)
+
+(* input 0 closes a cycle through every state (strongly connected) or
+   goes anywhere; every other input is valid with probability 7/10 *)
+let random_partial rng ~n_states ~n_inputs =
+  let cycle = Rng.bool rng in
+  let rows = ref [] in
+  for s = 0 to n_states - 1 do
+    for i = 0 to n_inputs - 1 do
+      if i = 0 || Rng.int rng 10 < 7 then
+        let next =
+          if i = 0 && cycle then (s + 1) mod n_states else Rng.int rng n_states
+        in
+        rows := (s, i, next, Rng.int rng 3) :: !rows
+    done
+  done;
+  Fsm.tabulate (Fsm.of_table (List.rev !rows))
+
+let qcheck_sa640_matches_oracle =
+  QCheck.Test.make
+    ~name:"fsm_lint: SA640 = reference count (total and partial machines)"
+    ~count:160
+    QCheck.(quad bool (int_range 2 12) (int_range 1 4) (int_range 1 9999))
+    (fun (partial, n, k, seed) ->
+      let rng = Rng.create seed in
+      sa640_matches_oracle
+        (if partial then random_partial rng ~n_states:n ~n_inputs:k
+         else Fsm.random_connected rng ~n_states:n ~n_inputs:k ~n_outputs:3))
+
+let test_sa640_dlx () =
+  List.iter
+    (fun n_regs ->
+      let m =
+        Fsm.tabulate
+          (Simcov_dlx.Testmodel.build
+             { Simcov_dlx.Testmodel.default with Simcov_dlx.Testmodel.n_regs })
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "SA640 = reference at %d registers" n_regs)
+        true (sa640_matches_oracle m))
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "clean machine certified" `Quick test_clean_machine;
@@ -232,4 +304,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_minimized_is_minimal;
     QCheck_alcotest.to_alcotest qcheck_duplicate_state_caught;
     QCheck_alcotest.to_alcotest qcheck_suite_cover_matches_simulation;
+    Alcotest.test_case "SA640 = reference on DLX" `Quick test_sa640_dlx;
+    QCheck_alcotest.to_alcotest qcheck_sa640_matches_oracle;
   ]

@@ -99,22 +99,28 @@ let test_job_defaults_and_errors () =
           ]));
   check bool "lint without model rejected" true
     (rejected (Json.Obj [ ("kind", Json.String "lint") ]));
-  (* a coverage request that still carries the retired reorder member
-     parses, and the member is dropped like any unknown one *)
-  (match
-     Job.of_json
-       (Json.Obj
-          [
-            ("kind", Json.String "coverage");
-            ("params", Json.Obj [ ("reorder", Json.String "on") ]);
-          ])
-   with
-  | Ok j ->
-      let plain = Job.make (Job.Coverage (Job.default_coverage ~model:"dlx")) in
-      check string "reorder ignored on coverage"
-        (Json.to_string (Job.to_json plain))
-        (Json.to_string (Job.to_json j))
-  | Error e -> failf "coverage with reorder rejected: %s" e);
+  (* a coverage or validate-dlx request that still carries the retired
+     reorder member parses, and the member is dropped like any unknown
+     one *)
+  List.iter
+    (fun (kind, spec) ->
+      match
+        Job.of_json
+          (Json.Obj
+             [
+               ("kind", Json.String kind);
+               ("params", Json.Obj [ ("reorder", Json.String "on") ]);
+             ])
+      with
+      | Ok j ->
+          check string ("reorder ignored on " ^ kind)
+            (Json.to_string (Job.to_json (Job.make spec)))
+            (Json.to_string (Job.to_json j))
+      | Error e -> failf "%s with reorder rejected: %s" kind e)
+    [
+      ("coverage", Job.Coverage (Job.default_coverage ~model:"dlx"));
+      ("validate-dlx", Job.Validate_dlx Job.default_validate);
+    ];
   (* lanes, jobs and k_bound take exactly the CLI's ranges, both ends
      inclusive; every request names a model, which lint requires *)
   List.iter
