@@ -58,7 +58,7 @@ let exits =
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
 
 (* an integer flag bounded to the same inclusive range its job field
-   accepts on the wire (see [Job.lanes_range] and friends) *)
+   accepts on the wire (see [Job.jobs_range] and friends) *)
 let bounded_int ~name (lo, hi) =
   let parse s =
     match int_of_string_opt s with
@@ -278,32 +278,17 @@ let config_term =
 let seed_term default =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-(* ---- campaign parallelism (--jobs / --lanes) ---- *)
+(* ---- campaign parallelism (--jobs) ---- *)
 
-let parallel_term ~jobs ~lanes =
-  let jobs =
-    Arg.(
-      value
-      & opt (bounded_int ~name:"--jobs" Job.jobs_range) jobs
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the campaign's faults across $(docv) domains. The merged \
-             report is bit-identical to the sequential run (deterministic \
-             shard order; budgets are carved into per-shard sub-budgets).")
-  in
-  let lanes =
-    Arg.(
-      value
-      & opt (bounded_int ~name:"--lanes" Job.lanes_range) lanes
-      & info [ "lanes" ] ~docv:"N"
-          ~doc:
-            "Mutant lanes per simulation pass of an FSM-fault campaign. Up \
-             to 63 (the default) packs one native int; wider values (256, \
-             512, 1024, ...) use bit-sliced lane sets, evaluating $(docv) \
-             mutants per golden pass. Stuck-at campaigns always run 63 \
-             lanes per pass and ignore it.")
-  in
-  Term.(const (fun jobs lanes -> (jobs, lanes)) $ jobs $ lanes)
+let jobs_term default =
+  Arg.(
+    value
+    & opt (bounded_int ~name:"--jobs" Job.jobs_range) default
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Shard the campaign's faults across $(docv) domains. The merged \
+           report is bit-identical to the sequential run (deterministic \
+           shard order; budgets are carved into per-shard sub-budgets).")
 
 (* ---- BDD variable reordering (--reorder) ---- *)
 
@@ -330,14 +315,13 @@ let reorder_term =
 
 (* ---- validate-dlx ---- *)
 
-let validate_dlx config seed (jobs, lanes) common =
+let validate_dlx config seed jobs common =
   let p =
     {
       Job.va_regs = config.Simcov_dlx.Testmodel.n_regs;
       va_track_dest = config.Simcov_dlx.Testmodel.track_dest;
       va_observable_dest = config.Simcov_dlx.Testmodel.observable_dest;
       va_seed = seed;
-      va_lanes = lanes;
       va_jobs = jobs;
     }
   in
@@ -351,7 +335,7 @@ let validate_cmd =
     (cmd_info "validate-dlx" ~doc)
     Term.(
       const validate_dlx $ config_term $ seed_term validate_defaults.Job.va_seed
-      $ parallel_term ~jobs:validate_defaults.Job.va_jobs ~lanes:validate_defaults.Job.va_lanes
+      $ jobs_term validate_defaults.Job.va_jobs
       $ common_term)
 
 (* ---- tour ---- *)
@@ -783,18 +767,17 @@ let persist_term =
     const (fun checkpoint every resume chaos -> (checkpoint, every, resume, chaos))
     $ checkpoint $ every $ resume $ chaos)
 
-let coverage_run model kind seed count steps fail_under progress (jobs, lanes)
+let coverage_run model kind seed count steps fail_under progress jobs
     (checkpoint, checkpoint_every, resume, chaos_kill_after) common =
   warn_inert_max_nodes common;
   let p =
     {
-      Job.cov_model = model;
-      cov_faults = kind;
+      (Job.default_coverage ~model) with
+      Job.cov_faults = kind;
       cov_seed = seed;
       cov_count = count;
       cov_steps = steps;
       cov_fail_under = fail_under;
-      cov_lanes = lanes;
       cov_jobs = jobs;
       cov_checkpoint = checkpoint;
       cov_checkpoint_every = checkpoint_every;
@@ -868,7 +851,7 @@ let coverage_cmd =
     Term.(
       const coverage_run $ model $ kind $ seed_term coverage_defaults.Job.cov_seed $ count
       $ steps $ fail_under $ progress
-      $ parallel_term ~jobs:coverage_defaults.Job.cov_jobs ~lanes:coverage_defaults.Job.cov_lanes
+      $ jobs_term coverage_defaults.Job.cov_jobs
       $ persist_term $ common_term)
 
 (* ---- merge / minimize: offline aggregation of coverage snapshots ---- *)
@@ -1116,10 +1099,10 @@ let jobs_cmd =
 (* ---- main ---- *)
 
 let () =
-  (* Wide campaigns allocate lane-set words at a rate the default
-     256k-word minor arena turns into back-to-back minor collections;
-     a 4M-word arena (32 MB, and per domain) keeps the allocation rate
-     off the collector without noticeable footprint for a CLI run. *)
+  (* A 4M-word minor arena (32 MB, per domain) instead of the default
+     256k words. It was sized for the bit-sliced lane sets of wide
+     campaigns, which are gone; perfbench runs with the same arena, so
+     the CLI keeps it until a measurement says otherwise. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let doc = "validation methodology using simulation coverage (DAC 1997)" in
   let info = Cmd.info "simcov" ~version:"1.0.0" ~doc ~exits in

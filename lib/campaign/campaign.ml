@@ -23,11 +23,9 @@ type verdict = {
   excite_step : int option;
 }
 
-type 'l lane_event = { excited : 'l; detected : 'l; halt : bool }
+type lane_event = { excited : int; detected : int; halt : bool }
 
 module type BACKEND = sig
-  module L : Lanes.S
-
   type ctx
   type fault
   type stim
@@ -39,7 +37,8 @@ module type BACKEND = sig
   type batch
 
   val start : ctx -> fault array -> batch
-  val step : batch -> active:L.t -> stim -> L.t lane_event
+  val next : batch -> active:int -> int -> int
+  val step : batch -> active:int -> stim -> lane_event
 end
 
 type shard_failure = { shard : int; faults : int; error : string }
@@ -159,9 +158,6 @@ let spend budget =
   | None -> ( try Budget.step budget; None with Budget.Budget_exceeded r -> Some r)
 
 module Make (B : BACKEND) = struct
-  module L = B.L
-
-  exception Stop_batch
   exception Stop_run
 
   (* Per-shard accumulator: everything a worker domain mutates is
@@ -183,7 +179,8 @@ module Make (B : BACKEND) = struct
   let run_shard ~budget ~notify ~stop ~sink ctx (eff : B.fault array)
       (stims : B.stim array) =
     let n = Array.length eff in
-    let width = max 1 (min B.max_lanes L.width) in
+    let n_stims = Array.length stims in
+    let width = max 1 (min B.max_lanes Lanes.width) in
     let batches = if n = 0 then 0 else ((n - 1) / width) + 1 in
     let acc =
       {
@@ -216,34 +213,26 @@ module Make (B : BACKEND) = struct
          let sub = Array.sub eff lo bw in
          let batch = B.start ctx sub in
          let exc_step = Array.make bw (-1) and det_step = Array.make bw (-1) in
-         let active = ref (L.ones bw) in
-         (* [live] mirrors the cardinality of [active]: retirement is an
-            integer compare per step instead of an emptiness scan of the
-            lane set *)
-         let live = ref bw in
+         let active = ref (Lanes.ones bw) in
          let batch_steps = ref 0 in
-         (try
-            Array.iteri
-              (fun step stim ->
-                let ev = B.step batch ~active:!active stim in
-                incr batch_steps;
-                Obs.incr c_sim_steps;
-                L.iter2_inter ev.excited !active (fun l ->
-                    if exc_step.(l) < 0 then exc_step.(l) <- step);
-                let det_n = ref 0 in
-                L.iter2_inter ev.detected !active (fun l ->
-                    det_step.(l) <- step;
-                    Stdlib.incr det_n);
-                if !det_n > 0 then begin
-                  (* diff against the raw event set: lanes already
-                     retired are clear in [active], so this equals
-                     removing exactly the newly detected ones *)
-                  active := L.diff !active ev.detected;
-                  live := !live - !det_n
-                end;
-                if ev.halt || !live = 0 then raise Stop_batch)
-              stims
-          with Stop_batch -> ());
+         (* visit only the steps the backend names; a batch ends when
+            every lane is detected, the backend halts, or no step is
+            left *)
+         let t = ref (B.next batch ~active:!active 0) in
+         while !t < n_stims do
+           let step = !t in
+           let ev = B.step batch ~active:!active stims.(step) in
+           incr batch_steps;
+           Obs.incr c_sim_steps;
+           Lanes.iter (ev.excited land !active) (fun l ->
+               if exc_step.(l) < 0 then exc_step.(l) <- step);
+           let det = ev.detected land !active in
+           Lanes.iter det (fun l -> det_step.(l) <- step);
+           active := !active land lnot det;
+           t :=
+             if ev.halt || !active = 0 then n_stims
+             else B.next batch ~active:!active (step + 1)
+         done;
          acc.a_steps <- acc.a_steps + !batch_steps;
          let batch_det = ref 0 in
          let bverd = ref [] in
@@ -306,7 +295,7 @@ module Make (B : BACKEND) = struct
     let todo = Array.map (fun i -> eff.(i)) todo_idx in
     let n = Array.length todo in
     let jobs = max 1 (min jobs (max n 1)) in
-    let width = max 1 (min B.max_lanes L.width) in
+    let width = max 1 (min B.max_lanes Lanes.width) in
     Obs.set g_jobs jobs;
     Obs.set g_lanes width;
     (* checkpoint accumulation, shared by every shard: each completed

@@ -12,12 +12,19 @@
     and what one lockstep step observes) and {!Make} provides the single
     campaign driver, which is
 
-    - {e bit-parallel}: mutants are packed into the lanes of the
-      backend's {!Simcov_util.Lanes} set — a native OCaml [int]
-      (63 lanes) or a bit-sliced wide set (256/512/1024 lanes) — so one
-      golden pass over the word evaluates a whole batch: the classic
-      parallel-pattern fault-simulation trick, freed of the word-size
-      cap;
+    - {e bit-parallel}: mutants are packed into the lanes of a native
+      OCaml [int] ({!Simcov_util.Lanes}, 63 lanes), so one golden pass
+      over the word evaluates a whole batch: the classic
+      parallel-pattern fault-simulation trick. There is one lane
+      width: the [?lanes] arguments of [Detect.campaign_outcome] and
+      [Stuckat.campaign_outcome] and the job field [cov_lanes] are
+      ignored, kept only because the frozen benchmark harness
+      ([perfbench/]) sets them;
+    - {e event-driven}: the backend names the next step at which a
+      live lane's verdict can change ({!BACKEND.next}), and the driver
+      visits only those steps. The FSM backend skips every step at
+      which no live mutant differs from the golden machine; the
+      stuck-at and bug backends visit every step;
     - {e domain-parallel}: [run ~jobs:n] splits the effective-fault
       array into [n] contiguous shards, runs them on [Domain.spawn]
       workers with sub-budgets carved by {!Simcov_util.Budget.split},
@@ -50,12 +57,10 @@
 
     Lane encoding: lane [l] of a batch is fault [l] of the fault array
     passed to {!BACKEND.start}; a lane set has lane [l] as a member
-    when bit [l] is set. For the native-[int] representation bit 62
-    (the sign bit of a 63-bit OCaml [int]) is an ordinary lane — all
-    lane-set operations are bitwise. *)
+    when bit [l] is set. Bit 62 (the sign bit of a 63-bit OCaml [int])
+    is an ordinary lane — all lane-set operations are bitwise. *)
 
 module Budget = Simcov_util.Budget
-module Lanes = Simcov_util.Lanes
 
 (** {1 Verdicts and step events} *)
 
@@ -66,9 +71,9 @@ type verdict = {
   excite_step : int option;  (** first step the golden run traverses the fault site *)
 }
 
-type 'l lane_event = {
-  excited : 'l;  (** lane set whose fault site the golden run traversed this step *)
-  detected : 'l;  (** lane set with an observable difference this step *)
+type lane_event = {
+  excited : int;  (** lane set whose fault site the golden run traversed this step *)
+  detected : int;  (** lane set with an observable difference this step *)
   halt : bool;
       (** the golden run cannot continue (stimulus invalid for the
           golden model); the batch stops after this event's lane sets
@@ -78,12 +83,10 @@ type 'l lane_event = {
 (** {1 Backends} *)
 
 (** One fault domain: a golden model type, a fault type, a stimulus
-    type, and a batched lockstep simulator over the lane
-    representation [L]. One batch carries up to
-    [min max_lanes L.width] mutants. *)
+    type, and a batched lockstep simulator over native-[int] lane
+    sets. One batch carries up to [min max_lanes Lanes.width]
+    mutants. *)
 module type BACKEND = sig
-  module L : Lanes.S
-
   type ctx  (** the golden model, possibly pre-tabulated *)
 
   type fault
@@ -94,7 +97,7 @@ module type BACKEND = sig
 
   val max_lanes : int
   (** Upper bound on lanes per batch; the driver uses
-      [min max_lanes L.width]. A scalar backend declares [1]. *)
+      [min max_lanes Lanes.width]. A scalar backend declares [1]. *)
 
   val effective : ctx -> fault -> bool
   (** Faults that actually change behavior locally; ineffective faults
@@ -106,13 +109,21 @@ module type BACKEND = sig
 
   val start : ctx -> fault array -> batch
   (** Begin a batch at reset. The array has at most
-      [min max_lanes L.width] entries, all effective. *)
+      [min max_lanes Lanes.width] entries, all effective. *)
 
-  val step : batch -> active:L.t -> stim -> L.t lane_event
-  (** Advance the batch by one stimulus element. [active] is the lane
-      set still undetected; lanes outside it need not be simulated
-      precisely (the driver masks the returned lane sets with
-      [active]). *)
+  val next : batch -> active:int -> int -> int
+  (** [next b ~active t] is the first step at or after [t] at which
+      {!step} can report an event for a lane of [active], and
+      positions the batch there; a step it skips must be one where
+      [step] would report nothing for [active]. A result at or past
+      the word's end ends the batch. A backend that cannot tell
+      returns [t]. *)
+
+  val step : batch -> active:int -> stim -> lane_event
+  (** Simulate the step {!next} positioned the batch at, on that
+      step's stimulus element. [active] is the lane set still
+      undetected; lanes outside it need not be simulated precisely
+      (the driver masks the returned lane sets with [active]). *)
 end
 
 (** {1 Reports} *)
@@ -167,7 +178,7 @@ type progress = {
   faults_done : int;  (** effective faults evaluated so far *)
   faults_total : int;  (** effective faults in the campaign *)
   detected_so_far : int;
-  sim_steps : int;  (** lockstep steps executed so far (all batches) *)
+  sim_steps : int;  (** lockstep steps visited so far (all batches) *)
   elapsed_s : float;
 }
 
@@ -197,7 +208,7 @@ type 'f checkpoint = {
 (** Periodic persistence hook, designed to feed [Covdb.save]: because a
     verdict depends only on [(fault, stimulus word)], a snapshot taken
     at any batch boundary can seed [?resume] of a later run — under any
-    [jobs]/lane-width configuration — and that run's final report is
+    [jobs] — and that run's final report is
     identical to the uninterrupted one. *)
 
 val shard_ranges : n:int -> jobs:int -> (int * int) array
@@ -223,10 +234,12 @@ module Make (B : BACKEND) : sig
     B.stim list ->
     B.fault outcome
   (** Run the campaign: filter effective faults, batch them
-      [min B.max_lanes B.L.width] to a batch, and lockstep-simulate
-      each batch over the stimulus word, recording per-lane excitation
+      [min B.max_lanes Lanes.width] to a batch in fault order, and
+      lockstep-simulate each batch over the steps of the stimulus
+      word that {!BACKEND.next} names, recording per-lane excitation
       and detection (a lane's simulation stops at its first detection;
-      a batch stops when every lane is detected or the backend halts).
+      a batch stops when every lane is detected, the backend halts or
+      no step is left to visit).
       One budget step is consumed per batch; when the budget is
       exhausted the remaining batches are skipped and the report is
       tagged [truncated]. Never raises [Budget_exceeded].
@@ -243,7 +256,7 @@ module Make (B : BACKEND) : sig
       running} worker domains (the shard decomposition — and with it
       the report — stays a function of [jobs] alone): a scheduler
       running several campaigns at once hands each a slice of one
-      global domain budget this way, so a wide campaign cannot
+      global domain budget this way, so a sharded campaign cannot
       oversubscribe the cores other jobs are using. The default is the
       hardware parallelism cap alone.
 

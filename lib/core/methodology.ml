@@ -104,7 +104,7 @@ let lint_gate ~budget =
   @ errors (Lint.run ~budget ~name:"dlx-test" ~against:impl test)
 
 let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
-    ?(budget = Budget.unlimited) ?lanes ?jobs () =
+    ?(budget = Budget.unlimited) ?jobs () =
   let open Simcov_fsm in
   let rng = Simcov_util.Rng.create seed in
   (* per-figure wall clock: each phase is both recorded in the report
@@ -163,7 +163,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
   let fsm_fault_coverage =
     timed "fsm_campaign" (fun () ->
         let faults = Simcov_coverage.Fault.sample_faults rng model ~count:150 in
-        Simcov_coverage.Detect.campaign ~budget ?lanes ?jobs model faults word)
+        Simcov_coverage.Detect.campaign ~budget ?jobs model faults word)
   in
   {
     config;

@@ -67,7 +67,6 @@ val validate_dlx :
   ?config:Simcov_dlx.Testmodel.config ->
   ?seed:int ->
   ?budget:Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   unit ->
   run_report
@@ -94,11 +93,9 @@ val validate_dlx :
     budget mid-campaign yields [truncated]-tagged partial campaign
     reports (see {!campaigns_truncated}), never an exception.
 
-    [lanes] and [jobs] tune the campaign legs: [lanes] selects the
-    lane width of the FSM fault campaign (wide bit-sliced lanes beyond
-    [Sys.int_size]) and [jobs] shards both campaigns across that many
-    domains — results are bit-identical at every [jobs]. A shard lost
-    to a worker exception is recorded in the campaign report's
+    [jobs] shards both campaign legs across that many domains —
+    results are bit-identical at every [jobs]. A shard lost to a
+    worker exception is recorded in the campaign report's
     [shard_failures]. *)
 
 val pp_run_report : Format.formatter -> run_report -> unit

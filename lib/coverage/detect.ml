@@ -65,10 +65,51 @@ type report = Fault.t campaign_report
 
 let backend_name = "fsm-fault"
 
-(* The bit-parallel FSM-fault backend, over any lane representation.
-   One golden pass per stimulus word evaluates a whole batch of
-   mutants, one per lane. Mutant trajectories are tracked by
-   difference from the golden trajectory:
+(* The golden run over the campaign word, indexed once per campaign
+   (before sharding, so every batch of every shard reads the same
+   index). [gst.(t)] is the golden state before step [t] and [gtr.(t)]
+   the transition (state * k + input) it takes, for every step before
+   [halt]: the first input the golden machine rejects (out-of-alphabet
+   inputs included), or the word's length. [first] maps each traversed
+   transition to the first step that takes it, and [later.(t)] is the
+   next step after [t] that takes [gtr.(t)]; [max_int] means never.
+   [first] is a table rather than an array over every input code so
+   that the index stays linear in the word. *)
+type golden = {
+  halt : int;
+  gst : int array;
+  gtr : int array;
+  first : (int, int) Hashtbl.t;
+  later : int array;
+}
+
+let golden_run (tab : Fsm.tables) word =
+  let k = tab.Fsm.tab_inputs in
+  let word = Array.of_list word in
+  let n = Array.length word in
+  let gst = Array.make (n + 1) tab.Fsm.tab_reset and gtr = Array.make n 0 in
+  let halt = ref n and t = ref 0 in
+  while !t < !halt do
+    let s = gst.(!t) and i = word.(!t) in
+    if i < 0 || i >= k || not tab.Fsm.tab_valid.((s * k) + i) then halt := !t
+    else begin
+      gtr.(!t) <- (s * k) + i;
+      gst.(!t + 1) <- tab.Fsm.tab_next.((s * k) + i);
+      incr t
+    end
+  done;
+  let halt = !halt in
+  let first = Hashtbl.create 1024 in
+  let later = Array.make halt max_int in
+  for t = halt - 1 downto 0 do
+    Option.iter (fun t' -> later.(t) <- t') (Hashtbl.find_opt first gtr.(t));
+    Hashtbl.replace first gtr.(t) t
+  done;
+  { halt; gst; gtr; first; later }
+
+(* The bit-parallel FSM-fault backend: one batch evaluates up to 63
+   mutants, one per bit of a native-int lane set. Mutant trajectories
+   are tracked by difference from the golden trajectory:
 
    - output and conditional-output lanes never leave the golden
      trajectory, so they need no per-lane state at all — they detect
@@ -78,34 +119,40 @@ let backend_name = "fsm-fault"
      the golden state; only diverged lanes are stepped off the golden
      trajectory, grouped by mutant state, and they rejoin the cheap
      converged set on silent re-convergence (Definition 4's masking
-     window closing). *)
-module Fsm_backend (L : Simcov_util.Lanes.S) = struct
-  module L = L
+     window closing).
 
-  type ctx = { m : Fsm.t; tab : Fsm.tables }
+   A mutant with no diverged lane is the golden machine until the
+   golden run next traverses its site, so a batch with no diverged
+   lane jumps straight to the next traversal of a live lane's site
+   ([next]); while a lane is diverged it visits every step. *)
+module Fsm_backend = struct
+  type ctx = { m : Fsm.t; tab : Fsm.tables; g : golden }
   type fault = Fault.t
   type stim = int
 
   let name = backend_name
-  let max_lanes = L.width
+  let max_lanes = Simcov_util.Lanes.width
   let effective ctx f = Fault.is_effective ctx.m f
 
   (* The batch's lanes faulted at one transition, split by kind:
      splitting up front means an excited step handles each population
-     directly instead of re-deriving it from a combined site set with
-     one full-width mask intersection per kind. *)
+     directly instead of re-deriving it from a combined site set.
+     [s_next] is the site's next golden traversal, a cursor into
+     [golden.later] that only moves forward. *)
   type site = {
-    mutable s_out : L.t;
-    mutable s_tr : L.t;
-    mutable s_cond : L.t;
+    mutable s_out : int;
+    mutable s_tr : int;
+    mutable s_cond : int;
+    mutable s_next : int;
   }
 
   (* The site of every transition no fault of the batch sits on. It is
      never written: pruning skips empty sets. *)
-  let no_site = { s_out = L.zero; s_tr = L.zero; s_cond = L.zero }
+  let no_site = { s_out = 0; s_tr = 0; s_cond = 0; s_next = max_int }
 
   type batch = {
     k : int;  (* tab_inputs *)
+    g : golden;
     tvalid : bool array;  (* the flat transition tables, hoisted *)
     tnext : int array;
     tout : int array;
@@ -114,16 +161,16 @@ module Fsm_backend (L : Simcov_util.Lanes.S) = struct
     sites : (int, site) Hashtbl.t;
         (* faulted transition (state * k + input) -> its lanes; sized by
            the batch, not by the machine's transition count *)
-    groups : L.t array;  (* mutant state -> diverged lanes sitting there *)
-    stage : L.t array;  (* same-step landing sets, merged after the sweep *)
+    site_list : site array;  (* the values of [sites] *)
+    groups : int array;  (* mutant state -> diverged lanes sitting there *)
+    stage : int array;  (* same-step landing sets, merged after the sweep *)
     occ : int array;  (* states with a nonempty group, unordered *)
     mutable occ_n : int;
     stg : int array;  (* states with a nonempty stage entry *)
     mutable stg_n : int;
-    mutable diverged : L.t;
-    mutable det : L.t;  (* per-step detected accumulator, reset each step *)
-    mutable sg : int;
-    mutable gprev : int;
+    mutable diverged : int;
+    mutable det : int;  (* per-step detected accumulator, reset each step *)
+    mutable at : int;  (* the step [next] positioned the batch at *)
   }
 
   let start (ctx : ctx) faults =
@@ -141,231 +188,224 @@ module Fsm_backend (L : Simcov_util.Lanes.S) = struct
           match Hashtbl.find_opt sites idx with
           | Some site -> site
           | None ->
-              let site = { s_out = L.zero; s_tr = L.zero; s_cond = L.zero } in
+              let s_next =
+                Option.value (Hashtbl.find_opt ctx.g.first idx) ~default:max_int
+              in
+              let site = { s_out = 0; s_tr = 0; s_cond = 0; s_next } in
               Hashtbl.add sites idx site;
               site
         in
+        let bit = 1 lsl l in
         match f with
         | Fault.Transfer { wrong_next; _ } ->
             wrong.(l) <- wrong_next;
-            site.s_tr <- L.add site.s_tr l
+            site.s_tr <- site.s_tr lor bit
         | Fault.Output { wrong_output; _ } ->
             wrong.(l) <- wrong_output;
-            site.s_out <- L.add site.s_out l
+            site.s_out <- site.s_out lor bit
         | Fault.Conditional_output { wrong_output; prev = ps, pi; _ } ->
             wrong.(l) <- wrong_output;
             cprev.(l) <- (ps * k) + pi;
-            site.s_cond <- L.add site.s_cond l)
+            site.s_cond <- site.s_cond lor bit)
       faults;
     {
       k;
+      g = ctx.g;
       tvalid = tab.Fsm.tab_valid;
       tnext = tab.Fsm.tab_next;
       tout = tab.Fsm.tab_output;
       wrong;
       cprev;
       sites;
-      groups = Array.make tab.Fsm.tab_states L.zero;
-      stage = Array.make tab.Fsm.tab_states L.zero;
+      site_list = Array.of_seq (Hashtbl.to_seq_values sites);
+      groups = Array.make tab.Fsm.tab_states 0;
+      stage = Array.make tab.Fsm.tab_states 0;
       occ = Array.make tab.Fsm.tab_states 0;
       occ_n = 0;
       stg = Array.make tab.Fsm.tab_states 0;
       stg_n = 0;
-      diverged = L.zero;
-      det = L.zero;
-      sg = tab.Fsm.tab_reset;
-      gprev = -1;
+      diverged = 0;
+      det = 0;
+      at = 0;
     }
 
   let site_at b t =
     match Hashtbl.find_opt b.sites t with Some site -> site | None -> no_site
 
+  (* While a lane is diverged every step can expose it. Otherwise
+     every live mutant is the golden machine until the golden run
+     traverses its site, so the next event is the earliest pending
+     traversal of a site with a live lane. *)
+  let next b ~active t =
+    let t =
+      if b.diverged <> 0 then t
+      else begin
+        let best = ref max_int in
+        Array.iter
+          (fun site ->
+            if (site.s_out lor site.s_tr lor site.s_cond) land active <> 0 then begin
+              while site.s_next < t do
+                site.s_next <- b.g.later.(site.s_next)
+              done;
+              if site.s_next < !best then best := site.s_next
+            end)
+          b.site_list;
+        !best
+      end
+    in
+    b.at <- t;
+    t
+
   (* The one preallocated "nothing happened this step" event — the
-     overwhelmingly common outcome, kept allocation-free. *)
-  let quiet = { Campaign.excited = L.zero; detected = L.zero; halt = false }
+     common outcome inside a divergence window, kept allocation-free. *)
+  let quiet = { Campaign.excited = 0; detected = 0; halt = false }
 
   (* A diverged lane enters the group of its mutant state; the
      occupancy list makes the per-step sweep touch only states that
      actually hold lanes. *)
   let enter_group b s l =
-    if b.groups.(s) == L.zero then begin
+    if b.groups.(s) = 0 then begin
       b.occ.(b.occ_n) <- s;
       b.occ_n <- b.occ_n + 1
     end;
-    b.groups.(s) <- L.add b.groups.(s) l
+    b.groups.(s) <- b.groups.(s) lor (1 lsl l)
 
-  let stage_lane b s l =
-    if b.stage.(s) == L.zero then begin
+  let stage_set b s lanes =
+    if b.stage.(s) = 0 then begin
       b.stg.(b.stg_n) <- s;
       b.stg_n <- b.stg_n + 1
     end;
-    b.stage.(s) <- L.add b.stage.(s) l
-
-  let stage_set b s lanes =
-    if b.stage.(s) == L.zero then begin
-      b.stg.(b.stg_n) <- s;
-      b.stg_n <- b.stg_n + 1;
-      b.stage.(s) <- lanes
-    end
-    else b.stage.(s) <- L.union b.stage.(s) lanes
+    b.stage.(s) <- b.stage.(s) lor lanes
 
   (* Prune a site's lanes against the driver's active set and store the
      pruned sets back: a lane that retires never becomes active again
-     within the batch, so the stored sets only ever tighten, and once a
-     site's mutants are all retired every later golden visit reduces to
-     physical-equality tests — without this, long batch tails re-scan
-     full-width masks for lanes that were detected thousands of steps
-     ago. The sweep's hitter lookup reads the same sites, which stays
-     correct: group members are undetected, hence never pruned. *)
+     within the batch, so the stored sets only ever tighten, and a
+     retired transfer lane is never branched off again. The sweep's
+     hitter lookup reads the same sites, which stays correct: group
+     members are undetected, hence never pruned. *)
   let prune site active =
-    if site.s_out != L.zero then site.s_out <- L.inter site.s_out active;
-    if site.s_tr != L.zero then site.s_tr <- L.inter site.s_tr active;
-    if site.s_cond != L.zero then site.s_cond <- L.inter site.s_cond active
+    if site.s_out <> 0 then site.s_out <- site.s_out land active;
+    if site.s_tr <> 0 then site.s_tr <- site.s_tr land active;
+    if site.s_cond <> 0 then site.s_cond <- site.s_cond land active
 
   let step b ~active i =
-    let k = b.k in
-    (* out-of-alphabet stimuli are invalid in every state, golden and
-       mutant alike: halt with no verdicts, exactly like the scalar
-       reference. Indexing the flat tables with such an [i] would
-       alias into the next state's row instead. *)
-    if i < 0 || i >= k then
-      { Campaign.excited = L.zero; detected = L.zero; halt = true }
-    else
-      let gi = (b.sg * k) + i in
-      let vg = Array.unsafe_get b.tvalid gi in
-      if not vg then begin
-        (* golden rejects the stimulus: diverged mutants that accept it
-           are exposed by the validity mismatch; everyone else stops *)
-        b.det <- L.zero;
+    let k = b.k and at = b.at in
+    if at >= b.g.halt then begin
+      (* golden rejects the stimulus: diverged mutants that accept it
+         are exposed by the validity mismatch; everyone else stops. An
+         out-of-alphabet stimulus is invalid in every state, golden and
+         mutant alike; indexing the flat tables with it would alias
+         into the next state's row instead. *)
+      b.det <- 0;
+      if i >= 0 && i < k then
         for j = 0 to b.occ_n - 1 do
           let s = Array.unsafe_get b.occ j in
-          if b.groups.(s) != L.zero && b.tvalid.((s * k) + i) then
-            b.det <- L.union b.det b.groups.(s)
+          if b.groups.(s) <> 0 && b.tvalid.((s * k) + i) then
+            b.det <- b.det lor b.groups.(s)
         done;
-        { Campaign.excited = L.zero; detected = b.det; halt = true }
-      end
-      else begin
-        let sg' = Array.unsafe_get b.tnext gi
-        and og = Array.unsafe_get b.tout gi in
-        let site = site_at b gi in
-        prune site active;
-        let s_out = site.s_out and s_tr = site.s_tr and s_cond = site.s_cond in
-        b.det <- L.zero;
-        (* [dv] snapshots the start-of-step diverged set, so lanes the
-           sweep below re-converges this very step do not branch off
-           again on the same stimulus. Lane sets are immutable — the
-           sweep's removals rebind [b.diverged] to fresh sets — so the
-           snapshot is one pointer copy, and because the site sets are
-           pruned to active lanes the membership test below needs no
-           [active] intersection. *)
-        let dv = b.diverged in
-        (* sweep the occupied mutant states: one table transition per
-           state moves, detects, or re-converges its whole lane group —
-           per-step divergence work is bounded by the number of FSM
-           states the diverged mutants occupy, not by the number of
-           diverged lanes. Mover sets land in [stage] so a group filled
-           this step is not re-stepped by the same sweep; detected
-           lanes leave [groups] / [diverged] at once (the driver
-           intersects with its active set, so a detection reported for
-           an already-retired lane is ignored anyway). *)
-        if b.occ_n > 0 then begin
-          let n0 = b.occ_n in
-          b.occ_n <- 0;
-          for j = 0 to n0 - 1 do
-            let s = Array.unsafe_get b.occ j in
-            let g = Array.unsafe_get b.groups s in
-            if g != L.zero then begin
-              let mi = (s * k) + i in
-              Array.unsafe_set b.groups s L.zero;
-              if (not (Array.unsafe_get b.tvalid mi))
-                 || Array.unsafe_get b.tout mi <> og
-              then begin
-                b.det <- L.union b.det g;
-                b.diverged <- L.diff b.diverged g
-              end
-              else begin
-                let ns = Array.unsafe_get b.tnext mi in
-                let mtr = (site_at b mi).s_tr in
-                if L.disjoint g mtr then begin
-                  (* no group member's own site is on this transition:
-                     the whole group moves, and it is known nonempty *)
-                  if ns = sg' then b.diverged <- L.diff b.diverged g
-                  else stage_set b ns g
-                end
-                else begin
-                  (* mutants whose own fault site is this transition
-                     take their wrong next state individually *)
-                  let hitters = L.inter g mtr in
-                  L.iter hitters (fun l ->
-                      let ms' = b.wrong.(l) in
-                      if ms' = sg' then b.diverged <- L.remove b.diverged l
-                      else stage_lane b ms' l);
-                  let movers = L.diff g hitters in
-                  if not (L.is_empty movers) then begin
-                    if ns = sg' then b.diverged <- L.diff b.diverged movers
-                    else stage_set b ns movers
-                  end
-                end
+      { Campaign.excited = 0; detected = b.det; halt = true }
+    end
+    else begin
+      let gi = b.g.gtr.(at) in
+      let sg' = b.g.gst.(at + 1) and og = Array.unsafe_get b.tout gi in
+      let site = site_at b gi in
+      prune site active;
+      let s_out = site.s_out and s_tr = site.s_tr and s_cond = site.s_cond in
+      b.det <- 0;
+      (* [dv] snapshots the start-of-step diverged set, so lanes the
+         sweep below re-converges this very step do not branch off
+         again on the same stimulus; because the site sets are pruned
+         to active lanes the membership test below needs no [active]
+         intersection. *)
+      let dv = b.diverged in
+      (* sweep the occupied mutant states: one table transition per
+         state moves, detects, or re-converges its whole lane group —
+         per-step divergence work is bounded by the number of FSM
+         states the diverged mutants occupy, not by the number of
+         diverged lanes. Mover sets land in [stage] so a group filled
+         this step is not re-stepped by the same sweep; detected lanes
+         leave [groups] / [diverged] at once. *)
+      if b.occ_n > 0 then begin
+        let n0 = b.occ_n in
+        b.occ_n <- 0;
+        for j = 0 to n0 - 1 do
+          let s = Array.unsafe_get b.occ j in
+          let g = Array.unsafe_get b.groups s in
+          if g <> 0 then begin
+            let mi = (s * k) + i in
+            Array.unsafe_set b.groups s 0;
+            if (not (Array.unsafe_get b.tvalid mi))
+               || Array.unsafe_get b.tout mi <> og
+            then begin
+              b.det <- b.det lor g;
+              b.diverged <- b.diverged land lnot g
+            end
+            else begin
+              let ns = Array.unsafe_get b.tnext mi in
+              (* mutants whose own fault site is this transition take
+                 their wrong next state individually *)
+              let hitters = g land (site_at b mi).s_tr in
+              Simcov_util.Lanes.iter hitters (fun l ->
+                  let ms' = b.wrong.(l) in
+                  if ms' = sg' then b.diverged <- b.diverged land lnot (1 lsl l)
+                  else stage_set b ms' (1 lsl l));
+              let movers = g land lnot hitters in
+              if movers <> 0 then begin
+                if ns = sg' then b.diverged <- b.diverged land lnot movers
+                else stage_set b ns movers
               end
             end
-          done;
-          (* merge: the sweep zeroed every group it visited, so each
-             staged set moves in by pointer *)
-          for j = 0 to b.stg_n - 1 do
-            let s = Array.unsafe_get b.stg j in
-            if b.groups.(s) == L.zero then begin
-              b.occ.(b.occ_n) <- s;
-              b.occ_n <- b.occ_n + 1;
-              b.groups.(s) <- b.stage.(s)
-            end
-            else b.groups.(s) <- L.union b.groups.(s) b.stage.(s);
-            b.stage.(s) <- L.zero
-          done;
-          b.stg_n <- 0
-        end;
-        (* an excited output-fault lane is detected on the spot; the
-           per-kind site split makes this one pointer union *)
-        if s_out != L.zero then b.det <- L.union b.det s_out;
-        if s_cond != L.zero then
-          L.iter s_cond (fun l ->
-              if b.cprev.(l) = b.gprev then b.det <- L.add b.det l);
-        if s_tr != L.zero then
-          (* effectiveness guarantees wrong_next differs from the
-             faulted transition's own golden successor, so a converged
-             transfer lane excited here branches off unless its wrong
-             state happens to coincide with [sg'] *)
-          L.iter s_tr (fun l ->
-              if (not (L.mem dv l)) && b.wrong.(l) <> sg' then begin
-                b.diverged <- L.add b.diverged l;
-                enter_group b b.wrong.(l) l;
-                Obs.incr c_lanes_diverged
-              end);
-        b.gprev <- gi;
-        b.sg <- sg';
-        if s_out == L.zero && s_tr == L.zero && s_cond == L.zero then begin
-          if L.is_empty b.det then quiet
-          else { Campaign.excited = L.zero; detected = b.det; halt = false }
-        end
-        else
-          { Campaign.excited = L.union s_out (L.union s_tr s_cond);
-            detected = b.det;
-            halt = false }
-      end
+          end
+        done;
+        (* merge: the sweep zeroed every group it visited *)
+        for j = 0 to b.stg_n - 1 do
+          let s = Array.unsafe_get b.stg j in
+          if b.groups.(s) = 0 then begin
+            b.occ.(b.occ_n) <- s;
+            b.occ_n <- b.occ_n + 1
+          end;
+          b.groups.(s) <- b.groups.(s) lor b.stage.(s);
+          b.stage.(s) <- 0
+        done;
+        b.stg_n <- 0
+      end;
+      (* an excited output-fault lane is detected on the spot *)
+      b.det <- b.det lor s_out;
+      if s_cond <> 0 then begin
+        let gprev = if at = 0 then -1 else b.g.gtr.(at - 1) in
+        Simcov_util.Lanes.iter s_cond (fun l ->
+            if b.cprev.(l) = gprev then b.det <- b.det lor (1 lsl l))
+      end;
+      if s_tr <> 0 then
+        (* effectiveness guarantees wrong_next differs from the
+           faulted transition's own golden successor, so a converged
+           transfer lane excited here branches off unless its wrong
+           state happens to coincide with [sg'] *)
+        Simcov_util.Lanes.iter s_tr (fun l ->
+            if dv land (1 lsl l) = 0 && b.wrong.(l) <> sg' then begin
+              b.diverged <- b.diverged lor (1 lsl l);
+              enter_group b b.wrong.(l) l;
+              Obs.incr c_lanes_diverged
+            end);
+      let excited = s_out lor s_tr lor s_cond in
+      if excited = 0 && b.det = 0 then quiet
+      else { Campaign.excited; detected = b.det; halt = false }
+    end
 end
 
-(* [lanes] up to [Sys.int_size] (the default) pick the native-int lane
-   set; wider values a bit-sliced one carrying that many mutants *)
-let campaign_outcome ?budget ?(lanes = Sys.int_size) ?jobs ?max_workers
-    ?on_batch ?resume ?checkpoint ?should_stop golden faults word =
-  let module B = Fsm_backend ((val Simcov_util.Lanes.make lanes)) in
-  let module D = Campaign.Make (B) in
-  D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint ?should_stop
-    { B.m = golden; tab = Fsm.tables golden }
+module Fsm_driver = Campaign.Make (Fsm_backend)
+
+(* [lanes] is accepted and ignored: every batch is one native int *)
+let campaign_outcome ?budget ?lanes:_ ?jobs ?max_workers ?on_batch ?resume
+    ?checkpoint ?should_stop golden faults word =
+  let tab = Fsm.tables golden in
+  Fsm_driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
+    ?should_stop
+    { Fsm_backend.m = golden; tab; g = golden_run tab word }
     faults word
 
-let campaign ?budget ?lanes ?jobs ?on_batch golden faults word =
-  (campaign_outcome ?budget ?lanes ?jobs ?on_batch golden faults word)
-    .Campaign.report
+let campaign ?budget ?jobs ?on_batch golden faults word =
+  (campaign_outcome ?budget ?jobs ?on_batch golden faults word).Campaign.report
 
 let coverage_pct = Campaign.coverage_pct
 let pp_report = Campaign.pp_report

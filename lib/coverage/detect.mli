@@ -7,12 +7,14 @@
     Section 4.2 illustrates with Figure 2.
 
     Campaigns route through the shared {!Simcov_campaign.Campaign}
-    driver: mutants are packed into int bit lanes and evaluated with
-    one golden pass per word instead of one full rerun per fault.
-    {!run_verdict} is the one-fault lockstep run (the W-method and
-    the Figure 2 demo use it); the scalar campaign built on it,
-    the reference the batched engine is tested against, lives in the
-    test suite. *)
+    driver: mutants are packed into the 63 bit lanes of a native int,
+    and a batch visits only the steps of the word at which one of its
+    live mutants can differ from the golden machine — the golden
+    run's traversals of their fault sites, and every step while a
+    transfer mutant's state is diverged. {!run_verdict} is the
+    one-fault lockstep run (the W-method and the Figure 2 demo use
+    it); the scalar campaign built on it, the reference the batched
+    engine is tested against, lives in the test suite. *)
 
 open Simcov_fsm
 module Campaign = Simcov_campaign.Campaign
@@ -56,24 +58,19 @@ type report = Fault.t campaign_report
 
 val campaign :
   ?budget:Simcov_util.Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   ?on_batch:(Campaign.progress -> unit) ->
   Fsm.t ->
   Fault.t list ->
   int list ->
   report
-(** Bit-parallel batched campaign via the shared driver. Budget
-    exhaustion yields a [truncated] partial report, never an
-    exception.
-
-    [lanes] selects the lane representation of the one FSM backend:
-    up to [Sys.int_size] (the default) packs a batch into one native
-    int; wider values use a bit-sliced set of that many lanes, so one
-    golden pass evaluates that many mutants.
+(** Bit-parallel batched campaign via the shared driver. The golden
+    run over the word is indexed once, before sharding: for every
+    transition, the steps at which the golden run traverses it (up to
+    the first input it rejects). Budget exhaustion yields a
+    [truncated] partial report, never an exception.
     [jobs > 1] shards the effective faults across that many domains
-    (see {!Simcov_campaign.Campaign}'s determinism contract).
-    @raise Invalid_argument if [lanes < 1]. *)
+    (see {!Simcov_campaign.Campaign}'s determinism contract). *)
 
 val campaign_outcome :
   ?budget:Simcov_util.Budget.t ->
@@ -93,7 +90,10 @@ val campaign_outcome :
     already-decided faults, [checkpoint] flushes cumulative verdicts
     periodically, [should_stop] requests a clean early stop, and a
     worker exception costs at most one shard (reported in
-    [shard_failures], not retried). *)
+    [shard_failures], not retried).
+
+    [lanes] is ignored: every batch carries 63 lanes. It is kept only
+    because the frozen benchmark harness ([perfbench/]) passes it. *)
 
 val coverage_pct : report -> float
 (** [100 * detected / effective] (100.0 when there are no effective

@@ -21,15 +21,9 @@ let all_faults (c : Circuit.t) =
 (* The bit-parallel stuck-at backend: bit l of every packed int is the
    value of a net in faulty circuit l. One {!Expr.eval_lanes} pass per
    expression evaluates all lanes at once; a lane's reads of its
-   faulted signal are pinned through per-signal (mask, ones) pairs.
-
-   A batch is always one native word. Every step recomputes every
-   lane's nets, so per-step work grows with the lane count and a wider
-   batch would save only batch setups while adding allocation
-   (DESIGN.md §8b has the measurement). *)
+   faulted signal are pinned through per-signal (mask, ones) pairs. A
+   batch is one native word. *)
 module Net_backend = struct
-  module L = Simcov_util.Lanes.Native
-
   type ctx = Circuit.t
   type nonrec fault = fault
   type stim = bool array
@@ -51,7 +45,7 @@ module Net_backend = struct
 
   let start (c : Circuit.t) (faults : fault array) =
     let nr = Circuit.n_regs c and ni = Circuit.n_inputs c in
-    let full = L.ones (Array.length faults) in
+    let full = Simcov_util.Lanes.ones (Array.length faults) in
     let pmr = Array.make nr 0 and p1r = Array.make nr 0 in
     let pmi = Array.make ni 0 and p1i = Array.make ni 0 in
     Array.iteri
@@ -68,6 +62,11 @@ module Net_backend = struct
     let good = Circuit.initial_state c in
     let lanes = Array.map (fun b -> if b then full else 0) good in
     { c; full; lanes; good; pmr; p1r; pmi; p1i }
+
+  (* a site is excited wherever its golden value differs from the
+     stuck value, and no index of the golden run records where: visit
+     every step *)
+  let next _ ~active:_ t = t
 
   let step b ~active:_ iv =
     let c = b.c in
@@ -122,8 +121,8 @@ end
 
 module Driver = Campaign.Make (Net_backend)
 
-(* [lanes] is accepted for symmetry with {!Detect.campaign_outcome} and
-   ignored: stuck-at batches are always one native word *)
+(* [lanes] is accepted and ignored, as by {!Detect.campaign_outcome}:
+   every batch is one native word *)
 let campaign_outcome ?budget ?lanes:_ ?jobs ?max_workers ?on_batch ?resume
     ?checkpoint ?should_stop c faults word =
   Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint

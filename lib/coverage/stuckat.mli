@@ -52,10 +52,10 @@ val campaign_outcome :
   fault Campaign.outcome
 (** Bit-parallel batched campaign via the shared driver, returning the
     report and per-fault verdicts; budget exhaustion yields a
-    [truncated] partial report. A batch is always one native word
-    ([Sys.int_size] lanes): every step recomputes every lane's nets, so
-    wider batches would only add allocation. [lanes] is accepted for
-    symmetry with {!Detect.campaign_outcome} and ignored. [jobs] shards
+    [truncated] partial report. A batch is one native word
+    ([Sys.int_size] lanes) and visits every step of the word. [lanes]
+    is ignored; it is kept only because the frozen benchmark harness
+    ([perfbench/]) passes it. [jobs] shards
     faults across domains; the driver's crash-safety hooks (resume /
     checkpoint / clean stop / shard fault isolation) are described in
     {!Simcov_campaign.Campaign}. The one-fault-at-a-time scalar

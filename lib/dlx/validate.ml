@@ -54,8 +54,6 @@ let test_program ?(preload_regs = []) ?(preload_mem = []) program =
    old [List.exists]), and the unified report. Excitation has no finer
    probe than detection here: a mismatching commit stream is both. *)
 module Bug_backend = struct
-  module L = Simcov_util.Lanes.Native
-
   type ctx = unit
   type fault = string * Pipeline.bugs
   type stim = test_program
@@ -67,10 +65,11 @@ module Bug_backend = struct
   type batch = fault array
 
   let start () faults = faults
+  let next _ ~active:_ t = t
 
   let step (b : batch) ~active t =
     let detected = ref 0 in
-    L.iter active (fun l ->
+    Simcov_util.Lanes.iter active (fun l ->
         let _, bugs = b.(l) in
         match
           run_program ~bugs ~preload_regs:t.preload_regs

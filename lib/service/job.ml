@@ -19,7 +19,6 @@ type validate_params = {
   va_track_dest : bool;
   va_observable_dest : bool;
   va_seed : int;
-  va_lanes : int;
   va_jobs : int;
 }
 
@@ -84,7 +83,6 @@ let default_validate =
     va_track_dest = true;
     va_observable_dest = true;
     va_seed = 2026;
-    va_lanes = Sys.int_size;
     va_jobs = 1;
   }
 
@@ -148,7 +146,6 @@ let params_json = function
            ("track_dest", Json.Bool p.va_track_dest);
            ("observable_dest", Json.Bool p.va_observable_dest);
            ("seed", Json.Int p.va_seed);
-           ("lanes", Json.Int p.va_lanes);
            ("jobs", Json.Int p.va_jobs);
          ])
   | Lint p ->
@@ -175,7 +172,7 @@ let params_json = function
            ("steps", Json.Int p.cov_steps);
          ]
         @ opt_float "fail_under" p.cov_fail_under
-        @ [ ("lanes", Json.Int p.cov_lanes); ("jobs", Json.Int p.cov_jobs) ]
+        @ [ ("jobs", Json.Int p.cov_jobs) ]
         @ opt_str "checkpoint" p.cov_checkpoint
         @ [ ("checkpoint_every", Json.Int p.cov_checkpoint_every) ]
         @ opt_str "resume" p.cov_resume)
@@ -213,13 +210,11 @@ let get_int obj name ~default =
   | Some (Json.Int i) -> i
   | Some _ -> raise (Bad (Printf.sprintf "field '%s' must be an integer" name))
 
-(* lanes and jobs size per-job allocations and domain counts, k_bound
-   the rounds of the ∀k search, count and steps the fault population
-   and the stimulus, checkpoint_every the batches between saves (it
-   must be positive), regs the tabulated test model, and timeout_s and
-   max_nodes the job's budget: the wire accepts exactly the CLI's
-   values *)
-let lanes_range = (1, 65536)
+(* jobs sizes the domain count, k_bound the rounds of the ∀k search,
+   count and steps the fault population and the stimulus,
+   checkpoint_every the batches between saves (it must be positive),
+   regs the tabulated test model, and timeout_s and max_nodes the
+   job's budget: the wire accepts exactly the CLI's values *)
 let jobs_range = (1, 256)
 let k_bound_range = (1, 64)
 let count_range = (1, 100_000)
@@ -310,7 +305,6 @@ let spec_of ~kind params =
           va_observable_dest =
             get_bool params "observable_dest" ~default:d.va_observable_dest;
           va_seed = get_int params "seed" ~default:d.va_seed;
-          va_lanes = get_bounded params "lanes" lanes_range ~default:d.va_lanes;
           va_jobs = get_bounded params "jobs" jobs_range ~default:d.va_jobs;
         }
   | "lint" ->
@@ -349,7 +343,7 @@ let spec_of ~kind params =
           cov_count = get_bounded params "count" count_range ~default:d.cov_count;
           cov_steps = get_bounded params "steps" steps_range ~default:d.cov_steps;
           cov_fail_under = get_float_opt params "fail_under";
-          cov_lanes = get_bounded params "lanes" lanes_range ~default:d.cov_lanes;
+          cov_lanes = d.cov_lanes;
           cov_jobs = get_bounded params "jobs" jobs_range ~default:d.cov_jobs;
           cov_checkpoint = get_str_opt params "checkpoint";
           cov_checkpoint_every =

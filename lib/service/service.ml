@@ -365,7 +365,7 @@ let run_validate ~budget (p : Job.validate_params) =
   in
   let report =
     Methodology.validate_dlx ~config ~seed:p.Job.va_seed ~budget
-      ~lanes:p.Job.va_lanes ~jobs:p.Job.va_jobs ()
+      ~jobs:p.Job.va_jobs ()
   in
   let human = Format.asprintf "%a@." Methodology.pp_run_report report in
   ok ~report:(validate_json report) ~human
@@ -615,8 +615,7 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
       run_persisted ~p ~chaos_kill_after ~should_stop ~notes ~hdr
         ~key:Fault.key ~run:(fun ?resume ?checkpoint ~should_stop () ->
           Detect.campaign_outcome ?on_batch ?resume ?checkpoint ~should_stop
-            ~budget ~lanes:p.Job.cov_lanes ~jobs:p.Job.cov_jobs
-            ?max_workers m faults word)
+            ~budget ~jobs:p.Job.cov_jobs ?max_workers m faults word)
     with
     | Error (code, msg) -> fail code msg
     | Ok (outcome, interrupted) ->
@@ -690,8 +689,8 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
               ~key:Stuckat.fault_key
               ~run:(fun ?resume ?checkpoint ~should_stop () ->
                 Stuckat.campaign_outcome ?on_batch ?resume ?checkpoint
-                  ~should_stop ~budget ~lanes:p.Job.cov_lanes
-                  ~jobs:p.Job.cov_jobs ?max_workers c faults word)
+                  ~should_stop ~budget ~jobs:p.Job.cov_jobs ?max_workers c
+                  faults word)
           with
           | Error (code, msg) -> fail code msg
           | Ok (outcome, interrupted) ->

@@ -86,24 +86,8 @@ let suite_extra ?scope ~extra (m : Fsm.t) =
 
 let total_length words = List.fold_left (fun acc w -> acc + List.length w) 0 words
 
-(* run a word from reset on golden and mutant; the word may become
-   invalid mid-way on either side (validity mismatch = detection;
-   invalid on both = truncation) *)
-let word_detects (m : Fsm.t) mutant word =
-  let rec go sg sm = function
-    | [] -> false
-    | i :: rest -> (
-        let vg = m.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
-        if vg <> vm then true
-        else if not vg then false
-        else if m.Fsm.output sg i <> mutant.Fsm.output sm i then true
-        else go (m.Fsm.next sg i) (mutant.Fsm.next sm i) rest)
-  in
-  go m.Fsm.reset mutant.Fsm.reset word
-
 let detects m fault words =
-  let mutant = Simcov_coverage.Fault.apply m fault in
-  List.exists (word_detects m mutant) words
+  List.exists (Simcov_coverage.Detect.detects m fault) words
 
 let campaign m faults words =
   let total = List.length faults in

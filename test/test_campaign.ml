@@ -9,6 +9,7 @@ open Simcov_coverage
 module Campaign = Simcov_campaign.Campaign
 module Budget = Simcov_util.Budget
 module Rng = Simcov_util.Rng
+module Obs = Simcov_obs.Obs
 
 let verdict_eq (a : Campaign.verdict) (b : Campaign.verdict) =
   a.detected = b.detected && a.excited = b.excited
@@ -218,11 +219,12 @@ let test_budget_truncation_prefix () =
   Alcotest.(check int) "prefix excited" (count (fun v -> v.Campaign.excited))
     r.Campaign.excited
 
-(* ---- wide lanes and domain sharding ----
+(* ---- multi-batch runs and domain sharding ----
 
-   The FSM backend at every lane width, and the sharded driver, must be
-   observationally identical to the scalar reference: same verdicts,
-   same order, same counters. *)
+   A batch with no diverged lane jumps from one golden traversal of a
+   live lane's site to the next, and the sharded driver splits the
+   population across domains. Both must be observationally identical
+   to the scalar reference: same verdicts, same order, same counters. *)
 
 (* the DLX test model and its certified padded tour (5,175 steps): the
    machine and word every `coverage dlx` campaign runs *)
@@ -232,6 +234,86 @@ let dlx_model =
      match Simcov_core.Completeness.certify m with
      | Ok cert -> (m, cert.Simcov_core.Completeness.word)
      | Error _ -> failwith "DLX test model lost its certificate")
+
+(* A partial machine (one seed in five: the DLX test model and its
+   certified tour), a word that runs into a golden-invalid or an
+   out-of-alphabet input, and a population of transfer, output and
+   conditional-output faults with at least 150 effective members (so
+   at least three 63-lane batches). In a random machine a chain on
+   input 0 keeps every state reachable; conditional faults top the
+   population up. *)
+let multi_batch_instance seed =
+  let rng = Rng.create seed in
+  let m, walk =
+    if seed mod 5 = 0 then Lazy.force dlx_model
+    else begin
+      let n_states = 6 + Rng.int rng 10 in
+      let n_inputs = 2 + Rng.int rng 3 in
+      let rows = ref [] in
+      for s = 0 to n_states - 1 do
+        for i = 0 to n_inputs - 1 do
+          if i = 0 then
+            rows :=
+              (s, 0, (if s + 1 < n_states then s + 1 else Rng.int rng n_states), Rng.int rng 3)
+              :: !rows
+          else if Rng.int rng 10 < 7 then
+            rows := (s, i, Rng.int rng n_states, Rng.int rng 3) :: !rows
+        done
+      done;
+      let m = Fsm.tabulate (Fsm.of_table (List.rev !rows)) in
+      (m, Simcov_testgen.Tour.random_word rng m ~length:(40 + Rng.int rng 160))
+    end
+  in
+  let trans = Fsm.transitions m in
+  let n_outputs = 1 + List.fold_left (fun acc (_, _, _, o) -> max acc o) 0 trans in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  (* a random transition as the history, any transition out of its
+     destination as the site: effective, and excited whenever the
+     word takes the two in a row *)
+  let conditional () =
+    let ps, pi, s, _ = pick trans in
+    let _, i, _, o = pick (List.filter (fun (s', _, _, _) -> s' = s) trans) in
+    Fault.Conditional_output
+      { state = s; input = i; wrong_output = (o + 1) mod n_outputs; prev = (ps, pi) }
+  in
+  let base =
+    List.filter (Fault.is_effective m)
+      (Fault.sample_transfer_faults rng m ~count:90
+      @ Fault.sample_output_faults rng m ~n_outputs ~count:30)
+  in
+  let faults = base @ List.init (max 30 (150 - List.length base)) (fun _ -> conditional ()) in
+  (* the walk, then one input the golden machine rejects, then more
+     inputs the campaign must ignore *)
+  let n_inputs = m.Fsm.n_inputs in
+  let last = List.fold_left (fun s i -> m.Fsm.next s i) m.Fsm.reset walk in
+  let rejected =
+    List.filter (fun i -> not (m.Fsm.valid last i)) (List.init n_inputs Fun.id)
+  in
+  let bad =
+    if rejected <> [] && Rng.bool rng then pick rejected else n_inputs + Rng.int rng 3
+  in
+  let word = walk @ (bad :: List.init (Rng.int rng 20) (fun _ -> Rng.int rng n_inputs)) in
+  (m, faults, word)
+
+let qcheck_multi_batch_eq_scalar =
+  QCheck.Test.make
+    ~name:"campaign: 3+ batches at jobs 1 and 3 = scalar (partial machines)"
+    ~count:60
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let m, faults, word = multi_batch_instance seed in
+      let scalar = Oracles.Detect.campaign_scalar m faults word in
+      if scalar.Campaign.report.Campaign.effective <= 2 * Simcov_util.Lanes.width then
+        QCheck.Test.fail_reportf "only %d effective faults"
+          scalar.Campaign.report.Campaign.effective;
+      ignore
+        (check_outcomes_agree ~what:"jobs 1" scalar (Detect.campaign_outcome m faults word));
+      check_outcomes_agree ~what:"jobs 3" scalar
+        (Detect.campaign_outcome ~jobs:3 m faults word))
+
+(* The 256- and 512-lane widths the benchmark still requests through
+   [?lanes] are ignored: every batch carries 63 lanes, so a wide
+   request, sharded or not, must still match the scalar reference. *)
 
 let dlx_instance seed =
   let m, word = Lazy.force dlx_model in
@@ -255,12 +337,12 @@ let qcheck_wide_eq_scalar =
       in
       let scalar = Oracles.Detect.campaign_scalar m faults word in
       ignore
-        (check_outcomes_agree ~what:"wide 256" scalar
+        (check_outcomes_agree ~what:"lanes 256" scalar
            (Detect.campaign_outcome ~lanes:256 m faults word));
       ignore
-        (check_outcomes_agree ~what:"wide 512, jobs 2" scalar
+        (check_outcomes_agree ~what:"lanes 512, jobs 2" scalar
            (Detect.campaign_outcome ~lanes:512 ~jobs:2 m faults word));
-      check_outcomes_agree ~what:"native lanes, jobs 3" scalar
+      check_outcomes_agree ~what:"jobs 3" scalar
         (Detect.campaign_outcome ~jobs:3 m faults word))
 
 let qcheck_wide_eq_scalar_partial =
@@ -271,14 +353,14 @@ let qcheck_wide_eq_scalar_partial =
       let m, faults, word = random_partial_instance seed in
       let scalar = Oracles.Detect.campaign_scalar m faults word in
       ignore
-        (check_outcomes_agree ~what:"partial, wide 256" scalar
+        (check_outcomes_agree ~what:"partial, lanes 256" scalar
            (Detect.campaign_outcome ~lanes:256 m faults word));
-      check_outcomes_agree ~what:"partial, wide 256 jobs 2" scalar
+      check_outcomes_agree ~what:"partial, lanes 256 jobs 2" scalar
         (Detect.campaign_outcome ~lanes:256 ~jobs:2 m faults word))
 
-(* wide lane-boundary fault counts around one native word (63/64), one
-   wide-word boundary (255/256/257) and a full 512-lane batch *)
-let test_wide_lane_boundaries () =
+(* batch-boundary fault counts around one batch (63/64), four batches
+   (255/256/257) and a population of nine batches *)
+let test_batch_boundaries () =
   let rng = Rng.create 43 in
   let m =
     Fsm.tabulate (Fsm.random_connected rng ~n_states:22 ~n_inputs:3 ~n_outputs:3)
@@ -291,19 +373,55 @@ let test_wide_lane_boundaries () =
   List.iter
     (fun n ->
       let faults = List.filteri (fun i _ -> i < n) all in
-      let scalar = Oracles.Detect.campaign_scalar m faults word in
-      List.iter
-        (fun lanes ->
-          let o = Detect.campaign_outcome ~lanes m faults word in
-          ignore
-            (check_outcomes_agree
-               ~what:(Printf.sprintf "%d faults at %d lanes" n lanes)
-               scalar o);
-          Alcotest.(check int)
-            (Printf.sprintf "%d faults at %d lanes: all evaluated" n lanes)
-            n o.Campaign.report.Campaign.effective)
-        [ 256; 512 ])
+      let o = Detect.campaign_outcome m faults word in
+      ignore
+        (check_outcomes_agree
+           ~what:(Printf.sprintf "%d faults" n)
+           (Oracles.Detect.campaign_scalar m faults word)
+           o);
+      Alcotest.(check int)
+        (Printf.sprintf "%d faults: all evaluated" n)
+        n o.Campaign.report.Campaign.effective)
     [ 63; 64; 255; 256; 257; 512 ]
+
+(* Lockstep steps visited, read off a fresh registry. A batch visits a
+   step only while one of its lanes is diverged or when the golden run
+   traverses a live lane's site, so the count stays near one pass over
+   the word. Replaying the word from reset for every 63-lane batch took
+   244,557 and 267,494 steps on the two populations below. *)
+let sim_steps_of m faults word =
+  let reg = Obs.registry () in
+  Fun.protect
+    ~finally:(fun () -> Obs.release reg)
+    (fun () ->
+      Obs.with_registry reg (fun () ->
+          let o = Detect.campaign_outcome m faults word in
+          (o.Campaign.report, Obs.count (Obs.counter "campaign.sim_steps"))))
+
+(* the `coverage dlx --count 1500` population: 3,000 faults on the
+   certified 5,175-step tour, every one detected *)
+let test_sim_steps_certified_tour () =
+  let m, word = Lazy.force dlx_model in
+  let faults = Fault.sample_faults (Rng.create 2026) m ~count:1500 in
+  let r, steps = sim_steps_of m faults word in
+  Alcotest.(check int) "3,000 faults" 3000 r.Campaign.total;
+  Alcotest.(check int) "all detected" r.Campaign.effective r.Campaign.detected;
+  if steps > 10_350 then Alcotest.failf "%d steps visited, bound 10,350" steps
+
+(* the uncertified model without observable destinations: the same
+   population on its 5,650-step greedy word, 790 faults missed *)
+let test_sim_steps_greedy_word () =
+  let m =
+    Fsm.tabulate
+      (Simcov_dlx.Testmodel.build
+         { Simcov_dlx.Testmodel.default with observable_dest = false })
+  in
+  let word = Simcov_core.Completeness.campaign_word m None in
+  let faults = Fault.sample_faults (Rng.create 2026) m ~count:1500 in
+  let r, steps = sim_steps_of m faults word in
+  Alcotest.(check int) "greedy word" 5650 (List.length word);
+  Alcotest.(check int) "790 missed" 790 (List.length r.Campaign.missed);
+  if steps > 11_300 then Alcotest.failf "%d steps visited, bound 11,300" steps
 
 (* sharded truncation: each shard evaluates whole batches forming a
    prefix of its contiguous slice; the merged verdict list is exactly
@@ -439,17 +557,17 @@ let check_stuckat_agrees c word =
           Stuckat.pp_fault f vs.Campaign.detected vs.Campaign.excited
           vb.Campaign.detected vb.Campaign.excited)
     faults batched.Campaign.verdicts;
-  (* [lanes] is ignored, and the sharded driver agrees with the
-     sequential batched run, verdict by verdict *)
-  let wide = Stuckat.campaign_outcome ~lanes:256 ~jobs:2 c faults word in
+  (* the sharded driver agrees with the sequential batched run,
+     verdict by verdict *)
+  let sharded = Stuckat.campaign_outcome ~jobs:2 c faults word in
   List.iter2
     (fun (fb, vb) (fw, vw) ->
       if fb <> fw then
-        QCheck.Test.fail_reportf "stuckat: wide fault order differs";
+        QCheck.Test.fail_reportf "stuckat: sharded fault order differs";
       if not (verdict_eq vb vw) then
-        QCheck.Test.fail_reportf "stuckat: wide verdict mismatch on %a"
+        QCheck.Test.fail_reportf "stuckat: sharded verdict mismatch on %a"
           Stuckat.pp_fault fb)
-    batched.Campaign.verdicts wide.Campaign.verdicts;
+    batched.Campaign.verdicts sharded.Campaign.verdicts;
   true
 
 (* the DLX test-model netlist, whose input constraints reject most
@@ -569,8 +687,6 @@ let test_json_schema () =
 (* A deterministic synthetic backend whose workers can be poisoned: a
    batch containing a poisoned fault raises in [start]. *)
 module Synth = struct
-  module L = Simcov_util.Lanes.Native
-
   type ctx = { poison : int -> bool }
   type fault = int
   type stim = int
@@ -584,6 +700,8 @@ module Synth = struct
   let start ctx faults =
     if Array.exists ctx.poison faults then failwith "injected worker fault";
     { faults; t = 0 }
+
+  let next _ ~active:_ t = t
 
   let step b ~active:_ x =
     let exc = ref 0 and det = ref 0 in
@@ -730,10 +848,15 @@ let suite =
     Alcotest.test_case "lane boundaries 1/62/63/64/127" `Quick test_lane_boundaries;
     Alcotest.test_case "budget truncation is prefix-consistent" `Quick
       test_budget_truncation_prefix;
+    QCheck_alcotest.to_alcotest qcheck_multi_batch_eq_scalar;
     QCheck_alcotest.to_alcotest qcheck_wide_eq_scalar;
     QCheck_alcotest.to_alcotest qcheck_wide_eq_scalar_partial;
-    Alcotest.test_case "wide lane boundaries 63/64/255/256/257/512" `Quick
-      test_wide_lane_boundaries;
+    Alcotest.test_case "batch boundaries 63/64/255/256/257/512" `Quick
+      test_batch_boundaries;
+    Alcotest.test_case "sim steps: certified DLX tour, 3,000 faults" `Quick
+      test_sim_steps_certified_tour;
+    Alcotest.test_case "sim steps: greedy DLX word, 3,000 faults" `Quick
+      test_sim_steps_greedy_word;
     Alcotest.test_case "sharded truncation is shard-prefix-consistent" `Quick
       test_sharded_truncation_prefix;
     Alcotest.test_case "sharded report equals sequential report" `Quick

@@ -276,6 +276,29 @@ let test_budget_node_probe () =
   Alcotest.(check bool) "unlimited ignores probes" true
     (Budget.live_nodes Budget.unlimited = None)
 
+(* A job's campaign.* metrics count only the campaigns it reports:
+   the FSM lint's SA640/SA641 engine runs stay out of them. validate-dlx
+   runs a 300-fault FSM campaign (5 batches) and the 12-bug pipeline
+   campaign (12 one-lane batches). *)
+let test_campaign_metrics_count_reported_campaigns () =
+  let module Job = Simcov_service.Job in
+  let counts job =
+    let reg = Obs.registry () in
+    Fun.protect
+      ~finally:(fun () -> Obs.release reg)
+      (fun () ->
+        Obs.with_registry reg (fun () ->
+            ignore (Simcov_service.Service.run (Job.make job));
+            ( Obs.count (Obs.counter "campaign.batches"),
+              Obs.count (Obs.counter "campaign.faults_evaluated") )))
+  in
+  Alcotest.(check (pair int int))
+    "lint --fsm dlx-test: batches, faults" (0, 0)
+    (counts (Job.Lint { (Job.default_lint ~model:"dlx-test") with Job.li_fsm = true }));
+  Alcotest.(check (pair int int))
+    "validate-dlx: batches, faults" (17, 312)
+    (counts (Job.Validate_dlx Job.default_validate))
+
 let suite =
   [
     Alcotest.test_case "registry create-on-first-use" `Quick
@@ -291,4 +314,6 @@ let suite =
       test_campaign_progress_invariants;
     Alcotest.test_case "two-domain counter hammer" `Quick test_domain_hammer;
     Alcotest.test_case "budget node probe" `Quick test_budget_node_probe;
+    Alcotest.test_case "campaign metrics count reported campaigns only" `Quick
+      test_campaign_metrics_count_reported_campaigns;
   ]

@@ -470,10 +470,10 @@ let chaos_save_snapshot ~total path pairs =
 
 let chaos_child_main path =
   let m, faults, word = chaos_instance () in
-  (* small batches, a flush after every one, slowed down so the
-     parent's kill lands mid-campaign *)
+  (* three 63-lane batches, a flush after every one, slowed down so
+     the parent's kill lands mid-campaign *)
   ignore
-    (Detect.campaign_outcome ~lanes:8
+    (Detect.campaign_outcome
        ~on_batch:(fun _ -> Unix.sleepf 0.005)
        ~checkpoint:
          {

@@ -99,30 +99,52 @@ let test_job_defaults_and_errors () =
           ]));
   check bool "lint without model rejected" true
     (rejected (Json.Obj [ ("kind", Json.String "lint") ]));
-  (* a coverage or validate-dlx request that still carries the retired
-     reorder member parses, and the member is dropped like any unknown
-     one *)
+  (* a coverage or validate-dlx request that still carries a retired
+     reorder or lanes member parses, and the member is dropped like any
+     unknown one, whatever its value *)
   List.iter
     (fun (kind, spec) ->
-      match
-        Job.of_json
-          (Json.Obj
-             [
-               ("kind", Json.String kind);
-               ("params", Json.Obj [ ("reorder", Json.String "on") ]);
-             ])
-      with
-      | Ok j ->
-          check string ("reorder ignored on " ^ kind)
-            (Json.to_string (Job.to_json (Job.make spec)))
-            (Json.to_string (Job.to_json j))
-      | Error e -> failf "%s with reorder rejected: %s" kind e)
+      List.iter
+        (fun (name, v) ->
+          match
+            Job.of_json
+              (Json.Obj
+                 [ ("kind", Json.String kind); ("params", Json.Obj [ (name, v) ]) ])
+          with
+          | Ok j ->
+              check string
+                (Printf.sprintf "%s %s ignored on %s" name (Json.to_string v) kind)
+                (Json.to_string (Job.to_json (Job.make spec)))
+                (Json.to_string (Job.to_json j))
+          | Error e -> failf "%s with %s rejected: %s" kind name e)
+        [
+          ("reorder", Json.String "on");
+          ("lanes", Json.Int 512);
+          ("lanes", Json.Int 0);
+          ("lanes", Json.Int 16_777_216);
+        ])
     [
       ("coverage", Job.Coverage (Job.default_coverage ~model:"dlx"));
       ("validate-dlx", Job.Validate_dlx Job.default_validate);
     ];
-  (* lanes, jobs and k_bound take exactly the CLI's ranges, both ends
-     inclusive; every request names a model, which lint requires *)
+  (* and the report is the one the request without it gets *)
+  (let report params =
+     match
+       Job.of_json
+         (Json.Obj [ ("kind", Json.String "coverage"); ("params", Json.Obj params) ])
+     with
+     | Ok j -> (
+         match (Service.run j).Service.report with
+         | Some r -> Json.to_string r
+         | None -> fail "coverage job produced no report")
+     | Error e -> failf "coverage job rejected: %s" e
+   in
+   let base = [ ("seed", Json.Int 7); ("count", Json.Int 100) ] in
+   check string "lanes leaves the report byte-identical" (report base)
+     (report (("lanes", Json.Int 512) :: base)));
+  (* jobs, count, steps and k_bound take exactly the CLI's ranges,
+     both ends inclusive; every request names a model, which lint
+     requires *)
   List.iter
     (fun (kind, name, (lo, hi)) ->
       let job v =
@@ -142,11 +164,9 @@ let test_job_defaults_and_errors () =
             (rejected (job v)))
         [ (lo - 1, true); (lo, false); (hi, false); (hi + 1, true) ])
     [
-      ("coverage", "lanes", Job.lanes_range);
       ("coverage", "jobs", Job.jobs_range);
       ("coverage", "count", Job.count_range);
       ("coverage", "steps", Job.steps_range);
-      ("validate-dlx", "lanes", Job.lanes_range);
       ("validate-dlx", "jobs", Job.jobs_range);
       ("lint", "k_bound", Job.k_bound_range);
     ];
@@ -715,9 +735,9 @@ let test_daemon_roundtrip () =
           | Some (Json.List [ _ ]) -> ()
           | _ -> fail "expected exactly one listed job")
       | Error e -> failf "jobs: %s" e);
-      (* out-of-range lanes or budgets: a rejected envelope with exit
-         code 6, not a gigabyte-sized batch or an internal error from
-         Budget.create *)
+      (* out-of-range sizing members or budgets: a rejected envelope
+         with exit code 6, not a run of unvetted size or an internal
+         error from Budget.create *)
       List.iter
         (fun (what, job) ->
           match Daemon.submit ~socket job with
@@ -728,13 +748,11 @@ let test_daemon_roundtrip () =
                 (Option.bind (Json.member "exit_code" env) Json.to_int_opt)
           | Error e -> failf "%s submit: %s" what e)
         [
-          ( "lanes 16777216",
+          ( "jobs 257",
             Job.make
               (Job.Coverage
-                 {
-                   (Job.default_coverage ~model:"dlx") with
-                   Job.cov_lanes = 16_777_216;
-                 }) );
+                 { (Job.default_coverage ~model:"dlx") with Job.cov_jobs = 257 })
+          );
           ("timeout_s -1", Job.make ~timeout_s:(-1.) (Job.Stats Job.default_stats));
           ("max_nodes 0", Job.make ~max_nodes:0 (Job.Stats Job.default_stats));
         ];
