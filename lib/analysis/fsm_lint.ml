@@ -78,12 +78,13 @@ let check_well_formed (m : Fsm.t) seen =
   let range_errs = ref 0 in
   for s = 0 to m.Fsm.n_states - 1 do
     if seen.(s) then begin
-      let any_valid = ref false in
-      for i = 0 to m.Fsm.n_inputs - 1 do
-        if m.Fsm.valid s i then begin
-          any_valid := true;
+      let inputs = Fsm.valid_inputs m s in
+      let n_valid = List.length inputs in
+      valid_pairs := !valid_pairs + n_valid;
+      invalid_pairs := !invalid_pairs + m.Fsm.n_inputs - n_valid;
+      List.iter
+        (fun i ->
           input_live.(i) <- true;
-          incr valid_pairs;
           let n = m.Fsm.next s i and o = m.Fsm.output s i in
           if n < 0 || n >= m.Fsm.n_states || o < 0 then begin
             incr range_errs;
@@ -98,11 +99,9 @@ let check_well_formed (m : Fsm.t) seen =
                       (trans_name m s i)
                       (if n < 0 || n >= m.Fsm.n_states then "state" else "output")
                       n o m.Fsm.n_states))
-          end
-        end
-        else incr invalid_pairs
-      done;
-      if not !any_valid then
+          end)
+        inputs;
+      if inputs = [] then
         add
           (mk ~code:"SA601" ~severity:Diag.Error
              ~loc:(Diag.State (m.Fsm.state_name s))
@@ -570,6 +569,8 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
           truncated := Some r;
           skipped := id :: !skipped
   in
+  (* every pass reads the compiled form; a compiled machine is kept *)
+  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   (* Theorem 1's facts: the caller's, or solved on first use (never
      on a malformed machine) *)

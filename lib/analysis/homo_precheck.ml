@@ -4,7 +4,8 @@ open Simcov_netlist
 
 let pass = "homo-precheck"
 
-let check_mapping (m : Fsm.t) (map : Homomorphism.mapping) =
+let check_mapping m (map : Homomorphism.mapping) =
+  let m = Fsm.tabulate m in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let range_errors = ref 0 in

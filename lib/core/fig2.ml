@@ -64,6 +64,7 @@ let experiment () =
   ]
 
 let random_tour_detection rng ~n m =
+  let m = Fsm.tabulate m in
   let detected = ref 0 in
   for _ = 1 to n do
     (* random walk until full transition coverage (bounded) *)

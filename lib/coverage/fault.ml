@@ -21,13 +21,28 @@ let pp ppf = function
 
 let equal = ( = )
 
+(* [tag:f1:f2:...] in decimal, written into one buffer: a campaign
+   keys thousands of faults, and [string_of_int] is a C format call per
+   field *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let key_of tag fields =
+  let b = Buffer.create 24 in
+  Buffer.add_char b tag;
+  List.iter
+    (fun n ->
+      Buffer.add_char b ':';
+      if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n)
+    fields;
+  Buffer.contents b
+
 let key = function
-  | Transfer { state; input; wrong_next } ->
-      Printf.sprintf "t:%d:%d:%d" state input wrong_next
-  | Output { state; input; wrong_output } ->
-      Printf.sprintf "o:%d:%d:%d" state input wrong_output
+  | Transfer { state; input; wrong_next } -> key_of 't' [ state; input; wrong_next ]
+  | Output { state; input; wrong_output } -> key_of 'o' [ state; input; wrong_output ]
   | Conditional_output { state; input; wrong_output; prev = ps, pi } ->
-      Printf.sprintf "c:%d:%d:%d:%d:%d" state input wrong_output ps pi
+      key_of 'c' [ state; input; wrong_output; ps; pi ]
 
 let to_json fault =
   let open Simcov_util.Json in
@@ -122,6 +137,7 @@ let all_output_faults ?(wrong = succ) m =
     (Fsm.transitions m)
 
 let all_transfer_faults m =
+  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   let states = ref [] in
   Array.iteri (fun s r -> if r then states := s :: !states) seen;
@@ -133,22 +149,27 @@ let all_transfer_faults m =
         states)
     (Fsm.transitions m)
 
+(* The samplers draw a reachable transition by its index in
+   {!Fsm.transitions} order and read it off the compiled tables. *)
 let sample_transfer_faults rng m ~count =
-  let transitions = Array.of_list (Fsm.transitions m) in
+  let m = Fsm.tabulate m in
+  let codes = Fsm.transition_codes m and tab = Fsm.tables m in
+  let k = tab.Fsm.tab_inputs in
   let seen = Fsm.reachable m in
   let states = ref [] in
   Array.iteri (fun s r -> if r then states := s :: !states) seen;
   let states = Array.of_list !states in
-  if Array.length transitions = 0 || Array.length states < 2 then []
+  if Array.length codes = 0 || Array.length states < 2 then []
   else begin
     let picked = Hashtbl.create count in
     let budget = count * 20 in
     let rec go n attempts acc =
       if n >= count || attempts >= budget then List.rev acc
       else begin
-        let s, i, s', _ = Simcov_util.Rng.pick rng transitions in
+        let c = Simcov_util.Rng.pick rng codes in
+        let s = c / k and i = c mod k in
         let d = Simcov_util.Rng.pick rng states in
-        if d <> s' && not (Hashtbl.mem picked (s, i, d)) then begin
+        if d <> tab.Fsm.tab_next.(c) && not (Hashtbl.mem picked (s, i, d)) then begin
           Hashtbl.add picked (s, i, d) ();
           go (n + 1) (attempts + 1)
             (Transfer { state = s; input = i; wrong_next = d } :: acc)
@@ -160,17 +181,20 @@ let sample_transfer_faults rng m ~count =
   end
 
 let sample_output_faults rng m ~n_outputs ~count =
-  let transitions = Array.of_list (Fsm.transitions m) in
-  if Array.length transitions = 0 || n_outputs < 2 then []
+  let m = Fsm.tabulate m in
+  let codes = Fsm.transition_codes m and tab = Fsm.tables m in
+  let k = tab.Fsm.tab_inputs in
+  if Array.length codes = 0 || n_outputs < 2 then []
   else begin
     let picked = Hashtbl.create count in
     let budget = count * 20 in
     let rec go n attempts acc =
       if n >= count || attempts >= budget then List.rev acc
       else begin
-        let s, i, _, o = Simcov_util.Rng.pick rng transitions in
+        let c = Simcov_util.Rng.pick rng codes in
+        let s = c / k and i = c mod k in
         let w = Simcov_util.Rng.int rng n_outputs in
-        if w <> o && not (Hashtbl.mem picked (s, i, w)) then begin
+        if w <> tab.Fsm.tab_output.(c) && not (Hashtbl.mem picked (s, i, w)) then begin
           Hashtbl.add picked (s, i, w) ();
           go (n + 1) (attempts + 1) (Output { state = s; input = i; wrong_output = w } :: acc)
         end
@@ -183,8 +207,10 @@ let sample_output_faults rng m ~n_outputs ~count =
 (* [@] evaluates its right operand first, so output faults are drawn
    before transfer faults: every recorded fault list depends on it *)
 let sample_faults rng m ~count =
+  let m = Fsm.tabulate m in
+  let out = (Fsm.tables m).Fsm.tab_output in
   let n_outputs =
-    List.fold_left (fun acc (_, _, _, o) -> max acc (o + 1)) 1 (Fsm.transitions m)
+    Array.fold_left (fun acc c -> max acc (out.(c) + 1)) 1 (Fsm.transition_codes m)
   in
   let outputs = sample_output_faults rng m ~n_outputs ~count in
   sample_transfer_faults rng m ~count @ outputs

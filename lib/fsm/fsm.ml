@@ -1,3 +1,22 @@
+module Obs = Simcov_obs.Obs
+module Digraph = Simcov_graph.Digraph
+
+let c_tabulations = Obs.counter "fsm.tabulations"
+
+type tables = {
+  tab_states : int;
+  tab_inputs : int;
+  tab_reset : int;
+  tab_valid : bool array;
+  tab_next : int array;
+  tab_output : int array;
+}
+
+(* What depends on reachability, for one reset state: the reachable
+   states, and the reachable valid transitions as codes [state *
+   n_inputs + input] in state-then-input order. *)
+type reach = { from : int; seen : bool array; n_seen : int; codes : int array }
+
 type t = {
   n_states : int;
   n_inputs : int;
@@ -7,6 +26,22 @@ type t = {
   output : int -> int -> int;
   state_name : int -> string;
   input_name : int -> string;
+  compiled : compiled option;
+}
+
+(* The tabulated machine. It answers for a machine only while that
+   machine's [valid]/[next]/[output] are the closures below: a machine
+   derived with [{ m with next = ... }] (a fault mutant, say) carries
+   the form along but no longer matches it. [reach] is for the reset
+   the form was built under; another reset is searched afresh. *)
+and compiled = {
+  c_valid : int -> int -> bool;
+  c_next : int -> int -> int;
+  c_output : int -> int -> int;
+  tab : tables;
+  inputs : int array array;  (* each state's valid inputs, ascending *)
+  index_words : int;  (* the distinct [inputs] arrays, headers included *)
+  reach : reach;
 }
 
 let default_state_name s = "s" ^ string_of_int s
@@ -15,7 +50,8 @@ let default_input_name i = "i" ^ string_of_int i
 let make ?(reset = 0) ?(valid = fun _ _ -> true) ?(state_name = default_state_name)
     ?(input_name = default_input_name) ~n_states ~n_inputs ~next ~output () =
   assert (n_states > 0 && n_inputs > 0 && reset >= 0 && reset < n_states);
-  { n_states; n_inputs; reset; valid; next; output; state_name; input_name }
+  { n_states; n_inputs; reset; valid; next; output; state_name; input_name;
+    compiled = None }
 
 let of_table ?(reset = 0) rows =
   let n_states =
@@ -35,51 +71,132 @@ let of_table ?(reset = 0) rows =
     ~output:(fun s i -> snd (Hashtbl.find tbl (s, i)))
     ()
 
-type tables = {
-  tab_states : int;
-  tab_inputs : int;
-  tab_reset : int;
-  tab_valid : bool array;
-  tab_next : int array;
-  tab_output : int array;
-}
+(* Breadth-first from [r] over the tables. A successor outside the
+   state range (a malformed machine, which fsm-lint reports) is not a
+   state and is not followed. *)
+let reach_of tab inputs r =
+  let n = tab.tab_states and k = tab.tab_inputs in
+  let seen = Array.make n false in
+  let queue = Queue.create () in
+  seen.(r) <- true;
+  Queue.add r queue;
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    Array.iter
+      (fun i ->
+        let s' = tab.tab_next.((s * k) + i) in
+        if s' >= 0 && s' < n && not seen.(s') then begin
+          seen.(s') <- true;
+          Queue.add s' queue
+        end)
+      inputs.(s)
+  done;
+  let n_seen = ref 0 and n_codes = ref 0 in
+  for s = 0 to n - 1 do
+    if seen.(s) then begin
+      incr n_seen;
+      n_codes := !n_codes + Array.length inputs.(s)
+    end
+  done;
+  let codes = Array.make !n_codes 0 and j = ref 0 in
+  for s = 0 to n - 1 do
+    if seen.(s) then
+      Array.iter
+        (fun i ->
+          codes.(!j) <- (s * k) + i;
+          incr j)
+        inputs.(s)
+  done;
+  { from = r; seen; n_seen = !n_seen; codes }
 
-let tables m =
+(* The one place a machine's closures are tabulated. States with the
+   same valid inputs share one array, so an alphabet whose validity
+   does not depend on the state is indexed once. *)
+let compile m =
+  Obs.incr c_tabulations;
   let n = m.n_states and k = m.n_inputs in
   let valid = Array.make (n * k) false in
   let next = Array.make (n * k) 0 in
   let output = Array.make (n * k) 0 in
-  for s = 0 to n - 1 do
-    for i = 0 to k - 1 do
-      let idx = (s * k) + i in
-      if m.valid s i then begin
-        valid.(idx) <- true;
-        next.(idx) <- m.next s i;
-        output.(idx) <- m.output s i
-      end
-    done
-  done;
+  let shared = Hashtbl.create 16 and index_words = ref (n + 1) in
+  let inputs =
+    Array.init n (fun s ->
+        let acc = ref [] in
+        for i = 0 to k - 1 do
+          let idx = (s * k) + i in
+          if m.valid s i then begin
+            valid.(idx) <- true;
+            next.(idx) <- m.next s i;
+            output.(idx) <- m.output s i;
+            acc := i :: !acc
+          end
+        done;
+        let a = Array.of_list (List.rev !acc) in
+        match Hashtbl.find_opt shared a with
+        | Some a -> a
+        | None ->
+            Hashtbl.add shared a a;
+            index_words := !index_words + Array.length a + 1;
+            a)
+  in
+  let tab =
+    {
+      tab_states = n;
+      tab_inputs = k;
+      tab_reset = m.reset;
+      tab_valid = valid;
+      tab_next = next;
+      tab_output = output;
+    }
+  in
   {
-    tab_states = n;
-    tab_inputs = k;
-    tab_reset = m.reset;
-    tab_valid = valid;
-    tab_next = next;
-    tab_output = output;
-  }
-
-let tabulate m =
-  let k = m.n_inputs in
-  let t = tables m in
-  {
-    m with
     (* bounds-check the input: an out-of-alphabet [i] must read as
        invalid, not alias into state [s+1]'s row of the flat table
        (or run off its end at the last state) *)
-    valid = (fun s i -> i >= 0 && i < k && t.tab_valid.((s * k) + i));
-    next = (fun s i -> t.tab_next.((s * k) + i));
-    output = (fun s i -> t.tab_output.((s * k) + i));
+    c_valid = (fun s i -> i >= 0 && i < k && valid.((s * k) + i));
+    c_next = (fun s i -> next.((s * k) + i));
+    c_output = (fun s i -> output.((s * k) + i));
+    tab;
+    inputs;
+    index_words = !index_words;
+    reach = reach_of tab inputs m.reset;
   }
+
+(* [m]'s compiled form, if it still answers for [m] *)
+let current m =
+  match m.compiled with
+  | Some c
+    when c.c_valid == m.valid && c.c_next == m.next && c.c_output == m.output
+         && c.tab.tab_states = m.n_states && c.tab.tab_inputs = m.n_inputs ->
+      Some c
+  | _ -> None
+
+let compiled m = match current m with Some c -> c | None -> compile m
+
+let tabulate m =
+  match current m with
+  | Some _ -> m
+  | None ->
+      let c = compile m in
+      { m with valid = c.c_valid; next = c.c_next; output = c.c_output; compiled = Some c }
+
+let reach_in c m = if c.reach.from = m.reset then c.reach else reach_of c.tab c.inputs m.reset
+
+let tables m =
+  let c = compiled m in
+  if c.tab.tab_reset = m.reset then c.tab else { c.tab with tab_reset = m.reset }
+
+let compiled_bytes m =
+  let c = compiled m in
+  let r = reach_in c m in
+  let cells = c.tab.tab_states * c.tab.tab_inputs in
+  (* a bool array spends a word per entry, like an int array *)
+  let words =
+    (3 * (cells + 1)) + c.index_words
+    + (Array.length r.seen + 1)
+    + (Array.length r.codes + 1)
+  in
+  words * (Sys.word_size / 8)
 
 let step m s i =
   if not (m.valid s i) then
@@ -102,65 +219,35 @@ let output_word m word = List.map (fun (_, _, _, o) -> o) (run m word)
 let final_state m word =
   List.fold_left (fun s i -> fst (step m s i)) m.reset word
 
-let valid_inputs m s =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (if m.valid s i then i :: acc else acc) in
-  go (m.n_inputs - 1) []
+let valid_inputs m s = Array.to_list (compiled m).inputs.(s)
 
-let reachable m =
-  let seen = Array.make m.n_states false in
-  let queue = Queue.create () in
-  seen.(m.reset) <- true;
-  Queue.add m.reset queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    for i = 0 to m.n_inputs - 1 do
-      if m.valid s i then begin
-        let s' = m.next s i in
-        if not seen.(s') then begin
-          seen.(s') <- true;
-          Queue.add s' queue
-        end
-      end
-    done
-  done;
-  seen
+let reach m =
+  let c = compiled m in
+  reach_in c m
 
-let n_reachable m =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 (reachable m)
+let reachable m = Array.copy (reach m).seen
+let n_reachable m = (reach m).n_seen
+let transition_codes m = (reach m).codes
+let n_transitions m = Array.length (reach m).codes
 
 let transitions m =
-  let seen = reachable m in
-  let acc = ref [] in
-  for s = m.n_states - 1 downto 0 do
-    if seen.(s) then
-      for i = m.n_inputs - 1 downto 0 do
-        if m.valid s i then acc := (s, i, m.next s i, m.output s i) :: !acc
-      done
-  done;
-  !acc
-
-let n_transitions m =
-  let seen = reachable m in
-  let count = ref 0 in
-  for s = 0 to m.n_states - 1 do
-    if seen.(s) then
-      for i = 0 to m.n_inputs - 1 do
-        if m.valid s i then incr count
-      done
-  done;
-  !count
+  let c = compiled m in
+  let k = c.tab.tab_inputs in
+  Array.fold_right
+    (fun code acc ->
+      (code / k, code mod k, c.tab.tab_next.(code), c.tab.tab_output.(code)) :: acc)
+    (reach_in c m).codes []
 
 let transition_graph m =
-  let g = Simcov_graph.Digraph.create m.n_states in
-  let seen = reachable m in
-  for s = 0 to m.n_states - 1 do
-    if seen.(s) then
-      for i = 0 to m.n_inputs - 1 do
-        if m.valid s i then
-          ignore
-            (Simcov_graph.Digraph.add_edge g ~src:s ~dst:(m.next s i) ~label:i ~cost:1)
-      done
-  done;
+  let c = compiled m in
+  let k = c.tab.tab_inputs in
+  let g = Digraph.create m.n_states in
+  Array.iter
+    (fun code ->
+      ignore
+        (Digraph.add_edge g ~src:(code / k) ~dst:c.tab.tab_next.(code)
+           ~label:(code mod k) ~cost:1))
+    (reach_in c m).codes;
   g
 
 (* Breadth-first search over a pair automaton; [mismatch] detects an
@@ -284,50 +371,62 @@ let forall_k_distinguishable m ~k s1 s2 =
    [cur] is the ∀(k-1) relation, the result the ∀k one. A pair is
    ∀k-distinguishable when some input is applicable and every
    applicable input either separates it at once (validity or output
-   mismatch) or leads to a ∀(k-1) pair. The relation is symmetric, so
-   each pair is computed once. Successors of live states must be live
-   (true of the reachable set and of all states). *)
-let forall_k_round m live cur =
-  let n = m.n_states in
+   mismatch) or leads to a ∀(k-1) pair. The round walks the union of
+   the two states' valid inputs: one valid in a single state separates
+   the pair, so only the common ones are looked up. The relation is
+   symmetric, so each pair is computed once. Successors of live states
+   must be live (true of the reachable set and of all states). *)
+let forall_k_round c live cur =
+  let n = c.tab.tab_states and k = c.tab.tab_inputs in
+  let tnext = c.tab.tab_next and tout = c.tab.tab_output in
   let nxt = Array.make_matrix n n false in
   for p = 0 to n - 1 do
-    if live.(p) then
+    if live.(p) then begin
+      let ip = c.inputs.(p) in
+      let np = Array.length ip in
       for q = p + 1 to n - 1 do
         if live.(q) then begin
-          let all = ref true and some = ref false in
-          let i = ref 0 in
-          while !all && !i < m.n_inputs do
-            let inp = !i in
-            let vp = m.valid p inp and vq = m.valid q inp in
-            if vp || vq then begin
-              some := true;
-              if vp = vq && m.output p inp = m.output q inp then
-                if not cur.(m.next p inp).(m.next q inp) then all := false
-            end;
-            incr i
+          let iq = c.inputs.(q) in
+          let nq = Array.length iq in
+          let all = ref true and a = ref 0 and b = ref 0 in
+          while !all && !a < np && !b < nq do
+            let i = ip.(!a) and j = iq.(!b) in
+            if i < j then incr a
+            else if j < i then incr b
+            else begin
+              let xp = (p * k) + i and xq = (q * k) + i in
+              if tout.(xp) = tout.(xq) && not cur.(tnext.(xp)).(tnext.(xq)) then
+                all := false;
+              incr a;
+              incr b
+            end
           done;
-          let r = !some && !all in
+          let r = (np > 0 || nq > 0) && !all in
           nxt.(p).(q) <- r;
           nxt.(q).(p) <- r
         end
       done
+    end
   done;
   nxt
 
 let forall_k_matrix m ~k =
-  let tab = tabulate m in
-  let live = Array.make m.n_states true in
-  let cur = ref (Array.make_matrix m.n_states m.n_states false) in
+  let c = compiled m in
+  let n = m.n_states in
+  let live = Array.make n true in
+  let cur = ref (Array.make_matrix n n false) in
   for _ = 1 to k do
-    cur := forall_k_round tab live !cur
+    cur := forall_k_round c live !cur
   done;
   !cur
 
 let min_forall_k ?(scope = `Reachable) ?(bound = 16) m =
   if bound < 1 then invalid_arg "Fsm.min_forall_k: bound < 1";
   let n = m.n_states in
-  let tab = tabulate m in
-  let live = match scope with `Reachable -> reachable m | `All -> Array.make n true in
+  let c = compiled m in
+  let live =
+    match scope with `Reachable -> (reach_in c m).seen | `All -> Array.make n true
+  in
   (* the first live pair p < q, row-major, outside the relation *)
   let rec first_bad mat p q =
     if p >= n then None
@@ -338,7 +437,7 @@ let min_forall_k ?(scope = `Reachable) ?(bound = 16) m =
   (* the relation grows monotonically with k: once a round changes
      nothing, no larger bound can certify *)
   let rec search k cur =
-    let nxt = forall_k_round tab live cur in
+    let nxt = forall_k_round c live cur in
     match first_bad nxt 0 1 with
     | None -> Ok k
     | Some pair when k = bound || nxt = cur -> Error pair
@@ -348,16 +447,17 @@ let min_forall_k ?(scope = `Reachable) ?(bound = 16) m =
 
 (* Partition refinement: initial classes by the (validity, output)
    signature over all inputs, refined by successor classes until
-   stable. Classical Moore construction on reachable states. *)
+   stable. Classical Moore construction on reachable states. A
+   signature lists the valid inputs only, which tells two states apart
+   exactly when the signature over every input code would. *)
 let minimize m =
   let m = tabulate m in
-  let n = m.n_states in
-  let seen = reachable m in
+  let cm = compiled m in
+  let n = m.n_states and k = m.n_inputs in
+  let seen = (reach_in cm m).seen in
   let cls = Array.make n (-1) in
-  let sig0 s =
-    List.init m.n_inputs (fun i ->
-        if m.valid s i then Some (m.output s i) else None)
-  in
+  let signature s f = Array.to_list (Array.map (fun i -> (i, f ((s * k) + i))) cm.inputs.(s)) in
+  let sig0 s = signature s (fun x -> cm.tab.tab_output.(x)) in
   let assign_classes signature =
     (* snapshot every signature against the OLD classes before touching
        [cls]: updating in place would let later states see predecessors'
@@ -382,11 +482,7 @@ let minimize m =
   let n_cls = ref (assign_classes sig0) in
   let stable = ref false in
   while not !stable do
-    let refine s =
-      ( cls.(s),
-        List.init m.n_inputs (fun i -> if m.valid s i then Some cls.(m.next s i) else None)
-      )
-    in
+    let refine s = (cls.(s), signature s (fun x -> cls.(cm.tab.tab_next.(x)))) in
     let n' = assign_classes refine in
     if n' = !n_cls then stable := true else n_cls := n'
   done;

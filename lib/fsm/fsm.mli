@@ -9,7 +9,15 @@
     States and inputs are dense integers. The machine is represented
     behaviorally (functions), so fault-injected mutants (see
     {!Simcov_coverage}) can wrap a machine without copying its
-    transition table. *)
+    transition table. {!tabulate} compiles a machine once; every
+    structural query below reads that compiled form. *)
+
+type compiled
+(** A machine's tabulated form: flat transition tables, each state's
+    valid inputs in ascending order, and the states and transitions
+    reachable from the reset it was built under. Built by {!tabulate}
+    and never written afterwards, so a tabulated machine can be shared
+    across domains. *)
 
 type t = {
   n_states : int;
@@ -20,6 +28,14 @@ type t = {
   output : int -> int -> int;  (** output function, defined when valid *)
   state_name : int -> string;
   input_name : int -> string;
+  compiled : compiled option;
+      (** set by {!tabulate}. It answers only while [valid], [next] and
+          [output] are the closures {!tabulate} installed beside it (and
+          the sizes are unchanged): a machine derived with
+          [{ m with next = f }], or by [Fault.apply], carries a stale form
+          that every query ignores. A derived machine with another
+          [reset] keeps the tables, and its reachable set is searched
+          afresh. *)
 }
 
 val make :
@@ -42,8 +58,15 @@ val of_table : ?reset:int -> (int * int * int * int) list -> t
     valid. Duplicate [(state, input)] rows are a programming error. *)
 
 val tabulate : t -> t
-(** Materialize the behavioral functions into arrays (O(1) stepping);
-    semantics unchanged. *)
+(** The compiled machine: [valid]/[next]/[output] become O(1) reads of
+    flat tables, and the {!compiled} form (tables, valid-input index,
+    reachable set) is built once, here, and counted on the
+    [fsm.tabulations] metric. Semantics are unchanged, except that an
+    out-of-alphabet input reads as invalid. Tabulating a machine whose
+    compiled form is current returns it unchanged. Every query below
+    reads the compiled form; on a machine without a current one it
+    tabulates a throwaway copy first, so a caller that queries a
+    machine repeatedly should tabulate it once. *)
 
 type tables = {
   tab_states : int;
@@ -55,10 +78,15 @@ type tables = {
 }
 
 val tables : t -> tables
-(** The raw transition tables behind {!tabulate}, for engines (e.g.
+(** The flat transition tables of the compiled form, for engines (e.g.
     bit-parallel fault simulation) that index them directly instead of
-    going through closures. Entries at invalid [(state, input)] pairs
-    are unspecified in [tab_next]/[tab_output]. *)
+    going through closures. Shared, not copied: read them, never write
+    them. [tab_reset] is the machine's own [reset]. Entries at invalid
+    [(state, input)] pairs are unspecified in [tab_next]/[tab_output]. *)
+
+val compiled_bytes : t -> int
+(** Bytes the compiled form holds: the three tables, the valid-input
+    index and the reachability index. *)
 
 (** {1 Execution} *)
 
@@ -79,14 +107,23 @@ val final_state : t -> int list -> int
 (** {1 Structure} *)
 
 val valid_inputs : t -> int -> int list
+(** The inputs valid in a state, ascending. *)
+
 val reachable : t -> bool array
-(** Characteristic vector of states reachable from reset. *)
+(** Characteristic vector of states reachable from reset (a fresh
+    copy). A successor outside [\[0, n_states)] (a malformed machine)
+    is not followed. *)
 
 val n_reachable : t -> int
 
 val transitions : t -> (int * int * int * int) list
 (** All [(state, input, next, output)] with [state] reachable and
     [input] valid, sorted by state then input. *)
+
+val transition_codes : t -> int array
+(** The same transitions as codes [state * n_inputs + input], in the
+    same order, for indexing {!tables}. Shared with the compiled form:
+    read it, never write it. *)
 
 val n_transitions : t -> int
 

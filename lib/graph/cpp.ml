@@ -7,7 +7,15 @@ let lower_bound g = Digraph.fold_edges (fun e acc -> acc + e.Digraph.cost) g 0
    one with surplus outgoing degree must absorb them. The min-cost flow
    on the network (S -> surplus-in vertices, original edges with
    infinite capacity, deficit vertices -> T) gives the cheapest
-   multiplicity augmentation; Hierholzer then produces the tour. *)
+   multiplicity augmentation; Hierholzer then produces the tour.
+
+   Parallel edges of equal cost are one arc: the arc for each distinct
+   (src, dst, cost) is added where that triple's first edge is, and
+   its flow becomes that edge's extra copies. An arc per edge would
+   give the same tour. Its capacity is never exhausted, so SPFA always
+   relaxes through the first of a bundle (the later ones, same cost
+   and same endpoints, never improve on it): no flow ever reaches
+   them, and dropping them changes no relaxation. *)
 let solve g ~start =
   match Scc.restrict_strongly_connected g ~root:start with
   | None -> None
@@ -25,15 +33,23 @@ let solve g ~start =
         let net = Mcmf.create (n + 2) in
         let source = n and sink = n + 1 in
         let inf = m + 1 in
-        (* Edge arcs: extra copies of each edge. Self-loops never need
-           extra copies (they do not change the degree balance). *)
+        (* Edge arcs: extra copies of the first edge of each bundle.
+           Self-loops never need extra copies (they do not change the
+           degree balance). [bundles] maps src * n + dst to the bundle
+           costs seen so far. *)
         let edge_handles = Array.make m (-1) in
+        let bundles = Hashtbl.create 64 in
         Digraph.iter_edges
           (fun e ->
-            if e.Digraph.src <> e.Digraph.dst then
-              edge_handles.(e.Digraph.id) <-
-                Mcmf.add_arc net ~src:e.Digraph.src ~dst:e.Digraph.dst ~cap:inf
-                  ~cost:e.Digraph.cost)
+            let { Digraph.src; dst; cost; id; _ } = e in
+            if src <> dst then begin
+              let pair = (src * n) + dst in
+              let costs = Option.value ~default:[] (Hashtbl.find_opt bundles pair) in
+              if not (List.mem cost costs) then begin
+                Hashtbl.replace bundles pair (cost :: costs);
+                edge_handles.(id) <- Mcmf.add_arc net ~src ~dst ~cap:inf ~cost
+              end
+            end)
           g;
         for v = 0 to n - 1 do
           let d = indeg.(v) - outdeg.(v) in
@@ -44,15 +60,14 @@ let solve g ~start =
         let _flow, extra_cost = Mcmf.solve net ~source ~sink in
         let mult = Array.make m 1 in
         let extra_len = ref 0 in
-        Digraph.iter_edges
-          (fun e ->
-            let id = e.Digraph.id in
-            if edge_handles.(id) >= 0 then begin
-              let f = Mcmf.flow_on net edge_handles.(id) in
+        Array.iteri
+          (fun id h ->
+            if h >= 0 then begin
+              let f = Mcmf.flow_on net h in
               mult.(id) <- 1 + f;
               extra_len := !extra_len + f
             end)
-          g;
+          edge_handles;
         match Euler.circuit g ~start ~mult with
         | None -> None
         | Some edges ->

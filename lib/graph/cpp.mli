@@ -18,7 +18,9 @@ val solve : Digraph.t -> start:int -> tour option
 (** [solve g ~start] is the minimum-cost closed walk from [start]
     covering every edge at least once, or [None] if [g] (restricted to
     edge endpoints) is not strongly connected from [start]. Isolated
-    vertices are ignored. *)
+    vertices are ignored. Parallel edges of equal cost share one arc of
+    the min-cost flow, and their extra traversals all go to the first
+    of them: the walk is the one an arc per edge would give. *)
 
 val lower_bound : Digraph.t -> int
 (** Sum of edge costs: any covering walk costs at least this much. *)

@@ -7,6 +7,7 @@ module Serialize = Simcov_netlist.Serialize
 module Fsm = Simcov_fsm.Fsm
 module Lint = Simcov_analysis.Lint
 module Fsm_lint = Simcov_analysis.Fsm_lint
+module Tour = Simcov_testgen.Tour
 
 let c_hits = Obs.counter "service.cache.hits"
 let c_misses = Obs.counter "service.cache.misses"
@@ -19,14 +20,18 @@ type sym_entry = {
   s_lock : Mutex.t;  (** serializes jobs sharing this manager *)
 }
 
+(* A tabulated machine and, once a job has asked for them, its
+   Theorem 1 facts: set once, by the first job to solve them *)
+type fsm_entry = { fsm : Fsm.t; facts : Tour.facts option Atomic.t }
+
 type payload =
   | P_circuit of Circuit.t * string  (** circuit, canonical key *)
-  | P_fsm of Fsm.t
+  | P_fsm of fsm_entry
   | P_lint of Lint.report
   | P_fsm_lint of Fsm_lint.report
   | P_sym of sym_entry  (** compiled symbolic machine (live BDD manager) *)
 
-type entry = { payload : payload; bytes : int; mutable tick : int }
+type entry = { payload : payload; mutable bytes : int; mutable tick : int }
 
 type t = {
   max_bytes : int;
@@ -160,19 +165,25 @@ let circuit_of_spec t spec =
 
 (* ---- tabulated FSMs ---- *)
 
-(* a tabulated machine's footprint is its transition tables *)
-let fsm_bytes m = (8 * 2 * Fsm.n_transitions m) + 256
+let fsm_bytes m = Fsm.compiled_bytes m + 256
 
-let fsm_of_spec t spec =
+(* a solved tour's word, one list cell per step *)
+let facts_bytes (f : Tour.facts) =
+  match f.Tour.tour with
+  | Some t -> (3 * (Sys.word_size / 8) * t.Tour.length) + 256
+  | None -> 256
+
+let fsm_entry t spec =
   let cached key name build =
     match find t key with
-    | Some (P_fsm m) -> Ok (m, name, key)
+    | Some (P_fsm e) -> Ok (e, name, key)
     | Some _ | None -> (
         match build () with
         | Error e -> Error e
         | Ok m ->
-            store t key (P_fsm m) ~bytes:(fsm_bytes m);
-            Ok (m, name, key))
+            let e = { fsm = m; facts = Atomic.make None } in
+            store t key (P_fsm e) ~bytes:(fsm_bytes m);
+            Ok (e, name, key))
   in
   match spec with
   | "dlx" | "dlx-test" ->
@@ -192,6 +203,38 @@ let fsm_of_spec t spec =
               | exception Invalid_argument msg ->
                   Error (Printf.sprintf "cannot enumerate as an FSM (%s)" msg)
               | m -> Ok (Fsm.tabulate m)))
+
+let fsm_of_spec t spec =
+  Result.map (fun (e, name, key) -> (e.fsm, name, key)) (fsm_entry t spec)
+
+(* the facts' bytes join their entry's charge, if it is still cached *)
+let charge t key e bytes =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some ({ payload = P_fsm e'; _ } as en) when e' == e ->
+          en.bytes <- en.bytes + bytes;
+          t.total_bytes <- t.total_bytes + bytes;
+          enforce_bounds t;
+          Obs.set g_entries (Hashtbl.length t.table);
+          Obs.set g_bytes t.total_bytes
+      | _ -> ())
+
+let fsm_facts t spec =
+  Result.map
+    (fun (e, name, key) ->
+      let facts =
+        match Atomic.get e.facts with
+        | Some f -> f
+        | None ->
+            let f = Tour.facts e.fsm in
+            if Atomic.compare_and_set e.facts None (Some f) then begin
+              charge t key e (facts_bytes f);
+              f
+            end
+            else Option.get (Atomic.get e.facts)
+      in
+      (e.fsm, facts, name, key))
+    (fsm_entry t spec)
 
 (* ---- compiled symbolic machines ---- *)
 

@@ -19,7 +19,8 @@
       regardless of how it was named or formatted.
     - {e tabulated FSMs}: keyed by the canonical key of the circuit
       they were enumerated from ([fsm:<canonical>]), or by builtin name
-      for the explicit test models.
+      for the explicit test models. A machine's Theorem 1 facts, once
+      solved, stay with it.
     - {e lint verdicts}: netlist reports keyed
       [lint:<canonical>:<against-canonical|->], FSM reports
       [fsmlint:<fsm-key>:k<bound>]. Only untruncated reports are
@@ -58,7 +59,17 @@ val fsm_of_spec :
   t -> string -> (Simcov_fsm.Fsm.t * string * string, string) result
 (** An FSM MODEL argument: [dlx] / [dlx-test] / [dsp] builtins, or any
     circuit small enough for [Circuit.to_fsm] to enumerate. Returns the
-    tabulated machine, its display name and its cache key. *)
+    tabulated machine, its display name and its cache key. The entry is
+    charged the machine's compiled form ({!Simcov_fsm.Fsm.compiled_bytes}). *)
+
+val fsm_facts :
+  t ->
+  string ->
+  (Simcov_fsm.Fsm.t * Simcov_testgen.Tour.facts * string * string, string) result
+(** {!fsm_of_spec} (the same one lookup) plus the machine's Theorem 1
+    facts ({!Simcov_testgen.Tour.facts} at its default bound), kept
+    with the cached machine: the first job to ask solves them, and
+    their tour joins the entry's charge; later jobs read them. *)
 
 val lint :
   t ->

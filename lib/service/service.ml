@@ -57,9 +57,11 @@ let verdict_of_status = function
       { Campaign.detected = true; excited = excite_step <> None;
         detect_step = Some detect_step; excite_step }
 
+(* each part and its newline are fed separately: no joined copy *)
 let hash_hex parts =
-  Simcov_util.Crc32.to_hex
-    (List.fold_left (fun c s -> Simcov_util.Crc32.update c (s ^ "\n")) 0l parts)
+  let module Crc32 = Simcov_util.Crc32 in
+  Crc32.to_hex
+    (List.fold_left (fun c s -> Crc32.update (Crc32.update c s) "\n") 0l parts)
 
 (* the snapshot header's two fingerprints: [config_hash] identifies the
    fault population (merge compatibility), [stim_hash] the stimulus
@@ -655,16 +657,23 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
   in
   match p.Job.cov_faults with
   | Job.Fsm_faults -> (
-      match Model_cache.fsm_of_spec cache p.Job.cov_model with
+      (* the DLX test model replays its certified transition tour —
+         the same campaign validate-dlx embeds, standalone — from the
+         facts kept with the cached machine *)
+      let resolved =
+        if p.Job.cov_model = "dlx" then
+          Result.map
+            (fun (m, facts, _, _) ->
+              ("dlx", m, Result.to_option (Completeness.of_facts m facts)))
+            (Model_cache.fsm_facts cache "dlx")
+        else
+          Result.map
+            (fun (m, name, _) -> (name, m, None))
+            (Model_cache.fsm_of_spec cache p.Job.cov_model)
+      in
+      match resolved with
       | Error e -> fail 4 (Printf.sprintf "%s: %s" p.Job.cov_model e)
-      | Ok (m, name, _) ->
-          (* the DLX test model replays its certified transition tour —
-             the same campaign validate-dlx embeds, standalone *)
-          let dlx = p.Job.cov_model = "dlx" in
-          let cert = if dlx then Result.to_option (Completeness.certify m) else None in
-          run_fsm
-            ~name:(if dlx then "dlx" else name)
-            m (Completeness.campaign_word m cert))
+      | Ok (name, m, cert) -> run_fsm ~name m (Completeness.campaign_word m cert))
   | Job.Stuckat_faults -> (
       let spec = if p.Job.cov_model = "dlx" then "dlx-test" else p.Job.cov_model in
       match Model_cache.circuit_of_spec cache spec with

@@ -1,5 +1,8 @@
 open Simcov_fsm
 open Simcov_graph
+module Obs = Simcov_obs.Obs
+
+let c_solves = Obs.counter "tour.solves"
 
 type result = { word : int list; length : int; n_transitions : int; extra : int }
 
@@ -13,6 +16,7 @@ let of_cpp_tour g (t : Cpp.tour) =
   }
 
 let transition_tour m =
+  Obs.incr c_solves;
   let g = Fsm.transition_graph m in
   Option.map (of_cpp_tour g) (Cpp.solve g ~start:m.Fsm.reset)
 
@@ -32,7 +36,8 @@ let forall_1 m f =
 
 (* [k] steps along the first valid input of each state, from where
    [word] ends; stops early at a state with no valid input *)
-let pad (m : Fsm.t) ~k word =
+let pad m ~k word =
+  let m = Fsm.tabulate m in
   let rec go s n acc =
     if n = 0 then List.rev acc
     else
@@ -80,7 +85,8 @@ let bfs_to (m : Fsm.t) ~from ~target =
       in
       Some (s, unwind s [])
 
-let state_tour (m : Fsm.t) =
+let state_tour m =
+  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   let n_states = Fsm.n_reachable m in
   let visited = Array.make m.Fsm.n_states false in
@@ -109,7 +115,8 @@ let state_tour (m : Fsm.t) =
     let word = List.rev !word in
     Some { word; length = List.length word; n_transitions = n_states; extra = 0 }
 
-let transition_cover_segments (m : Fsm.t) =
+let transition_cover_segments m =
+  let m = Fsm.tabulate m in
   let covered = Hashtbl.create 1024 in
   let total = Fsm.n_transitions m in
   let segments = ref [] in
@@ -150,6 +157,7 @@ let transition_cover_segments (m : Fsm.t) =
   List.rev !segments
 
 let transition_cover m =
+  let m = Fsm.tabulate m in
   let segments = transition_cover_segments m in
   let word = List.concat segments in
   {
@@ -160,10 +168,12 @@ let transition_cover m =
   }
 
 let shortest_input_path m ~src ~dst =
+  let m = Fsm.tabulate m in
   if src = dst then Some []
   else Option.map snd (bfs_to m ~from:src ~target:(fun s -> s = dst))
 
-let random_word rng (m : Fsm.t) ~length =
+let random_word rng m ~length =
+  let m = Fsm.tabulate m in
   let rec go s n acc =
     if n = 0 then List.rev acc
     else

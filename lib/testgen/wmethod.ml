@@ -47,7 +47,8 @@ let characterization_set ?(scope = `Reachable) (m : Fsm.t) =
   done;
   List.rev !w_set
 
-let transition_cover (m : Fsm.t) =
+let transition_cover m =
+  let m = Fsm.tabulate m in
   let covers =
     List.filter_map
       (fun (s, i, _, _) ->

@@ -3,27 +3,24 @@
    inversions folded into [update] so a running value is always a
    finished CRC. *)
 
+(* the running register is a native int holding 32 bits, so a byte
+   costs one table load and no allocation *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s =
-  let t = Lazy.force table in
-  let c = ref (Int32.lognot crc) in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand !c 0xFFl) lxor Char.code ch in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.lognot !c
+  let c = ref (lnot (Int32.to_int crc) land 0xFFFFFFFF) in
+  for k = 0 to String.length s - 1 do
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s k)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (lnot !c land 0xFFFFFFFF)
 
 let string s = update 0l s
 

@@ -187,3 +187,179 @@ module Fsm_lint = struct
       transitions;
     (!r1, !sites, !example)
 end
+
+module Fsm = struct
+  open Simcov_fsm
+
+  (* The structural queries as they read a machine before it carried
+     its compiled form: every input code of every state through the
+     [valid]/[next]/[output] closures. The compiled queries must agree
+     with them on every machine, derived ones included. *)
+
+  let valid_inputs (m : Fsm.t) s = List.filter (m.Fsm.valid s) (List.init m.Fsm.n_inputs Fun.id)
+
+  let reachable (m : Fsm.t) =
+    let seen = Array.make m.Fsm.n_states false in
+    let queue = Queue.create () in
+    seen.(m.Fsm.reset) <- true;
+    Queue.add m.Fsm.reset queue;
+    while not (Queue.is_empty queue) do
+      let s = Queue.pop queue in
+      for i = 0 to m.Fsm.n_inputs - 1 do
+        if m.Fsm.valid s i then begin
+          let s' = m.Fsm.next s i in
+          if not seen.(s') then begin
+            seen.(s') <- true;
+            Queue.add s' queue
+          end
+        end
+      done
+    done;
+    seen
+
+  let transitions (m : Fsm.t) =
+    let seen = reachable m in
+    let acc = ref [] in
+    for s = m.Fsm.n_states - 1 downto 0 do
+      if seen.(s) then
+        for i = m.Fsm.n_inputs - 1 downto 0 do
+          if m.Fsm.valid s i then acc := (s, i, m.Fsm.next s i, m.Fsm.output s i) :: !acc
+        done
+    done;
+    !acc
+
+  (* [(valid, next, output)] per code; next/output are 0 where invalid *)
+  let tables (m : Fsm.t) =
+    let k = m.Fsm.n_inputs in
+    Array.init (m.Fsm.n_states * k) (fun idx ->
+        let s = idx / k and i = idx mod k in
+        if m.Fsm.valid s i then (true, m.Fsm.next s i, m.Fsm.output s i) else (false, 0, 0))
+
+  (* the transition graph's edges in id order: (src, dst, label) *)
+  let graph_edges m = List.map (fun (s, i, s', _) -> (s, s', i)) (transitions m)
+
+  (* one ∀k round over all input codes *)
+  let forall_k_round (m : Fsm.t) live cur =
+    let n = m.Fsm.n_states in
+    let nxt = Array.make_matrix n n false in
+    for p = 0 to n - 1 do
+      for q = 0 to n - 1 do
+        if p <> q && live.(p) && live.(q) then begin
+          let all = ref true and some = ref false in
+          for i = 0 to m.Fsm.n_inputs - 1 do
+            let vp = m.Fsm.valid p i and vq = m.Fsm.valid q i in
+            if vp || vq then begin
+              some := true;
+              if vp = vq && m.Fsm.output p i = m.Fsm.output q i
+                 && not cur.(m.Fsm.next p i).(m.Fsm.next q i)
+              then all := false
+            end
+          done;
+          nxt.(p).(q) <- !some && !all
+        end
+      done
+    done;
+    nxt
+
+  let forall_k_matrix (m : Fsm.t) ~k =
+    let live = Array.make m.Fsm.n_states true in
+    let cur = ref (Array.make_matrix m.Fsm.n_states m.Fsm.n_states false) in
+    for _ = 1 to k do
+      cur := forall_k_round m live !cur
+    done;
+    !cur
+
+  let min_forall_k ~scope ~bound (m : Fsm.t) =
+    let n = m.Fsm.n_states in
+    let live = match scope with `Reachable -> reachable m | `All -> Array.make n true in
+    let first_bad mat =
+      let r = ref None in
+      for p = n - 1 downto 0 do
+        for q = n - 1 downto p + 1 do
+          if live.(p) && live.(q) && not mat.(p).(q) then r := Some (p, q)
+        done
+      done;
+      !r
+    in
+    let rec search k cur =
+      let nxt = forall_k_round m live cur in
+      match first_bad nxt with
+      | None -> Ok k
+      | Some pair when k = bound || nxt = cur -> Error pair
+      | Some _ -> search (k + 1) nxt
+    in
+    search 1 (Array.make_matrix n n false)
+
+  (* Moore refinement over every input code: the state -> class map *)
+  let minimize_classes (m : Fsm.t) =
+    let n = m.Fsm.n_states in
+    let seen = reachable m in
+    let cls = Array.make n (-1) in
+    let assign signature =
+      let keys = Array.init n (fun s -> if seen.(s) then Some (signature s) else None) in
+      let tbl = Hashtbl.create 64 and count = ref 0 in
+      Array.iteri
+        (fun s key ->
+          Option.iter
+            (fun key ->
+              match Hashtbl.find_opt tbl key with
+              | Some c -> cls.(s) <- c
+              | None ->
+                  Hashtbl.add tbl key !count;
+                  cls.(s) <- !count;
+                  incr count)
+            key)
+        keys;
+      !count
+    in
+    let row s f = List.init m.Fsm.n_inputs (fun i -> if m.Fsm.valid s i then Some (f s i) else None) in
+    let n_cls = ref (assign (fun s -> (-1, row s m.Fsm.output))) in
+    let stable = ref false in
+    while not !stable do
+      let n' = assign (fun s -> (cls.(s), row s (fun s i -> cls.(m.Fsm.next s i)))) in
+      if n' = !n_cls then stable := true else n_cls := n'
+    done;
+    cls
+end
+
+module Cpp = struct
+  open Simcov_graph
+
+  (* the postman solve with one min-cost-flow arc per edge *)
+  let solve g ~start =
+    match Scc.restrict_strongly_connected g ~root:start with
+    | None -> None
+    | Some _ ->
+        let n = Digraph.n_vertices g and m = Digraph.n_edges g in
+        if m = 0 then Some { Cpp.edges = []; length = 0; cost = 0; extra_cost = 0 }
+        else begin
+          let indeg = Array.make n 0 and outdeg = Array.make n 0 in
+          Digraph.iter_edges
+            (fun e ->
+              outdeg.(e.Digraph.src) <- outdeg.(e.Digraph.src) + 1;
+              indeg.(e.Digraph.dst) <- indeg.(e.Digraph.dst) + 1)
+            g;
+          let net = Mcmf.create (n + 2) in
+          let source = n and sink = n + 1 in
+          let handles = Array.make m (-1) in
+          Digraph.iter_edges
+            (fun e ->
+              if e.Digraph.src <> e.Digraph.dst then
+                handles.(e.Digraph.id) <-
+                  Mcmf.add_arc net ~src:e.Digraph.src ~dst:e.Digraph.dst ~cap:(m + 1)
+                    ~cost:e.Digraph.cost)
+            g;
+          for v = 0 to n - 1 do
+            let d = indeg.(v) - outdeg.(v) in
+            if d > 0 then ignore (Mcmf.add_arc net ~src:source ~dst:v ~cap:d ~cost:0)
+            else if d < 0 then ignore (Mcmf.add_arc net ~src:v ~dst:sink ~cap:(-d) ~cost:0)
+          done;
+          let _, extra_cost = Mcmf.solve net ~source ~sink in
+          let mult = Array.map (fun h -> if h >= 0 then 1 + Mcmf.flow_on net h else 1) handles in
+          let extra = Array.fold_left (fun acc x -> acc + x - 1) 0 mult in
+          Option.map
+            (fun edges ->
+              { Cpp.edges; length = m + extra; cost = Cpp.lower_bound g + extra_cost; extra_cost })
+            (Euler.circuit g ~start ~mult)
+        end
+end

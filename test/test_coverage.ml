@@ -285,6 +285,30 @@ let qcheck_output_fault_always_detected_at_site =
               (not (Fault.is_effective m f)) || Detect.detects m f tour.Simcov_testgen.Tour.word)
             faults)
 
+(* the coverage-database record key, against the format it has always
+   had: every field in decimal, negative ones included *)
+let qcheck_fault_key_format =
+  QCheck.Test.make ~name:"fault: key = its printf format (any int fields)" ~count:500
+    QCheck.(pair (int_range 0 2) (list_of_size (Gen.return 5) int))
+    (fun (kind, fields) ->
+      match fields with
+      | [ a; b; c; d; e ] ->
+          let f, want =
+            match kind with
+            | 0 ->
+                ( Fault.Transfer { state = a; input = b; wrong_next = c },
+                  Printf.sprintf "t:%d:%d:%d" a b c )
+            | 1 ->
+                ( Fault.Output { state = a; input = b; wrong_output = c },
+                  Printf.sprintf "o:%d:%d:%d" a b c )
+            | _ ->
+                ( Fault.Conditional_output
+                    { state = a; input = b; wrong_output = c; prev = (d, e) },
+                  Printf.sprintf "c:%d:%d:%d:%d:%d" a b c d e )
+          in
+          Fault.key f = want
+      | _ -> true)
+
 let suite =
   [
     Alcotest.test_case "apply transfer" `Quick test_apply_transfer;
@@ -313,4 +337,5 @@ let suite =
     Alcotest.test_case "conditional uniformity class" `Quick
       test_conditional_fault_uniformity_classification;
     QCheck_alcotest.to_alcotest qcheck_output_fault_always_detected_at_site;
+    QCheck_alcotest.to_alcotest qcheck_fault_key_format;
   ]

@@ -294,6 +294,165 @@ let qcheck_min_forall_k_brute =
                bound (show got) (show want))
         [ `Reachable; `All ])
 
+(* ---- the compiled form against the closure references ---- *)
+
+module Rng = Simcov_util.Rng
+module Fault = Simcov_coverage.Fault
+module Detect = Simcov_coverage.Detect
+
+(* [random_machine]'s three shapes, plus a machine whose validity is an
+   arbitrary per-state subset of the alphabet and whose reset is any
+   state, so some states are often unreachable *)
+let random_any rng ~shape ~n_states =
+  if shape < 3 then random_machine rng ~shape ~n_states
+  else begin
+    let k = 1 + Rng.int rng 4 in
+    let cell f = Array.init (n_states * k) (fun _ -> f ()) in
+    let valid = cell (fun () -> Rng.int rng 3 > 0) in
+    let next = cell (fun () -> Rng.int rng n_states) in
+    let out = cell (fun () -> Rng.int rng 3) in
+    Fsm.make ~reset:(Rng.int rng n_states) ~n_states ~n_inputs:k
+      ~valid:(fun s i -> valid.((s * k) + i))
+      ~next:(fun s i -> next.((s * k) + i))
+      ~output:(fun s i -> out.((s * k) + i))
+      ()
+  end
+
+(* every compiled query of [c] equals its closure reference on [r], a
+   machine with the same behaviour; the first disagreement is named *)
+let disagreement (c : Fsm.t) (r : Fsm.t) =
+  let module O = Oracles.Fsm in
+  let k = r.Fsm.n_inputs in
+  let tab = Fsm.tables c and want_tab = O.tables r in
+  let tables_agree =
+    tab.Fsm.tab_reset = r.Fsm.reset
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun idx (v, n, o) ->
+              tab.Fsm.tab_valid.(idx) = v
+              && ((not v) || (tab.Fsm.tab_next.(idx) = n && tab.Fsm.tab_output.(idx) = o)))
+            want_tab)
+  in
+  let transitions = O.transitions r in
+  let checks =
+    [
+      ("reachable", fun () -> Fsm.reachable c = O.reachable r);
+      ( "n_reachable",
+        fun () ->
+          Fsm.n_reachable c = Array.fold_left (fun a b -> if b then a + 1 else a) 0 (O.reachable r) );
+      ("transitions", fun () -> Fsm.transitions c = transitions);
+      ("n_transitions", fun () -> Fsm.n_transitions c = List.length transitions);
+      ( "transition_codes",
+        fun () ->
+          Array.to_list (Fsm.transition_codes c)
+          = List.map (fun (s, i, _, _) -> (s * k) + i) transitions );
+      ( "valid_inputs",
+        fun () ->
+          List.for_all
+            (fun s -> Fsm.valid_inputs c s = O.valid_inputs r s)
+            (List.init r.Fsm.n_states Fun.id) );
+      ( "transition_graph",
+        fun () ->
+          let g = Fsm.transition_graph c in
+          Simcov_graph.Digraph.fold_edges
+            (fun e acc -> (e.Simcov_graph.Digraph.src, e.dst, e.label) :: acc)
+            g []
+          |> List.rev = O.graph_edges r );
+      ("tables", fun () -> tables_agree);
+      ( "min_forall_k",
+        fun () ->
+          List.for_all
+            (fun (scope, bound) ->
+              Fsm.min_forall_k ~scope ~bound c = O.min_forall_k ~scope ~bound r)
+            [ (`Reachable, 1); (`Reachable, 4); (`All, 1); (`All, 4) ] );
+      ("forall_k_matrix", fun () -> Fsm.forall_k_matrix c ~k:2 = O.forall_k_matrix r ~k:2);
+      ("minimize", fun () -> snd (Fsm.minimize c) = O.minimize_classes r);
+    ]
+  in
+  List.find_map (fun (name, ok) -> if ok () then None else Some name) checks
+
+let qcheck_compiled_queries =
+  QCheck.Test.make
+    ~name:"fsm: compiled queries = closure references (total, partial, state-dependent validity)"
+    ~count:300
+    QCheck.(triple (int_range 0 3) (int_range 1 8) (int_range 1 1_000_000))
+    (fun (shape, n_states, seed) ->
+      let m = random_any (Rng.create seed) ~shape ~n_states in
+      let t = Fsm.tabulate m in
+      (* every reset: the tables are shared, reachability is per reset *)
+      List.for_all
+        (fun r ->
+          match disagreement { t with Fsm.reset = r } { m with Fsm.reset = r } with
+          | None -> true
+          | Some q -> QCheck.Test.fail_reportf "shape %d, reset %d: %s differs" shape r q)
+        (List.init m.Fsm.n_states Fun.id))
+
+(* A machine derived from a tabulated one keeps its [compiled] field;
+   each must still answer as a fresh tabulation of itself does *)
+let qcheck_stale_tables =
+  QCheck.Test.make
+    ~name:"fsm: derived machines read no stale tables (reset, next, each Fault.apply kind)"
+    ~count:200
+    QCheck.(triple (int_range 0 3) (int_range 2 8) (int_range 1 1_000_000))
+    (fun (shape, n_states, seed) ->
+      let rng = Rng.create seed in
+      let m = Fsm.tabulate (random_any rng ~shape ~n_states) in
+      match Fsm.transitions m with
+      | [] -> true
+      | ts ->
+          let pick () = List.nth ts (Rng.int rng (List.length ts)) in
+          let s, i, s', o = pick () and ps, pi, _, _ = pick () in
+          let d = (s' + 1) mod m.Fsm.n_states in
+          let derived =
+            [
+              ("reset", { m with Fsm.reset = Rng.int rng m.Fsm.n_states });
+              ( "next",
+                { m with Fsm.next = (fun a b -> if a = s && b = i then d else m.Fsm.next a b) } );
+              ("transfer", Fault.apply m (Fault.Transfer { state = s; input = i; wrong_next = d }));
+              ("output", Fault.apply m (Fault.Output { state = s; input = i; wrong_output = o + 1 }));
+              ( "conditional",
+                Fault.apply m
+                  (Fault.Conditional_output
+                     { state = s; input = i; wrong_output = o + 1; prev = (ps, pi) }) );
+            ]
+          in
+          List.for_all
+            (fun (what, dm) ->
+              let fresh = Fsm.tabulate { dm with Fsm.compiled = None } in
+              let faults = Fault.sample_faults (Rng.create seed) fresh ~count:12 in
+              let word = Simcov_testgen.Tour.random_word (Rng.create seed) fresh ~length:30 in
+              let campaign g = Detect.campaign g faults word in
+              let agree =
+                [
+                  ("reachable", Fsm.reachable dm = Fsm.reachable fresh);
+                  ("transitions", Fsm.transitions dm = Fsm.transitions fresh);
+                  ("tables", Fsm.tables dm = Fsm.tables fresh);
+                  ("campaign", campaign dm = campaign fresh);
+                  ( "campaign reference",
+                    campaign dm = (Oracles.Detect.campaign_scalar dm faults word).report );
+                ]
+              in
+              match List.find_opt (fun (_, ok) -> not ok) agree with
+              | None -> true
+              | Some (q, _) -> QCheck.Test.fail_reportf "shape %d, %s: %s differs" shape what q)
+            derived)
+
+(* tabulating twice, or tabulating a machine derived only by its reset
+   or names, builds nothing: the compiled form is kept *)
+let test_tabulate_keeps_compiled () =
+  let count () = Simcov_obs.Obs.count (Simcov_obs.Obs.counter "fsm.tabulations") in
+  let t = Fsm.tabulate fig2 in
+  let before = count () in
+  Alcotest.(check bool) "tabulate of a tabulated machine is the machine" true
+    (Fsm.tabulate t == t);
+  let renamed = { t with Fsm.reset = 1; state_name = string_of_int } in
+  Alcotest.(check bool) "a re-reset machine keeps its tables" true
+    (Fsm.tabulate renamed == renamed);
+  ignore (Fsm.reachable renamed, Fsm.transitions t, Fsm.min_forall_k t, Fsm.tables renamed);
+  Alcotest.(check int) "no table rebuilt" before (count ());
+  ignore (Fsm.reachable { t with Fsm.next = (fun _ _ -> 0) });
+  Alcotest.(check int) "a derived next is tabulated afresh" (before + 1) (count ())
+
 let test_minimize_counter () =
   let q, cls = Fsm.minimize counter3 in
   Alcotest.(check int) "already minimal" 3 q.Fsm.n_states;
@@ -419,6 +578,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_distinguish_sound;
     QCheck_alcotest.to_alcotest qcheck_forall_k_monotone;
     QCheck_alcotest.to_alcotest qcheck_min_forall_k_brute;
+    Alcotest.test_case "tabulate keeps the compiled form" `Quick test_tabulate_keeps_compiled;
+    QCheck_alcotest.to_alcotest qcheck_compiled_queries;
+    QCheck_alcotest.to_alcotest qcheck_stale_tables;
   ]
 
 let _ = (fig2_states, fig2_inputs)

@@ -360,6 +360,57 @@ let qcheck_scc_mutual_reachability =
       done;
       !ok)
 
+(* ---- one min-cost-flow arc per parallel-edge bundle ---- *)
+
+(* random multigraphs: usually a spanning cycle (so a tour exists),
+   then random edges, same-cost parallel copies of existing edges and
+   self-loops, with costs 1..3 *)
+let qcheck_cpp_collapsed_arcs =
+  QCheck.Test.make
+    ~name:"cpp: one arc per parallel bundle = one arc per edge (edges, cost, length)"
+    ~count:500
+    QCheck.(pair (int_range 1 7) (int_range 1 1_000_000))
+    (fun (n, seed) ->
+      let rng = Simcov_util.Rng.create seed in
+      let g = Digraph.create n in
+      let add src dst =
+        ignore
+          (Digraph.add_edge g ~src ~dst ~label:(Simcov_util.Rng.int rng 4)
+             ~cost:(1 + Simcov_util.Rng.int rng 3))
+      in
+      if Simcov_util.Rng.int rng 4 > 0 then
+        for v = 0 to n - 1 do
+          add v ((v + 1) mod n)
+        done;
+      for _ = 1 to Simcov_util.Rng.int rng ((4 * n) + 1) do
+        match Simcov_util.Rng.int rng 3 with
+        | 0 when Digraph.n_edges g > 0 ->
+            let e = Digraph.edge g (Simcov_util.Rng.int rng (Digraph.n_edges g)) in
+            ignore
+              (Digraph.add_edge g ~src:e.Digraph.src ~dst:e.Digraph.dst
+                 ~label:(e.Digraph.label + 1) ~cost:e.Digraph.cost)
+        | 1 ->
+            let v = Simcov_util.Rng.int rng n in
+            add v v
+        | _ -> add (Simcov_util.Rng.int rng n) (Simcov_util.Rng.int rng n)
+      done;
+      let start = Simcov_util.Rng.int rng n in
+      let got = Cpp.solve g ~start and want = Oracles.Cpp.solve g ~start in
+      got = want
+      || QCheck.Test.fail_reportf "%d vertices, %d edges, start %d: tours differ" n
+           (Digraph.n_edges g) start)
+
+(* the DLX test model's transition graph: 3,416 edges over 292
+   distinct state pairs *)
+let test_cpp_dlx_collapsed () =
+  let m =
+    Simcov_fsm.Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default)
+  in
+  let g = Simcov_fsm.Fsm.transition_graph m in
+  let start = m.Simcov_fsm.Fsm.reset in
+  Alcotest.(check bool) "same tour as one arc per edge" true
+    (Cpp.solve g ~start = Oracles.Cpp.solve g ~start)
+
 let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
@@ -393,4 +444,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cpp_random;
     QCheck_alcotest.to_alcotest qcheck_cpp_cost_identity;
     QCheck_alcotest.to_alcotest qcheck_scc_mutual_reachability;
+    QCheck_alcotest.to_alcotest qcheck_cpp_collapsed_arcs;
+    Alcotest.test_case "cpp collapsed arcs on the DLX graph" `Quick test_cpp_dlx_collapsed;
   ]

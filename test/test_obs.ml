@@ -299,6 +299,34 @@ let test_campaign_metrics_count_reported_campaigns () =
     "validate-dlx: batches, faults" (17, 312)
     (counts (Job.Validate_dlx Job.default_validate))
 
+(* one compiled model per job: a validate-dlx run and a cold coverage
+   dlx job each build the tables once and solve the postman tour once;
+   a warm coverage job on a shared cache does neither, and a cold
+   fsm-lint job builds the tables once *)
+let test_one_tabulation_per_job () =
+  let module Job = Simcov_service.Job in
+  let module Model_cache = Simcov_service.Model_cache in
+  let counts ?(cache = Model_cache.create ()) job =
+    let reg = Obs.registry () in
+    Fun.protect
+      ~finally:(fun () -> Obs.release reg)
+      (fun () ->
+        Obs.with_registry reg (fun () ->
+            ignore (Simcov_service.Service.run ~cache (Job.make job));
+            (Obs.count (Obs.counter "fsm.tabulations"), Obs.count (Obs.counter "tour.solves"))))
+  in
+  Alcotest.(check (pair int int))
+    "validate-dlx: tabulations, tour solves" (1, 1)
+    (counts (Job.Validate_dlx Job.default_validate));
+  let shared = Model_cache.create () in
+  let coverage = Job.Coverage (Job.default_coverage ~model:"dlx") in
+  Alcotest.(check (pair int int))
+    "cold coverage dlx: tabulations, tour solves" (1, 1) (counts ~cache:shared coverage);
+  Alcotest.(check (pair int int))
+    "warm coverage dlx: tabulations, tour solves" (0, 0) (counts ~cache:shared coverage);
+  Alcotest.(check int) "cold lint --fsm dlx-test: tabulations" 1
+    (fst (counts (Job.Lint { (Job.default_lint ~model:"dlx-test") with Job.li_fsm = true })))
+
 let suite =
   [
     Alcotest.test_case "registry create-on-first-use" `Quick
@@ -316,4 +344,6 @@ let suite =
     Alcotest.test_case "budget node probe" `Quick test_budget_node_probe;
     Alcotest.test_case "campaign metrics count reported campaigns only" `Quick
       test_campaign_metrics_count_reported_campaigns;
+    Alcotest.test_case "one tabulation and one tour solve per job" `Quick
+      test_one_tabulation_per_job;
   ]

@@ -274,6 +274,33 @@ let test_cache_hits_and_eviction () =
   let entries, _ = Model_cache.stats tiny in
   check int "bounded to one entry" 1 entries
 
+(* a tabulated machine is charged its compiled form, and its facts
+   join the charge once solved: a cache bounded below one compiled dlx
+   machine cannot keep it *)
+let test_cache_charges_compiled_form () =
+  let module Fsm = Simcov_fsm.Fsm in
+  let c = Model_cache.create () in
+  let m =
+    match Model_cache.fsm_of_spec c "dlx" with
+    | Ok (m, _, _) -> m
+    | Error e -> failf "resolve failed: %s" e
+  in
+  let compiled = Fsm.compiled_bytes m in
+  check bool "compiled form holds the three tables" true
+    (compiled >= 3 * 8 * m.Fsm.n_states * m.Fsm.n_inputs);
+  let _, bytes = Model_cache.stats c in
+  check bool "entry charged the compiled form" true (bytes >= compiled);
+  (match Model_cache.fsm_facts c "dlx" with
+  | Ok (m', _, _, _) -> check bool "facts kept with the same machine" true (m' == m)
+  | Error e -> failf "facts failed: %s" e);
+  let _, with_facts = Model_cache.stats c in
+  check bool "solved tour joins the charge" true (with_facts > bytes);
+  let tiny = Model_cache.create ~max_bytes:(compiled - 1) () in
+  ignore (Model_cache.fsm_of_spec tiny "dlx");
+  let _, _, evictions = Model_cache.counts tiny in
+  check int "evicted at once" 1 evictions;
+  check (pair int int) "nothing held" (0, 0) (Model_cache.stats tiny)
+
 (* ---- the CRC-32-only file keys were forgeable ---- *)
 
 (* reflected CRC-32 table (poly 0xEDB88320), reimplemented here so the
@@ -936,4 +963,5 @@ let suite =
       test_unwritable_covdb_path;
     test_case "validate-dlx: a lost shard exits 5" `Quick
       test_validate_lost_shard_exit;
+    test_case "cache charges the compiled form" `Quick test_cache_charges_compiled_form;
   ]

@@ -227,6 +227,32 @@ let test_crc32_incremental () =
   Alcotest.(check int32) "substring agrees" (Crc32.string a)
     (Crc32.substring whole ~pos:0 ~len:17)
 
+(* the polynomial applied one bit at a time over Int32: the table-driven
+   native-int register must agree with it on every string, whole and
+   split *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done)
+    s;
+  Int32.lognot !c
+
+let qcheck_crc32_bitwise =
+  QCheck.Test.make ~name:"crc32: table-driven = bitwise reference, whole and split"
+    ~count:500
+    QCheck.(pair string small_nat)
+    (fun (s, cut) ->
+      let cut = if s = "" then 0 else cut mod (String.length s + 1) in
+      let a = String.sub s 0 cut and b = String.sub s cut (String.length s - cut) in
+      Crc32.string s = crc32_bitwise s && Crc32.update (Crc32.update 0l a) b = crc32_bitwise s)
+
 let qcheck_crc32_hex_roundtrip =
   QCheck.Test.make ~name:"crc32: to_hex/of_hex round-trip (incl. high bit)"
     ~count:200 QCheck.string (fun s ->
@@ -296,4 +322,5 @@ let suite =
     Alcotest.test_case "crc32 of_hex rejects" `Quick test_crc32_of_hex_rejects;
     Alcotest.test_case "durable write atomic on raise" `Quick
       test_durable_write_is_atomic_on_raise;
+    QCheck_alcotest.to_alcotest qcheck_crc32_bitwise;
   ]
