@@ -61,7 +61,13 @@ let () =
     Simcov_coverage.Fault.Transfer { state = 1; input = 0; wrong_next = 1 }
   in
   let verdict =
-    Simcov_coverage.Detect.run_verdict model fault tour.Simcov_testgen.Tour.word
+    match
+      (Simcov_coverage.Detect.campaign_outcome model [ fault ]
+         tour.Simcov_testgen.Tour.word)
+        .Simcov_coverage.Detect.Campaign.verdicts
+    with
+    | [ (_, v) ] -> v
+    | _ -> failwith "the fault is not effective"
   in
   Printf.printf "injected fault: %s\n"
     (Format.asprintf "%a" Simcov_coverage.Fault.pp fault);

@@ -6,8 +6,8 @@ module Digraph = Simcov_graph.Digraph
 module Scc = Simcov_graph.Scc
 module Fault = Simcov_coverage.Fault
 module Detect = Simcov_coverage.Detect
+module Campaign = Simcov_campaign.Campaign
 module Tour = Simcov_testgen.Tour
-module Obs = Simcov_obs.Obs
 
 type stats = {
   n_states : int;
@@ -341,15 +341,6 @@ let check_distinguishability (m : Fsm.t) { Tour.k_bound; forall_k; _ } =
 
 (* ---- fault-structural (Requirements 1 and 4) ---- *)
 
-(* The SA640/SA641 engine runs are internal to the lint: they run
-   under a throwaway registry, so a job's campaign.* metrics count only
-   the campaigns the job itself reports. *)
-let lint_campaign m faults word =
-  let reg = Obs.registry () in
-  Fun.protect
-    ~finally:(fun () -> Obs.release reg)
-    (fun () -> Obs.with_registry reg (fun () -> Detect.campaign m faults word))
-
 let check_fault_structural (m : Fsm.t) rng tour ~k =
   (* Theorem 1's test is the tour padded by k extra steps (the exposure
      window): replaying faults against the unpadded word would flag
@@ -410,7 +401,9 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
         Fault.Conditional_output { state = s; input = i; wrong_output = o + 1; prev = p }
       in
       (* sanity: the static claim agrees with lockstep simulation *)
-      let escapes = (lint_campaign m [ fault ] word).Detect.detected = 0 in
+      let escapes =
+        (Detect.unrecorded_outcome m [ fault ] word).Campaign.report.Detect.detected = 0
+      in
       add
         (Diag.make ~code:"SA640" ~severity:Diag.Warning ~pass:"fault-structural"
            ~loc:(Diag.State (m.Fsm.state_name s))
@@ -430,21 +423,26 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
               (if escapes then "" else " (exposed elsewhere on this tour)")))
   | None -> ());
   (* R4: masked transfer errors — the campaign engine's missed faults
-     (effective, excited, undetected), in fault order *)
+     (effective, excited, undetected), in fault order, each witnessed
+     by its verdict's first masking window *)
   let n_pop = List.length transitions * max 0 (Fsm.n_reachable m - 1) in
   let faults =
     if n_pop <= 2000 then Fault.all_transfer_faults m
     else Fault.sample_transfer_faults rng m ~count:200
   in
-  let masked = (lint_campaign m faults word).Detect.missed in
+  let masked =
+    List.filter
+      (fun (_, (v : Detect.verdict)) -> v.excited && not v.detected)
+      (Detect.unrecorded_outcome m faults word).Campaign.verdicts
+  in
   List.iteri
-    (fun idx fault ->
+    (fun idx (fault, (v : Detect.verdict)) ->
       match fault with
       | Fault.Transfer { state = s; input = i; wrong_next } when idx < cap ->
           let window =
-            match Detect.masked_windows m (Fault.apply m fault) word with
-            | (j, l) :: _ -> Printf.sprintf "masked over tour steps %d..%d" j l
-            | [] -> "never exposed before the tour ends"
+            match (v.excite_step, v.masked_step) with
+            | Some j, Some l -> Printf.sprintf "masked over tour steps %d..%d" j l
+            | _ -> "never exposed before the tour ends"
           in
           add
             (Diag.make ~code:"SA641" ~severity:Diag.Warning

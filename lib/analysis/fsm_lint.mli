@@ -33,12 +33,15 @@
     - [fault-structural] — SA640 when a non-uniform
       ({!Simcov_coverage.Fault.Conditional_output}) error escapes the
       transition tour (Requirement 1), counted per site; SA641 when a
-      transfer error is masked on the tour (Requirement 4), replayed
-      through the campaign engine (so [lint --fsm] metrics carry
-      [campaign.*] counters) and windowed by
-      {!Simcov_coverage.Detect.masked_windows}. Both carry concrete
-      fault + word witnesses, found on the shared tour padded by the
-      certified [k] ({!Simcov_testgen.Tour.pad}).
+      transfer error is excited but never exposed on the tour
+      (Requirement 4), witnessed by the first masking window of its
+      campaign-engine verdict
+      ({!Simcov_coverage.Detect.verdict}[.masked_step]). Both campaigns
+      run under a throwaway metrics registry
+      ({!Simcov_coverage.Detect.unrecorded_outcome}), so the
+      [campaign.*] counters of [lint --fsm] metrics read 0. Both carry
+      concrete fault + word witnesses, found on the shared tour padded
+      by the certified [k] ({!Simcov_testgen.Tour.pad}).
     - [suite-cover] — static prediction of state/transition coverage
       of a word list by graph walk (no fault simulation): SA650 word
       applies an invalid input, SA651 transitions missed by the whole

@@ -21,9 +21,10 @@ type verdict = {
   excited : bool;
   detect_step : int option;
   excite_step : int option;
+  masked_step : int option;
 }
 
-type lane_event = { excited : int; detected : int; halt : bool }
+type lane_event = { excited : int; detected : int; rejoined : int; halt : bool }
 
 module type BACKEND = sig
   type ctx
@@ -213,6 +214,7 @@ module Make (B : BACKEND) = struct
          let sub = Array.sub eff lo bw in
          let batch = B.start ctx sub in
          let exc_step = Array.make bw (-1) and det_step = Array.make bw (-1) in
+         let msk_step = Array.make bw (-1) in
          let active = ref (Lanes.ones bw) in
          let batch_steps = ref 0 in
          (* visit only the steps the backend names; a batch ends when
@@ -226,6 +228,8 @@ module Make (B : BACKEND) = struct
            Obs.incr c_sim_steps;
            Lanes.iter (ev.excited land !active) (fun l ->
                if exc_step.(l) < 0 then exc_step.(l) <- step);
+           Lanes.iter (ev.rejoined land !active) (fun l ->
+               if msk_step.(l) < 0 then msk_step.(l) <- step);
            let det = ev.detected land !active in
            Lanes.iter det (fun l -> det_step.(l) <- step);
            active := !active land lnot det;
@@ -243,6 +247,7 @@ module Make (B : BACKEND) = struct
                excited = exc_step.(l) >= 0;
                detect_step = (if det_step.(l) >= 0 then Some det_step.(l) else None);
                excite_step = (if exc_step.(l) >= 0 then Some exc_step.(l) else None);
+               masked_step = (if msk_step.(l) >= 0 then Some msk_step.(l) else None);
              }
            in
            if v.detected then begin

@@ -69,11 +69,23 @@ type verdict = {
   excited : bool;
   detect_step : int option;  (** first step (0-based) with an observable difference *)
   excite_step : int option;  (** first step the golden run traverses the fault site *)
+  masked_step : int option;
+      (** first step (0-based) at which the mutant's state silently
+          rejoined the golden state before any detection: the close of
+          its first masking window (Definition 4). Only a backend that
+          tracks per-lane state divergence reports one (the FSM
+          backend, for transfer faults). Neither rendered in
+          [simcov-campaign/1] nor persisted in a coverage snapshot, so
+          a resumed verdict reads [None]. *)
 }
 
 type lane_event = {
   excited : int;  (** lane set whose fault site the golden run traversed this step *)
   detected : int;  (** lane set with an observable difference this step *)
+  rejoined : int;
+      (** lane set whose state silently rejoined the golden state this
+          step (no observable difference); [0] for a backend without
+          per-lane state divergence *)
   halt : bool;
       (** the golden run cannot continue (stimulus invalid for the
           golden model); the batch stops after this event's lane sets
@@ -236,8 +248,9 @@ module Make (B : BACKEND) : sig
   (** Run the campaign: filter effective faults, batch them
       [min B.max_lanes Lanes.width] to a batch in fault order, and
       lockstep-simulate each batch over the steps of the stimulus
-      word that {!BACKEND.next} names, recording per-lane excitation
-      and detection (a lane's simulation stops at its first detection;
+      word that {!BACKEND.next} names, recording per-lane excitation,
+      detection and first silent rejoin (a lane's simulation stops at
+      its first detection;
       a batch stops when every lane is detected, the backend halts or
       no step is left to visit).
       One budget step is consumed per batch; when the budget is

@@ -47,13 +47,18 @@ let tour_via_c = [ 0; 0; 2; 3; 4; 1; 3 ] (* a a c r d b r *)
 
 type row = { machine : string; tour : string; is_tour : bool; detected : bool }
 
+let detects m word =
+  (Simcov_coverage.Detect.campaign m [ transfer_error ] word).Simcov_coverage.Detect.detected
+  = 1
+
 let experiment () =
   let row name m tname tour =
+    let m = Fsm.tabulate m in
     {
       machine = name;
       tour = tname;
       is_tour = Simcov_testgen.Tour.word_is_tour m tour;
-      detected = Simcov_coverage.Detect.detects m transfer_error tour;
+      detected = detects m tour;
     }
   in
   [
@@ -86,6 +91,6 @@ let random_tour_detection rng ~n m =
     (match Fsm.valid_inputs m !s with
     | i :: _ -> word := i :: !word
     | [] -> ());
-    if Simcov_coverage.Detect.detects m transfer_error (List.rev !word) then incr detected
+    if detects m (List.rev !word) then incr detected
   done;
   !detected

@@ -53,31 +53,30 @@ let check_r1 concrete =
              c.Simcov_coverage.Uniformity.clean_members)
 
 module Tour = Simcov_testgen.Tour
+module Detect = Simcov_coverage.Detect
+module Fault = Simcov_coverage.Fault
+module Campaign = Simcov_campaign.Campaign
 
-let check_r4 model (facts : Tour.facts) rng samples =
+let check_r4 model (facts : Tour.facts) rng =
   match rng with
   | None -> Assumed "masking excluded by design (no registered error cancellation)"
   | Some rng -> (
       match facts.Tour.tour with
       | None -> Assumed "no tour available for the masking scan"
-      | Some tour ->
-          let faults = Simcov_coverage.Fault.sample_transfer_faults rng model ~count:samples in
-          let masked =
-            List.filter
-              (fun f ->
-                Simcov_coverage.Detect.has_masked_transfer model [ f ] tour.Tour.word)
-              faults
-          in
-          if masked = [] then
-            Satisfied
-              (Printf.sprintf "no masked window under %d sampled transfer faults"
-                 (List.length faults))
-          else
-            Violated
-              (Format.asprintf "masked transfer error found: %a" Simcov_coverage.Fault.pp
-                 (List.hd masked)))
+      | Some tour -> (
+          let faults = Fault.sample_transfer_faults rng model ~count:100 in
+          let o = Detect.unrecorded_outcome model faults tour.Tour.word in
+          match
+            List.find_opt (fun (_, v) -> v.Campaign.masked_step <> None) o.Campaign.verdicts
+          with
+          | None ->
+              Satisfied
+                (Printf.sprintf "no masked window under %d sampled transfer faults"
+                   (List.length faults))
+          | Some (f, _) ->
+              Violated (Format.asprintf "masked transfer error found: %a" Fault.pp f)))
 
-let check ?concrete ?facts ?rng ?(masking_samples = 100) model =
+let check ?concrete ?facts ?rng model =
   let facts = match facts with Some f -> f | None -> Tour.facts model in
   {
     r1_uniform_output_errors = check_r1 concrete;
@@ -88,7 +87,7 @@ let check ?concrete ?facts ?rng ?(masking_samples = 100) model =
           Violated (Printf.sprintf "no k <= %d bounds exposure" facts.Tour.k_bound));
     r3_unique_outputs =
       Assumed "discharged by data selection during concretization (checkpoints carry identity)";
-    r4_no_masking = check_r4 model facts rng masking_samples;
+    r4_no_masking = check_r4 model facts rng;
     r5_observable_interaction =
       (* pairwise single-step distinguishability *)
       (match Tour.forall_1 model facts with

@@ -15,8 +15,10 @@
       data); the checker validates a concrete run's checkpoint
       injectivity.
     - {b R4}: transfer errors are not masked — an assumption; checked
-      empirically by looking for masked windows under sampled transfer
-      faults.
+      empirically: 100 sampled transfer faults run through one
+      campaign of the engine ({!Simcov_coverage.Detect}) on the
+      unpadded tour, and a fault whose mutant state silently rejoins
+      the golden one before any exposure is masked (Definition 4).
     - {b R5}: interaction state is observable — checked as
       ∀1-distinguishability: distinct reachable states must disagree
       on some output for every applicable input.
@@ -52,7 +54,6 @@ val check :
     (Fsm.t * Simcov_abstraction.Homomorphism.mapping * (int * int -> bool)) ->
   ?facts:Simcov_testgen.Tour.facts ->
   ?rng:Simcov_util.Rng.t ->
-  ?masking_samples:int ->
   Fsm.t ->
   report
 (** [check model] evaluates the requirements on a test model.
@@ -61,5 +62,8 @@ val check :
     and a predicate marking misbehaving concrete transitions, enabling
     the real R1 check; without it R1 is [Assumed].
 
-    [rng] enables the empirical R4 masking scan (sampled transfer
-    faults against the optimal tour); without it R4 is [Assumed]. *)
+    [rng] enables the empirical R4 masking scan (it draws the sampled
+    transfer faults); without it R4 is [Assumed]. [Violated] names the
+    first masked fault in sample order. The scan's campaign leaves the
+    caller's [campaign.*] metrics untouched
+    ({!Simcov_coverage.Detect.unrecorded_outcome}). *)

@@ -9,45 +9,8 @@ type verdict = Campaign.verdict = {
   excited : bool;
   detect_step : int option;
   excite_step : int option;
+  masked_step : int option;
 }
-
-let run_verdict (golden : Fsm.t) fault word =
-  let mutant = Fault.apply golden fault in
-  let fsite = Fault.site fault in
-  let rec go step sg sm excite detect word =
-    match word with
-    | [] -> (excite, detect)
-    | i :: rest -> (
-        let vg = golden.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
-        (* excitation is a property of the golden path alone, so it must
-           be recorded even when this very step is the detecting
-           validity mismatch *)
-        let excite =
-          if vg && (sg, i) = fsite && excite = None then Some step else excite
-        in
-        if vg <> vm then (excite, Some (Option.value detect ~default:step))
-        else if not vg then (excite, detect) (* word invalid from here; stop *)
-        else
-          let og = golden.Fsm.output sg i and om = mutant.Fsm.output sm i in
-          if og <> om then (excite, Some step)
-          else
-            match detect with
-            | Some _ -> (excite, detect)
-            | None ->
-                go (step + 1) (golden.Fsm.next sg i) (mutant.Fsm.next sm i) excite detect
-                  rest)
-  in
-  let excite_step, detect_step =
-    go 0 golden.Fsm.reset mutant.Fsm.reset None None word
-  in
-  {
-    detected = detect_step <> None;
-    excited = excite_step <> None;
-    detect_step;
-    excite_step;
-  }
-
-let detects golden fault word = (run_verdict golden fault word).detected
 
 type 'f campaign_report = 'f Campaign.report = {
   backend : string;
@@ -119,7 +82,7 @@ let golden_run (tab : Fsm.tables) word =
      the golden state; only diverged lanes are stepped off the golden
      trajectory, grouped by mutant state, and they rejoin the cheap
      converged set on silent re-convergence (Definition 4's masking
-     window closing).
+     window closing), which the step reports as [rejoined].
 
    A mutant with no diverged lane is the golden machine until the
    golden run next traverses its site, so a batch with no diverged
@@ -170,6 +133,7 @@ module Fsm_backend = struct
     mutable stg_n : int;
     mutable diverged : int;
     mutable det : int;  (* per-step detected accumulator, reset each step *)
+    mutable rej : int;  (* per-step rejoined accumulator, reset each step *)
     mutable at : int;  (* the step [next] positioned the batch at *)
   }
 
@@ -226,6 +190,7 @@ module Fsm_backend = struct
       stg_n = 0;
       diverged = 0;
       det = 0;
+      rej = 0;
       at = 0;
     }
 
@@ -258,7 +223,7 @@ module Fsm_backend = struct
 
   (* The one preallocated "nothing happened this step" event — the
      common outcome inside a divergence window, kept allocation-free. *)
-  let quiet = { Campaign.excited = 0; detected = 0; halt = false }
+  let quiet = { Campaign.excited = 0; detected = 0; rejoined = 0; halt = false }
 
   (* A diverged lane enters the group of its mutant state; the
      occupancy list makes the per-step sweep touch only states that
@@ -303,7 +268,7 @@ module Fsm_backend = struct
           if b.groups.(s) <> 0 && b.tvalid.((s * k) + i) then
             b.det <- b.det lor b.groups.(s)
         done;
-      { Campaign.excited = 0; detected = b.det; halt = true }
+      { Campaign.excited = 0; detected = b.det; rejoined = 0; halt = true }
     end
     else begin
       let gi = b.g.gtr.(at) in
@@ -312,6 +277,7 @@ module Fsm_backend = struct
       prune site active;
       let s_out = site.s_out and s_tr = site.s_tr and s_cond = site.s_cond in
       b.det <- 0;
+      b.rej <- 0;
       (* [dv] snapshots the start-of-step diverged set, so lanes the
          sweep below re-converges this very step do not branch off
          again on the same stimulus; because the site sets are pruned
@@ -347,16 +313,17 @@ module Fsm_backend = struct
               let hitters = g land (site_at b mi).s_tr in
               Simcov_util.Lanes.iter hitters (fun l ->
                   let ms' = b.wrong.(l) in
-                  if ms' = sg' then b.diverged <- b.diverged land lnot (1 lsl l)
+                  if ms' = sg' then b.rej <- b.rej lor (1 lsl l)
                   else stage_set b ms' (1 lsl l));
               let movers = g land lnot hitters in
               if movers <> 0 then begin
-                if ns = sg' then b.diverged <- b.diverged land lnot movers
+                if ns = sg' then b.rej <- b.rej lor movers
                 else stage_set b ns movers
               end
             end
           end
         done;
+        b.diverged <- b.diverged land lnot b.rej;
         (* merge: the sweep zeroed every group it visited *)
         for j = 0 to b.stg_n - 1 do
           let s = Array.unsafe_get b.stg j in
@@ -388,8 +355,8 @@ module Fsm_backend = struct
               Obs.incr c_lanes_diverged
             end);
       let excited = s_out lor s_tr lor s_cond in
-      if excited = 0 && b.det = 0 then quiet
-      else { Campaign.excited; detected = b.det; halt = false }
+      if excited = 0 && b.det = 0 && b.rej = 0 then quiet
+      else { Campaign.excited; detected = b.det; rejoined = b.rej; halt = false }
     end
 end
 
@@ -407,38 +374,17 @@ let campaign_outcome ?budget ?lanes:_ ?jobs ?max_workers ?on_batch ?resume
 let campaign ?budget ?jobs ?on_batch golden faults word =
   (campaign_outcome ?budget ?jobs ?on_batch golden faults word).Campaign.report
 
+(* a static check's engine run lands in a throwaway registry, so a
+   job's campaign.* metrics count only the campaigns it reports *)
+let unrecorded_outcome golden faults word =
+  let reg = Obs.registry () in
+  Fun.protect
+    ~finally:(fun () -> Obs.release reg)
+    (fun () -> Obs.with_registry reg (fun () -> campaign_outcome golden faults word))
+
 let coverage_pct = Campaign.coverage_pct
 let pp_report = Campaign.pp_report
 let to_json ?extra r = Campaign.to_json ~fault:Fault.to_json ?extra r
-
-(* Definition 4, operationally: windows where the two state
-   trajectories diverge and silently re-converge. *)
-let masked_windows (golden : Fsm.t) (mutant : Fsm.t) word =
-  let rec go step sg sm window acc word =
-    match word with
-    | [] -> List.rev acc (* open window never closed: not masked *)
-    | i :: rest -> (
-        let vg = golden.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
-        if vg <> vm then List.rev acc (* exposed; stop *)
-        else if not vg then List.rev acc
-        else
-          let og = golden.Fsm.output sg i and om = mutant.Fsm.output sm i in
-          if og <> om then List.rev acc (* exposed inside the window *)
-          else
-            let sg' = golden.Fsm.next sg i and sm' = mutant.Fsm.next sm i in
-            match window with
-            | None ->
-                let window = if sg' <> sm' then Some step else None in
-                go (step + 1) sg' sm' window acc rest
-            | Some j ->
-                if sg' = sm' then go (step + 1) sg' sm' None ((j, step) :: acc) rest
-                else go (step + 1) sg' sm' window acc rest)
-  in
-  go 0 golden.Fsm.reset mutant.Fsm.reset None [] word
-
-let has_masked_transfer golden faults word =
-  let mutant = Fault.apply_all golden faults in
-  masked_windows golden mutant word <> []
 
 let transitions_covered (m : Fsm.t) word =
   let seen = Hashtbl.create 256 in
@@ -452,9 +398,6 @@ let transitions_covered (m : Fsm.t) word =
   in
   go m.Fsm.reset word;
   Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
-
-let is_transition_tour m word =
-  List.length (transitions_covered m word) = Fsm.n_transitions m
 
 let state_coverage (m : Fsm.t) word =
   let seen = Hashtbl.create 64 in

@@ -4,17 +4,21 @@
     {e exposed} (detected) when the observed outputs of the mutant
     differ from the golden machine's — possibly several steps later,
     which is exactly the gap between excitation and exposure that
-    Section 4.2 illustrates with Figure 2.
+    Section 4.2 illustrates with Figure 2. A transfer error is
+    {e masked} (Definition 4) when the mutant's state leaves the golden
+    one and silently rejoins it.
 
     Campaigns route through the shared {!Simcov_campaign.Campaign}
     driver: mutants are packed into the 63 bit lanes of a native int,
     and a batch visits only the steps of the word at which one of its
     live mutants can differ from the golden machine — the golden
     run's traversals of their fault sites, and every step while a
-    transfer mutant's state is diverged. {!run_verdict} is the
-    one-fault lockstep run (the W-method and the Figure 2 demo use
-    it); the scalar campaign built on it, the reference the batched
-    engine is tested against, lives in the test suite. *)
+    transfer mutant's state is diverged. This engine is the library's
+    one FSM fault simulator: coverage, Requirement 4's masking scan,
+    the SA640/SA641 lint checks, W-method suites and the Figure 2 demo
+    all read its verdicts. The one-fault closure-mutant replays (a
+    lockstep verdict, Definition 4's masking windows) are the
+    references it is tested against, in the test suite. *)
 
 open Simcov_fsm
 module Campaign = Simcov_campaign.Campaign
@@ -24,18 +28,22 @@ type verdict = Campaign.verdict = {
   excited : bool;
   detect_step : int option;  (** first step (0-based) with an observable difference *)
   excite_step : int option;  (** first traversal of the faulted transition (golden path) *)
+  masked_step : int option;
+      (** the close of a transfer fault's first masking window: the
+          first step after which the mutant's state silently equals the
+          golden one again, before any detection. The window opens at
+          [excite_step]: the mutant is the golden machine until the
+          golden run traverses the fault site, and an effective fault
+          diverges there. A lane that rejoins and is detected later
+          still carries it; output and conditional-output faults never
+          do. *)
 }
-
-val run_verdict : Fsm.t -> Fault.t -> int list -> verdict
-(** Simulate golden and mutant in lockstep on the input word. An
-    observable difference is a differing output or an input that is
+(** An observable difference is a differing output or an input that is
     valid in one machine's current state and not the other's. The word
-    is truncated at the first input invalid in {e both} runs.
-    Excitation is recorded whenever the golden run traverses the fault
-    site — including on the step whose validity mismatch detects the
-    fault. *)
-
-val detects : Fsm.t -> Fault.t -> int list -> bool
+    is truncated at the first input the golden machine rejects; a
+    diverged mutant that accepts it is detected there. Excitation is
+    recorded whenever the golden run traverses the fault site —
+    including on the step whose validity mismatch detects the fault. *)
 
 (** {1 Campaigns} *)
 
@@ -95,6 +103,13 @@ val campaign_outcome :
     [lanes] is ignored: every batch carries 63 lanes. It is kept only
     because the frozen benchmark harness ([perfbench/]) passes it. *)
 
+val unrecorded_outcome :
+  Fsm.t -> Fault.t list -> int list -> Fault.t Campaign.outcome
+(** {!campaign_outcome} under a throwaway {!Simcov_obs.Obs} registry:
+    the engine run behind a check (Requirement 4, SA640, SA641) leaves
+    the caller's [campaign.*] metrics and trace untouched, so a job's
+    metrics count only the campaigns it reports. *)
+
 val coverage_pct : report -> float
 (** [100 * detected / effective] (100.0 when there are no effective
     faults). *)
@@ -105,27 +120,10 @@ val to_json :
   ?extra:(string * Simcov_util.Json.t) list -> report -> Simcov_util.Json.t
 (** [simcov-campaign/1] rendering with structured missed faults. *)
 
-(** {1 Masking (Definition 4)} *)
-
-val masked_windows : Fsm.t -> Fsm.t -> int list -> (int * int) list
-(** Run golden and mutant on the word; return the maximal index windows
-    [(j, l)] in which the state trajectories diverge at [j] and
-    re-converge at [l] with no observable output difference inside —
-    the operational form of a masked transfer error. An empty list
-    means the trajectories never diverged or every divergence was
-    exposed or never closed. *)
-
-val has_masked_transfer : Fsm.t -> Fault.t list -> int list -> bool
-(** Whether applying the faults produces at least one masked window on
-    the word — used to check Requirement 4 experimentally. *)
-
 (** {1 Transition coverage of a word} *)
 
 val transitions_covered : Fsm.t -> int list -> (int * int) list
 (** Distinct (state, input) pairs traversed by the word from reset. *)
-
-val is_transition_tour : Fsm.t -> int list -> bool
-(** Does the word traverse every reachable valid transition? *)
 
 val state_coverage : Fsm.t -> int list -> int
 val transition_coverage : Fsm.t -> int list -> int

@@ -24,17 +24,13 @@ let equal = ( = )
 (* [tag:f1:f2:...] in decimal, written into one buffer: a campaign
    keys thousands of faults, and [string_of_int] is a C format call per
    field *)
-let rec add_digits b n =
-  if n >= 10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-
 let key_of tag fields =
   let b = Buffer.create 24 in
   Buffer.add_char b tag;
   List.iter
     (fun n ->
       Buffer.add_char b ':';
-      if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n)
+      Simcov_util.Json.add_int b n)
     fields;
   Buffer.contents b
 
@@ -73,41 +69,6 @@ let to_json fault =
           ("prev_state", Int ps);
           ("prev_input", Int pi);
         ]
-
-let apply (m : Fsm.t) fault =
-  match fault with
-  | Transfer { state; input; wrong_next } ->
-      {
-        m with
-        Fsm.next = (fun s i -> if s = state && i = input then wrong_next else m.Fsm.next s i);
-      }
-  | Output { state; input; wrong_output } ->
-      {
-        m with
-        Fsm.output =
-          (fun s i -> if s = state && i = input then wrong_output else m.Fsm.output s i);
-      }
-  | Conditional_output { state; input; wrong_output; prev } ->
-      (* enlarge the state space with one bit of history: was the
-         previous transition [prev]? *)
-      let proj s = s / 2 and hist s = s land 1 = 1 in
-      {
-        m with
-        Fsm.n_states = 2 * m.Fsm.n_states;
-        reset = 2 * m.Fsm.reset;
-        valid = (fun s i -> m.Fsm.valid (proj s) i);
-        next =
-          (fun s i ->
-            let base = m.Fsm.next (proj s) i in
-            (2 * base) + if (proj s, i) = prev then 1 else 0);
-        output =
-          (fun s i ->
-            if proj s = state && i = input && hist s then wrong_output
-            else m.Fsm.output (proj s) i);
-        state_name = (fun s -> m.Fsm.state_name (proj s) ^ if hist s then "^" else "");
-      }
-
-let apply_all m faults = List.fold_left apply m faults
 
 let site = function
   | Transfer { state; input; _ }

@@ -4,8 +4,11 @@
     (Definition 1: some transition produces the wrong output) or a
     {e transfer error} (Definition 3: some transition goes to the wrong
     state), following the protocol conformance-testing fault model the
-    paper builds on. A fault applied to a machine yields a mutant that
-    shares the original's tables (no copying). *)
+    paper builds on. No mutant machine is ever built: the campaign
+    engine ({!Detect}) simulates each fault by its difference from the
+    golden machine's tables. The closure mutant, a machine whose
+    [next] or [output] answers wrong at the fault site, is the
+    reference the engine is tested against, in the test suite. *)
 
 open Simcov_fsm
 
@@ -35,21 +38,6 @@ val key : t -> string
 val to_json : t -> Simcov_util.Json.t
 (** Structured rendering for campaign reports ([kind] plus the site and
     wrong-value fields). *)
-
-val apply : Fsm.t -> t -> Fsm.t
-(** The mutant machine. Validity is unchanged; only the faulted
-    [(state, input)] entry's next state or output differs.
-    [Conditional_output] faults depend on one transition of history, so
-    the mutant machine's state space is the pair (original state,
-    previous transition class); [apply] returns an enlarged machine
-    whose states [s * 2 + h] track whether the previous transition was
-    [prev] ([h = 1]). Its reset is [reset * 2]. Outputs and validity
-    project back onto the original machine's, so lockstep comparison
-    against the original golden machine remains meaningful. *)
-
-val apply_all : Fsm.t -> t list -> Fsm.t
-(** Multiple simultaneous faults (later faults win on the same
-    transition). Used for masking experiments. *)
 
 val site : t -> int * int
 (** The faulted [(state, input)] pair. *)

@@ -111,12 +111,12 @@ module Net_backend = struct
       in
       Array.blit next 0 b.lanes 0 n;
       b.good <- good';
-      { Campaign.excited = !excited; detected = !detected; halt = false }
+      { Campaign.excited = !excited; detected = !detected; rejoined = 0; halt = false }
     end
     else
       (* golden rejects the vector: lanes whose faulty circuit still
          accepts it are exposed; the word ends for everyone else *)
-      { Campaign.excited = 0; detected = cm; halt = true }
+      { Campaign.excited = 0; detected = cm; rejoined = 0; halt = true }
 end
 
 module Driver = Campaign.Make (Net_backend)

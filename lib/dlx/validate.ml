@@ -77,7 +77,7 @@ module Bug_backend = struct
         with
         | Fail _ -> detected := !detected lor (1 lsl l)
         | Pass _ -> ());
-    { Campaign.excited = !detected; detected = !detected; halt = false }
+    { Campaign.excited = !detected; detected = !detected; rejoined = 0; halt = false }
 end
 
 module Driver = Campaign.Make (Bug_backend)

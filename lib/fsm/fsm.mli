@@ -32,10 +32,10 @@ type t = {
       (** set by {!tabulate}. It answers only while [valid], [next] and
           [output] are the closures {!tabulate} installed beside it (and
           the sizes are unchanged): a machine derived with
-          [{ m with next = f }], or by [Fault.apply], carries a stale form
-          that every query ignores. A derived machine with another
-          [reset] keeps the tables, and its reachable set is searched
-          afresh. *)
+          [{ m with next = f }], such as a closure mutant, carries a
+          stale form that every query ignores. A derived machine with
+          another [reset] keeps the tables, and its reachable set is
+          searched afresh. *)
 }
 
 val make :

@@ -36,10 +36,12 @@ let status_of o =
 
 (* ---- covdb plumbing (moved verbatim from the CLI) ---- *)
 
-(* The campaign verdict <-> covdb status conversion is exact: the
-   driver guarantees [detected <=> detect_step] and
-   [excited <=> excite_step], so a verdict resumed from a snapshot is
-   byte-identical to the one the interrupted run computed. *)
+(* The campaign verdict <-> covdb status conversion is exact in every
+   persisted field: the driver guarantees [detected <=> detect_step]
+   and [excited <=> excite_step], so a verdict resumed from a snapshot
+   equals the one the interrupted run computed, except [masked_step],
+   which is not persisted and reads [None] (no resumable job reads
+   it). *)
 let status_of_verdict (v : Campaign.verdict) =
   match (v.Campaign.detect_step, v.Campaign.excite_step) with
   | Some detect_step, excite_step -> Covdb.Detected { excite_step; detect_step }
@@ -49,13 +51,13 @@ let status_of_verdict (v : Campaign.verdict) =
 let verdict_of_status = function
   | Covdb.Undetected ->
       { Campaign.detected = false; excited = false; detect_step = None;
-        excite_step = None }
+        excite_step = None; masked_step = None }
   | Covdb.Excited es ->
       { Campaign.detected = false; excited = true; detect_step = None;
-        excite_step = Some es }
+        excite_step = Some es; masked_step = None }
   | Covdb.Detected { excite_step; detect_step } ->
       { Campaign.detected = true; excited = excite_step <> None;
-        detect_step = Some detect_step; excite_step }
+        detect_step = Some detect_step; excite_step; masked_step = None }
 
 (* each part and its newline are fed separately: no joined copy *)
 let hash_hex parts =
@@ -68,7 +70,18 @@ let hash_hex parts =
    word (additionally required to resume — recorded step indices only
    make sense against the same word) *)
 let config_hash ~backend ~model keys = hash_hex (backend :: model :: keys)
-let stim_hash_ints word = hash_hex (List.map string_of_int word)
+
+(* must checksum the same bytes as [hash_hex (List.map string_of_int
+   word)], so a snapshot an earlier binary wrote still resumes; one
+   buffer, checksummed once *)
+let stim_hash_ints word =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun i ->
+      Json.add_int b i;
+      Buffer.add_char b '\n')
+    word;
+  Simcov_util.Crc32.(to_hex (string (Buffer.contents b)))
 
 let stim_hash_bits word =
   hash_hex

@@ -60,6 +60,11 @@ val run :
     [chaos_kill_after] is the CLI chaos-harness hook (SIGKILL after
     the N-th checkpoint flush). *)
 
+val stim_hash_ints : int list -> string
+(** The stimulus fingerprint an FSM campaign's coverage snapshot
+    records in its header, which a resume must match: the CRC-32 (hex)
+    of the word's inputs in decimal, one per line. *)
+
 val campaign_exit :
   fail_under:float option ->
   interrupted:bool ->

@@ -87,41 +87,28 @@ let suite_extra ?scope ~extra (m : Fsm.t) =
 
 let total_length words = List.fold_left (fun acc w -> acc + List.length w) 0 words
 
-let detects m fault words =
-  List.exists (Simcov_coverage.Detect.detects m fault) words
-
 let campaign m faults words =
-  let total = List.length faults in
-  let effective = ref 0 and excited = ref 0 and detected = ref 0 in
-  let missed = ref [] in
+  let module Detect = Simcov_coverage.Detect in
+  let m = Fsm.tabulate m in
+  let eff = List.filter (Simcov_coverage.Fault.is_effective m) faults in
+  let n = List.length eff in
+  let excited = Array.make n false and detected = Array.make n false in
   List.iter
-    (fun f ->
-      if Simcov_coverage.Fault.is_effective m f then begin
-        incr effective;
-        let verdicts =
-          List.map (fun w -> Simcov_coverage.Detect.run_verdict m f w) words
-        in
-        let ex =
-          List.exists
-            (fun (v : Simcov_coverage.Detect.verdict) -> v.Simcov_coverage.Detect.excited)
-            verdicts
-        in
-        let de =
-          List.exists
-            (fun (v : Simcov_coverage.Detect.verdict) -> v.Simcov_coverage.Detect.detected)
-            verdicts
-        in
-        if ex then incr excited;
-        if de then incr detected else if ex then missed := f :: !missed
-      end)
-    faults;
+    (fun w ->
+      List.iteri
+        (fun j (_, (v : Detect.verdict)) ->
+          excited.(j) <- excited.(j) || v.excited;
+          detected.(j) <- detected.(j) || v.detected)
+        (Detect.campaign_outcome m eff w).Detect.Campaign.verdicts)
+    words;
+  let count a = Array.fold_left (fun c b -> if b then c + 1 else c) 0 a in
   {
-    Simcov_coverage.Detect.backend = "fsm-fault/wmethod";
-    total;
-    effective = !effective;
-    excited = !excited;
-    detected = !detected;
-    missed = List.rev !missed;
+    Detect.backend = "fsm-fault/wmethod";
+    total = List.length faults;
+    effective = n;
+    excited = count excited;
+    detected = count detected;
+    missed = List.filteri (fun j _ -> excited.(j) && not detected.(j)) eff;
     skipped = 0;
     truncated = None;
     shard_failures = [];

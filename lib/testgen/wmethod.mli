@@ -10,7 +10,8 @@
 
     Included as the second conformance-testing baseline next to
     {!Uio}: the tour-length ablation compares one certified tour
-    against these suites. *)
+    against these suites, and a suite's mutant kill count comes from
+    the same campaign engine as every other coverage number. *)
 
 open Simcov_fsm
 
@@ -43,11 +44,10 @@ val suite_extra : ?scope:[ `Reachable | `All ] -> extra:int -> Fsm.t -> int list
 val total_length : int list list -> int
 (** Input symbols summed over the suite — the cost measure. *)
 
-val detects : Fsm.t -> Simcov_coverage.Fault.t -> int list list -> bool
-(** A fault is detected when any word of the suite (run from reset)
-    exposes it. *)
-
 val campaign :
   Fsm.t -> Simcov_coverage.Fault.t list -> int list list -> Simcov_coverage.Detect.report
-(** Campaign over a word suite (detection = any word detects;
-    excitation = any word excites). *)
+(** Campaign over a word suite: one campaign of the engine
+    ({!Simcov_coverage.Detect}) per word, each run from reset. A fault
+    is excited (detected) when any word excites (detects) it; the
+    report's backend is ["fsm-fault/wmethod"] and its missed faults
+    come in fault order. *)

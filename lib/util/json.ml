@@ -32,6 +32,20 @@ let float_to_string f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
+(* [string_of_int n], appended without the intermediate string (a C
+   format call). The digits come from [n]'s non-positive mirror, which
+   every int has, [min_int] included. *)
+let add_int buf n =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    digits n
+  end
+  else digits (-n)
+
 let to_string ?(indent = 2) v =
   let buf = Buffer.create 256 in
   let pad depth =
@@ -43,7 +57,7 @@ let to_string ?(indent = 2) v =
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i -> add_int buf i
     | Float f -> Buffer.add_string buf (float_to_string f)
     | String s -> escape_to buf s
     | List [] -> Buffer.add_string buf "[]"

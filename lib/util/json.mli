@@ -25,6 +25,11 @@ val to_string : ?indent:int -> t -> string
     not as a number. Negative zero renders as [-0.0] and survives a
     round-trip exactly. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n], as {!to_string} renders an [Int], without
+    building the intermediate string: the writer behind fault keys and
+    stimulus fingerprints, which render thousands of ints each. *)
+
 val parse : string -> (t, string) result
 (** Total: any malformed input yields [Error msg] with a character
     offset, never an exception. Numbers without [.], [e] or [E] parse

@@ -5,11 +5,141 @@
 open Simcov_netlist
 module Campaign = Simcov_campaign.Campaign
 
-module Detect = struct
-  open Simcov_coverage
+module Fault = struct
+  open Simcov_fsm
+  include Simcov_coverage.Fault
 
-  (* one full mutant rerun per fault, through [Detect.run_verdict]; the
-     QCheck suite pins the batched driver against it *)
+  (* The closure mutant: validity is unchanged, and only the faulted
+     [(state, input)] entry's next state or output differs. A
+     [Conditional_output] fault depends on one transition of history,
+     so its mutant's states are [s * 2 + h], where [h = 1] when the
+     previous transition was [prev]; its reset is [reset * 2]. Outputs
+     and validity project back onto the original machine's, so a
+     lockstep comparison against the golden machine stays meaningful
+     (but state comparisons do not). *)
+  let apply (m : Fsm.t) fault =
+    match fault with
+    | Transfer { state; input; wrong_next } ->
+        {
+          m with
+          Fsm.next = (fun s i -> if s = state && i = input then wrong_next else m.Fsm.next s i);
+        }
+    | Output { state; input; wrong_output } ->
+        {
+          m with
+          Fsm.output =
+            (fun s i -> if s = state && i = input then wrong_output else m.Fsm.output s i);
+        }
+    | Conditional_output { state; input; wrong_output; prev } ->
+        let proj s = s / 2 and hist s = s land 1 = 1 in
+        {
+          m with
+          Fsm.n_states = 2 * m.Fsm.n_states;
+          reset = 2 * m.Fsm.reset;
+          valid = (fun s i -> m.Fsm.valid (proj s) i);
+          next =
+            (fun s i ->
+              let base = m.Fsm.next (proj s) i in
+              (2 * base) + if (proj s, i) = prev then 1 else 0);
+          output =
+            (fun s i ->
+              if proj s = state && i = input && hist s then wrong_output
+              else m.Fsm.output (proj s) i);
+          state_name = (fun s -> m.Fsm.state_name (proj s) ^ if hist s then "^" else "");
+        }
+
+  (* several simultaneous faults; a later fault wins on the same
+     transition *)
+  let apply_all m faults = List.fold_left apply m faults
+end
+
+module Detect = struct
+  open Simcov_fsm
+
+  (* Definition 4, operationally: the maximal windows [(j, l)] in
+     which the state trajectories diverge at step [j] and silently
+     re-converge at step [l], with no observable difference inside. A
+     window still open at the end of the word, or closed by an
+     exposure, is not masked. *)
+  let masked_windows (golden : Fsm.t) (mutant : Fsm.t) word =
+    let rec go step sg sm window acc word =
+      match word with
+      | [] -> List.rev acc
+      | i :: rest -> (
+          let vg = golden.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
+          if vg <> vm || not vg then List.rev acc
+          else if golden.Fsm.output sg i <> mutant.Fsm.output sm i then List.rev acc
+          else
+            let sg' = golden.Fsm.next sg i and sm' = mutant.Fsm.next sm i in
+            match window with
+            | None ->
+                let window = if sg' <> sm' then Some step else None in
+                go (step + 1) sg' sm' window acc rest
+            | Some j ->
+                if sg' = sm' then go (step + 1) sg' sm' None ((j, step) :: acc) rest
+                else go (step + 1) sg' sm' window acc rest)
+    in
+    go 0 golden.Fsm.reset mutant.Fsm.reset None [] word
+
+  let has_masked_transfer golden faults word =
+    masked_windows golden (Fault.apply_all golden faults) word <> []
+
+  (* Golden and closure mutant in lockstep. An observable difference is
+     a differing output or an input valid in one machine's current
+     state and not the other's; the word stops at the first input
+     invalid in both. Excitation is recorded whenever the golden run
+     traverses the fault site, including on the step whose validity
+     mismatch detects the fault. A transfer fault's masked step closes
+     its first masking window, which opens where it is excited: the
+     mutant is the golden machine until then. Conditional-output
+     mutants number their states [2s + h], so their windows mean
+     nothing and they carry none. *)
+  let run_verdict (golden : Fsm.t) fault word =
+    let mutant = Fault.apply golden fault in
+    let fsite = Fault.site fault in
+    let rec go step sg sm excite detect word =
+      match word with
+      | [] -> (excite, detect)
+      | i :: rest -> (
+          let vg = golden.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
+          let excite =
+            if vg && (sg, i) = fsite && excite = None then Some step else excite
+          in
+          if vg <> vm then (excite, Some (Option.value detect ~default:step))
+          else if not vg then (excite, detect)
+          else
+            let og = golden.Fsm.output sg i and om = mutant.Fsm.output sm i in
+            if og <> om then (excite, Some step)
+            else
+              match detect with
+              | Some _ -> (excite, detect)
+              | None ->
+                  go (step + 1) (golden.Fsm.next sg i) (mutant.Fsm.next sm i) excite detect
+                    rest)
+    in
+    let excite_step, detect_step =
+      go 0 golden.Fsm.reset mutant.Fsm.reset None None word
+    in
+    let masked_step =
+      match fault with
+      | Fault.Transfer _ -> (
+          match masked_windows golden mutant word with
+          | (j, l) :: _ ->
+              assert (Some j = excite_step);
+              Some l
+          | [] -> None)
+      | Fault.Output _ | Fault.Conditional_output _ -> None
+    in
+    {
+      Campaign.detected = detect_step <> None;
+      excited = excite_step <> None;
+      detect_step;
+      excite_step;
+      masked_step;
+    }
+
+  (* one full mutant rerun per fault, through [run_verdict]; the QCheck
+     suite pins the batched driver against it *)
   let campaign_scalar golden faults word =
     let total = List.length faults in
     let effective = ref 0 and excited = ref 0 and detected = ref 0 in
@@ -18,10 +148,10 @@ module Detect = struct
       (fun f ->
         if Fault.is_effective golden f then begin
           incr effective;
-          let v = Detect.run_verdict golden f word in
-          if v.excited then incr excited;
-          if v.detected then incr detected
-          else if v.excited then missed := f :: !missed;
+          let v = run_verdict golden f word in
+          if v.Campaign.excited then incr excited;
+          if v.Campaign.detected then incr detected
+          else if v.Campaign.excited then missed := f :: !missed;
           verdicts := (f, v) :: !verdicts
         end)
       faults;
@@ -39,6 +169,37 @@ module Detect = struct
           shard_failures = [];
         };
       verdicts = List.rev !verdicts;
+    }
+end
+
+module Wmethod = struct
+  (* the W-method campaign one fault and one word at a time: a fault
+     is excited (detected) when any word excites (detects) it *)
+  let campaign m faults words =
+    let total = List.length faults in
+    let effective = ref 0 and excited = ref 0 and detected = ref 0 in
+    let missed = ref [] in
+    List.iter
+      (fun f ->
+        if Simcov_coverage.Fault.is_effective m f then begin
+          incr effective;
+          let verdicts = List.map (fun w -> Detect.run_verdict m f w) words in
+          let ex = List.exists (fun (v : Campaign.verdict) -> v.excited) verdicts in
+          let de = List.exists (fun (v : Campaign.verdict) -> v.detected) verdicts in
+          if ex then incr excited;
+          if de then incr detected else if ex then missed := f :: !missed
+        end)
+      faults;
+    {
+      Campaign.backend = "fsm-fault/wmethod";
+      total;
+      effective = !effective;
+      excited = !excited;
+      detected = !detected;
+      missed = List.rev !missed;
+      skipped = 0;
+      truncated = None;
+      shard_failures = [];
     }
 end
 
@@ -114,6 +275,7 @@ module Stuckat = struct
       excited = excite_step <> None;
       detect_step;
       excite_step;
+      masked_step = None;
     }
 
   let detects c fault word = (run_verdict c fault word).Campaign.detected

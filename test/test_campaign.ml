@@ -15,6 +15,9 @@ let verdict_eq (a : Campaign.verdict) (b : Campaign.verdict) =
   a.detected = b.detected && a.excited = b.excited
   && a.detect_step = b.detect_step
   && a.excite_step = b.excite_step
+  && a.masked_step = b.masked_step
+
+let step = function Some n -> string_of_int n | None -> "-"
 
 let check_outcomes_agree ~what (scalar : Fault.t Campaign.outcome)
     (batched : Fault.t Campaign.outcome) =
@@ -34,16 +37,12 @@ let check_outcomes_agree ~what (scalar : Fault.t Campaign.outcome)
         QCheck.Test.fail_reportf "%s: verdict order differs" what;
       if not (verdict_eq vs vb) then
         QCheck.Test.fail_reportf
-          "%s: verdict mismatch on %a (scalar det=%b@%s exc=%b@%s, batched \
-           det=%b@%s exc=%b@%s)"
-          what Fault.pp fs vs.Campaign.detected
-          (match vs.Campaign.detect_step with Some n -> string_of_int n | None -> "-")
-          vs.Campaign.excited
-          (match vs.Campaign.excite_step with Some n -> string_of_int n | None -> "-")
-          vb.Campaign.detected
-          (match vb.Campaign.detect_step with Some n -> string_of_int n | None -> "-")
-          vb.Campaign.excited
-          (match vb.Campaign.excite_step with Some n -> string_of_int n | None -> "-"))
+          "%s: verdict mismatch on %a (scalar det=%b@%s exc=%b@%s masked@%s, \
+           batched det=%b@%s exc=%b@%s masked@%s)"
+          what Fault.pp fs vs.Campaign.detected (step vs.Campaign.detect_step)
+          vs.Campaign.excited (step vs.Campaign.excite_step) (step vs.Campaign.masked_step)
+          vb.Campaign.detected (step vb.Campaign.detect_step) vb.Campaign.excited
+          (step vb.Campaign.excite_step) (step vb.Campaign.masked_step))
     scalar.Campaign.verdicts batched.Campaign.verdicts;
   true
 
@@ -119,6 +118,25 @@ let qcheck_batched_eq_scalar_partial =
       check_outcomes_agree ~what:"partial machine"
         (Oracles.Detect.campaign_scalar m faults word)
         (Detect.campaign_outcome m faults word))
+
+(* The field the properties above compare is really exercised: on
+   random total machines some transfer verdicts carry a masking
+   window, some of those are detected later, and some never are. *)
+let test_masked_verdicts_occur () =
+  let masked = ref 0 and later = ref 0 in
+  for seed = 1 to 40 do
+    let m, faults, word = random_instance seed in
+    List.iter
+      (fun (_, v) ->
+        if v.Campaign.masked_step <> None then begin
+          incr masked;
+          if v.Campaign.detected then incr later
+        end)
+      (Detect.campaign_outcome m faults word).Campaign.verdicts
+  done;
+  Alcotest.(check bool) "some verdicts carry a window" true (!masked > 0);
+  Alcotest.(check bool) "some are detected later" true (!later > 0);
+  Alcotest.(check bool) "some are never detected" true (!later < !masked)
 
 (* out-of-alphabet stimuli: an input >= n_inputs is invalid in every
    state. The flat-table paths (tabulate's wrappers, the batched
@@ -711,7 +729,7 @@ module Synth = struct
         if ((f * 7) + x + b.t) mod 11 = 0 then det := !det lor (1 lsl l))
       b.faults;
     b.t <- b.t + 1;
-    { Campaign.excited = !exc; detected = !det; halt = false }
+    { Campaign.excited = !exc; detected = !det; rejoined = 0; halt = false }
 end
 
 module Synth_driver = Campaign.Make (Synth)
@@ -877,4 +895,6 @@ let suite =
       test_poisoned_shard_isolated;
     Alcotest.test_case "poisoned single shard is reported, exit 5" `Quick
       test_poisoned_single_shard;
+    Alcotest.test_case "masked verdicts occur, some detected later" `Quick
+      test_masked_verdicts_occur;
   ]

@@ -156,6 +156,57 @@ let test_requirements_r1_via_uniformity () =
   | Requirements.Satisfied _ -> ()
   | _ -> Alcotest.fail "expected R1 satisfied"
 
+(* Requirement 4 as the closure-mutant reference checks it: each
+   sampled fault replayed through the reference window scan on the
+   unpadded tour, in sample order *)
+let reference_r4 model (facts : Simcov_testgen.Tour.facts) rng =
+  let module Fault = Simcov_coverage.Fault in
+  match facts.Simcov_testgen.Tour.tour with
+  | None -> Requirements.Assumed "no tour available for the masking scan"
+  | Some tour -> (
+      let word = tour.Simcov_testgen.Tour.word in
+      let faults = Fault.sample_transfer_faults rng model ~count:100 in
+      match
+        List.find_opt (fun f -> Oracles.Detect.has_masked_transfer model [ f ] word) faults
+      with
+      | None ->
+          Requirements.Satisfied
+            (Printf.sprintf "no masked window under %d sampled transfer faults"
+               (List.length faults))
+      | Some f ->
+          Requirements.Violated
+            (Format.asprintf "masked transfer error found: %a" Fault.pp f))
+
+(* a random strongly connected machine; with few outputs, sampled
+   transfer faults are often masked *)
+let r4_instance seed =
+  let rng = Simcov_util.Rng.create seed in
+  let n_states = 3 + Simcov_util.Rng.int rng 8 in
+  let n_inputs = 2 + Simcov_util.Rng.int rng 2 in
+  let n_outputs = 1 + Simcov_util.Rng.int rng 3 in
+  let m = Fsm.tabulate (Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs) in
+  let facts = Simcov_testgen.Tour.facts m in
+  let r4 = (Requirements.check ~facts ~rng:(Simcov_util.Rng.create seed) m).r4_no_masking in
+  (r4, reference_r4 m facts (Simcov_util.Rng.create seed))
+
+let qcheck_r4_eq_reference =
+  QCheck.Test.make ~name:"requirements: R4 status = the reference masking scan's"
+    ~count:60
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let r4, reference = r4_instance seed in
+      r4 = reference)
+
+(* the random population spans both verdicts, so the property above
+   compares masked machines as well as clean ones *)
+let test_r4_population () =
+  let r4s = List.init 30 (fun seed -> fst (r4_instance (seed + 1))) in
+  let count p = List.length (List.filter p r4s) in
+  Alcotest.(check bool) "some machine violates R4" true
+    (count (function Requirements.Violated _ -> true | _ -> false) > 0);
+  Alcotest.(check bool) "some machine satisfies R4" true
+    (count (function Requirements.Satisfied _ -> true | _ -> false) > 0)
+
 let test_validate_dlx_default () =
   let r = Methodology.validate_dlx () in
   Alcotest.(check int) "28 model states" 28 r.Methodology.model_states;
@@ -231,4 +282,6 @@ let suite =
     Alcotest.test_case "validate dlx shares facts" `Slow
       test_validate_dlx_shares_facts;
     Alcotest.test_case "ablation dest tracking" `Slow test_ablation_dest_tracking;
+    QCheck_alcotest.to_alcotest qcheck_r4_eq_reference;
+    Alcotest.test_case "requirements r4 population" `Quick test_r4_population;
   ]

@@ -22,15 +22,25 @@ let fig2_golden =
 
 let fig2_transfer = Fault.Transfer { state = 1; input = 0; wrong_next = 3 }
 
+(* one effective fault's verdict from the campaign engine, checked
+   against the closure-mutant reference *)
+let verdict m f word =
+  match (Detect.campaign_outcome m [ f ] word).Detect.Campaign.verdicts with
+  | [ (_, v) ] ->
+      Alcotest.(check bool) "engine verdict = reference verdict" true
+        (v = Oracles.Detect.run_verdict m f word);
+      v
+  | _ -> Alcotest.fail "the fault is not effective"
+
 let test_apply_transfer () =
-  let mutant = Fault.apply fig2_golden fig2_transfer in
+  let mutant = Oracles.Fault.apply fig2_golden fig2_transfer in
   Alcotest.(check int) "redirected" 3 (mutant.Fsm.next 1 0);
   Alcotest.(check int) "other transitions intact" 1 (mutant.Fsm.next 0 0);
   Alcotest.(check int) "golden unchanged" 2 (fig2_golden.Fsm.next 1 0)
 
 let test_apply_output () =
   let f = Fault.Output { state = 2; input = 1; wrong_output = 9 } in
-  let mutant = Fault.apply fig2_golden f in
+  let mutant = Oracles.Fault.apply fig2_golden f in
   Alcotest.(check int) "faulty output" 9 (mutant.Fsm.output 2 1);
   Alcotest.(check int) "others intact" 3 (mutant.Fsm.output 2 2)
 
@@ -45,15 +55,15 @@ let test_is_effective () =
    transfer error, <a, a, c> does not. *)
 let test_fig2_path_b_detects () =
   Alcotest.(check bool) "a,a,b detects" true
-    (Detect.detects fig2_golden fig2_transfer [ 0; 0; 1; 3 ])
+    (verdict fig2_golden fig2_transfer [ 0; 0; 1; 3 ]).Detect.detected
 
 let test_fig2_path_c_misses () =
-  let v = Detect.run_verdict fig2_golden fig2_transfer [ 0; 0; 2; 3 ] in
+  let v = verdict fig2_golden fig2_transfer [ 0; 0; 2; 3 ] in
   Alcotest.(check bool) "a,a,c excites" true v.Detect.excited;
   Alcotest.(check bool) "a,a,c misses" false v.Detect.detected
 
 let test_verdict_steps () =
-  let v = Detect.run_verdict fig2_golden fig2_transfer [ 0; 0; 1; 3 ] in
+  let v = verdict fig2_golden fig2_transfer [ 0; 0; 1; 3 ] in
   Alcotest.(check (option int)) "excited at step 1" (Some 1) v.Detect.excite_step;
   Alcotest.(check (option int)) "detected at step 2" (Some 2) v.Detect.detect_step
 
@@ -63,12 +73,12 @@ let test_verdict_validity_mismatch () =
      4 where only r is valid: then input b is valid in golden's state 3
      but invalid in mutant's state 4 — observable difference. *)
   let f = Fault.Transfer { state = 1; input = 0; wrong_next = 4 } in
-  let v = Detect.run_verdict fig2_golden f [ 0; 0; 1 ] in
+  let v = verdict fig2_golden f [ 0; 0; 1 ] in
   Alcotest.(check bool) "validity mismatch detected" true v.Detect.detected
 
 let test_output_fault_detected_at_site () =
   let f = Fault.Output { state = 2; input = 2; wrong_output = 7 } in
-  let v = Detect.run_verdict fig2_golden f [ 0; 0; 2 ] in
+  let v = verdict fig2_golden f [ 0; 0; 2 ] in
   Alcotest.(check bool) "detected" true v.Detect.detected;
   Alcotest.(check (option int)) "at the site" (Some 2) v.Detect.detect_step;
   Alcotest.(check (option int)) "excite = detect for output faults" (Some 2)
@@ -97,30 +107,39 @@ let test_campaign_missed () =
   Alcotest.(check int) "missed recorded" 1 (List.length r.Detect.missed)
 
 let test_masked_windows () =
-  (* Two transfer faults that cancel: divert 1 -a-> 3' and then 3' -c->
-     5 (wrong_next on the diverted path rejoins at the same state as
-     golden). With word a,a,c the trajectories diverge after step 1 and
-     re-converge at step 2 with no output difference: masked. *)
-  let mutant = Fault.apply fig2_golden fig2_transfer in
-  let windows = Detect.masked_windows fig2_golden mutant [ 0; 0; 2; 3 ] in
-  Alcotest.(check bool) "one masked window" true (windows = [ (1, 2) ]);
+  (* The diverted 1 -a-> 3' path rejoins the golden one at 3' -c-> 5
+     with the same output. With word a,a,c the trajectories diverge
+     at step 1 and re-converge at step 2 with no output difference:
+     masked, in the engine and in the reference alike. *)
+  let word = [ 0; 0; 2; 3 ] in
+  let v = verdict fig2_golden fig2_transfer word in
+  Alcotest.(check (pair (option int) (option int)))
+    "the engine's window" (Some 1, Some 2) (v.Detect.excite_step, v.Detect.masked_step);
+  let mutant = Oracles.Fault.apply fig2_golden fig2_transfer in
+  Alcotest.(check (list (pair int int))) "the reference's window" [ (1, 2) ]
+    (Oracles.Detect.masked_windows fig2_golden mutant word);
   Alcotest.(check bool) "has_masked_transfer" true
-    (Detect.has_masked_transfer fig2_golden [ fig2_transfer ] [ 0; 0; 2; 3 ])
+    (Oracles.Detect.has_masked_transfer fig2_golden [ fig2_transfer ] word)
 
 let test_masked_windows_exposed_path () =
-  let mutant = Fault.apply fig2_golden fig2_transfer in
   (* on the b path the outputs differ inside the window: not masked *)
-  Alcotest.(check (list (pair int int))) "no masked window" []
-    (Detect.masked_windows fig2_golden mutant [ 0; 0; 1; 3 ])
+  let word = [ 0; 0; 1; 3 ] in
+  Alcotest.(check (option int)) "no engine window" None
+    (verdict fig2_golden fig2_transfer word).Detect.masked_step;
+  let mutant = Oracles.Fault.apply fig2_golden fig2_transfer in
+  Alcotest.(check (list (pair int int))) "no reference window" []
+    (Oracles.Detect.masked_windows fig2_golden mutant word)
 
 let test_transition_coverage_metrics () =
   let word = [ 0; 0; 1; 3 ] in
   Alcotest.(check int) "4 transitions covered" 4
     (Detect.transition_coverage fig2_golden word);
   Alcotest.(check int) "4 states visited" 4 (Detect.state_coverage fig2_golden word);
-  Alcotest.(check bool) "not a tour" false (Detect.is_transition_tour fig2_golden word);
+  Alcotest.(check bool) "not a tour" false
+    (Simcov_testgen.Tour.word_is_tour fig2_golden word);
   let tour_word = [ 0; 0; 1; 3; 0; 0; 2; 3 ] in
-  Alcotest.(check bool) "full tour" true (Detect.is_transition_tour fig2_golden tour_word)
+  Alcotest.(check bool) "full tour" true
+    (Simcov_testgen.Tour.word_is_tour fig2_golden tour_word)
 
 let test_all_output_faults () =
   let faults = Fault.all_output_faults fig2_golden in
@@ -214,10 +233,10 @@ let cond_fault =
 let test_conditional_fault_history_dependent () =
   (* via (1, a): exposed *)
   Alcotest.(check bool) "path through (1,a) detects" true
-    (Detect.detects diamond cond_fault [ 0; 0; 2 ]);
+    (verdict diamond cond_fault [ 0; 0; 2 ]).Detect.detected;
   (* via (2, a): hidden *)
   Alcotest.(check bool) "path through (2,a) does not" false
-    (Detect.detects diamond cond_fault [ 1; 0; 2 ])
+    (verdict diamond cond_fault [ 1; 0; 2 ]).Detect.detected
 
 let test_conditional_fault_not_uniform_kind () =
   Alcotest.(check bool) "uniform kinds" true
@@ -243,17 +262,16 @@ let test_certified_tour_can_miss_conditional_fault () =
   Alcotest.(check bool) "word is a tour" true
     (Simcov_testgen.Tour.word_is_tour diamond [ 1; 0; 2; 0; 0; 2 ]);
   Alcotest.(check bool) "first (3,c) via b-side misses" true
-    (let v = Detect.run_verdict diamond cond_fault [ 1; 0; 2 ] in
-     not v.Detect.detected);
+    (not (verdict diamond cond_fault [ 1; 0; 2 ]).Detect.detected);
   (* the full word's second (3,c) comes after (1,a): detected. Flip the
      two halves and the tour misses the fault entirely. *)
   Alcotest.(check bool) "this tour detects (second visit via a-side)" true
-    (Detect.detects diamond cond_fault word);
+    (verdict diamond cond_fault word).Detect.detected;
   let word' = [ 0; 0; 2; 1; 0; 2 ] in
   Alcotest.(check bool) "the flipped word is also a tour" true
     (Simcov_testgen.Tour.word_is_tour diamond word');
   Alcotest.(check bool) "and it detects (a-side first)" true
-    (Detect.detects diamond cond_fault word')
+    (verdict diamond cond_fault word').Detect.detected
 
 let test_conditional_fault_uniformity_classification () =
   (* the identity abstraction classifies the conditional fault's site
@@ -279,11 +297,10 @@ let qcheck_output_fault_always_detected_at_site =
       match Simcov_testgen.Tour.transition_tour m with
       | None -> QCheck.assume_fail ()
       | Some tour ->
-          let faults = Fault.all_output_faults m in
-          List.for_all
-            (fun f ->
-              (not (Fault.is_effective m f)) || Detect.detects m f tour.Simcov_testgen.Tour.word)
-            faults)
+          let r =
+            Detect.campaign m (Fault.all_output_faults m) tour.Simcov_testgen.Tour.word
+          in
+          r.Detect.detected = r.Detect.effective)
 
 (* the coverage-database record key, against the format it has always
    had: every field in decimal, negative ones included *)

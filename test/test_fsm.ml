@@ -408,10 +408,13 @@ let qcheck_stale_tables =
               ("reset", { m with Fsm.reset = Rng.int rng m.Fsm.n_states });
               ( "next",
                 { m with Fsm.next = (fun a b -> if a = s && b = i then d else m.Fsm.next a b) } );
-              ("transfer", Fault.apply m (Fault.Transfer { state = s; input = i; wrong_next = d }));
-              ("output", Fault.apply m (Fault.Output { state = s; input = i; wrong_output = o + 1 }));
+              ( "transfer",
+                Oracles.Fault.apply m (Fault.Transfer { state = s; input = i; wrong_next = d }) );
+              ( "output",
+                Oracles.Fault.apply m
+                  (Fault.Output { state = s; input = i; wrong_output = o + 1 }) );
               ( "conditional",
-                Fault.apply m
+                Oracles.Fault.apply m
                   (Fault.Conditional_output
                      { state = s; input = i; wrong_output = o + 1; prev = (ps, pi) }) );
             ]

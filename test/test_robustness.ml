@@ -393,6 +393,7 @@ let verdict_of_status = function
         excited = false;
         detect_step = None;
         excite_step = None;
+        masked_step = None;
       }
   | Covdb.Excited e ->
       {
@@ -400,6 +401,7 @@ let verdict_of_status = function
         excited = true;
         detect_step = None;
         excite_step = Some e;
+        masked_step = None;
       }
   | Covdb.Detected { excite_step; detect_step } ->
       {
@@ -407,6 +409,7 @@ let verdict_of_status = function
         excited = excite_step <> None;
         detect_step = Some detect_step;
         excite_step;
+        masked_step = None;
       }
 
 let status_of_verdict (v : Campaign.verdict) =
@@ -415,6 +418,7 @@ let status_of_verdict (v : Campaign.verdict) =
   | None, Some es -> Covdb.Excited es
   | None, None -> Covdb.Undetected
 
+(* the persisted fields: a snapshot does not keep [masked_step] *)
 let campaign_verdict_eq (a : Campaign.verdict) (b : Campaign.verdict) =
   a.Campaign.detected = b.Campaign.detected
   && a.Campaign.excited = b.Campaign.excited

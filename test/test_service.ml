@@ -934,6 +934,23 @@ let test_daemon_bounded_history () =
         (List.nth_opt ids 255);
       check_nothing_live d.socket)
 
+(* A snapshot header's stimulus fingerprint, against the form a
+   snapshot written before the one-buffer writer used: every input
+   through [string_of_int], each followed by a newline. Negative and
+   out-of-alphabet inputs included. *)
+let qcheck_stim_hash_ints =
+  QCheck.Test.make ~name:"service: stim_hash_ints = its string_of_int form" ~count:300
+    QCheck.(list (oneof [ small_nat; small_signed_int; int ]))
+    (fun word ->
+      let module Crc32 = Simcov_util.Crc32 in
+      let reference =
+        Crc32.to_hex
+          (List.fold_left
+             (fun c i -> Crc32.update (Crc32.update c (string_of_int i)) "\n")
+             0l word)
+      in
+      Service.stim_hash_ints word = reference)
+
 let suite =
   [
     test_case "job JSON round-trips exactly" `Quick test_job_roundtrip;
@@ -964,4 +981,5 @@ let suite =
     test_case "validate-dlx: a lost shard exits 5" `Quick
       test_validate_lost_shard_exit;
     test_case "cache charges the compiled form" `Quick test_cache_charges_compiled_form;
+    QCheck_alcotest.to_alcotest qcheck_stim_hash_ints;
   ]

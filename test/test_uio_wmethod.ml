@@ -29,6 +29,10 @@ let run_from (m : Fsm.t) s word =
     (s, []) word
   |> snd
 
+(* does the campaign engine detect the one fault on any of the words? *)
+let detects m fault words =
+  (Wmethod.campaign m [ fault ] words).Simcov_coverage.Detect.detected = 1
+
 let check_is_uio m s word =
   let mine = run_from m s word in
   for q = 0 to m.Fsm.n_states - 1 do
@@ -95,12 +99,11 @@ let test_checking_sequence_catches_fig2_error () =
      cannot miss it *)
   let m = Simcov_core.Fig2.original in
   Alcotest.(check bool) "plain tour misses" false
-    (Simcov_coverage.Detect.detects m Simcov_core.Fig2.transfer_error
-       Simcov_core.Fig2.tour_via_c);
+    (detects m Simcov_core.Fig2.transfer_error [ Simcov_core.Fig2.tour_via_c ]);
   match Uio.checking_sequence ~scope:`All m with
   | Some cs ->
       Alcotest.(check bool) "checking sequence detects" true
-        (Simcov_coverage.Detect.detects m Simcov_core.Fig2.transfer_error cs)
+        (detects m Simcov_core.Fig2.transfer_error [ cs ])
   | None -> Alcotest.fail "checking sequence must exist"
 
 let test_checking_sequence_all_transfer_faults () =
@@ -162,7 +165,7 @@ let test_wmethod_catches_fig2_error () =
   let m = Simcov_core.Fig2.original in
   let words = Wmethod.suite ~scope:`All m in
   Alcotest.(check bool) "W-method detects the Figure 2 error" true
-    (Wmethod.detects m Simcov_core.Fig2.transfer_error words)
+    (detects m Simcov_core.Fig2.transfer_error words)
 
 let test_wmethod_cost () =
   let words = Wmethod.suite ident in
@@ -192,7 +195,7 @@ let test_wmethod_extra_states () =
   in
   let extra_suite = Wmethod.suite_extra ~scope:`All ~extra:1 diamond in
   Alcotest.(check bool) "extra suite detects the history-dependent fault" true
-    (Wmethod.detects diamond fault extra_suite);
+    (detects diamond fault extra_suite);
   Alcotest.(check bool) "extra suite costs more" true
     (Wmethod.total_length extra_suite > Wmethod.total_length (Wmethod.suite ~scope:`All diamond))
 
@@ -251,6 +254,45 @@ let qcheck_wmethod_complete_on_random =
       let report = Wmethod.campaign q faults words in
       Simcov_coverage.Detect.coverage_pct report = 100.0)
 
+(* The engine's per-word campaigns against the scalar per-word
+   reference, on random partial machines (input 0 chains every state
+   from reset, other inputs are dropped freely) with transfer, output
+   and conditional-output faults: same counts, same missed faults in
+   the same order. *)
+let qcheck_wmethod_campaign_eq_reference =
+  QCheck.Test.make ~name:"wmethod: engine campaign = per-word scalar reference"
+    ~count:40
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let module Rng = Simcov_util.Rng in
+      let module Fault = Simcov_coverage.Fault in
+      let rng = Rng.create seed in
+      let n_states = 3 + Rng.int rng 4 and n_inputs = 2 + Rng.int rng 2 in
+      let rows = ref [] in
+      for s = 0 to n_states - 1 do
+        for i = 0 to n_inputs - 1 do
+          if i = 0 then rows := (s, 0, (s + 1) mod n_states, Rng.int rng 3) :: !rows
+          else if Rng.int rng 10 < 7 then
+            rows := (s, i, Rng.int rng n_states, Rng.int rng 3) :: !rows
+        done
+      done;
+      let m = Fsm.of_table (List.rev !rows) in
+      let trans = Fsm.transitions m in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let conditional () =
+        let ps, pi, s, _ = pick trans in
+        let _, i, _, o = pick (List.filter (fun (s', _, _, _) -> s' = s) trans) in
+        Fault.Conditional_output
+          { state = s; input = i; wrong_output = (o + 1) mod 3; prev = (ps, pi) }
+      in
+      let faults =
+        Fault.sample_transfer_faults rng m ~count:12
+        @ Fault.sample_output_faults rng m ~n_outputs:3 ~count:12
+        @ List.init 8 (fun _ -> conditional ())
+      in
+      let words = Wmethod.suite m in
+      Wmethod.campaign m faults words = Oracles.Wmethod.campaign m faults words)
+
 let suite =
   [
     Alcotest.test_case "uio ident" `Quick test_uio_ident;
@@ -272,4 +314,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_uio_really_unique;
     QCheck_alcotest.to_alcotest qcheck_checking_sequence_complete;
     QCheck_alcotest.to_alcotest qcheck_wmethod_complete_on_random;
+    QCheck_alcotest.to_alcotest qcheck_wmethod_campaign_eq_reference;
   ]

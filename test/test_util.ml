@@ -259,6 +259,15 @@ let qcheck_crc32_hex_roundtrip =
       let c = Crc32.string s in
       Crc32.of_hex (Crc32.to_hex c) = Some c)
 
+let qcheck_json_add_int =
+  QCheck.Test.make ~name:"json: add_int writes string_of_int (any int)" ~count:1000
+    QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; 9; 10; -10; min_int; max_int ] ])
+    (fun n ->
+      let b = Buffer.create 8 in
+      Buffer.add_char b '<';
+      Json.add_int b n;
+      Buffer.contents b = "<" ^ string_of_int n)
+
 let test_crc32_of_hex_rejects () =
   List.iter
     (fun s ->
@@ -323,4 +332,5 @@ let suite =
     Alcotest.test_case "durable write atomic on raise" `Quick
       test_durable_write_is_atomic_on_raise;
     QCheck_alcotest.to_alcotest qcheck_crc32_bitwise;
+    QCheck_alcotest.to_alcotest qcheck_json_add_int;
   ]
