@@ -18,16 +18,17 @@ type symbolic_figures = {
 
 (* The state/transition counts of the test model, computed at the
    richest representation the resource budget admits: partitioned
-   symbolic reachability, then plain enumeration of the
-   already-tabulated machine (which needs no BDDs at all and cannot
-   fail). The abandoned symbolic tier leaves a note. *)
-let symbolic_figures ~budget model =
+   symbolic reachability over the model's netlist, then plain
+   enumeration of the tabulated machine (which needs no BDDs at all
+   and cannot fail; [explicit] is forced only here). The abandoned
+   symbolic tier leaves a note. *)
+let symbolic_figures ~budget config explicit =
   let module Symfsm = Simcov_symbolic.Symfsm in
   let module Bdd = Simcov_bdd.Bdd in
   let name = tier_name Partitioned_symbolic in
   let symbolic () =
     try
-      let sf = Symfsm.of_fsm ~budget model in
+      let sf = Symfsm.of_circuit ~budget (Testmodel.netlist config) in
       let tr = Symfsm.traverse ~budget sf in
       match tr.Symfsm.truncated with
       | Some r ->
@@ -63,6 +64,7 @@ let symbolic_figures ~budget model =
          abandoned manager's live-node probe (budget.mli) *)
       Budget.set_node_probe budget None;
       let open Simcov_fsm in
+      let model = Lazy.force explicit in
       {
         sym_states = float_of_int (Fsm.n_reachable model);
         sym_transitions = float_of_int (Fsm.n_transitions model);
@@ -136,7 +138,9 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
         let facts = Simcov_testgen.Tour.facts model in
         (facts, Simcov_analysis.Fsm_lint.run ~budget ~name:"dlx-test" ~facts ~seed model))
   in
-  let symbolic = checked "symbolic" (fun () -> symbolic_figures ~budget model) in
+  let symbolic =
+    checked "symbolic" (fun () -> symbolic_figures ~budget config (lazy model))
+  in
   let requirements =
     checked "requirements" (fun () ->
         Requirements.check ~facts ~rng:(Simcov_util.Rng.split rng) model)

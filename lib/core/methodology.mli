@@ -9,7 +9,9 @@
 module Budget = Simcov_util.Budget
 
 type tier =
-  | Partitioned_symbolic  (** conjunct-per-latch relation, early quantification *)
+  | Partitioned_symbolic
+      (** reachability over [Testmodel.netlist]: conjunct-per-latch
+          relation, early quantification, no table *)
   | Explicit  (** plain enumeration of the tabulated machine; never fails *)
 
 val tier_name : tier -> string
@@ -38,8 +40,9 @@ type run_report = {
   model_states : int;
   model_transitions : int;
   symbolic : symbolic_figures;
-      (** the same counts recomputed symbolically — or at whatever
-          point on the degradation ladder the budget allowed *)
+      (** the same counts, recounted symbolically from the model's
+          netlist ([Testmodel.netlist]) — or at whatever point on the
+          degradation ladder the budget allowed *)
   requirements : Requirements.report;
   certificate : (Completeness.certificate, Completeness.failure) result;
   tour_length : int;
@@ -81,12 +84,15 @@ val validate_dlx :
     coverage drops — the paper's Section 6.3 ablation.
 
     [budget] governs resources. Its node allowance caps the BDD
-    managers of the symbolic phase, which degrades gracefully down the
+    manager of the symbolic phase, which degrades gracefully down the
     {!tier} ladder (partitioned → explicit) rather than
     failing — a run under an arbitrarily small node budget still
     returns a complete report, with [symbolic.degradations] recording
-    what was given up. The deadline/step budget, by contrast, bounds
-    the whole pipeline: it is checked between the early phases and
+    what was given up. The symbolic tier builds its relation from the
+    netlist, so its cost follows the netlist's size, not the
+    transition count. The
+    deadline/step budget, by contrast, bounds the whole pipeline: it
+    is checked between the early phases and
     @raise Budget.Budget_exceeded when it runs out there, since a
     report without a tour would not be a validation. Once the tour
     exists, the two fault campaigns degrade instead: exhausting the

@@ -80,7 +80,18 @@ let p1_decode cfg v =
 
 let state_code cfg p1v p2v = (p1_encode cfg p1v * p2_size cfg) + p2v
 
+(* bits that hold the codes [0, n) *)
+let code_width n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  max 1 (go 0)
+
+(* The observable digest puts p1's code at bit 6 and p2's above it, at
+   bit 11 or, once p1's codes need more than 5 bits (32 registers),
+   right after them. *)
+let digest_shift cfg = max 11 (6 + code_width (p1_size cfg))
+
 let build cfg =
+  let shift = digest_shift cfg in
   let n_states = p1_size cfg * p2_size cfg in
   let n_inputs = n_input_codes cfg in
   let valid _s code =
@@ -123,7 +134,7 @@ let build cfg =
     in
     if cfg.observable_dest then
       let p1v, p2v = decompose s in
-      base lor (p1_encode cfg p1v lsl 6) lor (p2v lsl 11)
+      base lor (p1_encode cfg p1v lsl 6) lor (p2v lsl shift)
     else base
   in
   let next s code =
@@ -166,6 +177,101 @@ let build cfg =
         Printf.sprintf "%s d%d s%d t%d%s" (Isa.class_name i.cls) i.rd i.rs1 i.rs2
           (if i.taken then " T" else ""))
     ()
+
+(* The same machine as a circuit. p1's destination register is the
+   code itself for an ALU write and code - R + 1 for a load (codes R
+   and up, so the top bit marks a load), which one ripple increment
+   of the low bits recovers; a new load's code takes the decrement.
+   Every output and next-state bit below mirrors the matching line of
+   [build]. *)
+let netlist cfg =
+  let open Simcov_netlist in
+  let open Circuit.Build in
+  let ( !! ) = Expr.( !! ) and ( &&& ) = Expr.( &&& ) and ( ||| ) = Expr.( ||| ) in
+  let w = addr_bits cfg in
+  let ctx = create "dlx-test-model" in
+  let cls = input_vec ctx "class" 3 in
+  let rd = input_vec ctx "rd" w in
+  let rs1 = input_vec ctx "rs1" w in
+  let rs2 = input_vec ctx "rs2" w in
+  let taken = input ctx "taken" in
+  let p1 = reg_vec ctx ~group:"p1" "p1" (code_width (p1_size cfg)) in
+  let p2 = reg_vec ctx ~group:"p2" "p2" (code_width (p2_size cfg)) in
+  let any used =
+    Expr.disj
+      (List.filter_map
+         (fun k ->
+           if used (Isa.class_of_index k) then Some (Expr.Vec.eq_const cls k) else None)
+         (List.init 7 Fun.id))
+  in
+  let is c = any (( = ) c) in
+  let zero v = Expr.Vec.eq_const v 0 in
+  (* [v + 1], or [v - 1] when [down], modulo 2^width *)
+  let add_one ?(down = false) v =
+    let carry = ref Expr.tru in
+    Array.init (Array.length v) (fun b ->
+        let s = Expr.( ^^^ ) v.(b) !carry in
+        carry := (if down then !!(v.(b)) else v.(b)) &&& !carry;
+        s)
+  in
+  (* code 7 names no class *)
+  constrain ctx (any (fun _ -> true));
+  let ok_field used v = any used ||| zero v in
+  constrain ctx
+    (ok_field uses_rd rd &&& ok_field uses_rs1 rs1 &&& ok_field uses_rs2 rs2
+    &&& (!!taken ||| is Isa.Branch));
+  let squash = (is Isa.Branch &&& taken) ||| is Isa.Jump in
+  let load = is Isa.Load in
+  let writes = any uses_rd &&& if cfg.track_dest then !!(zero rd) else Expr.tru in
+  let stall, fwd_a, fwd_b, p1', p2' =
+    if cfg.track_dest then begin
+      let p1_load = p1.(w) and lo = Array.sub p1 0 w in
+      let dest = Expr.Vec.mux p1_load (add_one lo) lo in
+      let hazard used field =
+        any used &&& Expr.Vec.eq field dest &&& !!(zero dest)
+      in
+      let stall = p1_load &&& (hazard uses_rs1 rs1 ||| hazard uses_rs2 rs2) in
+      (* 0 = register file, 1 = EX/MEM bypass, 2 = MEM/WB bypass *)
+      let fwd used field =
+        let live = any used &&& !!(zero field) in
+        let p1_match = Expr.Vec.eq field dest and p2_match = Expr.Vec.eq field p2 in
+        [|
+          live &&& p1_match &&& !!stall;
+          live &&& ((p1_match &&& stall) ||| (!!p1_match &&& p2_match &&& !!stall));
+        |]
+      in
+      let code = Array.append (Expr.Vec.mux load (add_one ~down:true rd) rd) [| load |] in
+      ( stall,
+        fwd uses_rs1 rs1,
+        fwd uses_rs2 rs2,
+        Array.map (( &&& ) writes) code,
+        Array.map (fun d -> !!squash &&& !!stall &&& d) dest )
+    end
+    else
+      (* dest unknown: no stall and no bypass (the optimistic resolution) *)
+      ( Expr.fls,
+        [| Expr.fls; Expr.fls |],
+        [| Expr.fls; Expr.fls |],
+        [| writes &&& !!load; writes &&& load |],
+        [| !!squash &&& !!(zero p1) |] )
+  in
+  Array.iteri (fun b r -> assign ctx r p1'.(b)) p1;
+  Array.iteri (fun b r -> assign ctx r p2'.(b)) p2;
+  output ctx "stall" stall;
+  output_vec ctx "fwd_a" fwd_a;
+  output_vec ctx "fwd_b" fwd_b;
+  output ctx "squash" squash;
+  if cfg.observable_dest then begin
+    let gap = digest_shift cfg - 6 in
+    output_vec ctx "digest"
+      (Array.init
+         (gap + Array.length p2)
+         (fun k ->
+           if k < Array.length p1 then p1.(k)
+           else if k >= gap then p2.(k - gap)
+           else Expr.fls))
+  end;
+  finish ctx
 
 let dest_merge_mapping cfg =
   assert cfg.track_dest;

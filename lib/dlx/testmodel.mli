@@ -55,7 +55,23 @@ val n_valid_inputs : config -> int
 val build : config -> Fsm.t
 (** Deterministic Mealy machine; with [track_dest = false] the
     stall/forward outputs use the optimistic (assume-no-hazard)
-    resolution — see above. *)
+    resolution — see above. The output packs stall (bit 0), the two
+    forwarding selects (bits 1–2 and 3–4) and squash (bit 5); with
+    [observable_dest] the digest adds p1's code at bit 6 and p2's at
+    bit [max 11 (6 + width of p1's codes)], so the digest stays
+    injective at 32 registers, where p1's codes need 6 bits. *)
+
+val netlist : config -> Simcov_netlist.Circuit.t
+(** [build config] as a circuit, so its figures can be counted
+    symbolically without a table (as the paper counts its model,
+    Section 7.2). The p1 and p2 slots are latches holding their codes
+    (p1's bits first, little-endian, reset 0). The instruction fields
+    are the primary inputs in input-code bit order (class, rd, rs1,
+    rs2, taken), so an input valuation packed little-endian is the
+    input code. Validity is the [input_constraint], and output bit k
+    is bit k of [build]'s output. From reset, the latch valuation
+    holding codes p1 and p2 behaves as [build]'s state with those
+    codes, under every [track_dest]/[observable_dest] setting. *)
 
 val dest_merge_mapping : config -> Simcov_abstraction.Homomorphism.mapping
 (** The state abstraction from the dest-tracking model onto the

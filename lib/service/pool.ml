@@ -81,16 +81,19 @@ let envelope_of_outcome rj (o : Service.outcome) =
     ?error:o.Service.error ?report:o.Service.report ()
 
 let resolve t rj status envelope =
-  (* the user callback runs outside the lock (it may be a slow socket
-     write) but before the job counts as resolved, so [wait] implies
-     every envelope has been delivered *)
+  (* the job is listed as finished before its envelope goes out, so a
+     submitter holding the envelope never sees it running; the user
+     callback runs outside the lock (it may be a slow socket write) but
+     before the job counts as resolved, so [wait] implies every
+     envelope has been delivered *)
+  Mutex.protect t.lock (fun () ->
+      rj.entry.state <- Finished status;
+      Queue.push rj.entry t.finished;
+      if Queue.length t.finished > history then
+        Hashtbl.remove t.jobs (Queue.pop t.finished).id);
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect t.lock (fun () ->
-          rj.entry.state <- Finished status;
-          Queue.push rj.entry t.finished;
-          if Queue.length t.finished > history then
-            Hashtbl.remove t.jobs (Queue.pop t.finished).id;
           t.pending <- t.pending - 1;
           Condition.broadcast t.done_cond))
     (fun () -> rj.on_done envelope)

@@ -65,7 +65,9 @@ val list : t -> Json.t
     [{"schema":"simcov-jobs/1","jobs":[{"id","kind","state"},...]}]
     with [state] one of [queued], [running], or a final
     {!Job.status_name}: every queued and running job and the last 256
-    finished ones, in submission order. *)
+    finished ones, in submission order. A job is listed with its final
+    status from the moment its envelope goes to [on_done], so a
+    submitter holding the envelope never sees it running. *)
 
 val wait : t -> unit
 (** Block until every submitted job has resolved. *)

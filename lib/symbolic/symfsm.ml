@@ -52,10 +52,6 @@ let layout ~n_state ~n_input =
   let inp = Array.init n_input (fun j -> (2 * n_state) + j) in
   (cur, nxt, inp)
 
-let bits_needed n =
-  let rec go k acc = if k <= 1 then max acc 1 else go ((k + 1) / 2) (acc + 1) in
-  go n 0
-
 (* Conjunct ordering for early quantification, greedy over supports:
    repeatedly pick the part that kills the most still-pending
    quantifiable variables (variables of the image quantifier appearing
@@ -229,82 +225,6 @@ let of_circuit ?(budget = Budget.unlimited) ?(reorder = `Off)
          reach = None;
        })
     reorder
-
-let of_fsm ?(budget = Budget.unlimited) (m : Simcov_fsm.Fsm.t) =
-  let open Simcov_fsm in
-  let n_state = bits_needed m.Fsm.n_states and n_input = bits_needed m.Fsm.n_inputs in
-  let cur, nxt, inp = layout ~n_state ~n_input in
-  let man = man_for ~budget ((2 * n_state) + n_input) in
-  let cube vars width v =
-    Bdd.conj man
-      (List.init width (fun b ->
-           if (v lsr b) land 1 = 1 then Bdd.var man vars.(b) else Bdd.nvar man vars.(b)))
-  in
-  (* per-next-state-bit transition functions: delta.(b) collects the
-     (state, input) pairs whose successor has bit b set, so the
-     relation factors as V(s,x) & AND_b (nxt_b <-> delta_b(s,x)) —
-     one conjunct per latch instead of one monolithic disjunction *)
-  let delta = Array.make n_state (Bdd.bfalse man) in
-  let valid = ref (Bdd.bfalse man) in
-  let n_outputs = ref 1 in
-  let transitions = Fsm.transitions m in
-  List.iter (fun (_, _, _, o) -> n_outputs := max !n_outputs (o + 1)) transitions;
-  let out_bits = bits_needed !n_outputs in
-  let outputs = Array.make out_bits (Bdd.bfalse man) in
-  (* accumulators are rebuilt per transition: keep the current value of
-     each pinned so a mid-build collection cannot sweep them *)
-  let r_valid = Bdd.add_root man !valid in
-  let r_delta = Array.map (Bdd.add_root man) delta in
-  let r_out = Array.map (Bdd.add_root man) outputs in
-  List.iter
-    (fun (s, i, s', o) ->
-      Budget.check budget;
-      let sc = cube cur n_state s in
-      (* [sc] stays live across the input-cube build: pin it *)
-      let si = Bdd.pinned man sc (fun () -> Bdd.band man sc (cube inp n_input i)) in
-      valid := Bdd.bor man !valid si;
-      Bdd.set_root man r_valid !valid;
-      for b = 0 to n_state - 1 do
-        if (s' lsr b) land 1 = 1 then begin
-          delta.(b) <- Bdd.bor man delta.(b) si;
-          Bdd.set_root man r_delta.(b) delta.(b)
-        end
-      done;
-      for b = 0 to out_bits - 1 do
-        if (o lsr b) land 1 = 1 then begin
-          outputs.(b) <- Bdd.bor man outputs.(b) si;
-          Bdd.set_root man r_out.(b) outputs.(b)
-        end
-      done)
-    transitions;
-  let latch_rels =
-    List.init n_state (fun b ->
-        Bdd.protect man (Bdd.biff man (Bdd.var man nxt.(b)) delta.(b)))
-  in
-  let parts = mk_parts man ~n_state ~n_input (!valid :: latch_rels) in
-  (* the initial-state cube is built while valid/outputs are still
-     temp-rooted and protected immediately; after the temp roots are
-     dropped no operation runs until register_roots re-pins
-     everything *)
-  let init = Bdd.protect man (cube cur n_state m.Fsm.reset) in
-  Array.iter (Bdd.remove_root man) r_delta;
-  Array.iter (Bdd.remove_root man) r_out;
-  Bdd.remove_root man r_valid;
-  register_roots
-    {
-      man;
-      n_state_vars = n_state;
-      n_input_vars = n_input;
-      cur;
-      nxt;
-      inp;
-      parts;
-      valid = !valid;
-      init;
-      outputs;
-      mono = None;
-      reach = None;
-    }
 
 let cur_and_inp t = Array.to_list t.cur @ Array.to_list t.inp
 let part_rels t = List.map (fun p -> p.rel) t.parts

@@ -18,7 +18,10 @@
 
     Used to reproduce the paper's counts: reachable states (13,720 of
     2^22 there), valid input combinations (8228 of 2^25), and the
-    number of distinct transitions (123 million). *)
+    number of distinct transitions (123 million). Machines come from
+    netlists only: an explicit machine is counted through a netlist
+    of it (the DLX test model's is [Testmodel.netlist]), never by
+    enumerating its transitions into the relation. *)
 
 open Simcov_bdd
 module Budget = Simcov_util.Budget
@@ -87,12 +90,6 @@ val of_circuit :
     conjuncts, validity, init, outputs) is registered as GC roots —
     which is also what makes [reorder] (default [`Off]) safe: a
     sifting pass sweeps from exactly those roots. *)
-
-val of_fsm : ?budget:Budget.t -> Simcov_fsm.Fsm.t -> t
-(** Encode an explicit machine in binary (states and inputs packed
-    little-endian; unreachable encodings excluded by validity); one
-    relation conjunct per state bit, in the build-time order. Budget
-    semantics as in {!of_circuit}, budget checked per transition. *)
 
 val attach_budget : t -> Budget.t -> unit
 (** Re-point a (possibly cached) machine at a fresh budget: the

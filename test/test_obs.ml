@@ -146,7 +146,7 @@ let test_symfsm_counters_match_traversal () =
          ~output:(fun s i -> if i = 0 then s else 0)
          ())
   in
-  let sym = Simcov_symbolic.Symfsm.of_fsm model in
+  let sym = Fsm_netlist.of_fsm model in
   let tr = Simcov_symbolic.Symfsm.traverse sym in
   let snap = Obs.snapshot () in
   Alcotest.(check int) "iterations counter" tr.Simcov_symbolic.Symfsm.iterations

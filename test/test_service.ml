@@ -561,9 +561,15 @@ let test_pool_cancel_and_drain () =
   let lock = Mutex.create () in
   let envs = ref [] in
   let on_done env = Mutex.protect lock (fun () -> envs := env :: !envs) in
-  (* a long job occupies the worker; the queued one is cancelled *)
+  (* job 1 occupies the worker: its first streamed line (sent once it
+     runs) blocks until both cancels are issued, so it cannot finish
+     before the test sees it running; the queued one is cancelled *)
+  let started = Atomic.make false and release = Semaphore.Binary.make false in
+  let on_line _ =
+    if not (Atomic.exchange started true) then Semaphore.Binary.acquire release
+  in
   let id1 =
-    match Pool.submit pool ~on_done (coverage_job ~count:2000 ()) with
+    match Pool.submit pool ~on_line ~on_done (coverage_job ~count:2000 ()) with
     | Ok id -> id
     | Error e -> failf "submit 1: %s" e
   in
@@ -586,17 +592,21 @@ let test_pool_cancel_and_drain () =
           jobs
     | _ -> None
   in
-  let rec await_running n =
-    if state_of id1 <> Some "running" then
+  let rec await_started n =
+    if not (Atomic.get started) then
       if n = 0 then fail "job 1 never started running"
       else begin
         Unix.sleepf 0.01;
-        await_running (n - 1)
+        await_started (n - 1)
       end
   in
-  await_running 1000;
-  check bool "cancel queued job" true (Pool.cancel pool id2);
-  check bool "cancel running job" true (Pool.cancel pool id1);
+  Fun.protect
+    ~finally:(fun () -> Semaphore.Binary.release release)
+    (fun () ->
+      await_started 1000;
+      check (option string) "job 1 is running" (Some "running") (state_of id1);
+      check bool "cancel queued job" true (Pool.cancel pool id2);
+      check bool "cancel running job" true (Pool.cancel pool id1));
   Pool.wait pool;
   check bool "unknown id not cancellable" false (Pool.cancel pool "no-such");
   let statuses =

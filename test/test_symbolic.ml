@@ -4,6 +4,7 @@ open Simcov_symbolic.Symfsm
 let ( !! ) = Expr.( !! )
 let ( &&& ) = Expr.( &&& )
 let ( ^^^ ) = Expr.( ^^^ )
+let of_fsm = Fsm_netlist.of_fsm
 
 (* 2-bit counter with enable; state 00 -> 01 -> 10 -> 11 -> 00 *)
 let counter_circuit () =
@@ -177,14 +178,13 @@ let qcheck_partitioned_circuit =
       check_partitioned_against_oracle
         (of_circuit (Gen_circuit.random_circuit ~constrained:true rng)))
 
-(* regression on the DLX test model: frontier-based and full-set
-   traversal must produce the identical fixpoint in the identical
-   number of iterations, partitioned and monolithic alike *)
+(* regression on the DLX test model's netlist: frontier-based and
+   full-set traversal must produce the identical fixpoint in the
+   identical number of iterations, partitioned and monolithic alike *)
 let test_dlx_frontier_regression () =
-  let model =
-    Simcov_fsm.Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default)
-  in
-  let t = of_fsm model in
+  let config = Simcov_dlx.Testmodel.default in
+  let model = Simcov_fsm.Fsm.tabulate (Simcov_dlx.Testmodel.build config) in
+  let t = of_circuit (Simcov_dlx.Testmodel.netlist config) in
   let base = traverse ~partitioned:false ~frontier:false t in
   List.iter
     (fun (p, f) ->

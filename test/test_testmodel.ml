@@ -136,6 +136,185 @@ let test_destless_model_small () =
   Alcotest.(check bool) "still connected" true
     (Oracles.Scc.is_strongly_connected (Fsm.transition_graph m))
 
+(* ---- the netlist ---- *)
+
+let settings n_regs =
+  List.map
+    (fun (track_dest, observable_dest) -> { Testmodel.n_regs; track_dest; observable_dest })
+    [ (true, true); (false, true); (true, false); (false, false) ]
+
+let setting_name (c : Testmodel.config) =
+  Printf.sprintf "%d regs, track %b, observable %b" c.Testmodel.n_regs
+    c.Testmodel.track_dest c.Testmodel.observable_dest
+
+let pack bits = Array.fold_right (fun b acc -> (acc lsl 1) lor Bool.to_int b) bits 0
+
+(* Apply one input code to [build c] in state [s] and to its netlist
+   [net] in [latches]: the two must agree on validity and, on a valid
+   code, on the output. Returns both successors, [None] on an invalid
+   code. *)
+let step_both c (m : Fsm.t) net s latches code =
+  let module Circuit = Simcov_netlist.Circuit in
+  let inputs = Array.init (Circuit.n_inputs net) (fun b -> (code lsr b) land 1 = 1) in
+  let valid = m.Fsm.valid s code in
+  if Circuit.input_valid net latches inputs <> valid then
+    Alcotest.failf "%s: validity of code %d in state %d" (setting_name c) code s;
+  if not valid then None
+  else begin
+    let latches', outs = Circuit.step net latches inputs in
+    if pack outs <> m.Fsm.output s code then
+      Alcotest.failf "%s: output of code %d in state %d: %d, build says %d"
+        (setting_name c) code s (pack outs) (m.Fsm.output s code);
+    Some (m.Fsm.next s code, latches')
+  end
+
+(* Walk the product of [build c] and [netlist c] from both resets over
+   every input code; the latch valuations reached must map to one
+   explicit state each. Returns the number of latch valuations
+   reached. *)
+let walk_product (c : Testmodel.config) =
+  let m = Testmodel.build c and net = Testmodel.netlist c in
+  let state_of = Hashtbl.create 64 and todo = Queue.create () in
+  let visit (s, latches) =
+    match Hashtbl.find_opt state_of latches with
+    | Some s' when s' <> s ->
+        Alcotest.failf "%s: latches %d stand for states %d and %d" (setting_name c)
+          (pack latches) s' s
+    | Some _ -> ()
+    | None ->
+        Hashtbl.add state_of latches s;
+        Queue.push (s, latches) todo
+  in
+  visit (m.Fsm.reset, Simcov_netlist.Circuit.initial_state net);
+  while not (Queue.is_empty todo) do
+    let s, latches = Queue.pop todo in
+    for code = 0 to Testmodel.n_input_codes c - 1 do
+      Option.iter visit (step_both c m net s latches code)
+    done
+  done;
+  Hashtbl.length state_of
+
+(* the netlist behaves as [build], and its symbolic figures are the
+   explicit model's *)
+let test_netlist_equals_build () =
+  let module Symfsm = Simcov_symbolic.Symfsm in
+  List.iter
+    (fun n_regs ->
+      List.iter
+        (fun c ->
+          let reached = walk_product c in
+          let m = Fsm.tabulate (Testmodel.build c) in
+          Alcotest.(check int) (setting_name c ^ ": every state reached")
+            (Fsm.n_reachable m) reached;
+          let sym = Symfsm.of_circuit (Testmodel.netlist c) in
+          Alcotest.(check (float 0.)) (setting_name c ^ ": symbolic states")
+            (float_of_int (Fsm.n_reachable m))
+            (Symfsm.count_reachable sym);
+          Alcotest.(check (float 0.)) (setting_name c ^ ": symbolic transitions")
+            (float_of_int (Fsm.n_transitions m))
+            (Symfsm.count_transitions sym))
+        (settings n_regs))
+    [ 2; 4; 8 ]
+
+(* beyond 8 registers the product is too large to walk: follow both
+   along a random word instead *)
+let test_netlist_follows_build_at_scale () =
+  let rng = Simcov_util.Rng.create 23 in
+  List.iter
+    (fun n_regs ->
+      List.iter
+        (fun c ->
+          let m = Testmodel.build c and net = Testmodel.netlist c in
+          let rec go steps s latches =
+            if steps > 0 then
+              let code = Simcov_util.Rng.int rng (Testmodel.n_input_codes c) in
+              match step_both c m net s latches code with
+              | None -> go steps s latches
+              | Some (s', latches') -> go (steps - 1) s' latches'
+          in
+          go 2_000 m.Fsm.reset (Simcov_netlist.Circuit.initial_state net))
+        (settings n_regs))
+    [ 16; 32 ]
+
+let tabulations f =
+  let reg = Simcov_obs.Obs.registry () in
+  Fun.protect
+    ~finally:(fun () -> Simcov_obs.Obs.release reg)
+    (fun () ->
+      Simcov_obs.Obs.with_registry reg (fun () ->
+          let r = f () in
+          (r, Simcov_obs.Obs.count (Simcov_obs.Obs.counter "fsm.tabulations"))))
+
+(* at the paper's scale the figures come from the netlist alone and
+   match the closed form: (2R - 1) R states (496 at 16 registers, 2,016
+   at 32), each with every valid input *)
+let test_netlist_closed_form () =
+  let module Symfsm = Simcov_symbolic.Symfsm in
+  List.iter
+    (fun (n_regs, transitions) ->
+      let c = { cfg with Testmodel.n_regs } in
+      let states = ((2 * n_regs) - 1) * n_regs in
+      let (s, t), tabs =
+        tabulations (fun () ->
+            let sym = Symfsm.of_circuit (Testmodel.netlist c) in
+            (Symfsm.count_reachable sym, Symfsm.count_transitions sym))
+      in
+      Alcotest.(check int) (Printf.sprintf "%d regs: closed form" n_regs)
+        transitions (states * Testmodel.n_valid_inputs c);
+      Alcotest.(check (float 0.)) (Printf.sprintf "%d regs: states" n_regs)
+        (float_of_int states) s;
+      Alcotest.(check (float 0.)) (Printf.sprintf "%d regs: transitions" n_regs)
+        (float_of_int transitions) t;
+      Alcotest.(check int) (Printf.sprintf "%d regs: no tabulation" n_regs) 0 tabs)
+    [ (16, 2_429_408); (32, 72_386_496) ]
+
+(* ---- the observable digest ---- *)
+
+let nop_code c =
+  Testmodel.input_code c { Testmodel.cls = Isa.Nopc; rd = 0; rs1 = 0; rs2 = 0; taken = false }
+
+(* at 32 registers p1's codes need 6 bits: p2 moves up, so every state
+   still has its own NOP output *)
+let test_digest_injective_at_32 () =
+  let c = { cfg with Testmodel.n_regs = 32 } in
+  let distinct, tabs =
+    tabulations (fun () ->
+        let m = Testmodel.build c in
+        let seen = Hashtbl.create 4096 in
+        for s = 0 to m.Fsm.n_states - 1 do
+          Hashtbl.replace seen (m.Fsm.output s (nop_code c)) ()
+        done;
+        (m.Fsm.n_states, Hashtbl.length seen))
+  in
+  Alcotest.(check (pair int int)) "2,016 states, 2,016 NOP outputs" (2_016, 2_016) distinct;
+  Alcotest.(check int) "read through the closures" 0 tabs
+
+(* up to 16 registers the digest keeps p2 at bit 11, as it always was *)
+let test_digest_unchanged_to_16 () =
+  List.iter
+    (fun n_regs ->
+      List.iter
+        (fun (c : Testmodel.config) ->
+          let m = Testmodel.build c in
+          let p2_size = if c.Testmodel.track_dest then n_regs else 2 in
+          let valid =
+            List.filter (m.Fsm.valid 0) (List.init (Testmodel.n_input_codes c) Fun.id)
+          in
+          for s = 0 to m.Fsm.n_states - 1 do
+            List.iter
+              (fun code ->
+                let o = m.Fsm.output s code in
+                let old =
+                  (o land 0x3F) lor ((s / p2_size) lsl 6) lor ((s mod p2_size) lsl 11)
+                in
+                if o <> old then
+                  Alcotest.failf "%s: state %d code %d outputs %d, not %d"
+                    (setting_name c) s code o old)
+              valid
+          done)
+        (List.filter (fun c -> c.Testmodel.observable_dest) (settings n_regs)))
+    [ 2; 4; 8; 16 ]
+
 (* ---- concretization ---- *)
 
 let run_both word =
@@ -232,6 +411,11 @@ let suite =
     Alcotest.test_case "forall-k without observability" `Quick test_forall_k_without_observability;
     Alcotest.test_case "dest merge conflict" `Quick test_dest_merge_conflict;
     Alcotest.test_case "dest-less model" `Quick test_destless_model_small;
+    Alcotest.test_case "netlist = build (product walk)" `Quick test_netlist_equals_build;
+    Alcotest.test_case "netlist follows build at 16, 32" `Quick test_netlist_follows_build_at_scale;
+    Alcotest.test_case "netlist closed form at 16, 32" `Quick test_netlist_closed_form;
+    Alcotest.test_case "digest injective at 32" `Quick test_digest_injective_at_32;
+    Alcotest.test_case "digest unchanged to 16" `Quick test_digest_unchanged_to_16;
     Alcotest.test_case "concretize simple" `Quick test_concretize_simple;
     Alcotest.test_case "concretize branches" `Quick test_concretize_branches;
     Alcotest.test_case "concretize branch directions" `Quick test_concretize_branch_directions;
