@@ -160,7 +160,7 @@ let exp_testmodel_netlist () =
 
 let exp_thm3 () =
   let rng = Rng.create seed in
-  let model = Fsm.tabulate (Testmodel.build Testmodel.default) in
+  let model = Testmodel.build Testmodel.default in
   let cert =
     match Completeness.certify model with
     | Ok c -> c
@@ -341,10 +341,8 @@ let exp_sec63 () =
     ~title:"E5 / Section 6.3 — dropping destination-register state abstracts too much" t;
   (* uniformity: transitions where the dest-less model mispredicts the
      control action are exactly the non-uniform output errors *)
-  let refined = Fsm.tabulate (Testmodel.build Testmodel.default) in
-  let abstract =
-    Fsm.tabulate (Testmodel.build { Testmodel.default with Testmodel.track_dest = false })
-  in
+  let refined = Testmodel.build Testmodel.default in
+  let abstract = Testmodel.build { Testmodel.default with Testmodel.track_dest = false } in
   let mapping = Testmodel.dest_merge_mapping Testmodel.default in
   let faulty (s, i) =
     let sa = mapping.Simcov_abstraction.Homomorphism.state_map s in
@@ -397,9 +395,7 @@ let exp_tour_length () =
   in
   List.iter
     (fun n_regs ->
-      let model =
-        Fsm.tabulate (Testmodel.build { Testmodel.default with Testmodel.n_regs })
-      in
+      let model = Testmodel.build { Testmodel.default with Testmodel.n_regs } in
       add (Printf.sprintf "DLX test model, %d regs" n_regs) model)
     (if quick then [ 2; 4 ] else [ 2; 4; 8 ]);
   let rng = Rng.create seed in
@@ -441,10 +437,9 @@ let exp_forall_k () =
     in
     Tabulate.add_row t ((name :: cells) @ [ mink ])
   in
-  profile "DLX test model (R5 satisfied)" (Fsm.tabulate (Testmodel.build Testmodel.default));
+  profile "DLX test model (R5 satisfied)" (Testmodel.build Testmodel.default);
   profile "DLX test model (R5 violated: dest hidden)"
-    (Fsm.tabulate
-       (Testmodel.build { Testmodel.default with Testmodel.observable_dest = false }));
+    (Testmodel.build { Testmodel.default with Testmodel.observable_dest = false });
   profile "Figure 2 fragment (original)" Fig2.original;
   profile "Figure 2 fragment (repaired)" Fig2.repaired;
   Tabulate.print
@@ -525,8 +520,8 @@ let exp_conformance_baselines () =
   eval "Figure 2 (original)" Fig2.original;
   eval "Figure 2 (repaired)" Fig2.repaired;
   eval "DLX test model (2 regs)"
-    (Fsm.tabulate (Testmodel.build { Testmodel.default with Testmodel.n_regs = 2 }));
-  eval "DSP MAC test model" (Fsm.tabulate (Simcov_dsp.Mac.Testmodel.build ()));
+    (Testmodel.build { Testmodel.default with Testmodel.n_regs = 2 });
+  eval "DSP MAC test model" (Simcov_dsp.Mac.Testmodel.build ());
   Tabulate.print
     ~title:
       "E9 — conformance baselines: a plain tour misses what per-transition verification \
@@ -540,7 +535,7 @@ let exp_conformance_baselines () =
 
 let exp_dsp () =
   let open Simcov_dsp.Mac in
-  let model = Fsm.tabulate (Testmodel.build ()) in
+  let model = Testmodel.build () in
   let cert =
     match Completeness.certify model with Ok c -> c | Error _ -> failwith "dsp certify"
   in
@@ -853,7 +848,12 @@ let bechamel_suite () =
   in
   let rng0 = Rng.create 99 in
   let random_machine = Fsm.random_connected rng0 ~n_states:300 ~n_inputs:3 ~n_outputs:4 in
-  let reach_work () = Fsm.n_reachable random_machine in
+  (* a machine's reachable set is searched when it is built *)
+  let reach_work () =
+    Fsm.n_reachable
+      (Fsm.make ~n_states:300 ~n_inputs:3 ~next:random_machine.Fsm.next
+         ~output:random_machine.Fsm.output ())
+  in
   let tour_machine = Fsm.random_connected rng0 ~n_states:100 ~n_inputs:3 ~n_outputs:4 in
   let tour_work () =
     match Simcov_testgen.Tour.transition_tour tour_machine with
@@ -882,7 +882,7 @@ let bechamel_suite () =
     let s = Spec.create loop_program in
     List.length (Spec.run s)
   in
-  let model = Fsm.tabulate (Testmodel.build Testmodel.default) in
+  let model = Testmodel.build Testmodel.default in
   let forall_k_work () = Fsm.forall_k_matrix model ~k:2 in
   let tests =
     Test.make_grouped ~name:"simcov" ~fmt:"%s/%s"

@@ -18,7 +18,8 @@
 
    Exit codes: 0 success; 1 validation failed (bugs missed /
    certificate failed); 2 usage error; 3 resource limit exceeded;
-   4 malformed input file; 5 campaign degraded by worker failures;
+   4 malformed or unreadable input file, or unwritable output path;
+   5 campaign degraded by worker failures;
    6 job rejected by the daemon (bad request, queue full, draining);
    7 socket / protocol error; 130 interrupted (SIGINT/SIGTERM) with a
    final checkpoint flushed. *)
@@ -38,7 +39,10 @@ let exits =
     Cmd.Exit.info 2 ~doc:"on command-line parsing errors.";
     Cmd.Exit.info 3 ~doc:"when a resource limit (--timeout, --max-nodes) is exceeded.";
     Cmd.Exit.info 4
-      ~doc:"on malformed input files or an unwritable snapshot path.";
+      ~doc:
+        "on a malformed or unreadable input file, or an output path that \
+         cannot be written (snapshot, program, model, trace or metrics \
+         file).";
     Cmd.Exit.info 5
       ~doc:
         "when a campaign completed degraded: one or more worker shards failed \
@@ -148,6 +152,12 @@ let guarded f =
       Printf.eprintf "error: BDD node ceiling reached (%d nodes live)\n" live;
       3
 
+(* an output file the command cannot create or publish: exit 4, as for
+   an unwritable snapshot path *)
+let cannot_write path e =
+  Printf.eprintf "error: cannot write %s: %s\n" path e;
+  4
+
 (* ---- observability plumbing (--metrics / --trace) ---- *)
 
 (* metrics on stdout claims the machine-readable stream: callers route
@@ -160,38 +170,52 @@ let metrics_on_stdout c = c.metrics = Some "-"
    truncated run still reports what it spent. *)
 let with_obs c f =
   Obs.reset ();
+  (* the first file that cannot be published; the command then exits 4
+     once the run is over *)
+  let unwritten = ref None in
+  let publish path write =
+    try write () with Sys_error e -> if !unwritten = None then unwritten := Some (path, e)
+  in
   let close_trace =
     match c.trace with
-    | None -> fun () -> ()
+    | None -> Ok (fun () -> ())
     | Some "-" ->
         Obs.set_sink (Some print_endline);
-        fun () -> flush stdout
-    | Some path ->
+        Ok (fun () -> flush stdout)
+    | Some path -> (
         (* published atomically at close: the destination never holds a
            torn trace, only the previous one until commit *)
-        let w = Simcov_util.Durable.start path in
-        let oc = Simcov_util.Durable.channel w in
-        Obs.set_sink
-          (Some
-             (fun line ->
-               output_string oc line;
-               output_char oc '\n'));
-        fun () -> Simcov_util.Durable.commit w
+        match Simcov_util.Durable.start path with
+        | exception Sys_error e -> Error (path, e)
+        | w ->
+            let oc = Simcov_util.Durable.channel w in
+            Obs.set_sink
+              (Some
+                 (fun line ->
+                   output_string oc line;
+                   output_char oc '\n'));
+            Ok (fun () -> publish path (fun () -> Simcov_util.Durable.commit w)))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink None;
-      close_trace ();
-      match c.metrics with
-      | None -> ()
-      | Some path ->
-          let doc = Json.to_string (Obs.snapshot ()) ^ "\n" in
-          if path = "-" then begin
-            print_string doc;
-            flush stdout
-          end
-          else Simcov_util.Durable.write_string path doc)
-    f
+  match close_trace with
+  | Error (path, e) -> cannot_write path e
+  | Ok close_trace -> (
+      let code =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.set_sink None;
+            close_trace ();
+            match c.metrics with
+            | None -> ()
+            | Some path ->
+                let doc = Json.to_string (Obs.snapshot ()) ^ "\n" in
+                if path = "-" then begin
+                  print_string doc;
+                  flush stdout
+                end
+                else publish path (fun () -> Simcov_util.Durable.write_string path doc))
+          f
+      in
+      match !unwritten with None -> code | Some (path, e) -> cannot_write path e)
 
 (* commands whose engines allocate no BDD nodes: a node allowance would
    be silently inert, so say so (budget.mli, "enforcement split") *)
@@ -342,7 +366,7 @@ let validate_cmd =
 
 let tour config emit =
   let open Simcov_dlx in
-  let model = Simcov_fsm.Fsm.tabulate (Testmodel.build config) in
+  let model = Testmodel.build config in
   match Simcov_testgen.Tour.transition_tour model with
   | None ->
       prerr_endline "error: test model is not strongly connected";
@@ -357,18 +381,22 @@ let tour config emit =
       Printf.printf "concretized program: %d instructions (%d issued)\n"
         (Array.length conc.Testmodel.program)
         (Array.length conc.Testmodel.issue_map);
-      (match emit with
-      | None -> ()
-      | Some path ->
-          Simcov_util.Durable.write_file path (fun oc ->
-              List.iter
-                (fun (r, v) -> Printf.fprintf oc "# preload r%d = %ld\n" r v)
-                conc.Testmodel.preload_regs;
-              Array.iter
-                (fun i -> output_string oc (Isa.to_string i ^ "\n"))
-                conc.Testmodel.program);
-          Printf.printf "program written to %s\n" path);
-      0
+      match emit with
+      | None -> 0
+      | Some path -> (
+          match
+            Simcov_util.Durable.write_file path (fun oc ->
+                List.iter
+                  (fun (r, v) -> Printf.fprintf oc "# preload r%d = %ld\n" r v)
+                  conc.Testmodel.preload_regs;
+                Array.iter
+                  (fun i -> output_string oc (Isa.to_string i ^ "\n"))
+                  conc.Testmodel.program)
+          with
+          | () ->
+              Printf.printf "program written to %s\n" path;
+              0
+          | exception Sys_error e -> cannot_write path e)
 
 let tour_cmd =
   let doc = "Generate the minimum transition tour and its DLX test program." in
@@ -392,12 +420,14 @@ let abstract emit =
         e.Simcov_abstraction.Netabs.regs_before e.Simcov_abstraction.Netabs.regs_after
         e.Simcov_abstraction.Netabs.inputs_after e.Simcov_abstraction.Netabs.gates_after)
     trace;
-  (match emit with
-  | None -> ()
-  | Some path ->
-      Simcov_netlist.Serialize.save final path;
-      Printf.printf "derived model written to %s\n" path);
-  0
+  match emit with
+  | None -> 0
+  | Some path -> (
+      match Simcov_netlist.Serialize.save final path with
+      | () ->
+          Printf.printf "derived model written to %s\n" path;
+          0
+      | exception Sys_error e -> cannot_write path e)
 
 let abstract_cmd =
   let doc = "Derive the control test model, printing the abstraction sequence." in
@@ -437,8 +467,12 @@ let fig2_cmd =
 (* ---- run ---- *)
 
 let run_file path bug_name do_trace =
-  let text = In_channel.with_open_text path In_channel.input_all in
-  match Simcov_dlx.Isa.parse_program text with
+  match
+    Result.bind
+      (try Ok (In_channel.with_open_text path In_channel.input_all)
+       with Sys_error e -> Error e)
+      Simcov_dlx.Isa.parse_program
+  with
   | Error e ->
       Printf.eprintf "error: %s: %s\n" path e;
       4
@@ -486,7 +520,7 @@ let run_cmd =
 
 let dsp () =
   let open Simcov_dsp.Mac in
-  let model = Simcov_fsm.Fsm.tabulate (Testmodel.build ()) in
+  let model = Testmodel.build () in
   match Simcov_core.Completeness.certify model with
   | Error _ ->
       prerr_endline "error: DSP test model failed certification";

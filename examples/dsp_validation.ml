@@ -34,7 +34,7 @@ let () =
     stalls squashed;
 
   (* the control test model and its certificate *)
-  let model = Simcov_fsm.Fsm.tabulate (Testmodel.build ()) in
+  let model = Testmodel.build () in
   Format.printf "test model: %a@." Simcov_fsm.Fsm.pp model;
   let cert =
     match Simcov_core.Completeness.certify model with

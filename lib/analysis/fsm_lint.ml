@@ -256,7 +256,7 @@ let check_minimality (m : Fsm.t) classes seen =
                   | Some w ->
                       Printf.sprintf "word '%s' drives both to state %s"
                         (word_name m w)
-                        (m.Fsm.state_name (Fsm.final_state { m with Fsm.reset = rep } w))
+                        (m.Fsm.state_name (List.fold_left m.Fsm.next rep w))
                   | None -> "their output behaviors agree on every word"
                 in
                 diags :=
@@ -567,8 +567,6 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
           truncated := Some r;
           skipped := id :: !skipped
   in
-  (* every pass reads the compiled form; a compiled machine is kept *)
-  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   (* Theorem 1's facts: the caller's, or solved on first use (never
      on a malformed machine) *)
@@ -585,7 +583,7 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
         n_sccs := k;
         ds);
     pass "minimality" (fun () ->
-        let _, cls = Fsm.minimize m in
+        let cls = Fsm.classes m in
         let reps = Hashtbl.create 16 in
         Array.iter (fun c -> if c >= 0 then Hashtbl.replace reps c ()) cls;
         n_classes := Hashtbl.length reps;

@@ -5,7 +5,6 @@ open Simcov_netlist
 let pass = "homo-precheck"
 
 let check_mapping m (map : Homomorphism.mapping) =
-  let m = Fsm.tabulate m in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let range_errors = ref 0 in

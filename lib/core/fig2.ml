@@ -27,12 +27,20 @@ let table ~c_outputs_differ =
   ]
 
 let build ~c_outputs_differ =
-  let m = Fsm.of_table (table ~c_outputs_differ) in
-  {
-    m with
-    Fsm.state_name = (fun s -> state_names.(s));
-    input_name = (fun i -> input_names.(i));
-  }
+  let row s i =
+    List.find_map
+      (fun (s', i', n, o) -> if s' = s && i' = i then Some (n, o) else None)
+      (table ~c_outputs_differ)
+  in
+  Fsm.make
+    ~n_states:(Array.length state_names)
+    ~n_inputs:(Array.length input_names)
+    ~valid:(fun s i -> row s i <> None)
+    ~next:(fun s i -> fst (Option.get (row s i)))
+    ~output:(fun s i -> snd (Option.get (row s i)))
+    ~state_name:(fun s -> state_names.(s))
+    ~input_name:(fun i -> input_names.(i))
+    ()
 
 let original = build ~c_outputs_differ:false
 let repaired = build ~c_outputs_differ:true
@@ -53,7 +61,6 @@ let detects m word =
 
 let experiment () =
   let row name m tname tour =
-    let m = Fsm.tabulate m in
     {
       machine = name;
       tour = tname;
@@ -69,7 +76,6 @@ let experiment () =
   ]
 
 let random_tour_detection rng ~n m =
-  let m = Fsm.tabulate m in
   let detected = ref 0 in
   for _ = 1 to n do
     (* random walk until full transition coverage (bounded) *)

@@ -19,10 +19,9 @@ type symbolic_figures = {
 (* The state/transition counts of the test model, computed at the
    richest representation the resource budget admits: partitioned
    symbolic reachability over the model's netlist, then plain
-   enumeration of the tabulated machine (which needs no BDDs at all
-   and cannot fail; [explicit] is forced only here). The abandoned
-   symbolic tier leaves a note. *)
-let symbolic_figures ~budget config explicit =
+   enumeration of the built machine (which needs no BDDs at all and
+   cannot fail). The abandoned symbolic tier leaves a note. *)
+let symbolic_figures ~budget config model =
   let module Symfsm = Simcov_symbolic.Symfsm in
   let module Bdd = Simcov_bdd.Bdd in
   let name = tier_name Partitioned_symbolic in
@@ -64,7 +63,6 @@ let symbolic_figures ~budget config explicit =
          abandoned manager's live-node probe (budget.mli) *)
       Budget.set_node_probe budget None;
       let open Simcov_fsm in
-      let model = Lazy.force explicit in
       {
         sym_states = float_of_int (Fsm.n_reachable model);
         sym_transitions = float_of_int (Fsm.n_transitions model);
@@ -126,7 +124,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
     r
   in
   let lint_errors = checked "lint" (fun () -> lint_gate ~budget) in
-  let model = checked "tabulate" (fun () -> Fsm.tabulate (Testmodel.build config)) in
+  let model = checked "tabulate" (fun () -> Testmodel.build config) in
   (* FSM-level precondition gate (Theorem 1): certify strong
      connectivity, minimality and the ∀k bound on the machine the tour
      will be generated from. Warnings are recorded, not fatal; the CLI
@@ -139,7 +137,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
         (facts, Simcov_analysis.Fsm_lint.run ~budget ~name:"dlx-test" ~facts ~seed model))
   in
   let symbolic =
-    checked "symbolic" (fun () -> symbolic_figures ~budget config (lazy model))
+    checked "symbolic" (fun () -> symbolic_figures ~budget config model)
   in
   let requirements =
     checked "requirements" (fun () ->
@@ -202,10 +200,8 @@ type ablation_report = {
 let ablation_dest_tracking ?(config = Testmodel.default) ?(seed = 2026) () =
   let open Simcov_fsm in
   let rng = Simcov_util.Rng.create seed in
-  let refined = Fsm.tabulate (Testmodel.build config) in
-  let abstract =
-    Fsm.tabulate (Testmodel.build { config with Testmodel.track_dest = false })
-  in
+  let refined = Testmodel.build config in
+  let abstract = Testmodel.build { config with Testmodel.track_dest = false } in
   let tour_of m =
     match Simcov_testgen.Tour.transition_tour m with
     | Some t -> t.Simcov_testgen.Tour.word

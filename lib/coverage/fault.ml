@@ -98,7 +98,6 @@ let all_output_faults ?(wrong = succ) m =
     (Fsm.transitions m)
 
 let all_transfer_faults m =
-  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   let states = ref [] in
   Array.iteri (fun s r -> if r then states := s :: !states) seen;
@@ -113,7 +112,6 @@ let all_transfer_faults m =
 (* The samplers draw a reachable transition by its index in
    {!Fsm.transitions} order and read it off the compiled tables. *)
 let sample_transfer_faults rng m ~count =
-  let m = Fsm.tabulate m in
   let codes = Fsm.transition_codes m and tab = Fsm.tables m in
   let k = tab.Fsm.tab_inputs in
   let seen = Fsm.reachable m in
@@ -142,7 +140,6 @@ let sample_transfer_faults rng m ~count =
   end
 
 let sample_output_faults rng m ~n_outputs ~count =
-  let m = Fsm.tabulate m in
   let codes = Fsm.transition_codes m and tab = Fsm.tables m in
   let k = tab.Fsm.tab_inputs in
   if Array.length codes = 0 || n_outputs < 2 then []
@@ -168,7 +165,6 @@ let sample_output_faults rng m ~n_outputs ~count =
 (* [@] evaluates its right operand first, so output faults are drawn
    before transfer faults: every recorded fault list depends on it *)
 let sample_faults rng m ~count =
-  let m = Fsm.tabulate m in
   let out = (Fsm.tables m).Fsm.tab_output in
   let n_outputs =
     Array.fold_left (fun acc c -> max acc (out.(c) + 1)) 1 (Fsm.transition_codes m)

@@ -90,79 +90,79 @@ let code_width n =
    right after them. *)
 let digest_shift cfg = max 11 (6 + code_width (p1_size cfg))
 
-let build cfg =
+let decompose cfg s = (p1_decode cfg (s / p2_size cfg), s mod p2_size cfg)
+let n_states cfg = p1_size cfg * p2_size cfg
+let valid cfg _s code = code land 7 < 7 && input_is_valid cfg (input_decode cfg code)
+
+let stall_of cfg s i =
+  let p1v, _ = decompose cfg s in
+  match p1v with
+  | P1_load rd when cfg.track_dest ->
+      (uses_rs1 i.cls && i.rs1 = rd && rd <> 0)
+      || (uses_rs2 i.cls && i.rs2 = rd && rd <> 0)
+  | P1_load _ (* dest unknown: optimistic resolution *) | P1_alu _ | P1_none -> false
+
+let fwd_of cfg s i ~uses ~field =
+  (* 0 = register file, 1 = EX/MEM bypass, 2 = MEM/WB bypass *)
+  if not (uses i.cls) || field = 0 then 0
+  else
+    let p1v, p2v = decompose cfg s in
+    let stall = stall_of cfg s i in
+    let p1_match =
+      cfg.track_dest
+      && (match p1v with P1_alu rd | P1_load rd -> rd = field | P1_none -> false)
+    in
+    if p1_match then if stall then 2 else 1
+    else if cfg.track_dest && p2v = field then if stall then 0 else 2
+    else 0
+
+let squash_of i = (i.cls = Isa.Branch && i.taken) || i.cls = Isa.Jump
+
+let output cfg =
   let shift = digest_shift cfg in
-  let n_states = p1_size cfg * p2_size cfg in
-  let n_inputs = n_input_codes cfg in
-  let valid _s code =
-    code land 7 < 7 && input_is_valid cfg (input_decode cfg code)
-  in
-  let decompose s = (p1_decode cfg (s / p2_size cfg), s mod p2_size cfg) in
-  let stall_of s i =
-    let p1v, _ = decompose s in
-    match p1v with
-    | P1_load rd when cfg.track_dest ->
-        (uses_rs1 i.cls && i.rs1 = rd && rd <> 0)
-        || (uses_rs2 i.cls && i.rs2 = rd && rd <> 0)
-    | P1_load _ (* dest unknown: optimistic resolution *) | P1_alu _ | P1_none ->
-        false
-  in
-  let fwd_of s i ~uses ~field =
-    (* 0 = register file, 1 = EX/MEM bypass, 2 = MEM/WB bypass *)
-    if not (uses i.cls) || field = 0 then 0
-    else
-      let p1v, p2v = decompose s in
-      let stall = stall_of s i in
-      let p1_match =
-        cfg.track_dest
-        && (match p1v with P1_alu rd | P1_load rd -> rd = field | P1_none -> false)
-      in
-      if p1_match then if stall then 2 else 1
-      else if cfg.track_dest && p2v = field then if stall then 0 else 2
-      else 0
-  in
-  let squash_of i = (i.cls = Isa.Branch && i.taken) || i.cls = Isa.Jump in
-  let output s code =
+  fun s code ->
     let i = input_decode cfg code in
-    let stall = stall_of s i in
-    let fa = fwd_of s i ~uses:uses_rs1 ~field:i.rs1 in
-    let fb = fwd_of s i ~uses:uses_rs2 ~field:i.rs2 in
+    let stall = stall_of cfg s i in
+    let fa = fwd_of cfg s i ~uses:uses_rs1 ~field:i.rs1 in
+    let fb = fwd_of cfg s i ~uses:uses_rs2 ~field:i.rs2 in
     let base =
       (if stall then 1 else 0)
       lor (fa lsl 1) lor (fb lsl 3)
       lor (if squash_of i then 1 lsl 5 else 0)
     in
     if cfg.observable_dest then
-      let p1v, p2v = decompose s in
+      let p1v, p2v = decompose cfg s in
       base lor (p1_encode cfg p1v lsl 6) lor (p2v lsl shift)
     else base
-  in
-  let next s code =
-    let i = input_decode cfg code in
-    if squash_of i then state_code cfg P1_none 0
-    else begin
-      let p1v, _ = decompose s in
-      let stall = stall_of s i in
-      let p2' =
-        if stall then 0
-        else if cfg.track_dest then
-          match p1v with P1_alu rd | P1_load rd -> rd | P1_none -> 0
-        else match p1v with P1_none -> 0 | P1_alu _ | P1_load _ -> 1
-      in
-      let p1' =
-        if uses_rd i.cls && (i.rd <> 0 || not cfg.track_dest) then
-          match i.cls with
-          | Isa.Load -> P1_load i.rd
-          | Isa.Alu_rr | Isa.Alu_ri -> P1_alu i.rd
-          | _ -> P1_none
-        else P1_none
-      in
-      (p1_encode cfg p1' * p2_size cfg) + p2'
-    end
-  in
-  Fsm.make ~n_states ~n_inputs ~valid ~next ~output
+
+let next cfg s code =
+  let i = input_decode cfg code in
+  if squash_of i then state_code cfg P1_none 0
+  else begin
+    let p1v, _ = decompose cfg s in
+    let stall = stall_of cfg s i in
+    let p2' =
+      if stall then 0
+      else if cfg.track_dest then
+        match p1v with P1_alu rd | P1_load rd -> rd | P1_none -> 0
+      else match p1v with P1_none -> 0 | P1_alu _ | P1_load _ -> 1
+    in
+    let p1' =
+      if uses_rd i.cls && (i.rd <> 0 || not cfg.track_dest) then
+        match i.cls with
+        | Isa.Load -> P1_load i.rd
+        | Isa.Alu_rr | Isa.Alu_ri -> P1_alu i.rd
+        | _ -> P1_none
+      else P1_none
+    in
+    (p1_encode cfg p1' * p2_size cfg) + p2'
+  end
+
+let build cfg =
+  Fsm.make ~n_states:(n_states cfg) ~n_inputs:(n_input_codes cfg) ~valid:(valid cfg)
+    ~next:(next cfg) ~output:(output cfg)
     ~state_name:(fun s ->
-      let p1v, p2v = decompose s in
+      let p1v, p2v = decompose cfg s in
       let p1s =
         match p1v with
         | P1_none -> "-"
@@ -374,7 +374,9 @@ let concretize cfg word =
           if i.taken then emit ~junk:true Isa.nop
       | Isa.Jump ->
           incr jump_count;
-          let op = if !jump_count land 1 = 0 then Isa.Jal else Isa.J in
+          (* [Jal] links r31, a write the Jump class does not model: a
+             32-register model tracks r31, so it only ever gets [J] *)
+          let op = if r < 32 && !jump_count land 1 = 0 then Isa.Jal else Isa.J in
           (* absolute target: skip exactly one junk slot *)
           let instr = Isa.make ~imm:(!pc + 2) op in
           emit instr;

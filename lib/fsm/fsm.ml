@@ -12,10 +12,19 @@ type tables = {
   tab_output : int array;
 }
 
-(* What depends on reachability, for one reset state: the reachable
-   states, and the reachable valid transitions as codes [state *
-   n_inputs + input] in state-then-input order. *)
-type reach = { from : int; seen : bool array; n_seen : int; codes : int array }
+(* What depends on reachability from the reset: the reachable states,
+   and the reachable valid transitions as codes [state * n_inputs +
+   input] in state-then-input order. *)
+type reach = { seen : bool array; n_seen : int; codes : int array }
+
+(* The tabulated machine, built once by [make] and never written
+   afterwards, so a machine can be shared across domains. *)
+type compiled = {
+  tab : tables;
+  inputs : int array array;  (* each state's valid inputs, ascending *)
+  index_words : int;  (* the distinct [inputs] arrays, headers included *)
+  reach : reach;
+}
 
 type t = {
   n_states : int;
@@ -26,50 +35,11 @@ type t = {
   output : int -> int -> int;
   state_name : int -> string;
   input_name : int -> string;
-  compiled : compiled option;
-}
-
-(* The tabulated machine. It answers for a machine only while that
-   machine's [valid]/[next]/[output] are the closures below: a machine
-   derived with [{ m with next = ... }] (a fault mutant, say) carries
-   the form along but no longer matches it. [reach] is for the reset
-   the form was built under; another reset is searched afresh. *)
-and compiled = {
-  c_valid : int -> int -> bool;
-  c_next : int -> int -> int;
-  c_output : int -> int -> int;
-  tab : tables;
-  inputs : int array array;  (* each state's valid inputs, ascending *)
-  index_words : int;  (* the distinct [inputs] arrays, headers included *)
-  reach : reach;
+  compiled : compiled;
 }
 
 let default_state_name s = "s" ^ string_of_int s
 let default_input_name i = "i" ^ string_of_int i
-
-let make ?(reset = 0) ?(valid = fun _ _ -> true) ?(state_name = default_state_name)
-    ?(input_name = default_input_name) ~n_states ~n_inputs ~next ~output () =
-  assert (n_states > 0 && n_inputs > 0 && reset >= 0 && reset < n_states);
-  { n_states; n_inputs; reset; valid; next; output; state_name; input_name;
-    compiled = None }
-
-let of_table ?(reset = 0) rows =
-  let n_states =
-    List.fold_left (fun acc (s, _, n, _) -> max acc (max s n + 1)) 1 rows
-  in
-  let n_inputs = List.fold_left (fun acc (_, i, _, _) -> max acc (i + 1)) 1 rows in
-  let tbl = Hashtbl.create (List.length rows) in
-  List.iter
-    (fun (s, i, n, o) ->
-      assert (not (Hashtbl.mem tbl (s, i)));
-      Hashtbl.add tbl (s, i) (n, o))
-    rows;
-  make ~reset
-    ~valid:(fun s i -> Hashtbl.mem tbl (s, i))
-    ~n_states ~n_inputs
-    ~next:(fun s i -> fst (Hashtbl.find tbl (s, i)))
-    ~output:(fun s i -> snd (Hashtbl.find tbl (s, i)))
-    ()
 
 (* Breadth-first from [r] over the tables. A successor outside the
    state range (a malformed machine, which fsm-lint reports) is not a
@@ -107,14 +77,13 @@ let reach_of tab inputs r =
           incr j)
         inputs.(s)
   done;
-  { from = r; seen; n_seen = !n_seen; codes }
+  { seen; n_seen = !n_seen; codes }
 
-(* The one place a machine's closures are tabulated. States with the
+(* The one place a machine's functions are tabulated. States with the
    same valid inputs share one array, so an alphabet whose validity
    does not depend on the state is indexed once. *)
-let compile m =
+let compile ~n_states:n ~n_inputs:k ~reset ~valid:is_valid ~next:next_of ~output:output_of =
   Obs.incr c_tabulations;
-  let n = m.n_states and k = m.n_inputs in
   let valid = Array.make (n * k) false in
   let next = Array.make (n * k) 0 in
   let output = Array.make (n * k) 0 in
@@ -124,10 +93,10 @@ let compile m =
         let acc = ref [] in
         for i = 0 to k - 1 do
           let idx = (s * k) + i in
-          if m.valid s i then begin
+          if is_valid s i then begin
             valid.(idx) <- true;
-            next.(idx) <- m.next s i;
-            output.(idx) <- m.output s i;
+            next.(idx) <- next_of s i;
+            output.(idx) <- output_of s i;
             acc := i :: !acc
           end
         done;
@@ -143,58 +112,62 @@ let compile m =
     {
       tab_states = n;
       tab_inputs = k;
-      tab_reset = m.reset;
+      tab_reset = reset;
       tab_valid = valid;
       tab_next = next;
       tab_output = output;
     }
   in
+  { tab; inputs; index_words = !index_words; reach = reach_of tab inputs reset }
+
+let make ?(reset = 0) ?(valid = fun _ _ -> true) ?(state_name = default_state_name)
+    ?(input_name = default_input_name) ~n_states ~n_inputs ~next ~output () =
+  assert (n_states > 0 && n_inputs > 0 && reset >= 0 && reset < n_states);
+  let compiled = compile ~n_states ~n_inputs ~reset ~valid ~next ~output in
+  let k = n_inputs and { tab_valid; tab_next; tab_output; _ } = compiled.tab in
   {
+    n_states;
+    n_inputs;
+    reset;
     (* bounds-check the input: an out-of-alphabet [i] must read as
        invalid, not alias into state [s+1]'s row of the flat table
        (or run off its end at the last state) *)
-    c_valid = (fun s i -> i >= 0 && i < k && valid.((s * k) + i));
-    c_next = (fun s i -> next.((s * k) + i));
-    c_output = (fun s i -> output.((s * k) + i));
-    tab;
-    inputs;
-    index_words = !index_words;
-    reach = reach_of tab inputs m.reset;
+    valid = (fun s i -> i >= 0 && i < k && tab_valid.((s * k) + i));
+    next = (fun s i -> tab_next.((s * k) + i));
+    output = (fun s i -> tab_output.((s * k) + i));
+    state_name;
+    input_name;
+    compiled;
   }
 
-(* [m]'s compiled form, if it still answers for [m] *)
-let current m =
-  match m.compiled with
-  | Some c
-    when c.c_valid == m.valid && c.c_next == m.next && c.c_output == m.output
-         && c.tab.tab_states = m.n_states && c.tab.tab_inputs = m.n_inputs ->
-      Some c
-  | _ -> None
+let of_table ?(reset = 0) rows =
+  let n_states =
+    List.fold_left (fun acc (s, _, n, _) -> max acc (max s n + 1)) 1 rows
+  in
+  let n_inputs = List.fold_left (fun acc (_, i, _, _) -> max acc (i + 1)) 1 rows in
+  let tbl = Hashtbl.create (List.length rows) in
+  List.iter
+    (fun (s, i, n, o) ->
+      assert (not (Hashtbl.mem tbl (s, i)));
+      Hashtbl.add tbl (s, i) (n, o))
+    rows;
+  make ~reset
+    ~valid:(fun s i -> Hashtbl.mem tbl (s, i))
+    ~n_states ~n_inputs
+    ~next:(fun s i -> fst (Hashtbl.find tbl (s, i)))
+    ~output:(fun s i -> snd (Hashtbl.find tbl (s, i)))
+    ()
 
-let compiled m = match current m with Some c -> c | None -> compile m
-
-let tabulate m =
-  match current m with
-  | Some _ -> m
-  | None ->
-      let c = compile m in
-      { m with valid = c.c_valid; next = c.c_next; output = c.c_output; compiled = Some c }
-
-let reach_in c m = if c.reach.from = m.reset then c.reach else reach_of c.tab c.inputs m.reset
-
-let tables m =
-  let c = compiled m in
-  if c.tab.tab_reset = m.reset then c.tab else { c.tab with tab_reset = m.reset }
+let tables m = m.compiled.tab
 
 let compiled_bytes m =
-  let c = compiled m in
-  let r = reach_in c m in
+  let c = m.compiled in
   let cells = c.tab.tab_states * c.tab.tab_inputs in
   (* a bool array spends a word per entry, like an int array *)
   let words =
     (3 * (cells + 1)) + c.index_words
-    + (Array.length r.seen + 1)
-    + (Array.length r.codes + 1)
+    + (Array.length c.reach.seen + 1)
+    + (Array.length c.reach.codes + 1)
   in
   words * (Sys.word_size / 8)
 
@@ -219,35 +192,30 @@ let output_word m word = List.map (fun (_, _, _, o) -> o) (run m word)
 let final_state m word =
   List.fold_left (fun s i -> fst (step m s i)) m.reset word
 
-let valid_inputs m s = Array.to_list (compiled m).inputs.(s)
-
-let reach m =
-  let c = compiled m in
-  reach_in c m
-
-let reachable m = Array.copy (reach m).seen
-let n_reachable m = (reach m).n_seen
-let transition_codes m = (reach m).codes
-let n_transitions m = Array.length (reach m).codes
+let valid_inputs m s = Array.to_list m.compiled.inputs.(s)
+let reachable m = Array.copy m.compiled.reach.seen
+let n_reachable m = m.compiled.reach.n_seen
+let transition_codes m = m.compiled.reach.codes
+let n_transitions m = Array.length m.compiled.reach.codes
 
 let transitions m =
-  let c = compiled m in
-  let k = c.tab.tab_inputs in
+  let tab = m.compiled.tab in
+  let k = tab.tab_inputs in
   Array.fold_right
     (fun code acc ->
-      (code / k, code mod k, c.tab.tab_next.(code), c.tab.tab_output.(code)) :: acc)
-    (reach_in c m).codes []
+      (code / k, code mod k, tab.tab_next.(code), tab.tab_output.(code)) :: acc)
+    m.compiled.reach.codes []
 
 let transition_graph m =
-  let c = compiled m in
-  let k = c.tab.tab_inputs in
+  let tab = m.compiled.tab in
+  let k = tab.tab_inputs in
   let g = Digraph.create m.n_states in
   Array.iter
     (fun code ->
       ignore
-        (Digraph.add_edge g ~src:(code / k) ~dst:c.tab.tab_next.(code)
+        (Digraph.add_edge g ~src:(code / k) ~dst:tab.tab_next.(code)
            ~label:(code mod k) ~cost:1))
-    (reach_in c m).codes;
+    m.compiled.reach.codes;
   g
 
 (* Breadth-first search over a pair automaton; [mismatch] detects an
@@ -411,7 +379,7 @@ let forall_k_round c live cur =
   nxt
 
 let forall_k_matrix m ~k =
-  let c = compiled m in
+  let c = m.compiled in
   let n = m.n_states in
   let live = Array.make n true in
   let cur = ref (Array.make_matrix n n false) in
@@ -423,10 +391,8 @@ let forall_k_matrix m ~k =
 let min_forall_k ?(scope = `Reachable) ?(bound = 16) m =
   if bound < 1 then invalid_arg "Fsm.min_forall_k: bound < 1";
   let n = m.n_states in
-  let c = compiled m in
-  let live =
-    match scope with `Reachable -> (reach_in c m).seen | `All -> Array.make n true
-  in
+  let c = m.compiled in
+  let live = match scope with `Reachable -> c.reach.seen | `All -> Array.make n true in
   (* the first live pair p < q, row-major, outside the relation *)
   let rec first_bad mat p q =
     if p >= n then None
@@ -450,11 +416,10 @@ let min_forall_k ?(scope = `Reachable) ?(bound = 16) m =
    stable. Classical Moore construction on reachable states. A
    signature lists the valid inputs only, which tells two states apart
    exactly when the signature over every input code would. *)
-let minimize m =
-  let m = tabulate m in
-  let cm = compiled m in
+let classes m =
+  let cm = m.compiled in
   let n = m.n_states and k = m.n_inputs in
-  let seen = (reach_in cm m).seen in
+  let seen = cm.reach.seen in
   let cls = Array.make n (-1) in
   let signature s f = Array.to_list (Array.map (fun i -> (i, f ((s * k) + i))) cm.inputs.(s)) in
   let sig0 s = signature s (fun x -> cm.tab.tab_output.(x)) in
@@ -486,16 +451,20 @@ let minimize m =
     let n' = assign_classes refine in
     if n' = !n_cls then stable := true else n_cls := n'
   done;
-  (* representative per class *)
-  let rep = Array.make !n_cls (-1) in
-  for s = n - 1 downto 0 do
-    if seen.(s) then rep.(cls.(s)) <- s
+  cls
+
+let minimize m =
+  let cls = classes m in
+  (* representative per class; classes are numbered densely from 0 *)
+  let rep = Array.make (1 + Array.fold_left max (-1) cls) (-1) in
+  for s = m.n_states - 1 downto 0 do
+    if cls.(s) >= 0 then rep.(cls.(s)) <- s
   done;
   let quotient =
     make ~reset:cls.(m.reset)
       ~valid:(fun c i -> m.valid rep.(c) i)
       ~state_name:(fun c -> "q" ^ string_of_int c)
-      ~input_name:m.input_name ~n_states:!n_cls ~n_inputs:m.n_inputs
+      ~input_name:m.input_name ~n_states:(Array.length rep) ~n_inputs:m.n_inputs
       ~next:(fun c i -> cls.(m.next rep.(c) i))
       ~output:(fun c i -> m.output rep.(c) i)
       ()

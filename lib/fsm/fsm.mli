@@ -6,37 +6,33 @@
     datapath outputs" make only 8228 of 2^25 input combinations valid
     in the paper's DLX model, Section 7.2).
 
-    States and inputs are dense integers. The machine is represented
-    behaviorally (functions), so fault-injected mutants (see
-    {!Simcov_coverage}) can wrap a machine without copying its
-    transition table. {!tabulate} compiles a machine once; every
-    structural query below reads that compiled form. *)
+    States and inputs are dense integers. A machine is compiled when
+    it is built: {!make} and {!of_table} call the given functions once
+    per (state, input) pair and keep only flat tables, each state's
+    valid inputs and the states and transitions reachable from the
+    reset. The type is private, so no machine can be derived from
+    another without being built afresh, and every query below reads
+    the one compiled form. Nothing is written after construction, so a
+    machine can be shared across domains. *)
 
 type compiled
-(** A machine's tabulated form: flat transition tables, each state's
-    valid inputs in ascending order, and the states and transitions
-    reachable from the reset it was built under. Built by {!tabulate}
-    and never written afterwards, so a tabulated machine can be shared
-    across domains. *)
+(** A machine's tabulated form (see {!tables}). *)
 
-type t = {
+type t = private {
   n_states : int;
   n_inputs : int;
   reset : int;
-  valid : int -> int -> bool;  (** [valid s i]: may input [i] occur in state [s]? *)
+  valid : int -> int -> bool;
+      (** [valid s i]: may input [i] occur in state [s]? An input
+          outside [\[0, n_inputs)] is invalid in every state. *)
   next : int -> int -> int;  (** transition function, defined when valid *)
   output : int -> int -> int;  (** output function, defined when valid *)
   state_name : int -> string;
   input_name : int -> string;
-  compiled : compiled option;
-      (** set by {!tabulate}. It answers only while [valid], [next] and
-          [output] are the closures {!tabulate} installed beside it (and
-          the sizes are unchanged): a machine derived with
-          [{ m with next = f }], such as a closure mutant, carries a
-          stale form that every query ignores. A derived machine with
-          another [reset] keeps the tables, and its reachable set is
-          searched afresh. *)
+  compiled : compiled;
 }
+(** [valid], [next] and [output] are O(1) reads of the compiled
+    tables. *)
 
 val make :
   ?reset:int ->
@@ -49,24 +45,17 @@ val make :
   output:(int -> int -> int) ->
   unit ->
   t
-(** Build a machine; by default every input is valid everywhere and the
-    reset state is 0. *)
+(** Build and compile a machine; by default every input is valid
+    everywhere and the reset state is 0. [valid] is called once per
+    (state, input) pair, [next] and [output] once per valid pair, and
+    none of them is kept. The compilation is counted on the
+    [fsm.tabulations] metric, once per machine built. *)
 
 val of_table : ?reset:int -> (int * int * int * int) list -> t
 (** [of_table rows] builds a machine from [(state, input, next, output)]
-    rows; state/input counts are inferred, and only listed pairs are
-    valid. Duplicate [(state, input)] rows are a programming error. *)
-
-val tabulate : t -> t
-(** The compiled machine: [valid]/[next]/[output] become O(1) reads of
-    flat tables, and the {!compiled} form (tables, valid-input index,
-    reachable set) is built once, here, and counted on the
-    [fsm.tabulations] metric. Semantics are unchanged, except that an
-    out-of-alphabet input reads as invalid. Tabulating a machine whose
-    compiled form is current returns it unchanged. Every query below
-    reads the compiled form; on a machine without a current one it
-    tabulates a throwaway copy first, so a caller that queries a
-    machine repeatedly should tabulate it once. *)
+    rows, as {!make} does; state/input counts are inferred, and only
+    listed pairs are valid. Duplicate [(state, input)] rows are a
+    programming error. *)
 
 type tables = {
   tab_states : int;
@@ -81,7 +70,7 @@ val tables : t -> tables
 (** The flat transition tables of the compiled form, for engines (e.g.
     bit-parallel fault simulation) that index them directly instead of
     going through closures. Shared, not copied: read them, never write
-    them. [tab_reset] is the machine's own [reset]. Entries at invalid
+    them. [tab_reset] is the machine's [reset]. Entries at invalid
     [(state, input)] pairs are unspecified in [tab_next]/[tab_output]. *)
 
 val compiled_bytes : t -> int
@@ -181,11 +170,15 @@ val min_forall_k :
 
 (** {1 Minimization} *)
 
+val classes : t -> int array
+(** Partition refinement (Moore splitting on Mealy outputs, restricted
+    to reachable states): the state -> class map, classes numbered
+    from 0, unreachable states mapped to [-1]. Two states sharing a
+    class are equivalent. *)
+
 val minimize : t -> t * int array
-(** Partition-refinement minimization (Moore splitting on Mealy
-    outputs, restricted to reachable states). Returns the quotient
-    machine and the state -> class map (unreachable states map to
-    [-1]). Two states sharing a class are equivalent. *)
+(** The quotient machine over {!classes}, built with {!make}, and the
+    class map. *)
 
 (** {1 Generators (for tests and benchmarks)} *)
 

@@ -188,12 +188,10 @@ let fsm_entry t spec =
   match spec with
   | "dlx" | "dlx-test" ->
       cached "fsm-builtin:dlx-test" "dlx-test" (fun () ->
-          Ok
-            (Fsm.tabulate
-               (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default)))
+          Ok (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default))
   | "dsp" ->
       cached "fsm-builtin:dsp" "dsp" (fun () ->
-          Ok (Fsm.tabulate (Simcov_dsp.Mac.Testmodel.build ())))
+          Ok (Simcov_dsp.Mac.Testmodel.build ()))
   | spec -> (
       match circuit_of_spec t spec with
       | Error e -> Error e
@@ -202,7 +200,7 @@ let fsm_entry t spec =
               match Circuit.to_fsm c with
               | exception Invalid_argument msg ->
                   Error (Printf.sprintf "cannot enumerate as an FSM (%s)" msg)
-              | m -> Ok (Fsm.tabulate m)))
+              | m -> Ok m))
 
 let fsm_of_spec t spec =
   Result.map (fun (e, name, key) -> (e.fsm, name, key)) (fsm_entry t spec)

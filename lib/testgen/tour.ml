@@ -37,7 +37,6 @@ let forall_1 m f =
 (* [k] steps along the first valid input of each state, from where
    [word] ends; stops early at a state with no valid input *)
 let pad m ~k word =
-  let m = Fsm.tabulate m in
   let rec go s n acc =
     if n = 0 then List.rev acc
     else
@@ -86,7 +85,6 @@ let bfs_to (m : Fsm.t) ~from ~target =
       Some (s, unwind s [])
 
 let state_tour m =
-  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   let n_states = Fsm.n_reachable m in
   let visited = Array.make m.Fsm.n_states false in
@@ -116,7 +114,6 @@ let state_tour m =
     Some { word; length = List.length word; n_transitions = n_states; extra = 0 }
 
 let transition_cover_segments m =
-  let m = Fsm.tabulate m in
   let covered = Hashtbl.create 1024 in
   let total = Fsm.n_transitions m in
   let segments = ref [] in
@@ -157,7 +154,6 @@ let transition_cover_segments m =
   List.rev !segments
 
 let transition_cover m =
-  let m = Fsm.tabulate m in
   let segments = transition_cover_segments m in
   let word = List.concat segments in
   {
@@ -168,12 +164,10 @@ let transition_cover m =
   }
 
 let shortest_input_path m ~src ~dst =
-  let m = Fsm.tabulate m in
   if src = dst then Some []
   else Option.map snd (bfs_to m ~from:src ~target:(fun s -> s = dst))
 
 let random_word rng m ~length =
-  let m = Fsm.tabulate m in
   let rec go s n acc =
     if n = 0 then List.rev acc
     else

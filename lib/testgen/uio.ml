@@ -5,7 +5,6 @@ open Simcov_fsm
    only while they remain valid and output-identical. Exponential in
    the worst case, bounded by [max_len] and a visited set. *)
 let uio ?(scope = `Reachable) ?(max_len = 8) m s =
-  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   if not seen.(s) then None
   else begin
@@ -55,12 +54,10 @@ let uio ?(scope = `Reachable) ?(max_len = 8) m s =
   end
 
 let all_uios ?scope ?max_len m =
-  let m = Fsm.tabulate m in
   let seen = Fsm.reachable m in
   Array.init m.Fsm.n_states (fun s -> if seen.(s) then uio ?scope ?max_len m s else None)
 
 let checking_sequence ?scope ?max_len m =
-  let m = Fsm.tabulate m in
   let uios = all_uios ?scope ?max_len m in
   let transitions = Fsm.transitions m in
   let missing =

@@ -48,7 +48,6 @@ let characterization_set ?(scope = `Reachable) (m : Fsm.t) =
   List.rev !w_set
 
 let transition_cover m =
-  let m = Fsm.tabulate m in
   let covers =
     List.filter_map
       (fun (s, i, _, _) ->
@@ -89,7 +88,6 @@ let total_length words = List.fold_left (fun acc w -> acc + List.length w) 0 wor
 
 let campaign m faults words =
   let module Detect = Simcov_coverage.Detect in
-  let m = Fsm.tabulate m in
   let eff = List.filter (Simcov_coverage.Fault.is_effective m) faults in
   let n = List.length eff in
   let excited = Array.make n false and detected = Array.make n false in

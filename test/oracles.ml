@@ -5,8 +5,39 @@
 open Simcov_netlist
 module Campaign = Simcov_campaign.Campaign
 
-module Fault = struct
+(* A machine as closures: how the references below read a machine,
+   and how a closure mutant is built. A mutant is never compiled, and
+   a reference that checks the compiled form itself reads the closures
+   the machine was built from, never its tables. *)
+module Machine = struct
   open Simcov_fsm
+
+  type t = {
+    n_states : int;
+    n_inputs : int;
+    reset : int;
+    valid : int -> int -> bool;
+    next : int -> int -> int;
+    output : int -> int -> int;
+  }
+
+  (* a built machine, read through its table readers *)
+  let of_fsm (m : Fsm.t) =
+    {
+      n_states = m.Fsm.n_states;
+      n_inputs = m.Fsm.n_inputs;
+      reset = m.Fsm.reset;
+      valid = m.Fsm.valid;
+      next = m.Fsm.next;
+      output = m.Fsm.output;
+    }
+
+  let build m =
+    Fsm.make ~reset:m.reset ~valid:m.valid ~n_states:m.n_states ~n_inputs:m.n_inputs
+      ~next:m.next ~output:m.output ()
+end
+
+module Fault = struct
   include Simcov_coverage.Fault
 
   (* The closure mutant: validity is unchanged, and only the faulted
@@ -17,35 +48,35 @@ module Fault = struct
      and validity project back onto the original machine's, so a
      lockstep comparison against the golden machine stays meaningful
      (but state comparisons do not). *)
-  let apply (m : Fsm.t) fault =
+  let apply (m : Machine.t) fault =
     match fault with
     | Transfer { state; input; wrong_next } ->
         {
           m with
-          Fsm.next = (fun s i -> if s = state && i = input then wrong_next else m.Fsm.next s i);
+          Machine.next =
+            (fun s i -> if s = state && i = input then wrong_next else m.Machine.next s i);
         }
     | Output { state; input; wrong_output } ->
         {
           m with
-          Fsm.output =
-            (fun s i -> if s = state && i = input then wrong_output else m.Fsm.output s i);
+          Machine.output =
+            (fun s i -> if s = state && i = input then wrong_output else m.Machine.output s i);
         }
     | Conditional_output { state; input; wrong_output; prev } ->
         let proj s = s / 2 and hist s = s land 1 = 1 in
         {
-          m with
-          Fsm.n_states = 2 * m.Fsm.n_states;
-          reset = 2 * m.Fsm.reset;
-          valid = (fun s i -> m.Fsm.valid (proj s) i);
+          Machine.n_states = 2 * m.Machine.n_states;
+          n_inputs = m.Machine.n_inputs;
+          reset = 2 * m.Machine.reset;
+          valid = (fun s i -> m.Machine.valid (proj s) i);
           next =
             (fun s i ->
-              let base = m.Fsm.next (proj s) i in
+              let base = m.Machine.next (proj s) i in
               (2 * base) + if (proj s, i) = prev then 1 else 0);
           output =
             (fun s i ->
               if proj s = state && i = input && hist s then wrong_output
-              else m.Fsm.output (proj s) i);
-          state_name = (fun s -> m.Fsm.state_name (proj s) ^ if hist s then "^" else "");
+              else m.Machine.output (proj s) i);
         }
 
   (* several simultaneous faults; a later fault wins on the same
@@ -54,23 +85,21 @@ module Fault = struct
 end
 
 module Detect = struct
-  open Simcov_fsm
-
   (* Definition 4, operationally: the maximal windows [(j, l)] in
      which the state trajectories diverge at step [j] and silently
      re-converge at step [l], with no observable difference inside. A
      window still open at the end of the word, or closed by an
      exposure, is not masked. *)
-  let masked_windows (golden : Fsm.t) (mutant : Fsm.t) word =
+  let masked_windows (golden : Machine.t) (mutant : Machine.t) word =
     let rec go step sg sm window acc word =
       match word with
       | [] -> List.rev acc
       | i :: rest -> (
-          let vg = golden.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
+          let vg = golden.Machine.valid sg i and vm = mutant.Machine.valid sm i in
           if vg <> vm || not vg then List.rev acc
-          else if golden.Fsm.output sg i <> mutant.Fsm.output sm i then List.rev acc
+          else if golden.Machine.output sg i <> mutant.Machine.output sm i then List.rev acc
           else
-            let sg' = golden.Fsm.next sg i and sm' = mutant.Fsm.next sm i in
+            let sg' = golden.Machine.next sg i and sm' = mutant.Machine.next sm i in
             match window with
             | None ->
                 let window = if sg' <> sm' then Some step else None in
@@ -79,9 +108,10 @@ module Detect = struct
                 if sg' = sm' then go (step + 1) sg' sm' None ((j, step) :: acc) rest
                 else go (step + 1) sg' sm' window acc rest)
     in
-    go 0 golden.Fsm.reset mutant.Fsm.reset None [] word
+    go 0 golden.Machine.reset mutant.Machine.reset None [] word
 
   let has_masked_transfer golden faults word =
+    let golden = Machine.of_fsm golden in
     masked_windows golden (Fault.apply_all golden faults) word <> []
 
   (* Golden and closure mutant in lockstep. An observable difference is
@@ -94,31 +124,32 @@ module Detect = struct
      mutant is the golden machine until then. Conditional-output
      mutants number their states [2s + h], so their windows mean
      nothing and they carry none. *)
-  let run_verdict (golden : Fsm.t) fault word =
+  let run_verdict golden fault word =
+    let golden = Machine.of_fsm golden in
     let mutant = Fault.apply golden fault in
     let fsite = Fault.site fault in
     let rec go step sg sm excite detect word =
       match word with
       | [] -> (excite, detect)
       | i :: rest -> (
-          let vg = golden.Fsm.valid sg i and vm = mutant.Fsm.valid sm i in
+          let vg = golden.Machine.valid sg i and vm = mutant.Machine.valid sm i in
           let excite =
             if vg && (sg, i) = fsite && excite = None then Some step else excite
           in
           if vg <> vm then (excite, Some (Option.value detect ~default:step))
           else if not vg then (excite, detect)
           else
-            let og = golden.Fsm.output sg i and om = mutant.Fsm.output sm i in
+            let og = golden.Machine.output sg i and om = mutant.Machine.output sm i in
             if og <> om then (excite, Some step)
             else
               match detect with
               | Some _ -> (excite, detect)
               | None ->
-                  go (step + 1) (golden.Fsm.next sg i) (mutant.Fsm.next sm i) excite detect
-                    rest)
+                  go (step + 1) (golden.Machine.next sg i) (mutant.Machine.next sm i) excite
+                    detect rest)
     in
     let excite_step, detect_step =
-      go 0 golden.Fsm.reset mutant.Fsm.reset None None word
+      go 0 golden.Machine.reset mutant.Machine.reset None None word
     in
     let masked_step =
       match fault with
@@ -351,25 +382,23 @@ module Fsm_lint = struct
 end
 
 module Fsm = struct
-  open Simcov_fsm
+  (* The structural queries read off a machine's closures: every input
+     code of every state through [valid]/[next]/[output]. The queries
+     of the machine built from the same closures must agree with them
+     on every machine and every reset. *)
 
-  (* The structural queries as they read a machine before it carried
-     its compiled form: every input code of every state through the
-     [valid]/[next]/[output] closures. The compiled queries must agree
-     with them on every machine, derived ones included. *)
+  let valid_inputs (m : Machine.t) s = List.filter (m.Machine.valid s) (List.init m.Machine.n_inputs Fun.id)
 
-  let valid_inputs (m : Fsm.t) s = List.filter (m.Fsm.valid s) (List.init m.Fsm.n_inputs Fun.id)
-
-  let reachable (m : Fsm.t) =
-    let seen = Array.make m.Fsm.n_states false in
+  let reachable (m : Machine.t) =
+    let seen = Array.make m.Machine.n_states false in
     let queue = Queue.create () in
-    seen.(m.Fsm.reset) <- true;
-    Queue.add m.Fsm.reset queue;
+    seen.(m.Machine.reset) <- true;
+    Queue.add m.Machine.reset queue;
     while not (Queue.is_empty queue) do
       let s = Queue.pop queue in
-      for i = 0 to m.Fsm.n_inputs - 1 do
-        if m.Fsm.valid s i then begin
-          let s' = m.Fsm.next s i in
+      for i = 0 to m.Machine.n_inputs - 1 do
+        if m.Machine.valid s i then begin
+          let s' = m.Machine.next s i in
           if not seen.(s') then begin
             seen.(s') <- true;
             Queue.add s' queue
@@ -379,41 +408,41 @@ module Fsm = struct
     done;
     seen
 
-  let transitions (m : Fsm.t) =
+  let transitions (m : Machine.t) =
     let seen = reachable m in
     let acc = ref [] in
-    for s = m.Fsm.n_states - 1 downto 0 do
+    for s = m.Machine.n_states - 1 downto 0 do
       if seen.(s) then
-        for i = m.Fsm.n_inputs - 1 downto 0 do
-          if m.Fsm.valid s i then acc := (s, i, m.Fsm.next s i, m.Fsm.output s i) :: !acc
+        for i = m.Machine.n_inputs - 1 downto 0 do
+          if m.Machine.valid s i then acc := (s, i, m.Machine.next s i, m.Machine.output s i) :: !acc
         done
     done;
     !acc
 
   (* [(valid, next, output)] per code; next/output are 0 where invalid *)
-  let tables (m : Fsm.t) =
-    let k = m.Fsm.n_inputs in
-    Array.init (m.Fsm.n_states * k) (fun idx ->
+  let tables (m : Machine.t) =
+    let k = m.Machine.n_inputs in
+    Array.init (m.Machine.n_states * k) (fun idx ->
         let s = idx / k and i = idx mod k in
-        if m.Fsm.valid s i then (true, m.Fsm.next s i, m.Fsm.output s i) else (false, 0, 0))
+        if m.Machine.valid s i then (true, m.Machine.next s i, m.Machine.output s i) else (false, 0, 0))
 
   (* the transition graph's edges in id order: (src, dst, label) *)
   let graph_edges m = List.map (fun (s, i, s', _) -> (s, s', i)) (transitions m)
 
   (* one ∀k round over all input codes *)
-  let forall_k_round (m : Fsm.t) live cur =
-    let n = m.Fsm.n_states in
+  let forall_k_round (m : Machine.t) live cur =
+    let n = m.Machine.n_states in
     let nxt = Array.make_matrix n n false in
     for p = 0 to n - 1 do
       for q = 0 to n - 1 do
         if p <> q && live.(p) && live.(q) then begin
           let all = ref true and some = ref false in
-          for i = 0 to m.Fsm.n_inputs - 1 do
-            let vp = m.Fsm.valid p i and vq = m.Fsm.valid q i in
+          for i = 0 to m.Machine.n_inputs - 1 do
+            let vp = m.Machine.valid p i and vq = m.Machine.valid q i in
             if vp || vq then begin
               some := true;
-              if vp = vq && m.Fsm.output p i = m.Fsm.output q i
-                 && not cur.(m.Fsm.next p i).(m.Fsm.next q i)
+              if vp = vq && m.Machine.output p i = m.Machine.output q i
+                 && not cur.(m.Machine.next p i).(m.Machine.next q i)
               then all := false
             end
           done;
@@ -423,16 +452,16 @@ module Fsm = struct
     done;
     nxt
 
-  let forall_k_matrix (m : Fsm.t) ~k =
-    let live = Array.make m.Fsm.n_states true in
-    let cur = ref (Array.make_matrix m.Fsm.n_states m.Fsm.n_states false) in
+  let forall_k_matrix (m : Machine.t) ~k =
+    let live = Array.make m.Machine.n_states true in
+    let cur = ref (Array.make_matrix m.Machine.n_states m.Machine.n_states false) in
     for _ = 1 to k do
       cur := forall_k_round m live !cur
     done;
     !cur
 
-  let min_forall_k ~scope ~bound (m : Fsm.t) =
-    let n = m.Fsm.n_states in
+  let min_forall_k ~scope ~bound (m : Machine.t) =
+    let n = m.Machine.n_states in
     let live = match scope with `Reachable -> reachable m | `All -> Array.make n true in
     let first_bad mat =
       let r = ref None in
@@ -453,8 +482,8 @@ module Fsm = struct
     search 1 (Array.make_matrix n n false)
 
   (* Moore refinement over every input code: the state -> class map *)
-  let minimize_classes (m : Fsm.t) =
-    let n = m.Fsm.n_states in
+  let minimize_classes (m : Machine.t) =
+    let n = m.Machine.n_states in
     let seen = reachable m in
     let cls = Array.make n (-1) in
     let assign signature =
@@ -474,11 +503,11 @@ module Fsm = struct
         keys;
       !count
     in
-    let row s f = List.init m.Fsm.n_inputs (fun i -> if m.Fsm.valid s i then Some (f s i) else None) in
-    let n_cls = ref (assign (fun s -> (-1, row s m.Fsm.output))) in
+    let row s f = List.init m.Machine.n_inputs (fun i -> if m.Machine.valid s i then Some (f s i) else None) in
+    let n_cls = ref (assign (fun s -> (-1, row s m.Machine.output))) in
     let stable = ref false in
     while not !stable do
-      let n' = assign (fun s -> (cls.(s), row s (fun s i -> cls.(m.Fsm.next s i)))) in
+      let n' = assign (fun s -> (cls.(s), row s (fun s i -> cls.(m.Machine.next s i)))) in
       if n' = !n_cls then stable := true else n_cls := n'
     done;
     cls

@@ -52,7 +52,7 @@ let random_instance seed =
   let n_states = 3 + Rng.int rng 20 in
   let n_inputs = 2 + Rng.int rng 3 in
   let n_outputs = 2 + Rng.int rng 3 in
-  let m = Fsm.tabulate (Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs) in
+  let m = Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs in
   let faults =
     Fault.sample_transfer_faults rng m ~count:20
     @ Fault.sample_output_faults rng m ~n_outputs ~count:20
@@ -98,7 +98,7 @@ let random_partial_instance seed =
         rows := (s, i, Rng.int rng n_states, Rng.int rng 3) :: !rows
     done
   done;
-  let m = Fsm.tabulate (Fsm.of_table (List.rev !rows)) in
+  let m = Fsm.of_table (List.rev !rows) in
   let faults =
     Fault.sample_transfer_faults rng m ~count:15
     @ Fault.sample_output_faults rng m ~n_outputs:3 ~count:15
@@ -139,18 +139,15 @@ let test_masked_verdicts_occur () =
   Alcotest.(check bool) "some are never detected" true (!later < !masked)
 
 (* out-of-alphabet stimuli: an input >= n_inputs is invalid in every
-   state. The flat-table paths (tabulate's wrappers, the batched
+   state. The flat-table paths (a built machine's readers, the batched
    backend's site keys) used to index [s * k + i] with such an input,
    aliasing into state s+1's row — phantom transitions, phantom site
    hits, and an out-of-bounds read at the last state. QCheck found the
    original instance at seed 31382. *)
 let test_out_of_alphabet_inputs () =
-  let m =
-    Fsm.tabulate
-      (Fsm.of_table [ (0, 0, 1, 0); (0, 1, 2, 1); (1, 0, 2, 0); (2, 0, 0, 2) ])
-  in
-  (* tabulate's valid must bounds-check, including at the last state
-     where the aliased index would run off the table *)
+  let m = Fsm.of_table [ (0, 0, 1, 0); (0, 1, 2, 1); (1, 0, 2, 0); (2, 0, 0, 2) ] in
+  (* a built machine's valid must bounds-check, including at the last
+     state where the aliased index would run off the table *)
   Alcotest.(check bool) "input 2 invalid at s0" false (m.Fsm.valid 0 2);
   Alcotest.(check bool) "input 2 invalid at last state" false (m.Fsm.valid 2 2);
   Alcotest.(check bool) "input -1 invalid" false (m.Fsm.valid 1 (-1));
@@ -176,9 +173,7 @@ let test_out_of_alphabet_inputs () =
    one word + 1, two words + 1 *)
 let test_lane_boundaries () =
   let rng = Rng.create 42 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:15 ~n_inputs:3 ~n_outputs:3)
-  in
+  let m = Fsm.random_connected rng ~n_states:15 ~n_inputs:3 ~n_outputs:3 in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let word = Simcov_testgen.Tour.random_word rng m ~length:200 in
   Alcotest.(check bool)
@@ -202,9 +197,7 @@ let test_lane_boundaries () =
    evaluated prefix carries exactly the scalar verdicts *)
 let test_budget_truncation_prefix () =
   let rng = Rng.create 7 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3)
-  in
+  let m = Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3 in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let faults = List.filteri (fun i _ -> i < 150) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:150 in
@@ -248,7 +241,7 @@ let test_budget_truncation_prefix () =
    machine and word every `coverage dlx` campaign runs *)
 let dlx_model =
   lazy
-    (let m = Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default) in
+    (let m = Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default in
      match Simcov_core.Completeness.certify m with
      | Ok cert -> (m, cert.Simcov_core.Completeness.word)
      | Error _ -> failwith "DLX test model lost its certificate")
@@ -278,7 +271,7 @@ let multi_batch_instance seed =
             rows := (s, i, Rng.int rng n_states, Rng.int rng 3) :: !rows
         done
       done;
-      let m = Fsm.tabulate (Fsm.of_table (List.rev !rows)) in
+      let m = Fsm.of_table (List.rev !rows) in
       (m, Simcov_testgen.Tour.random_word rng m ~length:(40 + Rng.int rng 160))
     end
   in
@@ -380,9 +373,7 @@ let qcheck_wide_eq_scalar_partial =
    (255/256/257) and a population of nine batches *)
 let test_batch_boundaries () =
   let rng = Rng.create 43 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:22 ~n_inputs:3 ~n_outputs:3)
-  in
+  let m = Fsm.random_connected rng ~n_states:22 ~n_inputs:3 ~n_outputs:3 in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let word = Simcov_testgen.Tour.random_word rng m ~length:250 in
   Alcotest.(check bool)
@@ -430,9 +421,7 @@ let test_sim_steps_certified_tour () =
    population on its 5,650-step greedy word, 790 faults missed *)
 let test_sim_steps_greedy_word () =
   let m =
-    Fsm.tabulate
-      (Simcov_dlx.Testmodel.build
-         { Simcov_dlx.Testmodel.default with observable_dest = false })
+    Simcov_dlx.Testmodel.build { Simcov_dlx.Testmodel.default with observable_dest = false }
   in
   let word = Simcov_core.Completeness.campaign_word m None in
   let faults = Fault.sample_faults (Rng.create 2026) m ~count:1500 in
@@ -447,9 +436,7 @@ let test_sim_steps_greedy_word () =
    verdict equals the scalar reference's *)
 let test_sharded_truncation_prefix () =
   let rng = Rng.create 9 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3)
-  in
+  let m = Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3 in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let faults = List.filteri (fun i _ -> i < 200) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:150 in
@@ -497,9 +484,7 @@ let test_sharded_truncation_prefix () =
    merged outcome is field-for-field the sequential one *)
 let test_sharded_equals_sequential () =
   let rng = Rng.create 13 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:14 ~n_inputs:3 ~n_outputs:3)
-  in
+  let m = Fsm.random_connected rng ~n_states:14 ~n_inputs:3 ~n_outputs:3 in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
   let faults = List.filteri (fun i _ -> i < 170) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:200 in
@@ -519,9 +504,7 @@ let test_sharded_equals_sequential () =
 
 let test_unlimited_budget_not_truncated () =
   let rng = Rng.create 11 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:8 ~n_inputs:2 ~n_outputs:2)
-  in
+  let m = Fsm.random_connected rng ~n_states:8 ~n_inputs:2 ~n_outputs:2 in
   let faults = Fault.sample_transfer_faults rng m ~count:40 in
   let word = Simcov_testgen.Tour.random_word rng m ~length:80 in
   let r = Detect.campaign ~budget:Budget.unlimited m faults word in
@@ -679,9 +662,7 @@ let test_bug_campaign_budget_truncates () =
 
 let test_json_schema () =
   let rng = Rng.create 3 in
-  let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:6 ~n_inputs:2 ~n_outputs:2)
-  in
+  let m = Fsm.random_connected rng ~n_states:6 ~n_inputs:2 ~n_outputs:2 in
   let faults = Fault.sample_transfer_faults rng m ~count:10 in
   let word = Simcov_testgen.Tour.random_word rng m ~length:60 in
   let r = Detect.campaign m faults word in

@@ -79,7 +79,7 @@ let test_padded_tour () =
         check_padded_tour "random" m c
   done;
   Alcotest.(check bool) "some random machines certified" true (!certified > 5);
-  let dlx = Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default) in
+  let dlx = Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default in
   match Completeness.certify dlx with
   | Error _ -> Alcotest.fail "DLX test model lost its certificate"
   | Ok c ->
@@ -184,7 +184,7 @@ let r4_instance seed =
   let n_states = 3 + Simcov_util.Rng.int rng 8 in
   let n_inputs = 2 + Simcov_util.Rng.int rng 2 in
   let n_outputs = 1 + Simcov_util.Rng.int rng 3 in
-  let m = Fsm.tabulate (Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs) in
+  let m = Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs in
   let facts = Simcov_testgen.Tour.facts m in
   let r4 = (Requirements.check ~facts ~rng:(Simcov_util.Rng.create seed) m).r4_no_masking in
   (r4, reference_r4 m facts (Simcov_util.Rng.create seed))
@@ -232,7 +232,7 @@ let test_validate_dlx_shares_facts () =
           track_dest observable_dest
       in
       let r = Methodology.validate_dlx ~config () in
-      let model = Fsm.tabulate (Testmodel.build config) in
+      let model = Testmodel.build config in
       Alcotest.(check string)
         (what ^ ": fsm_lint section = standalone Fsm_lint.run")
         (json (Fsm_lint.run ~name:"dlx-test" ~seed:2026 model))

@@ -22,6 +22,9 @@ let fig2_golden =
 
 let fig2_transfer = Fault.Transfer { state = 1; input = 0; wrong_next = 3 }
 
+(* the golden machine as the closures its mutants wrap *)
+let golden = Oracles.Machine.of_fsm fig2_golden
+
 (* one effective fault's verdict from the campaign engine, checked
    against the closure-mutant reference *)
 let verdict m f word =
@@ -33,16 +36,16 @@ let verdict m f word =
   | _ -> Alcotest.fail "the fault is not effective"
 
 let test_apply_transfer () =
-  let mutant = Oracles.Fault.apply fig2_golden fig2_transfer in
-  Alcotest.(check int) "redirected" 3 (mutant.Fsm.next 1 0);
-  Alcotest.(check int) "other transitions intact" 1 (mutant.Fsm.next 0 0);
+  let mutant = Oracles.Fault.apply golden fig2_transfer in
+  Alcotest.(check int) "redirected" 3 (mutant.Oracles.Machine.next 1 0);
+  Alcotest.(check int) "other transitions intact" 1 (mutant.Oracles.Machine.next 0 0);
   Alcotest.(check int) "golden unchanged" 2 (fig2_golden.Fsm.next 1 0)
 
 let test_apply_output () =
   let f = Fault.Output { state = 2; input = 1; wrong_output = 9 } in
-  let mutant = Oracles.Fault.apply fig2_golden f in
-  Alcotest.(check int) "faulty output" 9 (mutant.Fsm.output 2 1);
-  Alcotest.(check int) "others intact" 3 (mutant.Fsm.output 2 2)
+  let mutant = Oracles.Fault.apply golden f in
+  Alcotest.(check int) "faulty output" 9 (mutant.Oracles.Machine.output 2 1);
+  Alcotest.(check int) "others intact" 3 (mutant.Oracles.Machine.output 2 2)
 
 let test_is_effective () =
   Alcotest.(check bool) "real transfer" true (Fault.is_effective fig2_golden fig2_transfer);
@@ -115,9 +118,9 @@ let test_masked_windows () =
   let v = verdict fig2_golden fig2_transfer word in
   Alcotest.(check (pair (option int) (option int)))
     "the engine's window" (Some 1, Some 2) (v.Detect.excite_step, v.Detect.masked_step);
-  let mutant = Oracles.Fault.apply fig2_golden fig2_transfer in
+  let mutant = Oracles.Fault.apply golden fig2_transfer in
   Alcotest.(check (list (pair int int))) "the reference's window" [ (1, 2) ]
-    (Oracles.Detect.masked_windows fig2_golden mutant word);
+    (Oracles.Detect.masked_windows golden mutant word);
   Alcotest.(check bool) "has_masked_transfer" true
     (Oracles.Detect.has_masked_transfer fig2_golden [ fig2_transfer ] word)
 
@@ -126,9 +129,9 @@ let test_masked_windows_exposed_path () =
   let word = [ 0; 0; 1; 3 ] in
   Alcotest.(check (option int)) "no engine window" None
     (verdict fig2_golden fig2_transfer word).Detect.masked_step;
-  let mutant = Oracles.Fault.apply fig2_golden fig2_transfer in
+  let mutant = Oracles.Fault.apply golden fig2_transfer in
   Alcotest.(check (list (pair int int))) "no reference window" []
-    (Oracles.Detect.masked_windows fig2_golden mutant word)
+    (Oracles.Detect.masked_windows golden mutant word)
 
 let test_transition_coverage_metrics () =
   let word = [ 0; 0; 1; 3 ] in

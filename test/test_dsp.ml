@@ -115,7 +115,7 @@ let test_testmodel_squash_output () =
   Alcotest.(check int) "squash count 2" 2 ((o lsr 2) land 3)
 
 let test_tour_catches_all_dsp_bugs () =
-  let m = Simcov_fsm.Fsm.tabulate (Testmodel.build ()) in
+  let m = Testmodel.build () in
   match Simcov_testgen.Tour.transition_tour m with
   | None -> Alcotest.fail "tour must exist"
   | Some t ->
@@ -134,7 +134,7 @@ let test_tour_catches_all_dsp_bugs () =
         (Validate.bug_campaign cmds)
 
 let test_certificate_on_dsp_model () =
-  let m = Simcov_fsm.Fsm.tabulate (Testmodel.build ()) in
+  let m = Testmodel.build () in
   match Simcov_core.Completeness.certify m with
   | Ok cert ->
       Alcotest.(check int) "k = 1" 1 cert.Simcov_core.Completeness.k;

@@ -16,20 +16,21 @@ let counter3 =
 let fig2_states = [| "1"; "2"; "3"; "3'"; "4"; "4'"; "5" |]
 let fig2_inputs = [| "a"; "b"; "c"; "r" |]
 
-let fig2 =
-  (* (state, input, next, output) *)
-  Fsm.of_table
-    [
-      (0, 0, 1, 0) (* 1 -a-> 2 *);
-      (1, 0, 2, 0) (* 2 -a-> 3 (the correct transition) *);
-      (2, 1, 4, 1) (* 3 -b-> 4, output 1 *);
-      (3, 1, 5, 2) (* 3' -b-> 4', output 2: differs *);
-      (2, 2, 6, 3) (* 3 -c-> 5, output 3 *);
-      (3, 2, 6, 3) (* 3' -c-> 5, same output 3 *);
-      (4, 3, 0, 4) (* 4 -r-> 1 *);
-      (5, 3, 0, 4) (* 4' -r-> 1 *);
-      (6, 3, 0, 4) (* 5 -r-> 1 *);
-    ]
+(* (state, input, next, output) *)
+let fig2_rows =
+  [
+    (0, 0, 1, 0) (* 1 -a-> 2 *);
+    (1, 0, 2, 0) (* 2 -a-> 3 (the correct transition) *);
+    (2, 1, 4, 1) (* 3 -b-> 4, output 1 *);
+    (3, 1, 5, 2) (* 3' -b-> 4', output 2: differs *);
+    (2, 2, 6, 3) (* 3 -c-> 5, output 3 *);
+    (3, 2, 6, 3) (* 3' -c-> 5, same output 3 *);
+    (4, 3, 0, 4) (* 4 -r-> 1 *);
+    (5, 3, 0, 4) (* 4' -r-> 1 *);
+    (6, 3, 0, 4) (* 5 -r-> 1 *);
+  ]
+
+let fig2 = Fsm.of_table fig2_rows
 
 let test_make_defaults () =
   Alcotest.(check int) "reset" 0 counter3.Fsm.reset;
@@ -55,16 +56,21 @@ let test_of_table_shape () =
   Alcotest.(check int) "inputs inferred" 4 fig2.Fsm.n_inputs;
   Alcotest.(check (list int)) "valid inputs at 3" [ 1; 2 ] (Fsm.valid_inputs fig2 2)
 
+(* building tabulates the rows: each listed pair reads back as given,
+   and every other pair, out-of-alphabet inputs included, is invalid *)
 let test_tabulate_preserves () =
-  let t = Fsm.tabulate fig2 in
   List.iter
     (fun (s, i, n, o) ->
-      Alcotest.(check bool) "valid preserved" true (t.Fsm.valid s i);
-      Alcotest.(check int) "next preserved" n (t.Fsm.next s i);
-      Alcotest.(check int) "output preserved" o (t.Fsm.output s i))
-    (Fsm.transitions fig2);
-  Alcotest.(check int) "same transition count" (Fsm.n_transitions fig2)
-    (Fsm.n_transitions t)
+      Alcotest.(check bool) "valid preserved" true (fig2.Fsm.valid s i);
+      Alcotest.(check int) "next preserved" n (fig2.Fsm.next s i);
+      Alcotest.(check int) "output preserved" o (fig2.Fsm.output s i))
+    fig2_rows;
+  for s = 0 to fig2.Fsm.n_states - 1 do
+    for i = -1 to fig2.Fsm.n_inputs do
+      if not (List.exists (fun (s', i', _, _) -> s' = s && i' = i) fig2_rows) then
+        Alcotest.(check bool) (Printf.sprintf "(%d, %d) invalid" s i) false (fig2.Fsm.valid s i)
+    done
+  done
 
 let test_reachable () =
   (* state 3' (index 3) and 4' (index 5) are unreachable in the correct machine *)
@@ -236,40 +242,69 @@ let brute_min_forall_k m ~scope ~bound =
   in
   go 1
 
-(* random machines of three shapes: total and strongly connected;
-   partial with random validity holes (and often unreachable states);
-   and a total machine with one state cloned, so an equivalent pair
-   exists (reachable when an incoming transition is redirected to the
-   clone, otherwise visible only under [`All]) *)
-let random_machine rng ~shape ~n_states =
-  let n_inputs = 1 + Simcov_util.Rng.int rng 3 in
+module Rng = Simcov_util.Rng
+module Machine = Oracles.Machine
+
+(* a machine's closures over per-cell arrays *)
+let closures ?(reset = 0) ~n_states ~n_inputs ~valid ~next ~output () =
+  let cell a s i = a.((s * n_inputs) + i) in
+  {
+    Machine.n_states;
+    n_inputs;
+    reset;
+    valid = cell valid;
+    next = cell next;
+    output = cell output;
+  }
+
+(* random machines as closures, of four shapes: total and strongly
+   connected; partial with random validity holes (and often
+   unreachable states); a total machine with one state cloned, so an
+   equivalent pair exists (reachable when an incoming transition is
+   redirected to the clone, otherwise visible only under [`All]); and
+   a machine whose validity is an arbitrary per-state subset of the
+   alphabet and whose reset is any state *)
+let random_closures rng ~shape ~n_states =
+  let k = 1 + Rng.int rng (if shape < 3 then 3 else 4) in
+  let cells n f = Array.init (n * k) (fun _ -> f ()) in
+  let connected n =
+    let next = cells n (fun () -> Rng.int rng n) and output = cells n (fun () -> Rng.int rng 2) in
+    (* a random cycle through every state *)
+    let perm = Array.init n Fun.id in
+    Rng.shuffle rng perm;
+    Array.iteri (fun idx s -> next.((s * k) + Rng.int rng k) <- perm.((idx + 1) mod n)) perm;
+    (next, output)
+  in
+  let all n = Array.make (n * k) true in
   match shape with
-  | 0 -> Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs:2
+  | 0 ->
+      let next, output = connected n_states in
+      closures ~n_states ~n_inputs:k ~valid:(all n_states) ~next ~output ()
   | 1 ->
-      let rows = ref [] in
-      for s = n_states - 1 downto 0 do
-        for i = n_inputs - 1 downto 0 do
-          if Simcov_util.Rng.int rng 4 > 0 then
-            rows :=
-              (s, i, Simcov_util.Rng.int rng n_states, Simcov_util.Rng.int rng 2) :: !rows
-        done
-      done;
-      if !rows = [] then Fsm.of_table [ (0, 0, 0, 0) ] else Fsm.of_table !rows
-  | _ ->
-      let m = Fsm.random_connected rng ~n_states ~n_inputs ~n_outputs:2 in
-      let c = Simcov_util.Rng.int rng n_states and n = n_states in
+      closures ~n_states ~n_inputs:k
+        ~valid:(cells n_states (fun () -> Rng.int rng 4 > 0))
+        ~next:(cells n_states (fun () -> Rng.int rng n_states))
+        ~output:(cells n_states (fun () -> Rng.int rng 2))
+        ()
+  | 2 ->
+      let n = n_states and c = Rng.int rng n_states in
+      let next, output = connected n in
+      let orig s = if s = n then c else s in
       let redirect =
-        if Simcov_util.Rng.bool rng then
-          List.find_opt (fun (_, _, nx, _) -> nx = c) (Fsm.transitions m)
+        if Rng.bool rng then
+          List.find_opt (fun x -> next.(x) = c) (List.init (n * k) Fun.id)
         else None
       in
-      let orig s = if s = n then c else s in
-      Fsm.make ~n_states:(n + 1) ~n_inputs
-        ~next:(fun s i ->
-          match redirect with
-          | Some (p, pi, _, _) when s = p && i = pi -> n
-          | _ -> m.Fsm.next (orig s) i)
-        ~output:(fun s i -> m.Fsm.output (orig s) i)
+      let copy a = Array.init ((n + 1) * k) (fun x -> a.((orig (x / k) * k) + (x mod k))) in
+      let next = copy next in
+      Option.iter (fun x -> next.(x) <- n) redirect;
+      closures ~n_states:(n + 1) ~n_inputs:k ~valid:(all (n + 1)) ~next
+        ~output:(copy output) ()
+  | _ ->
+      closures ~reset:(Rng.int rng n_states) ~n_states ~n_inputs:k
+        ~valid:(cells n_states (fun () -> Rng.int rng 3 > 0))
+        ~next:(cells n_states (fun () -> Rng.int rng n_states))
+        ~output:(cells n_states (fun () -> Rng.int rng 3))
         ()
 
 let qcheck_min_forall_k_brute =
@@ -282,8 +317,7 @@ let qcheck_min_forall_k_brute =
     QCheck.(
       quad (int_range 0 2) (int_range 1 7) (int_range 1 6) (int_range 1 1_000_000))
     (fun (shape, n_states, bound, seed) ->
-      let rng = Simcov_util.Rng.create seed in
-      let m = random_machine rng ~shape ~n_states in
+      let m = Machine.build (random_closures (Rng.create seed) ~shape ~n_states) in
       List.for_all
         (fun scope ->
           let got = Fsm.min_forall_k ~scope ~bound m
@@ -296,36 +330,14 @@ let qcheck_min_forall_k_brute =
 
 (* ---- the compiled form against the closure references ---- *)
 
-module Rng = Simcov_util.Rng
-module Fault = Simcov_coverage.Fault
-module Detect = Simcov_coverage.Detect
-
-(* [random_machine]'s three shapes, plus a machine whose validity is an
-   arbitrary per-state subset of the alphabet and whose reset is any
-   state, so some states are often unreachable *)
-let random_any rng ~shape ~n_states =
-  if shape < 3 then random_machine rng ~shape ~n_states
-  else begin
-    let k = 1 + Rng.int rng 4 in
-    let cell f = Array.init (n_states * k) (fun _ -> f ()) in
-    let valid = cell (fun () -> Rng.int rng 3 > 0) in
-    let next = cell (fun () -> Rng.int rng n_states) in
-    let out = cell (fun () -> Rng.int rng 3) in
-    Fsm.make ~reset:(Rng.int rng n_states) ~n_states ~n_inputs:k
-      ~valid:(fun s i -> valid.((s * k) + i))
-      ~next:(fun s i -> next.((s * k) + i))
-      ~output:(fun s i -> out.((s * k) + i))
-      ()
-  end
-
-(* every compiled query of [c] equals its closure reference on [r], a
-   machine with the same behaviour; the first disagreement is named *)
-let disagreement (c : Fsm.t) (r : Fsm.t) =
+(* every compiled query of [c] equals its reference on [r], the
+   closures [c] was built from; the first disagreement is named *)
+let disagreement (c : Fsm.t) (r : Machine.t) =
   let module O = Oracles.Fsm in
-  let k = r.Fsm.n_inputs in
+  let k = r.Machine.n_inputs in
   let tab = Fsm.tables c and want_tab = O.tables r in
   let tables_agree =
-    tab.Fsm.tab_reset = r.Fsm.reset
+    tab.Fsm.tab_reset = r.Machine.reset
     && Array.for_all Fun.id
          (Array.mapi
             (fun idx (v, n, o) ->
@@ -333,9 +345,22 @@ let disagreement (c : Fsm.t) (r : Fsm.t) =
               && ((not v) || (tab.Fsm.tab_next.(idx) = n && tab.Fsm.tab_output.(idx) = o)))
             want_tab)
   in
+  (* the readers bounds-check: an input outside the alphabet is invalid *)
+  let readers_agree =
+    List.for_all
+      (fun s ->
+        List.for_all
+          (fun i ->
+            let v = i >= 0 && i < k && r.Machine.valid s i in
+            c.Fsm.valid s i = v
+            && ((not v) || (c.Fsm.next s i = r.Machine.next s i && c.Fsm.output s i = r.Machine.output s i)))
+          (List.init (k + 2) (fun i -> i - 1)))
+      (List.init r.Machine.n_states Fun.id)
+  in
   let transitions = O.transitions r in
   let checks =
     [
+      ("valid/next/output", fun () -> readers_agree);
       ("reachable", fun () -> Fsm.reachable c = O.reachable r);
       ( "n_reachable",
         fun () ->
@@ -350,7 +375,7 @@ let disagreement (c : Fsm.t) (r : Fsm.t) =
         fun () ->
           List.for_all
             (fun s -> Fsm.valid_inputs c s = O.valid_inputs r s)
-            (List.init r.Fsm.n_states Fun.id) );
+            (List.init r.Machine.n_states Fun.id) );
       ( "transition_graph",
         fun () ->
           let g = Fsm.transition_graph c in
@@ -366,7 +391,7 @@ let disagreement (c : Fsm.t) (r : Fsm.t) =
               Fsm.min_forall_k ~scope ~bound c = O.min_forall_k ~scope ~bound r)
             [ (`Reachable, 1); (`Reachable, 4); (`All, 1); (`All, 4) ] );
       ("forall_k_matrix", fun () -> Fsm.forall_k_matrix c ~k:2 = O.forall_k_matrix r ~k:2);
-      ("minimize", fun () -> snd (Fsm.minimize c) = O.minimize_classes r);
+      ("classes", fun () -> Fsm.classes c = O.minimize_classes r);
     ]
   in
   List.find_map (fun (name, ok) -> if ok () then None else Some name) checks
@@ -377,84 +402,50 @@ let qcheck_compiled_queries =
     ~count:300
     QCheck.(triple (int_range 0 3) (int_range 1 8) (int_range 1 1_000_000))
     (fun (shape, n_states, seed) ->
-      let m = random_any (Rng.create seed) ~shape ~n_states in
-      let t = Fsm.tabulate m in
-      (* every reset: the tables are shared, reachability is per reset *)
+      let r = random_closures (Rng.create seed) ~shape ~n_states in
+      (* every reset: a machine built from the same closures each time *)
       List.for_all
-        (fun r ->
-          match disagreement { t with Fsm.reset = r } { m with Fsm.reset = r } with
+        (fun reset ->
+          let r = { r with Machine.reset } in
+          match disagreement (Machine.build r) r with
           | None -> true
-          | Some q -> QCheck.Test.fail_reportf "shape %d, reset %d: %s differs" shape r q)
-        (List.init m.Fsm.n_states Fun.id))
+          | Some q -> QCheck.Test.fail_reportf "shape %d, reset %d: %s differs" shape reset q)
+        (List.init r.Machine.n_states Fun.id))
 
-(* A machine derived from a tabulated one keeps its [compiled] field;
-   each must still answer as a fresh tabulation of itself does *)
-let qcheck_stale_tables =
-  QCheck.Test.make
-    ~name:"fsm: derived machines read no stale tables (reset, next, each Fault.apply kind)"
-    ~count:200
-    QCheck.(triple (int_range 0 3) (int_range 2 8) (int_range 1 1_000_000))
-    (fun (shape, n_states, seed) ->
-      let rng = Rng.create seed in
-      let m = Fsm.tabulate (random_any rng ~shape ~n_states) in
-      match Fsm.transitions m with
-      | [] -> true
-      | ts ->
-          let pick () = List.nth ts (Rng.int rng (List.length ts)) in
-          let s, i, s', o = pick () and ps, pi, _, _ = pick () in
-          let d = (s' + 1) mod m.Fsm.n_states in
-          let derived =
-            [
-              ("reset", { m with Fsm.reset = Rng.int rng m.Fsm.n_states });
-              ( "next",
-                { m with Fsm.next = (fun a b -> if a = s && b = i then d else m.Fsm.next a b) } );
-              ( "transfer",
-                Oracles.Fault.apply m (Fault.Transfer { state = s; input = i; wrong_next = d }) );
-              ( "output",
-                Oracles.Fault.apply m
-                  (Fault.Output { state = s; input = i; wrong_output = o + 1 }) );
-              ( "conditional",
-                Oracles.Fault.apply m
-                  (Fault.Conditional_output
-                     { state = s; input = i; wrong_output = o + 1; prev = (ps, pi) }) );
-            ]
-          in
-          List.for_all
-            (fun (what, dm) ->
-              let fresh = Fsm.tabulate { dm with Fsm.compiled = None } in
-              let faults = Fault.sample_faults (Rng.create seed) fresh ~count:12 in
-              let word = Simcov_testgen.Tour.random_word (Rng.create seed) fresh ~length:30 in
-              let campaign g = Detect.campaign g faults word in
-              let agree =
-                [
-                  ("reachable", Fsm.reachable dm = Fsm.reachable fresh);
-                  ("transitions", Fsm.transitions dm = Fsm.transitions fresh);
-                  ("tables", Fsm.tables dm = Fsm.tables fresh);
-                  ("campaign", campaign dm = campaign fresh);
-                  ( "campaign reference",
-                    campaign dm = (Oracles.Detect.campaign_scalar dm faults word).report );
-                ]
-              in
-              match List.find_opt (fun (_, ok) -> not ok) agree with
-              | None -> true
-              | Some (q, _) -> QCheck.Test.fail_reportf "shape %d, %s: %s differs" shape what q)
-            derived)
-
-(* tabulating twice, or tabulating a machine derived only by its reset
-   or names, builds nothing: the compiled form is kept *)
-let test_tabulate_keeps_compiled () =
-  let count () = Simcov_obs.Obs.count (Simcov_obs.Obs.counter "fsm.tabulations") in
-  let t = Fsm.tabulate fig2 in
-  let before = count () in
-  Alcotest.(check bool) "tabulate of a tabulated machine is the machine" true
-    (Fsm.tabulate t == t);
-  let renamed = { t with Fsm.reset = 1; state_name = string_of_int } in
-  Alcotest.(check bool) "a re-reset machine keeps its tables" true
-    (Fsm.tabulate renamed == renamed);
-  ignore (Fsm.reachable renamed, Fsm.transitions t, Fsm.min_forall_k t, Fsm.tables renamed);
-  Alcotest.(check int) "no table rebuilt" before (count ());
-  ignore (Fsm.reachable { t with Fsm.next = (fun _ _ -> 0) });
-  Alcotest.(check int) "a derived next is tabulated afresh" (before + 1) (count ())
+(* a machine is compiled once, when it is built: no query compiles it
+   again, and a quotient is one more machine built *)
+let test_compiled_once () =
+  let module Obs = Simcov_obs.Obs in
+  let reg = Obs.registry () in
+  Fun.protect
+    ~finally:(fun () -> Obs.release reg)
+    (fun () ->
+      Obs.with_registry reg (fun () ->
+          let count () = Obs.count (Obs.counter "fsm.tabulations") in
+          let m = Fsm.of_table fig2_rows in
+          Alcotest.(check int) "one tabulation per machine built" 1 (count ());
+          ignore
+            ( Fsm.step m 0 0,
+              Fsm.run m [ 0; 0; 1 ],
+              Fsm.valid_inputs m 2,
+              Fsm.reachable m,
+              Fsm.n_reachable m,
+              Fsm.transitions m,
+              Fsm.transition_codes m,
+              Fsm.n_transitions m,
+              Fsm.transition_graph m,
+              Fsm.tables m,
+              Fsm.compiled_bytes m );
+          ignore
+            ( Fsm.equivalent m m,
+              Fsm.distinguish m 0 1,
+              Fsm.forall_k_distinguishable m ~k:2 0 1,
+              Fsm.forall_k_matrix m ~k:2,
+              Fsm.min_forall_k m,
+              Fsm.classes m );
+          Alcotest.(check int) "no query tabulates" 1 (count ());
+          ignore (Fsm.minimize m);
+          Alcotest.(check int) "a quotient is a machine built" 2 (count ())))
 
 let test_minimize_counter () =
   let q, cls = Fsm.minimize counter3 in
@@ -581,9 +572,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_distinguish_sound;
     QCheck_alcotest.to_alcotest qcheck_forall_k_monotone;
     QCheck_alcotest.to_alcotest qcheck_min_forall_k_brute;
-    Alcotest.test_case "tabulate keeps the compiled form" `Quick test_tabulate_keeps_compiled;
     QCheck_alcotest.to_alcotest qcheck_compiled_queries;
-    QCheck_alcotest.to_alcotest qcheck_stale_tables;
+    Alcotest.test_case "a machine is compiled once, when built" `Quick test_compiled_once;
   ]
 
 let _ = (fig2_states, fig2_inputs)

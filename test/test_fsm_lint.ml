@@ -266,7 +266,7 @@ let random_partial rng ~n_states ~n_inputs =
         rows := (s, i, next, Rng.int rng 3) :: !rows
     done
   done;
-  Fsm.tabulate (Fsm.of_table (List.rev !rows))
+  Fsm.of_table (List.rev !rows)
 
 let qcheck_sa640_matches_oracle =
   QCheck.Test.make
@@ -283,9 +283,8 @@ let test_sa640_dlx () =
   List.iter
     (fun n_regs ->
       let m =
-        Fsm.tabulate
-          (Simcov_dlx.Testmodel.build
-             { Simcov_dlx.Testmodel.default with Simcov_dlx.Testmodel.n_regs })
+        Simcov_dlx.Testmodel.build
+          { Simcov_dlx.Testmodel.default with Simcov_dlx.Testmodel.n_regs }
       in
       Alcotest.(check bool)
         (Printf.sprintf "SA640 = reference at %d registers" n_regs)

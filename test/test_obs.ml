@@ -140,11 +140,10 @@ let test_bdd_counters_match_gc_stats () =
 let test_symfsm_counters_match_traversal () =
   Obs.reset ();
   let model =
-    Simcov_fsm.Fsm.tabulate
-      (Simcov_fsm.Fsm.make ~n_states:6 ~n_inputs:2
-         ~next:(fun s i -> if i = 0 then (s + 1) mod 6 else 0)
-         ~output:(fun s i -> if i = 0 then s else 0)
-         ())
+    Simcov_fsm.Fsm.make ~n_states:6 ~n_inputs:2
+      ~next:(fun s i -> if i = 0 then (s + 1) mod 6 else 0)
+      ~output:(fun s i -> if i = 0 then s else 0)
+      ()
   in
   let sym = Fsm_netlist.of_fsm model in
   let tr = Simcov_symbolic.Symfsm.traverse sym in
@@ -162,11 +161,10 @@ let test_campaign_progress_invariants () =
   Obs.reset ();
   let open Simcov_fsm in
   let model =
-    Fsm.tabulate
-      (Fsm.make ~n_states:5 ~n_inputs:2
-         ~next:(fun s i -> if i = 0 then (s + 1) mod 5 else 0)
-         ~output:(fun s i -> if i = 0 then s else s + 1)
-         ())
+    Fsm.make ~n_states:5 ~n_inputs:2
+      ~next:(fun s i -> if i = 0 then (s + 1) mod 5 else 0)
+      ~output:(fun s i -> if i = 0 then s else s + 1)
+      ()
   in
   let word =
     match Simcov_testgen.Tour.transition_tour model with
@@ -327,6 +325,40 @@ let test_one_tabulation_per_job () =
   Alcotest.(check int) "cold lint --fsm dlx-test: tabulations" 1
     (fst (counts (Job.Lint { (Job.default_lint ~model:"dlx-test") with Job.li_fsm = true })))
 
+(* one compilation per construction path: a cold coverage dsp job
+   builds the MAC model once, a cold lint --fsm job builds its circuit's
+   or the built-in test model's machine once, and each warm repeat on a
+   shared cache builds none; every job exits 0 *)
+let test_one_compilation_per_construction_path () =
+  let module Job = Simcov_service.Job in
+  let module Model_cache = Simcov_service.Model_cache in
+  let tabulations ~cache job =
+    let reg = Obs.registry () in
+    Fun.protect
+      ~finally:(fun () -> Obs.release reg)
+      (fun () ->
+        Obs.with_registry reg (fun () ->
+            let o = Simcov_service.Service.run ~cache (Job.make job) in
+            (o.Simcov_service.Service.exit_code, Obs.count (Obs.counter "fsm.tabulations"))))
+  in
+  let lint_fsm model = Job.Lint { (Job.default_lint ~model) with Job.li_fsm = true } in
+  (* cwd is test/ under `dune runtest` but the workspace root under
+     `dune exec test/test_main.exe` *)
+  let counter =
+    List.find Sys.file_exists
+      [ "../examples/models/counter.circ"; "examples/models/counter.circ" ]
+  in
+  List.iter
+    (fun (name, job) ->
+      let cache = Model_cache.create () in
+      Alcotest.(check (pair int int)) ("cold " ^ name) (0, 1) (tabulations ~cache job);
+      Alcotest.(check (pair int int)) ("warm " ^ name) (0, 0) (tabulations ~cache job))
+    [
+      ("coverage dsp", Job.Coverage (Job.default_coverage ~model:"dsp"));
+      ("lint --fsm counter.circ", lint_fsm counter);
+      ("lint --fsm dlx-test", lint_fsm "dlx-test");
+    ]
+
 let suite =
   [
     Alcotest.test_case "registry create-on-first-use" `Quick
@@ -346,4 +378,6 @@ let suite =
       test_campaign_metrics_count_reported_campaigns;
     Alcotest.test_case "one tabulation and one tour solve per job" `Quick
       test_one_tabulation_per_job;
+    Alcotest.test_case "one compilation per construction path" `Quick
+      test_one_compilation_per_construction_path;
   ]

@@ -443,11 +443,7 @@ let campaign_verdict_eq (a : Campaign.verdict) (b : Campaign.verdict) =
 (* parent and child rebuild the identical instance from the seed *)
 let chaos_instance () =
   let rng = Rng.create 2026 in
-  let m =
-    Simcov_fsm.Fsm.tabulate
-      (Simcov_fsm.Fsm.random_connected rng ~n_states:12 ~n_inputs:3
-         ~n_outputs:3)
-  in
+  let m = Simcov_fsm.Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3 in
   let faults =
     Fault.sample_transfer_faults rng m ~count:80
     @ Fault.sample_output_faults rng m ~n_outputs:3 ~count:80

@@ -183,7 +183,7 @@ let qcheck_partitioned_circuit =
    identical number of iterations, partitioned and monolithic alike *)
 let test_dlx_frontier_regression () =
   let config = Simcov_dlx.Testmodel.default in
-  let model = Simcov_fsm.Fsm.tabulate (Simcov_dlx.Testmodel.build config) in
+  let model = Simcov_dlx.Testmodel.build config in
   let t = of_circuit (Simcov_dlx.Testmodel.netlist config) in
   let base = traverse ~partitioned:false ~frontier:false t in
   List.iter

@@ -149,23 +149,34 @@ let setting_name (c : Testmodel.config) =
 
 let pack bits = Array.fold_right (fun b acc -> (acc lsl 1) lor Bool.to_int b) bits 0
 
-(* Apply one input code to [build c] in state [s] and to its netlist
-   [net] in [latches]: the two must agree on validity and, on a valid
-   code, on the output. Returns both successors, [None] on an invalid
-   code. *)
-let step_both c (m : Fsm.t) net s latches code =
+(* the functions [build c] compiles, read without building a table *)
+let functions c =
+  {
+    Oracles.Machine.n_states = Testmodel.n_states c;
+    n_inputs = Testmodel.n_input_codes c;
+    reset = 0;
+    valid = Testmodel.valid c;
+    next = Testmodel.next c;
+    output = Testmodel.output c;
+  }
+
+(* Apply one input code to the model [m] of [c] in state [s] and to its
+   netlist [net] in [latches]: the two must agree on validity and, on
+   a valid code, on the output. Returns both successors, [None] on an
+   invalid code. *)
+let step_both c (m : Oracles.Machine.t) net s latches code =
   let module Circuit = Simcov_netlist.Circuit in
   let inputs = Array.init (Circuit.n_inputs net) (fun b -> (code lsr b) land 1 = 1) in
-  let valid = m.Fsm.valid s code in
+  let valid = m.Oracles.Machine.valid s code in
   if Circuit.input_valid net latches inputs <> valid then
     Alcotest.failf "%s: validity of code %d in state %d" (setting_name c) code s;
   if not valid then None
   else begin
     let latches', outs = Circuit.step net latches inputs in
-    if pack outs <> m.Fsm.output s code then
+    if pack outs <> m.Oracles.Machine.output s code then
       Alcotest.failf "%s: output of code %d in state %d: %d, build says %d"
-        (setting_name c) code s (pack outs) (m.Fsm.output s code);
-    Some (m.Fsm.next s code, latches')
+        (setting_name c) code s (pack outs) (m.Oracles.Machine.output s code);
+    Some (m.Oracles.Machine.next s code, latches')
   end
 
 (* Walk the product of [build c] and [netlist c] from both resets over
@@ -173,7 +184,7 @@ let step_both c (m : Fsm.t) net s latches code =
    explicit state each. Returns the number of latch valuations
    reached. *)
 let walk_product (c : Testmodel.config) =
-  let m = Testmodel.build c and net = Testmodel.netlist c in
+  let m = Oracles.Machine.of_fsm (Testmodel.build c) and net = Testmodel.netlist c in
   let state_of = Hashtbl.create 64 and todo = Queue.create () in
   let visit (s, latches) =
     match Hashtbl.find_opt state_of latches with
@@ -185,7 +196,7 @@ let walk_product (c : Testmodel.config) =
         Hashtbl.add state_of latches s;
         Queue.push (s, latches) todo
   in
-  visit (m.Fsm.reset, Simcov_netlist.Circuit.initial_state net);
+  visit (m.Oracles.Machine.reset, Simcov_netlist.Circuit.initial_state net);
   while not (Queue.is_empty todo) do
     let s, latches = Queue.pop todo in
     for code = 0 to Testmodel.n_input_codes c - 1 do
@@ -203,7 +214,7 @@ let test_netlist_equals_build () =
       List.iter
         (fun c ->
           let reached = walk_product c in
-          let m = Fsm.tabulate (Testmodel.build c) in
+          let m = Testmodel.build c in
           Alcotest.(check int) (setting_name c ^ ": every state reached")
             (Fsm.n_reachable m) reached;
           let sym = Symfsm.of_circuit (Testmodel.netlist c) in
@@ -216,26 +227,6 @@ let test_netlist_equals_build () =
         (settings n_regs))
     [ 2; 4; 8 ]
 
-(* beyond 8 registers the product is too large to walk: follow both
-   along a random word instead *)
-let test_netlist_follows_build_at_scale () =
-  let rng = Simcov_util.Rng.create 23 in
-  List.iter
-    (fun n_regs ->
-      List.iter
-        (fun c ->
-          let m = Testmodel.build c and net = Testmodel.netlist c in
-          let rec go steps s latches =
-            if steps > 0 then
-              let code = Simcov_util.Rng.int rng (Testmodel.n_input_codes c) in
-              match step_both c m net s latches code with
-              | None -> go steps s latches
-              | Some (s', latches') -> go (steps - 1) s' latches'
-          in
-          go 2_000 m.Fsm.reset (Simcov_netlist.Circuit.initial_state net))
-        (settings n_regs))
-    [ 16; 32 ]
-
 let tabulations f =
   let reg = Simcov_obs.Obs.registry () in
   Fun.protect
@@ -244,6 +235,31 @@ let tabulations f =
       Simcov_obs.Obs.with_registry reg (fun () ->
           let r = f () in
           (r, Simcov_obs.Obs.count (Simcov_obs.Obs.counter "fsm.tabulations"))))
+
+(* beyond 8 registers the product is too large to walk: follow both
+   along a random word instead, through the functions [build] would
+   compile *)
+let test_netlist_follows_build_at_scale () =
+  let rng = Simcov_util.Rng.create 23 in
+  let (), tabs =
+    tabulations (fun () ->
+        List.iter
+          (fun n_regs ->
+            List.iter
+              (fun c ->
+                let m = functions c and net = Testmodel.netlist c in
+                let rec go steps s latches =
+                  if steps > 0 then
+                    let code = Simcov_util.Rng.int rng (Testmodel.n_input_codes c) in
+                    match step_both c m net s latches code with
+                    | None -> go steps s latches
+                    | Some (s', latches') -> go (steps - 1) s' latches'
+                in
+                go 2_000 m.Oracles.Machine.reset (Simcov_netlist.Circuit.initial_state net))
+              (settings n_regs))
+          [ 16; 32 ])
+  in
+  Alcotest.(check int) "no table built" 0 tabs
 
 (* at the paper's scale the figures come from the netlist alone and
    match the closed form: (2R - 1) R states (496 at 16 registers, 2,016
@@ -279,12 +295,11 @@ let test_digest_injective_at_32 () =
   let c = { cfg with Testmodel.n_regs = 32 } in
   let distinct, tabs =
     tabulations (fun () ->
-        let m = Testmodel.build c in
-        let seen = Hashtbl.create 4096 in
-        for s = 0 to m.Fsm.n_states - 1 do
-          Hashtbl.replace seen (m.Fsm.output s (nop_code c)) ()
+        let output = Testmodel.output c and seen = Hashtbl.create 4096 in
+        for s = 0 to Testmodel.n_states c - 1 do
+          Hashtbl.replace seen (output s (nop_code c)) ()
         done;
-        (m.Fsm.n_states, Hashtbl.length seen))
+        (Testmodel.n_states c, Hashtbl.length seen))
   in
   Alcotest.(check (pair int int)) "2,016 states, 2,016 NOP outputs" (2_016, 2_016) distinct;
   Alcotest.(check int) "read through the closures" 0 tabs
@@ -295,15 +310,15 @@ let test_digest_unchanged_to_16 () =
     (fun n_regs ->
       List.iter
         (fun (c : Testmodel.config) ->
-          let m = Testmodel.build c in
+          let output = Testmodel.output c in
           let p2_size = if c.Testmodel.track_dest then n_regs else 2 in
           let valid =
-            List.filter (m.Fsm.valid 0) (List.init (Testmodel.n_input_codes c) Fun.id)
+            List.filter (Testmodel.valid c 0) (List.init (Testmodel.n_input_codes c) Fun.id)
           in
-          for s = 0 to m.Fsm.n_states - 1 do
+          for s = 0 to Testmodel.n_states c - 1 do
             List.iter
               (fun code ->
-                let o = m.Fsm.output s code in
+                let o = output s code in
                 let old =
                   (o land 0x3F) lor ((s / p2_size) lsl 6) lor ((s mod p2_size) lsl 11)
                 in
@@ -374,6 +389,49 @@ let test_concretize_tour_runs_clean () =
           Alcotest.(check bool) "thousands of commits" true (n > 3000)
       | f -> Alcotest.failf "tour program must pass: %a" Simcov_dlx.Validate.pp_outcome f)
 
+(* at 32 registers the model tracks r31, which [jal] would write behind
+   its back: a random valid walk, one class drawn uniformly per step so
+   jumps are common, concretizes with no [jal] and co-simulates clean *)
+let test_concretize_no_jal_at_32 () =
+  let c = { cfg with Testmodel.n_regs = 32 } in
+  let rng = Simcov_util.Rng.create 32 in
+  let field used = if used then Simcov_util.Rng.int rng 32 else 0 in
+  let classes = Array.init 7 Isa.class_of_index in
+  let (word, jumps, conc, outcome), tabs =
+    tabulations (fun () ->
+        let rec walk n s acc =
+          if n = 0 then List.rev acc
+          else
+            let cls = Simcov_util.Rng.pick rng classes in
+            let rd = field (List.mem cls [ Isa.Alu_rr; Isa.Alu_ri; Isa.Load ]) in
+            let rs1 = field (not (List.mem cls [ Isa.Jump; Isa.Nopc ])) in
+            let rs2 = field (List.mem cls [ Isa.Alu_rr; Isa.Store ]) in
+            let taken = cls = Isa.Branch && Simcov_util.Rng.bool rng in
+            let code = Testmodel.input_code c { Testmodel.cls; rd; rs1; rs2; taken } in
+            if not (Testmodel.valid c s code) then Alcotest.failf "code %d invalid" code;
+            walk (n - 1) (Testmodel.next c s code) (code :: acc)
+        in
+        let word = walk 2_000 0 [] in
+        let jumps =
+          List.length
+            (List.filter (fun code -> (Testmodel.input_decode c code).Testmodel.cls = Isa.Jump) word)
+        in
+        let conc = Testmodel.concretize c word in
+        ( word,
+          jumps,
+          conc,
+          Simcov_dlx.Validate.run_program ~preload_regs:conc.Testmodel.preload_regs
+            ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program ))
+  in
+  Alcotest.(check int) "2,000 steps" 2_000 (List.length word);
+  Alcotest.(check bool) "the walk jumps often" true (jumps >= 100);
+  Alcotest.(check bool) "no jal" true
+    (Array.for_all (fun (i : Isa.t) -> i.Isa.op <> Isa.Jal) conc.Testmodel.program);
+  Alcotest.(check int) "no table built" 0 tabs;
+  match outcome with
+  | Simcov_dlx.Validate.Pass _ -> ()
+  | f -> Alcotest.failf "32-register program must pass: %a" Simcov_dlx.Validate.pp_outcome f
+
 let test_tour_program_catches_all_bugs () =
   match Simcov_testgen.Tour.transition_tour model with
   | None -> Alcotest.fail "tour must exist"
@@ -421,4 +479,5 @@ let suite =
     Alcotest.test_case "concretize branch directions" `Quick test_concretize_branch_directions;
     Alcotest.test_case "tour program runs clean" `Slow test_concretize_tour_runs_clean;
     Alcotest.test_case "tour program catches all bugs" `Slow test_tour_program_catches_all_bugs;
+    Alcotest.test_case "no jal at 32 registers" `Quick test_concretize_no_jal_at_32;
   ]
