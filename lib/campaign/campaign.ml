@@ -133,9 +133,9 @@ let pp_progress ppf p =
 
 type 'f outcome = { report : 'f report; verdicts : ('f * verdict) list }
 
-(* Periodic persistence: [flush] receives every verdict decided so far
-   (including resumed ones) after each [every] completed batches. The
-   list is unordered, one entry per decided fault. *)
+(* Periodic persistence: after each [every] completed batches, [flush]
+   receives the verdicts decided since the previous flush (the first
+   flush also the resumed ones). The list is unordered. *)
 type 'f checkpoint = { every : int; flush : ('f * verdict) list -> unit }
 
 (* Contiguous balanced shard ranges: [shard_ranges ~n ~jobs] covers
@@ -305,11 +305,11 @@ module Make (B : BACKEND) = struct
     Obs.set g_lanes width;
     (* checkpoint accumulation, shared by every shard: each completed
        batch appends its verdicts under the lock, and every [every]
-       batches the cumulative list (seeded with the resumed verdicts,
-       so a chain of interrupted runs never loses earlier decisions)
-       is handed to [flush] *)
+       batches the verdicts decided since the previous flush are handed
+       to [flush]. The first flush also carries the resumed verdicts,
+       so a chain of interrupted runs never loses earlier decisions. *)
     let ck_lock = Mutex.create () in
-    let decided =
+    let pending =
       ref
         (match checkpoint with
         | None -> []
@@ -321,6 +321,7 @@ module Make (B : BACKEND) = struct
               pre;
             !l)
     in
+    let n_decided = ref n_pre in
     let ck_batches = ref 0 in
     let sink =
       match checkpoint with
@@ -331,13 +332,16 @@ module Make (B : BACKEND) = struct
             Fun.protect
               ~finally:(fun () -> Mutex.unlock ck_lock)
               (fun () ->
-                decided := List.rev_append bvs !decided;
+                pending := List.rev_append bvs !pending;
+                n_decided := !n_decided + List.length bvs;
                 Stdlib.incr ck_batches;
                 if !ck_batches mod c.every = 0 then begin
                   Obs.incr c_checkpoints;
                   Obs.event "campaign.checkpoint" ~fields:(fun () ->
-                      [ ("decided", Json.Int (List.length !decided)) ]);
-                  c.flush !decided
+                      [ ("decided", Json.Int !n_decided) ]);
+                  let batch = !pending in
+                  pending := [];
+                  c.flush batch
                 end)
     in
     let ranges = shard_ranges ~n ~jobs in

@@ -210,12 +210,15 @@ type 'f checkpoint = {
       (** flush after every [every] completed batches (counted across
           all shards); must be positive *)
   flush : ('f * verdict) list -> unit;
-      (** Receives every verdict decided so far — resumed verdicts
-          included, so a chain of interrupted runs never loses earlier
-          decisions. The list is unordered, one entry per decided
-          fault. Called under the checkpoint lock: keep it quick, and
-          never let it raise (an exception would cost the calling
-          shard, which is then reported in [shard_failures]). *)
+      (** Receives the verdicts decided since the previous flush; the
+          first flush also carries the resumed verdicts, so a chain of
+          interrupted runs never loses earlier decisions. The flushes
+          of one run hold each decided verdict exactly once: a caller
+          that persists a snapshot accumulates them. The list is
+          unordered. Called under the checkpoint lock, so flushes never
+          overlap: keep it quick, and never let it raise (an exception
+          would cost the calling shard, which is then reported in
+          [shard_failures]). *)
 }
 (** Periodic persistence hook, designed to feed [Covdb.save]: because a
     verdict depends only on [(fault, stimulus word)], a snapshot taken
@@ -280,8 +283,8 @@ module Make (B : BACKEND) : sig
         are sharded, so resuming changes batching — but not verdicts,
         which depend only on [(fault, word)]; the assembled report
         equals the uninterrupted run's.
-      - [checkpoint] flushes cumulative verdicts every [every] batches
-        (see {!type-checkpoint}). The driver never flushes at the end
+      - [checkpoint] flushes the newly decided verdicts every [every]
+        batches (see {!type-checkpoint}). The driver never flushes at the end
         of the run — the caller persists the final outcome itself,
         where it also knows completeness.
       - [should_stop] is polled before each batch (and before each

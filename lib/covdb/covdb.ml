@@ -8,6 +8,7 @@ let schema = "simcov-covdb/1"
 let c_saves = Obs.counter "covdb.saves"
 let c_loads = Obs.counter "covdb.loads"
 let c_salvaged = Obs.counter "covdb.salvaged_lines"
+let tm_save = Obs.timer "covdb.save"
 
 type status =
   | Undetected
@@ -23,43 +24,44 @@ type header = {
   total : int;
 }
 
+module Keys = Map.Make (String)
+
+(* A record keeps its rendered snapshot line once a save has written
+   it ([""] until then), so a database saved again and again (one
+   checkpointed run) renders each line once, not once per save. *)
+type record = { status : status; mutable line : string }
+
 type t = {
   hdr : header;
-  tbl : (string, status) Hashtbl.t;
+  mutable recs : record Keys.t;  (* key order is the file order *)
   mutable complete : bool;
   mutable truncated : string option;
 }
 
-let create hdr =
-  { hdr; tbl = Hashtbl.create 256; complete = false; truncated = None }
-
+let create hdr = { hdr; recs = Keys.empty; complete = false; truncated = None }
 let header t = t.hdr
-let set t k s = Hashtbl.replace t.tbl k s
-let find t k = Hashtbl.find_opt t.tbl k
-let n_records t = Hashtbl.length t.tbl
+let find t k = Option.map (fun r -> r.status) (Keys.find_opt k t.recs)
+let n_records t = Keys.cardinal t.recs
 let complete t = t.complete
 let set_complete t b = t.complete <- b
 let truncated t = t.truncated
 let set_truncated t r = t.truncated <- r
-
-let sorted_keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort String.compare
-
-let iter t f = List.iter (fun k -> f k (Hashtbl.find t.tbl k)) (sorted_keys t)
+let iter t f = Keys.iter (fun k r -> f k r.status) t.recs
 
 let detected_keys t =
-  List.filter
-    (fun k -> match Hashtbl.find t.tbl k with Detected _ -> true | _ -> false)
-    (sorted_keys t)
+  Keys.fold
+    (fun k r acc -> match r.status with Detected _ -> k :: acc | _ -> acc)
+    t.recs []
+  |> List.rev
 
 let counts t =
-  Hashtbl.fold
-    (fun _ s (u, e, d) ->
-      match s with
+  Keys.fold
+    (fun _ r (u, e, d) ->
+      match r.status with
       | Undetected -> (u + 1, e, d)
       | Excited _ -> (u, e + 1, d)
       | Detected _ -> (u, e, d + 1))
-    t.tbl (0, 0, 0)
+    t.recs (0, 0, 0)
 
 let status_equal a b =
   match (a, b) with
@@ -69,22 +71,31 @@ let status_equal a b =
       a.detect_step = b.detect_step && a.excite_step = b.excite_step
   | _ -> false
 
+(* an equal status keeps the record, and with it its rendered line *)
+let set t k s =
+  match Keys.find_opt k t.recs with
+  | Some r when status_equal r.status s -> ()
+  | _ -> t.recs <- Keys.add k { status = s; line = "" } t.recs
+
 let equal a b =
   a.hdr = b.hdr && a.complete = b.complete && a.truncated = b.truncated
-  && n_records a = n_records b
-  && Hashtbl.fold
-       (fun k s ok ->
-         ok && match find b k with Some s' -> status_equal s s' | None -> false)
-       a.tbl true
+  && Keys.equal (fun r r' -> status_equal r.status r'.status) a.recs b.recs
 
 (* ---- the line format ---- *)
 
 (* a line is the minified JSON of its payload fields plus a trailing
-   ["crc"] field holding the CRC-32 of the payload-only rendering *)
+   ["crc"] field holding the CRC-32 of the payload-only rendering: the
+   payload is rendered once and the crc member spliced in before its
+   closing brace (every line has at least one payload field) *)
 let line_of_fields fields =
   let payload = Json.to_string ~indent:0 (Json.Obj fields) in
-  Json.to_string ~indent:0
-    (Json.Obj (fields @ [ ("crc", Json.String (Crc32.to_hex (Crc32.string payload))) ]))
+  String.concat ""
+    [
+      String.sub payload 0 (String.length payload - 1);
+      ",\"crc\":\"";
+      Crc32.to_hex (Crc32.string payload);
+      "\"}";
+    ]
 
 (* Verify and strip a line's crc: parse, split off the ["crc"] member,
    re-render the remaining fields minified (the parser preserves field
@@ -134,14 +145,21 @@ let footer_fields t =
 
 let save t path =
   Obs.incr c_saves;
+  Obs.span tm_save ~fields:(fun () ->
+      [ ("path", Json.String path); ("records", Json.Int (n_records t)) ])
+  @@ fun () ->
   Durable.write_file path (fun oc ->
-      let put fields =
-        output_string oc (line_of_fields fields);
+      let put line =
+        output_string oc line;
         output_char oc '\n'
       in
-      put (header_fields t.hdr);
-      iter t (fun k s -> put (record_fields k s));
-      put (footer_fields t))
+      put (line_of_fields (header_fields t.hdr));
+      Keys.iter
+        (fun k r ->
+          if r.line = "" then r.line <- line_of_fields (record_fields k r.status);
+          put r.line)
+        t.recs;
+      put (line_of_fields (footer_fields t)))
 
 type loaded = { db : t; salvaged : bool }
 

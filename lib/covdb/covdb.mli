@@ -65,7 +65,10 @@ val create : header -> t
 val header : t -> header
 
 val set : t -> string -> status -> unit
-(** Insert or replace one fault's record. *)
+(** Insert or replace one fault's record. A record keeps the snapshot
+    line a {!save} rendered for it while [set] gives its key an equal
+    status; a different status drops the line, and the next save
+    renders the new one. *)
 
 val find : t -> string -> status option
 val n_records : t -> int
@@ -99,7 +102,11 @@ val equal : t -> t -> bool
 
 val save : t -> string -> unit
 (** Publish a snapshot atomically and durably ({!Simcov_util.Durable}).
-    Records are written in ascending key order. *)
+    Records are written in ascending key order. Each record's line is
+    rendered by the first save that writes it and reused by later
+    saves of the same database, so saving one database after every
+    checkpoint flush renders each record once. Timed by the
+    [covdb.save] timer. *)
 
 type loaded = {
   db : t;

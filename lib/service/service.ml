@@ -160,17 +160,8 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
         | Some _ as f -> f
         | None -> p.Job.cov_resume
       in
-      let save_snapshot ~complete ~truncated pairs =
-        match ck_file with
-        | None -> Ok ()
-        | Some path ->
-            let db = Covdb.create hdr in
-            List.iter
-              (fun (f, v) -> Covdb.set db (key f) (status_of_verdict v))
-              pairs;
-            Covdb.set_complete db complete;
-            Covdb.set_truncated db truncated;
-            save_db db path
+      let add db pairs =
+        List.iter (fun (f, v) -> Covdb.set db (key f) (status_of_verdict v)) pairs
       in
       let flushes = Atomic.make 0 in
       (* the first failed flush; it stops the campaign like [should_stop]
@@ -179,13 +170,19 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
       let checkpoint =
         match ck_file with
         | None -> None
-        | Some _ ->
+        | Some path ->
+            (* one snapshot across the run's flushes: each flush adds the
+               verdicts decided since the last one, so a record's line
+               is rendered once, by the first save that writes it. The
+               checkpoint lock serialises the flushes. *)
+            let db = Covdb.create hdr in
             Some
               {
                 Campaign.every = p.Job.cov_checkpoint_every;
                 flush =
                   (fun pairs ->
-                    match save_snapshot ~complete:false ~truncated:None pairs with
+                    add db pairs;
+                    match save_db db path with
                     | Error e ->
                         ignore (Atomic.compare_and_set save_failed None (Some e))
                     | Ok () -> (
@@ -219,13 +216,19 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
         && r.Campaign.shard_failures = []
         && r.Campaign.skipped = 0
       in
+      (* the final snapshot holds the outcome's verdicts alone: a lost
+         shard's flushed verdicts are not among them *)
       let saved =
-        match Atomic.get save_failed with
-        | Some e -> Error e
-        | None ->
-            save_snapshot ~complete
-              ~truncated:(Option.map Budget.resource_name r.Campaign.truncated)
-              outcome.Campaign.verdicts
+        match (Atomic.get save_failed, ck_file) with
+        | Some e, _ -> Error e
+        | None, None -> Ok ()
+        | None, Some path ->
+            let db = Covdb.create hdr in
+            add db outcome.Campaign.verdicts;
+            Covdb.set_complete db complete;
+            Covdb.set_truncated db
+              (Option.map Budget.resource_name r.Campaign.truncated);
+            save_db db path
       in
       match saved with
       | Error e -> Error (4, e)

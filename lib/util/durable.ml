@@ -19,28 +19,44 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* numbers the temp files of this process: two writers of one
+   destination (two domains, or two daemon jobs naming one path) must
+   never share a temp file, or one's bytes land in the other's file and
+   the second rename finds nothing to rename *)
+let tmp_seq = Atomic.make 0
+
 let start dest =
-  let tmp = Printf.sprintf "%s.tmp.%d" dest (Unix.getpid ()) in
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" dest (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
   let oc = open_out_bin tmp in
   { dest; tmp; oc; state = `Open }
 
 let channel w = w.oc
 
-let commit w =
-  if w.state = `Open then begin
-    flush w.oc;
-    (try Unix.fsync (Unix.descr_of_out_channel w.oc) with Unix.Unix_error _ -> ());
-    close_out w.oc;
-    Sys.rename w.tmp w.dest;
-    fsync_dir (Filename.dirname w.dest);
-    w.state <- `Committed
-  end
-
+(* [close_out_noerr] also closes the descriptor when the final flush
+   fails, which [close_out] does not *)
 let abort w =
   if w.state = `Open then begin
-    (try close_out w.oc with Sys_error _ -> ());
+    close_out_noerr w.oc;
     (try Sys.remove w.tmp with Sys_error _ -> ());
     w.state <- `Aborted
+  end
+
+let commit w =
+  if w.state = `Open then begin
+    (try
+       flush w.oc;
+       (try Unix.fsync (Unix.descr_of_out_channel w.oc)
+        with Unix.Unix_error _ -> ());
+       close_out w.oc;
+       Sys.rename w.tmp w.dest
+     with e ->
+       abort w;
+       raise e);
+    fsync_dir (Filename.dirname w.dest);
+    w.state <- `Committed
   end
 
 let write_file path f =

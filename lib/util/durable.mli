@@ -22,13 +22,17 @@ type writer
 
 val start : string -> writer
 (** Open a temporary file next to the destination path (suffix
-    [".tmp.<pid>"]). The destination itself is not touched. *)
+    [".tmp.<pid>.<n>"], [n] counting the writers this process has
+    started, so concurrent writers of one path never share a temp
+    file). The destination itself is not touched. *)
 
 val channel : writer -> out_channel
 (** The channel to write through. Invalid after {!commit}/{!abort}. *)
 
 val commit : writer -> unit
 (** Flush, [fsync], rename over the destination, [fsync] the directory.
+    When the flush, close or rename raises, the temporary file is
+    removed and the exception re-raised, the destination untouched.
     Idempotent: a second call is a no-op. *)
 
 val abort : writer -> unit

@@ -554,3 +554,55 @@ module Cpp = struct
             (Euler.circuit g ~start ~mult)
         end
 end
+
+module Covdb = struct
+  module Covdb = Simcov_covdb.Covdb
+  module Json = Simcov_util.Json
+  module Crc32 = Simcov_util.Crc32
+
+  (* each line rendered twice: once without its crc, to checksum it,
+     and once with the crc member appended *)
+  let line fields =
+    let payload = Json.to_string ~indent:0 (Json.Obj fields) in
+    Json.to_string ~indent:0
+      (Json.Obj
+         (fields @ [ ("crc", Json.String (Crc32.to_hex (Crc32.string payload))) ]))
+
+  (* the snapshot bytes of a database holding [records], keys sorted *)
+  let snapshot (h : Covdb.header) ~complete ~truncated records =
+    let header =
+      [
+        ("schema", Json.String "simcov-covdb/1");
+        ("backend", Json.String h.Covdb.backend);
+        ("run", Json.String h.Covdb.run);
+        ("config_hash", Json.String h.Covdb.config_hash);
+        ("stim_hash", Json.String h.Covdb.stim_hash);
+        ("word_length", Json.Int h.Covdb.word_length);
+        ("total", Json.Int h.Covdb.total);
+      ]
+    in
+    let record (k, s) =
+      ("k", Json.String k)
+      ::
+      (match s with
+      | Covdb.Undetected -> [ ("s", Json.String "u") ]
+      | Covdb.Excited es -> [ ("s", Json.String "e"); ("es", Json.Int es) ]
+      | Covdb.Detected { excite_step; detect_step } ->
+          (("s", Json.String "d")
+          :: (match excite_step with None -> [] | Some es -> [ ("es", Json.Int es) ]))
+          @ [ ("ds", Json.Int detect_step) ])
+    in
+    let footer =
+      [
+        ("records", Json.Int (List.length records));
+        ("complete", Json.Bool complete);
+        ( "truncated",
+          match truncated with None -> Json.Null | Some r -> Json.String r );
+      ]
+    in
+    let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) records in
+    String.concat ""
+      (List.map
+         (fun fields -> line fields ^ "\n")
+         ((header :: List.map record sorted) @ [ footer ]))
+end

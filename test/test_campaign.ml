@@ -745,7 +745,9 @@ let check_synth_outcomes_equal ~what (a : int Campaign.outcome)
 let test_checkpoint_resume_equivalence () =
   let reference = Synth_driver.run synth_ctx synth_faults synth_word in
   let flushed = Atomic.make 0 in
-  let latest = ref [] in
+  (* a flush carries the verdicts decided since the previous one: the
+     snapshot accumulates them *)
+  let snapshot = Hashtbl.create 64 in
   let interrupted =
     Synth_driver.run ~jobs:2
       ~checkpoint:
@@ -753,7 +755,7 @@ let test_checkpoint_resume_equivalence () =
           Campaign.every = 1;
           flush =
             (fun pairs ->
-              latest := pairs;
+              List.iter (fun (f, v) -> Hashtbl.replace snapshot f v) pairs;
               Atomic.incr flushed);
         }
       ~should_stop:(fun () -> Atomic.get flushed >= 5)
@@ -764,8 +766,6 @@ let test_checkpoint_resume_equivalence () =
   Alcotest.(check (option string)) "a clean stop is not budget truncation" None
     (Option.map Simcov_util.Budget.resource_name
        interrupted.Campaign.report.Campaign.truncated);
-  let snapshot = Hashtbl.create 64 in
-  List.iter (fun (f, v) -> Hashtbl.replace snapshot f v) !latest;
   Alcotest.(check bool) "the snapshot holds some decisions" true
     (Hashtbl.length snapshot > 0);
   List.iter
@@ -838,6 +838,61 @@ let test_poisoned_single_shard () =
     (Simcov_service.Service.campaign_exit ~fail_under:None ~interrupted:false
        ~pct:(Campaign.coverage_pct rep) rep)
 
+(* The flush contract: the flushes of one run hold each decided
+   verdict once, each equal to its fault's final verdict; the first
+   flush carries the resumed verdicts; and when a batch is flushed as
+   soon as it completes and nothing stops the run, the flushes together
+   hold the outcome's verdicts. *)
+let qcheck_flush_contract =
+  QCheck.Test.make ~name:"checkpoint: each decided verdict is flushed once"
+    ~count:100
+    QCheck.(
+      quad (int_range 1 1_000_000) (oneofl ~print:string_of_int [ 1; 3 ])
+        (int_range 1 4) bool)
+    (fun (seed, jobs, every, resuming) ->
+      let rng = Rng.create seed in
+      let faults = List.init (1 + Rng.int rng 200) Fun.id in
+      let resumed = Hashtbl.create 64 in
+      if resuming then
+        List.iter
+          (fun (f, v) -> if Rng.int rng 3 = 0 then Hashtbl.replace resumed f v)
+          (Synth_driver.run synth_ctx faults synth_word).Campaign.verdicts;
+      let flushes = ref [] in
+      let outcome =
+        Synth_driver.run ~jobs
+          ?resume:(if resuming then Some (Hashtbl.find_opt resumed) else None)
+          ~checkpoint:
+            { Campaign.every; flush = (fun pairs -> flushes := pairs :: !flushes) }
+          synth_ctx faults synth_word
+      in
+      let flushes = List.rev !flushes in
+      let final = Hashtbl.create 256 in
+      List.iter (fun (f, v) -> Hashtbl.replace final f v) outcome.Campaign.verdicts;
+      let flushed = Hashtbl.create 256 in
+      List.iter
+        (List.iter (fun (f, v) ->
+             if Hashtbl.mem flushed f then
+               QCheck.Test.fail_reportf "fault %d flushed twice" f;
+             Hashtbl.replace flushed f ();
+             match Hashtbl.find_opt final f with
+             | Some v' when verdict_eq v v' -> ()
+             | _ -> QCheck.Test.fail_reportf "fault %d flushed a verdict it did not end with" f))
+        flushes;
+      (match flushes with
+      | first :: _ ->
+          Hashtbl.iter
+            (fun f _ ->
+              if not (List.mem_assoc f first) then
+                QCheck.Test.fail_reportf "resumed fault %d is not in the first flush" f)
+            resumed
+      | [] -> ());
+      if every = 1 && Hashtbl.length resumed < List.length faults then begin
+        if Hashtbl.length flushed <> Hashtbl.length final then
+          QCheck.Test.fail_reportf "%d verdicts flushed, %d decided"
+            (Hashtbl.length flushed) (Hashtbl.length final)
+      end;
+      true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_batched_eq_scalar;
@@ -878,4 +933,5 @@ let suite =
       test_poisoned_single_shard;
     Alcotest.test_case "masked verdicts occur, some detected later" `Quick
       test_masked_verdicts_occur;
+    QCheck_alcotest.to_alcotest qcheck_flush_contract;
   ]

@@ -289,6 +289,92 @@ let test_save_leaves_no_temp () =
         [ "db.covdb" ]
         (Array.to_list (Sys.readdir dir)))
 
+(* ---- the rendered-line cache ---- *)
+
+let random_status rng =
+  match Rng.int rng 3 with
+  | 0 -> Covdb.Undetected
+  | 1 -> Covdb.Excited (Rng.int rng 100)
+  | _ ->
+      Covdb.Detected
+        {
+          excite_step = (if Rng.bool rng then Some (Rng.int rng 100) else None);
+          detect_step = Rng.int rng 100;
+        }
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+(* One database changes through a random sequence of sets (new keys,
+   re-sets with an equal status, changed statuses) and is saved between
+   them, as a checkpointed run saves its snapshot after every flush.
+   Every save must write the bytes of a fresh database holding the same
+   records, and of the reference renderer: a line kept from an earlier
+   save must never outlive its record's status. *)
+let qcheck_resave_equals_fresh =
+  QCheck.Test.make ~name:"covdb: a re-saved database writes a fresh one's bytes"
+    ~count:100
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let h = hdr ~run:(Printf.sprintf "run%d" seed) ~total:60 () in
+      let db = Covdb.create h in
+      let model = Hashtbl.create 64 in
+      with_tmp @@ fun path ->
+      with_tmp @@ fun fresh_path ->
+      for _ = 1 to 1 + Rng.int rng 8 do
+        for _ = 1 to Rng.int rng 20 do
+          let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
+          let k, s =
+            match (Rng.int rng 3, keys) with
+            | 0, _ | _, [] ->
+                (Printf.sprintf "f:%d" (Rng.int rng 60), random_status rng)
+            | 1, _ ->
+                let k = List.nth keys (Rng.int rng (List.length keys)) in
+                (* an equal status, but not the same value *)
+                let s =
+                  match Hashtbl.find model k with
+                  | Covdb.Undetected -> Covdb.Undetected
+                  | Covdb.Excited e -> Covdb.Excited e
+                  | Covdb.Detected { excite_step; detect_step } ->
+                      Covdb.Detected { excite_step; detect_step }
+                in
+                (k, s)
+            | _ ->
+                let k = List.nth keys (Rng.int rng (List.length keys)) in
+                let s0 = Hashtbl.find model k in
+                let rec changed () =
+                  let s = random_status rng in
+                  if Covdb.status_equal s s0 then changed () else s
+                in
+                (k, changed ())
+          in
+          Covdb.set db k s;
+          Hashtbl.replace model k s
+        done;
+        let complete = Rng.bool rng in
+        let truncated = if Rng.int rng 4 = 0 then Some "steps" else None in
+        Covdb.set_complete db complete;
+        Covdb.set_truncated db truncated;
+        Covdb.save db path;
+        let fresh = Covdb.create h in
+        Hashtbl.iter (Covdb.set fresh) model;
+        Covdb.set_complete fresh complete;
+        Covdb.set_truncated fresh truncated;
+        Covdb.save fresh fresh_path;
+        let got = read path in
+        if got <> read fresh_path then
+          QCheck.Test.fail_reportf "re-saved snapshot differs from a fresh one:\n%s\nvs\n%s"
+            got (read fresh_path);
+        let reference =
+          Oracles.Covdb.snapshot h ~complete ~truncated
+            (Hashtbl.fold (fun k s acc -> (k, s) :: acc) model [])
+        in
+        if got <> reference then
+          QCheck.Test.fail_reportf "snapshot differs from the reference:\n%s\nvs\n%s"
+            got reference
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "snapshot round-trip" `Quick test_round_trip;
@@ -306,4 +392,5 @@ let suite =
       test_minimize_nothing_detected;
     Alcotest.test_case "atomic save leaves no temp files" `Quick
       test_save_leaves_no_temp;
+    QCheck_alcotest.to_alcotest qcheck_resave_equals_fresh;
   ]

@@ -451,7 +451,10 @@ let chaos_instance () =
   let word = Simcov_testgen.Tour.random_word rng m ~length:120 in
   (m, faults, word)
 
-let chaos_save_snapshot ~total path pairs =
+let chaos_child_main path =
+  let m, faults, word = chaos_instance () in
+  (* one snapshot across the run, as [Service] keeps it: each flush
+     adds the verdicts decided since the previous one and saves *)
   let db =
     Covdb.create
       {
@@ -460,26 +463,21 @@ let chaos_save_snapshot ~total path pairs =
         config_hash = "0";
         stim_hash = "0";
         word_length = 120;
-        total;
+        total = List.length faults;
       }
   in
-  List.iter
-    (fun (f, v) -> Covdb.set db (Fault.key f) (status_of_verdict v))
-    pairs;
-  Covdb.save db path
-
-let chaos_child_main path =
-  let m, faults, word = chaos_instance () in
+  let flush pairs =
+    List.iter
+      (fun (f, v) -> Covdb.set db (Fault.key f) (status_of_verdict v))
+      pairs;
+    Covdb.save db path
+  in
   (* three 63-lane batches, a flush after every one, slowed down so
      the parent's kill lands mid-campaign *)
   ignore
     (Detect.campaign_outcome
        ~on_batch:(fun _ -> Unix.sleepf 0.005)
-       ~checkpoint:
-         {
-           Campaign.every = 1;
-           flush = chaos_save_snapshot ~total:(List.length faults) path;
-         }
+       ~checkpoint:{ Campaign.every = 1; flush }
        m faults word);
   exit 0
 

@@ -961,6 +961,31 @@ let qcheck_stim_hash_ints =
       in
       Service.stim_hash_ints word = reference)
 
+(* a checkpoint path naming a directory: every save fails at its
+   rename, the job exits 4 naming the path, and no temp file is left
+   beside it *)
+let test_checkpoint_onto_directory () =
+  let dest = Filename.temp_file "simcov-ckdir" "" in
+  Sys.remove dest;
+  Unix.mkdir dest 0o755;
+  let dir = Filename.dirname dest and base = Filename.basename dest in
+  let temps () =
+    List.filter
+      (String.starts_with ~prefix:(base ^ ".tmp."))
+      (Array.to_list (Sys.readdir dir))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (temps ());
+      Unix.rmdir dest)
+    (fun () ->
+      let o = Service.run (coverage_job ~checkpoint:dest ~count:10 ()) in
+      check int "exit 4" 4 o.Service.exit_code;
+      (match o.Service.error with
+      | Some e -> check bool "names the path" true (contains e dest)
+      | None -> fail "no error");
+      check (list string) "no temp file left" [] (temps ()))
+
 let suite =
   [
     test_case "job JSON round-trips exactly" `Quick test_job_roundtrip;
@@ -992,4 +1017,6 @@ let suite =
       test_validate_lost_shard_exit;
     test_case "cache charges the compiled form" `Quick test_cache_charges_compiled_form;
     QCheck_alcotest.to_alcotest qcheck_stim_hash_ints;
+    test_case "checkpoint onto a directory exits 4, no temp left" `Quick
+      test_checkpoint_onto_directory;
   ]

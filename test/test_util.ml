@@ -299,6 +299,63 @@ let test_durable_write_is_atomic_on_raise () =
             Alcotest.failf "leftover temp file %s" f)
         (Sys.readdir dir))
 
+(* the temp files a write to [dir]/[base] left behind *)
+let leftover_temps dir base =
+  List.filter
+    (String.starts_with ~prefix:(base ^ ".tmp."))
+    (Array.to_list (Sys.readdir dir))
+
+(* two domains write one path at once, 200 times: each must publish
+   its own bytes whole, so a read after both commits sees one of the two
+   contents, neither writer raises, and no temp file is left *)
+let test_durable_concurrent_writers () =
+  let path = Filename.temp_file "simcov_durable" ".txt" in
+  let dir = Filename.dirname path and base = Filename.basename path in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (base :: leftover_temps dir base))
+    (fun () ->
+      let a = String.make 65536 'a' and b = String.make 32768 'b' in
+      let write s () =
+        match Durable.write_string path s with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e)
+      in
+      for round = 1 to 200 do
+        let other = Domain.spawn (write b) in
+        let mine = write a () in
+        (match (mine, Domain.join other) with
+        | None, None -> ()
+        | Some e, _ | _, Some e -> Alcotest.failf "round %d: a writer raised %s" round e);
+        let got = In_channel.with_open_bin path In_channel.input_all in
+        if got <> a && got <> b then
+          Alcotest.failf "round %d: read back %d torn bytes" round (String.length got)
+      done;
+      Alcotest.(check (list string)) "no temp file left" [] (leftover_temps dir base))
+
+(* a commit that cannot rename (the destination is a directory) raises
+   and removes its temp file *)
+let test_durable_failed_commit_leaves_no_temp () =
+  let dest = Filename.temp_file "simcov_durable" ".dir" in
+  Sys.remove dest;
+  Unix.mkdir dest 0o755;
+  let dir = Filename.dirname dest and base = Filename.basename dest in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (leftover_temps dir base);
+      Unix.rmdir dest)
+    (fun () ->
+      (match Durable.write_string dest "snapshot" with
+      | () -> Alcotest.fail "a write over a directory succeeded"
+      | exception Sys_error _ -> ());
+      Alcotest.(check bool) "the directory is still there" true
+        (Sys.is_directory dest);
+      Alcotest.(check (list string)) "no temp file left" [] (leftover_temps dir base))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -333,4 +390,8 @@ let suite =
       test_durable_write_is_atomic_on_raise;
     QCheck_alcotest.to_alcotest qcheck_crc32_bitwise;
     QCheck_alcotest.to_alcotest qcheck_json_add_int;
+    Alcotest.test_case "durable: concurrent writers of one path" `Quick
+      test_durable_concurrent_writers;
+    Alcotest.test_case "durable: a failed commit removes its temp file" `Quick
+      test_durable_failed_commit_leaves_no_temp;
   ]
