@@ -113,7 +113,7 @@ let exp_sec72 () =
   row "tour length lower bound" (fmt_float n_trans) "1069 million (non-optimal tour)";
   row "transition-relation conjuncts"
     (Printf.sprintf "%d (%d nodes total)" (List.length sym.parts)
-       (List.fold_left (fun acc p -> acc + Simcov_bdd.Bdd.size p.rel) 0 sym.parts))
+       (List.fold_left (fun acc p -> acc + Simcov_bdd.Bdd.size sym.man p.rel) 0 sym.parts))
     "-";
   row "relation build time (partitioned)" (Printf.sprintf "%.2fs" t_build)
     "~10s (Ultrasparc 166MHz)";
@@ -806,6 +806,12 @@ let exp_traversal reorder_json =
     add "  \"inputs\": %d,\n" sym.n_input_vars;
     add "  \"reachable_states\": %.0f,\n" base_states;
     add "  \"iterations\": %d,\n" base_tr.iterations;
+    let gc = Gc.get () in
+    add
+      "  \"host\": {\"cores\": %d, \"ocaml\": \"%s\", \"minor_heap_words\": %d, \
+       \"space_overhead\": %d},\n"
+      (Domain.recommended_domain_count ()) Sys.ocaml_version gc.Gc.minor_heap_size
+      gc.Gc.space_overhead;
     add "  \"configs\": [\n";
     List.iteri
       (fun i ((partitioned, frontier), _, (build_s, (tr : traversal), _)) ->
@@ -844,7 +850,7 @@ let bechamel_suite () =
         Simcov_bdd.Bdd.band m !f
           (Simcov_bdd.Bdd.bor m (Simcov_bdd.Bdd.var m v) (Simcov_bdd.Bdd.var m (15 - v)))
     done;
-    Simcov_bdd.Bdd.size !f
+    Simcov_bdd.Bdd.size m !f
   in
   let rng0 = Rng.create 99 in
   let random_machine = Fsm.random_connected rng0 ~n_states:300 ~n_inputs:3 ~n_outputs:4 in

@@ -1,46 +1,60 @@
-type t = False | True | Node of { mutable v : int; mutable lo : t; mutable hi : t; uid : int }
-(* Node fields are mutable for exactly one reason: an adjacent-level
-   swap during dynamic reordering rewrites a node in place, so every
-   OCaml value holding it (roots, pinned arguments, cached literals)
-   keeps seeing the same boolean function through the same physical
-   node. Outside [swap_adjacent] the fields are never written. *)
+(* ------------------------------------------------------------------ *)
+(* Node store                                                          *)
+(*                                                                     *)
+(* A BDD is an int handle: the index of a slot in its manager's flat   *)
+(* [nodes] array. A slot is one int holding the node's variable (11    *)
+(* bits) above its low and high children (26 bits each), so its low   *)
+(* 52 bits are exactly its unique-table key. Slots 0 and 1 are the     *)
+(* constants false and true; their variable is the sentinel [nvars],   *)
+(* whose level sorts below every real level, and their children are    *)
+(* themselves. A free slot has the all-ones variable [free_var] and    *)
+(* waits on the free stack (threaded through the free slots' low       *)
+(* fields) until a new node takes it, so a handle left unrooted across *)
+(* a collection dangles: while its slot is free every public operation *)
+(* refuses it, and once the slot is reused it names an unrelated node. *)
+(* Nodes are never boxed: creating or rewriting one is one int store,  *)
+(* with no allocation and no GC write barrier.                         *)
+(* ------------------------------------------------------------------ *)
+
+type t = int
 
 (* ------------------------------------------------------------------ *)
 (* Packed int keys                                                     *)
 (*                                                                     *)
 (* Every table in the manager is keyed by a single native int. The     *)
 (* unique table is split per variable, so its key is just the child    *)
-(* pair (lo_uid, hi_uid) packed as lo:26 | hi:26; a binary-operation   *)
-(* cache entry is (uid_a, uid_b) packed the same way. The limits —     *)
-(* 1024 variables, 2^26 (~67M) live nodes — are far beyond what fits   *)
-(* in memory here and are enforced explicitly. Uids of garbage-        *)
-(* collected nodes are recycled, so the 2^26 ceiling applies to peak   *)
-(* live nodes, not to the total ever allocated.                        *)
+(* pair (lo, hi) packed as lo:26 | hi:26; a binary-operation cache     *)
+(* entry is (a, b) packed the same way. The limits — 1024 variables,   *)
+(* 2^26 (~67M) slots — are far beyond what fits in memory here and are *)
+(* enforced explicitly. Freed slots are reused, so the 2^26 ceiling    *)
+(* applies to peak live nodes, not to the total ever allocated.        *)
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 (*                                                                     *)
-(* Process-global counters shared by every manager (cf. the Obs        *)
-(* overhead contract: each probe below is one int store, which is what *)
-(* lets them sit inside the cache-lookup hot paths). The live/peak     *)
-(* gauges track the manager that allocated or collected most recently. *)
+(* The hot paths (unique-table and op-cache probes) count into plain   *)
+(* int fields of the manager, and [flush] adds them to these Obs       *)
+(* metrics when the outermost public operation ends (and after a       *)
+(* reordering pass). An Obs update resolves the current registry's     *)
+(* cell first, which is too dear per node; a snapshot taken between    *)
+(* operations reads the same totals either way. The live/peak gauges   *)
+(* track the manager that allocated or collected most recently.        *)
 (* ------------------------------------------------------------------ *)
 
 module Obs = Simcov_obs.Obs
 
-let c_unique_hit = Obs.counter "bdd.unique.hit"
-let c_unique_miss = Obs.counter "bdd.unique.miss"
-let c_and_hit = Obs.counter "bdd.cache.and.hit"
-let c_and_miss = Obs.counter "bdd.cache.and.miss"
-let c_or_hit = Obs.counter "bdd.cache.or.hit"
-let c_or_miss = Obs.counter "bdd.cache.or.miss"
-let c_xor_hit = Obs.counter "bdd.cache.xor.hit"
-let c_xor_miss = Obs.counter "bdd.cache.xor.miss"
-let c_not_hit = Obs.counter "bdd.cache.not.hit"
-let c_not_miss = Obs.counter "bdd.cache.not.miss"
-let c_ite_hit = Obs.counter "bdd.cache.ite.hit"
-let c_ite_miss = Obs.counter "bdd.cache.ite.miss"
+(* the hot-path counters, by their index in a manager's [pending] *)
+let hot_counters =
+  Array.map Obs.counter
+    [| "bdd.unique.hit"; "bdd.unique.miss"; "bdd.cache.and.hit";
+       "bdd.cache.and.miss"; "bdd.cache.or.hit"; "bdd.cache.or.miss";
+       "bdd.cache.xor.hit"; "bdd.cache.xor.miss"; "bdd.cache.not.hit";
+       "bdd.cache.not.miss"; "bdd.cache.ite.hit"; "bdd.cache.ite.miss" |]
+
+let unique_hit = 0 and unique_miss = 1 and and_hit = 2 and and_miss = 3
+let or_hit = 4 and or_miss = 5 and xor_hit = 6 and xor_miss = 7
+let not_hit = 8 and not_miss = 9 and ite_hit = 10 and ite_miss = 11
 let c_gc_runs = Obs.counter "bdd.gc.runs"
 let c_gc_reclaimed = Obs.counter "bdd.gc.reclaimed"
 let g_nodes_live = Obs.gauge "bdd.nodes.live"
@@ -50,20 +64,26 @@ let c_reorder_swaps = Obs.counter "bdd.reorder.swaps"
 let g_reorder_before = Obs.gauge "bdd.reorder.nodes_before"
 let g_reorder_after = Obs.gauge "bdd.reorder.nodes_after"
 
-let uid_bits = 26
-let uid_limit = 1 lsl uid_bits
+let slot_bits = 26
+let slot_limit = 1 lsl slot_bits
 let var_limit = 1 lsl 10
 
-let pack2 a b = (a lsl uid_bits) lor b
+let pack2 a b = (a lsl slot_bits) lor b
+
+(* slot layout: variable | low | high *)
+let var_shift = 2 * slot_bits
+let child_mask = slot_limit - 1
+let free_var = (1 lsl (Sys.int_size - var_shift)) - 1
 
 (* ------------------------------------------------------------------ *)
 (* Open-addressed int-keyed hash tables                                *)
 (*                                                                     *)
-(* Linear probing over power-of-two arrays. Deletion uses tombstones   *)
-(* (needed by the reordering swap, which unlinks individual nodes);    *)
-(* the garbage collector still compacts wholesale. Real keys are       *)
-(* always non-negative, so the two sentinels live in the negative      *)
-(* range.                                                              *)
+(* Linear probing over power-of-two arrays, int keys to int values.    *)
+(* Deletion uses tombstones (needed by the reordering swap, which      *)
+(* unlinks individual nodes); the garbage collector still compacts     *)
+(* wholesale. Real keys are always non-negative, so the two sentinels  *)
+(* live in the negative range. The probe loops are top-level           *)
+(* functions, so a lookup allocates no closure.                        *)
 (* ------------------------------------------------------------------ *)
 
 let empty_key = min_int
@@ -74,39 +94,38 @@ let mix k =
   h lxor (h lsr 29)
 
 module Itab = struct
-  type 'a tab = {
+  type tab = {
     mutable keys : int array;
-    mutable data : 'a array;
+    mutable data : int array;
     mutable used : int;  (* live entries *)
     mutable filled : int;  (* live entries + tombstones *)
-    dummy : 'a;
   }
 
   let round_pow2 n =
     let rec go c = if c >= n then c else go (c * 2) in
     go 16
 
-  let create size dummy =
+  let create size =
     let n = round_pow2 size in
-    {
-      keys = Array.make n empty_key;
-      data = Array.make n dummy;
-      used = 0;
-      filled = 0;
-      dummy;
-    }
+    { keys = Array.make n empty_key; data = Array.make n 0; used = 0; filled = 0 }
 
   (* index of [k], or -1 when absent; tombstones are skipped *)
+  let rec probe keys mask k i =
+    let key = Array.unsafe_get keys i in
+    if key = k then i
+    else if key = empty_key then -1
+    else probe keys mask k ((i + 1) land mask)
+
   let find_idx t k =
-    let m = Array.length t.keys - 1 in
     let keys = t.keys in
-    let rec go i =
-      let key = Array.unsafe_get keys i in
-      if key = k then i else if key = empty_key then -1 else go ((i + 1) land m)
-    in
-    go (mix k land m)
+    let mask = Array.length keys - 1 in
+    probe keys mask k (mix k land mask)
 
   let value t i = Array.unsafe_get t.data i
+
+  let rec empty_slot keys mask j =
+    if Array.unsafe_get keys j = empty_key then j
+    else empty_slot keys mask ((j + 1) land mask)
 
   (* rehash, dropping tombstones; grows only when the live load asks
      for it (a rehash at the same size is how a tombstone-heavy table
@@ -115,53 +134,51 @@ module Itab = struct
     let old_keys = t.keys and old_data = t.data in
     let len = Array.length old_keys in
     let n = if 2 * (t.used + 1) > len then 2 * len else len in
-    let keys = Array.make n empty_key and data = Array.make n t.dummy in
-    let m = n - 1 in
-    Array.iteri
-      (fun i k ->
-        if k <> empty_key && k <> tomb_key then begin
-          let rec go j =
-            if Array.unsafe_get keys j = empty_key then j else go ((j + 1) land m)
-          in
-          let j = go (mix k land m) in
-          keys.(j) <- k;
-          data.(j) <- old_data.(i)
-        end)
-      old_keys;
+    let keys = Array.make n empty_key and data = Array.make n 0 in
+    let mask = n - 1 in
+    for i = 0 to len - 1 do
+      let k = Array.unsafe_get old_keys i in
+      if k <> empty_key && k <> tomb_key then begin
+        let j = empty_slot keys mask (mix k land mask) in
+        Array.unsafe_set keys j k;
+        Array.unsafe_set data j (Array.unsafe_get old_data i)
+      end
+    done;
     t.keys <- keys;
     t.data <- data;
     t.filled <- t.used
 
+  (* [tomb] is the first tombstone on the probe path: if the key is
+     absent it is the insertion slot *)
+  let rec add_at t k v mask i tomb =
+    let keys = t.keys in
+    let key = Array.unsafe_get keys i in
+    if key = empty_key then begin
+      if tomb >= 0 then begin
+        Array.unsafe_set keys tomb k;
+        Array.unsafe_set t.data tomb v
+      end
+      else begin
+        Array.unsafe_set keys i k;
+        Array.unsafe_set t.data i v;
+        t.filled <- t.filled + 1
+      end;
+      t.used <- t.used + 1
+    end
+    else if key = k then Array.unsafe_set t.data i v
+    else if key = tomb_key && tomb < 0 then add_at t k v mask ((i + 1) land mask) i
+    else add_at t k v mask ((i + 1) land mask) tomb
+
   let add t k v =
     if 4 * (t.filled + 1) > 3 * Array.length t.keys then resize t;
-    let m = Array.length t.keys - 1 in
-    (* remember the first tombstone on the probe path: if the key is
-       absent it is the insertion slot *)
-    let rec go i tomb =
-      let key = Array.unsafe_get t.keys i in
-      if key = empty_key then begin
-        if tomb >= 0 then begin
-          t.keys.(tomb) <- k;
-          t.data.(tomb) <- v
-        end
-        else begin
-          t.keys.(i) <- k;
-          t.data.(i) <- v;
-          t.filled <- t.filled + 1
-        end;
-        t.used <- t.used + 1
-      end
-      else if key = k then t.data.(i) <- v
-      else if key = tomb_key && tomb < 0 then go ((i + 1) land m) i
-      else go ((i + 1) land m) tomb
-    in
-    go (mix k land m) (-1)
+    let mask = Array.length t.keys - 1 in
+    add_at t k v mask (mix k land mask) (-1)
 
   let remove t k =
     let i = find_idx t k in
     if i >= 0 then begin
       t.keys.(i) <- tomb_key;
-      t.data.(i) <- t.dummy;
+      t.data.(i) <- 0;
       t.used <- t.used - 1
     end
 
@@ -175,80 +192,69 @@ module Itab = struct
   let length t = t.used
 end
 
-(* ITE needs three uids (78 bits), so its cache carries two key words
-   per entry. *)
+(* ITE needs three handles (78 bits), so its cache carries two key
+   words per entry. *)
 module Itab2 = struct
-  type 'a tab = {
+  type tab = {
     mutable ka : int array;
     mutable kb : int array;
-    mutable data : 'a array;
+    mutable data : int array;
     mutable used : int;
-    dummy : 'a;
   }
 
-  let create size dummy =
+  let create size =
     let n = Itab.round_pow2 size in
-    {
-      ka = Array.make n empty_key;
-      kb = Array.make n 0;
-      data = Array.make n dummy;
-      used = 0;
-      dummy;
-    }
+    { ka = Array.make n empty_key; kb = Array.make n 0; data = Array.make n 0; used = 0 }
 
   let hash a b = mix (a lxor mix b)
 
+  let rec probe ka kb mask a b i =
+    let key = Array.unsafe_get ka i in
+    if key = a && Array.unsafe_get kb i = b then i
+    else if key = empty_key then -1
+    else probe ka kb mask a b ((i + 1) land mask)
+
   let find_idx t a b =
-    let m = Array.length t.ka - 1 in
-    let rec go i =
-      let key = Array.unsafe_get t.ka i in
-      if key = a && Array.unsafe_get t.kb i = b then i
-      else if key = empty_key then -1
-      else go ((i + 1) land m)
-    in
-    go (hash a b land m)
+    let mask = Array.length t.ka - 1 in
+    probe t.ka t.kb mask a b (hash a b land mask)
 
   let value t i = Array.unsafe_get t.data i
 
   let resize t =
     let old_ka = t.ka and old_kb = t.kb and old_data = t.data in
-    let n = 2 * Array.length old_ka in
-    let ka = Array.make n empty_key
-    and kb = Array.make n 0
-    and data = Array.make n t.dummy in
-    let m = n - 1 in
-    Array.iteri
-      (fun i a ->
-        if a <> empty_key then begin
-          let b = old_kb.(i) in
-          let rec go j =
-            if Array.unsafe_get ka j = empty_key then j else go ((j + 1) land m)
-          in
-          let j = go (hash a b land m) in
-          ka.(j) <- a;
-          kb.(j) <- b;
-          data.(j) <- old_data.(i)
-        end)
-      old_ka;
+    let len = Array.length old_ka in
+    let n = 2 * len in
+    let ka = Array.make n empty_key and kb = Array.make n 0 and data = Array.make n 0 in
+    let mask = n - 1 in
+    for i = 0 to len - 1 do
+      let a = Array.unsafe_get old_ka i in
+      if a <> empty_key then begin
+        let b = Array.unsafe_get old_kb i in
+        let j = Itab.empty_slot ka mask (hash a b land mask) in
+        Array.unsafe_set ka j a;
+        Array.unsafe_set kb j b;
+        Array.unsafe_set data j (Array.unsafe_get old_data i)
+      end
+    done;
     t.ka <- ka;
     t.kb <- kb;
     t.data <- data
 
+  let rec add_at t a b v mask i =
+    let key = Array.unsafe_get t.ka i in
+    if key = empty_key then begin
+      Array.unsafe_set t.ka i a;
+      Array.unsafe_set t.kb i b;
+      Array.unsafe_set t.data i v;
+      t.used <- t.used + 1
+    end
+    else if key = a && Array.unsafe_get t.kb i = b then Array.unsafe_set t.data i v
+    else add_at t a b v mask ((i + 1) land mask)
+
   let add t a b v =
     if 4 * (t.used + 1) > 3 * Array.length t.ka then resize t;
-    let m = Array.length t.ka - 1 in
-    let rec go i =
-      let key = Array.unsafe_get t.ka i in
-      if key = empty_key then begin
-        t.ka.(i) <- a;
-        t.kb.(i) <- b;
-        t.data.(i) <- v;
-        t.used <- t.used + 1
-      end
-      else if key = a && Array.unsafe_get t.kb i = b then t.data.(i) <- v
-      else go ((i + 1) land m)
-    in
-    go (hash a b land m)
+    let mask = Array.length t.ka - 1 in
+    add_at t a b v mask (hash a b land mask)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -272,26 +278,30 @@ type reorder_stats = {
 type man = {
   nvars : int;
   cache_size0 : int;
+  mutable nodes : int array;  (* slot -> variable | low | high *)
+  mutable free_top : int;  (* most recently freed slot while [n_free > 0];
+                              each free slot's low field names the next *)
+  mutable n_free : int;
+  mutable next_slot : int;  (* slots [0, next_slot) have been handed out *)
   (* unique table, split per VARIABLE (not per level): a node whose
      variable merely changes level during a swap never moves tables *)
-  subtables : t Itab.tab array;
+  subtables : Itab.tab array;
   (* the var <-> level indirection: [var_of_level.(l)] is the variable
      sitting at position [l] of the order, [level_of_var] its inverse.
-     Both start as the identity and change only under reordering. *)
+     Both start as the identity and change only under reordering.
+     [level_of_var] has one more entry, for the constants' sentinel
+     variable [nvars]: its level is [max_int]. *)
   level_of_var : int array;
   var_of_level : int array;
   mutable live : int;  (* total nodes across all subtables *)
-  mutable next_uid : int;
-  mutable free_uids : int list;  (* uids of swept nodes, ready for reuse *)
-  mutable n_free : int;  (* List.length free_uids, maintained *)
-  mutable and_cache : t Itab.tab;
-  mutable or_cache : t Itab.tab;
-  mutable xor_cache : t Itab.tab;
-  mutable not_cache : t Itab.tab;
-  mutable ite_cache : t Itab2.tab;
-  mutable max_nodes : int;  (* live-node ceiling; [uid_limit] = unbounded *)
-  pos_lits : t array;  (* literal nodes, created on first use, never swept *)
-  neg_lits : t array;
+  mutable and_cache : Itab.tab;
+  mutable or_cache : Itab.tab;
+  mutable xor_cache : Itab.tab;
+  mutable not_cache : Itab.tab;
+  mutable ite_cache : Itab2.tab;
+  mutable max_nodes : int;  (* live-node ceiling; [slot_limit] = unbounded *)
+  pos_lits : int array;  (* literal nodes, created on first use (0 until then), never swept *)
+  neg_lits : int array;
   roots : (int, t) Hashtbl.t;  (* registered external roots *)
   mutable next_root : int;
   mutable temp_roots : t list;  (* arguments of the op in flight *)
@@ -310,7 +320,15 @@ type man = {
   mutable reorder_swapped : int;
   mutable last_before : int;
   mutable last_after : int;
-  mutable refs : int array;  (* uid -> refcount; non-empty during a sift only *)
+  mutable refs : int array;  (* slot -> refcount; non-empty during a sift only *)
+  mutable work : int array;  (* (key, slot) pairs: a swap's rewrite list, a sweep's survivors *)
+  mutable stamp : Bytes.t;  (* slot -> epoch of the last traversal that visited it *)
+  mutable epoch : int;  (* 1 .. 255 *)
+  mutable counts : float array;  (* slot -> [sat_count]'s memo, valid where stamped *)
+  (* telemetry not yet flushed to Obs *)
+  pending : int array;  (* counts by [hot_counters] index *)
+  mutable n_peak : int;  (* highest live count at a node creation; 0 = none *)
+  mutable flushed_swaps : int;  (* [reorder_swapped] already added to Obs *)
 }
 
 exception Node_limit of int
@@ -318,6 +336,27 @@ exception Node_limit of int
 (* Internal: the unique table is full; the outermost public operation
    catches this, garbage-collects, and retries. *)
 exception Gc_needed
+
+let[@inline] word m s = Array.unsafe_get m.nodes s
+let[@inline] var_of w = w lsr var_shift
+let[@inline] lo_of w = (w lsr slot_bits) land child_mask
+let[@inline] hi_of w = w land child_mask
+let[@inline] var_at m s = var_of (word m s)
+let[@inline] lo_at m s = lo_of (word m s)
+let[@inline] hi_at m s = hi_of (word m s)
+
+(* The order position of a node for cofactoring purposes: constants
+   sort below every real level. *)
+let[@inline] lvl m s = Array.unsafe_get m.level_of_var (var_at m s)
+
+(* [Stdlib.min] compares polymorphically *)
+let[@inline] imin (a : int) b = if a <= b then a else b
+
+let[@inline] set_node m s v lo hi =
+  Array.unsafe_set m.nodes s ((v lsl var_shift) lor pack2 lo hi)
+
+let capacity m = Array.length m.nodes
+let initial_slots = 1024
 
 let man ?(cache_size = 1 lsl 14) ?max_nodes nvars =
   if nvars < 0 then invalid_arg "Bdd.man: negative variable count";
@@ -327,29 +366,35 @@ let man ?(cache_size = 1 lsl 14) ?max_nodes nvars =
          var_limit);
   let max_nodes =
     match max_nodes with
-    | None -> uid_limit
+    | None -> slot_limit
     | Some n ->
         if n <= 0 then invalid_arg "Bdd.man: non-positive max_nodes";
-        min n uid_limit
+        min n slot_limit
   in
+  (* -1 has every variable bit set: a slot never handed out reads as
+     free *)
+  let nodes = Array.make initial_slots (-1) in
+  nodes.(0) <- (nvars lsl var_shift) lor pack2 0 0;
+  nodes.(1) <- (nvars lsl var_shift) lor pack2 1 1;
   {
     nvars;
     cache_size0 = cache_size;
-    subtables = Array.init nvars (fun _ -> Itab.create 16 False);
-    level_of_var = Array.init nvars Fun.id;
+    nodes;
+    free_top = -1;
+    n_free = 0;
+    next_slot = 2;
+    subtables = Array.init nvars (fun _ -> Itab.create 16);
+    level_of_var = Array.init (nvars + 1) (fun v -> if v = nvars then max_int else v);
     var_of_level = Array.init nvars Fun.id;
     live = 0;
-    next_uid = 2;
-    free_uids = [];
-    n_free = 0;
-    and_cache = Itab.create cache_size False;
-    or_cache = Itab.create cache_size False;
-    xor_cache = Itab.create cache_size False;
-    not_cache = Itab.create (cache_size / 4) False;
-    ite_cache = Itab2.create (cache_size / 4) False;
+    and_cache = Itab.create cache_size;
+    or_cache = Itab.create cache_size;
+    xor_cache = Itab.create cache_size;
+    not_cache = Itab.create (cache_size / 4);
+    ite_cache = Itab2.create (cache_size / 4);
     max_nodes;
-    pos_lits = Array.make nvars False;
-    neg_lits = Array.make nvars False;
+    pos_lits = Array.make nvars 0;
+    neg_lits = Array.make nvars 0;
     roots = Hashtbl.create 16;
     next_root = 0;
     temp_roots = [];
@@ -368,20 +413,27 @@ let man ?(cache_size = 1 lsl 14) ?max_nodes nvars =
     last_before = 0;
     last_after = 0;
     refs = [||];
+    work = [||];
+    stamp = Bytes.empty;
+    epoch = 0;
+    counts = [||];
+    pending = Array.make (Array.length hot_counters) 0;
+    n_peak = 0;
+    flushed_swaps = 0;
   }
 
 let num_vars m = m.nvars
 let live_nodes m = m.live
 let node_count m = live_nodes m + 2
 let peak_node_count m = m.peak_live + 2
-let max_nodes m = if m.max_nodes >= uid_limit then None else Some m.max_nodes
+let max_nodes m = if m.max_nodes >= slot_limit then None else Some m.max_nodes
 
 let set_max_nodes m limit =
   match limit with
-  | None -> m.max_nodes <- uid_limit
+  | None -> m.max_nodes <- slot_limit
   | Some n ->
       if n <= 0 then invalid_arg "Bdd.set_max_nodes: non-positive limit";
-      m.max_nodes <- min n uid_limit
+      m.max_nodes <- min n slot_limit
 
 let gc_stats (m : man) : gc_stats =
   {
@@ -404,38 +456,124 @@ let level_of_var m v =
   if v < 0 || v >= m.nvars then invalid_arg "Bdd.level_of_var: variable out of range";
   m.level_of_var.(v)
 
-let bfalse _ = False
-let btrue _ = True
-let of_bool _ b = if b then True else False
+let bfalse _ = 0
+let btrue _ = 1
+let of_bool _ b = if b then 1 else 0
 
-let id = function False -> 0 | True -> 1 | Node n -> n.uid
+let id (t : t) = t
+
+(* Every public entry point checks the handles it is given: a handle
+   whose slot is free (or beyond the slots ever handed out, e.g. one
+   from a larger manager) is refused rather than read as garbage. *)
+let check m t =
+  if t < 0 || t >= m.next_slot || var_at m t = free_var then
+    invalid_arg "Bdd: dangling handle (its node was freed by a collection)"
+
+(* Slot storage grows by doubling; during a sift the refcounts grow
+   with it. *)
+let grow m =
+  let cap = capacity m in
+  let cap' = 2 * cap in
+  let nodes = Array.make cap' (-1) in
+  Array.blit m.nodes 0 nodes 0 cap;
+  m.nodes <- nodes;
+  if Array.length m.refs > 0 then begin
+    let refs = Array.make cap' 0 in
+    Array.blit m.refs 0 refs 0 cap;
+    m.refs <- refs
+  end
+
+(* Take a slot (the most recently freed one first) and fill it. The
+   caller has checked the slot ceiling. *)
+let new_slot m v lo hi =
+  let s =
+    if m.n_free > 0 then begin
+      let s = m.free_top in
+      m.free_top <- lo_at m s;
+      m.n_free <- m.n_free - 1;
+      s
+    end
+    else begin
+      let s = m.next_slot in
+      if s >= capacity m then grow m;
+      m.next_slot <- s + 1;
+      s
+    end
+  in
+  set_node m s v lo hi;
+  s
+
+let release_slot m s =
+  set_node m s free_var (m.free_top land child_mask) 0;
+  m.free_top <- s;
+  m.n_free <- m.n_free + 1
+
+(* [m.work] with room for at least [n] ints *)
+let work_for m n =
+  if Array.length m.work < n then m.work <- Array.make (max n (2 * Array.length m.work)) 0;
+  m.work
+
+(* A fresh visit mark for one traversal: slot [s] is visited iff byte
+   [s] of [m.stamp] equals the returned epoch. After 255 traversals the
+   stamps are cleared and the epochs start over. *)
+let new_epoch m =
+  if Bytes.length m.stamp < m.next_slot then begin
+    m.stamp <- Bytes.make (capacity m) '\000';
+    m.epoch <- 0
+  end;
+  if m.epoch = 255 then begin
+    Bytes.fill m.stamp 0 (Bytes.length m.stamp) '\000';
+    m.epoch <- 0
+  end;
+  m.epoch <- m.epoch + 1;
+  Char.unsafe_chr m.epoch
+
+let[@inline] bump m i =
+  Array.unsafe_set m.pending i (Array.unsafe_get m.pending i + 1)
+
+let flush m =
+  Array.iteri (fun i n -> if n > 0 then Obs.add hot_counters.(i) n) m.pending;
+  Array.fill m.pending 0 (Array.length m.pending) 0;
+  let swaps = m.reorder_swapped - m.flushed_swaps in
+  if swaps > 0 then Obs.add c_reorder_swaps swaps;
+  m.flushed_swaps <- m.reorder_swapped;
+  (* the live gauge moves only when this manager created a node; a
+     collection sets it directly *)
+  if m.n_peak > 0 then begin
+    Obs.set g_nodes_live m.live;
+    Obs.set_max g_nodes_peak m.n_peak;
+    m.n_peak <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Roots and garbage collection                                        *)
 (*                                                                     *)
 (* Collecting means compacting the unique table down to the nodes      *)
 (* reachable from the registered roots (plus the arguments of the      *)
-(* operation in flight) and recycling the uids of everything else. Op  *)
-(* caches may reference swept nodes, so every sweep invalidates them   *)
+(* operation in flight) and freeing the slots of everything else. Op   *)
+(* caches may reference freed slots, so every sweep invalidates them   *)
 (* wholesale.                                                          *)
 (*                                                                     *)
 (* Contract: on a manager with a node limit (or under explicit [gc]    *)
 (* or [reorder] calls), any BDD held across public operations must be  *)
-(* reachable from a registered root — otherwise its nodes are swept    *)
-(* and later re-creation breaks hash-consing (physical [equal] on      *)
-(* semantically equal functions). The symbolic layer registers its     *)
-(* relation conjuncts, reached sets and frontiers accordingly.         *)
+(* reachable from a registered root — otherwise its slot is freed and  *)
+(* the handle dangles. The symbolic layer registers its relation       *)
+(* conjuncts, reached sets and frontiers accordingly.                  *)
 (* ------------------------------------------------------------------ *)
 
 type root = int
 
 let add_root m t =
+  check m t;
   let r = m.next_root in
   m.next_root <- r + 1;
   Hashtbl.replace m.roots r t;
   r
 
-let set_root m r t = Hashtbl.replace m.roots r t
+let set_root m r t =
+  check m t;
+  Hashtbl.replace m.roots r t
+
 let remove_root m r = Hashtbl.remove m.roots r
 
 let protect m t =
@@ -450,25 +588,23 @@ let pinned m t f =
   Fun.protect ~finally:(fun () -> remove_root m r) f
 
 let clear_caches m =
-  m.and_cache <- Itab.create m.cache_size0 False;
-  m.or_cache <- Itab.create m.cache_size0 False;
-  m.xor_cache <- Itab.create m.cache_size0 False;
-  m.not_cache <- Itab.create (m.cache_size0 / 4) False;
-  m.ite_cache <- Itab2.create (m.cache_size0 / 4) False
+  m.and_cache <- Itab.create m.cache_size0;
+  m.or_cache <- Itab.create m.cache_size0;
+  m.xor_cache <- Itab.create m.cache_size0;
+  m.not_cache <- Itab.create (m.cache_size0 / 4);
+  m.ite_cache <- Itab2.create (m.cache_size0 / 4)
 
 let gc m =
   (* mark: recursion depth is bounded by the variable count (levels
      strictly increase along lo/hi edges) *)
-  let marked = Bytes.make (max 2 m.next_uid) '\000' in
-  let rec mark t =
-    match t with
-    | False | True -> ()
-    | Node n ->
-        if Bytes.unsafe_get marked n.uid = '\000' then begin
-          Bytes.unsafe_set marked n.uid '\001';
-          mark n.lo;
-          mark n.hi
-        end
+  let e = new_epoch m in
+  let marked = m.stamp in
+  let rec mark s =
+    if s >= 2 && Bytes.unsafe_get marked s <> e then begin
+      Bytes.unsafe_set marked s e;
+      mark (lo_at m s);
+      mark (hi_at m s)
+    end
   in
   Hashtbl.iter (fun _ t -> mark t) m.roots;
   List.iter mark m.temp_roots;
@@ -478,34 +614,33 @@ let gc m =
   Array.iter mark m.neg_lits;
   (* sweep: rebuild each subtable with only marked nodes (children of a
      marked node are marked, so every rebuilt key is unchanged) and
-     recycle the uids of the rest *)
+     free the slots of the rest *)
   let before = m.live in
   let n_live = ref 0 in
   Array.iteri
     (fun v tab ->
-      let survivors = ref [] in
+      let survivors = work_for m (2 * Itab.length tab) in
       let n_here = ref 0 in
       Itab.iter
-        (fun key node ->
-          match node with
-          | Node n ->
-              if Bytes.unsafe_get marked n.uid = '\001' then begin
-                survivors := (key, node) :: !survivors;
-                incr n_here
-              end
-              else begin
-                m.free_uids <- n.uid :: m.free_uids;
-                m.n_free <- m.n_free + 1
-              end
-          | False | True -> ())
+        (fun key s ->
+          if Bytes.unsafe_get marked s = e then begin
+            survivors.(2 * !n_here) <- key;
+            survivors.((2 * !n_here) + 1) <- s;
+            incr n_here
+          end
+          else release_slot m s)
         tab;
-      let fresh = Itab.create ((!n_here * 4 / 3) + 16) False in
-      List.iter (fun (key, node) -> Itab.add fresh key node) !survivors;
+      (* re-added last-found first: insertion order fixes the probe
+         layout, and with it the order a swap visits the nodes in *)
+      let fresh = Itab.create ((!n_here * 4 / 3) + 16) in
+      for i = !n_here - 1 downto 0 do
+        Itab.add fresh survivors.(2 * i) survivors.((2 * i) + 1)
+      done;
       m.subtables.(v) <- fresh;
       n_live := !n_live + !n_here)
     m.subtables;
   m.live <- !n_live;
-  (* every op cache may point at swept nodes: invalidate them all *)
+  (* every op cache may point at freed slots: invalidate them all *)
   clear_caches m;
   let freed = before - !n_live in
   m.gc_runs <- m.gc_runs + 1;
@@ -522,14 +657,16 @@ let gc m =
    constructors it needs *)
 let reorder_pass = ref (fun (_ : man) -> false)
 
-(* Run a public operation: pin its BDD arguments, and at the outermost
-   nesting level turn [Gc_needed] into collect-and-retry (the retry
-   recomputes from the pinned arguments with cold caches, so a sweep
-   in the middle of a half-built result is safe). Collection is only
-   attempted when the caller opted into resource governance (a node
-   limit or registered roots); otherwise the limit is a hard error, as
-   an unrooted legacy caller would not survive a sweep. *)
+(* Run a public operation: check and pin its BDD arguments, and at the
+   outermost nesting level turn [Gc_needed] into collect-and-retry (the
+   retry recomputes from the pinned arguments with cold caches, so a
+   sweep in the middle of a half-built result is safe) and flush the
+   telemetry on the way out. Collection is only attempted when the
+   caller opted into resource governance (a node limit or registered
+   roots); otherwise the limit is a hard error, as an unrooted legacy
+   caller would not survive a sweep. *)
 let run_op m args f =
+  List.iter (check m) args;
   (* arguments are pinned at every nesting depth, so a public op called
      internally on an unrooted intermediate is protected even when the
      collection fires deeper in the nesting *)
@@ -558,9 +695,10 @@ let run_op m args f =
     Fun.protect
       ~finally:(fun () ->
         m.temp_roots <- saved;
-        m.op_depth <- 0)
+        m.op_depth <- 0;
+        flush m)
       (fun () ->
-        let governed = m.max_nodes < uid_limit || Hashtbl.length m.roots > 0 in
+        let governed = m.max_nodes < slot_limit || Hashtbl.length m.roots > 0 in
         let rec attempt tries =
           try f ()
           with Gc_needed ->
@@ -572,38 +710,27 @@ let run_op m args f =
         attempt 2)
   end
 
-let alloc_uid m =
-  match m.free_uids with
-  | u :: rest ->
-      m.free_uids <- rest;
-      m.n_free <- m.n_free - 1;
-      u
-  | [] ->
-      if m.next_uid >= uid_limit then raise Gc_needed;
-      let u = m.next_uid in
-      m.next_uid <- u + 1;
-      u
-
 let mk m v lo hi =
-  if lo == hi then lo
+  if lo = hi then lo
   else begin
-    let tab = m.subtables.(v) in
-    let key = pack2 (id lo) (id hi) in
+    let tab = Array.unsafe_get m.subtables v in
+    let key = pack2 lo hi in
     let i = Itab.find_idx tab key in
     if i >= 0 then begin
-      Obs.incr c_unique_hit;
+      bump m unique_hit;
       Itab.value tab i
     end
     else begin
       if m.live >= m.max_nodes then raise Gc_needed;
-      Obs.incr c_unique_miss;
-      let n = Node { v; lo; hi; uid = alloc_uid m } in
-      Itab.add tab key n;
-      m.live <- m.live + 1;
-      if m.live > m.peak_live then m.peak_live <- m.live;
-      Obs.set g_nodes_live m.live;
-      Obs.set_max g_nodes_peak m.live;
-      n
+      bump m unique_miss;
+      if m.n_free = 0 && m.next_slot >= slot_limit then raise Gc_needed;
+      let s = new_slot m v lo hi in
+      Itab.add tab key s;
+      let live = m.live + 1 in
+      m.live <- live;
+      if live > m.peak_live then m.peak_live <- live;
+      if live > m.n_peak then m.n_peak <- live;
+      s
     end
   end
 
@@ -613,8 +740,8 @@ let mk m v lo hi =
 let var m v =
   if v < 0 || v >= m.nvars then invalid_arg "Bdd.var: variable out of range";
   match m.pos_lits.(v) with
-  | False ->
-      let n = run_op m [] (fun () -> mk m v False True) in
+  | 0 ->
+      let n = run_op m [] (fun () -> mk m v 0 1) in
       m.pos_lits.(v) <- n;
       n
   | n -> n
@@ -622,104 +749,102 @@ let var m v =
 let nvar m v =
   if v < 0 || v >= m.nvars then invalid_arg "Bdd.nvar: variable out of range";
   match m.neg_lits.(v) with
-  | False ->
-      let n = run_op m [] (fun () -> mk m v True False) in
+  | 0 ->
+      let n = run_op m [] (fun () -> mk m v 1 0) in
       m.neg_lits.(v) <- n;
       n
   | n -> n
 
-let is_true t = t == True
-let is_false t = t == False
-let equal a b = a == b
+let is_true (t : t) = t = 1
+let is_false (t : t) = t = 0
+let equal (a : t) b = a = b
 
-let topvar = function
-  | Node n -> n.v
-  | False | True -> invalid_arg "Bdd.topvar: constant"
+let topvar m t =
+  check m t;
+  if t < 2 then invalid_arg "Bdd.topvar: constant";
+  var_at m t
 
-let low = function
-  | Node n -> n.lo
-  | (False | True) as c -> c
+let low m t =
+  check m t;
+  lo_at m t
 
-let high = function
-  | Node n -> n.hi
-  | (False | True) as c -> c
+let high m t =
+  check m t;
+  hi_at m t
 
-let size t =
-  let seen = Hashtbl.create 64 in
-  let rec go t =
-    match t with
-    | False | True -> ()
-    | Node n ->
-        if not (Hashtbl.mem seen n.uid) then begin
-          Hashtbl.add seen n.uid ();
-          go n.lo;
-          go n.hi
-        end
+let size m t =
+  check m t;
+  let e = new_epoch m in
+  let stamp = m.stamp in
+  let rec go s n =
+    if s < 2 || Bytes.unsafe_get stamp s = e then n
+    else begin
+      Bytes.unsafe_set stamp s e;
+      go (hi_at m s) (go (lo_at m s) (n + 1))
+    end
   in
-  go t;
-  Hashtbl.length seen + 2
+  go t 0 + 2
 
-(* The order position of a node for cofactoring purposes: constants
-   sort below every real level. *)
-let lvl m = function
-  | False | True -> max_int
-  | Node n -> Array.unsafe_get m.level_of_var n.v
-
-let cof t v =
-  match t with
-  | Node n when n.v = v -> (n.lo, n.hi)
-  | _ -> (t, t)
-
-(* The split variable of a binary operation: whichever operand's top
-   variable sits higher in the order. *)
-let top2 m na_v nb_v =
-  if Array.unsafe_get m.level_of_var na_v <= Array.unsafe_get m.level_of_var nb_v
-  then na_v
-  else nb_v
+(* The recursions below build the high branch before the low one.
+   That order decides which slots new nodes take, hence every table's
+   layout and the order a swap rewrites nodes in (and so the peak live
+   count of a sift); the reorder goldens pin it. *)
 
 let rec bnot_rec m t =
-  match t with
-  | False -> True
-  | True -> False
-  | Node n -> (
-      let i = Itab.find_idx m.not_cache n.uid in
-      if i >= 0 then begin
-        Obs.incr c_not_hit;
-        Itab.value m.not_cache i
-      end
-      else begin
-        Obs.incr c_not_miss;
-        let r = mk m n.v (bnot_rec m n.lo) (bnot_rec m n.hi) in
-        Itab.add m.not_cache n.uid r;
-        r
-      end)
+  if t < 2 then 1 - t
+  else begin
+    let i = Itab.find_idx m.not_cache t in
+    if i >= 0 then begin
+      bump m not_hit;
+      Itab.value m.not_cache i
+    end
+    else begin
+      bump m not_miss;
+      let w = word m t in
+      let v = var_of w and tlo = lo_of w in
+      let h = bnot_rec m (hi_of w) in
+      let r = mk m v (bnot_rec m tlo) h in
+      Itab.add m.not_cache t r;
+      r
+    end
+  end
 
 let bnot m t = run_op m [ t ] (fun () -> bnot_rec m t)
 
+(* The split variable of a binary operation on two non-constant nodes:
+   whichever top variable sits higher in the order. *)
+let[@inline] top2 m av bv =
+  if Array.unsafe_get m.level_of_var av <= Array.unsafe_get m.level_of_var bv
+  then av
+  else bv
+
 let rec band_rec m a b =
-  match (a, b) with
-  | False, _ | _, False -> False
-  | True, x | x, True -> x
-  | Node na, Node nb ->
-      if a == b then a
-      else begin
-        let key =
-          if na.uid <= nb.uid then pack2 na.uid nb.uid else pack2 nb.uid na.uid
-        in
-        let i = Itab.find_idx m.and_cache key in
-        if i >= 0 then begin
-          Obs.incr c_and_hit;
-          Itab.value m.and_cache i
-        end
-        else begin
-          Obs.incr c_and_miss;
-          let v = top2 m na.v nb.v in
-          let alo, ahi = cof a v and blo, bhi = cof b v in
-          let r = mk m v (band_rec m alo blo) (band_rec m ahi bhi) in
-          Itab.add m.and_cache key r;
-          r
-        end
-      end
+  if a = 0 || b = 0 then 0
+  else if a = 1 then b
+  else if b = 1 then a
+  else if a = b then a
+  else begin
+    let key = if a <= b then pack2 a b else pack2 b a in
+    let i = Itab.find_idx m.and_cache key in
+    if i >= 0 then begin
+      bump m and_hit;
+      Itab.value m.and_cache i
+    end
+    else begin
+      bump m and_miss;
+      let wa = word m a and wb = word m b in
+      let av = var_of wa and bv = var_of wb in
+      let v = top2 m av bv in
+      let alo = if av = v then lo_of wa else a
+      and ahi = if av = v then hi_of wa else a
+      and blo = if bv = v then lo_of wb else b
+      and bhi = if bv = v then hi_of wb else b in
+      let h = band_rec m ahi bhi in
+      let r = mk m v (band_rec m alo blo) h in
+      Itab.add m.and_cache key r;
+      r
+    end
+  end
 
 let band m a b = run_op m [ a; b ] (fun () -> band_rec m a b)
 
@@ -727,56 +852,63 @@ let band m a b = run_op m [ a; b ] (fun () -> band_rec m a b)
    expanded a|b as ~(~a & ~b), paying three negation walks per
    operation. *)
 let rec bor_rec m a b =
-  match (a, b) with
-  | True, _ | _, True -> True
-  | False, x | x, False -> x
-  | Node na, Node nb ->
-      if a == b then a
-      else begin
-        let key =
-          if na.uid <= nb.uid then pack2 na.uid nb.uid else pack2 nb.uid na.uid
-        in
-        let i = Itab.find_idx m.or_cache key in
-        if i >= 0 then begin
-          Obs.incr c_or_hit;
-          Itab.value m.or_cache i
-        end
-        else begin
-          Obs.incr c_or_miss;
-          let v = top2 m na.v nb.v in
-          let alo, ahi = cof a v and blo, bhi = cof b v in
-          let r = mk m v (bor_rec m alo blo) (bor_rec m ahi bhi) in
-          Itab.add m.or_cache key r;
-          r
-        end
-      end
+  if a = 1 || b = 1 then 1
+  else if a = 0 then b
+  else if b = 0 then a
+  else if a = b then a
+  else begin
+    let key = if a <= b then pack2 a b else pack2 b a in
+    let i = Itab.find_idx m.or_cache key in
+    if i >= 0 then begin
+      bump m or_hit;
+      Itab.value m.or_cache i
+    end
+    else begin
+      bump m or_miss;
+      let wa = word m a and wb = word m b in
+      let av = var_of wa and bv = var_of wb in
+      let v = top2 m av bv in
+      let alo = if av = v then lo_of wa else a
+      and ahi = if av = v then hi_of wa else a
+      and blo = if bv = v then lo_of wb else b
+      and bhi = if bv = v then hi_of wb else b in
+      let h = bor_rec m ahi bhi in
+      let r = mk m v (bor_rec m alo blo) h in
+      Itab.add m.or_cache key r;
+      r
+    end
+  end
 
 let bor m a b = run_op m [ a; b ] (fun () -> bor_rec m a b)
 
 let rec bxor_rec m a b =
-  match (a, b) with
-  | False, x | x, False -> x
-  | True, x | x, True -> bnot_rec m x
-  | Node na, Node nb ->
-      if a == b then False
-      else begin
-        let key =
-          if na.uid <= nb.uid then pack2 na.uid nb.uid else pack2 nb.uid na.uid
-        in
-        let i = Itab.find_idx m.xor_cache key in
-        if i >= 0 then begin
-          Obs.incr c_xor_hit;
-          Itab.value m.xor_cache i
-        end
-        else begin
-          Obs.incr c_xor_miss;
-          let v = top2 m na.v nb.v in
-          let alo, ahi = cof a v and blo, bhi = cof b v in
-          let r = mk m v (bxor_rec m alo blo) (bxor_rec m ahi bhi) in
-          Itab.add m.xor_cache key r;
-          r
-        end
-      end
+  if a = 0 then b
+  else if b = 0 then a
+  else if a = 1 then bnot_rec m b
+  else if b = 1 then bnot_rec m a
+  else if a = b then 0
+  else begin
+    let key = if a <= b then pack2 a b else pack2 b a in
+    let i = Itab.find_idx m.xor_cache key in
+    if i >= 0 then begin
+      bump m xor_hit;
+      Itab.value m.xor_cache i
+    end
+    else begin
+      bump m xor_miss;
+      let wa = word m a and wb = word m b in
+      let av = var_of wa and bv = var_of wb in
+      let v = top2 m av bv in
+      let alo = if av = v then lo_of wa else a
+      and ahi = if av = v then hi_of wa else a
+      and blo = if bv = v then lo_of wb else b
+      and bhi = if bv = v then hi_of wb else b in
+      let h = bxor_rec m ahi bhi in
+      let r = mk m v (bxor_rec m alo blo) h in
+      Itab.add m.xor_cache key r;
+      r
+    end
+  end
 
 let bxor m a b = run_op m [ a; b ] (fun () -> bxor_rec m a b)
 
@@ -786,49 +918,55 @@ let bxor m a b = run_op m [ a; b ] (fun () -> bxor_rec m a b)
 let bimp m a b = run_op m [ a; b ] (fun () -> bor_rec m (bnot_rec m a) b)
 let biff m a b = run_op m [ a; b ] (fun () -> bnot_rec m (bxor_rec m a b))
 
+(* [s] cofactored on variable [v], which sits at or above its level *)
+let[@inline] cof_lo m s v =
+  let w = word m s in
+  if var_of w = v then lo_of w else s
+
+let[@inline] cof_hi m s v =
+  let w = word m s in
+  if var_of w = v then hi_of w else s
+
 let rec ite_rec m c t e =
-  match c with
-  | True -> t
-  | False -> e
-  | Node _ ->
-      if t == e then t
-      else if is_true t && is_false e then c
-      else begin
-        let ka = pack2 (id c) (id t) and kb = id e in
-        let i = Itab2.find_idx m.ite_cache ka kb in
-        if i >= 0 then begin
-          Obs.incr c_ite_hit;
-          Itab2.value m.ite_cache i
-        end
-        else begin
-          Obs.incr c_ite_miss;
-          let l = min (lvl m c) (min (lvl m t) (lvl m e)) in
-          let v = m.var_of_level.(l) in
-          let clo, chi = cof c v
-          and tlo, thi = cof t v
-          and elo, ehi = cof e v in
-          let r = mk m v (ite_rec m clo tlo elo) (ite_rec m chi thi ehi) in
-          Itab2.add m.ite_cache ka kb r;
-          r
-        end
-      end
+  if c = 1 then t
+  else if c = 0 then e
+  else if t = e then t
+  else if t = 1 && e = 0 then c
+  else begin
+    let ka = pack2 c t and kb = e in
+    let i = Itab2.find_idx m.ite_cache ka kb in
+    if i >= 0 then begin
+      bump m ite_hit;
+      Itab2.value m.ite_cache i
+    end
+    else begin
+      bump m ite_miss;
+      let l = imin (lvl m c) (imin (lvl m t) (lvl m e)) in
+      let v = m.var_of_level.(l) in
+      let h = ite_rec m (cof_hi m c v) (cof_hi m t v) (cof_hi m e v) in
+      let r = mk m v (ite_rec m (cof_lo m c v) (cof_lo m t v) (cof_lo m e v)) h in
+      Itab2.add m.ite_cache ka kb r;
+      r
+    end
+  end
 
 let ite m c t e = run_op m [ c; t; e ] (fun () -> ite_rec m c t e)
 
 (* n-ary folds pin the whole operand list up front — the not-yet-folded
    tail must survive any collection triggered while folding the head *)
-let conj m ts = run_op m ts (fun () -> List.fold_left (band_rec m) True ts)
-let disj m ts = run_op m ts (fun () -> List.fold_left (bor_rec m) False ts)
+let conj m ts = run_op m ts (fun () -> List.fold_left (band_rec m) 1 ts)
+let disj m ts = run_op m ts (fun () -> List.fold_left (bor_rec m) 0 ts)
 
 let cofactor_rec m t v b =
   let lv = m.level_of_var.(v) in
   let rec go t =
-    match t with
-    | False | True -> t
-    | Node n ->
-        if Array.unsafe_get m.level_of_var n.v > lv then t
-        else if n.v = v then if b then n.hi else n.lo
-        else mk m n.v (go n.lo) (go n.hi)
+    if t < 2 || lvl m t > lv then t
+    else if var_at m t = v then if b then hi_at m t else lo_at m t
+    else begin
+      let tv = var_at m t and tlo = lo_at m t in
+      let h = go (hi_at m t) in
+      mk m tv (go tlo) h
+    end
   in
   go t
 
@@ -846,25 +984,27 @@ let var_set m vars =
   vset
 
 (* Quantification: membership probed in a flat bool array; results
-   memoized per call keyed by node uid (valid because the var set is
-   fixed for the call). *)
+   memoized per call keyed by slot (valid because the var set is fixed
+   for the call). *)
 let quantify_impl m ~disjunctive vset t =
-  let cache = Itab.create 256 False in
-  let combine a b = if disjunctive then bor_rec m a b else band_rec m a b in
+  let cache = Itab.create 256 in
   let rec go t =
-    match t with
-    | False | True -> t
-    | Node n -> (
-        let i = Itab.find_idx cache n.uid in
-        if i >= 0 then Itab.value cache i
-        else begin
-          let r =
-            if vset.(n.v) then combine (go n.lo) (go n.hi)
-            else mk m n.v (go n.lo) (go n.hi)
-          in
-          Itab.add cache n.uid r;
-          r
-        end)
+    if t < 2 then t
+    else begin
+      let i = Itab.find_idx cache t in
+      if i >= 0 then Itab.value cache i
+      else begin
+        let v = var_at m t and tlo = lo_at m t in
+        let h = go (hi_at m t) in
+        let l = go tlo in
+        let r =
+          if vset.(v) then if disjunctive then bor_rec m l h else band_rec m l h
+          else mk m v l h
+        in
+        Itab.add cache t r;
+        r
+      end
+    end
   in
   go t
 
@@ -878,30 +1018,33 @@ let forall m vars t = quantify m ~disjunctive:false vars t
 (* Fused AND-EXISTS: quantifies while conjoining, pruning as soon as a
    branch reaches True under the quantifier. *)
 let and_exists_impl m vset f g =
-  let cache = Itab.create 1024 False in
+  let cache = Itab.create 1024 in
   let rec go f g =
-    match (f, g) with
-    | False, _ | _, False -> False
-    | True, True -> True
-    | _ ->
-        let fid = id f and gid = id g in
-        let key = if fid <= gid then pack2 fid gid else pack2 gid fid in
-        let i = Itab.find_idx cache key in
-        if i >= 0 then Itab.value cache i
-        else begin
-          let l = min (lvl m f) (lvl m g) in
-          let v = m.var_of_level.(l) in
-          let flo, fhi = cof f v and glo, ghi = cof g v in
-          let r =
-            if vset.(v) then begin
-              let lo = go flo glo in
-              if is_true lo then True else bor_rec m lo (go fhi ghi)
-            end
-            else mk m v (go flo glo) (go fhi ghi)
-          in
-          Itab.add cache key r;
-          r
-        end
+    if f = 0 || g = 0 then 0
+    else if f = 1 && g = 1 then 1
+    else begin
+      let key = if f <= g then pack2 f g else pack2 g f in
+      let i = Itab.find_idx cache key in
+      if i >= 0 then Itab.value cache i
+      else begin
+        let l = imin (lvl m f) (lvl m g) in
+        let v = Array.unsafe_get m.var_of_level l in
+        let flo = cof_lo m f v and fhi = cof_hi m f v in
+        let glo = cof_lo m g v and ghi = cof_hi m g v in
+        let r =
+          if Array.unsafe_get vset v then begin
+            let lo = go flo glo in
+            if lo = 1 then 1 else bor_rec m lo (go fhi ghi)
+          end
+          else begin
+            let h = go fhi ghi in
+            mk m v (go flo glo) h
+          end
+        in
+        Itab.add cache key r;
+        r
+      end
+    end
   in
   go f g
 
@@ -909,22 +1052,25 @@ let and_exists m vars f g =
   let vset = var_set m vars in
   run_op m [ f; g ] (fun () -> and_exists_impl m vset f g)
 
-let support _m t =
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
-  let rec go t =
-    match t with
-    | False | True -> ()
-    | Node n ->
-        if not (Hashtbl.mem seen n.uid) then begin
-          Hashtbl.add seen n.uid ();
-          Hashtbl.replace vars n.v ();
-          go n.lo;
-          go n.hi
-        end
+let support m t =
+  check m t;
+  let e = new_epoch m in
+  let stamp = m.stamp in
+  let used = Bytes.make (max 1 m.nvars) '\000' in
+  let rec go s =
+    if s >= 2 && Bytes.unsafe_get stamp s <> e then begin
+      Bytes.unsafe_set stamp s e;
+      Bytes.unsafe_set used (var_at m s) '\001';
+      go (lo_at m s);
+      go (hi_at m s)
+    end
   in
   go t;
-  Hashtbl.fold (fun v () acc -> v :: acc) vars [] |> List.sort Int.compare
+  let acc = ref [] in
+  for v = m.nvars - 1 downto 0 do
+    if Bytes.unsafe_get used v = '\001' then acc := v :: !acc
+  done;
+  !acc
 
 (* Multi-operand fused AND-EXISTS with early quantification: fold the
    conjuncts left to right, and quantify each variable out with the
@@ -939,7 +1085,7 @@ let support _m t =
    not depend on it. *)
 let and_exists_list m vars conjuncts =
   match conjuncts with
-  | [] -> True
+  | [] -> 1
   | [ f ] -> exists m vars f
   | _ ->
       let fs = Array.of_list conjuncts in
@@ -955,7 +1101,7 @@ let and_exists_list m vars conjuncts =
         (fun v l -> if qset.(v) && l >= 0 then quantify_at.(l) <- v :: quantify_at.(l))
         last;
       run_op m conjuncts (fun () ->
-          let acc = ref True in
+          let acc = ref 1 in
           for i = 0 to n - 1 do
             acc :=
               (match quantify_at.(i) with
@@ -973,90 +1119,96 @@ let and_exists_list m vars conjuncts =
    fast structural path, anything else falls back to a bottom-up ITE
    composition that is correct for every injective substitution. *)
 let rename m subst t =
-  match t with
-  | False | True -> t
-  | Node _ ->
-      let sup = support m t in
-      let targets =
-        List.map
-          (fun v ->
-            let v' = subst v in
-            if v' < 0 || v' >= m.nvars then
-              invalid_arg "Bdd.rename: target variable out of range";
-            v')
-          sup
+  check m t;
+  if t < 2 then t
+  else begin
+    let sup = support m t in
+    let targets =
+      List.map
+        (fun v ->
+          let v' = subst v in
+          if v' < 0 || v' >= m.nvars then
+            invalid_arg "Bdd.rename: target variable out of range";
+          v')
+        sup
+    in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun v' ->
+        if Hashtbl.mem seen v' then
+          invalid_arg "Bdd.rename: substitution not injective on support";
+        Hashtbl.add seen v' ())
+      targets;
+    let by_level =
+      List.sort
+        (fun a b -> compare m.level_of_var.(a) m.level_of_var.(b))
+        sup
+    in
+    let monotone =
+      let rec chk prev = function
+        | [] -> true
+        | v :: rest ->
+            let l' = m.level_of_var.(subst v) in
+            l' > prev && chk l' rest
       in
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun v' ->
-          if Hashtbl.mem seen v' then
-            invalid_arg "Bdd.rename: substitution not injective on support";
-          Hashtbl.add seen v' ())
-        targets;
-      let by_level =
-        List.sort
-          (fun a b -> compare m.level_of_var.(a) m.level_of_var.(b))
-          sup
-      in
-      let monotone =
-        let rec chk prev = function
-          | [] -> true
-          | v :: rest ->
-              let l' = m.level_of_var.(subst v) in
-              l' > prev && chk l' rest
-        in
-        chk (-1) by_level
-      in
-      if monotone then
-        run_op m [ t ] (fun () ->
-            let cache = Itab.create 256 False in
-            let rec go t =
-              match t with
-              | False | True -> t
-              | Node n -> (
-                  let i = Itab.find_idx cache n.uid in
-                  if i >= 0 then Itab.value cache i
-                  else begin
-                    (* level-monotone on the support: children map to
-                       strictly deeper levels, so the structural rewrite
-                       preserves reducedness *)
-                    let r = mk m (subst n.v) (go n.lo) (go n.hi) in
-                    Itab.add cache n.uid r;
-                    r
-                  end)
-            in
-            go t)
-      else
-        run_op m [ t ] (fun () ->
-            let cache = Itab.create 256 False in
-            let rec go t =
-              match t with
-              | False | True -> t
-              | Node n -> (
-                  let i = Itab.find_idx cache n.uid in
-                  if i >= 0 then Itab.value cache i
-                  else begin
-                    let lo = go n.lo in
-                    let hi = go n.hi in
-                    (* injectivity on the support guarantees no capture:
-                       the renamed subtrees cannot mention the fresh
-                       literal *)
-                    let r = ite_rec m (var m (subst n.v)) hi lo in
-                    Itab.add cache n.uid r;
-                    r
-                  end)
-            in
-            go t)
+      chk (-1) by_level
+    in
+    if monotone then
+      run_op m [ t ] (fun () ->
+          let cache = Itab.create 256 in
+          let rec go t =
+            if t < 2 then t
+            else begin
+              let i = Itab.find_idx cache t in
+              if i >= 0 then Itab.value cache i
+              else begin
+                (* level-monotone on the support: children map to
+                   strictly deeper levels, so the structural rewrite
+                   preserves reducedness *)
+                let v = var_at m t and tlo = lo_at m t in
+                let h = go (hi_at m t) in
+                let l = go tlo in
+                let r = mk m (subst v) l h in
+                Itab.add cache t r;
+                r
+              end
+            end
+          in
+          go t)
+    else
+      run_op m [ t ] (fun () ->
+          let cache = Itab.create 256 in
+          let rec go t =
+            if t < 2 then t
+            else begin
+              let i = Itab.find_idx cache t in
+              if i >= 0 then Itab.value cache i
+              else begin
+                let v = var_at m t and thi = hi_at m t in
+                let lo = go (lo_at m t) in
+                let hi = go thi in
+                (* injectivity on the support guarantees no capture:
+                   the renamed subtrees cannot mention the fresh
+                   literal *)
+                let r = ite_rec m (var m (subst v)) hi lo in
+                Itab.add cache t r;
+                r
+              end
+            end
+          in
+          go t)
+  end
 
 let restrict_cube m assigns t =
   List.fold_left (fun acc (v, b) -> cofactor m acc v b) t assigns
 
-let any_sat _m t =
+let any_sat m t =
+  check m t;
   let rec go t acc =
-    match t with
-    | True -> List.rev acc
-    | False -> raise Not_found
-    | Node n -> if is_false n.hi then go n.lo ((n.v, false) :: acc) else go n.hi ((n.v, true) :: acc)
+    if t = 1 then List.rev acc
+    else if t = 0 then raise Not_found
+    else if hi_at m t = 0 then go (lo_at m t) ((var_at m t, false) :: acc)
+    else go (hi_at m t) ((var_at m t, true) :: acc)
   in
   go t []
 
@@ -1068,6 +1220,7 @@ let any_sat _m t =
    (bit-identical floats). *)
 let sat_count m ~nvars t =
   if nvars < 0 then invalid_arg "Bdd.sat_count: negative nvars";
+  check m t;
   let nlev = m.nvars in
   (* cnt_upto.(l) = counted variables sitting at levels < l *)
   let cnt_upto = Array.make (nlev + 1) 0 in
@@ -1082,50 +1235,56 @@ let sat_count m ~nvars t =
   (* precomputed powers of two replace the Float.pow call that used to
      run on every node and every leaf *)
   let pow2 = Array.init (nvars + 1) (fun i -> Float.ldexp 1.0 i) in
-  let cache = Hashtbl.create 256 in
+  (* memo by slot, valid where this call has stamped the slot *)
+  let e = new_epoch m in
+  let stamp = m.stamp in
+  if Array.length m.counts < m.next_slot then m.counts <- Array.make m.next_slot 0.0;
+  let memo = m.counts in
   (* count over the subspace of levels >= froml *)
   let rec go t froml =
-    match t with
-    | False -> 0.0
-    | True -> pow2.(in_levels - cnt_upto.(froml) + extra)
-    | Node n ->
-        if n.v >= nvars then
-          invalid_arg
-            (Printf.sprintf "Bdd.sat_count: nvars = %d but support contains variable %d"
-               nvars n.v);
-        let l = m.level_of_var.(n.v) in
-        let below =
-          match Hashtbl.find_opt cache n.uid with
-          | Some c -> c
-          | None ->
-              let c = go n.lo (l + 1) +. go n.hi (l + 1) in
-              Hashtbl.add cache n.uid c;
-              c
-        in
-        below *. pow2.(cnt_upto.(l) - cnt_upto.(froml))
+    if t = 0 then 0.0
+    else if t = 1 then pow2.(in_levels - cnt_upto.(froml) + extra)
+    else begin
+      let v = var_at m t in
+      if v >= nvars then
+        invalid_arg
+          (Printf.sprintf "Bdd.sat_count: nvars = %d but support contains variable %d"
+             nvars v);
+      let l = m.level_of_var.(v) in
+      let below =
+        if Bytes.unsafe_get stamp t = e then Array.unsafe_get memo t
+        else begin
+          let h = go (hi_at m t) (l + 1) in
+          let c = go (lo_at m t) (l + 1) +. h in
+          Bytes.unsafe_set stamp t e;
+          Array.unsafe_set memo t c;
+          c
+        end
+      in
+      below *. pow2.(cnt_upto.(l) - cnt_upto.(froml))
+    end
   in
   go t 0
 
-let eval _m t assign =
+let eval m t assign =
+  check m t;
   let rec go t =
-    match t with
-    | True -> true
-    | False -> false
-    | Node n -> if assign n.v then go n.hi else go n.lo
+    if t < 2 then t = 1
+    else if assign (var_at m t) then go (hi_at m t)
+    else go (lo_at m t)
   in
   go t
 
 let iter_sat m ~vars f t =
+  check m t;
   let k = Array.length vars in
   let buf = Array.make k false in
   let rec go i t =
     if i = k then begin
-      match t with
-      | True -> f buf
-      | False -> ()
-      | Node _ -> invalid_arg "Bdd.iter_sat: support escapes vars"
+      if t = 1 then f buf
+      else if t <> 0 then invalid_arg "Bdd.iter_sat: support escapes vars"
     end
-    else if not (is_false t) then begin
+    else if t <> 0 then begin
       let v = vars.(i) in
       (* [t] stays live across the whole low-branch enumeration, which
          runs further cofactor operations: pin it *)
@@ -1136,70 +1295,49 @@ let iter_sat m ~vars f t =
           go (i + 1) (cofactor m t v true))
     end
   in
-  if not (is_false t) then go 0 t
-
-let pp ppf t = Format.fprintf ppf "<bdd #%d, %d nodes>" (id t) (size t)
+  if t <> 0 then go 0 t
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic variable reordering (Rudell sifting)                        *)
 (*                                                                     *)
 (* The primitive is the adjacent-level swap: exchange the variables at *)
-(* levels l and l+1 by rewriting, in place, exactly the level-l nodes  *)
-(* that depend on both. Everything else keeps its physical identity,   *)
-(* which is what lets every held OCaml value (roots, pinned arguments, *)
-(* literals) survive a reorder untouched. A sift garbage-collects      *)
-(* first — the same sweep-set contract as [gc] — then maintains exact  *)
-(* reference counts so dead nodes are unlinked eagerly during swaps.   *)
+(* levels l and l+1 by rewriting, in place, exactly the level-l slots  *)
+(* that depend on both. Every other slot keeps its contents, and a     *)
+(* rewritten slot keeps its handle, which is what lets every held      *)
+(* handle (roots, pinned arguments, literals) survive a reorder        *)
+(* untouched. A sift garbage-collects first — the same sweep-set       *)
+(* contract as [gc] — then maintains exact reference counts so dead    *)
+(* nodes are unlinked eagerly during swaps.                            *)
 (* ------------------------------------------------------------------ *)
 
-let grow_refs m uid =
-  let len = Array.length m.refs in
-  if uid >= len then begin
-    let fresh = Array.make (max (uid + 1) (2 * len)) 0 in
-    Array.blit m.refs 0 fresh 0 len;
-    m.refs <- fresh
-  end
-
-let ref_incr m t =
-  match t with
-  | False | True -> ()
-  | Node n ->
-      grow_refs m n.uid;
-      m.refs.(n.uid) <- m.refs.(n.uid) + 1
+let ref_incr m s = if s >= 2 then m.refs.(s) <- m.refs.(s) + 1
 
 (* Decrement with eager cascade: a node whose count reaches zero is
-   unlinked from its subtable, its uid recycled, and its children
+   unlinked from its subtable, its slot freed, and its children
    released in turn. Only ever called during a sift. *)
-let rec ref_decr m t =
-  match t with
-  | False | True -> ()
-  | Node n ->
-      let r = m.refs.(n.uid) - 1 in
-      m.refs.(n.uid) <- r;
-      if r = 0 then begin
-        Itab.remove m.subtables.(n.v) (pack2 (id n.lo) (id n.hi));
-        m.free_uids <- n.uid :: m.free_uids;
-        m.n_free <- m.n_free + 1;
-        m.live <- m.live - 1;
-        ref_decr m n.lo;
-        ref_decr m n.hi
-      end
+let rec ref_decr m s =
+  if s >= 2 then begin
+    let r = m.refs.(s) - 1 in
+    m.refs.(s) <- r;
+    if r = 0 then begin
+      let v = var_at m s and lo = lo_at m s and hi = hi_at m s in
+      Itab.remove m.subtables.(v) (pack2 lo hi);
+      release_slot m s;
+      m.live <- m.live - 1;
+      ref_decr m lo;
+      ref_decr m hi
+    end
+  end
 
 (* Exact counts from parent edges plus every element of the sweep set
    (roots, in-flight pinned arguments, the literal caches). After the
    preceding gc each live node is reachable, hence counted >= 1. *)
 let build_refs m =
-  m.refs <- Array.make (max 2 m.next_uid) 0;
+  m.refs <- Array.make (capacity m) 0;
   Array.iter
-    (fun tab ->
-      Itab.iter
-        (fun _ node ->
-          match node with
-          | Node n ->
-              ref_incr m n.lo;
-              ref_incr m n.hi
-          | False | True -> ())
-        tab)
+    (Itab.iter (fun _ s ->
+         ref_incr m (lo_at m s);
+         ref_incr m (hi_at m s)))
     m.subtables;
   Hashtbl.iter (fun _ t -> ref_incr m t) m.roots;
   List.iter (ref_incr m) m.temp_roots;
@@ -1207,112 +1345,93 @@ let build_refs m =
   Array.iter (ref_incr m) m.neg_lits
 
 (* Node lookup/creation inside a swap: the caller's capacity pre-check
-   has guaranteed both uid and ceiling headroom, so this never raises.
+   has guaranteed both slot and ceiling headroom, so this never raises.
    A fresh node starts at refcount 0 (the caller takes its reference);
    its children gain one reference each. *)
 let mk_swap m v lo hi =
-  if lo == hi then lo
+  if lo = hi then lo
   else begin
     let tab = m.subtables.(v) in
-    let key = pack2 (id lo) (id hi) in
+    let key = pack2 lo hi in
     let i = Itab.find_idx tab key in
     if i >= 0 then Itab.value tab i
     else begin
-      let uid =
-        match m.free_uids with
-        | u :: rest ->
-            m.free_uids <- rest;
-            m.n_free <- m.n_free - 1;
-            u
-        | [] ->
-            let u = m.next_uid in
-            m.next_uid <- u + 1;
-            u
-      in
-      grow_refs m uid;
-      m.refs.(uid) <- 0;
-      let n = Node { v; lo; hi; uid } in
-      Itab.add tab key n;
+      let s = new_slot m v lo hi in
+      m.refs.(s) <- 0;
+      Itab.add tab key s;
       m.live <- m.live + 1;
       if m.live > m.peak_live then m.peak_live <- m.live;
       ref_incr m lo;
       ref_incr m hi;
-      n
+      s
     end
   end
 
 (* Worst case an adjacent swap allocates two fresh nodes per rewritten
    one; [checked] refuses the swap when that could overrun the node
-   ceiling or the uid space (rollbacks run unchecked: they only
+   ceiling or the slot space (rollbacks run unchecked: they only
    recreate nodes the forward swap just freed). *)
 let swap_capacity m k =
   m.live + (2 * k) <= m.max_nodes
-  && m.n_free + (uid_limit - m.next_uid) >= 2 * k
+  && m.n_free + (slot_limit - m.next_slot) >= 2 * k
 
 (* Swap the variables at levels [l] and [l+1]. Returns false (leaving
    the manager untouched) when [checked] and the capacity test fails. *)
 let swap_adjacent m ~checked l =
   let x = m.var_of_level.(l) and y = m.var_of_level.(l + 1) in
   let xtab = m.subtables.(x) in
-  (* the nodes to rewrite: level-l nodes with a level-(l+1) child. All
-     other x-nodes keep their keys (the subtable is per variable, not
-     per level) and simply sink one level with x itself. *)
-  let interesting = ref [] in
+  (* the nodes to rewrite: level-l nodes with a level-(l+1) child, as
+     (key, slot) pairs in table order. All other x-nodes keep their
+     keys (the subtable is per variable, not per level) and simply
+     sink one level with x itself. *)
+  let work = work_for m (2 * Itab.length xtab) in
   let k = ref 0 in
-  Itab.iter
-    (fun key node ->
-      match node with
-      | Node n ->
-          let dep c = match c with Node c -> c.v = y | False | True -> false in
-          if dep n.lo || dep n.hi then begin
-            interesting := (key, node) :: !interesting;
-            incr k
-          end
-      | False | True -> ())
-    xtab;
-  if checked && not (swap_capacity m !k) then false
+  let keys = xtab.Itab.keys and data = xtab.Itab.data in
+  for i = 0 to Array.length keys - 1 do
+    let key = Array.unsafe_get keys i in
+    if key <> empty_key && key <> tomb_key then begin
+      let s = Array.unsafe_get data i in
+      if var_at m (lo_at m s) = y || var_at m (hi_at m s) = y then begin
+        work.(2 * !k) <- key;
+        work.((2 * !k) + 1) <- s;
+        incr k
+      end
+    end
+  done;
+  let k = !k in
+  if checked && not (swap_capacity m k) then false
   else begin
     (* unlink up front: the keys change, and lookups for the rewritten
        children must never hit a stale entry *)
-    List.iter (fun (key, _) -> Itab.remove xtab key) !interesting;
-    List.iter
-      (fun (_, node) ->
-        match node with
-        | Node n ->
-            let f0 = n.lo and f1 = n.hi in
-            let f00, f01 =
-              match f0 with
-              | Node c when c.v = y -> (c.lo, c.hi)
-              | _ -> (f0, f0)
-            and f10, f11 =
-              match f1 with
-              | Node c when c.v = y -> (c.lo, c.hi)
-              | _ -> (f1, f1)
-            in
-            (* the rewritten node keeps its uid and physical identity:
-               it becomes the level-l y-node over two level-(l+1)
-               x-cofactors. It cannot reduce away ([f00] != [f01] or
-               [f10] != [f11] since some child really tests y). *)
-            let nlo = mk_swap m x f00 f10 in
-            let nhi = mk_swap m x f01 f11 in
-            (* take the new references before dropping the old ones, so
-               a shared cofactor can never be cascade-freed in between *)
-            ref_incr m nlo;
-            ref_incr m nhi;
-            ref_decr m f0;
-            ref_decr m f1;
-            n.v <- y;
-            n.lo <- nlo;
-            n.hi <- nhi;
-            Itab.add m.subtables.(y) (pack2 (id nlo) (id nhi)) node
-        | False | True -> ())
-      !interesting;
+    for i = 0 to k - 1 do
+      Itab.remove xtab work.(2 * i)
+    done;
+    (* rewrite last-found first *)
+    for i = k - 1 downto 0 do
+      let s = work.((2 * i) + 1) in
+      let f0 = lo_at m s and f1 = hi_at m s in
+      let f00 = cof_lo m f0 y and f01 = cof_hi m f0 y in
+      let f10 = cof_lo m f1 y and f11 = cof_hi m f1 y in
+      (* the rewritten slot keeps its handle: it becomes the level-l
+         y-node over two level-(l+1) x-cofactors. It cannot reduce
+         away ([f00] <> [f01] or [f10] <> [f11] since some child
+         really tests y). *)
+      let nlo = mk_swap m x f00 f10 in
+      let nhi = mk_swap m x f01 f11 in
+      (* take the new references before dropping the old ones, so a
+         shared cofactor can never be cascade-freed in between *)
+      ref_incr m nlo;
+      ref_incr m nhi;
+      ref_decr m f0;
+      ref_decr m f1;
+      set_node m s y nlo nhi;
+      Itab.add m.subtables.(y) (pack2 nlo nhi) s
+    done;
     m.var_of_level.(l) <- y;
     m.var_of_level.(l + 1) <- x;
     m.level_of_var.(x) <- l + 1;
     m.level_of_var.(y) <- l;
     m.reorder_swapped <- m.reorder_swapped + 1;
-    Obs.incr c_reorder_swaps;
     true
   end
 
@@ -1390,28 +1509,22 @@ let swap_blocks m seq i =
   let bp = seq.(i) and bq = seq.(i + 1) in
   let p = Array.length bp and q = Array.length bq in
   let l0 = m.level_of_var.(bp.(0)) in
-  let done_swaps = ref [] in
-  let ok = ref true in
-  (try
-     for b = p - 1 downto 0 do
-       for s = 0 to q - 1 do
-         let l = l0 + b + s in
-         if swap_adjacent m ~checked:true l then done_swaps := l :: !done_swaps
-         else begin
-           ok := false;
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  if !ok then begin
+  (* swap k (of p*q) moves upper-block level p-1 - k/q down by k mod q *)
+  let level k = l0 + (p - 1 - (k / q)) + (k mod q) in
+  let k = ref 0 in
+  while !k < p * q && swap_adjacent m ~checked:true (level !k) do
+    incr k
+  done;
+  if !k = p * q then begin
     seq.(i) <- bq;
     seq.(i + 1) <- bp;
     true
   end
   else begin
-    (* newest first: the consed list is already in reverse order *)
-    List.iter (fun l -> ignore (swap_adjacent m ~checked:false l)) !done_swaps;
+    (* newest first *)
+    for j = !k - 1 downto 0 do
+      ignore (swap_adjacent m ~checked:false (level j))
+    done;
     false
   end
 
@@ -1488,16 +1601,21 @@ let sift_all m =
     !aborted
   end
 
+(* Leave a reordering pass: drop the refcounts and every op cache
+   (cache entries name slots that may have been freed and reused
+   during the pass), and flush the swap count. *)
+let end_reorder m =
+  m.in_reorder <- false;
+  m.refs <- [||];
+  clear_caches m;
+  flush m
+
 (* The full reorder: gc to the minimal live set, build exact refcounts,
-   sift, then drop the refs and every op cache (cache entries name
-   uids that may have been freed and recycled during the pass). *)
+   sift. *)
 let reorder_internal m =
   m.in_reorder <- true;
   Fun.protect
-    ~finally:(fun () ->
-      m.in_reorder <- false;
-      m.refs <- [||];
-      clear_caches m)
+    ~finally:(fun () -> end_reorder m)
     (fun () ->
       ignore (gc m);
       let before = m.live in
@@ -1550,10 +1668,7 @@ let set_order m perm =
   if m.nvars > 1 then begin
     m.in_reorder <- true;
     Fun.protect
-      ~finally:(fun () ->
-        m.in_reorder <- false;
-        m.refs <- [||];
-        clear_caches m)
+      ~finally:(fun () -> end_reorder m)
       (fun () ->
         ignore (gc m);
         build_refs m;
@@ -1576,44 +1691,44 @@ let set_order m perm =
 (* ------------------------------------------------------------------ *)
 
 let to_dot ?(var_name = fun v -> "x" ^ string_of_int v) m t =
+  check m t;
   let buf = Buffer.create 512 in
   Buffer.add_string buf "digraph bdd {\n";
   Buffer.add_string buf "  node [shape=circle];\n";
   Buffer.add_string buf "  F [shape=box, label=\"0\"];\n";
   Buffer.add_string buf "  T [shape=box, label=\"1\"];\n";
-  let seen = Hashtbl.create 64 in
-  (* uids per level, in discovery order — the rank groups that keep a
+  let e = new_epoch m in
+  let stamp = m.stamp in
+  (* slots per level, in discovery order — the rank groups that keep a
      reordered diagram drawn in order *)
   let per_level = Array.make (max 1 m.nvars) [] in
-  let node_ref = function False -> "F" | True -> "T" | Node n -> "n" ^ string_of_int n.uid in
-  let rec go t =
-    match t with
-    | False | True -> ()
-    | Node n ->
-        if not (Hashtbl.mem seen n.uid) then begin
-          Hashtbl.add seen n.uid ();
-          let l = m.level_of_var.(n.v) in
-          per_level.(l) <- n.uid :: per_level.(l);
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d [label=\"%s L%d\"];\n" n.uid (var_name n.v) l);
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d -> %s [style=dashed];\n" n.uid (node_ref n.lo));
-          Buffer.add_string buf (Printf.sprintf "  n%d -> %s;\n" n.uid (node_ref n.hi));
-          go n.lo;
-          go n.hi
-        end
+  let node_ref s = if s = 0 then "F" else if s = 1 then "T" else "n" ^ string_of_int s in
+  let rec go s =
+    if s >= 2 && Bytes.get stamp s <> e then begin
+      Bytes.set stamp s e;
+      let v = var_at m s and lo = lo_at m s and hi = hi_at m s in
+      let l = m.level_of_var.(v) in
+      per_level.(l) <- s :: per_level.(l);
+      Buffer.add_string buf
+        (Printf.sprintf "  n%d [label=\"%s L%d\"];\n" s (var_name v) l);
+      Buffer.add_string buf
+        (Printf.sprintf "  n%d -> %s [style=dashed];\n" s (node_ref lo));
+      Buffer.add_string buf (Printf.sprintf "  n%d -> %s;\n" s (node_ref hi));
+      go lo;
+      go hi
+    end
   in
   go t;
   (* one rank per populated level, top of the order first *)
   Array.iter
-    (fun uids ->
-      match uids with
+    (fun slots ->
+      match slots with
       | [] -> ()
       | _ ->
           Buffer.add_string buf "  { rank=same;";
           List.iter
-            (fun uid -> Buffer.add_string buf (Printf.sprintf " n%d;" uid))
-            (List.rev uids);
+            (fun s -> Buffer.add_string buf (Printf.sprintf " n%d;" s))
+            (List.rev slots);
           Buffer.add_string buf " }\n")
     per_level;
   Buffer.add_string buf (Printf.sprintf "  root [shape=none, label=\"\"];\n  root -> %s;\n" (node_ref t));

@@ -6,13 +6,13 @@
     implicit transition-relation representations of test models
     (Sections 2 and 6.5).
 
-    All nodes live inside a manager; mixing nodes from two managers is
-    a programming error (detected by assertions in debug builds).
-    Variables are integers [0 .. num_vars - 1]. The {e order} the
+    A BDD is a handle into the node store of the manager that built
+    it; a handle means nothing to another manager. Variables are
+    integers [0 .. num_vars - 1]. The {e order} the
     diagram descends in is a separate notion, the {e level}: a manager
     starts with level = variable index, and dynamic reordering
     ({!reorder}, {!set_auto_reorder}, {!set_order}) permutes the
-    var↔level map while preserving every held node's identity and
+    var↔level map while preserving every held handle's identity and
     boolean function. Functions documented "by index" ({!topvar},
     {!support}, {!sat_count}, {!eval}, {!iter_sat}, {!any_sat}) are
     insensitive to the order; only {!rename}'s fast path and the DOT
@@ -23,8 +23,11 @@ type man
     var↔level order map. *)
 
 type t
-(** A BDD node (hash-consed; structural equality is physical
-    equality). The physical node is stable across reordering. *)
+(** A BDD: a handle naming one node slot of its manager. Nodes are
+    hash-consed, so two handles of one manager are {!equal} exactly
+    when they denote the same boolean function. A handle is stable
+    across reordering, and valid for as long as its node is live (see
+    the rooting contract below). *)
 
 exception Node_limit of int
 (** Raised (with the current live-node count) when an operation needs
@@ -57,21 +60,28 @@ val set_max_nodes : man -> int option -> unit
     The manager's garbage collector is mark-and-sweep over the unique
     table: nodes reachable from registered roots (and from the
     arguments of the operation in flight) survive, all other table
-    entries are dropped and their uids recycled, and every operation
-    cache is invalidated. It runs when {!gc} is called explicitly, or
-    automatically when the node ceiling is reached mid-operation (the
-    operation is then retried from its pinned arguments).
+    entries are dropped and their slots freed for reuse, and every
+    operation cache is invalidated. It runs when {!gc} is called
+    explicitly, or automatically when the node ceiling is reached
+    mid-operation (the operation is then retried from its pinned
+    arguments).
 
     {b Contract}: on a manager with a node ceiling, or when calling
     {!gc} directly, every BDD held across public operations must be
-    reachable from a registered root. An unrooted BDD survives as an
-    OCaml value but loses hash-consing: rebuilding the same function
-    later yields a physically distinct node, so {!equal} would report
-    [false] on semantically equal functions. Two cases are pinned
+    reachable from a registered root. Two cases are pinned
     automatically: the arguments of every operation in flight (at any
     nesting depth), and literal nodes ({!var} / {!nvar}), which live
     for the manager's lifetime. Everything else held across an
     operation needs {!add_root} / {!protect} / {!pinned}.
+
+    A handle left unrooted across a collection is {e dangling}: the
+    collection frees its slot, and a later node may take the slot
+    over. While the slot is free, every operation below that takes a
+    BDD (all but {!is_true}, {!is_false}, {!equal} and {!id}) refuses
+    the handle with [Invalid_argument]; once the slot is reused the
+    handle silently names the new node. A handle from another manager
+    is refused the same way when its slot lies beyond this manager's
+    store, and is otherwise equally meaningless.
 
     Reordering operates under the same contract: a sifting pass first
     garbage-collects (the sweep set above), then rewrites the
@@ -114,16 +124,18 @@ val gc_stats : man -> gc_stats
 
     Rudell-style sifting: each variable (or glued group) is moved
     through every level by adjacent-level swaps and left at the
-    position minimising the total live-node count. Nodes are rewritten
-    in place, so every held [t] value keeps denoting the same boolean
-    function through the same physical node; all operation caches are
-    invalidated. *)
+    position minimising the total live-node count. Node slots are
+    rewritten in place, so every held [t] keeps denoting the same
+    boolean function through the same handle; all operation caches
+    are invalidated. *)
 
 val reorder : man -> unit
 (** Run one sifting pass now, under the GC rooting contract (a
     collection happens first — unrooted nodes are swept).
-    @raise Invalid_argument if called from inside an operation
-    callback (e.g. {!iter_sat}).
+    @raise Invalid_argument if called while an operation is in flight
+    (from a {!rename} substitution, say). An {!iter_sat} callback
+    runs between operations, so it may reorder; the enumeration
+    continues correctly.
     @raise Node_limit if the node ceiling forced the pass to abort;
     the manager is left consistent and usable, at whatever order the
     completed swaps produced. *)
@@ -184,16 +196,23 @@ val of_bool : man -> bool -> t
 val is_true : t -> bool
 val is_false : t -> bool
 val equal : t -> t -> bool
+(** Same node, hence same function (within one manager). *)
+
 val id : t -> int
-val topvar : t -> int
+(** The handle's slot number: unique among the manager's live nodes,
+    0 and 1 for the constants. *)
+
+val topvar : man -> t -> int
 (** The {e variable index} tested at this node — under a non-identity
     order this need not be the minimum of {!support}; the node merely
     sits at the outermost {e level} of the diagram.
     @raise Invalid_argument on constants. *)
 
-val low : t -> t
-val high : t -> t
-val size : t -> int
+val low : man -> t -> t
+val high : man -> t -> t
+(** The else- and then-children; a constant is its own child. *)
+
+val size : man -> t -> int
 (** Number of distinct nodes reachable from this root (including
     constants). *)
 
@@ -279,9 +298,6 @@ val support : man -> t -> int list
 
 val eval : man -> t -> (int -> bool) -> bool
 (** Evaluate under a total assignment. *)
-
-val pp : Format.formatter -> t -> unit
-(** Small diagnostic printer (node id and size). *)
 
 val to_dot : ?var_name:(int -> string) -> man -> t -> string
 (** Graphviz rendering of the diagram: one node per BDD node labeled

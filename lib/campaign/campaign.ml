@@ -199,67 +199,71 @@ module Make (B : BACKEND) = struct
              acc.a_truncated <- Some res;
              raise Stop_run
          | None -> ());
-         Obs.span tm_batch
-           ~fields:(fun () ->
-             [
-               ("backend", Json.String B.name);
-               ("batch", Json.Int bi);
-               ("detected", Json.Int acc.a_detected);
-               ("sim_steps", Json.Int acc.a_steps);
-             ])
-         @@ fun () ->
-         Obs.incr c_batches;
-         let lo = bi * width in
-         let bw = min width (n - lo) in
-         let sub = Array.sub eff lo bw in
-         let batch = B.start ctx sub in
-         let exc_step = Array.make bw (-1) and det_step = Array.make bw (-1) in
-         let msk_step = Array.make bw (-1) in
-         let active = ref (Lanes.ones bw) in
-         let batch_steps = ref 0 in
-         (* visit only the steps the backend names; a batch ends when
-            every lane is detected, the backend halts, or no step is
-            left *)
-         let t = ref (B.next batch ~active:!active 0) in
-         while !t < n_stims do
-           let step = !t in
-           let ev = B.step batch ~active:!active stims.(step) in
-           incr batch_steps;
-           Obs.incr c_sim_steps;
-           Lanes.iter (ev.excited land !active) (fun l ->
-               if exc_step.(l) < 0 then exc_step.(l) <- step);
-           Lanes.iter (ev.rejoined land !active) (fun l ->
-               if msk_step.(l) < 0 then msk_step.(l) <- step);
-           let det = ev.detected land !active in
-           Lanes.iter det (fun l -> det_step.(l) <- step);
-           active := !active land lnot det;
-           t :=
-             if ev.halt || !active = 0 then n_stims
-             else B.next batch ~active:!active (step + 1)
-         done;
-         acc.a_steps <- acc.a_steps + !batch_steps;
-         let batch_det = ref 0 in
-         let bverd = ref [] in
-         for l = 0 to bw - 1 do
-           let v =
-             {
-               detected = det_step.(l) >= 0;
-               excited = exc_step.(l) >= 0;
-               detect_step = (if det_step.(l) >= 0 then Some det_step.(l) else None);
-               excite_step = (if exc_step.(l) >= 0 then Some exc_step.(l) else None);
-               masked_step = (if msk_step.(l) >= 0 then Some msk_step.(l) else None);
-             }
-           in
-           if v.detected then begin
-             acc.a_detected <- acc.a_detected + 1;
-             Stdlib.incr batch_det
-           end;
-           acc.a_verdicts <- (sub.(l), v) :: acc.a_verdicts;
-           bverd := (sub.(l), v) :: !bverd
-         done;
-         Obs.add c_faults_evaluated bw;
-         sink !bverd;
-         notify ~batch_faults:bw ~batch_det:!batch_det ~batch_steps:!batch_steps
+         let bverd, batch_det, bw, batch_steps =
+           Obs.span tm_batch
+             ~fields:(fun () ->
+               [
+                 ("backend", Json.String B.name);
+                 ("batch", Json.Int bi);
+                 ("detected", Json.Int acc.a_detected);
+                 ("sim_steps", Json.Int acc.a_steps);
+               ])
+           @@ fun () ->
+           Obs.incr c_batches;
+           let lo = bi * width in
+           let bw = min width (n - lo) in
+           let sub = Array.sub eff lo bw in
+           let batch = B.start ctx sub in
+           let exc_step = Array.make bw (-1) and det_step = Array.make bw (-1) in
+           let msk_step = Array.make bw (-1) in
+           let active = ref (Lanes.ones bw) in
+           let batch_steps = ref 0 in
+           (* visit only the steps the backend names; a batch ends when
+              every lane is detected, the backend halts, or no step is
+              left *)
+           let t = ref (B.next batch ~active:!active 0) in
+           while !t < n_stims do
+             let step = !t in
+             let ev = B.step batch ~active:!active stims.(step) in
+             incr batch_steps;
+             Obs.incr c_sim_steps;
+             Lanes.iter (ev.excited land !active) (fun l ->
+                 if exc_step.(l) < 0 then exc_step.(l) <- step);
+             Lanes.iter (ev.rejoined land !active) (fun l ->
+                 if msk_step.(l) < 0 then msk_step.(l) <- step);
+             let det = ev.detected land !active in
+             Lanes.iter det (fun l -> det_step.(l) <- step);
+             active := !active land lnot det;
+             t :=
+               if ev.halt || !active = 0 then n_stims
+               else B.next batch ~active:!active (step + 1)
+           done;
+           acc.a_steps <- acc.a_steps + !batch_steps;
+           let batch_det = ref 0 in
+           let bverd = ref [] in
+           for l = 0 to bw - 1 do
+             let v =
+               {
+                 detected = det_step.(l) >= 0;
+                 excited = exc_step.(l) >= 0;
+                 detect_step = (if det_step.(l) >= 0 then Some det_step.(l) else None);
+                 excite_step = (if exc_step.(l) >= 0 then Some exc_step.(l) else None);
+                 masked_step = (if msk_step.(l) >= 0 then Some msk_step.(l) else None);
+               }
+             in
+             if v.detected then begin
+               acc.a_detected <- acc.a_detected + 1;
+               Stdlib.incr batch_det
+             end;
+             acc.a_verdicts <- (sub.(l), v) :: acc.a_verdicts;
+             bverd := (sub.(l), v) :: !bverd
+           done;
+           Obs.add c_faults_evaluated bw;
+           (!bverd, !batch_det, bw, !batch_steps)
+         in
+         (* after the span: a checkpoint save is not batch time *)
+         sink bverd;
+         notify ~batch_faults:bw ~batch_det ~batch_steps
        done
      with Stop_run -> ());
     acc

@@ -167,15 +167,15 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
       (* the first failed flush; it stops the campaign like [should_stop]
          but fails the job instead of marking it interrupted *)
       let save_failed = Atomic.make None in
+      (* one snapshot across the run's flushes: each flush adds the
+         verdicts decided since the last one, so a record's line is
+         rendered once, by the first save that writes it. The
+         checkpoint lock serialises the flushes. *)
+      let ck = Option.map (fun path -> (path, Covdb.create hdr)) ck_file in
       let checkpoint =
-        match ck_file with
+        match ck with
         | None -> None
-        | Some path ->
-            (* one snapshot across the run's flushes: each flush adds the
-               verdicts decided since the last one, so a record's line
-               is rendered once, by the first save that writes it. The
-               checkpoint lock serialises the flushes. *)
-            let db = Covdb.create hdr in
+        | Some (path, db) ->
             Some
               {
                 Campaign.every = p.Job.cov_checkpoint_every;
@@ -216,14 +216,19 @@ let run_persisted (type f) ~(p : Job.coverage_params) ~chaos_kill_after
         && r.Campaign.shard_failures = []
         && r.Campaign.skipped = 0
       in
-      (* the final snapshot holds the outcome's verdicts alone: a lost
-         shard's flushed verdicts are not among them *)
+      (* the final snapshot holds the outcome's verdicts alone. Every
+         flushed verdict is among them, with the same status, so the
+         flush database gains only the unflushed ones and keeps its
+         rendered lines; a lost shard's flushed verdicts are not among
+         them, so that run starts a fresh database *)
       let saved =
-        match (Atomic.get save_failed, ck_file) with
+        match (Atomic.get save_failed, ck) with
         | Some e, _ -> Error e
         | None, None -> Ok ()
-        | None, Some path ->
-            let db = Covdb.create hdr in
+        | None, Some (path, flush_db) ->
+            let db =
+              if r.Campaign.shard_failures = [] then flush_db else Covdb.create hdr
+            in
             add db outcome.Campaign.verdicts;
             Covdb.set_complete db complete;
             Covdb.set_truncated db

@@ -286,13 +286,19 @@ let traverse ?(partitioned = true) ?(frontier = true) ?(budget = Budget.unlimite
   let gc0 = (Bdd.gc_stats t.man).Bdd.runs in
   let stats = ref [] in
   let images = ref 0 in
-  let record ~iteration ~front ~reached ~dt =
+  (* an iteration's inputs are measured before its step: the step
+     re-roots the frontier, and a collection inside it frees the old
+     one *)
+  let measure ~front ~reached =
+    (count_states t front, Bdd.size t.man front, Bdd.size t.man reached)
+  in
+  let record ~iteration ~measured:(frontier_states, frontier_nodes, reached_nodes) ~dt =
     let stat =
       {
         iteration;
-        frontier_states = count_states t front;
-        frontier_nodes = Bdd.size front;
-        reached_nodes = Bdd.size reached;
+        frontier_states;
+        frontier_nodes;
+        reached_nodes;
         live_nodes = Bdd.node_count t.man;
         time_s = dt;
       }
@@ -341,6 +347,7 @@ let traverse ?(partitioned = true) ?(frontier = true) ?(budget = Budget.unlimite
           match Budget.step budget with
           | exception Budget.Budget_exceeded r -> finish ~truncated:r reached (n - 1)
           | () -> (
+              let measured = measure ~front ~reached in
               let ti = Unix.gettimeofday () in
               match
                 let im = img front in
@@ -362,7 +369,7 @@ let traverse ?(partitioned = true) ?(frontier = true) ?(budget = Budget.unlimite
               | exception Bdd.Node_limit _ ->
                   finish ~truncated:Budget.Nodes reached (n - 1)
               | step ->
-                  record ~iteration:n ~front ~reached ~dt:(Unix.gettimeofday () -. ti);
+                  record ~iteration:n ~measured ~dt:(Unix.gettimeofday () -. ti);
                   (match step with
                   | None -> finish reached n
                   | Some (reached', fresh) -> go reached' fresh (n + 1)))
@@ -374,6 +381,7 @@ let traverse ?(partitioned = true) ?(frontier = true) ?(budget = Budget.unlimite
           match Budget.step budget with
           | exception Budget.Budget_exceeded r -> finish ~truncated:r set (n - 1)
           | () -> (
+              let measured = measure ~front:set ~reached:set in
               let ti = Unix.gettimeofday () in
               match
                 let im = img set in
@@ -387,8 +395,7 @@ let traverse ?(partitioned = true) ?(frontier = true) ?(budget = Budget.unlimite
               | exception Bdd.Node_limit _ ->
                   finish ~truncated:Budget.Nodes set (n - 1)
               | next ->
-                  record ~iteration:n ~front:set ~reached:set
-                    ~dt:(Unix.gettimeofday () -. ti);
+                  record ~iteration:n ~measured ~dt:(Unix.gettimeofday () -. ti);
                   if Bdd.equal next set then finish set n else go next (n + 1))
         in
         go t.init 1

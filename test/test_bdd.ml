@@ -125,8 +125,8 @@ let test_restrict_cube () =
 
 let test_size () =
   let m = Bdd.man 3 in
-  Alcotest.(check int) "var size" 3 (Bdd.size (Bdd.var m 0));
-  Alcotest.(check int) "const size" 2 (Bdd.size (Bdd.btrue m))
+  Alcotest.(check int) "var size" 3 (Bdd.size m (Bdd.var m 0));
+  Alcotest.(check int) "const size" 2 (Bdd.size m (Bdd.btrue m))
 
 (* a moderately large function: parity of 10 variables (BDD size is
    linear for parity). *)
@@ -134,7 +134,7 @@ let test_parity_chain () =
   let m = Bdd.man 10 in
   let parity = List.fold_left (fun acc v -> Bdd.bxor m acc (Bdd.var m v)) (Bdd.bfalse m) (List.init 10 Fun.id) in
   Alcotest.(check (float 1e-3)) "half the assignments" 512.0 (Bdd.sat_count m ~nvars:10 parity);
-  Alcotest.(check bool) "linear size" true (Bdd.size parity <= 2 + (2 * 10))
+  Alcotest.(check bool) "linear size" true (Bdd.size m parity <= 2 + (2 * 10))
 
 let qcheck_random_exprs =
   (* random 4-variable expression evaluated against a direct interpreter *)

@@ -55,7 +55,7 @@ let test_order_and_levels () =
   Alcotest.(check int) "level of var 3" 0 (Bdd.level_of_var m 3);
   Alcotest.(check int) "level of var 0" 3 (Bdd.level_of_var m 0);
   (* topvar is a variable index; under this order the root tests x3 *)
-  Alcotest.(check int) "topvar follows order" 3 (Bdd.topvar f);
+  Alcotest.(check int) "topvar follows order" 3 (Bdd.topvar m f);
   (* support stays sorted by index, independent of the level order *)
   Alcotest.(check (list int)) "support index-sorted" [ 0; 3 ] (Bdd.support m f);
   Alcotest.(check bool) "semantics kept" true

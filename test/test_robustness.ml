@@ -7,16 +7,16 @@ open Simcov_netlist
 module Budget = Simcov_util.Budget
 module Rng = Simcov_util.Rng
 
-(* structural equality across managers (hash-consing only holds within
-   one manager) *)
-let rec same_shape a b =
+(* structural equality of [a] in manager [m] and [b] in manager [o]
+   (hash-consing only holds within one manager) *)
+let rec same_shape m o a b =
   if Bdd.is_false a then Bdd.is_false b
   else if Bdd.is_true a then Bdd.is_true b
   else
     (not (Bdd.is_false b || Bdd.is_true b))
-    && Bdd.topvar a = Bdd.topvar b
-    && same_shape (Bdd.low a) (Bdd.low b)
-    && same_shape (Bdd.high a) (Bdd.high b)
+    && Bdd.topvar m a = Bdd.topvar o b
+    && same_shape m o (Bdd.low m a) (Bdd.low o b)
+    && same_shape m o (Bdd.high m a) (Bdd.high o b)
 
 (* --- GC vs. oracle: random op sequences with forced sweeps --- *)
 
@@ -75,7 +75,7 @@ let gc_oracle_run ~seed ~sweep_every =
   done;
   Array.iteri
     (fun i a ->
-      if not (same_shape a (!pool_o).(i)) then
+      if not (same_shape m o a (!pool_o).(i)) then
         Alcotest.failf "pool entry %d diverged after GC (seed %d)" i seed)
     !pool_m;
   (* hash-consing must survive: recomputing an old value physically
@@ -110,16 +110,38 @@ let test_gc_preserves_counts () =
     ignore (Bdd.bxor m f (Bdd.var m (i mod 12)))
   done;
   let count0 = Bdd.sat_count m ~nvars:12 f in
-  let size0 = Bdd.size f in
+  let size0 = Bdd.size m f in
   let live_before = Bdd.node_count m in
   let freed = Bdd.gc m in
   Alcotest.(check bool) "something was reclaimed" true (freed > 0);
   Alcotest.(check bool) "live count dropped" true (Bdd.node_count m < live_before);
   Alcotest.(check (float 0.0)) "sat_count stable" count0 (Bdd.sat_count m ~nvars:12 f);
-  Alcotest.(check int) "size stable" size0 (Bdd.size f);
+  Alcotest.(check int) "size stable" size0 (Bdd.size m f);
   let stats = Bdd.gc_stats m in
   Alcotest.(check bool) "stats recorded" true
     (stats.Bdd.runs >= 1 && stats.Bdd.reclaimed >= freed)
+
+let test_freed_handle_refused () =
+  (* an unrooted handle dangles after a collection: while its slot is
+     free, operations refuse it instead of reading a dead node *)
+  let m = Bdd.man 4 in
+  let kept = Bdd.protect m (Bdd.band m (Bdd.var m 0) (Bdd.var m 1)) in
+  let lost = Bdd.bor m (Bdd.var m 2) (Bdd.nvar m 3) in
+  Alcotest.(check bool) "collected" true (Bdd.gc m > 0);
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a freed handle" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "band" (fun () -> ignore (Bdd.band m kept lost));
+  refused "bnot" (fun () -> ignore (Bdd.bnot m lost));
+  refused "exists" (fun () -> ignore (Bdd.exists m [ 2 ] lost));
+  refused "sat_count" (fun () -> ignore (Bdd.sat_count m ~nvars:4 lost));
+  refused "support" (fun () -> ignore (Bdd.support m lost));
+  refused "add_root" (fun () -> ignore (Bdd.add_root m lost));
+  (* rooted handles and literals are untouched *)
+  Alcotest.(check (float 0.0)) "rooted handle" 4.0 (Bdd.sat_count m ~nvars:4 kept);
+  Alcotest.(check (list int)) "literal" [ 2 ] (Bdd.support m (Bdd.var m 2))
 
 let test_auto_gc_retry () =
   (* a node ceiling forces automatic collect-and-retry mid-operation;
@@ -137,7 +159,7 @@ let test_auto_gc_retry () =
   done;
   Alcotest.(check bool) "ceiling respected" true (Bdd.node_count m <= 80);
   Alcotest.(check bool) "collections happened" true ((Bdd.gc_stats m).Bdd.runs > 0);
-  Alcotest.(check bool) "same function as oracle" true (same_shape !acc_m !acc_o)
+  Alcotest.(check bool) "same function as oracle" true (same_shape m o !acc_m !acc_o)
 
 let test_node_limit_raises_when_hopeless () =
   (* when even a sweep cannot fit the operands, Node_limit escapes and
@@ -560,4 +582,6 @@ let suite =
     Alcotest.test_case "serialize fuzz" `Quick test_serialize_fuzz;
     Alcotest.test_case "kill -9 + resume equals uninterrupted" `Quick
       test_kill_resume_equivalence;
+    Alcotest.test_case "a handle freed by a collection is refused" `Quick
+      test_freed_handle_refused;
   ]
