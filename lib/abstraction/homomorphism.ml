@@ -53,42 +53,3 @@ let quotient (m : Fsm.t) (a : mapping) =
           ()
       in
       Ok abs
-
-let is_transition_preserving (conc : Fsm.t) (abs : Fsm.t) (a : mapping) =
-  List.for_all
-    (fun (s, i, s', o) ->
-      let sa = a.state_map s and ia = a.input_map i in
-      abs.Fsm.valid sa ia
-      && abs.Fsm.next sa ia = a.state_map s'
-      && abs.Fsm.output sa ia = a.output_map o)
-    (Fsm.transitions conc)
-
-let identity_mapping (m : Fsm.t) =
-  {
-    n_abs_states = m.Fsm.n_states;
-    n_abs_inputs = m.Fsm.n_inputs;
-    state_map = Fun.id;
-    input_map = Fun.id;
-    output_map = Fun.id;
-  }
-
-let state_partition_by (m : Fsm.t) key =
-  let classes = Hashtbl.create 64 in
-  let assign = Array.make m.Fsm.n_states 0 in
-  let count = ref 0 in
-  for s = 0 to m.Fsm.n_states - 1 do
-    let k = key s in
-    match Hashtbl.find_opt classes k with
-    | Some c -> assign.(s) <- c
-    | None ->
-        Hashtbl.add classes k !count;
-        assign.(s) <- !count;
-        incr count
-  done;
-  {
-    n_abs_states = !count;
-    n_abs_inputs = m.Fsm.n_inputs;
-    state_map = (fun s -> assign.(s));
-    input_map = Fun.id;
-    output_map = Fun.id;
-  }

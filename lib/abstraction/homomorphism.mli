@@ -36,17 +36,3 @@ val quotient : Fsm.t -> mapping -> (Fsm.t, conflict) result
     concrete transitions map to the same abstract (state, input) but
     disagree on the abstract (next, output) — the abstraction is not a
     function and must be refined. *)
-
-val is_transition_preserving : Fsm.t -> Fsm.t -> mapping -> bool
-(** Check that every reachable concrete transition [(s, i, s', o)] maps
-    to an abstract transition: [abs] accepts [input_map i] in
-    [state_map s], steps to [state_map s'] and outputs
-    [output_map o]. This is the defining property of the abstraction
-    (it holds by construction for {!quotient} results). *)
-
-val identity_mapping : Fsm.t -> mapping
-
-val state_partition_by : Fsm.t -> (int -> 'a) -> mapping
-(** Mapping that merges states with equal keys (inputs and outputs kept
-    identical). Abstract state numbering follows first occurrence among
-    [0 .. n_states - 1]. *)

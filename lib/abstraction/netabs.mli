@@ -14,14 +14,11 @@
 
 open Simcov_netlist
 
-val free_regs : Circuit.t -> int list -> Circuit.t
-(** Remove the given registers. Every remaining reference to a removed
+val free_group : Circuit.t -> string -> Circuit.t
+(** Remove a register group. Every remaining reference to a removed
     register becomes a fresh primary input named after it (the paper's
     treatment of Processor Status Word signals once the datapath is
     abstracted). The removed registers' next-state logic disappears. *)
-
-val free_group : Circuit.t -> string -> Circuit.t
-(** [free_regs] over a whole register group. *)
 
 val drop_outputs : Circuit.t -> keep:(string -> bool) -> Circuit.t
 (** Remove output ports whose name fails [keep] ("remove outputs not

@@ -65,7 +65,3 @@ let check_graph g =
     end
   done;
   List.rev !diags
-
-let check c =
-  let g, _ = Netgraph.of_circuit c in
-  check_graph g

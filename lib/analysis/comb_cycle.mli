@@ -15,6 +15,3 @@
 
 val check_graph : Netgraph.t -> Diag.t list
 (** Diagnostics for every combinational cycle in the graph. *)
-
-val check : Simcov_netlist.Circuit.t -> Diag.t list
-(** [check_graph] over the lowered circuit. *)

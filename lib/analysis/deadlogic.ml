@@ -25,8 +25,6 @@ let analyze_graph (g, m) =
   in
   { graph = g; map = m; observable; feeds_constraint }
 
-let analyze (c : Circuit.t) = analyze_graph (Netgraph.of_circuit c)
-
 let hints_of (c : Circuit.t) { map = m; observable = obs; feeds_constraint = feeds; _ } =
   let acc = ref [] in
   Array.iteri
@@ -44,10 +42,6 @@ let hints_of (c : Circuit.t) { map = m; observable = obs; feeds_constraint = fee
           :: !acc)
     c.Circuit.regs;
   List.rev !acc
-
-let hints (c : Circuit.t) = hints_of c (analyze c)
-
-let free_list hs = List.map (fun h -> h.reg_index) hs
 
 let hint_to_json h =
   Json.Obj
@@ -108,5 +102,3 @@ let check_of (c : Circuit.t)
            (if dead_gates = 1 then "s" else ""))
       :: !diags;
   List.rev !diags
-
-let check (c : Circuit.t) = check_of c (analyze c)

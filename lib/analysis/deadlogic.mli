@@ -7,11 +7,10 @@
     (test-model guidelines, §5 / Requirement 2): sound candidates for
     the topological state-variable abstraction that
     {!Simcov_abstraction.Netabs.cone_reduce} implements. The pass
-    therefore doubles as a hint generator: {!hints} is the
-    machine-readable list the abstraction workflow consumes, and
-    {!free_list} turns it into the index list
-    {!Simcov_abstraction.Netabs.free_regs} /
-    [cone_reduce] would remove.
+    therefore doubles as a hint generator: {!hints_of} is the
+    machine-readable list the abstraction workflow consumes, in
+    register-index order; its indices are the registers [cone_reduce]
+    removes.
 
     Cone membership is computed on the lowered {!Netgraph} (shared
     logic counted once). The input constraint is {e not} an output:
@@ -38,21 +37,12 @@ type analysis = {
   feeds_constraint : bool array;
 }
 
-val analyze : Simcov_netlist.Circuit.t -> analysis
 val analyze_graph : Netgraph.t * Netgraph.circuit_map -> analysis
 val hints_of : Simcov_netlist.Circuit.t -> analysis -> hint list
-val check_of : Simcov_netlist.Circuit.t -> analysis -> Diag.t list
-
-val hints : Simcov_netlist.Circuit.t -> hint list
 (** Dead latches in register-index order. *)
 
-val free_list : hint list -> int list
-(** Register indices, ascending — the argument
-    {!Simcov_abstraction.Netabs.free_regs} expects, and the set
-    {!Simcov_abstraction.Netabs.cone_reduce} deletes. *)
-
-val hint_to_json : hint -> Simcov_util.Json.t
-
-val check : Simcov_netlist.Circuit.t -> Diag.t list
+val check_of : Simcov_netlist.Circuit.t -> analysis -> Diag.t list
 (** [SA301] (warning) per dead latch; one [SA302] (info) totalling the
     dead gate nets when any exist. *)
+
+val hint_to_json : hint -> Simcov_util.Json.t

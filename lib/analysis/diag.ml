@@ -48,6 +48,21 @@ let loc_name = function
   | State n | Input_symbol n | Word n -> n
   | Whole_circuit -> ""
 
+let count ds sev = List.length (List.filter (fun d -> d.severity = sev) ds)
+
+let worst ds =
+  List.fold_left
+    (fun acc d ->
+      match acc with
+      | Some s when severity_rank s >= severity_rank d.severity -> acc
+      | _ -> Some d.severity)
+    None ds
+
+let fails ds ~threshold =
+  match worst ds with
+  | None -> false
+  | Some w -> severity_rank w >= severity_rank threshold
+
 let compare a b =
   let c = Int.compare (severity_rank b.severity) (severity_rank a.severity) in
   if c <> 0 then c

@@ -49,9 +49,6 @@ val make :
   t
 (** [make ~code ~severity ~pass ~loc msg]. *)
 
-val severity_rank : severity -> int
-(** [Info] = 0, [Warning] = 1, [Error] = 2. *)
-
 val severity_name : severity -> string
 (** ["info"], ["warning"], ["error"]. *)
 
@@ -61,12 +58,13 @@ val compare : t -> t -> int
 (** Sort key: descending severity, then code, then location, then
     message — a stable presentation order. *)
 
-val loc_kind : location -> string
-(** The JSON kind tag: ["register"], ["net"], ["input"], ["output"],
-    ["state"], ["symbol"], ["word"] or ["circuit"]. *)
+(** {1 Reports} *)
 
-val loc_name : location -> string
-(** The name inside the location, or [""] for {!Whole_circuit}. *)
+val count : t list -> severity -> int
+(** Diagnostics of exactly this severity. *)
+
+val fails : t list -> threshold:severity -> bool
+(** Does any diagnostic reach [threshold]? (The [--fail-on] test.) *)
 
 val pp : Format.formatter -> t -> unit
 (** One line:

@@ -636,21 +636,6 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
     truncated = !truncated;
   }
 
-let count r sev = List.length (List.filter (fun d -> d.Diag.severity = sev) r.diags)
-
-let worst r =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some s when Diag.severity_rank s >= Diag.severity_rank d.Diag.severity -> acc
-      | _ -> Some d.Diag.severity)
-    None r.diags
-
-let fails r ~threshold =
-  match worst r with
-  | None -> false
-  | Some w -> Diag.severity_rank w >= Diag.severity_rank threshold
-
 let schema_id = "simcov-fsmlint/1"
 
 let suite_to_json s =
@@ -724,8 +709,8 @@ let pp fmt r =
          else Printf.sprintf " (skipped: %s)" (String.concat ", " r.skipped))
   | None -> ());
   Format.fprintf fmt "%d error%s, %d warning%s, %d info@]"
-    (count r Diag.Error)
-    (if count r Diag.Error = 1 then "" else "s")
-    (count r Diag.Warning)
-    (if count r Diag.Warning = 1 then "" else "s")
-    (count r Diag.Info)
+    (Diag.count r.diags Diag.Error)
+    (if Diag.count r.diags Diag.Error = 1 then "" else "s")
+    (Diag.count r.diags Diag.Warning)
+    (if Diag.count r.diags Diag.Warning = 1 then "" else "s")
+    (Diag.count r.diags Diag.Info)

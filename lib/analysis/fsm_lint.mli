@@ -17,8 +17,7 @@
       unreachable state, SA603 dead input symbol, SA604 out-of-range
       transition target, SA605 partial specification (Info).
       Determinism needs no check: {!Simcov_fsm.Fsm.t} is functional,
-      hence deterministic by construction, and
-      {!Simcov_fsm.Fsm.of_table} rejects duplicate rows.
+      hence deterministic by construction.
     - [connectivity] — SA610 when the reachable transition graph is
       not strongly connected, with the SCC condensation cut edges as
       the witness (shared Tarjan via {!Simcov_graph.Scc}).
@@ -101,15 +100,6 @@ val run :
     large to enumerate (default 7). [suite] is a list of input words
     to analyze with the suite-cover pass. Each pass costs one budget
     step; the fault-structural campaign runs unbudgeted. *)
-
-val count : report -> Diag.severity -> int
-val worst : report -> Diag.severity option
-
-val fails : report -> threshold:Diag.severity -> bool
-(** Does any diagnostic reach [threshold]? (The [--fail-on] test.) *)
-
-val schema_id : string
-(** ["simcov-fsmlint/1"]. *)
 
 val to_json : report -> Simcov_util.Json.t
 (** Versioned schema: [schema], [model] stats (including

@@ -89,21 +89,6 @@ let run ?(budget = Budget.unlimited) ?(name = "circuit") ?against (c : Circuit.t
     truncated = !truncated;
   }
 
-let count r sev = List.length (List.filter (fun d -> d.Diag.severity = sev) r.diags)
-
-let worst r =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some s when Diag.severity_rank s >= Diag.severity_rank d.Diag.severity -> acc
-      | _ -> Some d.Diag.severity)
-    None r.diags
-
-let fails r ~threshold =
-  match worst r with
-  | None -> false
-  | Some w -> Diag.severity_rank w >= Diag.severity_rank threshold
-
 let schema_id = "simcov-lint/1"
 
 let to_json r =
@@ -148,8 +133,8 @@ let pp fmt r =
          else Printf.sprintf " (skipped: %s)" (String.concat ", " r.skipped))
   | None -> ());
   Format.fprintf fmt "%d error%s, %d warning%s, %d info@]"
-    (count r Diag.Error)
-    (if count r Diag.Error = 1 then "" else "s")
-    (count r Diag.Warning)
-    (if count r Diag.Warning = 1 then "" else "s")
-    (count r Diag.Info)
+    (Diag.count r.diags Diag.Error)
+    (if Diag.count r.diags Diag.Error = 1 then "" else "s")
+    (Diag.count r.diags Diag.Warning)
+    (if Diag.count r.diags Diag.Warning = 1 then "" else "s")
+    (Diag.count r.diags Diag.Info)

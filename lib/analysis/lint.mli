@@ -42,13 +42,6 @@ val run :
     abstracted from; when given, the homo-precheck cone-compatibility
     pass ({!Homo_precheck.check_circuits}) runs too. *)
 
-val count : report -> Diag.severity -> int
-val worst : report -> Diag.severity option
-(** Highest severity present, [None] for a clean report. *)
-
-val fails : report -> threshold:Diag.severity -> bool
-(** Does any diagnostic reach [threshold]? (The [--fail-on] test.) *)
-
 val to_json : report -> Simcov_util.Json.t
 (** The documented schema (DESIGN.md §7): an object with [schema]
     (["simcov-lint/1"]), [model] stats, [passes], [skipped],

@@ -28,9 +28,6 @@ type t
 
 val create : unit -> t
 
-val add_net : t -> ?name:string -> unit -> int
-(** New net; auto-named ["$n<i>"] when [name] is omitted. *)
-
 val find_or_add_net : t -> string -> int
 (** Net by name, creating it (undriven) if absent. *)
 
@@ -38,8 +35,6 @@ val add_driver : t -> net:int -> kind:cell_kind -> fanin:int list -> unit
 (** Attach a driver. A second driver on the same net makes it
     multiply-driven (reported by the structural pass, tolerated
     here). *)
-
-val mark_po : t -> int -> unit
 
 val n_nets : t -> int
 val name : t -> int -> string

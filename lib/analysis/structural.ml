@@ -145,7 +145,3 @@ let check_circuit (c : Circuit.t) =
     (family_diags "output"
        (Array.map (fun (o : Circuit.port) -> o.Circuit.port_name) c.Circuit.outputs));
   List.rev !diags
-
-let check c =
-  let g, _ = Netgraph.of_circuit c in
-  check_graph g @ check_circuit c

@@ -25,6 +25,3 @@
 
 val check_graph : Netgraph.t -> Diag.t list
 val check_circuit : Simcov_netlist.Circuit.t -> Diag.t list
-
-val check : Simcov_netlist.Circuit.t -> Diag.t list
-(** Both levels over the lowered circuit. *)

@@ -26,6 +26,9 @@ let v_xor a b =
   | Both, _ | _, Both -> Both
   | a, b -> if a = b then Zero else One
 
+(* Ternary evaluation with the usual short-circuits ([Zero] absorbs
+   [and], [One] absorbs [or], a known select picks its mux branch, and
+   [x xor x] over an unknown stays unknown). *)
 let rec eval ~inputs ~regs = function
   | Expr.Const b -> of_bool b
   | Expr.Input i -> inputs i

@@ -29,23 +29,11 @@
 
 type value = Zero | One | Both
 
-val of_bool : bool -> value
-val join : value -> value -> value
-val to_string : value -> string
-
-val eval : inputs:(int -> value) -> regs:(int -> value) -> Simcov_netlist.Expr.t -> value
-(** Ternary evaluation with the usual short-circuits ([Zero] absorbs
-    [and], [One] absorbs [or], a known select picks its mux branch, and
-    [x xor x] over an unknown stays unknown). *)
-
 type result = {
   reg_values : value array;  (** accumulated over all abstract runs *)
   output_values : value array;
   constraint_value : value;
   sweeps : int;  (** fixpoint iterations used *)
 }
-
-val analyze : ?budget:Simcov_util.Budget.t -> Simcov_netlist.Circuit.t -> result
-(** One {!Simcov_util.Budget.step} per sweep. *)
 
 val check : ?budget:Simcov_util.Budget.t -> Simcov_netlist.Circuit.t -> Diag.t list

@@ -426,7 +426,6 @@ let num_vars m = m.nvars
 let live_nodes m = m.live
 let node_count m = live_nodes m + 2
 let peak_node_count m = m.peak_live + 2
-let max_nodes m = if m.max_nodes >= slot_limit then None else Some m.max_nodes
 
 let set_max_nodes m limit =
   match limit with
@@ -452,15 +451,10 @@ let reorder_stats (m : man) : reorder_stats =
   }
 
 let order m = Array.copy m.var_of_level
-let level_of_var m v =
-  if v < 0 || v >= m.nvars then invalid_arg "Bdd.level_of_var: variable out of range";
-  m.level_of_var.(v)
 
 let bfalse _ = 0
 let btrue _ = 1
 let of_bool _ b = if b then 1 else 0
-
-let id (t : t) = t
 
 (* Every public entry point checks the handles it is given: a handle
    whose slot is free (or beyond the slots ever handed out, e.g. one
@@ -912,10 +906,9 @@ let rec bxor_rec m a b =
 
 let bxor m a b = run_op m [ a; b ] (fun () -> bxor_rec m a b)
 
-(* Compound connectives run as ONE public operation: on a mid-op
+(* A compound connective runs as ONE public operation: on a mid-op
    collection the retry restarts the whole body from the pinned
    arguments, so the inner intermediate needs no root of its own. *)
-let bimp m a b = run_op m [ a; b ] (fun () -> bor_rec m (bnot_rec m a) b)
 let biff m a b = run_op m [ a; b ] (fun () -> bnot_rec m (bxor_rec m a b))
 
 (* [s] cofactored on variable [v], which sits at or above its level *)
@@ -955,22 +948,6 @@ let ite m c t e = run_op m [ c; t; e ] (fun () -> ite_rec m c t e)
 (* n-ary folds pin the whole operand list up front — the not-yet-folded
    tail must survive any collection triggered while folding the head *)
 let conj m ts = run_op m ts (fun () -> List.fold_left (band_rec m) 1 ts)
-let disj m ts = run_op m ts (fun () -> List.fold_left (bor_rec m) 0 ts)
-
-let cofactor_rec m t v b =
-  let lv = m.level_of_var.(v) in
-  let rec go t =
-    if t < 2 || lvl m t > lv then t
-    else if var_at m t = v then if b then hi_at m t else lo_at m t
-    else begin
-      let tv = var_at m t and tlo = lo_at m t in
-      let h = go (hi_at m t) in
-      mk m tv (go tlo) h
-    end
-  in
-  go t
-
-let cofactor m t v b = run_op m [ t ] (fun () -> cofactor_rec m t v b)
 
 (* A quantified-variable set as a flat bool array, validated against
    the manager's variable range. *)
@@ -986,7 +963,7 @@ let var_set m vars =
 (* Quantification: membership probed in a flat bool array; results
    memoized per call keyed by slot (valid because the var set is fixed
    for the call). *)
-let quantify_impl m ~disjunctive vset t =
+let exists_impl m vset t =
   let cache = Itab.create 256 in
   let rec go t =
     if t < 2 then t
@@ -997,10 +974,7 @@ let quantify_impl m ~disjunctive vset t =
         let v = var_at m t and tlo = lo_at m t in
         let h = go (hi_at m t) in
         let l = go tlo in
-        let r =
-          if vset.(v) then if disjunctive then bor_rec m l h else band_rec m l h
-          else mk m v l h
-        in
+        let r = if vset.(v) then bor_rec m l h else mk m v l h in
         Itab.add cache t r;
         r
       end
@@ -1008,12 +982,9 @@ let quantify_impl m ~disjunctive vset t =
   in
   go t
 
-let quantify m ~disjunctive vars t =
+let exists m vars t =
   let vset = var_set m vars in
-  run_op m [ t ] (fun () -> quantify_impl m ~disjunctive vset t)
-
-let exists m vars t = quantify m ~disjunctive:true vars t
-let forall m vars t = quantify m ~disjunctive:false vars t
+  run_op m [ t ] (fun () -> exists_impl m vset t)
 
 (* Fused AND-EXISTS: quantifies while conjoining, pruning as soon as a
    branch reaches True under the quantifier. *)
@@ -1199,9 +1170,6 @@ let rename m subst t =
           go t)
   end
 
-let restrict_cube m assigns t =
-  List.fold_left (fun acc (v, b) -> cofactor m acc v b) t assigns
-
 let any_sat m t =
   check m t;
   let rec go t acc =
@@ -1274,28 +1242,6 @@ let eval m t assign =
     else go (lo_at m t)
   in
   go t
-
-let iter_sat m ~vars f t =
-  check m t;
-  let k = Array.length vars in
-  let buf = Array.make k false in
-  let rec go i t =
-    if i = k then begin
-      if t = 1 then f buf
-      else if t <> 0 then invalid_arg "Bdd.iter_sat: support escapes vars"
-    end
-    else if t <> 0 then begin
-      let v = vars.(i) in
-      (* [t] stays live across the whole low-branch enumeration, which
-         runs further cofactor operations: pin it *)
-      pinned m t (fun () ->
-          buf.(i) <- false;
-          go (i + 1) (cofactor m t v false);
-          buf.(i) <- true;
-          go (i + 1) (cofactor m t v true))
-    end
-  in
-  if t <> 0 then go 0 t
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic variable reordering (Rudell sifting)                        *)
@@ -1689,48 +1635,3 @@ let set_order m perm =
   end
 
 (* ------------------------------------------------------------------ *)
-
-let to_dot ?(var_name = fun v -> "x" ^ string_of_int v) m t =
-  check m t;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "digraph bdd {\n";
-  Buffer.add_string buf "  node [shape=circle];\n";
-  Buffer.add_string buf "  F [shape=box, label=\"0\"];\n";
-  Buffer.add_string buf "  T [shape=box, label=\"1\"];\n";
-  let e = new_epoch m in
-  let stamp = m.stamp in
-  (* slots per level, in discovery order — the rank groups that keep a
-     reordered diagram drawn in order *)
-  let per_level = Array.make (max 1 m.nvars) [] in
-  let node_ref s = if s = 0 then "F" else if s = 1 then "T" else "n" ^ string_of_int s in
-  let rec go s =
-    if s >= 2 && Bytes.get stamp s <> e then begin
-      Bytes.set stamp s e;
-      let v = var_at m s and lo = lo_at m s and hi = hi_at m s in
-      let l = m.level_of_var.(v) in
-      per_level.(l) <- s :: per_level.(l);
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s L%d\"];\n" s (var_name v) l);
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> %s [style=dashed];\n" s (node_ref lo));
-      Buffer.add_string buf (Printf.sprintf "  n%d -> %s;\n" s (node_ref hi));
-      go lo;
-      go hi
-    end
-  in
-  go t;
-  (* one rank per populated level, top of the order first *)
-  Array.iter
-    (fun slots ->
-      match slots with
-      | [] -> ()
-      | _ ->
-          Buffer.add_string buf "  { rank=same;";
-          List.iter
-            (fun s -> Buffer.add_string buf (Printf.sprintf " n%d;" s))
-            (List.rev slots);
-          Buffer.add_string buf " }\n")
-    per_level;
-  Buffer.add_string buf (Printf.sprintf "  root [shape=none, label=\"\"];\n  root -> %s;\n" (node_ref t));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -14,9 +14,9 @@
     ({!reorder}, {!set_auto_reorder}, {!set_order}) permutes the
     var↔level map while preserving every held handle's identity and
     boolean function. Functions documented "by index" ({!topvar},
-    {!support}, {!sat_count}, {!eval}, {!iter_sat}, {!any_sat}) are
-    insensitive to the order; only {!rename}'s fast path and the DOT
-    layout depend on levels. *)
+    {!support}, {!sat_count}, {!eval}) are insensitive to the order;
+    {!any_sat} lists its cube in level order, and {!rename}'s fast
+    path depends on levels. *)
 
 type man
 (** A BDD manager: unique table, caches, variable count, and the
@@ -51,7 +51,6 @@ val node_count : man -> int
 val peak_node_count : man -> int
 (** High-water mark of {!node_count} over the manager's lifetime. *)
 
-val max_nodes : man -> int option
 val set_max_nodes : man -> int option -> unit
 (** Adjust the live-node ceiling; [None] removes it. *)
 
@@ -77,7 +76,7 @@ val set_max_nodes : man -> int option -> unit
     A handle left unrooted across a collection is {e dangling}: the
     collection frees its slot, and a later node may take the slot
     over. While the slot is free, every operation below that takes a
-    BDD (all but {!is_true}, {!is_false}, {!equal} and {!id}) refuses
+    BDD (all but {!is_true}, {!is_false} and {!equal}) refuses
     the handle with [Invalid_argument]; once the slot is reused the
     handle silently names the new node. A handle from another manager
     is refused the same way when its slot lies beyond this manager's
@@ -133,9 +132,7 @@ val reorder : man -> unit
 (** Run one sifting pass now, under the GC rooting contract (a
     collection happens first — unrooted nodes are swept).
     @raise Invalid_argument if called while an operation is in flight
-    (from a {!rename} substitution, say). An {!iter_sat} callback
-    runs between operations, so it may reorder; the enumeration
-    continues correctly.
+    (from a {!rename} substitution, say).
     @raise Node_limit if the node ceiling forced the pass to abort;
     the manager is left consistent and usable, at whatever order the
     completed swaps produced. *)
@@ -164,9 +161,6 @@ val set_order : man -> int array -> unit
 
 val order : man -> int array
 (** The current order: element [l] is the variable at level [l]. *)
-
-val level_of_var : man -> int -> int
-(** The level a variable currently sits at. *)
 
 type reorder_stats = {
   reorder_runs : int;  (** sifting passes completed *)
@@ -198,10 +192,6 @@ val is_false : t -> bool
 val equal : t -> t -> bool
 (** Same node, hence same function (within one manager). *)
 
-val id : t -> int
-(** The handle's slot number: unique among the manager's live nodes,
-    0 and 1 for the constants. *)
-
 val topvar : man -> t -> int
 (** The {e variable index} tested at this node — under a non-identity
     order this need not be the minimum of {!support}; the node merely
@@ -222,30 +212,21 @@ val bnot : man -> t -> t
 val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
-val bimp : man -> t -> t -> t
 val biff : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
 
 val conj : man -> t list -> t
-val disj : man -> t list -> t
 
-(** {1 Cofactors, quantification, substitution} *)
-
-val cofactor : man -> t -> int -> bool -> t
-(** [cofactor m f v b] is f with variable [v] fixed to [b]. *)
-
-val exists : man -> int list -> t -> t
-(** Existential quantification over a set of variables. *)
-
-val forall : man -> int list -> t -> t
+(** {1 Quantification and substitution} *)
 
 val and_exists : man -> int list -> t -> t -> t
-(** Fused relational product: [exists vars (band f g)] without building
-    the full conjunction — the workhorse of image computation. *)
+(** Fused relational product: the existential quantification of
+    [vars] from [band f g], without building the full conjunction —
+    the workhorse of image computation. *)
 
 val and_exists_list : man -> int list -> t list -> t
-(** [and_exists_list m vars conjuncts] is
-    [exists m vars (conj m conjuncts)] computed with early
+(** [and_exists_list m vars conjuncts] quantifies [vars] out of
+    [conj m conjuncts] with early
     quantification: conjuncts are folded in the given order and each
     variable of [vars] is quantified out together with the last
     conjunct whose support mentions it, so intermediate products never
@@ -265,9 +246,6 @@ val rename : man -> (int -> int) -> t -> t
     index-monotone map may be level-non-monotone — the dispatcher
     checks and picks the right path, callers need not care. *)
 
-val restrict_cube : man -> (int * bool) list -> t -> t
-(** Fix several variables at once. *)
-
 (** {1 Satisfiability} *)
 
 val any_sat : man -> t -> (int * bool) list
@@ -285,23 +263,9 @@ val sat_count : man -> nvars:int -> t -> float
     variable in the BDD's support (the count would silently be wrong
     otherwise). *)
 
-val iter_sat : man -> vars:int array -> (bool array -> unit) -> t -> unit
-(** Enumerate all satisfying total assignments over exactly the
-    variables [vars] (in the given order, which need not relate to the
-    manager's level order); the callback receives a reused buffer —
-    copy it if you keep it. Variables outside [vars] must not occur in
-    the BDD's support. *)
-
 val support : man -> t -> int list
 (** Variable indices the function depends on, ascending by index
     (independent of the current order). *)
 
 val eval : man -> t -> (int -> bool) -> bool
 (** Evaluate under a total assignment. *)
-
-val to_dot : ?var_name:(int -> string) -> man -> t -> string
-(** Graphviz rendering of the diagram: one node per BDD node labeled
-    with its variable name and current level ("xN Lk"), dashed edges
-    for the low (0) branch, solid for the high (1) branch, and one
-    [rank=same] group per populated level so the drawing stacks in
-    order even after reordering. *)

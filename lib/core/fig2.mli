@@ -14,9 +14,6 @@
 
 open Simcov_fsm
 
-val state_names : string array
-val input_names : string array
-
 val original : Fsm.t
 (** 7 states (3' and 4' unreachable in the correct machine), inputs
     a, b, c, r, d: [r] closes the loop back to state 1, and [d] is a
@@ -27,15 +24,6 @@ val original : Fsm.t
 val repaired : Fsm.t
 (** Same structure with distinct outputs on [c] from 3 and 3'. *)
 
-val transfer_error : Simcov_coverage.Fault.t
-(** The 2 -a-> 3' transfer error of the figure. *)
-
-val tour_via_b : int list
-(** A transition tour whose [a]-coverage continues with [b]. *)
-
-val tour_via_c : int list
-(** A transition tour whose [a]-coverage continues with [c]. *)
-
 type row = {
   machine : string;
   tour : string;
@@ -44,9 +32,11 @@ type row = {
 }
 
 val experiment : unit -> row list
-(** The Figure 2 demonstration: both tours on both machines. On
-    [original], [tour_via_c] misses the error; on [repaired] every
-    tour catches it. *)
+(** The Figure 2 demonstration: the 2 -a-> 3' transfer error against
+    two transition tours, one whose [a]-coverage continues with [b]
+    and one whose continues with [c], on both machines. On [original]
+    the [c] tour misses the error; on [repaired] every tour catches
+    it. *)
 
 val random_tour_detection : Simcov_util.Rng.t -> n:int -> Fsm.t -> int
 (** Of [n] random covering walks (greedy with randomized tie-breaks is

@@ -255,7 +255,9 @@ let pp_run_report ppf r =
   Format.fprintf ppf "test model: %d states, %d transitions@," r.model_states
     r.model_transitions;
   (let module Fl = Simcov_analysis.Fsm_lint in
+   let module D = Simcov_analysis.Diag in
    let fl = r.fsm_lint in
+   let errors = D.count fl.Fl.diags D.Error and warnings = D.count fl.Fl.diags D.Warning in
    Format.fprintf ppf
      "fsm precondition gate: %d SCC%s, %d classes, %s; %d error%s, %d warning%s@,"
      fl.Fl.stats.Fl.n_sccs
@@ -264,14 +266,12 @@ let pp_run_report ppf r =
      (match fl.Fl.stats.Fl.certified_k with
      | Some k -> Printf.sprintf "certified forall-%d-distinguishable" k
      | None -> "forall-k UNCERTIFIED")
-     (Fl.count fl Simcov_analysis.Diag.Error)
-     (if Fl.count fl Simcov_analysis.Diag.Error = 1 then "" else "s")
-     (Fl.count fl Simcov_analysis.Diag.Warning)
-     (if Fl.count fl Simcov_analysis.Diag.Warning = 1 then "" else "s");
+     errors
+     (if errors = 1 then "" else "s")
+     warnings
+     (if warnings = 1 then "" else "s");
    List.iter
-     (fun d ->
-       if d.Simcov_analysis.Diag.severity = Simcov_analysis.Diag.Error then
-         Format.fprintf ppf "  %a@," Simcov_analysis.Diag.pp d)
+     (fun d -> if d.D.severity = D.Error then Format.fprintf ppf "  %a@," D.pp d)
      fl.Fl.diags);
   Format.fprintf ppf "state-space figures (%s): %.0f states, %.0f transitions@,"
     (tier_name r.symbolic.tier) r.symbolic.sym_states r.symbolic.sym_transitions;

@@ -2,8 +2,6 @@ open Simcov_fsm
 
 type status = Satisfied of string | Violated of string | Assumed of string
 
-let is_ok = function Satisfied _ | Assumed _ -> true | Violated _ -> false
-
 type report = {
   r1_uniform_output_errors : status;
   r2_bounded_processing : status;
@@ -11,11 +9,6 @@ type report = {
   r4_no_masking : status;
   r5_observable_interaction : status;
 }
-
-let all_ok r =
-  is_ok r.r1_uniform_output_errors && is_ok r.r2_bounded_processing
-  && is_ok r.r3_unique_outputs && is_ok r.r4_no_masking
-  && is_ok r.r5_observable_interaction
 
 let pp_status ppf = function
   | Satisfied e -> Format.fprintf ppf "satisfied (%s)" e

@@ -35,9 +35,6 @@ type status =
   | Violated of string
   | Assumed of string  (** taken as a design assumption, not checked *)
 
-val is_ok : status -> bool
-(** [Satisfied] or [Assumed]. *)
-
 type report = {
   r1_uniform_output_errors : status;
   r2_bounded_processing : status;
@@ -46,7 +43,6 @@ type report = {
   r5_observable_interaction : status;
 }
 
-val all_ok : report -> bool
 val pp_report : Format.formatter -> report -> unit
 
 val check :

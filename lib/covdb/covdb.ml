@@ -44,7 +44,6 @@ let find t k = Option.map (fun r -> r.status) (Keys.find_opt k t.recs)
 let n_records t = Keys.cardinal t.recs
 let complete t = t.complete
 let set_complete t b = t.complete <- b
-let truncated t = t.truncated
 let set_truncated t r = t.truncated <- r
 let iter t f = Keys.iter (fun k r -> f k r.status) t.recs
 
@@ -76,10 +75,6 @@ let set t k s =
   match Keys.find_opt k t.recs with
   | Some r when status_equal r.status s -> ()
   | _ -> t.recs <- Keys.add k { status = s; line = "" } t.recs
-
-let equal a b =
-  a.hdr = b.hdr && a.complete = b.complete && a.truncated = b.truncated
-  && Keys.equal (fun r r' -> status_equal r.status r'.status) a.recs b.recs
 
 (* ---- the line format ---- *)
 

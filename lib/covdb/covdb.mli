@@ -79,24 +79,14 @@ val complete : t -> bool
 
 val set_complete : t -> bool -> unit
 
-val truncated : t -> string option
-(** The budget resource that cut the producing run short, if any. *)
-
 val set_truncated : t -> string option -> unit
 
 val iter : t -> (string -> status -> unit) -> unit
 (** In ascending key order — the canonical (and persisted) order, so
     equal databases serialize to equal bytes. *)
 
-val detected_keys : t -> string list
-(** Keys with a [Detected] record, ascending. *)
-
 val counts : t -> int * int * int
 (** [(undetected, excited, detected)] record counts. *)
-
-val status_equal : status -> status -> bool
-val equal : t -> t -> bool
-(** Header, records, completeness and truncation all equal. *)
 
 (** {1 Persistence} *)
 

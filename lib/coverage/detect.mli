@@ -122,8 +122,5 @@ val to_json :
 
 (** {1 Transition coverage of a word} *)
 
-val transitions_covered : Fsm.t -> int list -> (int * int) list
-(** Distinct (state, input) pairs traversed by the word from reset. *)
-
 val state_coverage : Fsm.t -> int list -> int
 val transition_coverage : Fsm.t -> int list -> int

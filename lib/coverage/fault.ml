@@ -19,8 +19,6 @@ let pp ppf = function
       Format.fprintf ppf "cond-output(s%d, i%d => %d after (s%d, i%d))" state input
         wrong_output ps pi
 
-let equal = ( = )
-
 (* [tag:f1:f2:...] in decimal, written into one buffer: a campaign
    keys thousands of faults, and [string_of_int] is a C format call per
    field *)
@@ -75,10 +73,6 @@ let site = function
   | Output { state; input; _ }
   | Conditional_output { state; input; _ } ->
       (state, input)
-
-let is_uniform_kind = function
-  | Transfer _ | Output _ -> true
-  | Conditional_output _ -> false
 
 let is_effective (m : Fsm.t) fault =
   match fault with

@@ -28,7 +28,6 @@ type t =
     }
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 val key : t -> string
 (** A stable, injective textual key (["t:s:i:w"], ["o:s:i:w"],
@@ -41,10 +40,6 @@ val to_json : t -> Simcov_util.Json.t
 
 val site : t -> int * int
 (** The faulted [(state, input)] pair. *)
-
-val is_uniform_kind : t -> bool
-(** [Transfer] and [Output] faults misbehave on every traversal of
-    their site; [Conditional_output] faults do not. *)
 
 val is_effective : Fsm.t -> t -> bool
 (** False for degenerate faults ([wrong_next] equal to the correct next

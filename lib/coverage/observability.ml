@@ -84,9 +84,3 @@ let analyze ?(horizon = 4) (c : Circuit.t) word =
 let pct a b = if b = 0 then 100.0 else 100.0 *. float_of_int a /. float_of_int b
 let toggle_pct r = pct r.toggled r.n_regs
 let observability_pct r = pct r.toggled_and_observed r.n_regs
-
-let pp ppf r =
-  Format.fprintf ppf
-    "%d regs over %d steps: %d toggled (%.0f%%), %d observed, %d both (%.0f%%)" r.n_regs
-    r.steps r.toggled (toggle_pct r) r.observed r.toggled_and_observed
-    (observability_pct r)

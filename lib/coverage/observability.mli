@@ -35,4 +35,3 @@ val analyze : ?horizon:int -> Circuit.t -> bool array list -> report
 
 val toggle_pct : report -> float
 val observability_pct : report -> float
-val pp : Format.formatter -> report -> unit

@@ -149,11 +149,3 @@ let fault_key f =
     match f.site with Reg_output r -> ("r", r) | Primary_input i -> ("i", i)
   in
   Printf.sprintf "%s:%d:%d" tag i (if f.stuck then 1 else 0)
-
-let pp_fault ppf f =
-  let where =
-    match f.site with
-    | Reg_output r -> Printf.sprintf "reg %d" r
-    | Primary_input i -> Printf.sprintf "input %d" i
-  in
-  Format.fprintf ppf "%s stuck-at-%d" where (if f.stuck then 1 else 0)

@@ -63,7 +63,6 @@ val campaign_outcome :
 
 val coverage_pct : report -> float
 val pp_report : Format.formatter -> report -> unit
-val fault_to_json : fault -> Simcov_util.Json.t
 
 val fault_key : fault -> string
 (** A stable, injective textual key (["r:N:b"] / ["i:N:b"]) — the
@@ -73,5 +72,3 @@ val fault_key : fault -> string
 val to_json :
   ?extra:(string * Simcov_util.Json.t) list -> report -> Simcov_util.Json.t
 (** [simcov-campaign/1] rendering with structured missed faults. *)
-
-val pp_fault : Format.formatter -> fault -> unit

@@ -24,5 +24,3 @@ let classify (m : Fsm.t) (a : Homomorphism.mapping) ~faulty =
   |> List.sort compare
 
 let is_uniform c = c.clean_members = 0
-
-let requirement1_holds m a ~faulty = List.for_all is_uniform (classify m a ~faulty)

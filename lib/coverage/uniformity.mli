@@ -12,9 +12,8 @@
     mixes hazard and no-hazard concrete transitions, so the error shows
     only for some histories.
 
-    Requirement 1 demands all output errors be uniform; {!classify}
-    decides it for a fault set, and {!requirement1_holds} is the check
-    the methodology core performs before certifying completeness. *)
+    Requirement 1 demands all output errors be uniform: it holds for a
+    fault set when every {!classify} result {!is_uniform}. *)
 
 open Simcov_fsm
 open Simcov_abstraction
@@ -35,7 +34,3 @@ val classify :
 val is_uniform : classification -> bool
 (** No clean members: the error is exposed by every history reaching
     the abstract transition. *)
-
-val requirement1_holds :
-  Fsm.t -> Homomorphism.mapping -> faulty:(int * int -> bool) -> bool
-(** All classified output errors are uniform (Requirement 1). *)

@@ -5,7 +5,7 @@ let ( !! ) = Expr.( !! )
 let ( &&& ) = Expr.( &&& )
 let ( ||| ) = Expr.( ||| )
 
-(* Class codes follow Isa.class_index:
+(* Class codes follow Isa.class_of_index:
    0 ALU-RR, 1 ALU-RI, 2 LOAD, 3 STORE, 4 BRANCH, 5 JUMP, 6 NOP. *)
 let c_alu_rr = 0
 let c_alu_ri = 1

@@ -46,7 +46,6 @@ let create ?(mem_words = 256) ?(bugs = no_bugs) program =
 
 let set_reg t r v = if r <> 0 then t.regs.(r) <- v
 let mem_index t a = ((a mod Array.length t.memory) + Array.length t.memory) mod Array.length t.memory
-let set_mem t a v = t.memory.(mem_index t a) <- v
 
 let reg_file regs r = if r = 0 then 0l else regs.(r)
 

@@ -35,14 +35,9 @@ type bugs = {
           memory before the older store lands *)
 }
 
-val no_bugs : bugs
-val bug_catalog : (string * bugs) list
-
 type t
 
 val create : ?mem_words:int -> ?bugs:bugs -> Isa.t array -> t
-val set_reg : t -> int -> int32 -> unit
-val set_mem : t -> int -> int32 -> unit
 
 val run : ?max_cycles:int -> t -> Spec.commit list
 val stats : t -> int * int * int

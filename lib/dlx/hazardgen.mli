@@ -12,18 +12,13 @@
     hazard classes, but with no completeness claim (what is not in the
     template list is not tested). *)
 
-type template = { label : string; program : Isa.t array }
-
-val templates : ?n_regs:int -> unit -> template list
-(** All templates over destination registers [1 .. n_regs - 1]
-    (default 4): ALU/load producers x rs1/rs2/store-data/store-address/
-    branch-condition consumers x pipeline distances 1-3, plus
-    taken/not-taken branch shadows and call/return. Every template is
-    a self-contained program (operands initialized by the template
-    itself). *)
-
 val suite : ?n_regs:int -> unit -> Isa.t array list
-(** Just the programs. *)
+(** One program per template over destination registers
+    [1 .. n_regs - 1] (default 4): ALU/load producers x
+    rs1/rs2/store-data/store-address/branch-condition consumers x
+    pipeline distances 1-3, plus taken/not-taken branch shadows and
+    call/return. Every program is self-contained (operands initialized
+    by the template itself). *)
 
 val total_instructions : Isa.t array list -> int
 

@@ -53,15 +53,6 @@ let class_of = function
   | J | Jal | Jr | Jalr -> Jump
   | Nop -> Nopc
 
-let class_index = function
-  | Alu_rr -> 0
-  | Alu_ri -> 1
-  | Load -> 2
-  | Store -> 3
-  | Branch -> 4
-  | Jump -> 5
-  | Nopc -> 6
-
 let class_of_index = function
   | 0 -> Alu_rr
   | 1 -> Alu_ri
@@ -71,8 +62,6 @@ let class_of_index = function
   | 5 -> Jump
   | 6 -> Nopc
   | n -> invalid_arg (Printf.sprintf "Isa.class_of_index: %d" n)
-
-let n_classes = 7
 
 let class_name = function
   | Alu_rr -> "ALU-RR"
@@ -115,131 +104,6 @@ let canon i =
   | Jump ->
       if i.op = Jr || i.op = Jalr then { z with rs1 = i.rs1 } else { z with imm = i.imm }
   | Nopc -> z
-
-let opcode_num = function
-  | Add -> 0
-  | Sub -> 1
-  | And -> 2
-  | Or -> 3
-  | Xor -> 4
-  | Slt -> 5
-  | Sll -> 6
-  | Srl -> 7
-  | Addi -> 8
-  | Andi -> 9
-  | Ori -> 10
-  | Xori -> 11
-  | Slti -> 12
-  | Lhi -> 13
-  | Lw -> 14
-  | Sw -> 15
-  | Beqz -> 16
-  | Bnez -> 17
-  | J -> 18
-  | Jal -> 19
-  | Jr -> 20
-  | Nop -> 21
-  | Seq -> 22
-  | Sne -> 23
-  | Sge -> 24
-  | Sgt -> 25
-  | Sle -> 26
-  | Sra -> 27
-  | Seqi -> 28
-  | Snei -> 29
-  | Sgei -> 30
-  | Slli -> 31
-  | Srli -> 32
-  | Srai -> 33
-  | Jalr -> 34
-
-let opcode_of_num = function
-  | 0 -> Some Add
-  | 1 -> Some Sub
-  | 2 -> Some And
-  | 3 -> Some Or
-  | 4 -> Some Xor
-  | 5 -> Some Slt
-  | 6 -> Some Sll
-  | 7 -> Some Srl
-  | 8 -> Some Addi
-  | 9 -> Some Andi
-  | 10 -> Some Ori
-  | 11 -> Some Xori
-  | 12 -> Some Slti
-  | 13 -> Some Lhi
-  | 14 -> Some Lw
-  | 15 -> Some Sw
-  | 16 -> Some Beqz
-  | 17 -> Some Bnez
-  | 18 -> Some J
-  | 19 -> Some Jal
-  | 20 -> Some Jr
-  | 21 -> Some Nop
-  | 22 -> Some Seq
-  | 23 -> Some Sne
-  | 24 -> Some Sge
-  | 25 -> Some Sgt
-  | 26 -> Some Sle
-  | 27 -> Some Sra
-  | 28 -> Some Seqi
-  | 29 -> Some Snei
-  | 30 -> Some Sgei
-  | 31 -> Some Slli
-  | 32 -> Some Srli
-  | 33 -> Some Srai
-  | 34 -> Some Jalr
-  | _ -> None
-
-(* Layout follows the real DLX formats:
-   - R-type:  op(6) rs1(5) rs2(5) rd(5) unused(11)
-   - I-type:  op(6) rs1(5) rd(5) imm(16) — stores carry their data
-     register in the rd field (semantically rs2)
-   - J-type:  op(6) imm(26) *)
-let encode i =
-  let i = canon i in
-  let op = opcode_num i.op in
-  match class_of i.op with
-  | Jump when i.op <> Jr && i.op <> Jalr ->
-      Int32.logor
-        (Int32.shift_left (Int32.of_int op) 26)
-        (Int32.of_int (i.imm land 0x3FFFFFF))
-  | Alu_rr ->
-      let w =
-        (op lsl 26) lor ((i.rs1 land 31) lsl 21) lor ((i.rs2 land 31) lsl 16)
-        lor ((i.rd land 31) lsl 11)
-      in
-      Int32.of_int w
-  | _ ->
-      let rd_field = if i.op = Sw then i.rs2 else i.rd in
-      let w =
-        (op lsl 26) lor ((i.rs1 land 31) lsl 21) lor ((rd_field land 31) lsl 16)
-        lor (i.imm land 0xFFFF)
-      in
-      Int32.of_int w
-
-let sign_extend_16 v = if v land 0x8000 <> 0 then v - 0x10000 else v
-
-let decode w =
-  let wi = Int32.to_int (Int32.logand w 0xFFFFFFFFl) land 0xFFFFFFFF in
-  let op_num = (wi lsr 26) land 0x3F in
-  match opcode_of_num op_num with
-  | None -> None
-  | Some op -> (
-      match class_of op with
-      | Jump when op <> Jr && op <> Jalr ->
-          Some (canon { nop with op; imm = wi land 0x3FFFFFF })
-      | Alu_rr ->
-          let rs1 = (wi lsr 21) land 31 in
-          let rs2 = (wi lsr 16) land 31 in
-          let rd = (wi lsr 11) land 31 in
-          Some (canon { op; rd; rs1; rs2; imm = 0 })
-      | _ ->
-          let rs1 = (wi lsr 21) land 31 in
-          let rd_field = (wi lsr 16) land 31 in
-          let imm = sign_extend_16 (wi land 0xFFFF) in
-          let rd, rs2 = if op = Sw then (0, rd_field) else (rd_field, 0) in
-          Some (canon { op; rd; rs1; rs2; imm }))
 
 let mnemonic = function
   | Add -> "add"
@@ -304,8 +168,6 @@ let to_string i =
       | Jalr -> Printf.sprintf "jalr r%d" i.rs1
       | _ -> Printf.sprintf "%s %d" (mnemonic i.op) i.imm)
   | Nopc -> "nop"
-
-let pp ppf i = Format.pp_print_string ppf (to_string i)
 
 (* --- parsing --- *)
 

@@ -64,9 +64,7 @@ val make : ?rd:int -> ?rs1:int -> ?rs2:int -> ?imm:int -> opcode -> t
 type iclass = Alu_rr | Alu_ri | Load | Store | Branch | Jump | Nopc
 
 val class_of : opcode -> iclass
-val class_index : iclass -> int
 val class_of_index : int -> iclass
-val n_classes : int
 val class_name : iclass -> string
 
 val writes_reg : t -> int option
@@ -78,25 +76,9 @@ val reads_regs : t -> int list
 
 (** {1 Encoding} *)
 
-val encode : t -> int32
-(** 32-bit encoding: 6-bit opcode, 5/5/5-bit register fields, 16-bit
-    immediate (R-types ignore it); J-types use a 26-bit field. *)
-
-val decode : int32 -> t option
-(** [None] on an illegal opcode. [decode (encode i) = Some (canon i)]
-    where [canon] zeroes the fields the instruction does not use. *)
-
-val canon : t -> t
-(** Zero the unused fields (e.g. [rs2] of an I-type). *)
-
 (** {1 Text} *)
 
 val to_string : t -> string
-val of_string : string -> (t, string) result
-(** Parse one instruction, e.g. ["add r3, r1, r2"], ["lw r2, 4(r1)"],
-    ["beqz r1, -2"], ["j 12"], ["nop"]. *)
 
 val parse_program : string -> (t array, string) result
 (** Parse a newline-separated program; ['#'] starts a comment. *)
-
-val pp : Format.formatter -> t -> unit

@@ -55,20 +55,12 @@ val set_reg : t -> int -> int32 -> unit
 
 val set_mem : t -> int -> int32 -> unit
 
-val cycle : t -> Spec.commit option
-(** Advance one clock; returns the instruction committed at WB this
-    cycle, if any. *)
-
 val run : ?max_cycles:int -> t -> Spec.commit list
 (** Run until the pipeline drains after the program ends (or the cycle
     budget is exhausted). *)
 
 val stats : t -> int * int * int
 (** [(cycles, stalls, squashed_slots)] so far. *)
-
-val occupancy : t -> (string option * string option * string option * string option)
-(** Instruction text currently in (IF/ID, ID/EX, EX/MEM, MEM/WB) — for
-    trace display. *)
 
 val trace : ?max_cycles:int -> t -> string
 (** Run to completion while rendering a classic pipeline diagram: one

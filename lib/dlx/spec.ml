@@ -16,7 +16,6 @@ type t = {
 let create ?(mem_words = 256) program =
   { program; regs = Array.make 32 0l; memory = Array.make mem_words 0l; pc_ = 0 }
 
-let pc t = t.pc_
 let reg t r = if r = 0 then 0l else t.regs.(r)
 
 let set_reg t r v = if r <> 0 then t.regs.(r) <- v

@@ -21,16 +21,11 @@ val create : ?mem_words:int -> Isa.t array -> t
     256 memory words). Memory addresses are word-granular and wrap
     modulo the memory size. *)
 
-val pc : t -> int
-val reg : t -> int -> int32
 val set_reg : t -> int -> int32 -> unit
 (** Pre-loading registers for directed tests (writes to r0 are
     ignored). *)
 
-val mem : t -> int -> int32
 val set_mem : t -> int -> int32 -> unit
-val halted : t -> bool
-(** PC outside the program. *)
 
 val alu : Isa.opcode -> int32 -> int32 -> int32
 (** ALU semantics shared with the pipelined implementation's EX stage.

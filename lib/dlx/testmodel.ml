@@ -11,12 +11,6 @@ let addr_bits cfg =
 
 type abs_input = { cls : Isa.iclass; rd : int; rs1 : int; rs2 : int; taken : bool }
 
-let input_code cfg i =
-  let w = addr_bits cfg in
-  Isa.class_index i.cls lor (i.rd lsl 3) lor (i.rs1 lsl (3 + w))
-  lor (i.rs2 lsl (3 + (2 * w)))
-  lor ((if i.taken then 1 else 0) lsl (3 + (3 * w)))
-
 let input_decode cfg code =
   let w = addr_bits cfg in
   let mask = (1 lsl w) - 1 in
@@ -45,14 +39,6 @@ let input_is_valid _cfg i =
   && ok_field (uses_rs1 i.cls) i.rs1
   && ok_field (uses_rs2 i.cls) i.rs2
   && ((not i.taken) || i.cls = Isa.Branch)
-
-let n_valid_inputs cfg =
-  let count = ref 0 in
-  for code = 0 to n_input_codes cfg - 1 do
-    (* class codes above 6 decode via class_of_index and would raise *)
-    if code land 7 < 7 && input_is_valid cfg (input_decode cfg code) then incr count
-  done;
-  !count
 
 (* ---- state encoding ----
    With dest tracking: p1 in [0, 2R-1): 0 = nothing in the EX/MEM

@@ -41,14 +41,9 @@ type abs_input = {
   taken : bool;
 }
 
-val input_code : config -> abs_input -> int
 val input_decode : config -> int -> abs_input
-val input_is_valid : config -> abs_input -> bool
-(** Per-class field zeroing; [taken] only on branches. The count of
-    valid codes mirrors the paper's "8228 of 2^25". *)
 
 val n_input_codes : config -> int
-val n_valid_inputs : config -> int
 
 (** {1 The model} *)
 

@@ -27,11 +27,6 @@ type response = Ack | Value of int32
 val pp_cmd : Format.formatter -> cmd -> unit
 val pp_response : Format.formatter -> response -> unit
 
-val saturating_add : int32 -> int32 -> int32
-(** 32-bit saturating addition (clamps at [Int32.min_int]/[max_int]). *)
-
-val saturating_mul : int32 -> int32 -> int32
-
 module Spec : sig
   type t
 

@@ -140,24 +140,6 @@ let make ?(reset = 0) ?(valid = fun _ _ -> true) ?(state_name = default_state_na
     compiled;
   }
 
-let of_table ?(reset = 0) rows =
-  let n_states =
-    List.fold_left (fun acc (s, _, n, _) -> max acc (max s n + 1)) 1 rows
-  in
-  let n_inputs = List.fold_left (fun acc (_, i, _, _) -> max acc (i + 1)) 1 rows in
-  let tbl = Hashtbl.create (List.length rows) in
-  List.iter
-    (fun (s, i, n, o) ->
-      assert (not (Hashtbl.mem tbl (s, i)));
-      Hashtbl.add tbl (s, i) (n, o))
-    rows;
-  make ~reset
-    ~valid:(fun s i -> Hashtbl.mem tbl (s, i))
-    ~n_states ~n_inputs
-    ~next:(fun s i -> fst (Hashtbl.find tbl (s, i)))
-    ~output:(fun s i -> snd (Hashtbl.find tbl (s, i)))
-    ()
-
 let tables m = m.compiled.tab
 
 let compiled_bytes m =
@@ -178,16 +160,15 @@ let step m s i =
          (m.state_name s));
   (m.next s i, m.output s i)
 
-let run m word =
-  let rec go s acc = function
-    | [] -> List.rev acc
-    | i :: rest ->
+let output_word m word =
+  let _, outputs =
+    List.fold_left
+      (fun (s, acc) i ->
         let s', o = step m s i in
-        go s' ((s, i, s', o) :: acc) rest
+        (s', o :: acc))
+      (m.reset, []) word
   in
-  go m.reset [] word
-
-let output_word m word = List.map (fun (_, _, _, o) -> o) (run m word)
+  List.rev outputs
 
 let final_state m word =
   List.fold_left (fun s i -> fst (step m s i)) m.reset word
@@ -256,32 +237,6 @@ let pair_bfs ~n_pairs ~start ~inputs ~mismatch ~step2 =
      done
    with Exit -> ());
   !result
-
-let equivalent a b =
-  if a.n_inputs <> b.n_inputs then Error "input alphabets differ"
-  else begin
-    let inputs = List.init a.n_inputs Fun.id in
-    let encode s1 s2 = (s1 * b.n_states) + s2 in
-    let mismatch p i =
-      let s1 = p / b.n_states and s2 = p mod b.n_states in
-      let v1 = a.valid s1 i and v2 = b.valid s2 i in
-      if v1 <> v2 then true
-      else if v1 then a.output s1 i <> b.output s2 i
-      else false
-    in
-    let step2 p i =
-      let s1 = p / b.n_states and s2 = p mod b.n_states in
-      if a.valid s1 i && b.valid s2 i then Some (encode (a.next s1 i) (b.next s2 i))
-      else None
-    in
-    match
-      pair_bfs
-        ~n_pairs:(a.n_states * b.n_states)
-        ~start:(encode a.reset b.reset) ~inputs ~mismatch ~step2
-    with
-    | None -> Ok []
-    | Some w -> Ok w
-  end
 
 let distinguish m s1 s2 =
   if s1 = s2 then None

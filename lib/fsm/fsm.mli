@@ -7,8 +7,8 @@
     in the paper's DLX model, Section 7.2).
 
     States and inputs are dense integers. A machine is compiled when
-    it is built: {!make} and {!of_table} call the given functions once
-    per (state, input) pair and keep only flat tables, each state's
+    it is built: {!make} calls the given functions once per
+    (state, input) pair and keep only flat tables, each state's
     valid inputs and the states and transitions reachable from the
     reset. The type is private, so no machine can be derived from
     another without being built afresh, and every query below reads
@@ -51,12 +51,6 @@ val make :
     none of them is kept. The compilation is counted on the
     [fsm.tabulations] metric, once per machine built. *)
 
-val of_table : ?reset:int -> (int * int * int * int) list -> t
-(** [of_table rows] builds a machine from [(state, input, next, output)]
-    rows, as {!make} does; state/input counts are inferred, and only
-    listed pairs are valid. Duplicate [(state, input)] rows are a
-    programming error. *)
-
 type tables = {
   tab_states : int;
   tab_inputs : int;
@@ -79,17 +73,10 @@ val compiled_bytes : t -> int
 
 (** {1 Execution} *)
 
-val step : t -> int -> int -> int * int
-(** [step m s i] is [(next, output)]. @raise Invalid_argument if [i] is
-    not valid in [s]. *)
-
-val run : t -> int list -> (int * int * int * int) list
-(** [run m word] executes from reset, returning the executed transitions
-    [(state, input, next, output)] in order.
-    @raise Invalid_argument on the first invalid input. *)
-
 val output_word : t -> int list -> int list
-(** Outputs only. *)
+(** [output_word m word] runs [word] from reset and returns its
+    outputs in order.
+    @raise Invalid_argument on the first input that is not valid. *)
 
 val final_state : t -> int list -> int
 
@@ -122,12 +109,6 @@ val transition_graph : t -> Simcov_graph.Digraph.t
     tours are computed on. *)
 
 (** {1 Comparison} *)
-
-val equivalent : t -> t -> (int list, string) result
-(** Product-machine equivalence from the reset states. [Ok ce] with a
-    nonempty [ce] means the machines disagree and [ce] is a shortest
-    input word exposing it (differing output, or validity mismatch);
-    [Ok \[\]] means equivalent; [Error msg] when alphabets differ. *)
 
 val distinguish : t -> int -> int -> int list option
 (** Shortest input word telling two states of the same machine apart

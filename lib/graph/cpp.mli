@@ -22,9 +22,6 @@ val solve : Digraph.t -> start:int -> tour option
     the min-cost flow, and their extra traversals all go to the first
     of them: the walk is the one an arc per edge would give. *)
 
-val lower_bound : Digraph.t -> int
-(** Sum of edge costs: any covering walk costs at least this much. *)
-
 val greedy : Digraph.t -> start:int -> tour option
 (** Nearest-uncovered-edge heuristic: repeatedly BFS (by cost) to the
     closest vertex with an uncovered out-edge and take it. Always

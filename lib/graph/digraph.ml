@@ -5,11 +5,9 @@ type t = {
   mutable edges : edge array; (* dense prefix of length m *)
   mutable m : int;
   out : int list array; (* edge ids, most recent first *)
-  indeg : int array;
 }
 
-let create n =
-  { n; edges = [||]; m = 0; out = Array.make n []; indeg = Array.make n 0 }
+let create n = { n; edges = [||]; m = 0; out = Array.make n [] }
 
 let n_vertices t = t.n
 let n_edges t = t.m
@@ -30,7 +28,6 @@ let add_edge t ~src ~dst ~label ~cost =
   t.edges.(id) <- { id; src; dst; label; cost };
   t.m <- id + 1;
   t.out.(src) <- id :: t.out.(src);
-  t.indeg.(dst) <- t.indeg.(dst) + 1;
   id
 
 let edge t id =
@@ -38,9 +35,6 @@ let edge t id =
   t.edges.(id)
 
 let out_edges t v = List.rev_map (fun id -> t.edges.(id)) t.out.(v)
-
-let in_degree t v = t.indeg.(v)
-let out_degree t v = List.length t.out.(v)
 
 let iter_edges f t =
   for i = 0 to t.m - 1 do
@@ -51,16 +45,3 @@ let fold_edges f t init =
   let acc = ref init in
   iter_edges (fun e -> acc := f e !acc) t;
   !acc
-
-let reverse t =
-  let r = create t.n in
-  iter_edges
-    (fun e -> ignore (add_edge r ~src:e.dst ~dst:e.src ~label:e.label ~cost:e.cost))
-    t;
-  r
-
-let pp ppf t =
-  Format.fprintf ppf "digraph(%d vertices, %d edges)" t.n t.m;
-  iter_edges
-    (fun e -> Format.fprintf ppf "@\n  %d -%d-> %d (cost %d)" e.src e.label e.dst e.cost)
-    t

@@ -24,13 +24,5 @@ val edge : t -> int -> edge
 val out_edges : t -> int -> edge list
 (** Outgoing edges of a vertex, in insertion order. *)
 
-val in_degree : t -> int -> int
-val out_degree : t -> int -> int
-
 val iter_edges : (edge -> unit) -> t -> unit
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-
-val reverse : t -> t
-(** Graph with every edge flipped (labels and costs preserved). *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,7 +6,3 @@ val circuit : Digraph.t -> start:int -> mult:int array -> int list option
     circuit exists (degrees unbalanced, or the used edges are not
     connected to [start]). The result is the list of edge ids in walk
     order. Runs in time linear in the total multiplicity. *)
-
-val is_balanced : Digraph.t -> mult:int array -> bool
-(** Whether every vertex has equal weighted in- and out-degree under the
-    multiplicities. *)

@@ -1,21 +1,3 @@
-let bfs g ~source =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n max_int in
-  let queue = Queue.create () in
-  dist.(source) <- 0;
-  Queue.add source queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun e ->
-        let w = e.Digraph.dst in
-        if dist.(w) = max_int then begin
-          dist.(w) <- dist.(v) + 1;
-          Queue.add w queue
-        end)
-      (Digraph.out_edges g v)
-  done;
-  dist
 
 (* Binary-heap Dijkstra over (dist, vertex) pairs encoded as a single
    int: dist * n + vertex. Costs are small, so no overflow concern. *)

@@ -1,9 +1,5 @@
 (** Shortest paths on directed multigraphs. *)
 
-val bfs : Digraph.t -> source:int -> int array
-(** Unit-cost distances from [source]; unreachable vertices get
-    [max_int]. *)
-
 val dijkstra : Digraph.t -> source:int -> int array * int array
 (** [dijkstra g ~source] is [(dist, pred_edge)] using edge costs
     (which must be nonnegative). [pred_edge.(v)] is the id of the edge

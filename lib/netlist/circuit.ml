@@ -19,26 +19,9 @@ let gate_count c =
   Array.iter (fun o -> total := !total + Expr.size o.expr) c.outputs;
   !total
 
-let reg_index c name =
-  let found = ref (-1) in
-  Array.iteri (fun i (r : reg) -> if r.name = name then found := i) c.regs;
-  if !found < 0 then raise Not_found else !found
-
 let regs_in_group c group =
   let acc = ref [] in
   Array.iteri (fun i r -> if r.group = group then acc := i :: !acc) c.regs;
-  List.rev !acc
-
-let groups c =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  Array.iter
-    (fun r ->
-      if not (Hashtbl.mem seen r.group) then begin
-        Hashtbl.add seen r.group ();
-        acc := r.group :: !acc
-      end)
-    c.regs;
   List.rev !acc
 
 type state = bool array
@@ -60,15 +43,6 @@ let step c state inputs =
     Array.map (fun o -> Expr.eval ~inputs:inputs_f ~regs:regs_f o.expr) c.outputs
   in
   (next, outs)
-
-let simulate c input_seq =
-  let rec go state acc = function
-    | [] -> List.rev acc
-    | inputs :: rest ->
-        let state', outs = step c state inputs in
-        go state' (outs :: acc) rest
-  in
-  go (initial_state c) [] input_seq
 
 let reg_support_closure c seeds =
   let n = n_regs c in

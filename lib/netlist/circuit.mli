@@ -28,13 +28,7 @@ val n_outputs : t -> int
 val gate_count : t -> int
 (** Total AST nodes across next-state and output logic. *)
 
-val reg_index : t -> string -> int
-(** Index of a register by name. @raise Not_found. *)
-
 val regs_in_group : t -> string -> int list
-
-val groups : t -> string list
-(** Distinct group tags in declaration order. *)
 
 (** {1 Simulation} *)
 
@@ -48,9 +42,6 @@ val step : t -> state -> bool array -> state * bool array
     [input_constraint] under [s]. *)
 
 val input_valid : t -> state -> bool array -> bool
-
-val simulate : t -> bool array list -> bool array list
-(** Outputs over time from the initial state. *)
 
 (** {1 Structural analysis} *)
 

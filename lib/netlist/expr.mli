@@ -31,7 +31,6 @@ val mux : t -> t -> t -> t
 val eq : t -> t -> t
 (** XNOR. *)
 
-val conj : t list -> t
 val disj : t list -> t
 
 val eval : inputs:(int -> bool) -> regs:(int -> bool) -> t -> bool

@@ -200,22 +200,11 @@ let set_max g v =
   in
   go ()
 
-let count c = Atomic.get (c_cell c)
-let value g = Atomic.get (g_cell g)
-
 let observe t dt =
   let c = t_cell t in
   locked (fun () ->
       c.tc_spans <- c.tc_spans + 1;
       c.tc_total_s <- c.tc_total_s +. dt)
-
-let spans t =
-  let c = t_cell t in
-  locked (fun () -> c.tc_spans)
-
-let total_s t =
-  let c = t_cell t in
-  locked (fun () -> c.tc_total_s)
 
 (* ---- tracing ---- *)
 
@@ -223,8 +212,6 @@ let set_sink s =
   let r = current () in
   (match s with Some _ -> r.r_trace_epoch <- Unix.gettimeofday () | None -> ());
   r.r_sink <- s
-
-let tracing () = (current ()).r_sink <> None
 
 let emit r name extra_fields fields =
   match r.r_sink with

@@ -24,8 +24,8 @@
       lists are only computed (and JSON only rendered) when a sink is
       present.
 
-    Metric state lives in a {!registry}. The process has one
-    {!default_registry} — the one-shot CLI path, where callers that
+    Metric state lives in a {!registry}. The process has one default
+    registry — the one-shot CLI path, where callers that
     want a per-command view call {!reset} first — and a long-running
     service creates one registry per job ({!registry}) and
     runs the job under it ({!with_registry}), so two concurrent jobs
@@ -59,10 +59,6 @@ type registry
 (** An isolated metric/trace namespace: its own counter/gauge/timer
     cells and its own trace sink. *)
 
-val default_registry : registry
-(** The process-wide default — what every call operates on unless a
-    scope is installed. *)
-
 val registry : unit -> registry
 (** A fresh, empty registry (e.g. one per service job). *)
 
@@ -79,7 +75,7 @@ val release : registry -> unit
 (** Drop a retired registry's cells from every handle's resolution
     cache so a service creating one registry per job does not grow
     handle caches without bound. Call it once the registry will no
-    longer be used; no-op on {!default_registry}. *)
+    longer be used; no-op on the default registry. *)
 
 val counter : string -> counter
 (** [counter name] returns the registered counter for [name], creating
@@ -98,20 +94,8 @@ val set_max : gauge -> int -> unit
 (** Keep the running maximum: [set_max g v] is [set g v] only when [v]
     exceeds the current value (atomically, via compare-and-set). *)
 
-val count : counter -> int
-(** Current counter value. *)
-
-val value : gauge -> int
-(** Current gauge value. *)
-
 val observe : timer -> float -> unit
 (** Record one span of the given duration (seconds). *)
-
-val spans : timer -> int
-(** Number of observed spans. *)
-
-val total_s : timer -> float
-(** Accumulated wall time over all observed spans. *)
 
 val span :
   timer ->
@@ -132,8 +116,6 @@ val span :
 val set_sink : (string -> unit) option -> unit
 (** Install ([Some emit]) or remove ([None]) the current registry's
     trace sink. Installing resets that registry's trace clock. *)
-
-val tracing : unit -> bool
 
 val event :
   ?fields:(unit -> (string * Simcov_util.Json.t) list) -> string -> unit

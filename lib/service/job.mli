@@ -44,7 +44,6 @@ type reorder_mode = Reorder_off | Reorder_on | Reorder_auto
     ignore a [reorder] member like any unknown field. *)
 
 val reorder_name : reorder_mode -> string
-val reorder_of_name : string -> reorder_mode option
 
 type validate_params = {
   va_regs : int;  (** registers in the reduced file (default 4) *)

@@ -39,9 +39,6 @@ type t = {
   table : (string, entry) Hashtbl.t;
   mutable total_bytes : int;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
   lock : Mutex.t;
 }
 
@@ -52,9 +49,6 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(max_entries = 256) () =
     table = Hashtbl.create 64;
     total_bytes = 0;
     clock = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
     lock = Mutex.create ();
   }
 
@@ -82,7 +76,6 @@ let enforce_bounds t =
     | Some (k, e) ->
         Hashtbl.remove t.table k;
         t.total_bytes <- t.total_bytes - e.bytes;
-        t.evictions <- t.evictions + 1;
         Obs.incr c_evictions
   done
 
@@ -92,11 +85,9 @@ let find t key =
       | Some e ->
           t.clock <- t.clock + 1;
           e.tick <- t.clock;
-          t.hits <- t.hits + 1;
           Obs.incr c_hits;
           Some e.payload
       | None ->
-          t.misses <- t.misses + 1;
           Obs.incr c_misses;
           None)
 
@@ -111,9 +102,6 @@ let store t key payload ~bytes =
       enforce_bounds t;
       Obs.set g_entries (Hashtbl.length t.table);
       Obs.set g_bytes t.total_bytes)
-
-let counts t = locked t (fun () -> (t.hits, t.misses, t.evictions))
-let stats t = locked t (fun () -> (Hashtbl.length t.table, t.total_bytes))
 
 (* ---- circuits ---- *)
 
@@ -217,22 +205,20 @@ let charge t key e bytes =
           Obs.set g_bytes t.total_bytes
       | _ -> ())
 
+(* solved by the first job that asks, then kept with the entry *)
+let entry_facts t key e =
+  match Atomic.get e.facts with
+  | Some f -> f
+  | None ->
+      let f = Tour.facts e.fsm in
+      if Atomic.compare_and_set e.facts None (Some f) then begin
+        charge t key e (facts_bytes f);
+        f
+      end
+      else Option.get (Atomic.get e.facts)
+
 let fsm_facts t spec =
-  Result.map
-    (fun (e, name, key) ->
-      let facts =
-        match Atomic.get e.facts with
-        | Some f -> f
-        | None ->
-            let f = Tour.facts e.fsm in
-            if Atomic.compare_and_set e.facts None (Some f) then begin
-              charge t key e (facts_bytes f);
-              f
-            end
-            else Option.get (Atomic.get e.facts)
-      in
-      (e.fsm, facts, name, key))
-    (fsm_entry t spec)
+  Result.map (fun (e, name, key) -> (e.fsm, entry_facts t key e, name, key)) (fsm_entry t spec)
 
 (* ---- compiled symbolic machines ---- *)
 
@@ -278,14 +264,31 @@ let lint t ~budget ~name ~key ?against c =
       r
 
 let fsm_lint t ~budget ~name ~key ~k_bound ?suite m =
+  (* at the facts' bound the lint reads the facts kept with the
+     machine's entry (not counted as a lookup), so a lint and a
+     coverage job of one machine solve them once between them *)
+  let run () =
+    let entry =
+      locked t (fun () ->
+          match Hashtbl.find_opt t.table key with
+          | Some { payload = P_fsm e; _ } when e.fsm == m -> Some e
+          | _ -> None)
+    in
+    let facts =
+      Option.bind entry (fun e ->
+          let f = entry_facts t key e in
+          if f.Tour.k_bound = k_bound then Some f else None)
+    in
+    Fsm_lint.run ~budget ~name ~k_bound ?facts ?suite m
+  in
   match suite with
-  | Some _ -> Fsm_lint.run ~budget ~name ~k_bound ?suite m
+  | Some _ -> run ()
   | None -> (
       let cache_key = Printf.sprintf "fsmlint:%s:k%d" key k_bound in
       match find t cache_key with
       | Some (P_fsm_lint r) -> r
       | Some _ | None ->
-          let r = Fsm_lint.run ~budget ~name ~k_bound m in
+          let r = run () in
           if r.Fsm_lint.truncated = None then
             store t cache_key (P_fsm_lint r)
               ~bytes:(report_bytes (Fsm_lint.to_json r));

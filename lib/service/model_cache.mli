@@ -93,7 +93,9 @@ val fsm_lint :
   Simcov_fsm.Fsm.t ->
   Simcov_analysis.Fsm_lint.report
 (** Cached [Fsm_lint.run]. [key] is the machine's cache key (from
-    {!fsm_of_spec}). Runs with [?suite] bypass the cache. *)
+    {!fsm_of_spec}). Runs with [?suite] bypass the cache. While the
+    machine is cached and [k_bound] is its facts' bound, the lint reads
+    the facts {!fsm_facts} keeps, solving them if no job has. *)
 
 type sym_entry = {
   sym : Simcov_symbolic.Symfsm.t;
@@ -114,11 +116,3 @@ val sym_of_circuit :
     on the machine (and re-attach its budget first:
     {!Simcov_symbolic.Symfsm.attach_budget}). A cached manager's order
     changes only inside the jobs that use it. *)
-
-val counts : t -> int * int * int
-(** [(hits, misses, evictions)] since creation — the same totals the
-    [service.cache.*] metrics accumulate per registry, aggregated
-    process-wide for tests. *)
-
-val stats : t -> int * int
-(** [(entries, bytes)] currently held. *)

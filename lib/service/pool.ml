@@ -35,13 +35,11 @@ type t = {
   queue_limit : int;
   lock : Mutex.t;
   cond : Condition.t;  (** signaled on enqueue and drain *)
-  done_cond : Condition.t;  (** signaled when a job resolves *)
   queue : rec_job Queue.t;
   jobs : (string, entry) Hashtbl.t;  (** live jobs and the [finished] ones *)
   finished : entry Queue.t;  (** at most [history], oldest first *)
   mutable submitted : int;
   mutable next_id : int;
-  mutable pending : int;  (** queued + running *)
   mutable draining : bool;
   stop_all : bool Atomic.t;
   tokens : int Atomic.t;
@@ -83,20 +81,13 @@ let envelope_of_outcome rj (o : Service.outcome) =
 let resolve t rj status envelope =
   (* the job is listed as finished before its envelope goes out, so a
      submitter holding the envelope never sees it running; the user
-     callback runs outside the lock (it may be a slow socket write) but
-     before the job counts as resolved, so [wait] implies every
-     envelope has been delivered *)
+     callback runs outside the lock (it may be a slow socket write) *)
   Mutex.protect t.lock (fun () ->
       rj.entry.state <- Finished status;
       Queue.push rj.entry t.finished;
       if Queue.length t.finished > history then
         Hashtbl.remove t.jobs (Queue.pop t.finished).id);
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect t.lock (fun () ->
-          t.pending <- t.pending - 1;
-          Condition.broadcast t.done_cond))
-    (fun () -> rj.on_done envelope)
+  rj.on_done envelope
 
 let cancelled_envelope rj =
   Job.envelope ~id:rj.entry.id ~kind:rj.entry.kind ~status:Job.Cancelled
@@ -188,13 +179,11 @@ let create ?(cache = Model_cache.shared) ?(queue_limit = 64) ?(workers = 2) () =
       queue_limit;
       lock = Mutex.create ();
       cond = Condition.create ();
-      done_cond = Condition.create ();
       queue = Queue.create ();
       jobs = Hashtbl.create 16;
       finished = Queue.create ();
       submitted = 0;
       next_id = 0;
-      pending = 0;
       draining = false;
       stop_all = Atomic.make false;
       tokens = Atomic.make (max 1 (Domain.recommended_domain_count () - workers));
@@ -232,7 +221,6 @@ let submit t ?(on_line = fun _ -> ()) ?(on_done = fun _ -> ())
           }
         in
         Hashtbl.replace t.jobs id entry;
-        t.pending <- t.pending + 1;
         Queue.push { entry; job; on_line; on_done; gone } t.queue;
         Condition.signal t.cond;
         Ok id
@@ -264,12 +252,6 @@ let list t =
                      ])
                  (List.sort (fun a b -> compare a.seq b.seq) entries)) );
         ])
-
-let wait t =
-  Mutex.protect t.lock (fun () ->
-      while t.pending > 0 do
-        Condition.wait t.done_cond t.lock
-      done)
 
 let drain t =
   let queued =

@@ -69,9 +69,6 @@ val list : t -> Json.t
     status from the moment its envelope goes to [on_done], so a
     submitter holding the envelope never sees it running. *)
 
-val wait : t -> unit
-(** Block until every submitted job has resolved. *)
-
 val drain : t -> unit
 (** Stop accepting, cancel every queued job, interrupt every running
     job (through the durable checkpoint path), wait for the workers to

@@ -8,6 +8,7 @@ module Detect = Simcov_coverage.Detect
 module Stuckat = Simcov_coverage.Stuckat
 module Fault = Simcov_coverage.Fault
 module Lint = Simcov_analysis.Lint
+module Diag = Simcov_analysis.Diag
 module Fsm_lint = Simcov_analysis.Fsm_lint
 module Methodology = Simcov_core.Methodology
 module Completeness = Simcov_core.Completeness
@@ -365,8 +366,7 @@ let validate_exit (r : Methodology.run_report) =
     r.Methodology.lint_errors = []
     (* FSM precondition gate: warnings are recorded, errors fail *)
     && not
-         (Fsm_lint.fails r.Methodology.fsm_lint
-            ~threshold:Simcov_analysis.Diag.Error)
+         (Diag.fails r.Methodology.fsm_lint.Fsm_lint.diags ~threshold:Diag.Error)
     && r.Methodology.n_bugs_detected = List.length r.Methodology.bug_results
     && Result.is_ok r.Methodology.certificate
   then 0
@@ -545,7 +545,7 @@ let run_lint ~cache ~budget (p : Job.lint_params) =
             in
             finish
               ~truncated:(report.Fsm_lint.truncated <> None)
-              ~fails:(Fsm_lint.fails report ~threshold:p.Job.li_fail_on)
+              ~fails:(Diag.fails report.Fsm_lint.diags ~threshold:p.Job.li_fail_on)
               ~notes:[]
               (Fsm_lint.to_json report)
               (Format.asprintf "%a@." Fsm_lint.pp report))
@@ -572,7 +572,7 @@ let run_lint ~cache ~budget (p : Job.lint_params) =
             let report = Model_cache.lint cache ~budget ~name ~key ?against c in
             finish
               ~truncated:(report.Lint.truncated <> None)
-              ~fails:(Lint.fails report ~threshold:p.Job.li_fail_on)
+              ~fails:(Diag.fails report.Lint.diags ~threshold:p.Job.li_fail_on)
               ~notes
               (Lint.to_json report)
               (Format.asprintf "%a@." Lint.pp report))

@@ -229,8 +229,9 @@ let of_circuit ?(budget = Budget.unlimited) ?(reorder = `Off)
 let cur_and_inp t = Array.to_list t.cur @ Array.to_list t.inp
 let part_rels t = List.map (fun p -> p.rel) t.parts
 
-(* Monolithic transition relation — the fallback representation and
-   the oracle the partitioned path is tested against. Built on first
+(* Monolithic transition relation — what the monolithic traversal
+   images against, and the tests' reference for the partitioned path.
+   Built on first
    demand (it is the single most expensive BDD in the system) and
    cached. *)
 let trans t =
@@ -253,8 +254,7 @@ let image ?(budget = Budget.unlimited) t set =
   (* img is over nxt vars; shift them down to cur *)
   Bdd.rename t.man (shift_down t) img
 
-let image_mono ?(budget = Budget.unlimited) t set =
-  Budget.check budget;
+let image_mono t set =
   let img = Bdd.and_exists t.man (cur_and_inp t) set (trans t) in
   Bdd.rename t.man (shift_down t) img
 
@@ -264,11 +264,6 @@ let preimage ?(budget = Budget.unlimited) t set =
   Bdd.and_exists_list t.man
     (Array.to_list t.nxt @ Array.to_list t.inp)
     (set' :: part_rels t)
-
-let preimage_mono ?(budget = Budget.unlimited) t set =
-  Budget.check budget;
-  let set' = Bdd.rename t.man (shift_up t) set in
-  Bdd.and_exists t.man (Array.to_list t.nxt @ Array.to_list t.inp) set' (trans t)
 
 (* Count assignments of [f] over exactly [width] variables, given that
    support f is contained in those variables: total count divided by
@@ -431,18 +426,6 @@ let count_valid_inputs t =
 
 let state_space_size t = Float.ldexp 1.0 t.n_state_vars
 let input_space_size t = Float.ldexp 1.0 t.n_input_vars
-
-let pick_state t set =
-  if Bdd.is_false set then None
-  else begin
-    let assigns = Bdd.any_sat t.man set in
-    let state = Array.make t.n_state_vars false in
-    List.iter
-      (fun (v, b) ->
-        if v < 2 * t.n_state_vars && v mod 2 = 0 then state.(v / 2) <- b)
-      assigns;
-    Some state
-  end
 
 let state_cube t state =
   Bdd.conj t.man

@@ -13,8 +13,8 @@
     time by a greedy clustering heuristic. Image and preimage fold the
     conjuncts with early quantification (Burch–Clarke–Long style)
     instead of ever building the monolithic product; the monolithic
-    relation remains available through {!trans} as a fallback and as
-    the test oracle for the partitioned path.
+    relation remains available through {!trans}, for the monolithic
+    traversal and as the tests' reference for the partitioned path.
 
     Used to reproduce the paper's counts: reachable states (13,720 of
     2^22 there), valid input combinations (8228 of 2^25), and the
@@ -101,9 +101,9 @@ val attach_budget : t -> Budget.t -> unit
 
 val trans : t -> Bdd.t
 (** The monolithic conjunction of all partition conjuncts — built on
-    first use and cached. This is the representation the partitioned
-    image/preimage path is validated against, and the fallback for
-    consumers that need the whole relation. *)
+    first use and cached. [traverse ~partitioned:false] images against
+    it, the monolithic rows of the traversal benchmark; the tests check
+    the partitioned image and preimage against it. *)
 
 val constrain_trans : t -> Bdd.t -> Bdd.t
 (** [constrain_trans t pred] is [pred ∧ T] computed by folding the
@@ -120,12 +120,6 @@ val image : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
 
 val preimage : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
 (** States with a valid transition into the given set. Partitioned. *)
-
-val image_mono : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
-(** [image] against the monolithic relation (forces {!trans}); kept as
-    the oracle. *)
-
-val preimage_mono : ?budget:Budget.t -> t -> Bdd.t -> Bdd.t
 
 val traverse :
   ?partitioned:bool -> ?frontier:bool -> ?budget:Budget.t -> t -> traversal
@@ -177,9 +171,6 @@ val state_space_size : t -> float
 val input_space_size : t -> float
 
 (** {1 Concretization} *)
-
-val pick_state : t -> Bdd.t -> bool array option
-(** Some concrete state in the set (arbitrary but deterministic). *)
 
 val state_cube : t -> bool array -> Bdd.t
 (** Characteristic function (over [cur] vars) of one concrete state. *)

@@ -157,25 +157,3 @@ let generate ?(max_steps = 100_000) ?(budget = Budget.unlimited) (circuit : Circ
     progress = { steps = !steps; covered = covered_n; total };
     truncated_by = !truncated;
   }
-
-let coverage_of_word ?(budget = Budget.unlimited) (circuit : Circuit.t) word =
-  let sym = Symfsm.of_circuit ~budget circuit in
-  let man = sym.Symfsm.man in
-  let reach, _ = Symfsm.reachable sym in
-  let target = Bdd.protect man (Bdd.band man reach sym.Symfsm.valid) in
-  let covered = ref (Bdd.bfalse man) in
-  let r_covered = Bdd.add_root man !covered in
-  let state = ref (Circuit.initial_state circuit) in
-  List.iter
-    (fun iv ->
-      Budget.check budget;
-      let sc = Symfsm.state_cube sym !state in
-      let pair = Bdd.pinned man sc (fun () -> Bdd.band man sc (input_cube sym iv)) in
-      covered := Bdd.bor man !covered pair;
-      Bdd.set_root man r_covered !covered;
-      let state', _ = Circuit.step circuit !state iv in
-      state := state')
-    word;
-  let result = (count_pairs sym !covered, count_pairs sym target) in
-  Bdd.remove_root man r_covered;
-  result

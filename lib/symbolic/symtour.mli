@@ -40,11 +40,5 @@ val generate : ?max_steps:int -> ?budget:Budget.t -> Circuit.t -> result
     with [truncated_by] set and [complete = false]. If the budgeted
     reachability pass is itself truncated, the tour targets the
     under-approximate reached set and is likewise marked truncated.
-    The word is replayable with
-    {!Simcov_netlist.Circuit.simulate}. *)
-
-val coverage_of_word :
-  ?budget:Budget.t -> Circuit.t -> bool array list -> float * float
-(** [(covered, total)] transitions for an arbitrary input word (each
-    vector must be valid when applied).
-    @raise Budget.Budget_exceeded when the deadline passes mid-replay. *)
+    The word is replayable with {!Simcov_netlist.Circuit.step} from
+    the initial state. *)

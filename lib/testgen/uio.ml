@@ -87,8 +87,3 @@ let checking_sequence ?scope ?max_len m =
       transitions;
     if !ok then Some (List.rev !word) else None
   end
-
-let length_overhead m =
-  match (Tour.transition_tour m, checking_sequence m) with
-  | Some t, Some cs -> Some (t.Tour.length, List.length cs)
-  | _ -> None

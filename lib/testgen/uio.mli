@@ -34,11 +34,6 @@ val uio : ?scope:[ `Reachable | `All ] -> ?max_len:int -> Fsm.t -> int -> int li
     from some other state at a step where the outputs so far agree
     separates that state (the simulator would observe the rejection). *)
 
-val all_uios :
-  ?scope:[ `Reachable | `All ] -> ?max_len:int -> Fsm.t -> int list option array
-(** UIO for every state ([None] entries for unreachable states or
-    states without a UIO within the bound). *)
-
 val checking_sequence :
   ?scope:[ `Reachable | `All ] -> ?max_len:int -> Fsm.t -> int list option
 (** A single input word from reset that, for every reachable
@@ -49,7 +44,3 @@ val checking_sequence :
     No attempt is made at rural-postman optimality; the greedy
     concatenation is within a small factor on the models here and
     keeps the construction transparent. *)
-
-val length_overhead : Fsm.t -> (int * int) option
-(** [(tour_length, checking_length)] for models where both exist —
-    the cost of transfer-error certainty without ∀k assumptions. *)

@@ -63,27 +63,6 @@ let suite ?scope (m : Fsm.t) =
   let p = transition_cover m in
   List.concat_map (fun prefix -> List.map (fun suffix -> prefix @ suffix) w) p
 
-(* Sigma^(<= extra): all input words up to the given length, including
-   the empty word *)
-let middle_words (m : Fsm.t) ~extra =
-  let inputs = List.init m.Fsm.n_inputs Fun.id in
-  let rec grow k acc frontier =
-    if k = 0 then acc
-    else
-      let next = List.concat_map (fun w -> List.map (fun i -> w @ [ i ]) inputs) frontier in
-      grow (k - 1) (acc @ next) next
-  in
-  grow extra [ [] ] [ [] ]
-
-let suite_extra ?scope ~extra (m : Fsm.t) =
-  let w = match characterization_set ?scope m with [] -> [ [] ] | ws -> ws in
-  let p = transition_cover m in
-  let mid = middle_words m ~extra in
-  List.concat_map
-    (fun prefix ->
-      List.concat_map (fun inner -> List.map (fun suffix -> prefix @ inner @ suffix) w) mid)
-    p
-
 let total_length words = List.fold_left (fun acc w -> acc + List.length w) 0 words
 
 let campaign m faults words =

@@ -34,13 +34,6 @@ val suite : ?scope:[ `Reachable | `All ] -> Fsm.t -> int list list
 (** The W-method test suite P·W (with W = {ε} fallback when the
     characterization set is empty). Each word runs from reset. *)
 
-val suite_extra : ?scope:[ `Reachable | `All ] -> extra:int -> Fsm.t -> int list list
-(** Chow's extension for implementations with up to [extra] more
-    states than the specification: P·Σ^(≤extra)·W. The suite grows by
-    a factor of |Σ|^extra — the classical cost of not knowing the
-    implementation's state count, and another reason the paper wants
-    requirements under which a plain tour suffices. *)
-
 val total_length : int list list -> int
 (** Input symbols summed over the suite — the cost measure. *)
 

@@ -39,8 +39,6 @@ let set_node_probe t probe =
   (* the shared [unlimited] singleton must stay stateless (cf. [step]) *)
   if t != unlimited then t.node_probe <- probe
 
-let live_nodes t = Option.map (fun probe -> probe ()) t.node_probe
-
 let exceeded t =
   match t.deadline with
   | Some d when Unix.gettimeofday () >= d -> Some Time

@@ -69,9 +69,6 @@ val set_node_probe : t -> (unit -> int) option -> unit
     being consulted. No-op on {!unlimited} (the shared singleton stays
     stateless). *)
 
-val live_nodes : t -> int option
-(** The probe's current reading, if one is registered. *)
-
 val check : t -> unit
 (** @raise Budget_exceeded if the deadline has passed or the step
     budget is already spent. Cheap enough to call per iteration. *)

@@ -24,21 +24,4 @@ let update crc s =
 
 let string s = update 0l s
 
-let substring s ~pos ~len = string (String.sub s pos len)
-
 let to_hex c = Printf.sprintf "%08lx" c
-
-let of_hex s =
-  if String.length s <> 8 then None
-  else
-    let ok = String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s in
-    if not ok then None
-    else
-      (* two halves: a full 8-digit parse can overflow Int32.of_string's
-         signed range; scanning each half keeps it in bounds *)
-      match
-        (int_of_string ("0x" ^ String.sub s 0 4), int_of_string ("0x" ^ String.sub s 4 4))
-      with
-      | hi, lo ->
-          Some (Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo))
-      | exception _ -> None

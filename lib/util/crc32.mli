@@ -11,10 +11,6 @@
 val string : string -> int32
 (** CRC-32 of the whole string. *)
 
-val substring : string -> pos:int -> len:int -> int32
-(** CRC-32 of [len] bytes starting at [pos].
-    @raise Invalid_argument on an out-of-bounds range. *)
-
 val update : int32 -> string -> int32
 (** zlib-style incremental form: [update 0l s = string s] and
     [update (update 0l a) b = string (a ^ b)] — the pre/post inversion
@@ -22,7 +18,3 @@ val update : int32 -> string -> int32
 
 val to_hex : int32 -> string
 (** Lower-case, zero-padded 8-character hex rendering. *)
-
-val of_hex : string -> int32 option
-(** Inverse of {!to_hex}; [None] unless the input is exactly 8 hex
-    digits. *)

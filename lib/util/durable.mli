@@ -27,17 +27,13 @@ val start : string -> writer
     file). The destination itself is not touched. *)
 
 val channel : writer -> out_channel
-(** The channel to write through. Invalid after {!commit}/{!abort}. *)
+(** The channel to write through. Invalid after {!commit}. *)
 
 val commit : writer -> unit
 (** Flush, [fsync], rename over the destination, [fsync] the directory.
     When the flush, close or rename raises, the temporary file is
     removed and the exception re-raised, the destination untouched.
     Idempotent: a second call is a no-op. *)
-
-val abort : writer -> unit
-(** Close and unlink the temporary file, leaving the destination as it
-    was. No-op after {!commit}. *)
 
 val write_file : string -> (out_channel -> unit) -> unit
 (** [write_file path f] runs [f] on a fresh temp-file channel and

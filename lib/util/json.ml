@@ -260,6 +260,5 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list = function List l -> Some l | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None

@@ -41,6 +41,5 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** Field of an [Obj] (first occurrence). *)
 
-val to_list : t -> t list option
 val to_string_opt : t -> string option
 val to_int_opt : t -> int option

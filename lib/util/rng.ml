@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finalizer: the output function of Steele et al.'s
    SplitMix generator; passes BigCrush when driven by a Weyl sequence. *)
 let mix z =
@@ -23,10 +21,6 @@ let int t bound =
   v mod bound
 
 let bool t = Int64.logand (next t) 1L = 1L
-
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  v /. 9007199254740992.0 *. bound
 
 let pick t a =
   assert (Array.length a > 0);

@@ -10,20 +10,11 @@ val create : int -> t
 (** [create seed] makes a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
-val next : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
 val bool : t -> bool
 (** Fair coin. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

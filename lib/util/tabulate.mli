@@ -11,9 +11,6 @@ val create : string list -> t
 val add_row : t -> string list -> unit
 (** Append a row; must have as many cells as there are headers. *)
 
-val render : t -> string
-(** Render with column alignment and a header separator. *)
-
 val print : ?title:string -> t -> unit
 (** [print ~title t] writes the table to stdout, preceded by a title
     banner when provided. *)

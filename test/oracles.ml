@@ -1,6 +1,10 @@
-(* Scalar reference oracles: one fault or one program at a time, no
-   lanes, no shards. The batched campaign backends are tested against
-   them, so they live beside the tests rather than in the library. *)
+(* The references and fixtures tests compare against, kept beside the
+   tests rather than in the library: scalar campaign oracles (one fault
+   or one program at a time, no lanes, no shards) that the batched
+   backends are tested against, and the plain forms of values the
+   library computes another way or does not need (product-machine
+   equivalence, monolithic images, table-built fixture machines, the
+   Figure 2 words). *)
 
 open Simcov_netlist
 module Campaign = Simcov_campaign.Campaign
@@ -232,6 +236,26 @@ module Wmethod = struct
       truncated = None;
       shard_failures = [];
     }
+
+  (* Chow's m-complete suite for implementations with up to [extra]
+     more states than the specification: P·Σ^(≤extra)·W, every word
+     run from reset *)
+  let suite_extra ?scope ~extra (m : Simcov_fsm.Fsm.t) =
+    let module W = Simcov_testgen.Wmethod in
+    let w = match W.characterization_set ?scope m with [] -> [ [] ] | ws -> ws in
+    let inputs = List.init m.Simcov_fsm.Fsm.n_inputs Fun.id in
+    (* Σ^(≤extra), shortest first *)
+    let rec upto k acc frontier =
+      if k = 0 then acc
+      else
+        let next = List.concat_map (fun u -> List.map (fun i -> u @ [ i ]) inputs) frontier in
+        upto (k - 1) (acc @ next) next
+    in
+    let mid = upto extra [ [] ] [ [] ] in
+    List.concat_map
+      (fun prefix ->
+        List.concat_map (fun inner -> List.map (fun suffix -> prefix @ inner @ suffix) w) mid)
+      (W.transition_cover m)
 end
 
 module Stuckat = struct
@@ -331,6 +355,25 @@ module Scc = struct
     else
       let _, k = Scc.components g in
       k = 1
+
+  (* unit-cost distances from [source]; [max_int] when unreachable *)
+  let bfs g ~source =
+    let dist = Array.make (Digraph.n_vertices g) max_int in
+    let queue = Queue.create () in
+    dist.(source) <- 0;
+    Queue.add source queue;
+    while not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      List.iter
+        (fun e ->
+          let w = e.Digraph.dst in
+          if dist.(w) = max_int then begin
+            dist.(w) <- dist.(v) + 1;
+            Queue.add w queue
+          end)
+        (Digraph.out_edges g v)
+    done;
+    dist
 end
 
 module Fsm_lint = struct
@@ -382,6 +425,78 @@ module Fsm_lint = struct
 end
 
 module Fsm = struct
+  module M = Simcov_fsm.Fsm
+
+  (* A fixture machine from [(state, input, next, output)] rows: the
+     state and input counts are inferred, and only listed pairs are
+     valid. *)
+  let of_table ?(reset = 0) rows =
+    let n_states = List.fold_left (fun acc (s, _, n, _) -> max acc (max s n + 1)) 1 rows in
+    let n_inputs = List.fold_left (fun acc (_, i, _, _) -> max acc (i + 1)) 1 rows in
+    let tbl = Hashtbl.create (List.length rows) in
+    List.iter
+      (fun (s, i, n, o) ->
+        assert (not (Hashtbl.mem tbl (s, i)));
+        Hashtbl.add tbl (s, i) (n, o))
+      rows;
+    M.make ~reset
+      ~valid:(fun s i -> Hashtbl.mem tbl (s, i))
+      ~n_states ~n_inputs
+      ~next:(fun s i -> fst (Hashtbl.find tbl (s, i)))
+      ~output:(fun s i -> snd (Hashtbl.find tbl (s, i)))
+      ()
+
+  (* [(next, output)]; Invalid_argument when [i] is not valid in [s] *)
+  let step (m : M.t) s i =
+    if not (m.M.valid s i) then invalid_arg "Oracles.Fsm.step: invalid input";
+    (m.M.next s i, m.M.output s i)
+
+  (* the executed transitions [(state, input, next, output)] of a word
+     run from reset *)
+  let run (m : M.t) word =
+    let rec go s acc = function
+      | [] -> List.rev acc
+      | i :: rest ->
+          let s', o = step m s i in
+          go s' ((s, i, s', o) :: acc) rest
+    in
+    go m.M.reset [] word
+
+  (* Equivalence from the reset states by breadth-first search of the
+     product machine: [Ok []] when equivalent, [Ok w] with a shortest
+     word exposing a difference (an output or a validity mismatch),
+     [Error] when the alphabets differ. *)
+  let equivalent (a : M.t) (b : M.t) =
+    if a.M.n_inputs <> b.M.n_inputs then Error "input alphabets differ"
+    else begin
+      let parent = Hashtbl.create 64 and queue = Queue.create () in
+      let rec word_of p acc =
+        match Hashtbl.find parent p with None -> acc | Some (p', i) -> word_of p' (i :: acc)
+      in
+      let start = (a.M.reset, b.M.reset) in
+      Hashtbl.add parent start None;
+      Queue.add start queue;
+      let found = ref None in
+      while !found = None && not (Queue.is_empty queue) do
+        let ((s1, s2) as p) = Queue.pop queue in
+        for i = 0 to a.M.n_inputs - 1 do
+          if !found = None then begin
+            let v1 = a.M.valid s1 i and v2 = b.M.valid s2 i in
+            if v1 <> v2 || (v1 && a.M.output s1 i <> b.M.output s2 i) then
+              found := Some (word_of p [ i ])
+            else if v1 then begin
+              let p' = (a.M.next s1 i, b.M.next s2 i) in
+              if not (Hashtbl.mem parent p') then begin
+                Hashtbl.add parent p' (Some (p, i));
+                Queue.add p' queue
+              end
+            end
+          end
+        done
+      done;
+      Ok (Option.value !found ~default:[])
+    end
+
   (* The structural queries read off a machine's closures: every input
      code of every state through [valid]/[next]/[output]. The queries
      of the machine built from the same closures must agree with them
@@ -516,6 +631,9 @@ end
 module Cpp = struct
   open Simcov_graph
 
+  (* every edge once: no tour costs less *)
+  let lower_bound g = Digraph.fold_edges (fun e acc -> acc + e.Digraph.cost) g 0
+
   (* the postman solve with one min-cost-flow arc per edge *)
   let solve g ~start =
     match Scc.restrict_strongly_connected g ~root:start with
@@ -550,7 +668,7 @@ module Cpp = struct
           let extra = Array.fold_left (fun acc x -> acc + x - 1) 0 mult in
           Option.map
             (fun edges ->
-              { Cpp.edges; length = m + extra; cost = Cpp.lower_bound g + extra_cost; extra_cost })
+              { Cpp.edges; length = m + extra; cost = lower_bound g + extra_cost; extra_cost })
             (Euler.circuit g ~start ~mult)
         end
 end
@@ -567,6 +685,18 @@ module Covdb = struct
     Json.to_string ~indent:0
       (Json.Obj
          (fields @ [ ("crc", Json.String (Crc32.to_hex (Crc32.string payload))) ]))
+
+  (* the bytes [Covdb.save] writes: equal databases (header, records,
+     completeness and truncation) save equal bytes *)
+  let bytes db =
+    let path = Filename.temp_file "simcov_oracle" ".covdb" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Covdb.save db path;
+        In_channel.with_open_bin path In_channel.input_all)
+
+  let equal a b = bytes a = bytes b
 
   (* the snapshot bytes of a database holding [records], keys sorted *)
   let snapshot (h : Covdb.header) ~complete ~truncated records =
@@ -605,4 +735,118 @@ module Covdb = struct
       (List.map
          (fun fields -> line fields ^ "\n")
          ((header :: List.map record sorted) @ [ footer ]))
+end
+
+module Circuit = struct
+  module C = Simcov_netlist.Circuit
+
+  (* outputs over time from the initial state, one [C.step] per input
+     vector *)
+  let simulate c inputs =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (state, acc) i ->
+              let state', outs = C.step c state i in
+              (state', outs :: acc))
+            (C.initial_state c, [])
+            inputs))
+
+  (* a fixture register's index by name *)
+  let reg_index (c : C.t) name =
+    let rec go i = if c.C.regs.(i).C.name = name then i else go (i + 1) in
+    go 0
+end
+
+module Symfsm = struct
+  module Bdd = Simcov_bdd.Bdd
+  module S = Simcov_symbolic.Symfsm
+
+  (* Image and preimage against the monolithic relation [S.trans].
+     Variables are laid out as the interleaved current/next pairs, then
+     the inputs: a current-state variable [2k] has its next-state twin
+     at [2k + 1]. *)
+  let shift t d v = if v < 2 * t.S.n_state_vars then v + d else v
+
+  let image_mono (t : S.t) set =
+    let quantified = Array.to_list t.S.cur @ Array.to_list t.S.inp in
+    Bdd.rename t.S.man (shift t (-1)) (Bdd.and_exists t.S.man quantified set (S.trans t))
+
+  let preimage_mono (t : S.t) set =
+    let quantified = Array.to_list t.S.nxt @ Array.to_list t.S.inp in
+    Bdd.and_exists t.S.man quantified (Bdd.rename t.S.man (shift t 1) set) (S.trans t)
+end
+
+module Homomorphism = struct
+  module M = Simcov_fsm.Fsm
+  module H = Simcov_abstraction.Homomorphism
+
+  (* Every reachable concrete transition [(s, i, s', o)] maps to an
+     abstract one: [abs] accepts [input_map i] in [state_map s], steps
+     to [state_map s'] and outputs [output_map o]. *)
+  let is_transition_preserving (conc : M.t) (abs : M.t) (a : H.mapping) =
+    List.for_all
+      (fun (s, i, s', o) ->
+        let sa = a.H.state_map s and ia = a.H.input_map i in
+        abs.M.valid sa ia
+        && abs.M.next sa ia = a.H.state_map s'
+        && abs.M.output sa ia = a.H.output_map o)
+      (M.transitions conc)
+
+  let identity_mapping (m : M.t) =
+    {
+      H.n_abs_states = m.M.n_states;
+      n_abs_inputs = m.M.n_inputs;
+      state_map = Fun.id;
+      input_map = Fun.id;
+      output_map = Fun.id;
+    }
+
+  (* merges the states with equal keys, numbering the abstract states
+     by first occurrence; inputs and outputs are kept *)
+  let state_partition_by (m : M.t) key =
+    let classes = Hashtbl.create 64 in
+    let assign =
+      Array.init m.M.n_states (fun s ->
+          let k = key s in
+          match Hashtbl.find_opt classes k with
+          | Some c -> c
+          | None ->
+              let c = Hashtbl.length classes in
+              Hashtbl.add classes k c;
+              c)
+    in
+    {
+      H.n_abs_states = Hashtbl.length classes;
+      n_abs_inputs = m.M.n_inputs;
+      state_map = (fun s -> assign.(s));
+      input_map = Fun.id;
+      output_map = Fun.id;
+    }
+end
+
+(* The Figure 2 fixture: the 2 -a-> 3' transfer error and two
+   transition tours, one continuing the faulty transition with [b]
+   (exposes it) and one with [c] (masks it on the original machine). *)
+module Fig2 = struct
+  let transfer_error = Simcov_coverage.Fault.Transfer { state = 1; input = 0; wrong_next = 3 }
+  let tour_via_b = [ 0; 0; 1; 3; 4; 2; 3 ] (* a a b r d c r *)
+  let tour_via_c = [ 0; 0; 2; 3; 4; 1; 3 ] (* a a c r d b r *)
+end
+
+module Requirements = struct
+  module R = Simcov_core.Requirements
+
+  (* [Satisfied] or [Assumed] *)
+  let is_ok = function R.Satisfied _ | R.Assumed _ -> true | R.Violated _ -> false
+
+  let all_ok (r : R.report) =
+    List.for_all is_ok
+      [
+        r.R.r1_uniform_output_errors;
+        r.R.r2_bounded_processing;
+        r.R.r3_unique_outputs;
+        r.R.r4_no_masking;
+        r.R.r5_observable_interaction;
+      ]
 end

@@ -151,13 +151,12 @@ let program k =
   | Ok p -> Ok p
   | Error e -> Error { kernel = k.name; detail = e }
 
-let run_spec k =
-  Result.map
-    (fun p ->
-      let s = Spec.create p in
-      let _ = Spec.run s in
-      s)
-    (program k)
+let run_spec k = Result.map (fun p -> Spec.run (Spec.create p)) (program k)
+
+let reg commits r =
+  List.fold_left
+    (fun v c -> match c.Spec.reg_write with Some (r', x) when r' = r && r <> 0 -> x | _ -> v)
+    0l commits
 
 let validate_all () =
   List.map

@@ -31,8 +31,12 @@ val error_to_string : error -> string
 val program : kernel -> (Isa.t array, error) result
 (** Assembled. *)
 
-val run_spec : kernel -> (Spec.t, error) result
-(** Execute on the architectural model and return the final state. *)
+val run_spec : kernel -> (Spec.commit list, error) result
+(** Execute on the architectural model and return its commits. *)
+
+val reg : Spec.commit list -> int -> int32
+(** A register's value after a run from zeroed registers: its last
+    committed write ([r0] is never written). *)
 
 val validate_all : unit -> (string * (Validate.outcome, error) result) list
 (** Every kernel through the 5-stage pipeline comparison. *)

@@ -21,7 +21,7 @@ let mixed_circuit () =
 
 let test_free_regs_promotes_input () =
   let c = mixed_circuit () in
-  let a = Netabs.free_regs c [ Circuit.reg_index c "data" ] in
+  let a = Netabs.free_group c "datapath" in
   Alcotest.(check int) "one register left" 1 (Circuit.n_regs a);
   Alcotest.(check int) "one extra input" 2 (Circuit.n_inputs a);
   Alcotest.(check string) "named after the register" "free_data"
@@ -41,7 +41,7 @@ let test_free_regs_behavior () =
   (* Driving the freed input with the sequence the removed register
      would have produced must reproduce the original outputs. *)
   let c = mixed_circuit () in
-  let a = Netabs.free_regs c [ Circuit.reg_index c "data" ] in
+  let a = Netabs.free_group c "datapath" in
   let word = [ true; true; false; true; false ] in
   (* compute data's trajectory in the original *)
   let rec data_traj st acc = function
@@ -52,8 +52,8 @@ let test_free_regs_behavior () =
   in
   let datas = data_traj (Circuit.initial_state c) [] word in
   let abs_inputs = List.map2 (fun i d -> [| i; d |]) word datas in
-  let orig_outs = Circuit.simulate c (List.map (fun i -> [| i |]) word) in
-  let abs_outs = Circuit.simulate a abs_inputs in
+  let orig_outs = Oracles.Circuit.simulate c (List.map (fun i -> [| i |]) word) in
+  let abs_outs = Oracles.Circuit.simulate a abs_inputs in
   List.iter2
     (fun o1 o2 -> Alcotest.(check bool) "same output" o1.(0) o2.(0))
     orig_outs abs_outs
@@ -99,8 +99,8 @@ let test_remove_output_buffers () =
   Alcotest.(check int) "buffer removed" 1 (Circuit.n_regs a);
   (* output now observes core directly: one cycle earlier *)
   let word = [ [| true |]; [| false |]; [| true |]; [| true |] ] in
-  let orig = Circuit.simulate c word |> List.map (fun o -> o.(0)) in
-  let abs = Circuit.simulate a word |> List.map (fun o -> o.(0)) in
+  let orig = Oracles.Circuit.simulate c word |> List.map (fun o -> o.(0)) in
+  let abs = Oracles.Circuit.simulate a word |> List.map (fun o -> o.(0)) in
   (* retimed: abs output at step t equals orig output at step t+1 *)
   let rec shifted = function
     | a :: (b :: _ as rest) -> (a, b) :: shifted rest
@@ -151,8 +151,8 @@ let test_onehot_to_binary_behavior () =
   let rng = Simcov_util.Rng.create 5 in
   for _ = 1 to 20 do
     let word = List.init 10 (fun _ -> [| Simcov_util.Rng.bool rng |]) in
-    let orig = Circuit.simulate c word |> List.map (fun o -> o.(0)) in
-    let abs = Circuit.simulate a word |> List.map (fun o -> o.(0)) in
+    let orig = Oracles.Circuit.simulate c word |> List.map (fun o -> o.(0)) in
+    let abs = Oracles.Circuit.simulate a word |> List.map (fun o -> o.(0)) in
     Alcotest.(check (list bool)) "same observable behavior" orig abs
   done
 
@@ -161,8 +161,8 @@ let test_onehot_odd_size () =
   let a = Netabs.onehot_to_binary c ~group:"phase" in
   Alcotest.(check int) "5 one-hot -> 3 binary" 3 (Circuit.n_regs a);
   let word = List.init 12 (fun k -> [| k mod 3 <> 0 |]) in
-  let orig = Circuit.simulate c word |> List.map (fun o -> o.(0)) in
-  let abs = Circuit.simulate a word |> List.map (fun o -> o.(0)) in
+  let orig = Oracles.Circuit.simulate c word |> List.map (fun o -> o.(0)) in
+  let abs = Oracles.Circuit.simulate a word |> List.map (fun o -> o.(0)) in
   Alcotest.(check (list bool)) "same behavior" orig abs
 
 let test_run_sequence_trace () =
@@ -208,7 +208,7 @@ let test_quotient_exact () =
   | Ok abs ->
       Alcotest.(check int) "2 states" 2 abs.Fsm.n_states;
       Alcotest.(check bool) "transition preserving" true
-        (Homomorphism.is_transition_preserving parity_machine abs mapping)
+        (Oracles.Homomorphism.is_transition_preserving parity_machine abs mapping)
 
 let test_quotient_conflict () =
   (* merging states 0 and 1 of counter3 is not exact: outputs differ *)
@@ -233,17 +233,17 @@ let test_quotient_conflict () =
 
 let test_identity_mapping () =
   let m = parity_machine in
-  let mapping = Homomorphism.identity_mapping m in
+  let mapping = Oracles.Homomorphism.identity_mapping m in
   match Homomorphism.quotient m mapping with
   | Ok abs -> (
-      match Fsm.equivalent m abs with
+      match Oracles.Fsm.equivalent m abs with
       | Ok [] -> ()
       | _ -> Alcotest.fail "identity quotient differs")
   | Error _ -> Alcotest.fail "identity quotient must be exact"
 
 let test_partition_by () =
   let m = parity_machine in
-  let mapping = Homomorphism.state_partition_by m (fun s -> (s land 1) lxor (s lsr 1)) in
+  let mapping = Oracles.Homomorphism.state_partition_by m (fun s -> (s land 1) lxor (s lsr 1)) in
   Alcotest.(check int) "two classes" 2 mapping.Homomorphism.n_abs_states;
   match Homomorphism.quotient m mapping with
   | Ok _ -> ()
@@ -253,7 +253,7 @@ let test_forall_k_inherited () =
   (* Section 6.2: the quotient of a forall-k-distinguishable machine
      inherits the property. Verify on the parity example. *)
   let m = parity_machine in
-  let mapping = Homomorphism.state_partition_by m (fun s -> (s land 1) lxor (s lsr 1)) in
+  let mapping = Oracles.Homomorphism.state_partition_by m (fun s -> (s land 1) lxor (s lsr 1)) in
   match Homomorphism.quotient m mapping with
   | Error _ -> Alcotest.fail "exact"
   | Ok abs -> (
@@ -278,7 +278,7 @@ let same_behavior rng c c' runs =
       List.init 10 (fun _ ->
           Array.init (Circuit.n_inputs c) (fun _ -> Simcov_util.Rng.bool rng))
     in
-    if Circuit.simulate c word <> Circuit.simulate c' word then ok := false
+    if Oracles.Circuit.simulate c word <> Oracles.Circuit.simulate c' word then ok := false
   done;
   !ok
 
@@ -315,7 +315,7 @@ let qcheck_tie_inputs_consistent =
               [| Simcov_util.Rng.bool rng; tied_value; Simcov_util.Rng.bool rng |])
         in
         let word2 = List.map (fun v -> [| v.(0); v.(2) |]) word3 in
-        if Circuit.simulate c word3 <> Circuit.simulate c' word2 then ok := false
+        if Oracles.Circuit.simulate c word3 <> Oracles.Circuit.simulate c' word2 then ok := false
       done;
       !ok)
 

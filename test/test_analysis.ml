@@ -10,6 +10,16 @@ module Json = Simcov_util.Json
 module Rng = Simcov_util.Rng
 open Expr
 
+(* the name inside a diagnostic's location *)
+let loc_name = function
+  | Diag.Register n | Net n | Primary_input n | Output_port n | State n | Input_symbol n | Word n -> n
+  | Whole_circuit -> ""
+
+(* the graph-level passes over a lowered circuit, as [Lint.run] calls them *)
+let lowered c = fst (Netgraph.of_circuit c)
+let dead_analysis c = Deadlogic.analyze_graph (Netgraph.of_circuit c)
+let hints c = Deadlogic.hints_of c (dead_analysis c)
+
 let codes diags = List.map (fun d -> d.Diag.code) diags
 let has code diags = List.mem code (codes diags)
 
@@ -47,7 +57,6 @@ let test_comb_cycle_hand_graph () =
   let b = Netgraph.find_or_add_net g "b" in
   Netgraph.add_driver g ~net:a ~kind:(Netgraph.Gate "not") ~fanin:[ b ];
   Netgraph.add_driver g ~net:b ~kind:(Netgraph.Gate "not") ~fanin:[ a ];
-  Netgraph.mark_po g a;
   let diags = Comb_cycle.check_graph g in
   Alcotest.(check int) "one cycle" 1 (count_code "SA101" diags);
   let d = at "SA101" diags in
@@ -57,14 +66,13 @@ let test_comb_self_loop () =
   let g = Netgraph.create () in
   let x = Netgraph.find_or_add_net g "x" in
   Netgraph.add_driver g ~net:x ~kind:(Netgraph.Gate "buf") ~fanin:[ x ];
-  Netgraph.mark_po g x;
   Alcotest.(check int) "self-loop is a cycle" 1
     (count_code "SA101" (Comb_cycle.check_graph g))
 
 let test_lowered_circuits_are_acyclic () =
   let impl = Simcov_dlx.Control.build () in
   Alcotest.(check (list string)) "no cycles from lowering" []
-    (codes (Comb_cycle.check impl))
+    (codes (Comb_cycle.check_graph (lowered impl)))
 
 (* ---- ternary-const ---- *)
 
@@ -72,16 +80,16 @@ let test_stuck_register_fixture () =
   let c = load_fixture "stuck.circ" in
   let diags = Ternary.check c in
   let d = at "SA201" diags in
-  Alcotest.(check string) "stuck reg named" "stuck" (Diag.loc_name d.Diag.loc);
+  Alcotest.(check string) "stuck reg named" "stuck" (loc_name d.Diag.loc);
   Alcotest.(check int) "live reg not flagged" 1 (count_code "SA201" diags);
   let o = at "SA202" diags in
-  Alcotest.(check string) "constant output named" "dead_o" (Diag.loc_name o.Diag.loc)
+  Alcotest.(check string) "constant output named" "dead_o" (loc_name o.Diag.loc)
 
 let test_stuck_crosschecks_stuckat () =
   (* soundness against the fault model: the same-polarity stuck-at
      fault on a ternary-stuck register is undetectable by any stimulus *)
   let c = load_fixture "stuck.circ" in
-  let idx = Circuit.reg_index c "stuck" in
+  let idx = Oracles.Circuit.reg_index c "stuck" in
   let fault =
     { Simcov_coverage.Stuckat.site = Simcov_coverage.Stuckat.Reg_output idx;
       stuck = false }
@@ -110,13 +118,13 @@ let test_hold_enables () =
   output ctx "keep" (zero ^^^ one);
   let diags = Ternary.check (finish ctx) in
   let d203 = at "SA203" diags in
-  Alcotest.(check string) "never-enabled reg" "never" (Diag.loc_name d203.Diag.loc);
+  Alcotest.(check string) "never-enabled reg" "never" (loc_name d203.Diag.loc);
   let d204 = at "SA204" diags in
-  Alcotest.(check string) "always-enabled reg" "always" (Diag.loc_name d204.Diag.loc);
+  Alcotest.(check string) "always-enabled reg" "always" (loc_name d204.Diag.loc);
   (* 'never' is also stuck, but the specific SA203 suppresses its SA201 *)
   Alcotest.(check bool) "SA201 suppressed for never" true
     (List.for_all
-       (fun d -> d.Diag.code <> "SA201" || Diag.loc_name d.Diag.loc <> "never")
+       (fun d -> d.Diag.code <> "SA201" || loc_name d.Diag.loc <> "never")
        diags)
 
 let test_constant_false_constraint () =
@@ -133,37 +141,40 @@ let test_constant_false_constraint () =
     (d.Diag.severity = Diag.Error)
 
 (* soundness: any behavior 2-valued simulation exhibits must be inside
-   the ternary abstraction — a net that toggles is never reported stuck *)
+   the ternary abstraction — a register reported stuck (SA201, SA203)
+   holds its reset value and an output reported constant (SA202) never
+   changes, whatever the inputs *)
 let qcheck_ternary_sound =
   QCheck.Test.make ~name:"analysis: ternary verdicts contain simulation" ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let c = Gen_circuit.random_circuit rng in
-      let res = Ternary.analyze c in
-      let n_regs = Circuit.n_regs c in
-      let state = ref (Circuit.initial_state c) in
-      let ok = ref true in
-      let check_reg r v =
-        match res.Ternary.reg_values.(r) with
-        | Ternary.Both -> ()
-        | Ternary.Zero -> if v then ok := false
-        | Ternary.One -> if not v then ok := false
+      let diags = Ternary.check c in
+      let named codes name =
+        List.exists (fun d -> List.mem d.Diag.code codes && loc_name d.Diag.loc = name) diags
       in
-      for r = 0 to n_regs - 1 do
-        check_reg r !state.(r)
-      done;
+      let stuck =
+        List.filter
+          (fun r -> named [ "SA201"; "SA203" ] c.Circuit.regs.(r).Circuit.name)
+          (List.init (Circuit.n_regs c) Fun.id)
+      and constant =
+        List.filter
+          (fun o -> named [ "SA202" ] c.Circuit.outputs.(o).Circuit.port_name)
+          (List.init (Circuit.n_outputs c) Fun.id)
+      in
+      let state = ref (Circuit.initial_state c) and first = ref None in
+      let holds () = List.for_all (fun r -> !state.(r) = c.Circuit.regs.(r).Circuit.init) stuck in
+      let ok = ref (holds ()) in
       for _ = 1 to 48 do
         let inputs = Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool rng) in
         let next, outs = Circuit.step c !state inputs in
         state := next;
-        for r = 0 to n_regs - 1 do
-          check_reg r !state.(r)
-        done;
-        (match res.Ternary.output_values.(0) with
-        | Ternary.Both -> ()
-        | Ternary.Zero -> if outs.(0) then ok := false
-        | Ternary.One -> if not outs.(0) then ok := false)
+        if not (holds ()) then ok := false;
+        let values = List.map (fun o -> outs.(o)) constant in
+        match !first with
+        | None -> first := Some values
+        | Some v -> if v <> values then ok := false
       done;
       !ok)
 
@@ -171,18 +182,18 @@ let qcheck_ternary_sound =
 
 let test_dead_latch_fixture () =
   let c = load_fixture "dead_latch.circ" in
-  let diags = Deadlogic.check c in
+  let diags = Deadlogic.check_of c (dead_analysis c) in
   let d = at "SA301" diags in
-  Alcotest.(check string) "dead latch named" "dead" (Diag.loc_name d.Diag.loc);
-  let hs = Deadlogic.hints c in
-  Alcotest.(check (list int)) "free list" [ Circuit.reg_index c "dead" ]
-    (Deadlogic.free_list hs);
+  Alcotest.(check string) "dead latch named" "dead" (loc_name d.Diag.loc);
+  let hs = hints c in
+  Alcotest.(check (list int)) "free list" [ Oracles.Circuit.reg_index c "dead" ]
+    (List.map (fun h -> h.Deadlogic.reg_index) hs);
   (* the hint is exactly what cone_reduce deletes *)
   let reduced = Netabs.cone_reduce c in
   Alcotest.(check int) "cone_reduce removes the hinted latch" 1
     (Circuit.n_regs reduced);
   Alcotest.(check (list string)) "reduced model is hint-free" []
-    (List.map (fun h -> h.Deadlogic.reg_name) (Deadlogic.hints reduced))
+    (List.map (fun h -> h.Deadlogic.reg_name) (hints reduced))
 
 let test_constraint_only_latch_hint () =
   let open Circuit.Build in
@@ -195,7 +206,7 @@ let test_constraint_only_latch_hint () =
   output ctx "o" out;
   constrain ctx (!!seen ||| i);
   let c = finish ctx in
-  match Deadlogic.hints c with
+  match hints c with
   | [ h ] ->
       Alcotest.(check string) "hint is the constraint-only latch" "seen"
         h.Deadlogic.reg_name;
@@ -218,7 +229,7 @@ let qcheck_hints_match_output_cone =
           (fun r -> not (List.mem r cone))
           (List.init (Circuit.n_regs c) Fun.id)
       in
-      Deadlogic.free_list (Deadlogic.hints c) = dead_expected)
+      List.map (fun h -> h.Deadlogic.reg_index) (hints c) = dead_expected)
 
 (* ---- structural ---- *)
 
@@ -227,16 +238,15 @@ let test_floating_net () =
   let f = Netgraph.find_or_add_net g "f" in
   let y = Netgraph.find_or_add_net g "y" in
   Netgraph.add_driver g ~net:y ~kind:(Netgraph.Gate "buf") ~fanin:[ f ];
-  Netgraph.mark_po g y;
   let diags = Structural.check_graph g in
   let d = at "SA401" diags in
-  Alcotest.(check string) "floating net named" "f" (Diag.loc_name d.Diag.loc)
+  Alcotest.(check string) "floating net named" "f" (loc_name d.Diag.loc)
 
 let test_multi_driven_fixture () =
   let c = load_fixture "multi_driven.circ" in
-  let diags = Structural.check c in
+  let diags = Structural.check_graph (lowered c) in
   let d = at "SA402" diags in
-  Alcotest.(check string) "contended net named" "o" (Diag.loc_name d.Diag.loc);
+  Alcotest.(check string) "contended net named" "o" (loc_name d.Diag.loc);
   Alcotest.(check int) "both drivers listed" 2 (List.length d.Diag.related)
 
 let test_unused_input_and_families () =
@@ -252,11 +262,11 @@ let test_unused_input_and_families () =
   let diags = Structural.check_circuit (finish ctx) in
   Alcotest.(check bool) "unused input flagged" true
     (List.exists
-       (fun d -> d.Diag.code = "SA403" && Diag.loc_name d.Diag.loc = "spare")
+       (fun d -> d.Diag.code = "SA403" && loc_name d.Diag.loc = "spare")
        diags);
   (* v[2] is also unused, but the family check reports the gap once *)
   let fam = at "SA406" diags in
-  Alcotest.(check string) "family base" "v[]" (Diag.loc_name fam.Diag.loc)
+  Alcotest.(check string) "family base" "v[]" (loc_name fam.Diag.loc)
 
 let test_duplicate_names_and_range () =
   let c =
@@ -286,7 +296,7 @@ let test_duplicate_names_and_range () =
 (* ---- homo-precheck ---- *)
 
 let test_mapping_output_conflict () =
-  let m = Fsm.of_table [ (0, 0, 1, 0); (1, 0, 0, 1) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 0, 0, 1) ] in
   let map =
     {
       Homomorphism.n_abs_states = 1;
@@ -303,7 +313,7 @@ let test_mapping_output_conflict () =
     (Result.is_error (Homomorphism.quotient m map))
 
 let test_mapping_surjectivity_and_range () =
-  let m = Fsm.of_table [ (0, 0, 1, 0); (1, 0, 0, 0) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 0, 0, 0) ] in
   let wide =
     {
       Homomorphism.n_abs_states = 3;
@@ -335,7 +345,7 @@ let test_cone_compatibility () =
   let concrete = mk false and abstract = mk true in
   let diags = Homo_precheck.check_circuits ~concrete ~abstract in
   let d = at "SA505" diags in
-  Alcotest.(check string) "offending register" "a" (Diag.loc_name d.Diag.loc);
+  Alcotest.(check string) "offending register" "a" (loc_name d.Diag.loc);
   Alcotest.(check (list string)) "introduced dependency" [ "b" ] d.Diag.related;
   Alcotest.(check (list string)) "identity is compatible" []
     (codes (Homo_precheck.check_circuits ~concrete ~abstract:concrete))
@@ -345,10 +355,10 @@ let test_cone_compatibility () =
 let test_dlx_models_lint_clean () =
   let impl = Simcov_dlx.Control.build () in
   let r = Lint.run ~name:"dlx-control" impl in
-  Alcotest.(check bool) "control model fully clean" true (Lint.worst r = None);
+  Alcotest.(check bool) "control model fully clean" true (r.Lint.diags = []);
   let test_model, _ = Simcov_dlx.Control.derive_test_model () in
   let rt = Lint.run ~name:"dlx-test" ~against:impl test_model in
-  Alcotest.(check int) "derived model has no errors" 0 (Lint.count rt Diag.Error);
+  Alcotest.(check int) "derived model has no errors" 0 (Diag.count rt.Lint.diags Diag.Error);
   Alcotest.(check bool) "homo precheck ran" true
     (List.mem "homo-precheck" rt.Lint.passes)
 
@@ -363,7 +373,7 @@ let test_dlx_hints_match_abstraction_chain () =
     Netabs.drop_outputs c3 ~keep:(fun n ->
         not (String.length n >= 4 && String.sub n 0 4 = "dbg_"))
   in
-  let hs = Deadlogic.hints mid in
+  let hs = hints mid in
   Alcotest.(check bool) "dropping dbg outputs exposes dead latches" true
     (List.length hs > 0);
   let reduced = Netabs.cone_reduce mid in
@@ -447,17 +457,17 @@ let test_budget_truncation () =
 let test_fail_on_thresholds () =
   let clean = Lint.run (load_fixture "dead_latch.circ") in
   Alcotest.(check bool) "warnings fail --fail-on warning" true
-    (Lint.fails clean ~threshold:Diag.Warning);
+    (Diag.fails clean.Lint.diags ~threshold:Diag.Warning);
   Alcotest.(check bool) "warnings pass --fail-on error" false
-    (Lint.fails clean ~threshold:Diag.Error);
+    (Diag.fails clean.Lint.diags ~threshold:Diag.Error);
   Alcotest.(check bool) "warnings fail --fail-on info" true
-    (Lint.fails clean ~threshold:Diag.Info);
+    (Diag.fails clean.Lint.diags ~threshold:Diag.Info);
   let bad = Lint.run (load_fixture "multi_driven.circ") in
   Alcotest.(check bool) "errors fail --fail-on error" true
-    (Lint.fails bad ~threshold:Diag.Error);
+    (Diag.fails bad.Lint.diags ~threshold:Diag.Error);
   let empty = { clean with Lint.diags = [] } in
   Alcotest.(check bool) "no diags never fails, even on info" false
-    (Lint.fails empty ~threshold:Diag.Info)
+    (Diag.fails empty.Lint.diags ~threshold:Diag.Info)
 
 let suite =
   [

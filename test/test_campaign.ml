@@ -33,7 +33,7 @@ let check_outcomes_agree ~what (scalar : Fault.t Campaign.outcome)
       b.Campaign.effective b.Campaign.excited b.Campaign.detected;
   List.iter2
     (fun (fs, vs) (fb, vb) ->
-      if not (Fault.equal fs fb) then
+      if fs <> fb then
         QCheck.Test.fail_reportf "%s: verdict order differs" what;
       if not (verdict_eq vs vb) then
         QCheck.Test.fail_reportf
@@ -98,7 +98,7 @@ let random_partial_instance seed =
         rows := (s, i, Rng.int rng n_states, Rng.int rng 3) :: !rows
     done
   done;
-  let m = Fsm.of_table (List.rev !rows) in
+  let m = Oracles.Fsm.of_table (List.rev !rows) in
   let faults =
     Fault.sample_transfer_faults rng m ~count:15
     @ Fault.sample_output_faults rng m ~n_outputs:3 ~count:15
@@ -145,7 +145,7 @@ let test_masked_verdicts_occur () =
    hits, and an out-of-bounds read at the last state. QCheck found the
    original instance at seed 31382. *)
 let test_out_of_alphabet_inputs () =
-  let m = Fsm.of_table [ (0, 0, 1, 0); (0, 1, 2, 1); (1, 0, 2, 0); (2, 0, 0, 2) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (0, 1, 2, 1); (1, 0, 2, 0); (2, 0, 0, 2) ] in
   (* a built machine's valid must bounds-check, including at the last
      state where the aliased index would run off the table *)
   Alcotest.(check bool) "input 2 invalid at s0" false (m.Fsm.valid 0 2);
@@ -221,7 +221,7 @@ let test_budget_truncation_prefix () =
   in
   List.iter2
     (fun (fs, vs) (ft, vt) ->
-      Alcotest.(check bool) "same fault" true (Fault.equal fs ft);
+      Alcotest.(check bool) "same fault" true (fs = ft);
       Alcotest.(check bool) "same verdict" true (verdict_eq vs vt))
     prefix truncated.Campaign.verdicts;
   let count p = List.length (List.filter (fun (_, v) -> p v) prefix) in
@@ -271,7 +271,7 @@ let multi_batch_instance seed =
             rows := (s, i, Rng.int rng n_states, Rng.int rng 3) :: !rows
         done
       done;
-      let m = Fsm.of_table (List.rev !rows) in
+      let m = Oracles.Fsm.of_table (List.rev !rows) in
       (m, Simcov_testgen.Tour.random_word rng m ~length:(40 + Rng.int rng 160))
     end
   in
@@ -405,7 +405,7 @@ let sim_steps_of m faults word =
     (fun () ->
       Obs.with_registry reg (fun () ->
           let o = Detect.campaign_outcome m faults word in
-          (o.Campaign.report, Obs.count (Obs.counter "campaign.sim_steps"))))
+          (o.Campaign.report, Metrics.count "campaign.sim_steps")))
 
 (* the `coverage dlx --count 1500` population: 3,000 faults on the
    certified 5,175-step tour, every one detected *)
@@ -464,7 +464,7 @@ let test_sharded_truncation_prefix () =
       while !continue_matching do
         match !rem with
         | (f, v) :: tl
-          when !j < len && Fault.equal f (fst scalar_verdicts.(off + !j)) ->
+          when !j < len && f = fst scalar_verdicts.(off + !j) ->
             Alcotest.(check bool) "verdict equals scalar" true
               (verdict_eq v (snd scalar_verdicts.(off + !j)));
             rem := tl;
@@ -553,9 +553,9 @@ let check_stuckat_agrees c word =
       let vs = Oracles.Stuckat.run_verdict c f word in
       if not (verdict_eq vs vb) then
         QCheck.Test.fail_reportf
-          "stuckat: verdict mismatch on %a (scalar det=%b exc=%b, batched \
+          "stuckat: verdict mismatch on %s (scalar det=%b exc=%b, batched \
            det=%b exc=%b)"
-          Stuckat.pp_fault f vs.Campaign.detected vs.Campaign.excited
+          (Stuckat.fault_key f) vs.Campaign.detected vs.Campaign.excited
           vb.Campaign.detected vb.Campaign.excited)
     faults batched.Campaign.verdicts;
   (* the sharded driver agrees with the sequential batched run,
@@ -566,8 +566,8 @@ let check_stuckat_agrees c word =
       if fb <> fw then
         QCheck.Test.fail_reportf "stuckat: sharded fault order differs";
       if not (verdict_eq vb vw) then
-        QCheck.Test.fail_reportf "stuckat: sharded verdict mismatch on %a"
-          Stuckat.pp_fault fb)
+        QCheck.Test.fail_reportf "stuckat: sharded verdict mismatch on %s"
+          (Stuckat.fault_key fb))
     batched.Campaign.verdicts sharded.Campaign.verdicts;
   true
 

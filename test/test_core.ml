@@ -19,7 +19,7 @@ let test_certify_ok () =
   | Error _ -> Alcotest.fail "expected certificate"
 
 let test_certify_not_sc () =
-  let m = Fsm.of_table [ (0, 0, 1, 0); (1, 0, 1, 1) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 0, 1, 1) ] in
   Alcotest.(check bool) "not SC" true
     (Completeness.certify m = Error Completeness.Not_strongly_connected)
 
@@ -101,11 +101,11 @@ let test_requirements_on_good_model () =
   let model = Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default in
   let rng = Simcov_util.Rng.create 3 in
   let r = Requirements.check ~rng model in
-  Alcotest.(check bool) "r2 ok" true (Requirements.is_ok r.Requirements.r2_bounded_processing);
-  Alcotest.(check bool) "r4 ok" true (Requirements.is_ok r.Requirements.r4_no_masking);
+  Alcotest.(check bool) "r2 ok" true (Oracles.Requirements.is_ok r.Requirements.r2_bounded_processing);
+  Alcotest.(check bool) "r4 ok" true (Oracles.Requirements.is_ok r.Requirements.r4_no_masking);
   Alcotest.(check bool) "r5 ok" true
-    (Requirements.is_ok r.Requirements.r5_observable_interaction);
-  Alcotest.(check bool) "all ok" true (Requirements.all_ok r)
+    (Oracles.Requirements.is_ok r.Requirements.r5_observable_interaction);
+  Alcotest.(check bool) "all ok" true (Oracles.Requirements.all_ok r)
 
 let test_requirements_r5_violated () =
   let model =
@@ -121,7 +121,7 @@ let test_requirements_r1_via_uniformity () =
   (* concrete machine: fig2-style; fault only on one member of a merged
      pair -> R1 violated; on both -> satisfied *)
   let machine =
-    Fsm.of_table
+    Oracles.Fsm.of_table
       [
         (0, 0, 1, 0);
         (1, 0, 2, 0);
@@ -212,7 +212,7 @@ let test_validate_dlx_default () =
   Alcotest.(check int) "28 model states" 28 r.Methodology.model_states;
   Alcotest.(check bool) "certificate holds" true (Result.is_ok r.Methodology.certificate);
   Alcotest.(check bool) "requirements ok" true
-    (Requirements.all_ok r.Methodology.requirements);
+    (Oracles.Requirements.all_ok r.Methodology.requirements);
   Alcotest.(check int) "all 12 bugs detected" 12 r.Methodology.n_bugs_detected;
   Alcotest.(check (float 0.001)) "FSM coverage 100%" 100.0
     (Simcov_coverage.Detect.coverage_pct r.Methodology.fsm_fault_coverage)

@@ -40,9 +40,10 @@ let test_round_trip () =
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok { Covdb.db = back; salvaged } ->
       Alcotest.(check bool) "not salvaged" false salvaged;
-      Alcotest.(check bool) "round-trips exactly" true (Covdb.equal db back);
-      Alcotest.(check (option string)) "truncation survives" (Some "steps")
-        (Covdb.truncated back);
+      Alcotest.(check bool) "round-trips exactly" true (Oracles.Covdb.equal db back);
+      Alcotest.(check string) "truncation survives"
+        (Oracles.Covdb.snapshot (hdr ()) ~complete:true ~truncated:(Some "steps") (records back))
+        (Oracles.Covdb.bytes back);
       Alcotest.(check bool) "complete survives" true (Covdb.complete back)
 
 let test_missing_and_corrupt_header () =
@@ -101,7 +102,7 @@ let qcheck_round_trip =
       | Error e -> QCheck.Test.fail_reportf "load failed: %s" e
       | Ok { Covdb.db = back; salvaged } ->
           if salvaged then QCheck.Test.fail_reportf "clean snapshot salvaged";
-          Covdb.equal db back)
+          Oracles.Covdb.equal db back)
 
 (* ---- damage: torn writes and bit rot ---- *)
 
@@ -130,7 +131,7 @@ let test_torn_write_salvage () =
           true
           (m <= List.length full
           && List.for_all2
-               (fun (ka, sa) (kb, sb) -> ka = kb && Covdb.status_equal sa sb)
+               (fun (ka, sa) (kb, sb) -> ka = kb && sa = sb)
                gr
                (List.filteri (fun i _ -> i < m) full));
         if k < n then begin
@@ -177,7 +178,7 @@ let test_bit_rot_salvage () =
             | Some s0 ->
                 Alcotest.(check bool)
                   (Printf.sprintf "flip at %d: record %s intact" pos k)
-                  true (Covdb.status_equal s s0)
+                  true (s = s0)
             | None -> Alcotest.failf "flip at %d invented record %s" pos k)
           (records got)
   done
@@ -214,13 +215,9 @@ let test_merge_join () =
   | Ok m ->
       Alcotest.(check int) "union of keys" 4 (Covdb.n_records m);
       Alcotest.(check bool) "detected beats excited" true
-        (Covdb.status_equal
-           (Option.get (Covdb.find m "f1"))
-           (Covdb.Detected { excite_step = None; detect_step = 2 }));
+        (Covdb.find m "f1" = Some (Covdb.Detected { excite_step = None; detect_step = 2 }));
       Alcotest.(check bool) "earliest excite step wins on a tie" true
-        (Covdb.status_equal
-           (Option.get (Covdb.find m "f2"))
-           (Covdb.Detected { excite_step = Some 1; detect_step = 9 }));
+        (Covdb.find m "f2" = Some (Covdb.Detected { excite_step = Some 1; detect_step = 9 }));
       Alcotest.(check string) "runs are joined" "r1+r2" (Covdb.header m).Covdb.run;
       Alcotest.(check string) "differing stim hashes clear" ""
         (Covdb.header m).Covdb.stim_hash;
@@ -344,7 +341,7 @@ let qcheck_resave_equals_fresh =
                 let s0 = Hashtbl.find model k in
                 let rec changed () =
                   let s = random_status rng in
-                  if Covdb.status_equal s s0 then changed () else s
+                  if s = s0 then changed () else s
                 in
                 (k, changed ())
           in

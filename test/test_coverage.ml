@@ -7,7 +7,7 @@ open Simcov_coverage
    closes the loop back to state 1. Indices:
    0="1" 1="2" 2="3" 3="3'" 4="4" 5="4'" 6="5"; inputs 0=a 1=b 2=c 3=r. *)
 let fig2_golden =
-  Fsm.of_table
+  Oracles.Fsm.of_table
     [
       (0, 0, 1, 0);
       (1, 0, 2, 0);
@@ -185,7 +185,7 @@ let abs_23 =
 (* use a machine where 3' is reachable so it has concrete transitions:
    make reset cover both branches via an extra input from 1 *)
 let fig2_both =
-  Fsm.of_table
+  Oracles.Fsm.of_table
     [
       (0, 0, 1, 0);
       (1, 0, 2, 0) (* a: to 3 *);
@@ -208,12 +208,12 @@ let test_uniformity_nonuniform () =
   Alcotest.(check int) "one faulty member" 1 c.Uniformity.faulty_members;
   Alcotest.(check int) "one clean member" 1 c.Uniformity.clean_members;
   Alcotest.(check bool) "requirement 1 fails" false
-    (Uniformity.requirement1_holds fig2_both abs_23 ~faulty)
+    (List.for_all Uniformity.is_uniform (Uniformity.classify fig2_both abs_23 ~faulty))
 
 let test_uniformity_uniform () =
   let faulty (s, i) = (s = 3 || s = 2) && i = 1 in
   Alcotest.(check bool) "requirement 1 holds" true
-    (Uniformity.requirement1_holds fig2_both abs_23 ~faulty)
+    (List.for_all Uniformity.is_uniform (Uniformity.classify fig2_both abs_23 ~faulty))
 
 
 (* --- Conditional (non-uniform) output errors: Definition 2 --- *)
@@ -221,7 +221,7 @@ let test_uniformity_uniform () =
 (* a diamond: two ways into state 3; the error at (3, c) shows only
    when state 3 was entered through (1, a) *)
 let diamond =
-  Fsm.of_table
+  Oracles.Fsm.of_table
     [
       (0, 0, 1, 0) (* r -a-> 1 *);
       (0, 1, 2, 0) (* r -b-> 2 *);
@@ -240,12 +240,6 @@ let test_conditional_fault_history_dependent () =
   (* via (2, a): hidden *)
   Alcotest.(check bool) "path through (2,a) does not" false
     (verdict diamond cond_fault [ 1; 0; 2 ]).Detect.detected
-
-let test_conditional_fault_not_uniform_kind () =
-  Alcotest.(check bool) "uniform kinds" true
-    (Fault.is_uniform_kind fig2_transfer
-    && Fault.is_uniform_kind (Fault.Output { state = 0; input = 0; wrong_output = 1 }));
-  Alcotest.(check bool) "conditional is not" false (Fault.is_uniform_kind cond_fault)
 
 let test_conditional_fault_effective () =
   Alcotest.(check bool) "effective" true (Fault.is_effective diamond cond_fault);
@@ -284,7 +278,7 @@ let test_conditional_fault_uniformity_classification () =
      transition and the history-dependence is invisible to structural
      classification — which is exactly why the paper needs Requirement
      1 as a semantic condition. *)
-  let mapping = Simcov_abstraction.Homomorphism.identity_mapping diamond in
+  let mapping = Oracles.Homomorphism.identity_mapping diamond in
   let faulty (s, i) = (s, i) = Fault.site cond_fault in
   let classes = Uniformity.classify diamond mapping ~faulty in
   Alcotest.(check int) "one class" 1 (List.length classes);
@@ -350,7 +344,6 @@ let suite =
     Alcotest.test_case "uniformity non-uniform" `Quick test_uniformity_nonuniform;
     Alcotest.test_case "uniformity uniform" `Quick test_uniformity_uniform;
     Alcotest.test_case "conditional history" `Quick test_conditional_fault_history_dependent;
-    Alcotest.test_case "conditional kind" `Quick test_conditional_fault_not_uniform_kind;
     Alcotest.test_case "conditional effective" `Quick test_conditional_fault_effective;
     Alcotest.test_case "certified tour vs conditional" `Quick
       test_certified_tour_can_miss_conditional_fault;

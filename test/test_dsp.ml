@@ -2,15 +2,20 @@ open Simcov_dsp.Mac
 
 let i32 = Int32.of_int
 
+(* the saturating arithmetic, read back through the spec's
+   accumulator: acc <- acc + c * x *)
 let test_saturating_arith () =
-  Alcotest.(check int32) "plain add" 7l (saturating_add 3l 4l);
-  Alcotest.(check int32) "clamps high" Int32.max_int
-    (saturating_add Int32.max_int 1l);
+  let acc cmds =
+    match List.rev (Spec.run (Spec.create ()) (cmds @ [ Read ])) with
+    | Value v :: _ -> v
+    | _ -> Alcotest.fail "no value read"
+  in
+  Alcotest.(check int32) "plain add" 7l (acc [ Setc 1l; Mac 3l; Mac 4l ]);
+  Alcotest.(check int32) "clamps high" Int32.max_int (acc [ Setc 1l; Mac Int32.max_int; Mac 1l ]);
   Alcotest.(check int32) "clamps low" Int32.min_int
-    (saturating_add Int32.min_int (-1l));
-  Alcotest.(check int32) "mul clamps" Int32.max_int
-    (saturating_mul 65536l 65536l);
-  Alcotest.(check int32) "mul plain" (-12l) (saturating_mul 3l (-4l))
+    (acc [ Setc 1l; Mac Int32.min_int; Mac (-1l) ]);
+  Alcotest.(check int32) "mul clamps" Int32.max_int (acc [ Setc 65536l; Mac 65536l ]);
+  Alcotest.(check int32) "mul plain" (-12l) (acc [ Setc 3l; Mac (-4l) ])
 
 let test_spec_basic () =
   let s = Spec.create () in

@@ -163,7 +163,7 @@ let qcheck_equiv_vs_explicit =
       let sym = Equiv.equivalent a b in
       (* explicit: product-machine over packed outputs *)
       let ma = Circuit.to_fsm a and mb = Circuit.to_fsm b in
-      let explicit = match Simcov_fsm.Fsm.equivalent ma mb with Ok [] -> true | _ -> false in
+      let explicit = match Oracles.Fsm.equivalent ma mb with Ok [] -> true | _ -> false in
       sym = explicit)
 
 let suite =

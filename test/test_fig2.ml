@@ -10,11 +10,15 @@ let test_structure () =
 
 let test_both_words_are_tours () =
   List.iter
+    (fun (r : Fig2.row) ->
+      Alcotest.(check bool) (r.Fig2.machine ^ ": " ^ r.Fig2.tour) true r.Fig2.is_tour)
+    (Fig2.experiment ());
+  List.iter
     (fun (m, name) ->
       Alcotest.(check bool) (name ^ ": via b") true
-        (Simcov_testgen.Tour.word_is_tour m Fig2.tour_via_b);
+        (Simcov_testgen.Tour.word_is_tour m Oracles.Fig2.tour_via_b);
       Alcotest.(check bool) (name ^ ": via c") true
-        (Simcov_testgen.Tour.word_is_tour m Fig2.tour_via_c))
+        (Simcov_testgen.Tour.word_is_tour m Oracles.Fig2.tour_via_c))
     [ (Fig2.original, "original"); (Fig2.repaired, "repaired") ]
 
 let test_single_excitation () =
@@ -25,13 +29,13 @@ let test_single_excitation () =
     let rec go s acc = function
       | [] -> acc
       | i :: rest ->
-          let s', _ = Simcov_fsm.Fsm.step m s i in
+          let s', _ = Oracles.Fsm.step m s i in
           go s' (if s = 1 && i = 0 then acc + 1 else acc) rest
     in
     go m.Simcov_fsm.Fsm.reset 0 word
   in
-  Alcotest.(check int) "via b: once" 1 (count Fig2.tour_via_b);
-  Alcotest.(check int) "via c: once" 1 (count Fig2.tour_via_c)
+  Alcotest.(check int) "via b: once" 1 (count Oracles.Fig2.tour_via_b);
+  Alcotest.(check int) "via c: once" 1 (count Oracles.Fig2.tour_via_c)
 
 let test_experiment_shape () =
   let rows = Fig2.experiment () in

@@ -30,14 +30,14 @@ let fig2_rows =
     (6, 3, 0, 4) (* 5 -r-> 1 *);
   ]
 
-let fig2 = Fsm.of_table fig2_rows
+let fig2 = Oracles.Fsm.of_table fig2_rows
 
 let test_make_defaults () =
   Alcotest.(check int) "reset" 0 counter3.Fsm.reset;
   Alcotest.(check bool) "all valid" true (counter3.Fsm.valid 2 1)
 
 let test_step_run () =
-  let s, o = Fsm.step counter3 0 0 in
+  let s, o = Oracles.Fsm.step counter3 0 0 in
   Alcotest.(check int) "next" 1 s;
   Alcotest.(check int) "output" 1 o;
   Alcotest.(check (list int)) "output word" [ 1; 2; 0; 0 ]
@@ -47,7 +47,7 @@ let test_step_run () =
 let test_step_invalid () =
   Alcotest.(check bool) "invalid input raises" true
     (try
-       ignore (Fsm.step fig2 0 1);
+       ignore (Oracles.Fsm.step fig2 0 1);
        false
      with Invalid_argument _ -> true)
 
@@ -93,7 +93,7 @@ let test_transition_graph () =
     (Oracles.Scc.is_strongly_connected g)
 
 let test_equivalent_same () =
-  match Fsm.equivalent counter3 counter3 with
+  match Oracles.Fsm.equivalent counter3 counter3 with
   | Ok [] -> ()
   | Ok w ->
       Alcotest.failf "unexpected counterexample of length %d" (List.length w)
@@ -106,7 +106,7 @@ let test_equivalent_detects_output_difference () =
       ~output:(fun s i -> if i = 0 then (s + 1) mod 3 else if s = 2 then 9 else 0)
       ()
   in
-  match Fsm.equivalent counter3 broken with
+  match Oracles.Fsm.equivalent counter3 broken with
   | Ok [] -> Alcotest.fail "expected counterexample"
   | Ok w ->
       (* counterexample must actually expose the difference *)
@@ -121,7 +121,7 @@ let test_equivalent_detects_transfer_difference () =
       ~output:(fun s i -> if i = 0 then (s + 1) mod 3 else 0)
       ()
   in
-  match Fsm.equivalent counter3 broken with
+  match Oracles.Fsm.equivalent counter3 broken with
   | Ok [] -> Alcotest.fail "expected counterexample"
   | Ok w ->
       Alcotest.(check bool) "outputs differ on ce" true
@@ -137,7 +137,7 @@ let test_equivalent_shortest () =
       ~output:(fun s i -> if i = 0 then (s + 1) mod 3 else if s = 2 then 9 else 0)
       ()
   in
-  match Fsm.equivalent counter3 broken with
+  match Oracles.Fsm.equivalent counter3 broken with
   | Ok w -> Alcotest.(check int) "shortest ce length" 3 (List.length w)
   | Error e -> Alcotest.fail e
 
@@ -185,7 +185,7 @@ let test_forall_k_needs_two_steps () =
   (* Outputs equal on the first step from states 0,1 but successors
      (2,3) differ on every input: forall-1 false, forall-2 true. *)
   let m =
-    Fsm.of_table
+    Oracles.Fsm.of_table
       [
         (0, 0, 2, 0);
         (1, 0, 3, 0);
@@ -421,12 +421,12 @@ let test_compiled_once () =
     ~finally:(fun () -> Obs.release reg)
     (fun () ->
       Obs.with_registry reg (fun () ->
-          let count () = Obs.count (Obs.counter "fsm.tabulations") in
-          let m = Fsm.of_table fig2_rows in
+          let count () = Metrics.count "fsm.tabulations" in
+          let m = Oracles.Fsm.of_table fig2_rows in
           Alcotest.(check int) "one tabulation per machine built" 1 (count ());
           ignore
-            ( Fsm.step m 0 0,
-              Fsm.run m [ 0; 0; 1 ],
+            ( Fsm.output_word m [ 0; 0; 1 ],
+              Fsm.final_state m [ 0; 0; 1 ],
               Fsm.valid_inputs m 2,
               Fsm.reachable m,
               Fsm.n_reachable m,
@@ -437,8 +437,7 @@ let test_compiled_once () =
               Fsm.tables m,
               Fsm.compiled_bytes m );
           ignore
-            ( Fsm.equivalent m m,
-              Fsm.distinguish m 0 1,
+            ( Fsm.distinguish m 0 1,
               Fsm.forall_k_distinguishable m ~k:2 0 1,
               Fsm.forall_k_matrix m ~k:2,
               Fsm.min_forall_k m,
@@ -455,7 +454,7 @@ let test_minimize_counter () =
 let test_minimize_merges () =
   (* two equivalent states 1 and 2 (same outputs, same successor) *)
   let m =
-    Fsm.of_table
+    Oracles.Fsm.of_table
       [
         (0, 0, 1, 0);
         (0, 1, 2, 0);
@@ -469,7 +468,7 @@ let test_minimize_merges () =
   Alcotest.(check int) "merged to 2 states" 2 q.Fsm.n_states;
   Alcotest.(check int) "1 and 2 same class" cls.(1) cls.(2);
   (* quotient is equivalent to the original *)
-  match Fsm.equivalent m q with
+  match Oracles.Fsm.equivalent m q with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "quotient not equivalent"
   | Error e -> Alcotest.fail e
@@ -498,7 +497,7 @@ let qcheck_minimize_equivalent =
       let rng = Simcov_util.Rng.create seed in
       let m = Fsm.random_connected rng ~n_states:n ~n_inputs:k ~n_outputs:2 in
       let q, _ = Fsm.minimize m in
-      match Fsm.equivalent m q with Ok [] -> true | _ -> false)
+      match Oracles.Fsm.equivalent m q with Ok [] -> true | _ -> false)
 
 let qcheck_distinguish_sound =
   QCheck.Test.make ~name:"fsm: distinguishing words do distinguish" ~count:50
@@ -515,7 +514,7 @@ let qcheck_distinguish_sound =
               let run_from s word =
                 List.fold_left
                   (fun (s, acc) i ->
-                    let s', o = Fsm.step m s i in
+                    let s', o = Oracles.Fsm.step m s i in
                     (s', o :: acc))
                   (s, []) word
                 |> snd

@@ -30,26 +30,26 @@ let counter3 =
 
 (* states 1 and 2 are behaviorally identical: SA620 *)
 let nonminimal =
-  Fsm.of_table
+  Oracles.Fsm.of_table
     [ (0, 0, 1, 0); (0, 1, 2, 0); (1, 0, 0, 1); (2, 0, 0, 1) ]
 
 (* state 1 is a sink with a self-loop: reachable but no way back, SA610 *)
-let oneway = Fsm.of_table [ (0, 0, 1, 0); (1, 0, 1, 1) ]
+let oneway = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 0, 1, 1) ]
 
 (* state 1 is reachable and accepts no input at all: SA601 (and SA610) *)
-let deadend = Fsm.of_table [ (0, 0, 1, 0) ]
+let deadend = Oracles.Fsm.of_table [ (0, 0, 1, 0) ]
 
 (* state 1 appears only as a source: SA602 unreachable *)
-let unreachable = Fsm.of_table [ (0, 0, 0, 0); (1, 0, 0, 1) ]
+let unreachable = Oracles.Fsm.of_table [ (0, 0, 0, 0); (1, 0, 0, 1) ]
 
 (* input 1 is valid nowhere (alphabet inferred from the max index): SA603 *)
-let dead_input = Fsm.of_table [ (0, 0, 0, 0); (0, 2, 0, 1) ]
+let dead_input = Oracles.Fsm.of_table [ (0, 0, 0, 0); (0, 2, 0, 1) ]
 
 let test_clean_machine () =
   let r = Fsm_lint.run ~name:"counter3" counter3 in
-  Alcotest.(check int) "no errors" 0 (Fsm_lint.count r Diag.Error);
+  Alcotest.(check int) "no errors" 0 (Diag.count r.Fsm_lint.diags Diag.Error);
   Alcotest.(check bool) "passes --fail-on error" false
-    (Fsm_lint.fails r ~threshold:Diag.Error);
+    (Diag.fails r.Fsm_lint.diags ~threshold:Diag.Error);
   Alcotest.(check int) "one SCC" 1 r.Fsm_lint.stats.Fsm_lint.n_sccs;
   Alcotest.(check int) "3 classes" 3 r.Fsm_lint.stats.Fsm_lint.n_classes;
   (match r.Fsm_lint.stats.Fsm_lint.certified_k with
@@ -64,7 +64,7 @@ let test_disconnected () =
   let r = Fsm_lint.run ~name:"oneway" oneway in
   Alcotest.(check bool) "SA610 reported" true (has "SA610" r);
   Alcotest.(check bool) "fails --fail-on error" true
-    (Fsm_lint.fails r ~threshold:Diag.Error);
+    (Diag.fails r.Fsm_lint.diags ~threshold:Diag.Error);
   Alcotest.(check int) "two SCCs" 2 r.Fsm_lint.stats.Fsm_lint.n_sccs;
   (* the witness names a condensation cut edge *)
   let d = diag "SA610" r in
@@ -93,7 +93,7 @@ let test_well_formedness_codes () =
   let r = Fsm_lint.run unreachable in
   Alcotest.(check bool) "SA602 unreachable" true (has "SA602" r);
   Alcotest.(check bool) "warning only" false
-    (Fsm_lint.fails r ~threshold:Diag.Error);
+    (Diag.fails r.Fsm_lint.diags ~threshold:Diag.Error);
   let r = Fsm_lint.run dead_input in
   Alcotest.(check bool) "SA603 dead input" true (has "SA603" r);
   (* of_table machines are rarely completely specified *)
@@ -189,8 +189,8 @@ let qcheck_duplicate_state_caught =
 
 let qcheck_suite_cover_matches_simulation =
   (* the suite-cover pass predicts coverage by graph walk; it must
-     agree exactly with Detect.transitions_covered, including the
-     die-at-first-invalid-input semantics *)
+     agree exactly with the pairs a word traverses from reset, up to
+     its first invalid input *)
   QCheck.Test.make
     ~name:"fsm_lint: predicted suite coverage = simulated coverage" ~count:60
     QCheck.(
@@ -209,9 +209,12 @@ let qcheck_suite_cover_matches_simulation =
       match r.Fsm_lint.suite with
       | None -> false
       | Some s ->
+          let rec walk s acc = function
+            | i :: rest when m.Fsm.valid s i -> walk (m.Fsm.next s i) ((s, i) :: acc) rest
+            | _ -> acc
+          in
           let simulated =
-            List.sort_uniq compare
-              (List.concat_map (Detect.transitions_covered m) words)
+            List.sort_uniq compare (List.concat_map (walk m.Fsm.reset []) words)
           in
           let predicted =
             List.filter
@@ -266,7 +269,7 @@ let random_partial rng ~n_states ~n_inputs =
         rows := (s, i, next, Rng.int rng 3) :: !rows
     done
   done;
-  Fsm.of_table (List.rev !rows)
+  Oracles.Fsm.of_table (List.rev !rows)
 
 let qcheck_sa640_matches_oracle =
   QCheck.Test.make

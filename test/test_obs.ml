@@ -8,15 +8,6 @@ module Json = Simcov_util.Json
 module Budget = Simcov_util.Budget
 module Bdd = Simcov_bdd.Bdd
 
-let get_int json path =
-  let rec go json = function
-    | [] -> Json.to_int_opt json
-    | k :: rest -> Option.bind (Json.member k json) (fun v -> go v rest)
-  in
-  match go json path with
-  | Some v -> v
-  | None -> Alcotest.failf "missing int at %s" (String.concat "." path)
-
 let test_registry_create_on_first_use () =
   Obs.reset ();
   let c1 = Obs.counter "test.counter" in
@@ -24,13 +15,13 @@ let test_registry_create_on_first_use () =
   Alcotest.(check bool) "same cell" true (c1 == c2);
   Obs.incr c1;
   Obs.add c1 4;
-  Alcotest.(check int) "visible through alias" 5 (Obs.count c2);
+  Alcotest.(check int) "visible through alias" 5 (Metrics.count "test.counter");
   let g = Obs.gauge "test.gauge" in
   Obs.set g 7;
   Obs.set_max g 3;
-  Alcotest.(check int) "set_max keeps maximum" 7 (Obs.value g);
+  Alcotest.(check int) "set_max keeps maximum" 7 (Metrics.value "test.gauge");
   Obs.set_max g 11;
-  Alcotest.(check int) "set_max raises" 11 (Obs.value g)
+  Alcotest.(check int) "set_max raises" 11 (Metrics.value "test.gauge")
 
 let test_snapshot_schema () =
   Obs.reset ();
@@ -52,14 +43,14 @@ let test_snapshot_schema () =
     (Json.member "schema" json = Some (Json.String "simcov-metrics/1"));
   Alcotest.(check bool) "wall clock present" true
     (Json.member "wall_clock_s" json <> None);
-  Alcotest.(check int) "counter value" 42 (get_int json [ "counters"; "test.snap.counter" ]);
-  Alcotest.(check int) "gauge value" 9 (get_int json [ "gauges"; "test.snap.gauge" ]);
+  Alcotest.(check int) "counter value" 42 (Metrics.int_at json [ "counters"; "test.snap.counter" ]);
+  Alcotest.(check int) "gauge value" 9 (Metrics.int_at json [ "gauges"; "test.snap.gauge" ]);
   Alcotest.(check int) "timer span count" 2
-    (get_int json [ "timers"; "test.snap.timer"; "count" ]);
+    (Metrics.int_at json [ "timers"; "test.snap.timer"; "count" ]);
   (* instrumented-engine metrics are registered at module init, so they
      appear (at zero) in every snapshot: the field set is stable *)
   List.iter
-    (fun name -> ignore (get_int json [ "counters"; name ]))
+    (fun name -> ignore (Metrics.int_at json [ "counters"; name ]))
     [
       "bdd.cache.and.hit"; "bdd.cache.and.miss"; "bdd.cache.or.hit";
       "bdd.cache.xor.hit"; "bdd.cache.not.hit"; "bdd.cache.ite.hit";
@@ -70,19 +61,17 @@ let test_snapshot_schema () =
     ];
   Obs.reset ();
   Alcotest.(check int) "reset zeroes counters" 0
-    (get_int (Obs.snapshot ()) [ "counters"; "test.snap.counter" ])
+    (Metrics.int_at (Obs.snapshot ()) [ "counters"; "test.snap.counter" ])
 
 let test_trace_sink () =
   Obs.reset ();
   let lines = ref [] in
   Obs.set_sink (Some (fun l -> lines := l :: !lines));
-  Alcotest.(check bool) "tracing on" true (Obs.tracing ());
   Obs.event "test.ev" ~fields:(fun () -> [ ("k", Json.Int 3) ]);
   let tm = Obs.timer "test.trace.span" in
   let r = Obs.span tm (fun () -> 17) in
   Alcotest.(check int) "span returns" 17 r;
   Obs.set_sink None;
-  Alcotest.(check bool) "tracing off" false (Obs.tracing ());
   (* fields thunk must not run without a sink *)
   Obs.event "test.silent" ~fields:(fun () -> Alcotest.fail "fields forced");
   let parsed =
@@ -98,18 +87,18 @@ let test_trace_sink () =
   | [ ev; sp ] ->
       Alcotest.(check bool) "ev name" true
         (Json.member "ev" ev = Some (Json.String "test.ev"));
-      Alcotest.(check int) "ev field" 3 (get_int ev [ "k" ]);
+      Alcotest.(check int) "ev field" 3 (Metrics.int_at ev [ "k" ]);
       Alcotest.(check bool) "span name" true
         (Json.member "ev" sp = Some (Json.String "test.trace.span"));
       Alcotest.(check bool) "span duration" true (Json.member "dur_s" sp <> None)
   | _ -> Alcotest.fail "expected exactly the two traced events");
-  Alcotest.(check int) "span observed" 1 (Obs.spans tm)
+  Alcotest.(check int) "span observed" 1 (Metrics.spans "test.trace.span")
 
 let test_span_observes_on_raise () =
   Obs.reset ();
   let tm = Obs.timer "test.raise.span" in
   (try Obs.span tm (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "span recorded despite raise" 1 (Obs.spans tm)
+  Alcotest.(check int) "span recorded despite raise" 1 (Metrics.spans "test.raise.span")
 
 (* ---- BDD counters vs the manager's own statistics ---- *)
 
@@ -119,23 +108,23 @@ let test_bdd_counters_match_gc_stats () =
   let f =
     Bdd.conj m (List.init 8 (fun v -> Bdd.var m v)) |> Bdd.protect m
   in
-  let g = Bdd.protect m (Bdd.disj m (List.init 8 (fun v -> Bdd.nvar m v))) in
+  let g = Bdd.protect m (List.fold_left (Bdd.bor m) (Bdd.bfalse m) (List.init 8 (fun v -> Bdd.nvar m v))) in
   ignore (Bdd.band m f g);
   ignore (Bdd.bxor m f g);
   ignore (Bdd.bnot m f);
   ignore (Bdd.gc m);
   let st = Bdd.gc_stats m in
   let snap = Obs.snapshot () in
-  Alcotest.(check int) "gc runs" st.Bdd.runs (get_int snap [ "counters"; "bdd.gc.runs" ]);
+  Alcotest.(check int) "gc runs" st.Bdd.runs (Metrics.int_at snap [ "counters"; "bdd.gc.runs" ]);
   Alcotest.(check int) "gc reclaimed" st.Bdd.reclaimed
-    (get_int snap [ "counters"; "bdd.gc.reclaimed" ]);
+    (Metrics.int_at snap [ "counters"; "bdd.gc.reclaimed" ]);
   Alcotest.(check int) "live gauge" st.Bdd.live
-    (get_int snap [ "gauges"; "bdd.nodes.live" ]);
+    (Metrics.int_at snap [ "gauges"; "bdd.nodes.live" ]);
   Alcotest.(check int) "peak gauge" st.Bdd.peak_live
-    (get_int snap [ "gauges"; "bdd.nodes.peak" ]);
+    (Metrics.int_at snap [ "gauges"; "bdd.nodes.peak" ]);
   (* every live node was once a unique-table miss *)
   Alcotest.(check bool) "unique misses cover peak" true
-    (get_int snap [ "counters"; "bdd.unique.miss" ] >= st.Bdd.peak_live)
+    (Metrics.int_at snap [ "counters"; "bdd.unique.miss" ] >= st.Bdd.peak_live)
 
 let test_symfsm_counters_match_traversal () =
   Obs.reset ();
@@ -149,11 +138,11 @@ let test_symfsm_counters_match_traversal () =
   let tr = Simcov_symbolic.Symfsm.traverse sym in
   let snap = Obs.snapshot () in
   Alcotest.(check int) "iterations counter" tr.Simcov_symbolic.Symfsm.iterations
-    (get_int snap [ "counters"; "symfsm.iterations" ]);
+    (Metrics.int_at snap [ "counters"; "symfsm.iterations" ]);
   Alcotest.(check int) "images counter" tr.Simcov_symbolic.Symfsm.images
-    (get_int snap [ "counters"; "symfsm.images" ]);
+    (Metrics.int_at snap [ "counters"; "symfsm.images" ]);
   Alcotest.(check int) "iteration timer spans" tr.Simcov_symbolic.Symfsm.iterations
-    (get_int snap [ "timers"; "symfsm.iteration"; "count" ])
+    (Metrics.int_at snap [ "timers"; "symfsm.iteration"; "count" ])
 
 (* ---- campaign progress invariants ---- *)
 
@@ -215,9 +204,9 @@ let test_campaign_progress_invariants () =
   let snap = Obs.snapshot () in
   Alcotest.(check int) "faults_evaluated counter"
     r.Simcov_coverage.Detect.effective
-    (get_int snap [ "counters"; "campaign.faults_evaluated" ]);
+    (Metrics.int_at snap [ "counters"; "campaign.faults_evaluated" ]);
   Alcotest.(check int) "batches counter" (List.length progresses)
-    (get_int snap [ "counters"; "campaign.batches" ])
+    (Metrics.int_at snap [ "counters"; "campaign.batches" ])
 
 (* ---- domain safety: no lost updates under concurrent increments ---- *)
 
@@ -239,24 +228,22 @@ let test_domain_hammer () =
   Domain.join d;
   (* every increment from both domains must land: counters are atomic,
      not last-writer-wins *)
-  Alcotest.(check int) "no lost increments" (2 * iters) (Obs.count c);
+  Alcotest.(check int) "no lost increments" (2 * iters) (Metrics.count "test.domains.counter");
   Alcotest.(check int) "set_max keeps the global maximum"
-    ((2 * iters) - 1) (Obs.value g);
-  Alcotest.(check int) "mutex-guarded timer lost no spans" 8 (Obs.spans tm);
+    ((2 * iters) - 1) (Metrics.value "test.domains.gauge");
+  Alcotest.(check int) "mutex-guarded timer lost no spans" 8 (Metrics.spans "test.domains.timer");
   (* and the merged snapshot reflects the final state *)
   let snap = Obs.snapshot () in
   Alcotest.(check int) "snapshot agrees" (2 * iters)
-    (get_int snap [ "counters"; "test.domains.counter" ])
+    (Metrics.int_at snap [ "counters"; "test.domains.counter" ])
 
 (* ---- the budget's secondary node enforcement (fake probe) ---- *)
 
 let test_budget_node_probe () =
   let b = Budget.create ~max_nodes:10 () in
-  Alcotest.(check bool) "no probe, no reading" true (Budget.live_nodes b = None);
   Alcotest.(check bool) "no probe, never Nodes" true (Budget.exceeded b = None);
   let reading = ref 5 in
   Budget.set_node_probe b (Some (fun () -> !reading));
-  Alcotest.(check bool) "probe visible" true (Budget.live_nodes b = Some 5);
   Alcotest.(check bool) "below cap" true (Budget.exceeded b = None);
   reading := 10;
   (* at the cap is fine: the primary enforcer (a BDD manager) holds the
@@ -272,7 +259,7 @@ let test_budget_node_probe () =
   (* the shared unlimited singleton must stay stateless *)
   Budget.set_node_probe Budget.unlimited (Some (fun () -> 1_000_000));
   Alcotest.(check bool) "unlimited ignores probes" true
-    (Budget.live_nodes Budget.unlimited = None)
+    (Budget.exceeded Budget.unlimited = None)
 
 (* A job's campaign.* metrics count only the campaigns it reports:
    the FSM lint's SA640/SA641 engine runs stay out of them. validate-dlx
@@ -287,8 +274,8 @@ let test_campaign_metrics_count_reported_campaigns () =
       (fun () ->
         Obs.with_registry reg (fun () ->
             ignore (Simcov_service.Service.run (Job.make job));
-            ( Obs.count (Obs.counter "campaign.batches"),
-              Obs.count (Obs.counter "campaign.faults_evaluated") )))
+            ( Metrics.count "campaign.batches",
+              Metrics.count "campaign.faults_evaluated" )))
   in
   Alcotest.(check (pair int int))
     "lint --fsm dlx-test: batches, faults" (0, 0)
@@ -311,7 +298,7 @@ let test_one_tabulation_per_job () =
       (fun () ->
         Obs.with_registry reg (fun () ->
             ignore (Simcov_service.Service.run ~cache (Job.make job));
-            (Obs.count (Obs.counter "fsm.tabulations"), Obs.count (Obs.counter "tour.solves"))))
+            (Metrics.count "fsm.tabulations", Metrics.count "tour.solves")))
   in
   Alcotest.(check (pair int int))
     "validate-dlx: tabulations, tour solves" (1, 1)
@@ -339,7 +326,7 @@ let test_one_compilation_per_construction_path () =
       (fun () ->
         Obs.with_registry reg (fun () ->
             let o = Simcov_service.Service.run ~cache (Job.make job) in
-            (o.Simcov_service.Service.exit_code, Obs.count (Obs.counter "fsm.tabulations"))))
+            (o.Simcov_service.Service.exit_code, Metrics.count "fsm.tabulations")))
   in
   let lint_fsm model = Job.Lint { (Job.default_lint ~model) with Job.li_fsm = true } in
   (* cwd is test/ under `dune runtest` but the workspace root under
@@ -358,6 +345,36 @@ let test_one_compilation_per_construction_path () =
       ("lint --fsm counter.circ", lint_fsm counter);
       ("lint --fsm dlx-test", lint_fsm "dlx-test");
     ]
+
+(* Theorem 1's facts are solved once per cached machine: a lint --fsm
+   job and a coverage job of the DLX test model share them in either
+   order, and each report reads as from a cold cache *)
+let test_one_tour_solve_per_cached_machine () =
+  let module Job = Simcov_service.Job in
+  let module Model_cache = Simcov_service.Model_cache in
+  let module Service = Simcov_service.Service in
+  let run ~cache job =
+    let reg = Obs.registry () in
+    Fun.protect
+      ~finally:(fun () -> Obs.release reg)
+      (fun () ->
+        Obs.with_registry reg (fun () ->
+            let o = Service.run ~cache (Job.make job) in
+            let report = Option.fold ~none:"" ~some:Json.to_string o.Service.report in
+            ((o.Service.exit_code, report), Metrics.count "tour.solves")))
+  in
+  let cold job = fst (run ~cache:(Model_cache.create ()) job) in
+  let lint = Job.Lint { (Job.default_lint ~model:"dlx-test") with Job.li_fsm = true } in
+  let coverage = Job.Coverage (Job.default_coverage ~model:"dlx") in
+  List.iter
+    (fun (name, first, second) ->
+      let cache = Model_cache.create () in
+      let r1, s1 = run ~cache first in
+      let r2, s2 = run ~cache second in
+      Alcotest.(check (pair int int)) (name ^ ": tour solves") (1, 0) (s1, s2);
+      Alcotest.(check bool) (name ^ ": first report") true (r1 = cold first);
+      Alcotest.(check bool) (name ^ ": second report") true (r2 = cold second))
+    [ ("lint then coverage", lint, coverage); ("coverage then lint", coverage, lint) ]
 
 let suite =
   [
@@ -380,4 +397,6 @@ let suite =
       test_one_tabulation_per_job;
     Alcotest.test_case "one compilation per construction path" `Quick
       test_one_compilation_per_construction_path;
+    Alcotest.test_case "one tour solve per cached machine" `Quick
+      test_one_tour_solve_per_cached_machine;
   ]

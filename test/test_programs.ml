@@ -15,16 +15,16 @@ let test_kernels_assemble () =
 let test_kernels_compute_expected_values () =
   List.iter
     (fun k ->
-      let s =
+      let commits =
         match Programs.run_spec k with
-        | Ok s -> s
+        | Ok commits -> commits
         | Error e -> Alcotest.fail (Programs.error_to_string e)
       in
       List.iter
         (fun (r, v) ->
           Alcotest.(check int32)
             (Printf.sprintf "%s: r%d" k.Programs.name r)
-            v (Spec.reg s r))
+            v (Programs.reg commits r))
         k.Programs.checks)
     Programs.all
 
@@ -33,7 +33,7 @@ let test_kernels_halt () =
     (fun k ->
       let s = Spec.create (assemble k) in
       let commits = Spec.run ~max_steps:5000 s in
-      Alcotest.(check bool) (k.Programs.name ^ " halts") true (Spec.halted s);
+      Alcotest.(check bool) (k.Programs.name ^ " halts") true (Spec.step s = None);
       Alcotest.(check bool) (k.Programs.name ^ " does work") true (List.length commits > 5))
     Programs.all
 

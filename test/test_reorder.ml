@@ -52,8 +52,6 @@ let test_order_and_levels () =
   let f = Bdd.protect m (Bdd.band m (Bdd.var m 0) (Bdd.var m 3)) in
   Bdd.set_order m [| 3; 1; 2; 0 |];
   Alcotest.(check (array int)) "set_order applied" [| 3; 1; 2; 0 |] (Bdd.order m);
-  Alcotest.(check int) "level of var 3" 0 (Bdd.level_of_var m 3);
-  Alcotest.(check int) "level of var 0" 3 (Bdd.level_of_var m 0);
   (* topvar is a variable index; under this order the root tests x3 *)
   Alcotest.(check int) "topvar follows order" 3 (Bdd.topvar m f);
   (* support stays sorted by index, independent of the level order *)
@@ -208,36 +206,6 @@ let test_rename_levels () =
     (Invalid_argument "Bdd.rename: substitution not injective on support")
     (fun () -> ignore (Bdd.rename m (fun _ -> 4) f))
 
-(* ---- to_dot: rank by level, label both index and level ---- *)
-
-let test_to_dot_golden () =
-  let m = Bdd.man 3 in
-  let f = Bdd.protect m (Bdd.bor m (Bdd.band m (Bdd.var m 0) (Bdd.var m 1)) (Bdd.var m 2)) in
-  Bdd.set_order m [| 2; 0; 1 |];
-  let got = Bdd.to_dot m f in
-  let expected =
-    "digraph bdd {\n\
-    \  node [shape=circle];\n\
-    \  F [shape=box, label=\"0\"];\n\
-    \  T [shape=box, label=\"1\"];\n\
-    \  n7 [label=\"x2 L0\"];\n\
-    \  n7 -> n5 [style=dashed];\n\
-    \  n7 -> T;\n\
-    \  n5 [label=\"x0 L1\"];\n\
-    \  n5 -> F [style=dashed];\n\
-    \  n5 -> n3;\n\
-    \  n3 [label=\"x1 L2\"];\n\
-    \  n3 -> F [style=dashed];\n\
-    \  n3 -> T;\n\
-    \  { rank=same; n7; }\n\
-    \  { rank=same; n5; }\n\
-    \  { rank=same; n3; }\n\
-    \  root [shape=none, label=\"\"];\n\
-    \  root -> n7;\n\
-     }\n"
-  in
-  Alcotest.(check string) "dot output" expected got
-
 (* ---- auto trigger ---- *)
 
 (* With auto-reorder on, a sift (which collects first) can fire inside
@@ -276,6 +244,5 @@ let suite =
       test_node_limit_abort;
     Alcotest.test_case "rename precondition is level-based" `Quick
       test_rename_levels;
-    Alcotest.test_case "to_dot ranks by level" `Quick test_to_dot_golden;
     Alcotest.test_case "auto-reorder trigger" `Quick test_auto_reorder;
   ]

@@ -34,7 +34,7 @@ let gc_oracle_run ~seed ~sweep_every =
   let pool_o = ref [| Bdd.btrue o |] in
   let roots = Hashtbl.create 64 in
   let push a b =
-    Hashtbl.replace roots (Bdd.id a) (Bdd.add_root m a);
+    Hashtbl.replace roots a (Bdd.add_root m a);
     pool_m := Array.append !pool_m [| a |];
     pool_o := Array.append !pool_o [| b |]
   in
@@ -70,7 +70,7 @@ let gc_oracle_run ~seed ~sweep_every =
     | _ ->
         let a, a' = pick_pair () in
         let vs = [ Rng.int rng nvars; Rng.int rng nvars ] in
-        push (Bdd.exists m vs a) (Bdd.exists o vs a'));
+        push (Bdd.and_exists_list m vs [ a ]) (Bdd.and_exists_list o vs [ a' ]));
     if step mod sweep_every = 0 then ignore (Bdd.gc m)
   done;
   Array.iteri
@@ -135,7 +135,7 @@ let test_freed_handle_refused () =
   in
   refused "band" (fun () -> ignore (Bdd.band m kept lost));
   refused "bnot" (fun () -> ignore (Bdd.bnot m lost));
-  refused "exists" (fun () -> ignore (Bdd.exists m [ 2 ] lost));
+  refused "and_exists" (fun () -> ignore (Bdd.and_exists m [ 2 ] kept lost));
   refused "sat_count" (fun () -> ignore (Bdd.sat_count m ~nvars:4 lost));
   refused "support" (fun () -> ignore (Bdd.support m lost));
   refused "add_root" (fun () -> ignore (Bdd.add_root m lost));
@@ -348,10 +348,10 @@ let test_validate_chaos_budgets () =
     let budget =
       match Rng.int rng 3 with
       | 0 -> Budget.create ~max_nodes:(32 + Rng.int rng 5000) ()
-      | 1 -> Budget.create ~timeout_s:(Rng.float rng 0.05) ()
+      | 1 -> Budget.create ~timeout_s:(float (Rng.int rng 50) /. 1000.) ()
       | _ ->
           Budget.create
-            ~timeout_s:(0.01 +. Rng.float rng 0.1)
+            ~timeout_s:(0.01 +. (float (Rng.int rng 100) /. 1000.))
             ~max_nodes:(32 + Rng.int rng 5000) ()
     in
     match Simcov_core.Methodology.validate_dlx ~budget () with
@@ -552,7 +552,7 @@ let test_kill_resume_equivalence () =
             (List.length resumed.Campaign.verdicts);
           List.iter2
             (fun (fa, va) (fb, vb) ->
-              if not (Fault.equal fa fb) then
+              if fa <> fb then
                 Alcotest.failf "trial %d: fault order differs" trial;
               Alcotest.(check bool)
                 (Printf.sprintf "trial %d: verdict agrees" trial)

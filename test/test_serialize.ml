@@ -34,8 +34,8 @@ let check_same_behavior c c' =
     in
     (* skip words invalid under the constraint *)
     try
-      let a = Circuit.simulate c word in
-      let b = Circuit.simulate c' word in
+      let a = Oracles.Circuit.simulate c word in
+      let b = Oracles.Circuit.simulate c' word in
       Alcotest.(check bool) "same outputs" true (a = b)
     with Invalid_argument _ -> ()
   done
@@ -70,7 +70,7 @@ let test_parse_handwritten () =
   match Serialize.of_string text with
   | Error e -> Alcotest.fail (Serialize.error_to_string e)
   | Ok c ->
-      let outs = Circuit.simulate c [ [| true |]; [| false |]; [| true |] ] in
+      let outs = Oracles.Circuit.simulate c [ [| true |]; [| false |]; [| true |] ] in
       Alcotest.(check (list bool)) "toggles" [ false; true; true ]
         (List.map (fun o -> o.(0)) outs)
 

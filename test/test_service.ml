@@ -22,6 +22,20 @@ let contains haystack needle =
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   nn = 0 || at 0
 
+(* [f] under a fresh metric registry, where the service.cache.*
+   metrics count one cache's traffic *)
+let in_registry f =
+  let reg = Obs.registry () in
+  Fun.protect ~finally:(fun () -> Obs.release reg) (fun () -> Obs.with_registry reg f)
+
+(* poll until [n] jobs have resolved *)
+let await_resolved n resolved =
+  let deadline = Unix.gettimeofday () +. 120. in
+  while resolved () < n do
+    if Unix.gettimeofday () > deadline then failf "%d of %d jobs resolved" (resolved ()) n;
+    Unix.sleepf 0.002
+  done
+
 let coverage_job ?checkpoint ?(count = 40) ?(jobs = 1) () =
   Job.make
     (Job.Coverage
@@ -254,52 +268,55 @@ let test_cache_hits_and_eviction () =
     | Ok (_, name, _) -> name
     | Error e -> failf "resolve failed: %s" e
   in
-  ignore (resolve ());
-  ignore (resolve ());
-  let hits, misses, _ = Model_cache.counts c in
-  check int "one miss" 1 misses;
-  check int "one hit" 1 hits;
-  let entries, bytes = Model_cache.stats c in
-  check int "one entry" 1 entries;
-  check bool "entry is costed" true (bytes > 0);
+  in_registry (fun () ->
+      ignore (resolve ());
+      ignore (resolve ());
+      check int "one miss" 1 (Metrics.count "service.cache.misses");
+      check int "one hit" 1 (Metrics.count "service.cache.hits");
+      check int "one entry" 1 (Metrics.value "service.cache.entries");
+      check bool "entry is costed" true (Metrics.value "service.cache.bytes" > 0));
   (* a one-entry cache thrashes: alternating keys always evict *)
-  let tiny = Model_cache.create ~max_entries:1 () in
-  ignore (Model_cache.circuit_of_spec tiny "dlx-control");
-  ignore (Model_cache.circuit_of_spec tiny "dlx-test");
-  ignore (Model_cache.circuit_of_spec tiny "dlx-control");
-  let hits, misses, evictions = Model_cache.counts tiny in
-  check int "no hits under thrash" 0 hits;
-  check int "three misses" 3 misses;
-  check bool "evictions counted" true (evictions >= 2);
-  let entries, _ = Model_cache.stats tiny in
-  check int "bounded to one entry" 1 entries
+  in_registry (fun () ->
+      let tiny = Model_cache.create ~max_entries:1 () in
+      ignore (Model_cache.circuit_of_spec tiny "dlx-control");
+      ignore (Model_cache.circuit_of_spec tiny "dlx-test");
+      ignore (Model_cache.circuit_of_spec tiny "dlx-control");
+      check int "no hits under thrash" 0 (Metrics.count "service.cache.hits");
+      check int "three misses" 3 (Metrics.count "service.cache.misses");
+      check bool "evictions counted" true (Metrics.count "service.cache.evictions" >= 2);
+      check int "bounded to one entry" 1 (Metrics.value "service.cache.entries"))
 
 (* a tabulated machine is charged its compiled form, and its facts
    join the charge once solved: a cache bounded below one compiled dlx
    machine cannot keep it *)
 let test_cache_charges_compiled_form () =
   let module Fsm = Simcov_fsm.Fsm in
-  let c = Model_cache.create () in
-  let m =
-    match Model_cache.fsm_of_spec c "dlx" with
-    | Ok (m, _, _) -> m
-    | Error e -> failf "resolve failed: %s" e
+  let compiled =
+    in_registry (fun () ->
+        let c = Model_cache.create () in
+        let m =
+          match Model_cache.fsm_of_spec c "dlx" with
+          | Ok (m, _, _) -> m
+          | Error e -> failf "resolve failed: %s" e
+        in
+        let compiled = Fsm.compiled_bytes m in
+        check bool "compiled form holds the three tables" true
+          (compiled >= 3 * 8 * m.Fsm.n_states * m.Fsm.n_inputs);
+        let bytes = Metrics.value "service.cache.bytes" in
+        check bool "entry charged the compiled form" true (bytes >= compiled);
+        (match Model_cache.fsm_facts c "dlx" with
+        | Ok (m', _, _, _) -> check bool "facts kept with the same machine" true (m' == m)
+        | Error e -> failf "facts failed: %s" e);
+        check bool "solved tour joins the charge" true
+          (Metrics.value "service.cache.bytes" > bytes);
+        compiled)
   in
-  let compiled = Fsm.compiled_bytes m in
-  check bool "compiled form holds the three tables" true
-    (compiled >= 3 * 8 * m.Fsm.n_states * m.Fsm.n_inputs);
-  let _, bytes = Model_cache.stats c in
-  check bool "entry charged the compiled form" true (bytes >= compiled);
-  (match Model_cache.fsm_facts c "dlx" with
-  | Ok (m', _, _, _) -> check bool "facts kept with the same machine" true (m' == m)
-  | Error e -> failf "facts failed: %s" e);
-  let _, with_facts = Model_cache.stats c in
-  check bool "solved tour joins the charge" true (with_facts > bytes);
-  let tiny = Model_cache.create ~max_bytes:(compiled - 1) () in
-  ignore (Model_cache.fsm_of_spec tiny "dlx");
-  let _, _, evictions = Model_cache.counts tiny in
-  check int "evicted at once" 1 evictions;
-  check (pair int int) "nothing held" (0, 0) (Model_cache.stats tiny)
+  in_registry (fun () ->
+      let tiny = Model_cache.create ~max_bytes:(compiled - 1) () in
+      ignore (Model_cache.fsm_of_spec tiny "dlx");
+      check int "evicted at once" 1 (Metrics.count "service.cache.evictions");
+      check (pair int int) "nothing held" (0, 0)
+        (Metrics.value "service.cache.entries", Metrics.value "service.cache.bytes"))
 
 (* ---- the CRC-32-only file keys were forgeable ---- *)
 
@@ -358,18 +375,19 @@ let test_cache_crc_collision () =
       Sys.remove pa;
       Sys.remove pb)
     (fun () ->
-      let c = Model_cache.create () in
-      (match Model_cache.circuit_of_spec c pa with
-      | Ok _ -> ()
-      | Error e -> failf "serialized model failed to parse: %s" e);
-      (* under the old [file:<crc>] keys the forged file shared A's
-         slot and was silently served A's parsed circuit; the
-         (length, crc) key must treat it as a distinct resolution *)
-      let hits0, _, _ = Model_cache.counts c in
-      ignore (Model_cache.circuit_of_spec c pb);
-      let hits1, misses, _ = Model_cache.counts c in
-      check int "forged file does not hit the cache" hits0 hits1;
-      check int "two distinct resolutions" 2 misses)
+      in_registry (fun () ->
+          let c = Model_cache.create () in
+          (match Model_cache.circuit_of_spec c pa with
+          | Ok _ -> ()
+          | Error e -> failf "serialized model failed to parse: %s" e);
+          (* under the old [file:<crc>] keys the forged file shared A's
+             slot and was silently served A's parsed circuit; the
+             (length, crc) key must treat it as a distinct resolution *)
+          let hits0 = Metrics.count "service.cache.hits" in
+          ignore (Model_cache.circuit_of_spec c pb);
+          check int "forged file does not hit the cache" hits0
+            (Metrics.count "service.cache.hits");
+          check int "two distinct resolutions" 2 (Metrics.count "service.cache.misses")))
 
 let test_cache_observable_in_metrics () =
   let reg = Obs.registry () in
@@ -401,11 +419,11 @@ let test_warm_cache_identical_report () =
     | Some r -> Json.to_string r
     | None -> fail "no report"
   in
-  let cold = run () in
-  let warm = run () in
-  check string "warm report is byte-identical" cold warm;
-  let hits, _, _ = Model_cache.counts cache in
-  check bool "second run hit the cache" true (hits > 0)
+  in_registry (fun () ->
+      let cold = run () in
+      let warm = run () in
+      check string "warm report is byte-identical" cold warm;
+      check bool "second run hit the cache" true (Metrics.count "service.cache.hits" > 0))
 
 (* a shard lost in either validate-dlx campaign exits 5, as a lost
    coverage shard does: the report alone would read as a pass with
@@ -538,15 +556,23 @@ let test_pool_concurrent_same_job () =
     | Error e -> failf "submit rejected: %s" e
   in
   let _ = submit 1 and _ = submit 2 in
-  Pool.wait pool;
+  await_resolved 2 (fun () -> Mutex.protect lock (fun () -> Hashtbl.length results));
   let report tag =
     match Json.member "report" (Hashtbl.find results tag) with
     | Some r -> Json.to_string r
     | None -> failf "%s resolved without a report" tag
   in
   check string "identical jobs, identical reports" (report "same-1") (report "same-2");
-  let hits, _, _ = Model_cache.counts cache in
-  check bool "second job hit the model cache" true (hits > 0);
+  (* each job streams its own metrics: the later one reads the cache hit *)
+  let hits l =
+    match Json.parse l with
+    | Ok j when Json.member "counters" j <> None ->
+        Metrics.int_at j [ "counters"; "service.cache.hits" ]
+    | _ -> 0
+  in
+  check bool "second job hit the model cache" true
+    (Hashtbl.fold (fun _ ls acc -> List.fold_left (fun acc l -> max acc (hits l)) acc ls) lines 0
+    > 0);
   (* per-job registries: each stream carries exactly its own lifecycle *)
   Hashtbl.iter
     (fun tag ls ->
@@ -607,7 +633,7 @@ let test_pool_cancel_and_drain () =
       check (option string) "job 1 is running" (Some "running") (state_of id1);
       check bool "cancel queued job" true (Pool.cancel pool id2);
       check bool "cancel running job" true (Pool.cancel pool id1));
-  Pool.wait pool;
+  await_resolved 2 (fun () -> Mutex.protect lock (fun () -> List.length !envs));
   check bool "unknown id not cancellable" false (Pool.cancel pool "no-such");
   let statuses =
     List.filter_map

@@ -71,24 +71,6 @@ let test_tour_stuckat_coverage () =
       let r = campaign c (Stuckat.all_faults c) word in
       Alcotest.(check (float 0.01)) "tour: 100% stuck-at" 100.0 (Stuckat.coverage_pct r)
 
-let test_bdd_to_dot () =
-  let man = Simcov_bdd.Bdd.man 3 in
-  let f =
-    Simcov_bdd.Bdd.band man (Simcov_bdd.Bdd.var man 0) (Simcov_bdd.Bdd.var man 2)
-  in
-  let dot = Simcov_bdd.Bdd.to_dot man f in
-  Alcotest.(check bool) "digraph present" true
-    (String.length dot > 20 && String.sub dot 0 11 = "digraph bdd");
-  Alcotest.(check bool) "mentions x0" true
-    (String.length dot > 0
-    &&
-    let found = ref false in
-    String.iteri
-      (fun i ch ->
-        if ch = 'x' && i + 1 < String.length dot && dot.[i + 1] = '0' then found := true)
-      dot;
-    !found)
-
 let suite =
   [
     Alcotest.test_case "all faults enumerated" `Quick test_all_faults_enumerated;
@@ -97,5 +79,4 @@ let suite =
     Alcotest.test_case "specific fault" `Quick test_specific_fault;
     Alcotest.test_case "input stuck" `Quick test_input_stuck;
     Alcotest.test_case "tour stuck-at coverage" `Quick test_tour_stuckat_coverage;
-    Alcotest.test_case "bdd to_dot" `Quick test_bdd_to_dot;
   ]

@@ -90,14 +90,6 @@ let test_image_preimage () =
   let pre = preimage t s01 in
   Alcotest.(check (float 0.001)) "two predecessors" 2.0 (count_states t pre)
 
-let test_pick_state () =
-  let t = of_circuit (counter_circuit ()) in
-  (match pick_state t t.init with
-  | Some s -> Alcotest.(check bool) "initial is 00" true (s = [| false; false |])
-  | None -> Alcotest.fail "init nonempty");
-  Alcotest.(check bool) "empty set" true
-    (pick_state t (Simcov_bdd.Bdd.bfalse t.man) = None)
-
 let test_of_fsm_counts () =
   let counter3 =
     Simcov_fsm.Fsm.make ~n_states:3 ~n_inputs:2
@@ -110,7 +102,7 @@ let test_of_fsm_counts () =
   Alcotest.(check (float 0.001)) "6 transitions" 6.0 (count_transitions t)
 
 let test_of_fsm_respects_validity () =
-  let m = Simcov_fsm.Fsm.of_table [ (0, 0, 1, 0); (1, 1, 0, 1) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 1, 0, 1) ] in
   let t = of_fsm m in
   Alcotest.(check (float 0.001)) "2 transitions" 2.0 (count_transitions t);
   Alcotest.(check (float 0.001)) "2 valid input combos" 2.0 (count_valid_inputs t)
@@ -146,11 +138,11 @@ let check_partitioned_against_oracle t =
         ok := false)
     [ (false, true); (true, false); (true, true) ];
   (* image/preimage agree on assorted sets over the cur vars *)
-  let sets = [ t.init; image_mono t t.init; base.reached ] in
+  let sets = [ t.init; Oracles.Symfsm.image_mono t t.init; base.reached ] in
   List.iter
     (fun s ->
-      if not (eq (image t s) (image_mono t s)) then ok := false;
-      if not (eq (preimage t s) (preimage_mono t s)) then ok := false)
+      if not (eq (image t s) (Oracles.Symfsm.image_mono t s)) then ok := false;
+      if not (eq (preimage t s) (Oracles.Symfsm.preimage_mono t s)) then ok := false)
     sets;
   !ok
 
@@ -228,7 +220,6 @@ let suite =
     Alcotest.test_case "counts match explicit" `Quick test_counts_match_explicit;
     Alcotest.test_case "constraint counts" `Quick test_constraint_counts;
     Alcotest.test_case "image/preimage" `Quick test_image_preimage;
-    Alcotest.test_case "pick state" `Quick test_pick_state;
     Alcotest.test_case "of_fsm counts" `Quick test_of_fsm_counts;
     Alcotest.test_case "of_fsm validity" `Quick test_of_fsm_respects_validity;
     Alcotest.test_case "symbolic vs explicit" `Quick test_symbolic_vs_explicit_random;

@@ -23,11 +23,14 @@ let test_symtour_counter_complete () =
   Alcotest.(check (float 0.001)) "8 transitions" 8.0 r.Symtour.progress.Symtour.total;
   Alcotest.(check (float 0.001)) "all covered" 8.0 r.Symtour.progress.Symtour.covered;
   (* the word replays cleanly *)
-  ignore (Circuit.simulate c r.Symtour.word);
-  (* replay coverage agrees *)
-  let covered, total = Symtour.coverage_of_word c r.Symtour.word in
-  Alcotest.(check (float 0.001)) "replay covered" 8.0 covered;
-  Alcotest.(check (float 0.001)) "replay total" 8.0 total
+  ignore (Oracles.Circuit.simulate c r.Symtour.word);
+  (* replayed on the explicit machine, the word covers every transition *)
+  let m = Circuit.to_fsm c in
+  let code iv = Array.fold_right (fun b acc -> (2 * acc) + Bool.to_int b) iv 0 in
+  let steps = Oracles.Fsm.run m (List.map code r.Symtour.word) in
+  let covered = List.sort_uniq compare (List.map (fun (s, i, _, _) -> (s, i)) steps) in
+  Alcotest.(check int) "replay covered" 8 (List.length covered);
+  Alcotest.(check int) "replay total" 8 (Simcov_fsm.Fsm.n_transitions m)
 
 let test_symtour_agrees_with_explicit () =
   let c = counter () in

@@ -38,7 +38,7 @@ let test_state_tour () =
       let _ =
         List.fold_left
           (fun s i ->
-            let s' = fst (Fsm.step counter3 s i) in
+            let s' = fst (Oracles.Fsm.step counter3 s i) in
             Hashtbl.replace visited s' ();
             s')
           counter3.Fsm.reset t.Tour.word
@@ -48,11 +48,11 @@ let test_state_tour () =
 
 let test_tour_none_on_non_sc () =
   (* one-way machine: 0 -> 1 with no way back *)
-  let m = Fsm.of_table [ (0, 0, 1, 0); (1, 0, 1, 0) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 0, 1, 0) ] in
   Alcotest.(check bool) "no closed tour" true (Tour.transition_tour m = None)
 
 let test_transition_cover_non_sc () =
-  let m = Fsm.of_table [ (0, 0, 1, 0); (0, 1, 2, 0); (1, 0, 1, 1); (2, 0, 2, 2) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (0, 1, 2, 0); (1, 0, 1, 1); (2, 0, 2, 2) ] in
   let segments = Tour.transition_cover_segments m in
   Alcotest.(check bool) "multiple segments needed" true (List.length segments >= 2);
   (* together the segments cover all transitions *)
@@ -75,13 +75,13 @@ let test_random_word_valid () =
   let word = Tour.random_word rng counter3 ~length:50 in
   Alcotest.(check int) "full length" 50 (List.length word);
   (* must not raise *)
-  ignore (Fsm.run counter3 word)
+  ignore (Oracles.Fsm.run counter3 word)
 
 let test_random_word_respects_validity () =
-  let m = Fsm.of_table [ (0, 0, 1, 0); (1, 1, 0, 0) ] in
+  let m = Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 1, 0, 0) ] in
   let rng = Simcov_util.Rng.create 8 in
   let word = Tour.random_word rng m ~length:20 in
-  ignore (Fsm.run m word);
+  ignore (Oracles.Fsm.run m word);
   Alcotest.(check int) "alternates" 20 (List.length word)
 
 let test_word_is_tour_negative () =
@@ -92,7 +92,7 @@ let test_word_is_tour_poisoned_suffix () =
      must be rejected: such a word cannot be replayed end to end, even
      though its covering prefix is a tour *)
   let m =
-    Fsm.of_table [ (0, 0, 1, 0); (1, 1, 2, 1); (2, 0, 0, 2); (2, 1, 1, 3) ]
+    Oracles.Fsm.of_table [ (0, 0, 1, 0); (1, 1, 2, 1); (2, 0, 0, 2); (2, 1, 1, 3) ]
   in
   match Tour.transition_tour m with
   | None -> Alcotest.fail "expected tour"
@@ -118,7 +118,7 @@ let test_word_is_tour_poisoned_suffix () =
 let test_tour_partial_validity () =
   (* machine with per-state valid inputs; tour must only use valid ones *)
   let m =
-    Fsm.of_table
+    Oracles.Fsm.of_table
       [
         (0, 0, 1, 0);
         (1, 1, 2, 1);
@@ -129,7 +129,7 @@ let test_tour_partial_validity () =
   match Tour.transition_tour m with
   | None -> Alcotest.fail "expected tour"
   | Some t ->
-      ignore (Fsm.run m t.Tour.word);
+      ignore (Oracles.Fsm.run m t.Tour.word);
       Alcotest.(check bool) "tour" true (Tour.word_is_tour m t.Tour.word)
 
 let qcheck_tour_on_random_machines =
@@ -156,7 +156,7 @@ let qcheck_greedy_tour_valid =
       | None -> false
       | Some t -> (
           try
-            ignore (Fsm.run m t.Tour.word);
+            ignore (Oracles.Fsm.run m t.Tour.word);
             Tour.word_is_tour m t.Tour.word
           with Invalid_argument _ -> false))
 
@@ -174,7 +174,7 @@ let qcheck_state_tour_visits_all =
           let _ =
             List.fold_left
               (fun s i ->
-                let s' = fst (Fsm.step m s i) in
+                let s' = fst (Oracles.Fsm.step m s i) in
                 Hashtbl.replace visited s' ();
                 s')
               m.Fsm.reset t.Tour.word

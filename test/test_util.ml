@@ -3,14 +3,14 @@ open Simcov_util
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.next a) (Rng.next b)
+    Alcotest.(check int) "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let same = ref 0 in
   for _ = 1 to 50 do
-    if Rng.next a = Rng.next b then incr same
+    if Rng.int a max_int = Rng.int b max_int then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 5)
 
@@ -29,12 +29,6 @@ let test_rng_int_covers () =
   done;
   Alcotest.(check bool) "all buckets hit" true (Array.for_all Fun.id hit)
 
-let test_rng_copy_independent () =
-  let a = Rng.create 9 in
-  let _ = Rng.next a in
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.next a) (Rng.next b)
-
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 5 in
   let a = Array.init 20 Fun.id in
@@ -48,7 +42,7 @@ let test_rng_split_independent () =
   let b = Rng.split a in
   let equal_count = ref 0 in
   for _ = 1 to 50 do
-    if Rng.next a = Rng.next b then incr equal_count
+    if Rng.int a max_int = Rng.int b max_int then incr equal_count
   done;
   Alcotest.(check int) "independent streams" 0 !equal_count
 
@@ -96,14 +90,29 @@ let test_json_minified_nonfinite_in_list () =
     "parses" true
     (json_roundtrip doc = Json.List [ Json.Null; Json.Int 3; Json.Null ])
 
+(* what [f ()] writes to stdout *)
+let capture_stdout f =
+  let path = Filename.temp_file "simcov_stdout" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
 let test_tabulate_render () =
   let t = Tabulate.create [ "a"; "bb" ] in
   Tabulate.add_row t [ "xxx"; "y" ];
-  let s = Tabulate.render t in
-  Alcotest.(check bool) "header present" true
-    (String.length s > 0 && String.sub s 0 1 = "a");
-  Alcotest.(check bool) "row present" true
-    (String.length s > 10)
+  let s = capture_stdout (fun () -> Tabulate.print t) in
+  Alcotest.(check string) "aligned columns" "a   | bb\n----+---\nxxx | y \n" s
 
 (* ---- Budget.split / reclaim: sub-budget carving ---- *)
 
@@ -201,13 +210,6 @@ let qcheck_lanes_reference =
       && elems s = lanes_of p
       && elems (Lanes.ones k) = lanes_of (fun l -> l < k))
 
-let qcheck_rng_float_range =
-  QCheck.Test.make ~name:"rng: float in range" ~count:100 QCheck.(int_range 1 1000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let f = Rng.float rng 3.0 in
-      f >= 0.0 && f < 3.0)
-
 (* ---- crc32 ---- *)
 
 let test_crc32_known_answer () =
@@ -223,9 +225,7 @@ let test_crc32_incremental () =
     (Crc32.update 0l whole);
   let a = String.sub whole 0 17 and b = String.sub whole 17 (String.length whole - 17) in
   Alcotest.(check int32) "incremental = whole" (Crc32.string whole)
-    (Crc32.update (Crc32.update 0l a) b);
-  Alcotest.(check int32) "substring agrees" (Crc32.string a)
-    (Crc32.substring whole ~pos:0 ~len:17)
+    (Crc32.update (Crc32.update 0l a) b)
 
 (* the polynomial applied one bit at a time over Int32: the table-driven
    native-int register must agree with it on every string, whole and
@@ -253,12 +253,6 @@ let qcheck_crc32_bitwise =
       let a = String.sub s 0 cut and b = String.sub s cut (String.length s - cut) in
       Crc32.string s = crc32_bitwise s && Crc32.update (Crc32.update 0l a) b = crc32_bitwise s)
 
-let qcheck_crc32_hex_roundtrip =
-  QCheck.Test.make ~name:"crc32: to_hex/of_hex round-trip (incl. high bit)"
-    ~count:200 QCheck.string (fun s ->
-      let c = Crc32.string s in
-      Crc32.of_hex (Crc32.to_hex c) = Some c)
-
 let qcheck_json_add_int =
   QCheck.Test.make ~name:"json: add_int writes string_of_int (any int)" ~count:1000
     QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; 9; 10; -10; min_int; max_int ] ])
@@ -267,12 +261,6 @@ let qcheck_json_add_int =
       Buffer.add_char b '<';
       Json.add_int b n;
       Buffer.contents b = "<" ^ string_of_int n)
-
-let test_crc32_of_hex_rejects () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) ("rejects " ^ s) true (Crc32.of_hex s = None))
-    [ ""; "cbf4392"; "cbf439260"; "cbf4392g"; "0xcbf439" ]
 
 (* ---- durable writes ---- *)
 
@@ -362,7 +350,6 @@ let suite =
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng int covers" `Quick test_rng_int_covers;
-    Alcotest.test_case "rng copy" `Quick test_rng_copy_independent;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "json non-finite floats render null" `Quick
@@ -381,11 +368,8 @@ let suite =
     Alcotest.test_case "budget split of unlimited" `Quick
       test_budget_split_unlimited;
     QCheck_alcotest.to_alcotest qcheck_lanes_reference;
-    QCheck_alcotest.to_alcotest qcheck_rng_float_range;
     Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
-    QCheck_alcotest.to_alcotest qcheck_crc32_hex_roundtrip;
-    Alcotest.test_case "crc32 of_hex rejects" `Quick test_crc32_of_hex_rejects;
     Alcotest.test_case "durable write atomic on raise" `Quick
       test_durable_write_is_atomic_on_raise;
     QCheck_alcotest.to_alcotest qcheck_crc32_bitwise;
