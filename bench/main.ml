@@ -216,16 +216,12 @@ let exp_thm3 () =
   (* pipeline-level: seeded implementation bugs vs concretized programs *)
   let run_bugs word =
     let conc = Testmodel.concretize Testmodel.default word in
-    List.map
-      (fun (name, bugs) ->
-        ( name,
-          match
-            Validate.run_program ~bugs ~preload_regs:conc.Testmodel.preload_regs
-              ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program
-          with
-          | Validate.Fail _ -> true
-          | Validate.Pass _ -> false ))
-      Pipeline.bug_catalog
+    (Validate.bug_campaign_tests
+       [
+         Validate.test_program ~preload_regs:conc.Testmodel.preload_regs
+           ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program;
+       ])
+      .Validate.bug_results
   in
   let tour_bugs = run_bugs cpp in
   let rand_bugs = run_bugs rand_same in

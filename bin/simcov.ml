@@ -493,15 +493,24 @@ let run_file path bug_name do_trace =
       if do_trace then
         print_string (Simcov_dlx.Pipeline.trace (Simcov_dlx.Pipeline.create ~bugs program));
       match Simcov_dlx.Validate.run_program ~bugs program with
-      | Simcov_dlx.Validate.Pass n ->
-          Printf.printf "PASS: %d commits match the specification\n" n;
+      | Simcov_dlx.Validate.Pass { compared; cut = false } ->
+          Printf.printf "PASS: %d commits match the specification\n" compared;
+          0
+      | Simcov_dlx.Validate.Pass { compared; cut = true } ->
+          Printf.printf
+            "PASS: the first %d commits match the specification (cut: the program \
+             had not halted after %d steps)\n"
+            compared compared;
           0
       | Simcov_dlx.Validate.Fail _ as f ->
           Format.printf "%a@." Simcov_dlx.Validate.pp_outcome f;
           1)
 
 let run_cmd =
-  let doc = "Assemble a DLX program and co-simulate spec vs pipeline." in
+  let doc =
+    "Assemble a DLX program and co-simulate spec vs pipeline (a program still running \
+     after 1,000,000 steps is compared up to that step, as cut)."
+  in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Assembly file.")
   in

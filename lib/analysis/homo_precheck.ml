@@ -96,11 +96,14 @@ let check_mapping m (map : Homomorphism.mapping) =
   end;
   List.rev !diags
 
-let closure_names (c : Circuit.t) seed_index =
-  let closure = Circuit.reg_support_closure c [ seed_index ] in
-  List.fold_left
-    (fun set r -> c.Circuit.regs.(r).Circuit.name :: set)
-    [] closure
+(* the names of a register's support closure, newest index first; the
+   circuit's direct supports are read once *)
+let closure_names (c : Circuit.t) =
+  let closure = Circuit.reg_support_closure c in
+  fun seed_index ->
+    List.fold_left
+      (fun set r -> c.Circuit.regs.(r).Circuit.name :: set)
+      [] (closure [ seed_index ])
 
 let check_circuits ~(concrete : Circuit.t) ~(abstract : Circuit.t) =
   let conc_index = Hashtbl.create 64 in
@@ -108,16 +111,15 @@ let check_circuits ~(concrete : Circuit.t) ~(abstract : Circuit.t) =
     (fun i (r : Circuit.reg) -> Hashtbl.replace conc_index r.Circuit.name i)
     concrete.Circuit.regs;
   let matched name = Hashtbl.mem conc_index name in
+  let abs_closure = closure_names abstract and conc_closure = closure_names concrete in
   let diags = ref [] in
   Array.iteri
     (fun a_i (a_reg : Circuit.reg) ->
       match Hashtbl.find_opt conc_index a_reg.Circuit.name with
       | None -> () (* renamed or re-encoded state: nothing to compare *)
       | Some c_i ->
-          let abs_cone =
-            List.filter matched (closure_names abstract a_i)
-          in
-          let conc_cone = closure_names concrete c_i in
+          let abs_cone = List.filter matched (abs_closure a_i) in
+          let conc_cone = conc_closure c_i in
           let extra = List.filter (fun n -> not (List.mem n conc_cone)) abs_cone in
           if extra <> [] then
             diags :=

@@ -115,50 +115,57 @@ let can_pair t a b =
   && ((not (waw_dep a b)) || t.bugs.pair_despite_waw)
   && ((not (is_mem a && is_mem b)) || t.bugs.pair_two_mem)
 
+let halted t = t.pc < 0 || t.pc >= Array.length t.program
+
+(* one issue cycle of a machine that has not halted: its commits, in
+   program order *)
+let cycle t =
+  let n = Array.length t.program in
+  t.cycles <- t.cycles + 1;
+  let a = t.program.(t.pc) in
+  let b = if t.pc + 1 < n then Some t.program.(t.pc + 1) else None in
+  match b with
+  | Some b when can_pair t a b ->
+      t.duals <- t.duals + 1;
+      (* both read the register file and memory as of the start of
+         the cycle — that is precisely why illegal pairings are
+         wrong *)
+      let snapshot_regs = Array.copy t.regs in
+      let snapshot_mem = Array.copy t.memory in
+      let read_reg_snap r = reg_file snapshot_regs r in
+      let read_mem_snap addr = snapshot_mem.(mem_index t addr) in
+      let ca, next_a = exec t ~read_reg:read_reg_snap ~read_mem:read_mem_snap t.pc a in
+      let cb, next_b =
+        exec t ~read_reg:read_reg_snap ~read_mem:read_mem_snap (t.pc + 1) b
+      in
+      let taken_a = next_a <> t.pc + 1 in
+      (* write-back: program order, except that a WAW pair issued by
+         the [pair_despite_waw] bug resolves the write-port conflict
+         the wrong way around, leaving the OLDER value architected *)
+      if t.bugs.pair_despite_waw && waw_dep a b then begin
+        apply_commit t cb;
+        apply_commit t ca
+      end
+      else begin
+        apply_commit t ca;
+        apply_commit t cb
+      end;
+      (* program order: a taken transfer in the older slot wins *)
+      t.pc <- (if taken_a then next_a else next_b);
+      [ ca; cb ]
+  | _ ->
+      t.singles <- t.singles + 1;
+      let read_reg r = reg_file t.regs r in
+      let read_mem addr = t.memory.(mem_index t addr) in
+      let ca, next_a = exec t ~read_reg ~read_mem t.pc a in
+      apply_commit t ca;
+      t.pc <- next_a;
+      [ ca ]
+
 let run ?(max_cycles = 100_000) t =
   let commits = ref [] in
-  let n = Array.length t.program in
-  while t.pc >= 0 && t.pc < n && t.cycles < max_cycles do
-    t.cycles <- t.cycles + 1;
-    let a = t.program.(t.pc) in
-    let b = if t.pc + 1 < n then Some t.program.(t.pc + 1) else None in
-    match b with
-    | Some b when can_pair t a b ->
-        t.duals <- t.duals + 1;
-        (* both read the register file and memory as of the start of
-           the cycle — that is precisely why illegal pairings are
-           wrong *)
-        let snapshot_regs = Array.copy t.regs in
-        let snapshot_mem = Array.copy t.memory in
-        let read_reg_snap r = reg_file snapshot_regs r in
-        let read_mem_snap addr = snapshot_mem.(mem_index t addr) in
-        let ca, next_a = exec t ~read_reg:read_reg_snap ~read_mem:read_mem_snap t.pc a in
-        let cb, next_b =
-          exec t ~read_reg:read_reg_snap ~read_mem:read_mem_snap (t.pc + 1) b
-        in
-        let taken_a = next_a <> t.pc + 1 in
-        (* write-back: program order, except that a WAW pair issued by
-           the [pair_despite_waw] bug resolves the write-port conflict
-           the wrong way around, leaving the OLDER value architected *)
-        if t.bugs.pair_despite_waw && waw_dep a b then begin
-          apply_commit t cb;
-          apply_commit t ca
-        end
-        else begin
-          apply_commit t ca;
-          apply_commit t cb
-        end;
-        commits := cb :: ca :: !commits;
-        (* program order: a taken transfer in the older slot wins *)
-        t.pc <- (if taken_a then next_a else next_b)
-    | _ ->
-        t.singles <- t.singles + 1;
-        let read_reg r = reg_file t.regs r in
-        let read_mem addr = t.memory.(mem_index t addr) in
-        let ca, next_a = exec t ~read_reg ~read_mem t.pc a in
-        apply_commit t ca;
-        commits := ca :: !commits;
-        t.pc <- next_a
+  while (not (halted t)) && t.cycles < max_cycles do
+    commits := List.rev_append (cycle t) !commits
   done;
   List.rev !commits
 
@@ -276,29 +283,35 @@ let concretize_pairs pcs =
     pcs;
   arr
 
-let validate ?(bugs = no_bugs) program =
-  let spec = Spec.create program in
-  let dual = create ~bugs program in
-  let expected = Spec.run spec in
-  let actual = run dual in
-  let rec compare idx exp act =
-    match (exp, act) with
-    | [], [] -> Validate.Pass idx
-    | e :: exp', a :: act' ->
-        if
-          e.Spec.at_pc = a.Spec.at_pc && e.Spec.instr = a.Spec.instr
-          && e.Spec.reg_write = a.Spec.reg_write
-          && e.Spec.mem_write = a.Spec.mem_write
-          && e.Spec.next_pc = a.Spec.next_pc
-        then compare (idx + 1) exp' act'
-        else Validate.Fail { Validate.index = idx; expected = Some e; actual = Some a }
-    | e :: _, [] -> Validate.Fail { Validate.index = idx; expected = Some e; actual = None }
-    | [], a :: _ -> Validate.Fail { Validate.index = idx; expected = None; actual = Some a }
+(* the machine's commits one at a time, cycle by cycle, against the
+   program's reference *)
+let check ~bugs reference program =
+  let t = create ~bugs program in
+  let pending = ref [] in
+  let rec next () =
+    match !pending with
+    | c :: rest ->
+        pending := rest;
+        Some c
+    | [] ->
+        if halted t then None
+        else begin
+          pending := cycle t;
+          next ()
+        end
   in
-  compare 0 expected actual
+  Validate.check reference next
+
+let reference_of program = Validate.reference (Validate.test_program program)
+
+let validate ?(bugs = no_bugs) program = check ~bugs (reference_of program) program
 
 let bug_campaign program =
+  let reference = reference_of program in
   List.map
     (fun (name, bugs) ->
-      (name, match validate ~bugs program with Validate.Fail _ -> true | Validate.Pass _ -> false))
+      ( name,
+        match check ~bugs reference program with
+        | Validate.Fail _ -> true
+        | Validate.Pass _ -> false ))
     bug_catalog

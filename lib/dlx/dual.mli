@@ -65,6 +65,13 @@ val concretize_pairs : pair_class list -> Isa.t array
     that every illegal pairing would be observable (Requirement 3). *)
 
 val validate : ?bugs:bugs -> Isa.t array -> Validate.outcome
-(** Commit-stream comparison against {!Spec}. *)
+(** Commit-stream comparison against {!Spec}: the machine issues cycle
+    by cycle against the program's {!Validate.reference} and stops at
+    the first mismatching, missing or extra commit. A program still
+    running at the reference's step bound (1,000,000) is cut there and
+    passes as [Pass { cut = true; _ }] when its first commits match:
+    nothing past the cut is compared. *)
 
 val bug_campaign : Isa.t array -> (string * bool) list
+(** Each catalog bug against one reference of the program, run once;
+    a bug is detected by its first mismatch. *)

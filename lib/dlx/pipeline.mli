@@ -55,9 +55,19 @@ val set_reg : t -> int -> int32 -> unit
 
 val set_mem : t -> int -> int32 -> unit
 
+val cycle : t -> Spec.commit option
+(** Advance one clock cycle; the commit that left WB in it, if any.
+    While the pipeline has not drained it commits within a few cycles
+    (a stall lasts one cycle, a squash empties two slots), so a caller
+    that stops at a bounded number of commits needs no cycle bound. *)
+
+val drained : t -> bool
+(** Every slot is empty and the PC has left the program: no further
+    cycle can commit. *)
+
 val run : ?max_cycles:int -> t -> Spec.commit list
-(** Run until the pipeline drains after the program ends (or the cycle
-    budget is exhausted). *)
+(** {!cycle} until the pipeline drains after the program ends (or the
+    cycle budget is exhausted). *)
 
 val stats : t -> int * int * int
 (** [(cycles, stalls, squashed_slots)] so far. *)

@@ -1,10 +1,14 @@
+module Obs = Simcov_obs.Obs
+
 type mismatch = {
   index : int;
   expected : Spec.commit option;
   actual : Spec.commit option;
 }
 
-type outcome = Pass of int | Fail of mismatch
+type outcome = Pass of { compared : int; cut : bool } | Fail of mismatch
+
+let c_compared = Obs.counter "validate.commits_compared"
 
 let commits_equal (a : Spec.commit) (b : Spec.commit) =
   a.Spec.at_pc = b.Spec.at_pc
@@ -12,29 +16,6 @@ let commits_equal (a : Spec.commit) (b : Spec.commit) =
   && a.Spec.reg_write = b.Spec.reg_write
   && a.Spec.mem_write = b.Spec.mem_write
   && a.Spec.next_pc = b.Spec.next_pc
-
-let run_program ?(bugs = Pipeline.no_bugs) ?(max_steps = 10_000) ?(preload_regs = [])
-    ?(preload_mem = []) program =
-  let spec = Spec.create program in
-  let pipe = Pipeline.create ~bugs program in
-  List.iter (fun (r, v) -> Spec.set_reg spec r v) preload_regs;
-  List.iter (fun (r, v) -> Pipeline.set_reg pipe r v) preload_regs;
-  List.iter (fun (a, v) -> Spec.set_mem spec a v) preload_mem;
-  List.iter (fun (a, v) -> Pipeline.set_mem pipe a v) preload_mem;
-  let expected = Spec.run ~max_steps spec in
-  let actual = Pipeline.run ~max_cycles:(max_steps * 4) pipe in
-  let rec compare idx exp act =
-    match (exp, act) with
-    | [], [] -> Pass idx
-    | e :: exp', a :: act' ->
-        if commits_equal e a then compare (idx + 1) exp' act'
-        else Fail { index = idx; expected = Some e; actual = Some a }
-    | e :: _, [] -> Fail { index = idx; expected = Some e; actual = None }
-    | [], a :: _ -> Fail { index = idx; expected = None; actual = Some a }
-  in
-  compare 0 expected actual
-
-module Campaign = Simcov_campaign.Campaign
 
 type test_program = {
   program : Isa.t array;
@@ -45,36 +26,96 @@ type test_program = {
 let test_program ?(preload_regs = []) ?(preload_mem = []) program =
   { program; preload_regs; preload_mem }
 
+type reference = { test : test_program; commits : Spec.commit array; cut : bool }
+
+(* far above any generated test program (129,803 commits at 8
+   registers), low enough that a program that never halts is cut within
+   about half a second and 150 MB *)
+let default_max_steps = 1_000_000
+
+let reference_of ~max_steps test =
+  let spec = Spec.create test.program in
+  List.iter (fun (r, v) -> Spec.set_reg spec r v) test.preload_regs;
+  List.iter (fun (a, v) -> Spec.set_mem spec a v) test.preload_mem;
+  let commits = Array.of_list (Spec.run ~max_steps spec) in
+  (* a spec that halted in fewer steps has nothing left to execute *)
+  let cut = Array.length commits = max_steps && Spec.step spec <> None in
+  { test; commits; cut }
+
+let reference test = reference_of ~max_steps:default_max_steps test
+
+let check r next =
+  let n = Array.length r.commits in
+  let rec go i =
+    if i = n && r.cut then Pass { compared = i; cut = true }
+    else
+      match next () with
+      | None ->
+          if i = n then Pass { compared = i; cut = false }
+          else Fail { index = i; expected = Some r.commits.(i); actual = None }
+      | Some a when i = n -> Fail { index = i; expected = None; actual = Some a }
+      | Some a ->
+          if commits_equal r.commits.(i) a then go (i + 1)
+          else Fail { index = i; expected = Some r.commits.(i); actual = Some a }
+  in
+  let outcome = go 0 in
+  (* one count per implementation commit held against a reference
+     commit, the mismatching one included *)
+  Obs.add c_compared
+    (match outcome with
+    | Pass { compared; _ } -> compared
+    | Fail { index; expected = Some _; actual = Some _ } -> index + 1
+    | Fail { index; _ } -> index);
+  outcome
+
+(* the pipeline cycle by cycle: every few cycles it commits or drains,
+   so the reference alone bounds the run *)
+let check_pipeline ~bugs r =
+  let pipe = Pipeline.create ~bugs r.test.program in
+  List.iter (fun (reg, v) -> Pipeline.set_reg pipe reg v) r.test.preload_regs;
+  List.iter (fun (a, v) -> Pipeline.set_mem pipe a v) r.test.preload_mem;
+  let rec next () =
+    if Pipeline.drained pipe then None
+    else match Pipeline.cycle pipe with Some _ as c -> c | None -> next ()
+  in
+  check r next
+
+let run_program ?(bugs = Pipeline.no_bugs) ?(max_steps = default_max_steps)
+    ?(preload_regs = []) ?(preload_mem = []) program =
+  check_pipeline ~bugs
+    (reference_of ~max_steps { program; preload_regs; preload_mem })
+
+module Campaign = Simcov_campaign.Campaign
+
 (* The pipeline-bug backend: a "fault" is a named bug configuration
-   from the catalog, a stimulus element is a whole test program, and
-   one lockstep step is a full spec-vs-pipeline run. The commit-stream
-   comparison cannot be bit-packed, so batches are scalar
-   ([max_lanes = 1]) — the shared driver still provides budgeting
-   (one budget step per bug), early exit on detection (replacing the
-   old [List.exists]), and the unified report. Excitation has no finer
-   probe than detection here: a mismatching commit stream is both. *)
+   from the catalog, a stimulus element is the index of a test program
+   whose reference commits the context holds (the spec runs once per
+   program, before any shard starts), and one lockstep step compares
+   one bug's pipeline against that reference up to its first mismatch.
+   The commit-stream comparison cannot be bit-packed, so batches are
+   scalar ([max_lanes = 1]) — the shared driver still provides
+   budgeting (one budget step per bug), early exit on detection, and
+   the unified report. Excitation has no finer probe than detection
+   here: a mismatching commit stream is both. *)
 module Bug_backend = struct
-  type ctx = unit
+  type ctx = reference array
   type fault = string * Pipeline.bugs
-  type stim = test_program
+  type stim = int
 
   let name = "dlx-pipeline"
   let max_lanes = 1
-  let effective () _ = true
+  let effective _ _ = true
 
-  type batch = fault array
+  type batch = { refs : reference array; faults : fault array }
 
-  let start () faults = faults
+  let start refs faults = { refs; faults }
   let next _ ~active:_ t = t
 
-  let step (b : batch) ~active t =
+  let step b ~active k =
     let detected = ref 0 in
     Simcov_util.Lanes.iter active (fun l ->
-        let _, bugs = b.(l) in
-        match
-          run_program ~bugs ~preload_regs:t.preload_regs
-            ~preload_mem:t.preload_mem t.program
-        with
+        let _, bugs = b.faults.(l) in
+        match check_pipeline ~bugs b.refs.(k) with
         | Fail _ -> detected := !detected lor (1 lsl l)
         | Pass _ -> ());
     { Campaign.excited = !detected; detected = !detected; rejoined = 0; halt = false }
@@ -90,7 +131,11 @@ type campaign_result = {
 }
 
 let bug_campaign_tests ?budget ?jobs ?on_batch tests =
-  let o = Driver.run ?budget ?jobs ?on_batch () Pipeline.bug_catalog tests in
+  let refs = Array.of_list (List.map reference tests) in
+  let o =
+    Driver.run ?budget ?jobs ?on_batch refs Pipeline.bug_catalog
+      (List.init (Array.length refs) Fun.id)
+  in
   let verdict_of =
     let tbl = Hashtbl.create 16 in
     List.iter
@@ -117,7 +162,10 @@ let bug_campaign_multi programs =
 let bug_campaign program = bug_campaign_multi [ program ]
 
 let pp_outcome ppf = function
-  | Pass n -> Format.fprintf ppf "PASS (%d commits compared)" n
+  | Pass { compared; cut = false } -> Format.fprintf ppf "PASS (%d commits compared)" compared
+  | Pass { compared; cut = true } ->
+      Format.fprintf ppf
+        "PASS (%d commits compared; cut: the specification had not halted)" compared
   | Fail { index; expected; actual } ->
       Format.fprintf ppf "FAIL at commit %d:@\n  expected: %a@\n  actual:   %a" index
         (Format.pp_print_option ~none:(fun ppf () -> Format.pp_print_string ppf "(nothing)")

@@ -1,9 +1,24 @@
 (** Implementation validation: spec vs. pipeline at commit checkpoints.
 
-    Runs the same program through the architectural simulator and the
-    pipelined implementation and compares the commit streams — the
-    right half of the paper's Figure 1 ("Behavioral Simulator" vs "RTL
-    Simulator" with output comparison at checkpoints). *)
+    Runs the same program through the architectural simulator and an
+    implementation and compares the commit streams — the right half of
+    the paper's Figure 1 ("Behavioral Simulator" vs "RTL Simulator"
+    with output comparison at checkpoints).
+
+    The specification runs once per test program into a {!reference}
+    commit array; each implementation then steps cycle by cycle
+    against it and stops at the first commit that mismatches, is
+    missing or is extra. A bug campaign therefore runs the spec once
+    per program, not once per bug, and a buggy pipeline runs only to
+    its first wrong commit.
+
+    {b Cut comparisons.} The reference runs the program to its halt,
+    bounded by a step count ([max_steps], 1,000,000 unless
+    {!run_program} is given another). A program still running at the
+    bound is {e cut} there: the comparison covers the reference's
+    commits only, never reports an implementation commit past the cut
+    as a failure, and passes as [Pass { cut = true; _ }]. A cut pass
+    says nothing about the program's later commits. *)
 
 type mismatch = {
   index : int;  (** position in the commit stream *)
@@ -11,7 +26,14 @@ type mismatch = {
   actual : Spec.commit option;  (** [None]: implementation committed too little *)
 }
 
-type outcome = Pass of int  (** number of commits compared *) | Fail of mismatch
+type outcome =
+  | Pass of {
+      compared : int;  (** commits compared *)
+      cut : bool;
+          (** the program had not halted at the step bound: only its
+              first [compared] commits were compared *)
+    }
+  | Fail of mismatch
 
 val run_program :
   ?bugs:Pipeline.bugs ->
@@ -21,18 +43,9 @@ val run_program :
   Isa.t array ->
   outcome
 (** Execute the program on both models (optionally pre-loading state on
-    both sides identically) and compare commit-by-commit. *)
-
-(** {1 Bug campaigns}
-
-    Campaigns over the {!Pipeline.bug_catalog} route through the shared
-    {!Simcov_campaign.Campaign} driver: a fault is a named bug
-    configuration, a stimulus element is a whole test program, and the
-    driver provides budgeting, early exit per bug, and the unified
-    report. Excitation equals detection for this backend — the commit
-    stream offers no finer probe than a mismatch. *)
-
-module Campaign = Simcov_campaign.Campaign
+    both sides identically) and compare commit by commit, in lockstep.
+    [max_steps] (default 1,000,000) bounds the specification run; see
+    the cut comparisons above. *)
 
 type test_program = {
   program : Isa.t array;
@@ -45,6 +58,36 @@ val test_program :
   ?preload_mem:(int * int32) list ->
   Isa.t array ->
   test_program
+
+type reference
+(** A test program's specification commits, run once, to its halt or
+    to the default step bound. *)
+
+val reference : test_program -> reference
+
+val check : reference -> (unit -> Spec.commit option) -> outcome
+(** [check r next] holds an implementation's commits against [r] in
+    order: [next ()] runs the implementation to its next commit, or
+    returns [None] once it has stopped. The comparison stops at the
+    first mismatching, missing or extra commit, and at a cut without
+    asking for a commit past it. Each implementation commit held
+    against a reference commit counts one on
+    [validate.commits_compared]. *)
+
+(** {1 Bug campaigns}
+
+    Campaigns over the {!Pipeline.bug_catalog} route through the shared
+    {!Simcov_campaign.Campaign} driver: a fault is a named bug
+    configuration, a stimulus element is a whole test program, and the
+    driver provides budgeting, early exit per bug, and the unified
+    report. Each program's {!reference} is computed once, before the
+    driver shards the bugs, and every bug's pipeline is compared
+    against it in lockstep. A bug is detected only by a real mismatch:
+    a program cut at the step bound hides whatever the bug does past
+    the cut. Excitation equals detection for this backend — the commit
+    stream offers no finer probe than a mismatch. *)
+
+module Campaign = Simcov_campaign.Campaign
 
 type campaign_result = {
   bug_results : (string * bool) list;

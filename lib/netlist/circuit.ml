@@ -44,33 +44,34 @@ let step c state inputs =
   in
   (next, outs)
 
-let reg_support_closure c seeds =
+let reg_support_closure c =
   let n = n_regs c in
-  let in_set = Array.make n false in
-  let queue = Queue.create () in
-  List.iter
-    (fun r ->
-      if not in_set.(r) then begin
-        in_set.(r) <- true;
-        Queue.add r queue
-      end)
-    seeds;
-  while not (Queue.is_empty queue) do
-    let r = Queue.pop queue in
-    let _, dep_regs = Expr.support c.regs.(r).next in
+  let supports = Array.map (fun r -> snd (Expr.support r.next)) c.regs in
+  fun seeds ->
+    let in_set = Array.make n false in
+    let queue = Queue.create () in
     List.iter
-      (fun d ->
-        if not in_set.(d) then begin
-          in_set.(d) <- true;
-          Queue.add d queue
+      (fun r ->
+        if not in_set.(r) then begin
+          in_set.(r) <- true;
+          Queue.add r queue
         end)
-      dep_regs
-  done;
-  let acc = ref [] in
-  for r = n - 1 downto 0 do
-    if in_set.(r) then acc := r :: !acc
-  done;
-  !acc
+      seeds;
+    while not (Queue.is_empty queue) do
+      let r = Queue.pop queue in
+      List.iter
+        (fun d ->
+          if not in_set.(d) then begin
+            in_set.(d) <- true;
+            Queue.add d queue
+          end)
+        supports.(r)
+    done;
+    let acc = ref [] in
+    for r = n - 1 downto 0 do
+      if in_set.(r) then acc := r :: !acc
+    done;
+    !acc
 
 let output_cone c =
   let seeds =

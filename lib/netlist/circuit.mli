@@ -48,7 +48,9 @@ val input_valid : t -> state -> bool array -> bool
 val reg_support_closure : t -> int list -> int list
 (** Transitive closure of register-to-register dependencies: the
     registers (sorted) whose values can influence the given seed
-    registers' next-state logic, including the seeds. *)
+    registers' next-state logic, including the seeds. Applied to a
+    circuit alone, it reads each register's direct support once; the
+    closure it returns then serves any number of seed lists. *)
 
 val output_cone : t -> int list
 (** Registers in the cone of influence of the outputs (fixpoint over

@@ -337,11 +337,37 @@ module Stuckat = struct
 end
 
 module Validate = struct
-  open Simcov_dlx.Validate
+  open Simcov_dlx
+
+  (* The full-list comparison: run the spec to [max_steps] commits and
+     the pipeline for four cycles per step, then compare the two commit
+     lists. [Ok n] when both lists agree on all [n] commits. A pipeline
+     commit past the spec's cut is a mismatch here (expected nothing),
+     where the lockstep comparator passes the run as cut. The default
+     bound is [Simcov_dlx.Validate.run_program]'s. *)
+  let run_program ?(bugs = Pipeline.no_bugs) ?(max_steps = 1_000_000)
+      ?(preload_regs = []) ?(preload_mem = []) program =
+    let spec = Spec.create program in
+    let pipe = Pipeline.create ~bugs program in
+    List.iter (fun (r, v) -> Spec.set_reg spec r v) preload_regs;
+    List.iter (fun (r, v) -> Pipeline.set_reg pipe r v) preload_regs;
+    List.iter (fun (a, v) -> Spec.set_mem spec a v) preload_mem;
+    List.iter (fun (a, v) -> Pipeline.set_mem pipe a v) preload_mem;
+    let expected = Spec.run ~max_steps spec in
+    let actual = Pipeline.run ~max_cycles:(max_steps * 4) pipe in
+    let rec compare idx exp act =
+      match (exp, act) with
+      | [], [] -> Ok idx
+      | e :: exp', a :: act' ->
+          if e = a then compare (idx + 1) exp' act'
+          else Error { Validate.index = idx; expected = Some e; actual = Some a }
+      | e :: _, [] -> Error { Validate.index = idx; expected = Some e; actual = None }
+      | [], a :: _ -> Error { Validate.index = idx; expected = None; actual = Some a }
+    in
+    compare 0 expected actual
 
   (* does this program expose the bug (a commit-stream mismatch)? *)
-  let detects_bug ~program bugs =
-    match run_program ~bugs program with Pass _ -> false | Fail _ -> true
+  let detects_bug ~program bugs = Result.is_error (run_program ~bugs program)
 end
 
 module Scc = struct

@@ -357,6 +357,41 @@ let qcheck_pipeline_equals_spec =
       | Validate.Fail _ -> false)
 
 
+(* The lockstep comparator against the full-list reference, with no bug
+   and with every catalog bug, at the default step bound and at a small
+   one: the same first mismatch (index, expected, actual) or the same
+   pass. The one allowed difference is a cut: where the reference's
+   only mismatch is the pipeline's first commit past the bound (it
+   expects nothing there), the lockstep comparison stops at the bound
+   and passes, marked as cut. A bound of 1 is left out: the reference
+   runs the pipeline for four cycles per step, fewer than its first
+   commit takes. *)
+let qcheck_lockstep_matches_full_lists =
+  QCheck.Test.make ~name:"dlx: lockstep comparison = full-list reference" ~count:100
+    QCheck.(triple (int_range 5 40) (int_range 1 100000) (int_range 2 12))
+    (fun (len, seed, small) ->
+      let rng = Simcov_util.Rng.create seed in
+      let program = random_program rng len in
+      let preload_regs = List.init 7 (fun r -> (r + 1, Int32.of_int ((r * 13) + 1))) in
+      let agree bugs max_steps =
+        match
+          ( Validate.run_program ~bugs ?max_steps ~preload_regs program,
+            Oracles.Validate.run_program ~bugs ?max_steps ~preload_regs program )
+        with
+        | Validate.Pass { compared; cut = false }, Ok n -> compared = n
+        | Validate.Pass { compared; cut = true }, reference ->
+            Some compared = max_steps
+            && (match reference with
+               | Ok n -> n = compared
+               | Error m -> m.Validate.index = compared && m.Validate.expected = None)
+        | Validate.Fail m, Error m' -> m = m'
+        | _ -> false
+      in
+      List.for_all
+        (fun bugs -> agree bugs None && agree bugs (Some small))
+        (Pipeline.no_bugs :: List.map snd Pipeline.bug_catalog))
+
+
 let test_hazardgen_templates_pass_bugfree () =
   (* every template runs clean on the correct pipeline *)
   List.iteri
@@ -414,4 +449,5 @@ let suite =
     Alcotest.test_case "hazardgen catches all" `Quick test_hazardgen_catches_all_bugs;
     Alcotest.test_case "hazardgen compact" `Quick test_hazardgen_compact;
     QCheck_alcotest.to_alcotest qcheck_pipeline_equals_spec;
+    QCheck_alcotest.to_alcotest qcheck_lockstep_matches_full_lists;
   ]

@@ -312,6 +312,25 @@ let test_one_tabulation_per_job () =
   Alcotest.(check int) "cold lint --fsm dlx-test: tabulations" 1
     (fst (counts (Job.Lint { (Job.default_lint ~model:"dlx-test") with Job.li_fsm = true })))
 
+(* the bug campaign holds each bug's pipeline against one spec run
+   per program, commit by commit, up to its first mismatch: the sum of
+   the twelve first-mismatch indices plus one each *)
+let test_commits_compared () =
+  let module Job = Simcov_service.Job in
+  let compared regs =
+    let reg = Obs.registry () in
+    Fun.protect
+      ~finally:(fun () -> Obs.release reg)
+      (fun () ->
+        Obs.with_registry reg (fun () ->
+            ignore
+              (Simcov_service.Service.run ~cache:(Simcov_service.Model_cache.create ())
+                 (Job.make (Job.Validate_dlx { Job.default_validate with Job.va_regs = regs })));
+            Metrics.count "validate.commits_compared"))
+  in
+  Alcotest.(check int) "4 registers" 4_721 (compared 4);
+  Alcotest.(check int) "2 registers" 1_075 (compared 2)
+
 (* one compilation per construction path: a cold coverage dsp job
    builds the MAC model once, a cold lint --fsm job builds its circuit's
    or the built-in test model's machine once, and each warm repeat on a
@@ -399,4 +418,5 @@ let suite =
       test_one_compilation_per_construction_path;
     Alcotest.test_case "one tour solve per cached machine" `Quick
       test_one_tour_solve_per_cached_machine;
+    Alcotest.test_case "validate-dlx commits compared" `Quick test_commits_compared;
   ]

@@ -349,10 +349,11 @@ let test_digest_unchanged_to_16 () =
 
 (* ---- concretization ---- *)
 
-let run_both word =
-  let conc = Testmodel.concretize cfg word in
-  Simcov_dlx.Validate.run_program ~preload_regs:conc.Testmodel.preload_regs
+let run_conc ?bugs conc =
+  Simcov_dlx.Validate.run_program ?bugs ~preload_regs:conc.Testmodel.preload_regs
     ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program
+
+let run_both word = run_conc (Testmodel.concretize cfg word)
 
 let test_concretize_simple () =
   let word = [ alu ~rd:1 ~rs1:2 ~rs2:3 (); load ~rd:2 ~rs1:1 (); alu ~rd:3 ~rs1:2 () ] in
@@ -375,7 +376,8 @@ let test_concretize_branches () =
     ]
   in
   match run_both word with
-  | Simcov_dlx.Validate.Pass n -> Alcotest.(check int) "all issued commits" 7 n
+  | Simcov_dlx.Validate.Pass { compared; _ } ->
+      Alcotest.(check int) "all issued commits" 7 compared
   | f -> Alcotest.failf "must pass: %a" Simcov_dlx.Validate.pp_outcome f
 
 let test_concretize_branch_directions () =
@@ -402,7 +404,7 @@ let test_concretize_tour_runs_clean () =
       Alcotest.(check bool) "covers everything" true
         (Simcov_testgen.Tour.word_is_tour model t.Simcov_testgen.Tour.word);
       match run_both t.Simcov_testgen.Tour.word with
-      | Simcov_dlx.Validate.Pass n ->
+      | Simcov_dlx.Validate.Pass { compared = n; _ } ->
           Alcotest.(check bool) "thousands of commits" true (n > 3000)
       | f -> Alcotest.failf "tour program must pass: %a" Simcov_dlx.Validate.pp_outcome f)
 
@@ -434,11 +436,7 @@ let test_concretize_no_jal_at_32 () =
             (List.filter (fun code -> (Testmodel.input_decode c code).Testmodel.cls = Isa.Jump) word)
         in
         let conc = Testmodel.concretize c word in
-        ( word,
-          jumps,
-          conc,
-          Simcov_dlx.Validate.run_program ~preload_regs:conc.Testmodel.preload_regs
-            ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program ))
+        (word, jumps, conc, run_conc conc))
   in
   Alcotest.(check int) "2,000 steps" 2_000 (List.length word);
   Alcotest.(check bool) "the walk jumps often" true (jumps >= 100);
@@ -456,15 +454,43 @@ let test_tour_program_catches_all_bugs () =
       let conc = Testmodel.concretize cfg t.Simcov_testgen.Tour.word in
       List.iter
         (fun (name, bugs) ->
-          let outcome =
-            Simcov_dlx.Validate.run_program ~bugs
-              ~preload_regs:conc.Testmodel.preload_regs
-              ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program
-          in
-          match outcome with
+          match run_conc ~bugs conc with
           | Simcov_dlx.Validate.Fail _ -> ()
           | Simcov_dlx.Validate.Pass _ -> Alcotest.failf "tour missed bug %s" name)
         Simcov_dlx.Pipeline.bug_catalog
+
+(* The concretized certified tour, as validate-dlx runs it. The
+   bug-free pipeline matches every spec commit at 2, 4 and 8 registers
+   (at 8 the program is 129,803 commits long: a comparison that cuts
+   the spec at 10,000 commits fails there), and at 4 registers each
+   catalog bug's first mismatching commit is pinned, in catalog order. *)
+let certified_tour_program n_regs =
+  let c = { cfg with Testmodel.n_regs } in
+  let m = if n_regs = cfg.Testmodel.n_regs then model else Testmodel.build c in
+  match Simcov_core.Completeness.certify m with
+  | Error _ -> Alcotest.failf "%d-register model must certify" n_regs
+  | Ok cert -> Testmodel.concretize c (Simcov_core.Completeness.padded_tour m cert)
+
+let test_tour_conformance () =
+  List.iter
+    (fun (n_regs, commits) ->
+      match run_conc (certified_tour_program n_regs) with
+      | Simcov_dlx.Validate.Pass { compared; cut = false } ->
+          Alcotest.(check int) (Printf.sprintf "%d registers: every commit" n_regs) commits
+            compared
+      | f ->
+          Alcotest.failf "%d registers: bug-free pipeline must pass: %a" n_regs
+            Simcov_dlx.Validate.pp_outcome f)
+    [ (2, 243); (4, 5_175); (8, 129_803) ];
+  let conc = certified_tour_program 4 in
+  let first_mismatch (name, bugs) =
+    match run_conc ~bugs conc with
+    | Simcov_dlx.Validate.Fail { Simcov_dlx.Validate.index; _ } -> index
+    | Simcov_dlx.Validate.Pass _ -> Alcotest.failf "tour program missed bug %s" name
+  in
+  Alcotest.(check (list int)) "first mismatch per bug"
+    [ 5; 162; 125; 1; 127; 248; 0; 238; 3509; 5; 162; 127 ]
+    (List.map first_mismatch Simcov_dlx.Pipeline.bug_catalog)
 
 let suite =
   [
@@ -497,4 +523,6 @@ let suite =
     Alcotest.test_case "tour program runs clean" `Slow test_concretize_tour_runs_clean;
     Alcotest.test_case "tour program catches all bugs" `Slow test_tour_program_catches_all_bugs;
     Alcotest.test_case "no jal at 32 registers" `Quick test_concretize_no_jal_at_32;
+    Alcotest.test_case "certified tour conformance at 2/4/8 registers" `Slow
+      test_tour_conformance;
   ]

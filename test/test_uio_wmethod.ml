@@ -215,12 +215,15 @@ let qcheck_checking_sequence_complete =
   QCheck.Test.make
     ~name:"uio: checking sequences catch every transfer fault (scope=All)" ~count:25
     QCheck.(pair (int_range 3 6) (int_range 1 500))
-    (fun (n, _) ->
-      (* output = f(state, input) with many outputs: UIOs exist *)
+    (fun (n, seed) ->
+      (* input 0 chains the states (strongly connected), the seed draws
+         input 1's transitions, and output = 2s + i names the state, so
+         every state has a UIO *)
+      let rng = Simcov_util.Rng.create seed in
+      let jump = Array.init n (fun _ -> Simcov_util.Rng.int rng n) in
       let m =
         Fsm.make ~n_states:n ~n_inputs:2
-          ~next:(fun s i ->
-            (s + i + 1) mod n)
+          ~next:(fun s i -> if i = 0 then (s + 1) mod n else jump.(s))
           ~output:(fun s i -> (s * 2) + i)
           ()
       in
