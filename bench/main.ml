@@ -216,12 +216,7 @@ let exp_thm3 () =
   (* pipeline-level: seeded implementation bugs vs concretized programs *)
   let run_bugs word =
     let conc = Testmodel.concretize Testmodel.default word in
-    (Validate.bug_campaign_tests
-       [
-         Validate.test_program ~preload_regs:conc.Testmodel.preload_regs
-           ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program;
-       ])
-      .Validate.bug_results
+    (Validate.bug_campaign_tests [ conc.Testmodel.test ]).Validate.bug_results
   in
   let tour_bugs = run_bugs cpp in
   let rand_bugs = run_bugs rand_same in
@@ -264,7 +259,7 @@ let exp_thm3 () =
   Tabulate.add_row t3
     [
       "certified transition tour";
-      string_of_int (Array.length conc_tour.Testmodel.program);
+      string_of_int (Array.length conc_tour.Testmodel.test.Validate.program);
       Printf.sprintf "%d/%d" (count tour_bugs) n;
       "complete for the modeled error classes (Thm 3)";
     ];

@@ -379,19 +379,14 @@ let tour config emit =
         t.Simcov_testgen.Tour.length t.Simcov_testgen.Tour.extra;
       let conc = Testmodel.concretize config t.Simcov_testgen.Tour.word in
       Printf.printf "concretized program: %d instructions (%d issued)\n"
-        (Array.length conc.Testmodel.program)
+        (Array.length conc.Testmodel.test.Validate.program)
         (Array.length conc.Testmodel.issue_map);
       match emit with
       | None -> 0
       | Some path -> (
           match
             Simcov_util.Durable.write_file path (fun oc ->
-                List.iter
-                  (fun (r, v) -> Printf.fprintf oc "# preload r%d = %ld\n" r v)
-                  conc.Testmodel.preload_regs;
-                Array.iter
-                  (fun i -> output_string oc (Isa.to_string i ^ "\n"))
-                  conc.Testmodel.program)
+                Validate.output_test_program oc conc.Testmodel.test)
           with
           | () ->
               Printf.printf "program written to %s\n" path;
@@ -471,12 +466,12 @@ let run_file path bug_name do_trace =
     Result.bind
       (try Ok (In_channel.with_open_text path In_channel.input_all)
        with Sys_error e -> Error e)
-      Simcov_dlx.Isa.parse_program
+      Simcov_dlx.Validate.parse_test_program
   with
   | Error e ->
       Printf.eprintf "error: %s: %s\n" path e;
       4
-  | Ok program -> (
+  | Ok ({ Simcov_dlx.Validate.program; preload_regs; preload_mem } as test) -> (
       let bugs =
         match bug_name with
         | None -> Simcov_dlx.Pipeline.no_bugs
@@ -491,8 +486,8 @@ let run_file path bug_name do_trace =
                 exit 2)
       in
       if do_trace then
-        print_string (Simcov_dlx.Pipeline.trace (Simcov_dlx.Pipeline.create ~bugs program));
-      match Simcov_dlx.Validate.run_program ~bugs program with
+        print_string (Simcov_dlx.Pipeline.trace (Simcov_dlx.Validate.pipeline ~bugs test));
+      match Simcov_dlx.Validate.run_program ~bugs ~preload_regs ~preload_mem program with
       | Simcov_dlx.Validate.Pass { compared; cut = false } ->
           Printf.printf "PASS: %d commits match the specification\n" compared;
           0
@@ -508,8 +503,9 @@ let run_file path bug_name do_trace =
 
 let run_cmd =
   let doc =
-    "Assemble a DLX program and co-simulate spec vs pipeline (a program still running \
-     after 1,000,000 steps is compared up to that step, as cut)."
+    "Assemble a DLX program, apply its $(b,# preload) lines (as $(b,tour \
+     --emit-program) writes them) and co-simulate spec vs pipeline (a program still \
+     running after 1,000,000 steps is compared up to that step, as cut)."
   in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Assembly file.")

@@ -31,7 +31,7 @@ let () =
       Array.iteri
         (fun k instr ->
           if k < 24 then Printf.printf "%4d: %s\n" k (Simcov_dlx.Isa.to_string instr))
-        conc.Simcov_dlx.Testmodel.program
+        conc.Simcov_dlx.Testmodel.test.Simcov_dlx.Validate.program
   | None -> ());
 
   print_endline "";

@@ -1,5 +1,6 @@
 open Simcov_fsm
 module Budget = Simcov_util.Budget
+module Obs = Simcov_obs.Obs
 module Json = Simcov_util.Json
 module Rng = Simcov_util.Rng
 module Digraph = Simcov_graph.Digraph
@@ -144,34 +145,24 @@ let check_well_formed (m : Fsm.t) seen =
 (* ---- connectivity ---- *)
 
 (* the reachable transition graph on densely renumbered vertices: SCC
-   analysis must not see unreachable states as isolated components *)
+   analysis must not see unreachable states as isolated components.
+   [back] maps a vertex to its state. *)
 let reachable_digraph (m : Fsm.t) seen =
+  let back = List.init m.Fsm.n_states Fun.id |> List.filter (fun s -> seen.(s)) |> Array.of_list in
   let idx = Array.make m.Fsm.n_states (-1) in
-  let n = ref 0 in
-  for s = 0 to m.Fsm.n_states - 1 do
-    if seen.(s) then begin
-      idx.(s) <- !n;
-      incr n
-    end
-  done;
-  let back = Array.make !n 0 in
-  for s = 0 to m.Fsm.n_states - 1 do
-    if seen.(s) then back.(idx.(s)) <- s
-  done;
-  let g = Digraph.create !n in
-  for s = 0 to m.Fsm.n_states - 1 do
-    if seen.(s) then
-      List.iter
-        (fun i ->
-          let d = m.Fsm.next s i in
-          if d >= 0 && d < m.Fsm.n_states && seen.(d) then
-            ignore (Digraph.add_edge g ~src:idx.(s) ~dst:idx.(d) ~label:i ~cost:1))
-        (Fsm.valid_inputs m s)
-  done;
-  (g, idx, back)
+  Array.iteri (fun v s -> idx.(s) <- v) back;
+  let g = Digraph.create (Array.length back) in
+  let next = (Fsm.tables m).Fsm.tab_next and k = m.Fsm.n_inputs in
+  Array.iter
+    (fun c ->
+      let d = next.(c) in
+      if d >= 0 && d < m.Fsm.n_states && seen.(d) then
+        ignore (Digraph.add_edge g ~src:idx.(c / k) ~dst:idx.(d) ~label:(c mod k) ~cost:1))
+    (Fsm.transition_codes m);
+  (g, back)
 
 let check_connectivity (m : Fsm.t) seen =
-  let g, _idx, back = reachable_digraph m seen in
+  let g, back = reachable_digraph m seen in
   let comp, k, cross = Scc.condensation g in
   if k <= 1 then ([], k)
   else begin
@@ -209,9 +200,9 @@ let check_connectivity (m : Fsm.t) seen =
 
 (* ---- minimality ---- *)
 
-(* shortest word driving two equivalent states to one common state —
-   the concrete "these really are the same state" witness (outputs
-   agree along the way by equivalence) *)
+(* shortest word driving two equivalent states to one common state,
+   and that state — the concrete "these really are the same state"
+   witness (outputs agree along the way by equivalence) *)
 let merge_word (m : Fsm.t) s t =
   let visited = Hashtbl.create 64 in
   let q = Queue.create () in
@@ -220,7 +211,7 @@ let merge_word (m : Fsm.t) s t =
   let result = ref None in
   while !result = None && not (Queue.is_empty q) do
     let a, b, w = Queue.pop q in
-    if a = b then result := Some (List.rev w)
+    if a = b then result := Some (List.rev w, a)
     else
       List.iter
         (fun i ->
@@ -253,10 +244,9 @@ let check_minimality (m : Fsm.t) classes seen =
               if !n_pairs <= cap then begin
                 let witness =
                   match merge_word m rep s with
-                  | Some w ->
+                  | Some (w, meet) ->
                       Printf.sprintf "word '%s' drives both to state %s"
-                        (word_name m w)
-                        (m.Fsm.state_name (List.fold_left m.Fsm.next rep w))
+                        (word_name m w) (m.Fsm.state_name meet)
                   | None -> "their output behaviors agree on every word"
                 in
                 diags :=
@@ -348,62 +338,75 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
   let word = Tour.pad m ~k tour.Tour.word in
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let transitions = Fsm.transitions m in
+  let tab = Fsm.tables m and codes = Fsm.transition_codes m in
+  let ni = m.Fsm.n_inputs and next = tab.Fsm.tab_next in
   (* R1: non-uniform output errors (Definition 2 fails). A
      Conditional_output fault at site (s, i) conditioned on
      predecessor transition p fires only when the tour traverses
-     (s, i) immediately after p. The check is purely structural: one
-     replay of the tour collects the distinct (site, predecessor)
-     contexts it exercises, and since every transition into s is a
-     context of (s, i), the site's escaping faults number the
-     in-degree of s minus the contexts exercised there. *)
-  let ni = m.Fsm.n_inputs in
-  let contexts = Hashtbl.create 256 and exercised = Hashtbl.create 256 in
-  let n_exercised site = Option.value ~default:0 (Hashtbl.find_opt exercised site) in
-  ignore
-    (List.fold_left
-       (fun (s, prev) i ->
-         if not (m.Fsm.valid s i) then (s, prev)
-         else begin
-           let site = (s * ni) + i in
-           if prev >= 0 && not (Hashtbl.mem contexts (site, prev)) then begin
-             Hashtbl.add contexts (site, prev) ();
-             Hashtbl.replace exercised site (n_exercised site + 1)
-           end;
-           (m.Fsm.next s i, site)
-         end)
-       (m.Fsm.reset, -1) word);
+     (s, i) immediately after p. The check is purely structural: the
+     tour's replay yields the (site, predecessor) contexts it
+     exercises, each one int [site * nk + prev] (a code is below
+     [nk]), sorted so that a site's contexts form one run. Since every
+     transition into s is a context of (s, i), the site's escaping
+     faults number the in-degree of s minus the contexts exercised
+     there. *)
+  let nk = m.Fsm.n_states * ni and steps = (Fsm.replay m word).Fsm.codes in
+  let contexts =
+    Array.init (max 0 (Array.length steps - 1)) (fun t -> (steps.(t + 1) * nk) + steps.(t))
+  in
+  Array.stable_sort Int.compare contexts;
   let in_degree = Array.make m.Fsm.n_states 0 in
-  List.iter (fun (_, _, s', _) -> in_degree.(s') <- in_degree.(s') + 1) transitions;
-  let r1 = ref 0 and sites = ref 0 and example = ref None in
-  List.iter
-    (fun (s, i, _, o) ->
-      let escaping = in_degree.(s) - n_exercised ((s * ni) + i) in
-      if in_degree.(s) >= 2 && escaping > 0 then begin
+  Array.iter (fun c -> in_degree.(next.(c)) <- in_degree.(next.(c)) + 1) codes;
+  (* SA640's witness, at the first site with escaping errors: its
+     fault conditioned on the last transition into s, in transition
+     order, that the tour never takes right before the site, whose
+     contexts are [contexts.(lo .. hi - 1)] *)
+  let witness_of c lo hi =
+    let rec taken pc y = y < hi && (contexts.(y) = (c * nk) + pc || taken pc (y + 1)) in
+    let escapes pc = next.(pc) = c / ni && not (taken pc lo) in
+    let p = Array.fold_left (fun p pc -> if escapes pc then pc else p) (-1) codes in
+    Fault.Conditional_output
+      { state = c / ni; input = c mod ni; wrong_output = tab.Fsm.tab_output.(c) + 1;
+        prev = (p / ni, p mod ni) }
+  in
+  (* one cursor over the sorted contexts as the transition codes
+     ascend: a site's contexts are the run it passes *)
+  let r1 = ref 0 and sites = ref 0 and witness = ref None and j = ref 0 in
+  Array.iter
+    (fun c ->
+      let lo = !j and exercised = ref 0 in
+      while !j < Array.length contexts && contexts.(!j) / nk = c do
+        if !j = lo || contexts.(!j - 1) < contexts.(!j) then incr exercised;
+        incr j
+      done;
+      let escaping = in_degree.(c / ni) - !exercised in
+      if in_degree.(c / ni) >= 2 && escaping > 0 then begin
         incr sites;
         r1 := !r1 + escaping;
-        if !example = None then example := Some (s, i, o)
+        if !witness = None then witness := Some (witness_of c lo !j)
       end)
-    transitions;
-  (match !example with
-  | Some (s, i, o) ->
-      (* its predecessor: the last transition into s, in transition
-         order, that the tour never takes right before (s, i) *)
-      let p =
-        List.fold_left
-          (fun p (ps, pi, s', _) ->
-            if s' = s && not (Hashtbl.mem contexts ((s * ni) + i, (ps * ni) + pi))
-            then (ps, pi)
-            else p)
-          (-1, -1) transitions
-      in
-      let fault =
-        Fault.Conditional_output { state = s; input = i; wrong_output = o + 1; prev = p }
-      in
-      (* sanity: the static claim agrees with lockstep simulation *)
-      let escapes =
-        (Detect.unrecorded_outcome m [ fault ] word).Campaign.report.Detect.detected = 0
-      in
+    codes;
+  (* R4: masked transfer errors, over every transfer fault or a
+     sample. One engine run decides SA640's witness (first) and this
+     population: a verdict depends only on its fault and the word. *)
+  let n_pop = Array.length codes * max 0 (Fsm.n_reachable m - 1) in
+  let faults =
+    if n_pop <= 2000 then Fault.all_transfer_faults m
+    else Fault.sample_transfer_faults rng m ~count:200
+  in
+  let verdicts =
+    (Detect.unrecorded_outcome m (Option.to_list !witness @ faults) word).Campaign.verdicts
+  in
+  (* the witness's verdict leads, when the witness is effective *)
+  let escapes, verdicts =
+    match (!witness, verdicts) with
+    | Some w, (f, (v : Detect.verdict)) :: rest when f = w -> (not v.detected, rest)
+    | _ -> (true, verdicts)
+  in
+  (match !witness with
+  | Some (Fault.Conditional_output { state = s; input = i; prev = ps, pi; _ } as fault)
+    ->
+      (* the static claim against the engine's verdict *)
       add
         (Diag.make ~code:"SA640" ~severity:Diag.Warning ~pass:"fault-structural"
            ~loc:(Diag.State (m.Fsm.state_name s))
@@ -418,22 +421,14 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
               !sites
               (if !sites = 1 then "" else "s")
               (if !r1 = 1 then "s" else "")
-              (trans_name m s i)
-              (trans_name m (fst p) (snd p))
+              (trans_name m s i) (trans_name m ps pi)
               (if escapes then "" else " (exposed elsewhere on this tour)")))
-  | None -> ());
-  (* R4: masked transfer errors — the campaign engine's missed faults
-     (effective, excited, undetected), in fault order, each witnessed
-     by its verdict's first masking window *)
-  let n_pop = List.length transitions * max 0 (Fsm.n_reachable m - 1) in
-  let faults =
-    if n_pop <= 2000 then Fault.all_transfer_faults m
-    else Fault.sample_transfer_faults rng m ~count:200
-  in
+  | _ -> ());
+  (* SA641: the population's missed faults (effective, excited,
+     undetected), in fault order, each witnessed by its verdict's
+     first masking window *)
   let masked =
-    List.filter
-      (fun (_, (v : Detect.verdict)) -> v.excited && not v.detected)
-      (Detect.unrecorded_outcome m faults word).Campaign.verdicts
+    List.filter (fun (_, (v : Detect.verdict)) -> v.excited && not v.detected) verdicts
   in
   List.iteri
     (fun idx (fault, (v : Detect.verdict)) ->
@@ -467,10 +462,10 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
 
 (* ---- suite-cover ---- *)
 
-(* static prediction by graph walk: no lockstep fault simulation, just
-   the transition function. Matches Detect.transitions_covered's
-   semantics (coverage counts the prefix before the first invalid
-   input), with the invalid step additionally diagnosed. *)
+(* static prediction from each word's replay: no fault simulation,
+   just the transition function. Coverage counts the prefix before the
+   first rejected input, as Detect's coverage readers do, and the
+   rejected input is diagnosed. *)
 let check_suite (m : Fsm.t) words =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -480,50 +475,41 @@ let check_suite (m : Fsm.t) words =
   let redundant = ref [] in
   List.iteri
     (fun wi word ->
-      let s = ref m.Fsm.reset in
-      let fresh = ref 0 and pos = ref 0 and stopped = ref false in
-      List.iter
-        (fun i ->
-          if not !stopped then begin
-            if i < 0 || i >= m.Fsm.n_inputs || not (m.Fsm.valid !s i) then begin
-              stopped := true;
-              add
-                (Diag.make ~code:"SA650" ~severity:Diag.Error ~pass:"suite-cover"
-                   ~loc:(Diag.Word (word_name m word))
-                   ~related:[ m.Fsm.state_name !s ]
-                   (Printf.sprintf
-                      "word %d applies input %s at position %d, invalid in state \
-                       %s: the rest of the word cannot execute"
-                      wi
-                      (if i >= 0 && i < m.Fsm.n_inputs then m.Fsm.input_name i
-                       else string_of_int i)
-                      !pos (m.Fsm.state_name !s)))
-            end
-            else begin
-              if not (Hashtbl.mem covered (!s, i)) then begin
-                Hashtbl.replace covered (!s, i) ();
-                incr fresh
-              end;
-              s := m.Fsm.next !s i;
-              Hashtbl.replace states !s ();
-              incr pos
-            end
+      let r = Fsm.replay m word in
+      Array.iter (fun s -> Hashtbl.replace states s ()) r.Fsm.states;
+      let before = Hashtbl.length covered in
+      Array.iter (fun c -> Hashtbl.replace covered c ()) r.Fsm.codes;
+      match r.Fsm.rejected with
+      | Some i ->
+          let s = r.Fsm.states.(r.Fsm.halt) in
+          add
+            (Diag.make ~code:"SA650" ~severity:Diag.Error ~pass:"suite-cover"
+               ~loc:(Diag.Word (word_name m word))
+               ~related:[ m.Fsm.state_name s ]
+               (Printf.sprintf
+                  "word %d applies input %s at position %d, invalid in state %s: \
+                   the rest of the word cannot execute"
+                  wi
+                  (if i >= 0 && i < m.Fsm.n_inputs then m.Fsm.input_name i
+                   else string_of_int i)
+                  r.Fsm.halt (m.Fsm.state_name s)))
+      | None ->
+          if Hashtbl.length covered = before then begin
+            redundant := wi :: !redundant;
+            add
+              (Diag.make ~code:"SA652" ~severity:Diag.Info ~pass:"suite-cover"
+                 ~loc:(Diag.Word (word_name m word))
+                 (Printf.sprintf
+                    "word %d covers no transition not already covered by earlier \
+                     words"
+                    wi))
           end)
-        word;
-      if !fresh = 0 && not !stopped then begin
-        redundant := wi :: !redundant;
-        add
-          (Diag.make ~code:"SA652" ~severity:Diag.Info ~pass:"suite-cover"
-             ~loc:(Diag.Word (word_name m word))
-             (Printf.sprintf
-                "word %d covers no transition not already covered by earlier words"
-                wi))
-      end)
     words;
+  let k = m.Fsm.n_inputs in
   let missed =
-    List.filter_map
-      (fun (s, i, _, _) -> if Hashtbl.mem covered (s, i) then None else Some (s, i))
-      (Fsm.transitions m)
+    Array.fold_right
+      (fun c acc -> if Hashtbl.mem covered c then acc else (c / k, c mod k) :: acc)
+      (Fsm.transition_codes m) []
   in
   if missed <> [] then begin
     let related =
@@ -552,6 +538,14 @@ let check_suite (m : Fsm.t) words =
 
 (* ---- orchestration ---- *)
 
+(* one timer per pass, e.g. [fsm_lint.fault_structural], registered
+   up front so that every metrics snapshot lists them *)
+let pass_timers =
+  List.map
+    (fun id -> (id, Obs.timer ("fsm_lint." ^ String.map (function '-' -> '_' | c -> c) id)))
+    [ "well-formed"; "connectivity"; "minimality"; "distinguishability"; "fault-structural";
+      "suite-cover" ]
+
 let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
     ?(seed = 7) ?suite (m : Fsm.t) =
   let diags = ref [] and passes = ref [] and skipped = ref [] in
@@ -562,7 +556,7 @@ let run ?(budget = Budget.unlimited) ?(name = "fsm") ?(k_bound = 8) ?facts
       match Budget.step budget with
       | () ->
           passes := id :: !passes;
-          diags := !diags @ f ()
+          diags := !diags @ Obs.span (List.assoc id pass_timers) f
       | exception Budget.Budget_exceeded r ->
           truncated := Some r;
           skipped := id :: !skipped

@@ -156,11 +156,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
      exception, so no Budget.check separates them *)
   let bug_campaign =
     timed "bug_campaign" (fun () ->
-        Validate.bug_campaign_tests ~budget ?jobs
-          [
-            Validate.test_program ~preload_regs:conc.Testmodel.preload_regs
-              ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program;
-          ])
+        Validate.bug_campaign_tests ~budget ?jobs [ conc.Testmodel.test ])
   in
   let fsm_fault_coverage =
     timed "fsm_campaign" (fun () ->
@@ -177,7 +173,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
     requirements;
     certificate;
     tour_length = List.length word;
-    program_length = Array.length conc.Testmodel.program;
+    program_length = Array.length conc.Testmodel.test.Validate.program;
     issued = Array.length conc.Testmodel.issue_map;
     bug_results = bug_campaign.Validate.bug_results;
     n_bugs_detected = bug_campaign.Validate.n_detected;

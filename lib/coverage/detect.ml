@@ -28,47 +28,25 @@ type report = Fault.t campaign_report
 
 let backend_name = "fsm-fault"
 
-(* The golden run over the campaign word, indexed once per campaign
-   (before sharding, so every batch of every shard reads the same
-   index). [gst.(t)] is the golden state before step [t] and [gtr.(t)]
-   the transition (state * k + input) it takes, for every step before
-   [halt]: the first input the golden machine rejects (out-of-alphabet
-   inputs included), or the word's length. [first] maps each traversed
-   transition to the first step that takes it, and [later.(t)] is the
-   next step after [t] that takes [gtr.(t)]; [max_int] means never.
-   [first] is a table rather than an array over every input code so
-   that the index stays linear in the word. *)
-type golden = {
-  halt : int;
-  gst : int array;
-  gtr : int array;
-  first : (int, int) Hashtbl.t;
-  later : int array;
-}
+(* The golden run, the campaign word's {!Fsm.replay}, indexed once per
+   campaign (before sharding, so every batch of every shard reads the
+   same index). [first] maps each traversed transition to the first
+   step that takes it, and [later.(t)] is the next step after [t] that
+   takes [run.codes.(t)]; [max_int] means never. [first] is a table
+   rather than an array over every input code so that the index stays
+   linear in the word. *)
+type golden = { run : Fsm.replay; first : (int, int) Hashtbl.t; later : int array }
 
-let golden_run (tab : Fsm.tables) word =
-  let k = tab.Fsm.tab_inputs in
-  let word = Array.of_list word in
-  let n = Array.length word in
-  let gst = Array.make (n + 1) tab.Fsm.tab_reset and gtr = Array.make n 0 in
-  let halt = ref n and t = ref 0 in
-  while !t < !halt do
-    let s = gst.(!t) and i = word.(!t) in
-    if i < 0 || i >= k || not tab.Fsm.tab_valid.((s * k) + i) then halt := !t
-    else begin
-      gtr.(!t) <- (s * k) + i;
-      gst.(!t + 1) <- tab.Fsm.tab_next.((s * k) + i);
-      incr t
-    end
-  done;
-  let halt = !halt in
+let golden_run m word =
+  let run = Fsm.replay m word in
+  let codes = run.Fsm.codes in
   let first = Hashtbl.create 1024 in
-  let later = Array.make halt max_int in
-  for t = halt - 1 downto 0 do
-    Option.iter (fun t' -> later.(t) <- t') (Hashtbl.find_opt first gtr.(t));
-    Hashtbl.replace first gtr.(t) t
+  let later = Array.make run.Fsm.halt max_int in
+  for t = run.Fsm.halt - 1 downto 0 do
+    Option.iter (fun t' -> later.(t) <- t') (Hashtbl.find_opt first codes.(t));
+    Hashtbl.replace first codes.(t) t
   done;
-  { halt; gst; gtr; first; later }
+  { run; first; later }
 
 (* The bit-parallel FSM-fault backend: one batch evaluates up to 63
    mutants, one per bit of a native-int lane set. Mutant trajectories
@@ -255,7 +233,7 @@ module Fsm_backend = struct
 
   let step b ~active i =
     let k = b.k and at = b.at in
-    if at >= b.g.halt then begin
+    if at >= b.g.run.Fsm.halt then begin
       (* golden rejects the stimulus: diverged mutants that accept it
          are exposed by the validity mismatch; everyone else stops. An
          out-of-alphabet stimulus is invalid in every state, golden and
@@ -271,8 +249,8 @@ module Fsm_backend = struct
       { Campaign.excited = 0; detected = b.det; rejoined = 0; halt = true }
     end
     else begin
-      let gi = b.g.gtr.(at) in
-      let sg' = b.g.gst.(at + 1) and og = Array.unsafe_get b.tout gi in
+      let gi = b.g.run.Fsm.codes.(at) in
+      let sg' = b.g.run.Fsm.states.(at + 1) and og = Array.unsafe_get b.tout gi in
       let site = site_at b gi in
       prune site active;
       let s_out = site.s_out and s_tr = site.s_tr and s_cond = site.s_cond in
@@ -339,7 +317,7 @@ module Fsm_backend = struct
       (* an excited output-fault lane is detected on the spot *)
       b.det <- b.det lor s_out;
       if s_cond <> 0 then begin
-        let gprev = if at = 0 then -1 else b.g.gtr.(at - 1) in
+        let gprev = if at = 0 then -1 else b.g.run.Fsm.codes.(at - 1) in
         Simcov_util.Lanes.iter s_cond (fun l ->
             if b.cprev.(l) = gprev then b.det <- b.det lor (1 lsl l))
       end;
@@ -365,10 +343,9 @@ module Fsm_driver = Campaign.Make (Fsm_backend)
 (* [lanes] is accepted and ignored: every batch is one native int *)
 let campaign_outcome ?budget ?lanes:_ ?jobs ?max_workers ?on_batch ?resume
     ?checkpoint ?should_stop golden faults word =
-  let tab = Fsm.tables golden in
   Fsm_driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
     ?should_stop
-    { Fsm_backend.m = golden; tab; g = golden_run tab word }
+    { Fsm_backend.m = golden; tab = Fsm.tables golden; g = golden_run golden word }
     faults word
 
 let campaign ?budget ?jobs ?on_batch golden faults word =
@@ -386,32 +363,10 @@ let coverage_pct = Campaign.coverage_pct
 let pp_report = Campaign.pp_report
 let to_json ?extra r = Campaign.to_json ~fault:Fault.to_json ?extra r
 
-let transitions_covered (m : Fsm.t) word =
+let n_distinct a =
   let seen = Hashtbl.create 256 in
-  let rec go s = function
-    | [] -> ()
-    | i :: rest ->
-        if m.Fsm.valid s i then begin
-          Hashtbl.replace seen (s, i) ();
-          go (m.Fsm.next s i) rest
-        end
-  in
-  go m.Fsm.reset word;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
-
-let state_coverage (m : Fsm.t) word =
-  let seen = Hashtbl.create 64 in
-  let rec go s = function
-    | [] -> ()
-    | i :: rest ->
-        if m.Fsm.valid s i then begin
-          let s' = m.Fsm.next s i in
-          Hashtbl.replace seen s' ();
-          go s' rest
-        end
-  in
-  Hashtbl.replace seen m.Fsm.reset ();
-  go m.Fsm.reset word;
+  Array.iter (fun x -> Hashtbl.replace seen x ()) a;
   Hashtbl.length seen
 
-let transition_coverage m word = List.length (transitions_covered m word)
+let state_coverage m word = n_distinct (Fsm.replay m word).Fsm.states
+let transition_coverage m word = n_distinct (Fsm.replay m word).Fsm.codes

@@ -120,7 +120,7 @@ val to_json :
   ?extra:(string * Simcov_util.Json.t) list -> report -> Simcov_util.Json.t
 (** [simcov-campaign/1] rendering with structured missed faults. *)
 
-(** {1 Transition coverage of a word} *)
+(** {1 Coverage of a word's {!Simcov_fsm.Fsm.replay}} *)
 
 val state_coverage : Fsm.t -> int list -> int
 val transition_coverage : Fsm.t -> int list -> int

@@ -282,12 +282,7 @@ let dest_merge_mapping cfg =
 
 (* ---------- concretization ---------- *)
 
-type concrete = {
-  program : Isa.t array;
-  preload_regs : (int * int32) list;
-  preload_mem : (int * int32) list;
-  issue_map : int array;
-}
+type concrete = { test : Validate.test_program; issue_map : int array }
 
 let concretize cfg word =
   let r = cfg.n_regs in
@@ -371,8 +366,6 @@ let concretize cfg word =
       | Isa.Nopc -> emit Isa.nop)
     word;
   {
-    program = Array.of_list (List.rev !program);
-    preload_regs;
-    preload_mem;
+    test = Validate.test_program ~preload_regs ~preload_mem (Array.of_list (List.rev !program));
     issue_map = Array.of_list (List.rev !issue_map);
   }

@@ -102,9 +102,7 @@ val dest_merge_mapping : config -> Simcov_abstraction.Homomorphism.mapping
     slot so the redirect is a real squash. *)
 
 type concrete = {
-  program : Isa.t array;
-  preload_regs : (int * int32) list;
-  preload_mem : (int * int32) list;
+  test : Validate.test_program;  (** the program and its preloads *)
   issue_map : int array;  (** issue index -> program counter *)
 }
 

@@ -26,6 +26,31 @@ type test_program = {
 let test_program ?(preload_regs = []) ?(preload_mem = []) program =
   { program; preload_regs; preload_mem }
 
+let output_test_program oc t =
+  List.iter (fun (r, v) -> Printf.fprintf oc "# preload r%d = %ld\n" r v) t.preload_regs;
+  List.iter (fun (a, v) -> Printf.fprintf oc "# preload m%d = %ld\n" a v) t.preload_mem;
+  Array.iter (fun i -> output_string oc (Isa.to_string i ^ "\n")) t.program
+
+let ( let* ) = Result.bind
+
+(* the directives are comments to [Isa.parse_program] *)
+let parse_test_program text =
+  let directive n (regs, mem) line =
+    if not (String.starts_with ~prefix:"# preload " (String.trim line)) then Ok (regs, mem)
+    else
+      match Scanf.sscanf line " # preload %c%d = %ld %!" (fun c x v -> (c, x, v)) with
+      | 'r', r, v when r >= 0 && r < 32 -> Ok ((r, v) :: regs, mem)
+      | 'm', a, v -> Ok (regs, (a, v) :: mem)
+      | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) ->
+          Error (Printf.sprintf "line %d: malformed preload directive" (n + 1))
+  in
+  let lines = List.mapi (fun n line -> (n, line)) (String.split_on_char '\n' text) in
+  let* regs, mem =
+    List.fold_left (fun acc (n, line) -> let* acc = acc in directive n acc line) (Ok ([], [])) lines
+  in
+  let* program = Isa.parse_program text in
+  Ok { program; preload_regs = List.rev regs; preload_mem = List.rev mem }
+
 type reference = { test : test_program; commits : Spec.commit array; cut : bool }
 
 (* far above any generated test program (129,803 commits at 8
@@ -68,12 +93,16 @@ let check r next =
     | Fail { index; _ } -> index);
   outcome
 
+let pipeline ?bugs test =
+  let pipe = Pipeline.create ?bugs test.program in
+  List.iter (fun (reg, v) -> Pipeline.set_reg pipe reg v) test.preload_regs;
+  List.iter (fun (a, v) -> Pipeline.set_mem pipe a v) test.preload_mem;
+  pipe
+
 (* the pipeline cycle by cycle: every few cycles it commits or drains,
    so the reference alone bounds the run *)
 let check_pipeline ~bugs r =
-  let pipe = Pipeline.create ~bugs r.test.program in
-  List.iter (fun (reg, v) -> Pipeline.set_reg pipe reg v) r.test.preload_regs;
-  List.iter (fun (a, v) -> Pipeline.set_mem pipe a v) r.test.preload_mem;
+  let pipe = pipeline ~bugs r.test in
   let rec next () =
     if Pipeline.drained pipe then None
     else match Pipeline.cycle pipe with Some _ as c -> c | None -> next ()

@@ -59,6 +59,19 @@ val test_program :
   Isa.t array ->
   test_program
 
+val output_test_program : out_channel -> test_program -> unit
+(** A test program as assembly: a [# preload rN = V] line per register
+    and a [# preload mA = V] line per memory word it preloads, then its
+    instructions (what [tour --emit-program] writes and [run] reads). *)
+
+val parse_test_program : string -> (test_program, string) result
+(** The inverse; the directives are comments to {!Isa.parse_program}.
+    A malformed directive, or one naming no register r0..r31, is an
+    error. *)
+
+val pipeline : ?bugs:Pipeline.bugs -> test_program -> Pipeline.t
+(** The implementation at reset with the program's preloads applied. *)
+
 type reference
 (** A test program's specification commits, run once, to its halt or
     to the default step bound. *)

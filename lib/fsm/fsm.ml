@@ -153,25 +153,44 @@ let compiled_bytes m =
   in
   words * (Sys.word_size / 8)
 
-let step m s i =
-  if not (m.valid s i) then
-    invalid_arg
-      (Printf.sprintf "Fsm.step: input %s invalid in state %s" (m.input_name i)
-         (m.state_name s));
-  (m.next s i, m.output s i)
+type replay = { halt : int; rejected : int option; states : int array; codes : int array }
+
+let replay m word =
+  let tab = m.compiled.tab and n = List.length word in
+  let k = tab.tab_inputs in
+  let states = Array.make (n + 1) m.reset and codes = Array.make n 0 in
+  let rec go t = function
+    | i :: rest when i >= 0 && i < k && tab.tab_valid.((states.(t) * k) + i) ->
+        codes.(t) <- (states.(t) * k) + i;
+        states.(t + 1) <- tab.tab_next.(codes.(t));
+        go (t + 1) rest
+    | [] -> (t, None)
+    | i :: _ -> (t, Some i)
+  in
+  let halt, rejected = go 0 word in
+  if halt = n then { halt; rejected; states; codes }
+  else
+    { halt; rejected; states = Array.sub states 0 (halt + 1); codes = Array.sub codes 0 halt }
+
+(* a replay that stopped short fails the reader; a name function need
+   not cover inputs outside the alphabet *)
+let accepted reader m r =
+  match r.rejected with
+  | None -> r
+  | Some i ->
+      invalid_arg
+        (Printf.sprintf "Fsm.%s: input %s invalid in state %s" reader
+           (if i >= 0 && i < m.n_inputs then m.input_name i else string_of_int i)
+           (m.state_name r.states.(r.halt)))
 
 let output_word m word =
-  let _, outputs =
-    List.fold_left
-      (fun (s, acc) i ->
-        let s', o = step m s i in
-        (s', o :: acc))
-      (m.reset, []) word
-  in
-  List.rev outputs
+  let r = accepted "output_word" m (replay m word) in
+  let tout = m.compiled.tab.tab_output in
+  Array.fold_right (fun c acc -> tout.(c) :: acc) r.codes []
 
 let final_state m word =
-  List.fold_left (fun s i -> fst (step m s i)) m.reset word
+  let r = accepted "final_state" m (replay m word) in
+  r.states.(r.halt)
 
 let valid_inputs m s = Array.to_list m.compiled.inputs.(s)
 let reachable m = Array.copy m.compiled.reach.seen

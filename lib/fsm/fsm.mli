@@ -73,12 +73,26 @@ val compiled_bytes : t -> int
 
 (** {1 Execution} *)
 
+type replay = {
+  halt : int;  (** steps taken: the first rejected input's position, or the length *)
+  rejected : int option;  (** the input at [halt], if one was rejected *)
+  states : int array;  (** the state before each step, then the last one *)
+  codes : int array;  (** each step's code [state * n_inputs + input] *)
+}
+
+val replay : t -> int list -> replay
+(** The one replay of a word, which every reader of a word reads: from
+    reset over the compiled tables, up to the first input the machine
+    rejects (an input outside [\[0, n_inputs)] is rejected in every
+    state). *)
+
 val output_word : t -> int list -> int list
 (** [output_word m word] runs [word] from reset and returns its
     outputs in order.
     @raise Invalid_argument on the first input that is not valid. *)
 
 val final_state : t -> int list -> int
+(** The state [word] ends in from reset; raises as {!output_word}. *)
 
 (** {1 Structure} *)
 

@@ -180,18 +180,10 @@ let random_word rng m ~length =
   in
   go m.Fsm.reset length []
 
-let word_is_tour (m : Fsm.t) word =
+(* a rejected input anywhere rejects the whole word: a covering prefix
+   followed by an input the implementation cannot take is no tour *)
+let word_is_tour m word =
+  let r = Fsm.replay m word in
   let covered = Hashtbl.create 1024 in
-  (* an invalid input anywhere rejects the whole word — silently
-     dropping the suffix would accept a non-replayable "tour" whose
-     covering prefix happens to be complete *)
-  let rec go s = function
-    | [] -> true
-    | i :: rest ->
-        m.Fsm.valid s i
-        && begin
-             Hashtbl.replace covered (s, i) ();
-             go (m.Fsm.next s i) rest
-           end
-  in
-  go m.Fsm.reset word && Hashtbl.length covered = Fsm.n_transitions m
+  Array.iter (fun c -> Hashtbl.replace covered c ()) r.Fsm.codes;
+  r.Fsm.rejected = None && Hashtbl.length covered = Fsm.n_transitions m

@@ -173,6 +173,38 @@ module Detect = struct
       masked_step;
     }
 
+  (* The coverage walks {!Simcov_fsm.Fsm.replay} replaced: each steps
+     the machine from reset on its own, up to the first invalid input. *)
+  let transitions_covered (m : Simcov_fsm.Fsm.t) word =
+    let seen = Hashtbl.create 256 in
+    let rec go s = function
+      | [] -> ()
+      | i :: rest ->
+          if m.Simcov_fsm.Fsm.valid s i then begin
+            Hashtbl.replace seen (s, i) ();
+            go (m.Simcov_fsm.Fsm.next s i) rest
+          end
+    in
+    go m.Simcov_fsm.Fsm.reset word;
+    Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
+
+  let state_coverage (m : Simcov_fsm.Fsm.t) word =
+    let seen = Hashtbl.create 64 in
+    let rec go s = function
+      | [] -> ()
+      | i :: rest ->
+          if m.Simcov_fsm.Fsm.valid s i then begin
+            let s' = m.Simcov_fsm.Fsm.next s i in
+            Hashtbl.replace seen s' ();
+            go s' rest
+          end
+    in
+    Hashtbl.replace seen m.Simcov_fsm.Fsm.reset ();
+    go m.Simcov_fsm.Fsm.reset word;
+    Hashtbl.length seen
+
+  let transition_coverage m word = List.length (transitions_covered m word)
+
   (* one full mutant rerun per fault, through [run_verdict]; the QCheck
      suite pins the batched driver against it *)
   let campaign_scalar golden faults word =
@@ -448,6 +480,24 @@ module Fsm_lint = struct
         end)
       transitions;
     (!r1, !sites, !example)
+
+  (* SA640's verdict and SA641's masked transfer faults, each from its
+     own scalar campaign. [escapes]: the witness fault goes undetected.
+     [masked]: the population's excited, undetected faults with their
+     verdicts, where the population is every transfer fault, or 200
+     drawn from [seed] when there would be more than 2,000. *)
+  let escapes m word witness =
+    (Detect.campaign_scalar m [ witness ] word).Campaign.report.Campaign.detected = 0
+
+  let masked (m : Fsm.t) word ~seed =
+    let n_pop = Fsm.n_transitions m * max 0 (Fsm.n_reachable m - 1) in
+    let faults =
+      if n_pop <= 2000 then Fault.all_transfer_faults m
+      else Fault.sample_transfer_faults (Simcov_util.Rng.create seed) m ~count:200
+    in
+    List.filter
+      (fun (_, (v : Campaign.verdict)) -> v.Campaign.excited && not v.Campaign.detected)
+      (Detect.campaign_scalar m faults word).Campaign.verdicts
 end
 
 module Fsm = struct
@@ -487,6 +537,31 @@ module Fsm = struct
           go s' ((s, i, s', o) :: acc) rest
     in
     go m.M.reset [] word
+
+  (* The walks {!Simcov_fsm.Fsm.replay} replaced: outputs and final
+     state by folding [step] from reset. *)
+  let output_word (m : M.t) word =
+    let _, outputs =
+      List.fold_left
+        (fun (s, acc) i ->
+          let s', o = step m s i in
+          (s', o :: acc))
+        (m.M.reset, []) word
+    in
+    List.rev outputs
+
+  let final_state (m : M.t) word = List.fold_left (fun s i -> fst (step m s i)) m.M.reset word
+
+  (* a word's replay read off closures: the [(state, input)] steps from
+     reset up to the first input outside the alphabet or invalid where
+     it is applied, the state the walk ends in, and that input *)
+  let walk (r : Machine.t) word =
+    let rec go s acc = function
+      | i :: rest when i >= 0 && i < r.Machine.n_inputs && r.Machine.valid s i ->
+          go (r.Machine.next s i) ((s, i) :: acc) rest
+      | rest -> (List.rev acc, s, match rest with i :: _ -> Some i | [] -> None)
+    in
+    go r.Machine.reset [] word
 
   (* Equivalence from the reset states by breadth-first search of the
      product machine: [Ok []] when equivalent, [Ok w] with a shortest
@@ -652,6 +727,24 @@ module Fsm = struct
       if n' = !n_cls then stable := true else n_cls := n'
     done;
     cls
+end
+
+module Tour = struct
+  (* The tour check {!Simcov_fsm.Fsm.replay} replaced: an invalid input
+     anywhere rejects the word. *)
+  let word_is_tour (m : Simcov_fsm.Fsm.t) word =
+    let module M = Simcov_fsm.Fsm in
+    let covered = Hashtbl.create 1024 in
+    let rec go s = function
+      | [] -> true
+      | i :: rest ->
+          m.M.valid s i
+          && begin
+               Hashtbl.replace covered (s, i) ();
+               go (m.M.next s i) rest
+             end
+    in
+    go m.M.reset word && Hashtbl.length covered = M.n_transitions m
 end
 
 module Cpp = struct

@@ -412,6 +412,71 @@ let qcheck_compiled_queries =
           | Some q -> QCheck.Test.fail_reportf "shape %d, reset %d: %s differs" shape reset q)
         (List.init r.Machine.n_states Fun.id))
 
+(* ---- the one replay against the walks it replaced ---- *)
+
+(* a word that mostly follows the machine's valid inputs from reset,
+   with a symbol from [-1, n_inputs] (rejected when out of range) one
+   time in six *)
+let random_word rng (r : Machine.t) ~length =
+  let k = r.Machine.n_inputs in
+  let rec go s n acc =
+    if n = 0 then List.rev acc
+    else
+      let valid = List.filter (r.Machine.valid s) (List.init k Fun.id) in
+      if valid = [] || Rng.int rng 6 = 0 then
+        let i = Rng.int rng (k + 2) - 1 in
+        let s = if i >= 0 && i < k && r.Machine.valid s i then r.Machine.next s i else s in
+        go s (n - 1) (i :: acc)
+      else
+        let i = List.nth valid (Rng.int rng (List.length valid)) in
+        go (r.Machine.next s i) (n - 1) (i :: acc)
+  in
+  go r.Machine.reset length []
+
+let qcheck_replay_readers =
+  let raises f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+  QCheck.Test.make
+    ~name:"fsm: replay and its readers = the walks they replaced (rejected inputs included)"
+    ~count:300
+    QCheck.(quad (int_range 0 3) (int_range 1 8) (int_range 0 24) (int_range 1 1_000_000))
+    (fun (shape, n_states, length, seed) ->
+      let rng = Rng.create seed in
+      let r = random_closures rng ~shape ~n_states in
+      let m = Machine.build r in
+      let word = random_word rng r ~length in
+      let steps, final, rejected = Oracles.Fsm.walk r word in
+      let k = m.Fsm.n_inputs in
+      let rp = Fsm.replay m word in
+      let checks =
+        [
+          ("replay stop", rp.Fsm.halt = List.length steps && rp.Fsm.rejected = rejected);
+          ( "replay states",
+            Array.to_list rp.Fsm.states = List.map fst steps @ [ final ] );
+          ( "replay codes",
+            Array.to_list rp.Fsm.codes = List.map (fun (s, i) -> (s * k) + i) steps );
+          ( "output_word",
+            raises (fun () -> Fsm.output_word m word)
+            = raises (fun () -> Oracles.Fsm.output_word m word) );
+          ( "final_state",
+            raises (fun () -> Fsm.final_state m word)
+            = raises (fun () -> Oracles.Fsm.final_state m word) );
+          ( "state_coverage",
+            Simcov_coverage.Detect.state_coverage m word
+            = Oracles.Detect.state_coverage m word );
+          ( "transition_coverage",
+            Simcov_coverage.Detect.transition_coverage m word
+            = Oracles.Detect.transition_coverage m word );
+          ( "word_is_tour",
+            Simcov_testgen.Tour.word_is_tour m word = Oracles.Tour.word_is_tour m word );
+        ]
+      in
+      match List.find_opt (fun (_, ok) -> not ok) checks with
+      | None -> true
+      | Some (name, _) ->
+          QCheck.Test.fail_reportf "shape %d, word [%s]: %s differs" shape
+            (String.concat "; " (List.map string_of_int word))
+            name)
+
 (* a machine is compiled once, when it is built: no query compiles it
    again, and a quotient is one more machine built *)
 let test_compiled_once () =
@@ -572,6 +637,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_forall_k_monotone;
     QCheck_alcotest.to_alcotest qcheck_min_forall_k_brute;
     QCheck_alcotest.to_alcotest qcheck_compiled_queries;
+    QCheck_alcotest.to_alcotest qcheck_replay_readers;
     Alcotest.test_case "a machine is compiled once, when built" `Quick test_compiled_once;
   ]
 

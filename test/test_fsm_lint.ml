@@ -123,11 +123,25 @@ let test_suite_invalid_word () =
      and only its executable prefix counts (matching Detect) *)
   let r = Fsm_lint.run ~suite:[ [ 0; 1 ] ] nonminimal in
   Alcotest.(check bool) "SA650 invalid input" true (has "SA650" r);
-  match r.Fsm_lint.suite with
+  (match r.Fsm_lint.suite with
   | None -> Alcotest.fail "suite report expected"
   | Some s ->
       Alcotest.(check int) "prefix covers 1 transition" 1
-        s.Fsm_lint.suite_transitions
+        s.Fsm_lint.suite_transitions);
+  (* an input outside the alphabet, too large or negative, is rejected
+     where it is applied (the report sorts by word) *)
+  let r = Fsm_lint.run ~suite:[ [ 0; 0; 7 ]; [ 0; -1 ] ] counter3 in
+  Alcotest.(check (list string))
+    "SA650 at the rejected input"
+    [
+      "word 1 applies input -1 at position 1, invalid in state s1: the rest of the \
+       word cannot execute";
+      "word 0 applies input 7 at position 2, invalid in state s2: the rest of the \
+       word cannot execute";
+    ]
+    (List.filter_map
+       (fun d -> if d.Diag.code = "SA650" then Some d.Diag.message else None)
+       r.Fsm_lint.diags)
 
 let test_budget_skip () =
   let budget = Budget.create ~max_steps:2 () in
@@ -188,23 +202,20 @@ let qcheck_duplicate_state_caught =
       has "SA620" r && r.Fsm_lint.stats.Fsm_lint.certified_k = None)
 
 let qcheck_suite_cover_matches_simulation =
-  (* the suite-cover pass predicts coverage by graph walk; it must
-     agree exactly with the pairs a word traverses from reset, up to
-     its first invalid input *)
+  (* the suite-cover pass predicts coverage from each word's replay; it
+     must agree exactly with the pairs a word traverses from reset, up
+     to its first input that is invalid or outside the alphabet
+     (negative or too large: a machine rejects both), and report one
+     SA650 per word that stops there *)
   QCheck.Test.make
     ~name:"fsm_lint: predicted suite coverage = simulated coverage" ~count:60
     QCheck.(
       quad (int_range 2 8) (int_range 1 3) (int_range 1 999)
-        (list_of_size Gen.(1 -- 5) (list_of_size Gen.(0 -- 12) (int_bound 3))))
+        (list_of_size Gen.(1 -- 5) (list_of_size Gen.(0 -- 12) (int_range (-1) 4))))
     (fun (n, k, seed, words) ->
       let n = max 2 n and k = max 1 k and seed = max 1 seed in
       let rng = Rng.create seed in
       let m = Fsm.random_connected rng ~n_states:n ~n_inputs:k ~n_outputs:2 in
-      (* clamp symbols into the alphabet: random_connected machines are
-         total with a permissive [valid], so an out-of-range symbol is
-         an array overflow, not an invalid input (the invalid-input
-         path is covered by the golden of_table test above) *)
-      let words = List.map (List.map (fun i -> i mod k)) words in
       let r = Fsm_lint.run ~suite:words m in
       match r.Fsm_lint.suite with
       | None -> false
@@ -212,6 +223,9 @@ let qcheck_suite_cover_matches_simulation =
           let rec walk s acc = function
             | i :: rest when m.Fsm.valid s i -> walk (m.Fsm.next s i) ((s, i) :: acc) rest
             | _ -> acc
+          in
+          let stops word =
+            List.length (walk m.Fsm.reset [] word) < List.length word
           in
           let simulated =
             List.sort_uniq compare (List.concat_map (walk m.Fsm.reset []) words)
@@ -223,36 +237,89 @@ let qcheck_suite_cover_matches_simulation =
             |> List.map (fun (st, i, _, _) -> (st, i))
           in
           simulated = predicted
-          && List.length simulated = s.Fsm_lint.suite_transitions)
+          && List.length simulated = s.Fsm_lint.suite_transitions
+          && List.length (List.filter stops words)
+             = List.length (List.filter (fun d -> d.Diag.code = "SA650") r.Fsm_lint.diags))
 
-(* ---- SA640 against the direct reference count ---- *)
+(* ---- the fault-structural pass against its references ---- *)
 
-(* SA640 names the count, the site count and the first example the
-   reference loop finds on the same padded tour; no SA640 when it
-   finds none, or when there is no tour to replay *)
+let trans_name (m : Fsm.t) s i =
+  Printf.sprintf "%s -%s->" (m.Fsm.state_name s) (m.Fsm.input_name i)
+
+(* SA641's diagnostics from the reference's masked faults: the first 8
+   named with their masking windows, the rest counted *)
+let sa641_expected (m : Fsm.t) masked =
+  let named =
+    List.filteri (fun idx _ -> idx < 8) masked
+    |> List.map (fun (fault, (v : Detect.verdict)) ->
+           match fault with
+           | Fault.Transfer { state = s; input = i; wrong_next } ->
+               let window =
+                 match (v.excite_step, v.masked_step) with
+                 | Some j, Some l -> Printf.sprintf "masked over tour steps %d..%d" j l
+                 | _ -> "never exposed before the tour ends"
+               in
+               Diag.make ~code:"SA641" ~severity:Diag.Warning ~pass:"fault-structural"
+                 ~loc:(Diag.State (m.Fsm.state_name s))
+                 ~related:[ Format.asprintf "%a" Fault.pp fault ]
+                 (Printf.sprintf
+                    "transfer error %s to %s is excited but %s: Requirement 4 (no \
+                     masked transfer errors) does not hold on this tour"
+                    (trans_name m s i) (m.Fsm.state_name wrong_next) window)
+           | _ -> assert false)
+  in
+  let n = List.length masked in
+  let rest =
+    if n > 8 then
+      [
+        Diag.make ~code:"SA641" ~severity:Diag.Warning ~pass:"fault-structural"
+          ~loc:Diag.Whole_circuit
+          (Printf.sprintf "%d more masked transfer errors" (n - 8));
+      ]
+    else []
+  in
+  List.sort Diag.compare (named @ rest)
+
+(* SA640 is the count, the site count, the example and its predecessor
+   the reference loop finds on the same padded tour, and says "exposed
+   elsewhere" exactly when a one-fault scalar campaign detects the
+   example; SA641 lists the masked faults of a separate scalar campaign
+   over the population. Neither appears when there is no tour. *)
 let sa640_matches_oracle (m : Fsm.t) =
   let r = Fsm_lint.run m in
+  let sa641 = List.filter (fun d -> d.Diag.code = "SA641") r.Fsm_lint.diags in
   match (Tour.facts m).Tour.tour with
-  | None -> not (has "SA640" r)
+  | None -> (not (has "SA640" r)) && sa641 = []
   | Some tour -> (
       let k = Option.value ~default:1 r.Fsm_lint.stats.Fsm_lint.certified_k in
-      match Oracles.Fsm_lint.r1_count m (Tour.pad m ~k tour.Tour.word) with
-      | 0, _, _ -> not (has "SA640" r)
-      | r1, sites, Some (s, i, o, p) ->
+      let word = Tour.pad m ~k tour.Tour.word in
+      let sa641_ok = sa641 = sa641_expected m (Oracles.Fsm_lint.masked m word ~seed:7) in
+      match Oracles.Fsm_lint.r1_count m word with
+      | 0, _, _ -> (not (has "SA640" r)) && sa641_ok
+      | r1, sites, Some (s, i, o, ((ps, pi) as p)) ->
           let d = diag "SA640" r in
           let fault =
             Fault.Conditional_output
               { state = s; input = i; wrong_output = o + 1; prev = p }
           in
-          let prefix =
-            Printf.sprintf "%d non-uniform output error%s at %d site%s " r1
+          let escapes = Oracles.Fsm_lint.escapes m word fault in
+          let message =
+            Printf.sprintf
+              "%d non-uniform output error%s at %d site%s escape%s the transition tour \
+               (Requirement 1): e.g. an error on %s firing only after %s is never \
+               excited — the tour takes that transition after a different \
+               predecessor%s"
+              r1
               (if r1 = 1 then "" else "s")
               sites
               (if sites = 1 then "" else "s")
+              (if r1 = 1 then "s" else "")
+              (trans_name m s i) (trans_name m ps pi)
+              (if escapes then "" else " (exposed elsewhere on this tour)")
           in
           d.Diag.loc = Diag.State (m.Fsm.state_name s)
           && d.Diag.related = [ Format.asprintf "%a" Fault.pp fault ]
-          && String.starts_with ~prefix d.Diag.message
+          && d.Diag.message = message && sa641_ok
       | _ -> false)
 
 (* input 0 closes a cycle through every state (strongly connected) or

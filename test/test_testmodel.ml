@@ -350,8 +350,9 @@ let test_digest_unchanged_to_16 () =
 (* ---- concretization ---- *)
 
 let run_conc ?bugs conc =
-  Simcov_dlx.Validate.run_program ?bugs ~preload_regs:conc.Testmodel.preload_regs
-    ~preload_mem:conc.Testmodel.preload_mem conc.Testmodel.program
+  let t = conc.Testmodel.test in
+  Simcov_dlx.Validate.run_program ?bugs ~preload_regs:t.Simcov_dlx.Validate.preload_regs
+    ~preload_mem:t.Simcov_dlx.Validate.preload_mem t.Simcov_dlx.Validate.program
 
 let run_both word = run_conc (Testmodel.concretize cfg word)
 
@@ -408,6 +409,38 @@ let test_concretize_tour_runs_clean () =
           Alcotest.(check bool) "thousands of commits" true (n > 3000)
       | f -> Alcotest.failf "tour program must pass: %a" Simcov_dlx.Validate.pp_outcome f)
 
+(* the tour program file carries both kinds of preload: read back, it
+   is the program written, and runs as validate-dlx runs it *)
+let test_program_file_round_trip () =
+  match Simcov_testgen.Tour.transition_tour model with
+  | None -> Alcotest.fail "tour must exist"
+  | Some t -> (
+      let module V = Simcov_dlx.Validate in
+      let conc = Testmodel.concretize cfg t.Simcov_testgen.Tour.word in
+      let test = conc.Testmodel.test in
+      let path = Filename.temp_file "simcov" ".s" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_text path (fun oc -> V.output_test_program oc test);
+          match V.parse_test_program (In_channel.with_open_text path In_channel.input_all) with
+          | Error e -> Alcotest.fail e
+          | Ok read ->
+              Alcotest.(check bool) "read back as written" true (read = test);
+              Alcotest.(check int) "64 memory preloads" 64 (List.length read.V.preload_mem);
+              let run ?bugs () =
+                V.run_program ?bugs ~preload_regs:read.V.preload_regs
+                  ~preload_mem:read.V.preload_mem read.V.program
+              in
+              (match run () with
+              | V.Pass { compared; cut = false } ->
+                  Alcotest.(check int) "every commit" (Array.length conc.Testmodel.issue_map)
+                    compared
+              | f -> Alcotest.failf "must pass: %a" V.pp_outcome f);
+              match run ~bugs:(List.assoc "no_load_interlock" Simcov_dlx.Pipeline.bug_catalog) () with
+              | V.Fail { index; _ } -> Alcotest.(check int) "first mismatch" 125 index
+              | f -> Alcotest.failf "must fail: %a" V.pp_outcome f))
+
 (* at 32 registers the model tracks r31, which [jal] would write behind
    its back: a random valid walk, one class drawn uniformly per step so
    jumps are common, concretizes with no [jal] and co-simulates clean *)
@@ -441,7 +474,9 @@ let test_concretize_no_jal_at_32 () =
   Alcotest.(check int) "2,000 steps" 2_000 (List.length word);
   Alcotest.(check bool) "the walk jumps often" true (jumps >= 100);
   Alcotest.(check bool) "no jal" true
-    (Array.for_all (fun (i : Isa.t) -> i.Isa.op <> Isa.Jal) conc.Testmodel.program);
+    (Array.for_all
+       (fun (i : Isa.t) -> i.Isa.op <> Isa.Jal)
+       conc.Testmodel.test.Simcov_dlx.Validate.program);
   Alcotest.(check int) "no table built" 0 tabs;
   match outcome with
   | Simcov_dlx.Validate.Pass _ -> ()
@@ -525,4 +560,6 @@ let suite =
     Alcotest.test_case "no jal at 32 registers" `Quick test_concretize_no_jal_at_32;
     Alcotest.test_case "certified tour conformance at 2/4/8 registers" `Slow
       test_tour_conformance;
+    Alcotest.test_case "tour program file round-trips its preloads" `Slow
+      test_program_file_round_trip;
   ]
